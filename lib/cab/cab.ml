@@ -356,30 +356,27 @@ let sdma ?(stallable = false) t (pkt : Netmem.packet) ~bytes ~cookie
 (* Validation happens at post time (the caller's bug surfaces where it was
    made); the commit closures run when the bus transfer completes. *)
 
-let validate_header (pkt : Netmem.packet) ~header =
-  let len = Bytes.length header in
+let validate_header (pkt : Netmem.packet) ~len =
   require_word_aligned "header length" len;
   if len > Bytes.length pkt.buf then
-    invalid_arg "Cab.sdma_header: header larger than packet buffer";
-  len
+    invalid_arg "Cab.sdma_header: header larger than packet buffer"
 
-let commit_header (pkt : Netmem.packet) ~header ~csum =
-  let len = Bytes.length header in
+(* [fill] writes the [len]-byte header into the front of [pkt.buf]. *)
+let commit_header (pkt : Netmem.packet) ~len ~fill ~csum =
   pkt.hdr_len <- len;
   pkt.csum <- csum;
+  fill pkt.buf;
   match csum with
-  | None -> Bytes.blit header 0 pkt.buf 0 len
+  | None -> ()
   | Some c ->
       (* The transmit checksum engine sums the words as they stream
-         through (§2.1): blit the skipped prefix, then one fused
-         copy+sum pass over the checksummed range. *)
+         through (§2.1), from the offload record's skip onwards. *)
       let skip = c.Csum_offload.skip_bytes in
       if skip > len then
         invalid_arg "Cab.sdma_header: checksum skip beyond header";
-      Bytes.blit header 0 pkt.buf 0 skip;
-      pkt.header_sum <-
-        Inet_csum.copy_and_sum ~src:header ~src_off:skip ~dst:pkt.buf
-          ~dst_off:skip ~len:(len - skip)
+      pkt.header_sum <- Inet_csum.of_bytes ~off:skip ~len:(len - skip) pkt.buf
+
+let blit_header header buf = Bytes.blit header 0 buf 0 (Bytes.length header)
 
 let validate_payload (pkt : Netmem.packet) ~src ~pkt_off =
   require_word_aligned "payload packet offset" pkt_off;
@@ -430,9 +427,10 @@ let commit_payload (pkt : Netmem.packet) ~src ~pkt_off ~len =
 
 let sdma_header t (pkt : Netmem.packet) ~header ~csum ?(cookie = 0)
     ?(interrupt = false) ?on_complete () =
-  let len = validate_header pkt ~header in
+  let len = Bytes.length header in
+  validate_header pkt ~len;
   sdma t pkt ~bytes:len ~cookie ~interrupt ~on_complete (fun () ->
-      commit_header pkt ~header ~csum)
+      commit_header pkt ~len ~fill:(blit_header header) ~csum)
 
 let sdma_payload t (pkt : Netmem.packet) ~src ~pkt_off ?(cookie = 0)
     ?(interrupt = false) ?on_complete () =
@@ -443,7 +441,11 @@ let sdma_payload t (pkt : Netmem.packet) ~src ~pkt_off ?(cookie = 0)
 (* ---- chained SDMA ---- *)
 
 type chain_seg =
-  | Seg_header of { header : Bytes.t; csum : Csum_offload.tx option }
+  | Seg_header of {
+      len : int;
+      fill : Bytes.t -> unit;
+      csum : Csum_offload.tx option;
+    }
   | Seg_payload of {
       src : tx_src;
       pkt_off : int;
@@ -468,7 +470,9 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ?(cookie = 0)
         (fun seg ->
           let len =
             match seg with
-            | Seg_header { header; _ } -> validate_header pkt ~header
+            | Seg_header { len; _ } ->
+                validate_header pkt ~len;
+                len
             | Seg_payload { src; pkt_off; _ } ->
                 validate_payload pkt ~src ~pkt_off
           in
@@ -486,7 +490,8 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ?(cookie = 0)
           List.iter
             (fun seg ->
               match seg with
-              | Seg_header { header; csum } -> commit_header pkt ~header ~csum
+              | Seg_header { len; fill; csum } ->
+                  commit_header pkt ~len ~fill ~csum
               | Seg_payload { src; pkt_off; on_seg_complete } ->
                   let len = validate_payload pkt ~src ~pkt_off in
                   commit_payload pkt ~src ~pkt_off ~len;
@@ -507,15 +512,7 @@ let tx_rewrite_header t (pkt : Netmem.packet) ~header ~csum ?(cookie = 0)
     invalid_arg "Cab.tx_rewrite_header: header length changed";
   pkt.state <- Netmem.Filling;
   sdma t pkt ~bytes:len ~cookie ~interrupt ~on_complete (fun () ->
-      pkt.csum <- csum;
-      match csum with
-      | None -> Bytes.blit header 0 pkt.buf 0 len
-      | Some c ->
-          let skip = c.Csum_offload.skip_bytes in
-          Bytes.blit header 0 pkt.buf 0 skip;
-          pkt.header_sum <-
-            Inet_csum.copy_and_sum ~src:header ~src_off:skip ~dst:pkt.buf
-              ~dst_off:skip ~len:(len - skip))
+      commit_header pkt ~len ~fill:(blit_header header) ~csum)
 
 let mdma_send t (pkt : Netmem.packet) ~dst ~channel ~keep =
   Obs_trace.emit Obs_trace.Doorbell ~a:pkt.len ~b:pkt.sdma_pending;

@@ -140,7 +140,15 @@ val sdma_payload :
 
 (** One element of a chained SDMA post. *)
 type chain_seg =
-  | Seg_header of { header : Bytes.t; csum : Csum_offload.tx option }
+  | Seg_header of {
+      len : int;
+      fill : Bytes.t -> unit;
+      csum : Csum_offload.tx option;
+    }
+      (** [len] header bytes (word aligned).  [fill] writes them into the
+          front of the packet buffer when the chain commits, so a driver
+          can gather the header straight from its own storage; it runs
+          once per commit, again if a stalled chain is reposted. *)
   | Seg_payload of {
       src : tx_src;
       pkt_off : int;

@@ -238,7 +238,7 @@ let rewrite_candidate t ~prefix_len pieces =
       | _ -> None)
   | _ -> None
 
-(* Ledger attribution for the prefix gather in [build_header]: leading
+(* Ledger attribution for the prefix gather in [write_header]: leading
    internal mbufs are protocol headers (prepended by the transports),
    cluster mbufs are staged payload (the unmodified stack's kernel
    copies), so the copy splits into header vs payload host touches. *)
@@ -257,20 +257,35 @@ let charge_prefix chain ~prefix_len =
   in
   go (Some chain) prefix_len
 
-let build_header t ~dst ~payload_total chain ~prefix_len =
-  let hdr_len = word_pad (hippi_hdr + prefix_len) in
-  (* Zero-filled: the word-alignment pad bytes ride through the transmit
-     checksum engine but are never transmitted, so they must be zero (a
-     ones-complement sum is unchanged by zeros). *)
-  let hdr = Bytes.make hdr_len '\000' in
+(* Write the packet's header image into [buf] at offset 0: HIPPI framing,
+   the chain's [prefix_len]-byte host prefix, then zeros up to the word
+   boundary.  The pad bytes ride through the transmit checksum engine but
+   are never transmitted, so they must be zero (a ones-complement sum is
+   unchanged by zeros). *)
+let write_header t ~dst ~payload_total chain ~prefix_len buf =
   Hippi_framing.encode
     (Hippi_framing.make
        ~src:(Cab.hippi_addr t.cab)
        ~dst ~channel:(channel_for dst) ~payload_len:payload_total)
-    hdr ~off:0;
-  charge_prefix chain ~prefix_len;
-  Mbuf.copy_into chain ~off:0 ~len:prefix_len hdr ~dst_off:hippi_hdr;
-  hdr
+    buf ~off:0;
+  Mbuf.copy_into chain ~off:0 ~len:prefix_len buf ~dst_off:hippi_hdr;
+  let n = hippi_hdr + prefix_len in
+  Bytes.fill buf n (word_pad n - n) '\000'
+
+(* Unlink the descriptor pieces from behind the host-readable prefix and
+   return them as a chain of their own; [chain] keeps the prefix.  IP
+   output always leads with a header mbuf, so the head is never a
+   descriptor. *)
+let detach_pieces (chain : Mbuf.t) =
+  let rec go (mb : Mbuf.t) =
+    match mb.Mbuf.next with
+    | Some nx when Mbuf.is_descriptor nx ->
+        mb.Mbuf.next <- None;
+        Some nx
+    | Some nx -> go nx
+    | None -> None
+  in
+  go chain
 
 let output t ifc pkt ~next_hop =
   match Netif.link_addr ifc next_hop with
@@ -295,7 +310,9 @@ let output t ifc pkt ~next_hop =
       | Some netpkt ->
           (* Header rewrite: new header + saved body checksum; the data is
              not touched (§4.3). *)
-          let hdr = build_header t ~dst ~payload_total:total pkt ~prefix_len in
+          let hdr = Bytes.create (word_pad (hippi_hdr + prefix_len)) in
+          charge_prefix pkt ~prefix_len;
+          write_header t ~dst ~payload_total:total pkt ~prefix_len hdr;
           t.s <-
             {
               t.s with
@@ -325,9 +342,7 @@ let output t ifc pkt ~next_hop =
               Mbuf.free pkt
           | Some netpkt ->
               netpkt.Netmem.len <- pkt_len;
-              let hdr =
-                build_header t ~dst ~payload_total:total pkt ~prefix_len
-              in
+              charge_prefix pkt ~prefix_len;
               let payload_base = hippi_hdr + prefix_len in
               let nonempty =
                 List.filter (fun (mb : Mbuf.t) -> mb.Mbuf.len > 0) pieces
@@ -360,7 +375,7 @@ let output t ifc pkt ~next_hop =
                   (hippi_hdr + prefix_len);
                 Obs_ledger.touch Obs_ledger.Drv_tx_gather Obs_ledger.Copy
                   gathered;
-                Bytes.blit hdr 0 blob 0 (hippi_hdr + prefix_len);
+                write_header t ~dst ~payload_total:total pkt ~prefix_len blob;
                 Mbuf.copy_into_raw pkt ~off:prefix_len
                   ~len:gathered blob
                   ~dst_off:(hippi_hdr + prefix_len);
@@ -500,7 +515,12 @@ let output t ifc pkt ~next_hop =
                       (src, this_off, interrupt, on_complete))
                     nonempty
                 in
-                Mbuf.free pkt;
+                (* The pieces are captured, so they are freed now.  The
+                   host prefix stays with [pkt] until the chain commits:
+                   the header segment gathers it straight into network
+                   memory then (again on a watchdog repost), and the
+                   chain's completion frees it. *)
+                Option.iter Mbuf.free (detach_pieces pkt);
                 (* Chained post: header + payload segments ride one
                    descriptor chain behind one doorbell.  Charged as one
                    doorbell ring plus a quarter-cost descriptor write per
@@ -509,7 +529,14 @@ let output t ifc pkt ~next_hop =
                    completion interrupt stands in for the per-piece ones
                    when any piece asked for one. *)
                 let segs =
-                  Cab.Seg_header { header = hdr; csum = tx_csum }
+                  Cab.Seg_header
+                    {
+                      len = word_pad payload_base;
+                      fill =
+                        write_header t ~dst ~payload_total:total pkt
+                          ~prefix_len;
+                      csum = tx_csum;
+                    }
                   :: List.map
                        (fun (src, this_off, _interrupt, on_complete) ->
                          Cab.Seg_payload
@@ -535,7 +562,7 @@ let output t ifc pkt ~next_hop =
                       ~post:(fun ~on_complete ->
                         Cab.sdma_chain t.cab netpkt ~segs
                           ~interrupt:want_intr ~on_complete ())
-                      ~on_done:(fun () -> ());
+                      ~on_done:(fun () -> Mbuf.free pkt);
                     if payload_reqs = [] then maybe_convert ();
                     Cab.mdma_send t.cab netpkt ~dst
                       ~channel:(channel_for dst) ~keep)
@@ -671,22 +698,22 @@ let handle_rx t (info : Cab.rx_info) =
           deliver_chain t head
       | Stack_mode.Unmodified ->
           (* Baseline stack: the whole packet must land in kernel buffers
-             before protocol processing; no hardware checksum is used. *)
-          let tail = Bytes.create tail_len in
+             before protocol processing; no hardware checksum is used.
+             The copy-out DMA lands the tail in one contiguous pooled
+             mbuf (the paper's 2-copy baseline profile: no re-copy into
+             clusters); freeing it returns the storage to the pool. *)
+          let tail, tail_buf = Mbuf.contiguous tail_len in
           let pkt = info.Cab.rx_pkt in
           let post = Memcost.dma_post t.host.Host.profile in
           Host.in_intr t.host post (fun () ->
               watched_post t pkt
                 ~post:(fun ~on_complete ->
                   Cab.sdma_copy_out t.cab pkt ~off:head_len ~len:tail_len
-                    ~dst:(Netif.To_kernel (tail, 0))
+                    ~dst:(Netif.To_kernel (tail_buf, 0))
                     ~interrupt:true ~on_complete ())
                 ~on_done:(fun () ->
                   Cab.rx_free t.cab pkt;
-                  (* The copy-out DMA already landed the tail in [tail];
-                     wrap it zero-copy instead of re-copying into pooled
-                     cells, matching the paper's 2-copy baseline profile. *)
-                  Mbuf.append head (Mbuf.wrap_bytes tail);
+                  Mbuf.append head tail;
                   t.s <-
                     { t.s with rx_copied_kernel = t.s.rx_copied_kernel + 1 };
                   deliver_chain t head))

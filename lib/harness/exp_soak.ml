@@ -55,10 +55,11 @@ let storm_plans ~seed =
   Fault.plan ~site:"vm.pin_fail" (Fault.Every_n (6 + Rng.int rng 10))
 
 let run_seed ?(wsize = 64 * 1024) ?(total = 2 * 1024 * 1024)
-    ?(plans = fun ~seed -> storm_plans ~seed) seed =
+    ?(mode = Stack_mode.Single_copy) ?(plans = fun ~seed -> storm_plans ~seed)
+    seed =
   if total mod wsize <> 0 then
     invalid_arg "Exp_soak.run_seed: total must be a multiple of wsize";
-  let tb = Testbed.create ~watchdog:(Simtime.us 500.) () in
+  let tb = Testbed.create ~mode ~watchdog:(Simtime.us 500.) () in
   let sim = tb.Testbed.sim in
   let baseline = List.map (fun m -> (m, read_metric m)) occupancy_metrics in
   let csum0 = read_metric ("tcp", "csum_failures_rx") in
@@ -182,8 +183,8 @@ let run_seed ?(wsize = 64 * 1024) ?(total = 2 * 1024 * 1024)
     ok = completed && verified && leaks = [];
   }
 
-let run_storm ?(seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]) ?wsize ?total () =
-  List.map (fun seed -> run_seed ?wsize ?total seed) seeds
+let run_storm ?(seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]) ?wsize ?total ?mode () =
+  List.map (fun seed -> run_seed ?wsize ?total ?mode seed) seeds
 
 let all_ok reports = List.for_all (fun r -> r.ok) reports
 let total_events reports = List.fold_left (fun a r -> a + r.events) 0 reports

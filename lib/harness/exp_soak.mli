@@ -45,14 +45,17 @@ type seed_report = {
 }
 
 val run_seed :
-  ?wsize:int -> ?total:int -> ?plans:(seed:int -> unit) -> int -> seed_report
+  ?wsize:int -> ?total:int -> ?mode:Stack_mode.t ->
+  ?plans:(seed:int -> unit) -> int -> seed_report
 (** Soak one seed.  Defaults: 64 KByte windows, 2 MByte transferred, the
-    full seed-derived storm.  [plans] replaces the storm with explicit
-    {!Fault.plan} calls (the plane is already armed when it runs) — the
-    benchmarks use it to pin exact fault rates.  Leaves the fault plane
-    disarmed. *)
+    single-copy stack, the full seed-derived storm.  [plans] replaces the
+    storm with explicit {!Fault.plan} calls (the plane is already armed
+    when it runs) — the benchmarks use it to pin exact fault rates.
+    Leaves the fault plane disarmed. *)
 
-val run_storm : ?seeds:int list -> ?wsize:int -> ?total:int -> unit -> seed_report list
+val run_storm :
+  ?seeds:int list -> ?wsize:int -> ?total:int -> ?mode:Stack_mode.t ->
+  unit -> seed_report list
 (** Soak each seed in turn (default seeds 1..8). *)
 
 val all_ok : seed_report list -> bool

@@ -78,9 +78,9 @@ let mclbytes = 2048
 (* Free lists of recycled internal/cluster cells.  [get]/[put] keep the
    steady-state datapath allocation-free: a released buffer goes back on
    its free list and the next construction pops it instead of calling
-   [Bytes.create].  Only exactly-[msize]/[mclbytes] cells are recycled;
-   odd-sized buffers (oversize [prepend]/[pullup] heads) are left to the
-   GC. *)
+   [Bytes.create].  Only exactly-[msize]/[mclbytes] cells live here;
+   odd-sized buffers are recycled through [Bufpool.shared] instead
+   ([cell_create]/[cell_release]). *)
 module Pool = struct
   let max_small = 512
   let max_clusters = 1024
@@ -335,14 +335,23 @@ end
 
 let cell_retain c = c.refs <- c.refs + 1
 
+(* Odd-sized cells (oversize heads, contiguous receive tails) are drawn
+   from [Bufpool.shared], keyed by exact size, and go back to it on
+   release; exactly-[msize]/[mclbytes] cells belong to the mbuf pool. *)
 let cell_release c =
   if c.refs > 0 then begin
     c.refs <- c.refs - 1;
-    if c.refs = 0 then Pool.put c
+    if c.refs = 0 then begin
+      let n = Bytes.length c.cbuf in
+      if n = msize || n = mclbytes then Pool.put c
+      else Bufpool.put Bufpool.shared c.cbuf
+    end
   end
 
-(* Fresh (non-pooled) cell for odd-sized buffers. *)
-let cell_of_bytes b = { cbuf = b; refs = 1 }
+let cell_create n =
+  if n = msize then Pool.get_small ()
+  else if n = mclbytes then Pool.get_cluster ()
+  else { cbuf = Bufpool.get Bufpool.shared n; refs = 1 }
 
 (* ---- construction ---- *)
 
@@ -427,13 +436,16 @@ let of_string ?pkthdr s =
   build_chain ?pkthdr ~total:(String.length s) (fun pos dst seg ->
       Bytes.blit_string s pos dst 0 seg)
 
-let wrap_bytes ?pkthdr ?(off = 0) ?len src =
-  let len = match len with Some l -> l | None -> Bytes.length src - off in
-  if off < 0 || len < 0 || off + len > Bytes.length src then
-    invalid_arg "Mbuf.wrap_bytes: range out of bounds";
-  (* Ownership of [src] transfers to the chain: the cell releases it (and
-     may recycle it, if it happens to be exactly cluster-sized) on free. *)
-  mk ?pkthdr (Cluster (cell_of_bytes src)) ~off ~len
+let of_region ?pkthdr region ~off ~len =
+  if off < 0 || len < 0 || off + len > Region.length region then
+    invalid_arg "Mbuf.of_region: range out of bounds";
+  build_chain ?pkthdr ~total:len (fun pos dst seg ->
+      Region.blit_to_bytes region ~src_off:(off + pos) dst ~dst_off:0 ~len:seg)
+
+let contiguous n =
+  if n < 0 then invalid_arg "Mbuf.contiguous: negative";
+  let c = cell_create n in
+  (mk (Cluster c) ~off:0 ~len:n, c.cbuf)
 
 let alloc ?pkthdr n =
   if n < 0 then invalid_arg "Mbuf.alloc: negative";
@@ -707,7 +719,7 @@ let prepend m n =
       if n <= msize then mk (Internal (Pool.get_small ())) ~off:0 ~len:n
       else if n <= mclbytes then
         mk (Cluster (Pool.get_cluster ())) ~off:0 ~len:n
-      else mk (Cluster (cell_of_bytes (Bytes.create n))) ~off:0 ~len:n
+      else mk (Cluster (cell_create n)) ~off:0 ~len:n
     in
     (* Leave the data at the tail of the buffer so further prepends can
        reuse the leading space. *)
@@ -866,7 +878,7 @@ let pullup m n =
     let cell =
       if n <= msize then Pool.get_small ()
       else if n <= mclbytes then Pool.get_cluster ()
-      else cell_of_bytes (Bytes.create n)
+      else cell_create n
     in
     copy_into m ~off:0 ~len:n cell.cbuf ~dst_off:0;
     let head =

@@ -122,10 +122,16 @@ val of_string : ?pkthdr:bool -> string -> t
 val of_bytes : ?pkthdr:bool -> ?off:int -> ?len:int -> Bytes.t -> t
 (** Chain holding a copy of [src[off, off+len)] (default: all of [src]). *)
 
-val wrap_bytes : ?pkthdr:bool -> ?off:int -> ?len:int -> Bytes.t -> t
-(** Zero-copy: wrap existing storage as a single-segment chain instead of
-    copying it into pooled cells. Ownership of the buffer transfers to the
-    chain — the caller must not reuse it after [free]. *)
+val of_region : ?pkthdr:bool -> Region.t -> off:int -> len:int -> t
+(** Chain holding a copy of [region[off, off+len)], blitted straight into
+    pooled chain storage (no intermediate buffer). *)
+
+val contiguous : int -> t * Bytes.t
+(** [contiguous n] is one cluster mbuf of [n] uninitialized bytes and its
+    storage, whose bytes [0, n) are the mbuf's data — a landing zone for a
+    DMA that must stay one contiguous mbuf.  The storage is pooled: the
+    mbuf pool's for [msize]/[mclbytes], [Bufpool.shared] (keyed by exact
+    size) otherwise; freeing the mbuf returns it there. *)
 
 val alloc : ?pkthdr:bool -> int -> t
 (** Zero-filled chain of the given total length. *)
@@ -249,7 +255,9 @@ val retain_storage : t -> unit -> unit
 
     Free lists of recycled [Internal]/[Cluster] buffers keep the
     steady-state datapath allocation-free.  Only exactly-[msize] /
-    [mclbytes] buffers are recycled; odd sizes are left to the GC. *)
+    [mclbytes] buffers live here; odd sizes (oversize [prepend]/[pullup]
+    heads, {!contiguous} storage) are drawn from and returned to
+    [Bufpool.shared]. *)
 
 module Pool : sig
   val allocated : unit -> int

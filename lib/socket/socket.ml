@@ -313,10 +313,8 @@ let write_copy t region k =
           Memcost.copy (profile t) ~locality:Memcost.Cold chunk
         in
         charge ~site:Cpu.Copy t copy_cost (fun () ->
-            let buf = Bytes.create chunk in
             Obs_ledger.touch Obs_ledger.Sock_tx_copy Obs_ledger.Copy chunk;
-            Region.blit_to_bytes region ~src_off:off buf ~dst_off:0 ~len:chunk;
-            let m = Mbuf.of_bytes ~pkthdr:true buf in
+            let m = Mbuf.of_region ~pkthdr:true region ~off ~len:chunk in
             match Tcp.sosend_append t.pcb ~proc:t.proc m with
             | Ok () -> push (off + chunk)
             | Error _ -> k ())

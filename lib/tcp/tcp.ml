@@ -807,7 +807,15 @@ and transmit_plan pcb plan =
             Some
               (fun desc ->
                 let qoff = Tcp_seq.diff seq pcb.snd_una in
-                if qoff >= 0 && qoff + len <= Tcp_sendq.length pcb.sendq then begin
+                (* The descriptor covers only what the driver put behind
+                   its host-readable prefix: with coalesced inline bytes
+                   ahead of it that is less than the segment, and mapping
+                   the segment onto it would name the wrong bytes. *)
+                if
+                  qoff >= 0
+                  && qoff + len <= Tcp_sendq.length pcb.sendq
+                  && desc.Mbuf.wcab_valid = len
+                then begin
                   let already_wcab =
                     Tcp_sendq.kinds_at pcb.sendq ~off:qoff ~len
                     = [ Mbuf.K_wcab ]

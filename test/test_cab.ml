@@ -277,7 +277,12 @@ let test_sdma_chain_equivalent () =
       Cab.sdma_chain pair.cab_a pkt
         ~segs:
           [
-            Cab.Seg_header { header = hdr; csum = Some csum };
+            Cab.Seg_header
+              {
+                len = Bytes.length hdr;
+                fill = (fun buf -> Bytes.blit hdr 0 buf 0 (Bytes.length hdr));
+                csum = Some csum;
+              };
             Cab.Seg_payload
               {
                 src = Cab.From_user lo;

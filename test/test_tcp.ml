@@ -515,6 +515,30 @@ let test_delack_coalesces_acks () =
     true
     (st.Tcp.acks_rcvd * 3 / 2 <= st.Tcp.segs_sent)
 
+(* Adaptive routing with descriptor coalescing lets a segment carry inline
+   bytes ahead of its descriptors, so the driver's outboard descriptor
+   covers less than the segment.  Long streams used to map the whole
+   segment onto it and crash (or, when the range fit, convert the send
+   queue onto the wrong bytes); only exact covers may convert. *)
+let test_adaptive_coalesce_long_streams () =
+  List.iter
+    (fun total ->
+      let tb =
+        Testbed.create
+          ~tcp_config:(fun c -> { c with Tcp.coalesce_descriptors = true })
+          ()
+      in
+      let r =
+        Ttcp.run ~tb ~wsize:65536 ~total ~force_uio:false ~adaptive:true ()
+      in
+      let mb = total lsr 20 in
+      check_bool (Printf.sprintf "%d MB verified" mb) true r.Ttcp.verified;
+      check_bool
+        (Printf.sprintf "%d MB still converts exact covers" mb)
+        true
+        (r.Ttcp.sender_tcp.Tcp.wcab_converted > 0))
+    [ 4 lsl 20; 16 lsl 20 ]
+
 let () =
   Alcotest.run "tcp"
     [
@@ -557,6 +581,8 @@ let () =
           Alcotest.test_case "zero-window persist" `Quick
             test_zero_window_persist;
           Alcotest.test_case "delayed acks" `Quick test_delack_coalesces_acks;
+          Alcotest.test_case "adaptive + coalesce long streams" `Quick
+            test_adaptive_coalesce_long_streams;
           Alcotest.test_case "gives up after max rexmt" `Quick
             test_gives_up_after_max_rexmt;
           Alcotest.test_case "simultaneous close" `Quick

@@ -212,6 +212,38 @@ let test_series_tick_alloc_free () =
     (Printf.sprintf "10k ticks allocate < 64 words (got %.0f)" words)
     true (words < 64.)
 
+(* ---------- host allocation on the two-copy datapath ---------- *)
+
+(* The unmodified stack copies each payload byte into pooled mbufs, gathers
+   it into network memory and copies the received tail into pooled
+   storage, so once the pools are warm a transfer allocates nothing
+   payload-sized.  Any [Bytes] over 256 words skips the minor heap, so a
+   per-packet buffer shows up as direct major allocation: major words
+   minus promoted words. *)
+let test_two_copy_no_payload_alloc () =
+  let total = 4 lsl 20 in
+  let transfer tb =
+    let r =
+      Ttcp.run ~tb ~wsize:65536 ~total ~force_uio:false ~verify:false ()
+    in
+    check_int "payload delivered" total r.Ttcp.receiver.Measurement.bytes
+  in
+  transfer (Testbed.create ~mode:Stack_mode.Unmodified ());
+  let tb = Testbed.create ~mode:Stack_mode.Unmodified () in
+  let before = Gc.quick_stat () in
+  transfer tb;
+  let after = Gc.quick_stat () in
+  let direct =
+    after.Gc.major_words -. before.Gc.major_words
+    -. (after.Gc.promoted_words -. before.Gc.promoted_words)
+  in
+  let payload_words = float_of_int (total / (Sys.word_size / 8)) in
+  check_bool
+    (Printf.sprintf "direct major words %.0f < 1/8 of payload words %.0f"
+       direct payload_words)
+    true
+    (direct < payload_words /. 8.)
+
 (* ---------- latency capture + CPU profiler over a real transfer ---------- *)
 
 let assert_attribution_exact tb =
@@ -306,6 +338,11 @@ let () =
           Alcotest.test_case "json export" `Quick test_series_to_json;
           Alcotest.test_case "tick is allocation-free" `Quick
             test_series_tick_alloc_free;
+        ] );
+      ( "host",
+        [
+          Alcotest.test_case "two-copy path allocates no payload buffers"
+            `Quick test_two_copy_no_payload_alloc;
         ] );
       ( "profiler",
         [
