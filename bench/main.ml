@@ -841,7 +841,6 @@ let all_targets =
       "micro"; "macro"; "soak"; "server" ]
 
 let () =
-  Tracelog.init_from_env ();
   let rec parse acc = function
     | [] -> List.rev acc
     | "--json" :: rest ->

@@ -34,6 +34,28 @@ let run mode_s profile_s wsize nbufs drops no_force trace timeline =
            (Cab_driver.iface tb.Testbed.a.Testbed.driver))
     else None
   in
+  (* Sample host B's adaptor receive counter every 10 ms.  The periodic
+     tick re-arms before its callback runs, so pending <= 1 there means
+     the transfer has fully drained and the tick stops itself instead of
+     keeping the simulation alive. *)
+  let every = Simtime.ms 10. in
+  let series =
+    if timeline then begin
+      let sim = tb.Testbed.sim in
+      let s =
+        Obs_series.create ~capacity:4096 ~interval:every
+          ~metrics:[ ("cab.hostB.cab", "rx_bytes") ]
+      in
+      let handle = ref None in
+      handle :=
+        Some
+          (Sim.periodic sim ~every (fun () ->
+               Obs_series.tick s ~now:(Sim.now sim);
+               if Sim.pending sim <= 1 then Option.iter (Sim.stop sim) !handle));
+      Some s
+    end
+    else None
+  in
   let r = Ttcp.run ~tb ~wsize ~total ~force_uio:(not no_force) () in
   (match cap with
   | Some cap ->
@@ -62,22 +84,35 @@ let run mode_s profile_s wsize nbufs drops no_force trace timeline =
   pr "receiver" r.Ttcp.receiver;
   Printf.printf "data verified: %b; retransmissions: %d\n" r.Ttcp.verified
     r.Ttcp.retransmits;
-  Printf.printf "write latency: p50 ~%s, p99 ~%s (histogram buckets)\n"
+  Printf.printf "write latency: p50 ~%s, p99 ~%s\n"
     (Format.asprintf "%a" Simtime.pp r.Ttcp.write_latency_p50)
     (Format.asprintf "%a" Simtime.pp r.Ttcp.write_latency_p99);
-  if timeline then begin
-    let rates = Stats.Timeseries.rates_mbit r.Ttcp.rx_timeline in
-    let labels =
-      List.mapi
-        (fun i _ -> if i mod 10 = 0 then Printf.sprintf "%d" (i * 10) else "")
-        rates
-    in
-    Ascii_plot.plot ~height:10
-      ~title:"receive throughput over time (ms, 10ms buckets)"
-      ~y_label:"Mb/s" ~x_labels:labels
-      ~series:[ ('#', "delivered to application", rates) ]
-      ()
-  end;
+  (match series with
+  | Some s ->
+      (* Each row holds the running byte count; consecutive differences
+         are the bytes received per 10 ms. *)
+      let rows = ref [] in
+      Obs_series.iter s (fun ~time ~row -> rows := (time, row.(0)) :: !rows);
+      let rows = List.rev !rows in
+      let _, rates =
+        List.fold_left_map
+          (fun prev (_, v) ->
+            (v, Simtime.rate_mbit ~bytes:(int_of_float (v -. prev)) every))
+          0. rows
+      in
+      let labels =
+        List.mapi
+          (fun i (time, _) ->
+            if i mod 10 = 0 then Printf.sprintf "%.0f" (Simtime.to_ms time)
+            else "")
+          rows
+      in
+      Ascii_plot.plot ~height:10
+        ~title:"receive throughput over time (ms, 10ms samples)"
+        ~y_label:"Mb/s" ~x_labels:labels
+        ~series:[ ('#', "received by host B's adaptor", rates) ]
+        ()
+  | None -> ());
   if r.Ttcp.retransmits > 0 then
     Printf.printf
       "  (retransmits found data outboard %d times -> header rewrite, no \

@@ -111,7 +111,7 @@ let serve ~stack ~port ~blocks () =
 type client = {
   mutable reads : int;
   mutable read_errors : int;
-  latencies : Stats.Histogram.t;
+  latencies : Obs.Histogram.t;
 }
 
 let connect ~stack ~server ~port ?paths ~on_ready () =
@@ -126,7 +126,7 @@ let connect ~stack ~server ~port ?paths ~on_ready () =
                (Option.get !pcb)
            in
            let client =
-             { reads = 0; read_errors = 0; latencies = Stats.Histogram.create () }
+             { reads = 0; read_errors = 0; latencies = Obs.Histogram.create () }
            in
            let req_buf = Addr_space.alloc space header_size in
            let hdr_buf = Addr_space.alloc space header_size in
@@ -153,7 +153,7 @@ let connect ~stack ~server ~port ?paths ~on_ready () =
                                client.read_errors <- client.read_errors + 1
                              else begin
                                client.reads <- client.reads + 1;
-                               Stats.Histogram.add client.latencies
+                               Obs.Histogram.observe client.latencies
                                  (Simtime.sub (Sim.now host.Host.sim) t0)
                              end;
                              ok data)

@@ -29,7 +29,7 @@ val serve : stack:Netstack.t -> port:int -> blocks:int -> unit -> server_stats r
 type client = {
   mutable reads : int;
   mutable read_errors : int;
-  latencies : Stats.Histogram.t;  (** per-read RPC latency (ns) *)
+  latencies : Obs.Histogram.t;  (** per-read RPC latency (ns) *)
 }
 
 val connect :

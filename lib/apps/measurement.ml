@@ -57,6 +57,11 @@ let of_cpu ~cpu ~elapsed ~bytes =
     efficiency_mbit;
   }
 
+let latency_quantile h q =
+  match Obs.Histogram.quantile h q with
+  | Some ns -> Float.to_int (Float.round ns)
+  | None -> 0
+
 let pp fmt m =
   Format.fprintf fmt
     "%.1f Mb/s in %a, util %.3f (eff %.1f Mb/s; ttcp %a/%a util_sys %a)"

@@ -37,4 +37,9 @@ val of_cpu : cpu:Cpu.t -> elapsed:Simtime.t -> bytes:int -> t
     have been set to "util" and accounting reset at the measurement
     start. *)
 
+val latency_quantile : Obs.Histogram.t -> float -> Simtime.t
+(** [latency_quantile h q] is {!Obs.Histogram.quantile} of a histogram of
+    simulated-time latencies, rounded to the nanosecond; 0 when [h] is
+    empty. *)
+
 val pp : Format.formatter -> t -> unit

@@ -7,7 +7,6 @@ type result = {
   retransmits : int;
   write_latency_p50 : Simtime.t;
   write_latency_p99 : Simtime.t;
-  rx_timeline : Stats.Timeseries.t;
   sender_tcp : Tcp.pcb_stats;
   receiver_tcp : Tcp.pcb_stats;
   sender_socket : Socket.stats;
@@ -34,8 +33,7 @@ let run ~tb ~wsize ~total ?(force_uio = true) ?(adaptive = false)
   let b_host = tb.Testbed.b.Testbed.stack.Netstack.host in
   let finished = ref None in
   let all_ok = ref true in
-  let write_lat = Stats.Histogram.create () in
-  let rx_timeline = Stats.Timeseries.create ~bucket:(Simtime.ms 10.) in
+  let write_lat = Obs.Histogram.create () in
   Testbed.establish_stream tb ~port ~a_paths:paths ~b_paths:paths
     (fun sa sb ->
       (* Measurement window starts once the connection is up: reset the
@@ -90,7 +88,7 @@ let run ~tb ~wsize ~total ?(force_uio = true) ?(adaptive = false)
             (Simtime.us loop_cost_us) (fun () ->
               let t_write = Sim.now sim in
               Socket.write sa srcs.(buf) (fun () ->
-                  Stats.Histogram.add write_lat
+                  Obs.Histogram.observe write_lat
                     (Simtime.sub (Sim.now sim) t_write);
                   completed := !completed + wsize;
                   send_loop buf))
@@ -122,8 +120,6 @@ let run ~tb ~wsize ~total ?(force_uio = true) ?(adaptive = false)
           Host.in_proc_on b_host ~shard:b_shard ~proc:"ttcp" ~mode:Cpu.User
             (Simtime.us loop_cost_us) (fun () ->
               Socket.read sb dst (fun n ->
-                  if n > 0 then
-                    Stats.Timeseries.add rx_timeline ~time:(Sim.now sim) n;
                   if n = 0 then begin
                     all_ok := false;
                     let t1 = Sim.now sim in
@@ -155,9 +151,8 @@ let run ~tb ~wsize ~total ?(force_uio = true) ?(adaptive = false)
         retransmits = (Tcp.pcb_stats (Socket.pcb sa)).Tcp.retransmits;
         sender_tcp = Tcp.pcb_stats (Socket.pcb sa);
         receiver_tcp = Tcp.pcb_stats (Socket.pcb sb);
-        rx_timeline;
-        write_latency_p50 = Stats.Histogram.percentile write_lat 50.;
-        write_latency_p99 = Stats.Histogram.percentile write_lat 99.;
+        write_latency_p50 = Measurement.latency_quantile write_lat 0.5;
+        write_latency_p99 = Measurement.latency_quantile write_lat 0.99;
         sender_socket = Socket.stats sa;
         receiver_socket = Socket.stats sb;
         sender_policy =

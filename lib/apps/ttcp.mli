@@ -20,8 +20,6 @@ type result = {
       (** median time a write call blocked the application (copy-semantics
           completion) *)
   write_latency_p99 : Simtime.t;
-  rx_timeline : Stats.Timeseries.t;
-      (** bytes delivered to the receiving application per 10 ms bucket *)
   sender_tcp : Tcp.pcb_stats;
   receiver_tcp : Tcp.pcb_stats;
   sender_socket : Socket.stats;

@@ -68,9 +68,10 @@ type t = {
   mutable rx_pipe_hwm : int;
   mutable intr_handler : intr -> unit;
   mutable batch_handler : (intr list -> unit) option;
-  pending_intrs : intr Event_queue.t;
-      (* notifications waiting for the next delivery burst; an
-         Event_queue so bursts drain in raise order via [pop_ready] *)
+  pending_intrs : intr Queue.t;
+      (* notifications waiting for the next delivery burst, in raise
+         order: each is queued at the current instant and drained no
+         earlier, so FIFO order is (time, raise) order *)
   mutable intr_scheduled : bool;
   intr_timer : Sim.handle;
       (* one reusable zero-delay timer drives every delivery burst, so
@@ -131,6 +132,13 @@ let register_obs t =
   g "netmem_free_pages" (fun () -> Netmem.free_pages t.mem);
   g "netmem_failures" (fun () -> Netmem.failures t.mem)
 
+(* Pop the oldest [n] (or fewer) queued notifications, oldest first. *)
+let rec take_intrs q n =
+  if n = 0 || Queue.is_empty q then []
+  else
+    let i = Queue.pop q in
+    i :: take_intrs q (n - 1)
+
 (* NAPI-style coalesced notification delivery: completions and rx events
    queue up, and the host sees one delivery per burst — at most
    [intr_budget] events each — instead of one interrupt per packet.
@@ -139,10 +147,7 @@ let register_obs t =
    of a chained SDMA) lands in a single burst and scheduling the burst
    allocates nothing. *)
 let deliver_intrs t =
-  match
-    Event_queue.pop_ready ~max:t.intr_budget t.pending_intrs
-      ~now:(Sim.now t.sim)
-  with
+  match take_intrs t.pending_intrs t.intr_budget with
   | [] -> t.intr_scheduled <- false
   | evs ->
       t.interrupts <- t.interrupts + 1;
@@ -152,7 +157,7 @@ let deliver_intrs t =
       (match t.batch_handler with
       | Some f -> f evs
       | None -> List.iter t.intr_handler evs);
-      if Event_queue.is_empty t.pending_intrs then t.intr_scheduled <- false
+      if Queue.is_empty t.pending_intrs then t.intr_scheduled <- false
       else Sim.rearm t.sim t.intr_timer Simtime.zero
 
 let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
@@ -176,7 +181,7 @@ let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
     intr_handler =
       (fun _ -> invalid_arg (name ^ ": no interrupt handler installed"));
     batch_handler = None;
-    pending_intrs = Event_queue.create ();
+    pending_intrs = Queue.create ();
     intr_scheduled = false;
     intr_timer = Sim.timer sim ignore;
     intr_budget = 64;
@@ -238,13 +243,13 @@ let set_rx_pipe_depth t n =
 let rx_pipe_depth t = t.rx_pipe_depth
 
 let raise_intr t i =
-  Event_queue.push t.pending_intrs ~time:(Sim.now t.sim) i;
+  Queue.push i t.pending_intrs;
   if not t.intr_scheduled then begin
     if Fault.fire "cab.lost_intr" then
       (* The interrupt line glitched: the event stays queued but nothing
          schedules its delivery.  The next raise (later traffic) or a
-         watchdog [poll] drains it — [pop_ready] picks up everything that
-         became ready at or before that instant. *)
+         watchdog [poll] drains it along with everything queued before
+         that instant. *)
       t.intr_lost <- t.intr_lost + 1
     else begin
       t.intr_scheduled <- true;
@@ -252,7 +257,7 @@ let raise_intr t i =
     end
   end
 
-let pending_events t = Event_queue.length t.pending_intrs
+let pending_events t = Queue.length t.pending_intrs
 
 let poll t =
   let n = pending_events t in

@@ -113,11 +113,10 @@ let pop q =
     Some (root.time, root.payload)
   end
 
-let iter_ready ?(max = Stdlib.max_int) ?(seq_below = Stdlib.max_int) q ~now
-    ~f =
+let iter_ready ?(seq_below = Stdlib.max_int) q ~now ~f =
   let n = ref 0 in
   let continue = ref true in
-  while !continue && !n < max && q.size > 0 do
+  while !continue && q.size > 0 do
     let root = get q 0 in
     if root.time > now || root.seq >= seq_below then continue := false
     else begin
@@ -129,11 +128,6 @@ let iter_ready ?(max = Stdlib.max_int) ?(seq_below = Stdlib.max_int) q ~now
     end
   done;
   !n
-
-let pop_ready ?max q ~now =
-  let acc = ref [] in
-  let _n = iter_ready ?max q ~now ~f:(fun _seq p -> acc := p :: !acc) in
-  List.rev !acc
 
 let peek_time q = if q.size = 0 then None else Some (get q 0).time
 let peek_seq q = if q.size = 0 then Stdlib.max_int else (get q 0).seq

@@ -26,19 +26,13 @@ val pop : 'a t -> (Simtime.t * 'a) option
     captures) reachable. *)
 
 val iter_ready :
-  ?max:int -> ?seq_below:int -> 'a t -> now:Simtime.t ->
-  f:(int -> 'a -> unit) -> int
+  ?seq_below:int -> 'a t -> now:Simtime.t -> f:(int -> 'a -> unit) -> int
 (** Allocation-free bulk drain: removes every event with [time <= now]
-    (and, when [seq_below] is given, [seq < seq_below]) — at most [max]
-    of them — calling [f seq payload] on each in (time, seq) order, and
+    (and, when [seq_below] is given, [seq < seq_below]), calling
+    [f seq payload] on each in (time, seq) order, and
     returns the number drained.  Each entry is removed {e before} [f]
     runs, so the callback may freely push or compact.  This is the hot
     path under [Sim.run]'s same-instant batches. *)
-
-val pop_ready : ?max:int -> 'a t -> now:Simtime.t -> 'a list
-(** List-returning wrapper around {!iter_ready} (kept for tests and
-    batch consumers that want the materialized list, e.g. coalesced
-    interrupt delivery). *)
 
 val peek_time : 'a t -> Simtime.t option
 (** Time of the earliest event without removing it. *)

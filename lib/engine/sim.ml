@@ -169,8 +169,8 @@ let heap_next t =
 
 (* Fire every event at [time] with seq < [seq_limit], lowest seq first,
    merging the wheel's ready list with the heap.  Events the callbacks
-   schedule get seq >= seq_limit and wait for the next batch — exactly
-   the old pop_ready snapshot semantics. *)
+   schedule get seq >= seq_limit and wait for the next batch, so a batch
+   is a snapshot of what was ready when it began. *)
 let drain_batch t ~time ~seq_limit ~fired =
   let continue = ref true in
   while !continue do

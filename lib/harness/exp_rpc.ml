@@ -43,8 +43,10 @@ let run_one ~mode ~reads =
         mode = Stack_mode.to_string mode;
         reads_per_s =
           float_of_int reads /. Simtime.to_s elapsed;
-        latency_p50 = Stats.Histogram.percentile client.Blockfile.latencies 50.;
-        latency_p99 = Stats.Histogram.percentile client.Blockfile.latencies 99.;
+        latency_p50 =
+          Measurement.latency_quantile client.Blockfile.latencies 0.5;
+        latency_p99 =
+          Measurement.latency_quantile client.Blockfile.latencies 0.99;
         server_util = m.Measurement.utilization;
       }
   | _ -> failwith "Exp_rpc: client never finished"
@@ -58,9 +60,7 @@ let run ?(reads = 128) () =
 let print rows =
   Tabulate.print_header
     "Block-read RPC: 32K blocks served by an in-kernel file service";
-  Printf.printf
-    "  one outstanding request; latency percentiles are power-of-two\n\
-    \  histogram buckets\n";
+  Printf.printf "  one outstanding request\n";
   let widths = [ 14; 10; 12; 12; 10 ] in
   Tabulate.print_row ~widths
     [ "stack"; "reads/s"; "lat p50"; "lat p99"; "srv util" ];

@@ -90,12 +90,10 @@ module Pool = struct
   let hwm_live = ref 0
   let hwm_cl = ref 0
 
-  (* Surfaced through the engine's stats counters so harnesses and the
-     macro benchmark can read pool behaviour uniformly. *)
-  let allocs = Stats.Counter.create ()
-  let hits = Stats.Counter.create ()
-  let misses = Stats.Counter.create ()
-  let recycled = Stats.Counter.create ()
+  let allocs = ref 0
+  let hits = ref 0
+  let misses = ref 0
+  let recycled = ref 0
 
   (* Free-lists as preallocated stacks: [put]/[get] in steady state touch
      one array slot and a counter — no list cons, nothing for the GC.
@@ -124,14 +122,14 @@ module Pool = struct
   let n_shard_small = ref ([||] : int array)
   let shard_cluster = ref ([||] : cell array array)
   let n_shard_cluster = ref ([||] : int array)
-  let spills = Stats.Counter.create ()
-  let refills = Stats.Counter.create ()
+  let spills = ref 0
+  let refills = ref 0
 
   let sum_counts a = Array.fold_left ( + ) 0 !a
   let free_small_local () = sum_counts n_shard_small
   let free_clusters_local () = sum_counts n_shard_cluster
-  let spill_count () = Stats.Counter.get spills
-  let refill_count () = Stats.Counter.get refills
+  let spill_count () = !spills
+  let refill_count () = !refills
   let shard_count () = !shard_count_ref
 
   let spill_locals () =
@@ -182,17 +180,17 @@ module Pool = struct
 
   let allocated () = !live
   let clusters () = !live_clusters
-  let total_allocs () = Stats.Counter.get allocs
-  let hit_count () = Stats.Counter.get hits
-  let miss_count () = Stats.Counter.get misses
-  let recycled_count () = Stats.Counter.get recycled
+  let total_allocs () = !allocs
+  let hit_count () = !hits
+  let miss_count () = !misses
+  let recycled_count () = !recycled
   let free_small () = !nsmall
   let free_clusters () = !nclusters
   let hwm () = !hwm_live
   let hwm_clusters () = !hwm_cl
 
   let hit_rate () =
-    let h = Stats.Counter.get hits and m = Stats.Counter.get misses in
+    let h = !hits and m = !misses in
     if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
 
   let reset () =
@@ -200,12 +198,12 @@ module Pool = struct
     live_clusters := 0;
     hwm_live := 0;
     hwm_cl := 0;
-    Stats.Counter.reset allocs;
-    Stats.Counter.reset hits;
-    Stats.Counter.reset misses;
-    Stats.Counter.reset recycled;
-    Stats.Counter.reset spills;
-    Stats.Counter.reset refills
+    allocs := 0;
+    hits := 0;
+    misses := 0;
+    recycled := 0;
+    spills := 0;
+    refills := 0
 
   let trim () =
     let bytes =
@@ -245,7 +243,7 @@ module Pool = struct
       ns.(!cur) <- ns.(!cur) - 1;
       let c = st.(ns.(!cur)) in
       st.(ns.(!cur)) <- dummy;
-      Stats.Counter.incr hits;
+      incr hits;
       c.refs <- 1;
       c
     end
@@ -253,14 +251,14 @@ module Pool = struct
       decr nsmall;
       let c = small_stack.(!nsmall) in
       small_stack.(!nsmall) <- dummy;
-      Stats.Counter.incr hits;
-      if !shard_count_ref > 1 then Stats.Counter.incr refills;
+      incr hits;
+      if !shard_count_ref > 1 then incr refills;
       c.refs <- 1;
       c
     end
     else begin
-      Stats.Counter.incr misses;
-      Stats.Counter.incr allocs;
+      incr misses;
+      incr allocs;
       { cbuf = Bytes.create msize; refs = 1 }
     end
 
@@ -270,7 +268,7 @@ module Pool = struct
       ns.(!cur) <- ns.(!cur) - 1;
       let c = st.(ns.(!cur)) in
       st.(ns.(!cur)) <- dummy;
-      Stats.Counter.incr hits;
+      incr hits;
       c.refs <- 1;
       c
     end
@@ -278,14 +276,14 @@ module Pool = struct
       decr nclusters;
       let c = cluster_stack.(!nclusters) in
       cluster_stack.(!nclusters) <- dummy;
-      Stats.Counter.incr hits;
-      if !shard_count_ref > 1 then Stats.Counter.incr refills;
+      incr hits;
+      if !shard_count_ref > 1 then incr refills;
       c.refs <- 1;
       c
     end
     else begin
-      Stats.Counter.incr misses;
-      Stats.Counter.incr allocs;
+      incr misses;
+      incr allocs;
       { cbuf = Bytes.create mclbytes; refs = 1 }
     end
 
@@ -297,13 +295,13 @@ module Pool = struct
         if ns.(!cur) < shard_small_cap then begin
           !shard_small.(!cur).(ns.(!cur)) <- c;
           ns.(!cur) <- ns.(!cur) + 1;
-          Stats.Counter.incr recycled
+          incr recycled
         end
         else if !nsmall < max_small then begin
           small_stack.(!nsmall) <- c;
           incr nsmall;
-          Stats.Counter.incr recycled;
-          Stats.Counter.incr spills
+          incr recycled;
+          incr spills
         end
       end
       else if n = mclbytes then begin
@@ -311,25 +309,25 @@ module Pool = struct
         if ns.(!cur) < shard_cluster_cap then begin
           !shard_cluster.(!cur).(ns.(!cur)) <- c;
           ns.(!cur) <- ns.(!cur) + 1;
-          Stats.Counter.incr recycled
+          incr recycled
         end
         else if !nclusters < max_clusters then begin
           cluster_stack.(!nclusters) <- c;
           incr nclusters;
-          Stats.Counter.incr recycled;
-          Stats.Counter.incr spills
+          incr recycled;
+          incr spills
         end
       end
     end
     else if n = msize && !nsmall < max_small then begin
       small_stack.(!nsmall) <- c;
       incr nsmall;
-      Stats.Counter.incr recycled
+      incr recycled
     end
     else if n = mclbytes && !nclusters < max_clusters then begin
       cluster_stack.(!nclusters) <- c;
       incr nclusters;
-      Stats.Counter.incr recycled
+      incr recycled
     end
 end
 

@@ -3,8 +3,8 @@ type klass = { mutable bufs : Bytes.t list; mutable depth : int }
 type t = {
   classes : (int, klass) Hashtbl.t;
   max_per_class : int;
-  hits : Stats.Counter.t;
-  misses : Stats.Counter.t;
+  mutable hits : int;
+  mutable misses : int;
   mutable free_total : int;
   mutable outstanding : int;  (* gets minus puts: buffers in flight *)
   (* Per-shard free lists, active only when [set_shard_count n] with
@@ -22,8 +22,8 @@ let create ?(max_per_class = 64) () =
   {
     classes = Hashtbl.create 8;
     max_per_class;
-    hits = Stats.Counter.create ();
-    misses = Stats.Counter.create ();
+    hits = 0;
+    misses = 0;
     free_total = 0;
     outstanding = 0;
     locals = [||];
@@ -56,15 +56,15 @@ let get t n =
   in
   match local with
   | Some b ->
-      Stats.Counter.incr t.hits;
+      t.hits <- t.hits + 1;
       b
   | None -> (
       match global_get t n with
       | Some b ->
-          Stats.Counter.incr t.hits;
+          t.hits <- t.hits + 1;
           b
       | None ->
-          Stats.Counter.incr t.misses;
+          t.misses <- t.misses + 1;
           Bytes.create n)
 
 let global_put t b n =
@@ -139,8 +139,8 @@ let trim t =
   t.local_free <- 0;
   released
 
-let hit_count t = Stats.Counter.get t.hits
-let miss_count t = Stats.Counter.get t.misses
+let hit_count t = t.hits
+let miss_count t = t.misses
 
 let hit_rate t =
   let h = hit_count t and m = miss_count t in
@@ -151,8 +151,8 @@ let local_free_bytes t = t.local_free
 let outstanding t = t.outstanding
 
 let reset_stats t =
-  Stats.Counter.reset t.hits;
-  Stats.Counter.reset t.misses
+  t.hits <- 0;
+  t.misses <- 0
 
 let shared = create ()
 

@@ -464,9 +464,7 @@ let eof_state t =
   | Tcp.Close_wait | Tcp.Closing | Tcp.Last_ack | Tcp.Time_wait | Tcp.Closed
     ->
       Tcp.recv_available t.pcb = 0
-  | Tcp.Listen | Tcp.Syn_sent | Tcp.Syn_received | Tcp.Established
-  | Tcp.Fin_wait_1 | Tcp.Fin_wait_2 ->
-      false
+  | Tcp.Syn_sent | Tcp.Established | Tcp.Fin_wait_1 | Tcp.Fin_wait_2 -> false
 
 (* ---------------- readiness (level-triggered, for Sockpoll) ------- *)
 
@@ -477,8 +475,7 @@ let readable t =
      | Tcp.Close_wait | Tcp.Closing | Tcp.Last_ack | Tcp.Time_wait
      | Tcp.Closed ->
          true (* EOF (or pending data followed by EOF) never blocks *)
-     | Tcp.Listen | Tcp.Syn_sent | Tcp.Syn_received | Tcp.Established
-     | Tcp.Fin_wait_1 | Tcp.Fin_wait_2 ->
+     | Tcp.Syn_sent | Tcp.Established | Tcp.Fin_wait_1 | Tcp.Fin_wait_2 ->
          false)
 
 let writable t =

@@ -1,8 +1,6 @@
 type state =
   | Closed
-  | Listen
   | Syn_sent
-  | Syn_received
   | Established
   | Fin_wait_1
   | Fin_wait_2
@@ -13,9 +11,7 @@ type state =
 
 let state_to_string = function
   | Closed -> "CLOSED"
-  | Listen -> "LISTEN"
   | Syn_sent -> "SYN_SENT"
-  | Syn_received -> "SYN_RCVD"
   | Established -> "ESTABLISHED"
   | Fin_wait_1 -> "FIN_WAIT_1"
   | Fin_wait_2 -> "FIN_WAIT_2"
@@ -648,8 +644,7 @@ let rec arm_rexmt pcb = Sim.rearm (sim_of pcb) pcb.rexmt_timer pcb.rto
 
 and rto_fire pcb =
   match pcb.st with
-  | Established | Syn_received | Fin_wait_1 | Closing | Close_wait | Last_ack
-  | Syn_sent ->
+  | Established | Fin_wait_1 | Closing | Close_wait | Last_ack | Syn_sent ->
       pcb.rexmt_shift <- pcb.rexmt_shift + 1;
       if pcb.rexmt_shift > pcb.tcp.cfg.max_rexmt then begin
         (* The peer is unreachable: give up (BSD drops with ETIMEDOUT),
@@ -675,11 +670,6 @@ and rto_fire pcb =
         pcb.snd_nxt <- pcb.iss;
         send_control pcb ~flags:[ Tcp_header.SYN ] ()
       end
-      else if pcb.st = Syn_received then begin
-        (* The pump cannot regenerate a SYN-ACK; resend it directly. *)
-        pcb.snd_nxt <- pcb.iss;
-        send_control pcb ~flags:[ Tcp_header.SYN; Tcp_header.ACK ] ()
-      end
       else begin
         pcb.snd_nxt <- pcb.snd_una;
         pcb.fin_sent <- false;
@@ -687,7 +677,7 @@ and rto_fire pcb =
         pump pcb ~intr:true ~site:Cpu.Timer
       end
       end
-  | Closed | Listen | Fin_wait_2 | Time_wait -> ()
+  | Closed | Fin_wait_2 | Time_wait -> ()
 
 (* ---------- output pump (tcp_output) ---------- *)
 
@@ -711,7 +701,7 @@ and send_control pcb ~flags () =
       | None -> []
   in
   let flags =
-    if is_syn || pcb.st = Listen || pcb.st = Syn_sent then flags
+    if is_syn || pcb.st = Syn_sent then flags
     else if List.mem Tcp_header.ACK flags then flags
     else Tcp_header.ACK :: flags
   in
@@ -732,8 +722,7 @@ and decide pcb =
   let sendable =
     match pcb.st with
     | Established | Close_wait | Fin_wait_1 | Closing -> true
-    | Closed | Listen | Syn_sent | Syn_received | Fin_wait_2 | Last_ack
-    | Time_wait -> false
+    | Closed | Syn_sent | Fin_wait_2 | Last_ack | Time_wait -> false
   in
   if not sendable then None
   else begin
@@ -1110,8 +1099,6 @@ let keep_fire pcb =
 (* ---------- input processing ---------- *)
 
 let deliver_data pcb chain len =
-  Tracelog.debugf pcb.tcp.hst.Host.sim "tcp" "deliver len=%d rcvq=%d" len
-    pcb.rcvq_len;
   pcb.rcvq <- pcb.rcvq @ [ chain ];
   pcb.rcvq_len <- pcb.rcvq_len + len;
   pcb.stats <- { pcb.stats with bytes_rcvd = pcb.stats.bytes_rcvd + len }
@@ -1272,9 +1259,6 @@ let rec process_data pcb ~seq chain =
 (* Full per-segment state machine, run inside a charged interrupt work
    item. *)
 let segment_arrived pcb (hdr : Tcp_header.t) chain =
-  Tracelog.debugf pcb.tcp.hst.Host.sim "tcp" "rcv %a len=%d st=%s rcv_nxt=%d"
-    Tcp_header.pp hdr (Mbuf.chain_len chain) (state_to_string pcb.st)
-    pcb.rcv_nxt;
   pcb.stats <- { pcb.stats with segs_rcvd = pcb.stats.segs_rcvd + 1 };
   keepalive_touch pcb;
   apply_rx_cost_options pcb hdr;
@@ -1283,10 +1267,10 @@ let segment_arrived pcb (hdr : Tcp_header.t) chain =
   if has Tcp_header.RST then begin
     Mbuf.free chain;
     match pcb.st with
-    | Syn_sent | Syn_received | Established | Fin_wait_1 | Fin_wait_2
-    | Close_wait | Closing | Last_ack ->
+    | Syn_sent | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
+    | Last_ack ->
         to_closed pcb
-    | Closed | Listen | Time_wait -> ()
+    | Closed | Time_wait -> ()
   end
   else
     match pcb.st with
@@ -1313,31 +1297,12 @@ let segment_arrived pcb (hdr : Tcp_header.t) chain =
           pump pcb ~intr:true
         end
         else Mbuf.free chain
-    | Syn_received ->
-        if has Tcp_header.ACK && Tcp_seq.gt hdr.Tcp_header.ack pcb.snd_una
-        then begin
-          pcb.snd_una <- hdr.Tcp_header.ack;
-          if Tcp_seq.lt pcb.snd_nxt pcb.snd_una then
-            pcb.snd_nxt <- pcb.snd_una;
-          pcb.snd_wnd <- hdr.Tcp_header.window lsl pcb.snd_wscale;
-          pcb.snd_wl1 <- seq;
-          pcb.snd_wl2 <- hdr.Tcp_header.ack;
-          pcb.st <- Established;
-          observe_conn_setup pcb;
-          cancel_rexmt pcb;
-          keepalive_touch pcb;
-          (* Notify the acceptor. *)
-          pcb.on_established ();
-          (* The handshake ACK may carry data. *)
-          process_data pcb ~seq chain
-        end
-        else Mbuf.free chain
     | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
     | Last_ack | Time_wait ->
         if has Tcp_header.SYN then begin
           (* Duplicate handshake segment in a synchronized state: our
-             handshake ACK was lost (rx overrun), so the peer is still
-             retransmitting from Syn_received.  Re-ACK so it can come
+             handshake ACK was lost (rx overrun), so the peer's listener
+             is still retransmitting its SYN-ACK.  Re-ACK so it can come
              up (RFC 793's "an acceptable reset... otherwise ACK"). *)
           pcb.need_ack_now <- true;
           schedule_ack pcb
@@ -1388,7 +1353,7 @@ let segment_arrived pcb (hdr : Tcp_header.t) chain =
         | _ -> ());
         (* Keep the pipe full. *)
         pump pcb ~intr:true
-    | Closed | Listen -> Mbuf.free chain
+    | Closed -> Mbuf.free chain
 
 (* ---------- demux and pcb creation ---------- *)
 
@@ -1503,8 +1468,8 @@ let lookup tcp ~lport ~raddr ~rport =
 (* Emit a control segment for a connection that has no pcb: the
    listener's SYN-ACK (half-open admission, cookie fallback) and the RST
    on accept-queue overflow.  Host-checksummed with the same arithmetic
-   as [emit]'s control path, so the wire bytes match what a Syn_received
-   pcb used to send. *)
+   as [emit]'s control path, so these segments are byte-identical to
+   ones a pcb in the same sequence state would emit. *)
 let emit_raw tcp ~laddr ~raddr ~lport ~rport ~seq ~ack ~flags ~options
     ~window =
   let hdr_len = Tcp_header.base_size + Tcp_header.options_size options in
@@ -1536,7 +1501,7 @@ let emit_raw tcp ~laddr ~raddr ~lport ~rport ~seq ~ack ~flags ~options
 
 (* The window a fresh SYN-ACK advertises: the full receive buffer,
    scaled only when the peer offered window scaling (exactly what
-   [window_field] computed on a just-initialized Syn_received pcb). *)
+   [window_field] computes on a pcb with an empty receive queue). *)
 let synack_window cfg ~wscale_on =
   let shift = if wscale_on then wanted_wscale cfg else 0 in
   min (cfg.rcv_buf lsr shift) 0xffff
@@ -1691,10 +1656,10 @@ let inject_forged_syns tcp l ~laddr n =
   done
 
 (* Promote a completed handshake into a full pcb — the only moment the
-   listener allocates connection state.  Field setup mirrors the old
-   Syn_received path exactly: option folding as [apply_syn_options],
-   window/una/nxt from the handshake ACK, acceptor notified before the
-   ACK's payload is processed.  [rexmits]/[verified_hw] reconstruct the
+   listener allocates connection state, so a server pcb is never in a
+   handshake state.  Option folding matches [apply_syn_options],
+   window/una/nxt come from the handshake ACK, and the acceptor is
+   notified before the ACK's payload is processed.  [rexmits]/[verified_hw] reconstruct the
    stats the pcb would have accumulated had it existed since the SYN. *)
 let establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport ~iss ~irs ~mss
     ~wscale ~created ~rexmits ~verified_hw (hdr : Tcp_header.t) chain =
@@ -1870,8 +1835,8 @@ let syn_arrived tcp l ~laddr ~raddr ~lport ~rport ~flow_hash ~shard
           (Memcost.ack tcp.hst.Host.profile) (fun () -> send_synack tcp l ho)
       end
 
-(* An ACK matching a half-open: verify, charge, and promote — the same
-   cost structure the old Syn_received pcb paid for its handshake ACK. *)
+(* An ACK matching a half-open: verify, charge, and promote — charged
+   like any received segment (per-packet or ACK cost plus checksum). *)
 let handshake_ack tcp l ho ~key (hdr : Tcp_header.t) seg ~payload_len
     ~hdr_size =
   match verify_checksum_raw tcp ~laddr:ho.ho_laddr ~raddr:ho.ho_raddr seg with
@@ -2278,16 +2243,15 @@ let close pcb =
   | Established | Close_wait ->
       pcb.fin_pending <- true;
       pump pcb ~proc:"kernel"
-  | Syn_sent | Syn_received | Listen | Closed -> to_closed pcb
+  | Syn_sent | Closed -> to_closed pcb
   | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> ()
 
 let abort pcb =
   (* Best effort RST. *)
   (match pcb.st with
-  | Established | Syn_received | Fin_wait_1 | Fin_wait_2 | Close_wait
-  | Closing | Last_ack ->
+  | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
       send_control pcb ~flags:[ Tcp_header.RST; Tcp_header.ACK ] ()
-  | Closed | Listen | Syn_sent | Time_wait -> ());
+  | Closed | Syn_sent | Time_wait -> ());
   to_closed pcb
 
 (* Closing a listener drains both queues: half-open records are freed

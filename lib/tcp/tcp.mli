@@ -32,9 +32,7 @@
 
 type state =
   | Closed
-  | Listen
   | Syn_sent
-  | Syn_received
   | Established
   | Fin_wait_1
   | Fin_wait_2

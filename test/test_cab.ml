@@ -371,7 +371,23 @@ let test_batch_interrupt_handler () =
   check_int "stats count individual notifications" (List.length sizes)
     s.Cab.intr_events;
   check_int "stats count handler bursts" !bursts s.Cab.interrupts;
-  check_bool "no more bursts than events" true (!bursts <= List.length sizes)
+  check_bool "no more bursts than events" true (!bursts <= List.length sizes);
+  (* Lose every interrupt so the notifications pile up, then poll: the
+     backlog drains in budget-sized bursts that keep arrival order. *)
+  Fault.arm ~seed:1;
+  Fault.plan ~site:"cab.lost_intr" (Fault.Every_n 1);
+  seen := [];
+  bursts := 0;
+  List.iter (fun n -> Cab.deliver pair.cab_b (Bytes.create n)) sizes;
+  Sim.run pair.sim;
+  Fault.disarm ();
+  check_int "lost interrupts leave the backlog queued" (List.length sizes)
+    (Cab.pending_events pair.cab_b);
+  ignore (Cab.poll pair.cab_b : int);
+  Sim.run pair.sim;
+  Alcotest.(check (list int))
+    "backlog delivered once, in arrival order" sizes (List.rev !seen);
+  check_int "backlog split by the budget" 2 !bursts
 
 let test_interrupt_handler_latest_wins () =
   (* An application (e.g. raw HIPPI) installing a per-event handler must

@@ -57,62 +57,6 @@ let prop_queue_sorted =
       in
       drain min_int)
 
-let test_queue_pop_ready () =
-  let q = Event_queue.create () in
-  List.iteri
-    (fun i t -> Event_queue.push q ~time:t (i, t))
-    [ 10; 30; 10; 20; 10 ];
-  (* Only events at or before [now], in (time, push) order. *)
-  let batch = Event_queue.pop_ready q ~now:10 in
-  Alcotest.(check (list (pair int int)))
-    "ready batch, fifo within ties"
-    [ (0, 10); (2, 10); (4, 10) ]
-    batch;
-  check_int "later events stay queued" 2 (Event_queue.length q);
-  Alcotest.(check (list (pair int int)))
-    "nothing ready before the next time" []
-    (Event_queue.pop_ready q ~now:15);
-  Alcotest.(check (list (pair int int)))
-    "drains across distinct times up to now"
-    [ (3, 20); (1, 30) ]
-    (Event_queue.pop_ready q ~now:100);
-  Alcotest.(check (list (pair int int)))
-    "empty queue yields nothing" []
-    (Event_queue.pop_ready q ~now:max_int)
-
-let test_queue_pop_ready_budget () =
-  let q = Event_queue.create () in
-  for i = 0 to 9 do
-    Event_queue.push q ~time:5 i
-  done;
-  Alcotest.(check (list int))
-    "budget caps the batch" [ 0; 1; 2 ]
-    (Event_queue.pop_ready ~max:3 q ~now:5);
-  Alcotest.(check (list int))
-    "next batch resumes in order" [ 3; 4; 5 ]
-    (Event_queue.pop_ready ~max:3 q ~now:5);
-  check_int "remainder still queued" 4 (Event_queue.length q)
-
-let prop_queue_pop_ready_agrees =
-  QCheck.Test.make
-    ~name:"pop_ready(now=max) agrees with repeated pop" ~count:200
-    QCheck.(list (int_bound 10000))
-    (fun times ->
-      let q1 = Event_queue.create () in
-      let q2 = Event_queue.create () in
-      List.iteri
-        (fun i t ->
-          Event_queue.push q1 ~time:t i;
-          Event_queue.push q2 ~time:t i)
-        times;
-      let batch = Event_queue.pop_ready q1 ~now:max_int in
-      let rec drain acc =
-        match Event_queue.pop q2 with
-        | None -> List.rev acc
-        | Some (_, v) -> drain (v :: acc)
-      in
-      batch = drain [])
-
 (* ---------- Sim ---------- *)
 
 let test_sim_ordering () =
@@ -249,7 +193,7 @@ let test_cpu_zero_duration () =
   Sim.run sim;
   check_int "zero-cost work completes" 5 !hits
 
-(* ---------- Rng / Stats ---------- *)
+(* ---------- Rng ---------- *)
 
 let test_rng_determinism () =
   let a = Rng.create ~seed:42 and b = Rng.create ~seed:42 in
@@ -268,32 +212,6 @@ let prop_rng_bounds =
       let v = Rng.int rng bound in
       v >= 0 && v < bound)
 
-let test_stats_mean () =
-  let m = Stats.Mean.create () in
-  List.iter (Stats.Mean.add m) [ 1.; 2.; 3.; 4. ];
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.Mean.mean m);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stats.Mean.min m);
-  Alcotest.(check (float 1e-9)) "max" 4. (Stats.Mean.max m);
-  Alcotest.(check (float 1e-6)) "variance" (5. /. 3.) (Stats.Mean.variance m)
-
-let test_timeseries () =
-  let ts = Stats.Timeseries.create ~bucket:10 in
-  Stats.Timeseries.add ts ~time:5 100;
-  Stats.Timeseries.add ts ~time:9 50;
-  Stats.Timeseries.add ts ~time:35 10;
-  Alcotest.(check (list (pair int int)))
-    "bucketed with gap zeros"
-    [ (0, 150); (10, 0); (20, 0); (30, 10) ]
-    (Stats.Timeseries.buckets ts);
-  check_int "rate list length" 4 (List.length (Stats.Timeseries.rates_mbit ts))
-
-let test_histogram () =
-  let h = Stats.Histogram.create () in
-  List.iter (Stats.Histogram.add h) [ 1; 2; 3; 100; 1000 ];
-  check_int "count" 5 (Stats.Histogram.count h);
-  check_bool "p50 small" true (Stats.Histogram.percentile h 50. <= 4);
-  check_bool "p100 covers max" true (Stats.Histogram.percentile h 100. >= 512)
-
 let () =
   Alcotest.run "engine"
     [
@@ -308,10 +226,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_queue_order;
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties;
           QCheck_alcotest.to_alcotest prop_queue_sorted;
-          Alcotest.test_case "pop_ready" `Quick test_queue_pop_ready;
-          Alcotest.test_case "pop_ready budget" `Quick
-            test_queue_pop_ready_budget;
-          QCheck_alcotest.to_alcotest prop_queue_pop_ready_agrees;
         ] );
       ( "sim",
         [
@@ -335,8 +249,5 @@ let () =
         [
           Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
           QCheck_alcotest.to_alcotest prop_rng_bounds;
-          Alcotest.test_case "mean/variance" `Quick test_stats_mean;
-          Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "timeseries" `Quick test_timeseries;
         ] );
     ]

@@ -206,6 +206,31 @@ let test_crossover_detector () =
     "ratio" (300. /. 175.)
     (Exp_figures.large_write_efficiency_ratio report)
 
+(* ---------- Latency percentiles ---------- *)
+
+(* A percentile of per-operation latencies is positive, ordered, and no
+   longer than the run that produced the operations. *)
+let check_percentiles what ~p50 ~p99 ~elapsed_ns =
+  check_bool (what ^ ": p50 > 0") true (p50 > 0);
+  check_bool (what ^ ": p50 <= p99") true (p50 <= p99);
+  check_bool (what ^ ": p99 <= elapsed") true (float_of_int p99 <= elapsed_ns)
+
+let test_ttcp_write_percentiles () =
+  let tb = Testbed.create () in
+  let r = Ttcp.run ~tb ~wsize:65536 ~total:(1 lsl 20) ~verify:false () in
+  check_percentiles "ttcp write" ~p50:r.Ttcp.write_latency_p50
+    ~p99:r.Ttcp.write_latency_p99
+    ~elapsed_ns:(float_of_int r.Ttcp.sender.Measurement.elapsed)
+
+let test_rpc_percentiles () =
+  let reads = 16 in
+  List.iter
+    (fun (row : Exp_rpc.row) ->
+      check_percentiles ("rpc " ^ row.Exp_rpc.mode) ~p50:row.Exp_rpc.latency_p50
+        ~p99:row.Exp_rpc.latency_p99
+        ~elapsed_ns:(float_of_int reads /. row.Exp_rpc.reads_per_s *. 1e9))
+    (Exp_rpc.run ~reads ())
+
 let () =
   Alcotest.run "harness"
     [
@@ -229,5 +254,11 @@ let () =
           Alcotest.test_case "allpairs HOL gap" `Slow test_allpairs_hol_gap;
           Alcotest.test_case "crossover detector" `Quick
             test_crossover_detector;
+        ] );
+      ( "latency",
+        [
+          Alcotest.test_case "ttcp write percentiles" `Quick
+            test_ttcp_write_percentiles;
+          Alcotest.test_case "rpc percentiles" `Quick test_rpc_percentiles;
         ] );
     ]

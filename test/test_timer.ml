@@ -286,9 +286,7 @@ let test_iter_ready_seq_below () =
   check_int "drained below the seq fence" 2 n;
   Alcotest.(check (list (pair int string)))
     "in (time, seq) order" [ (0, "a"); (1, "b") ] (List.rev !got);
-  check_int "fenced entries remain" 2 (Event_queue.length q);
-  (* pop_ready is a thin wrapper over the same drain. *)
-  Alcotest.(check (list string)) "wrapper" [ "c" ] (Event_queue.pop_ready q ~now:10)
+  check_int "fenced entries remain" 2 (Event_queue.length q)
 
 let () =
   Alcotest.run "timer"
