@@ -20,12 +20,6 @@ let create ?(shards = 1) ~sim ~profile ~name () =
             ~cpu:(Cpu.create ~sim ~name:(Printf.sprintf "%s.cpu%d" name i)))
   in
   if shards > 1 then Shard.register_obs ~host:name shard_arr;
-  (* The pools are process-global; sharding them follows the host with
-     the most shards created so far in this process.  Pool residency is
-     timing-neutral in the simulation, so this only affects hit/spill
-     statistics, never event order. *)
-  Mbuf.Pool.set_shard_count shards;
-  Bufpool.set_shard_count Bufpool.shared shards;
   {
     sim;
     cpu;
@@ -49,14 +43,6 @@ let shard t i = t.shards.(i)
 let shards t = t.shards
 let current_shard t = t.cur_shard
 
-(* Entering a shard context redirects the process-global pool free
-   lists too, so allocations made while that shard's code runs come
-   from (and return to) its private free list. *)
-let enter t i =
-  t.cur_shard <- i;
-  Mbuf.Pool.set_current i;
-  Bufpool.set_current Bufpool.shared i
-
 let in_proc_on t ~shard ~proc ?(mode = Cpu.Sys) ?site ?split cost k =
   if Array.length t.shards = 1 then
     Cpu.execute t.cpu ~proc ~mode ?site ?split cost k
@@ -64,18 +50,18 @@ let in_proc_on t ~shard ~proc ?(mode = Cpu.Sys) ?site ?split cost k =
     Cpu.execute t.shards.(shard).Shard.cpu ~proc ~mode ?site ?split cost
       (fun () ->
         let prev = t.cur_shard in
-        enter t shard;
+        t.cur_shard <- shard;
         k ();
-        enter t prev)
+        t.cur_shard <- prev)
 
 let in_intr_on t ~shard ?site ?split cost k =
   if Array.length t.shards = 1 then Cpu.execute_intr t.cpu ?site ?split cost k
   else
     Cpu.execute_intr t.shards.(shard).Shard.cpu ?site ?split cost (fun () ->
         let prev = t.cur_shard in
-        enter t shard;
+        t.cur_shard <- shard;
         k ();
-        enter t prev)
+        t.cur_shard <- prev)
 
 let in_proc t ~proc ?(mode = Cpu.Sys) ?site ?split cost k =
   if Array.length t.shards = 1 then

@@ -25,10 +25,10 @@ type t = {
 
 val create :
   ?shards:int -> sim:Sim.t -> profile:Host_profile.t -> name:string -> unit -> t
-(** [shards] defaults to 1.  Multi-shard hosts also switch the
-    process-global {!Mbuf.Pool} / {!Bufpool.shared} free lists into
-    sharded mode (private per-shard lists backed by the global spill
-    pool). *)
+(** [shards] defaults to 1.  Shards own only a CPU and a flow table:
+    every shard draws buffers from the one process-wide {!Mbuf.Pool} and
+    {!Bufpool.shared} free lists, and reads the host's one listener
+    table. *)
 
 val add_iface : t -> Netif.t -> unit
 val find_iface : t -> string -> Netif.t option
@@ -75,8 +75,8 @@ val in_proc_on :
   (unit -> unit) ->
   unit
 (** Like {!in_proc} but on an explicit shard's CPU.  While the
-    continuation runs, that shard is the current shard — interior
-    charges and pool traffic it triggers stay on the same shard. *)
+    continuation runs, that shard is the current shard, so interior
+    charges it triggers stay on the same shard. *)
 
 val in_intr_on :
   t ->

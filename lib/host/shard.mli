@@ -1,8 +1,9 @@
 (** One receive-side-scaling shard of a host.
 
-    A shard owns a CPU of its own plus per-shard free lists in the mbuf
-    and frame pools (see {!Mbuf.Pool.set_shard_count} /
-    {!Bufpool.set_shard_count}).  CAB batch interrupts are steered to the
+    A shard owns a CPU of its own; its flow table lives in [Tcp].  The
+    buffer pools are process-wide and the listener table is per host:
+    pool residency costs no simulated time, and every shard would hold
+    the same listeners.  CAB batch interrupts are steered to the
     shard owning the flow (RSS hash over the 4-tuple), so driver
     completions, rx pipelining and TCP processing all charge the right
     CPU.  Shard 0 of a 1-shard host is the host's classic single CPU. *)

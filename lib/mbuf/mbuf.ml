@@ -105,79 +105,6 @@ module Pool = struct
   let cluster_stack = Array.make max_clusters dummy
   let nclusters = ref 0
 
-  (* ---- per-shard free lists (RSS sharding) ---- *)
-
-  (* Active only while a multi-shard host exists ([set_shard_count n],
-     n > 1): each shard owns a private stack and the module-level stacks
-     above become the global spill pool — a put that overflows the local
-     stack spills globally, a get that misses locally refills from it
-     (the group-freelist-per-worker shape).  With one shard the sharded
-     branches are never taken, so path and statistics stay byte-identical
-     to the unsharded pool. *)
-  let shard_small_cap = 128
-  let shard_cluster_cap = 256
-  let shard_count_ref = ref 1
-  let cur = ref 0
-  let shard_small = ref ([||] : cell array array)
-  let n_shard_small = ref ([||] : int array)
-  let shard_cluster = ref ([||] : cell array array)
-  let n_shard_cluster = ref ([||] : int array)
-  let spills = ref 0
-  let refills = ref 0
-
-  let sum_counts a = Array.fold_left ( + ) 0 !a
-  let free_small_local () = sum_counts n_shard_small
-  let free_clusters_local () = sum_counts n_shard_cluster
-  let spill_count () = !spills
-  let refill_count () = !refills
-  let shard_count () = !shard_count_ref
-
-  let spill_locals () =
-    let spill stacks counts push =
-      Array.iteri
-        (fun s st ->
-          for i = 0 to !counts.(s) - 1 do
-            push st.(i);
-            st.(i) <- dummy
-          done;
-          !counts.(s) <- 0)
-        !stacks
-    in
-    spill shard_small n_shard_small (fun c ->
-        if !nsmall < max_small then begin
-          small_stack.(!nsmall) <- c;
-          incr nsmall
-        end);
-    spill shard_cluster n_shard_cluster (fun c ->
-        if !nclusters < max_clusters then begin
-          cluster_stack.(!nclusters) <- c;
-          incr nclusters
-        end)
-
-  let set_shard_count n =
-    if n < 1 then invalid_arg "Mbuf.Pool.set_shard_count";
-    if n <> !shard_count_ref then begin
-      spill_locals ();
-      if n > 1 then begin
-        shard_small := Array.init n (fun _ -> Array.make shard_small_cap dummy);
-        n_shard_small := Array.make n 0;
-        shard_cluster :=
-          Array.init n (fun _ -> Array.make shard_cluster_cap dummy);
-        n_shard_cluster := Array.make n 0
-      end
-      else begin
-        shard_small := [||];
-        n_shard_small := [||];
-        shard_cluster := [||];
-        n_shard_cluster := [||]
-      end;
-      shard_count_ref := n;
-      cur := 0
-    end
-
-  let set_current i =
-    if !shard_count_ref > 1 && i >= 0 && i < !shard_count_ref then cur := i
-
   let allocated () = !live
   let clusters () = !live_clusters
   let total_allocs () = !allocs
@@ -201,27 +128,14 @@ module Pool = struct
     allocs := 0;
     hits := 0;
     misses := 0;
-    recycled := 0;
-    spills := 0;
-    refills := 0
+    recycled := 0
 
   let trim () =
-    let bytes =
-      (!nsmall * msize)
-      + (!nclusters * mclbytes)
-      + (free_small_local () * msize)
-      + (free_clusters_local () * mclbytes)
-    in
+    let bytes = (!nsmall * msize) + (!nclusters * mclbytes) in
     Array.fill small_stack 0 max_small dummy;
     nsmall := 0;
     Array.fill cluster_stack 0 max_clusters dummy;
     nclusters := 0;
-    Array.iter (fun st -> Array.fill st 0 (Array.length st) dummy) !shard_small;
-    Array.iter
-      (fun st -> Array.fill st 0 (Array.length st) dummy)
-      !shard_cluster;
-    Array.iteri (fun i _ -> !n_shard_small.(i) <- 0) !n_shard_small;
-    Array.iteri (fun i _ -> !n_shard_cluster.(i) <- 0) !n_shard_cluster;
     (bytes + 4095) / 4096
 
   let note_alloc storage =
@@ -238,21 +152,11 @@ module Pool = struct
     match storage with Cluster _ -> decr live_clusters | _ -> ()
 
   let get_small () =
-    if !shard_count_ref > 1 && !n_shard_small.(!cur) > 0 then begin
-      let ns = !n_shard_small and st = !shard_small.(!cur) in
-      ns.(!cur) <- ns.(!cur) - 1;
-      let c = st.(ns.(!cur)) in
-      st.(ns.(!cur)) <- dummy;
-      incr hits;
-      c.refs <- 1;
-      c
-    end
-    else if !nsmall > 0 then begin
+    if !nsmall > 0 then begin
       decr nsmall;
       let c = small_stack.(!nsmall) in
       small_stack.(!nsmall) <- dummy;
       incr hits;
-      if !shard_count_ref > 1 then incr refills;
       c.refs <- 1;
       c
     end
@@ -263,21 +167,11 @@ module Pool = struct
     end
 
   let get_cluster () =
-    if !shard_count_ref > 1 && !n_shard_cluster.(!cur) > 0 then begin
-      let ns = !n_shard_cluster and st = !shard_cluster.(!cur) in
-      ns.(!cur) <- ns.(!cur) - 1;
-      let c = st.(ns.(!cur)) in
-      st.(ns.(!cur)) <- dummy;
-      incr hits;
-      c.refs <- 1;
-      c
-    end
-    else if !nclusters > 0 then begin
+    if !nclusters > 0 then begin
       decr nclusters;
       let c = cluster_stack.(!nclusters) in
       cluster_stack.(!nclusters) <- dummy;
       incr hits;
-      if !shard_count_ref > 1 then incr refills;
       c.refs <- 1;
       c
     end
@@ -289,37 +183,7 @@ module Pool = struct
 
   let put c =
     let n = Bytes.length c.cbuf in
-    if !shard_count_ref > 1 then begin
-      if n = msize then begin
-        let ns = !n_shard_small in
-        if ns.(!cur) < shard_small_cap then begin
-          !shard_small.(!cur).(ns.(!cur)) <- c;
-          ns.(!cur) <- ns.(!cur) + 1;
-          incr recycled
-        end
-        else if !nsmall < max_small then begin
-          small_stack.(!nsmall) <- c;
-          incr nsmall;
-          incr recycled;
-          incr spills
-        end
-      end
-      else if n = mclbytes then begin
-        let ns = !n_shard_cluster in
-        if ns.(!cur) < shard_cluster_cap then begin
-          !shard_cluster.(!cur).(ns.(!cur)) <- c;
-          ns.(!cur) <- ns.(!cur) + 1;
-          incr recycled
-        end
-        else if !nclusters < max_clusters then begin
-          cluster_stack.(!nclusters) <- c;
-          incr nclusters;
-          incr recycled;
-          incr spills
-        end
-      end
-    end
-    else if n = msize && !nsmall < max_small then begin
+    if n = msize && !nsmall < max_small then begin
       small_stack.(!nsmall) <- c;
       incr nsmall;
       incr recycled
@@ -956,9 +820,4 @@ let () =
   Obs.gauge ~section:s ~name:"recycled" (fi Pool.recycled_count);
   Obs.gauge ~section:s ~name:"hit_rate" Pool.hit_rate;
   Obs.gauge ~section:s ~name:"free_small" (fi Pool.free_small);
-  Obs.gauge ~section:s ~name:"free_clusters" (fi Pool.free_clusters);
-  Obs.gauge ~section:s ~name:"free_small_local" (fi Pool.free_small_local);
-  Obs.gauge ~section:s ~name:"free_clusters_local"
-    (fi Pool.free_clusters_local);
-  Obs.gauge ~section:s ~name:"spills" (fi Pool.spill_count);
-  Obs.gauge ~section:s ~name:"refills" (fi Pool.refill_count)
+  Obs.gauge ~section:s ~name:"free_clusters" (fi Pool.free_clusters)

@@ -280,31 +280,10 @@ module Pool : sig
 
   val free_small : unit -> int
   val free_clusters : unit -> int
-  (** Current global (spill) free-list depths. *)
-
-  val set_shard_count : int -> unit
-  (** Switch the pool between unsharded ([1], the default) and sharded
-      ([n > 1]) mode.  In sharded mode each shard owns a private free
-      list; the global lists become the spill pool.  Reconfiguring
-      spills all local free lists back into the global pool first.
-      Residency is timing-neutral for the simulation — only hit/spill
-      statistics depend on it. *)
-
-  val set_current : int -> unit
-  (** Select the shard whose free list subsequent [get]/[put] traffic
-      uses.  No-op in unsharded mode or out of range. *)
-
-  val shard_count : unit -> int
-
-  val free_small_local : unit -> int
-  val free_clusters_local : unit -> int
-  (** Buffers parked across all per-shard free lists. *)
-
-  val spill_count : unit -> int
-  (** Puts that overflowed a shard's local list into the global pool. *)
-
-  val refill_count : unit -> int
-  (** Gets that missed the local list and hit the global pool. *)
+  (** Current free-list depths.  There is one free list of each size for
+      the whole process, shared by every host and shard: pool residency
+      costs no simulated time, so a per-shard list would change only the
+      hit statistics. *)
 
   val hwm : unit -> int
   val hwm_clusters : unit -> int

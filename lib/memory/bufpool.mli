@@ -7,16 +7,13 @@
     [Bytes.create] turns into GC pressure that dwarfs the data-touching
     cost the paper is trying to expose.  A [Bufpool.t] recycles buffers
     by exact length: [put] files a buffer under its size class, [get]
-    pops one of the same length or allocates on a miss.
+    pops one of the same length or allocates on a miss.  Each size class
+    keeps at most 64 free buffers; surplus [put]s are dropped to the GC.
 
     Recycled buffers hold stale data — callers overwrite the range they
     use (packet buffers are filled by DMA before any byte is read). *)
 
 type t
-
-val create : ?max_per_class:int -> unit -> t
-(** A fresh pool.  Each size class keeps at most [max_per_class]
-    (default 64) buffers; surplus [put]s are dropped to the GC. *)
 
 val get : t -> int -> Bytes.t
 (** [get t n] is a buffer of exactly [n] bytes, recycled when the size
@@ -25,9 +22,6 @@ val get : t -> int -> Bytes.t
 val put : t -> Bytes.t -> unit
 (** Return a buffer to its size class.  The caller must not touch the
     buffer afterwards. *)
-
-val trim : t -> int
-(** Drop every free list; returns the number of bytes released. *)
 
 val hit_count : t -> int
 val miss_count : t -> int
@@ -47,24 +41,6 @@ val outstanding : t -> int
 val reset_stats : t -> unit
 (** Zero the counters; keeps the free lists. *)
 
-val set_shard_count : t -> int -> unit
-(** Switch between unsharded ([1], the default) and sharded ([n > 1])
-    mode.  Sharded mode gives each shard a private size-classed free
-    list (depth-capped at a quarter of [max_per_class]); the original
-    classes become the global spill pool.  Reconfiguring spills all
-    local buffers back into the global pool.  Hit/miss/[outstanding]
-    accounting is unaffected by the mode. *)
-
-val set_current : t -> int -> unit
-(** Select the shard whose free list subsequent traffic uses.  No-op in
-    unsharded mode or out of range. *)
-
-val shard_count : t -> int
-
-val local_free_bytes : t -> int
-(** Bytes parked across all per-shard free lists ([free_bytes] includes
-    them). *)
-
 val shared : t
-(** Process-wide instance used by the simulator datapath (network
-    memory, driver staging). *)
+(** The one process-wide instance, used by the simulator datapath
+    (network memory, driver staging) of every host and shard. *)

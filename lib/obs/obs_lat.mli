@@ -7,7 +7,8 @@
 
 val conn_setup_ns : Obs.Histogram.t
 (** Active open: [connect] (SYN sent) to ESTABLISHED; passive open:
-    SYN received to ESTABLISHED. *)
+    SYN received to ESTABLISHED.  A connection a listener promotes from a
+    SYN cookie is not observed: the cookie keeps no SYN timestamp. *)
 
 val write_ack_ns : Obs.Histogram.t
 (** [Socket.write] accepting a byte range to the ACK covering it

@@ -253,11 +253,11 @@ and t = {
   tabs : pcb Flowtab.t array;
       (* per-shard demux: (lport, raddr, rport) -> pcb, O(1) via the
          RSS flow hash (shard = hash mod shard_count) *)
-  ports : listener Flowtab.t array;
-      (* per-shard O(1) listening-port table (the Flowtab shape again,
-         keyed on the wildcard tuple (port, any, 0)); every shard holds
-         every listener, so a SYN is admitted entirely on the shard its
-         tuple hashes to.  Replaces the old O(n) assoc-list scan. *)
+  ports : listener Flowtab.t;
+      (* O(1) listening-port table (the Flowtab shape again, keyed on the
+         wildcard tuple (port, any, 0)), one per host: every shard reads
+         it, and a SYN is then admitted entirely on the shard its tuple
+         hashes to. *)
   mutable next_port : int;
   mutable next_iss : int;
   iss_rng : Rng.t;
@@ -354,9 +354,9 @@ let port_hash port = Flow_hash.hash ~raddr:Inaddr.any ~lport:port ~rport:0
 let port_ka port = key_a ~lport:port ~rport:0
 let port_kb = Flow_hash.addr_bits Inaddr.any
 
-let find_listener tcp ~shard ~port =
+let find_listener tcp ~port =
   Obs.Counter.incr conn_port_lookups;
-  Flowtab.find tcp.ports.(shard) ~hash:(port_hash port) ~ka:(port_ka port)
+  Flowtab.find tcp.ports ~hash:(port_hash port) ~ka:(port_ka port)
     ~kb:port_kb
 
 (* Half-open key within one listener's SYN table: remote address bits
@@ -936,102 +936,58 @@ and persist_fire pcb =
 
 (* ---------- receive-side checksum verification ---------- *)
 
-let verify_checksum pcb seg =
-  let seg_len = Mbuf.pkt_len seg in
-  (* The pseudo-header sum is commutative in src/dst, so the cached
-     transmit base serves receive verification too. *)
-  let pseudo = Inet_csum.add_u16 pcb.csum_base seg_len in
-  match seg.Mbuf.pkthdr with
-  | Some { Mbuf.rx_csum = Some rx; _ } ->
-      (* Hardware path: add back the transport bytes the engine skipped
-         (engine start is relative to this segment after lower layers
-         adjusted it). *)
-      let skipped_len = max 0 rx.Csum_offload.rx_start in
-      let skipped =
-        if skipped_len = 0 then Inet_csum.zero
-        else begin
-          Obs_ledger.touch Obs_ledger.Tcp_rx_csum Obs_ledger.Sum
-            (min skipped_len seg_len);
-          Mbuf.checksum seg ~off:0 ~len:(min skipped_len seg_len)
-        end
-      in
-      Obs_trace.emit Obs_trace.Rx_adjust ~a:seg_len ~b:skipped_len;
-      let ok = Csum_offload.rx_verify rx ~skipped ~pseudo in
-      pcb.stats <-
-        (if ok then
-           {
-             pcb.stats with
-             csum_hw_verified_rx = pcb.stats.csum_hw_verified_rx + 1;
-           }
-         else
-           {
-             pcb.stats with
-             csum_failures_rx = pcb.stats.csum_failures_rx + 1;
-           });
-      if not ok then Obs.Counter.incr agg_csum_failures_rx;
-      (ok, 0)
-  | Some _ | None ->
-      Obs_ledger.touch Obs_ledger.Tcp_rx_csum Obs_ledger.Sum seg_len;
-      let sum = Mbuf.checksum seg ~off:0 ~len:seg_len in
-      let ok = Inet_csum.is_valid (Inet_csum.add pseudo sum) in
-      let cost =
-        Memcost.checksum_read pcb.tcp.hst.Host.profile
-          ~locality:(Memcost.Working_set pcb.ws_hint_rx)
-          seg_len
-      in
-      pcb.stats <-
-        (if ok then
-           {
-             pcb.stats with
-             csum_host_verified_rx = pcb.stats.csum_host_verified_rx + 1;
-           }
-         else
-           {
-             pcb.stats with
-             csum_failures_rx = pcb.stats.csum_failures_rx + 1;
-           });
-      if not ok then Obs.Counter.incr agg_csum_failures_rx;
-      (ok, cost)
+(* Pseudo-header sum of a connection without the length: it is
+   commutative in src/dst, so one base serves transmit and receive. *)
+let pseudo_base ~laddr ~raddr =
+  Inet_csum.pseudo_header ~src:laddr ~dst:raddr ~proto:Ipv4_header.proto_tcp
+    ~len:0
 
-(* Checksum verification for a segment with no pcb yet (a listener's
-   handshake ACK): the same arithmetic, ledger touches and trace
-   emission as [verify_checksum], with the connection-constant pseudo
-   base recomputed from the addresses (it is src/dst-commutative) and
-   the fresh-pcb receive working-set hint ([cfg.rcv_buf]).  Returns
-   (ok, host_cost, hardware_verified). *)
-let verify_checksum_raw tcp ~laddr ~raddr seg =
+(* Verify a received segment against pseudo-header [base], charging a
+   host sum at receive working set [ws_hint] when no hardware checksum
+   rode in with the packet.  Returns (ok, host_cost, hardware_verified). *)
+let verify_rx_csum tcp ~base ~ws_hint seg =
   let seg_len = Mbuf.pkt_len seg in
-  let base =
-    Inet_csum.pseudo_header ~src:laddr ~dst:raddr
-      ~proto:Ipv4_header.proto_tcp ~len:0
-  in
   let pseudo = Inet_csum.add_u16 base seg_len in
-  match seg.Mbuf.pkthdr with
-  | Some { Mbuf.rx_csum = Some rx; _ } ->
-      let skipped_len = max 0 rx.Csum_offload.rx_start in
-      let skipped =
-        if skipped_len = 0 then Inet_csum.zero
-        else begin
-          Obs_ledger.touch Obs_ledger.Tcp_rx_csum Obs_ledger.Sum
-            (min skipped_len seg_len);
-          Mbuf.checksum seg ~off:0 ~len:(min skipped_len seg_len)
-        end
-      in
-      Obs_trace.emit Obs_trace.Rx_adjust ~a:seg_len ~b:skipped_len;
-      let ok = Csum_offload.rx_verify rx ~skipped ~pseudo in
-      if not ok then Obs.Counter.incr agg_csum_failures_rx;
-      (ok, 0, true)
-  | Some _ | None ->
-      Obs_ledger.touch Obs_ledger.Tcp_rx_csum Obs_ledger.Sum seg_len;
-      let sum = Mbuf.checksum seg ~off:0 ~len:seg_len in
-      let ok = Inet_csum.is_valid (Inet_csum.add pseudo sum) in
-      let cost =
-        Memcost.checksum_read tcp.hst.Host.profile
-          ~locality:(Memcost.Working_set tcp.cfg.rcv_buf)
-          seg_len
-      in
-      if not ok then Obs.Counter.incr agg_csum_failures_rx;
-      (ok, cost, false)
+  let ((ok, _, _) as r) =
+    match seg.Mbuf.pkthdr with
+    | Some { Mbuf.rx_csum = Some rx; _ } ->
+        (* Hardware path: add back the transport bytes the engine skipped
+           (engine start is relative to this segment after lower layers
+           adjusted it). *)
+        let skipped_len = max 0 rx.Csum_offload.rx_start in
+        let skipped =
+          if skipped_len = 0 then Inet_csum.zero
+          else begin
+            Obs_ledger.touch Obs_ledger.Tcp_rx_csum Obs_ledger.Sum
+              (min skipped_len seg_len);
+            Mbuf.checksum seg ~off:0 ~len:(min skipped_len seg_len)
+          end
+        in
+        Obs_trace.emit Obs_trace.Rx_adjust ~a:seg_len ~b:skipped_len;
+        (Csum_offload.rx_verify rx ~skipped ~pseudo, 0, true)
+    | Some _ | None ->
+        Obs_ledger.touch Obs_ledger.Tcp_rx_csum Obs_ledger.Sum seg_len;
+        let sum = Mbuf.checksum seg ~off:0 ~len:seg_len in
+        let cost =
+          Memcost.checksum_read tcp.hst.Host.profile
+            ~locality:(Memcost.Working_set ws_hint) seg_len
+        in
+        (Inet_csum.is_valid (Inet_csum.add pseudo sum), cost, false)
+  in
+  if not ok then Obs.Counter.incr agg_csum_failures_rx;
+  r
+
+let verify_checksum pcb seg =
+  let ((ok, _, hw) as r) =
+    verify_rx_csum pcb.tcp ~base:pcb.csum_base ~ws_hint:pcb.ws_hint_rx seg
+  in
+  let s = pcb.stats in
+  pcb.stats <-
+    (if not ok then { s with csum_failures_rx = s.csum_failures_rx + 1 }
+     else if hw then
+       { s with csum_hw_verified_rx = s.csum_hw_verified_rx + 1 }
+     else { s with csum_host_verified_rx = s.csum_host_verified_rx + 1 });
+  r
 
 (* ---------- ack policy on data receipt ---------- *)
 
@@ -1433,9 +1389,7 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
       ws_hint_tx = tcp.cfg.snd_buf;
       ws_hint_rx = tcp.cfg.rcv_buf;
       tpl;
-      csum_base =
-        Inet_csum.pseudo_header ~src:local_addr ~dst:raddr
-          ~proto:Ipv4_header.proto_tcp ~len:0;
+      csum_base = pseudo_base ~laddr:local_addr ~raddr;
       pumping = false;
       rx_cost_pending = None;
       on_rx_cost = None;
@@ -1479,11 +1433,7 @@ let emit_raw tcp ~laddr ~raddr ~lport ~rport ~seq ~ack ~flags ~options
   in
   let hbytes = Bytes.create hdr_len in
   Tcp_header.encode hdr ~csum:0 hbytes ~off:0;
-  let base =
-    Inet_csum.pseudo_header ~src:laddr ~dst:raddr
-      ~proto:Ipv4_header.proto_tcp ~len:0
-  in
-  let pseudo = Inet_csum.add_u16 base hdr_len in
+  let pseudo = Inet_csum.add_u16 (pseudo_base ~laddr ~raddr) hdr_len in
   let hdr_sum = Inet_csum.of_bytes ~len:hdr_len hbytes in
   let total =
     Inet_csum.add pseudo
@@ -1660,7 +1610,9 @@ let inject_forged_syns tcp l ~laddr n =
    handshake state.  Option folding matches [apply_syn_options],
    window/una/nxt come from the handshake ACK, and the acceptor is
    notified before the ACK's payload is processed.  [rexmits]/[verified_hw] reconstruct the
-   stats the pcb would have accumulated had it existed since the SYN. *)
+   stats the pcb would have accumulated had it existed since the SYN.
+   [created] is the SYN's arrival time, or -1 when no SYN timestamp
+   survives (a cookie): then no setup latency is observed. *)
 let establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport ~iss ~irs ~mss
     ~wscale ~created ~rexmits ~verified_hw (hdr : Tcp_header.t) chain =
   match lookup tcp ~lport ~raddr ~rport with
@@ -1839,7 +1791,11 @@ let syn_arrived tcp l ~laddr ~raddr ~lport ~rport ~flow_hash ~shard
    like any received segment (per-packet or ACK cost plus checksum). *)
 let handshake_ack tcp l ho ~key (hdr : Tcp_header.t) seg ~payload_len
     ~hdr_size =
-  match verify_checksum_raw tcp ~laddr:ho.ho_laddr ~raddr:ho.ho_raddr seg with
+  match
+    verify_rx_csum tcp
+      ~base:(pseudo_base ~laddr:ho.ho_laddr ~raddr:ho.ho_raddr)
+      ~ws_hint:tcp.cfg.rcv_buf seg
+  with
   | false, _, _ -> Mbuf.free seg
   | true, csum_cost, verified_hw ->
       let base_cost =
@@ -1900,7 +1856,10 @@ let cookie_ack tcp l ~laddr ~raddr ~lport ~rport ~shard (hdr : Tcp_header.t)
       Obs.Counter.incr conn_cookies_rejected;
       Mbuf.free seg
   | Some mss -> (
-      match verify_checksum_raw tcp ~laddr ~raddr seg with
+      match
+        verify_rx_csum tcp ~base:(pseudo_base ~laddr ~raddr)
+          ~ws_hint:tcp.cfg.rcv_buf seg
+      with
       | false, _, _ -> Mbuf.free seg
       | true, csum_cost, verified_hw ->
           Obs.Counter.incr conn_cookies_validated;
@@ -1928,7 +1887,7 @@ let cookie_ack tcp l ~laddr ~raddr ~lport ~rport ~shard (hdr : Tcp_header.t)
                 ignore
                   (establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport
                      ~iss ~irs ~mss ~wscale:(-1)
-                     ~created:(Sim.now tcp.hst.Host.sim) ~rexmits:0
+                     ~created:(-1) ~rexmits:0
                      ~verified_hw hdr seg
                     : pcb)))
 
@@ -1957,7 +1916,7 @@ let input tcp ~src ~dst seg =
       with
       | Some pcb ->
           (* Charge the receive-side processing before acting. *)
-          let ok, csum_cost = verify_checksum pcb seg in
+          let ok, csum_cost, _ = verify_checksum pcb seg in
           if not ok then Mbuf.free seg
           else begin
             let base_cost =
@@ -1972,14 +1931,14 @@ let input tcp ~src ~dst seg =
                 segment_arrived pcb hdr seg)
           end
       | None -> (
-          (* No pcb: the connection plane.  O(1) port lookup on the
-             shard the tuple hashes to, then the bounded SYN/accept
-             machinery. *)
+          (* No pcb: the connection plane.  O(1) port lookup, then the
+             bounded SYN/accept machinery on the shard the tuple hashes
+             to. *)
           let lport = hdr.Tcp_header.dst_port
           and rport = hdr.Tcp_header.src_port in
           let flow_hash = Flow_hash.hash ~raddr:src ~lport ~rport in
           let shard = Flow_hash.shard ~count:tcp.shard_count flow_hash in
-          match find_listener tcp ~shard ~port:lport with
+          match find_listener tcp ~port:lport with
           | None ->
               (* No socket: drop (a full RST generator is not needed for
                  the experiments). *)
@@ -2022,7 +1981,7 @@ let create ~ip ~config =
       cfg = config;
       shard_count;
       tabs = Array.init shard_count (fun _ -> Flowtab.create ());
-      ports = Array.init shard_count (fun _ -> Flowtab.create ());
+      ports = Flowtab.create ();
       next_port = 10000;
       next_iss = 1000;
       iss_rng = Rng.create ~seed:(0x1995 lxor Hashtbl.hash hst.Host.name);
@@ -2052,7 +2011,7 @@ let set_initial_sequence tcp iss = tcp.next_iss <- Tcp_seq.norm iss
 let create_listener tcp ~port ?(backlog = 1024) ?(syn_backlog = 512)
     ?(rst_on_full = true) ?(cookies = true) ?on_accept () =
   (match
-     Flowtab.find tcp.ports.(0) ~hash:(port_hash port) ~ka:(port_ka port)
+     Flowtab.find tcp.ports ~hash:(port_hash port) ~ka:(port_ka port)
        ~kb:port_kb
    with
   | Some _ ->
@@ -2074,11 +2033,8 @@ let create_listener tcp ~port ?(backlog = 1024) ?(syn_backlog = 512)
     }
   in
   Sim.set_fn l.l_reaper (fun () -> reaper_fire tcp l);
-  Array.iter
-    (fun tab ->
-      Flowtab.add tab ~hash:(port_hash port) ~ka:(port_ka port) ~kb:port_kb
-        l)
-    tcp.ports;
+  Flowtab.add tcp.ports ~hash:(port_hash port) ~ka:(port_ka port)
+    ~kb:port_kb l;
   l
 
 (* The legacy single-argument API: unbounded accept (auto-accept
@@ -2272,15 +2228,12 @@ let close_listener l =
         l.l_acc_shard.(pcb.shard) <- l.l_acc_shard.(pcb.shard) - 1;
         abort pcb)
       l.l_q;
-    Array.iter
-      (fun tab ->
-        Flowtab.remove tab ~hash:(port_hash l.l_port) ~ka:(port_ka l.l_port)
-          ~kb:port_kb)
-      tcp.ports
+    Flowtab.remove tcp.ports ~hash:(port_hash l.l_port)
+      ~ka:(port_ka l.l_port) ~kb:port_kb
   end
 
 let unlisten tcp ~port =
-  match find_listener tcp ~shard:0 ~port with
+  match find_listener tcp ~port with
   | Some l -> close_listener l
   | None -> ()
 

@@ -2,7 +2,8 @@
    an assoc-list/FIFO oracle, listener lifecycle (accept, overflow RST,
    close-time drain), lossy-handshake recovery through the SYN-ACK
    reaper, memory-pressure admission, idle-flow keepalive reaping,
-   Sockpoll readiness, and the per-shard port table. *)
+   Sockpoll readiness, SYN-cookie promotion, and the per-host port
+   table. *)
 
 let sec name tests = (name, tests)
 let case name f = Alcotest.test_case name `Quick f
@@ -299,6 +300,53 @@ let synack_rexmit_completes () =
   check_int "B flows drained" 0 (Tcp.active_flows (tcp_b tb));
   check_drained "synack rexmit" tb base
 
+(* A cookie keeps no SYN timestamp, so a cookie-validated connection
+   must not observe a (fake zero) setup latency.  Both hosts share the
+   histogram: every client's active open adds one sample, and so does
+   every server-side stateful handshake. *)
+let cookie_adds_no_setup_sample () =
+  let tb = Testbed.create () in
+  let base = occupancy tb in
+  let setup () = Obs.Histogram.count Obs_lat.conn_setup_ns in
+  let l =
+    Tcp.create_listener (tcp_b tb) ~port:7000 ~syn_backlog:1 ~cookies:true ()
+  in
+  let run_clients n =
+    let s0 = setup () in
+    let clients =
+      List.init n (fun _ ->
+          Tcp.connect (tcp_a tb) ~dst:Testbed.addr_b ~dst_port:7000 ())
+    in
+    Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.ms 300.) tb.Testbed.sim;
+    List.iter
+      (fun p -> check_bool "client established" true (Tcp.state p = Tcp.Established))
+      clients;
+    (clients, setup () - s0)
+  in
+  (* One client: a stateful handshake, sampled on both ends. *)
+  let c1, samples = run_clients 1 in
+  check_int "stateful handshake: client + server samples" 2 samples;
+  (* Two at once: the first takes the only SYN slot, the second is
+     answered with a cookie and promoted when its ACK validates. *)
+  let sent0 = conn_counter "cookies_sent"
+  and valid0 = conn_counter "cookies_validated" in
+  let c2, samples = run_clients 2 in
+  check_int "one cookie sent" 1 (conn_counter "cookies_sent" - sent0);
+  check_int "one cookie validated" 1
+    (conn_counter "cookies_validated" - valid0);
+  check_int "cookie promotion adds no server sample" 3 samples;
+  let rec accept_all acc =
+    match Tcp.accept l with Some p -> accept_all (p :: acc) | None -> acc
+  in
+  let servers = accept_all [] in
+  check_int "all three accepted" 3 (List.length servers);
+  List.iter Tcp.close (c1 @ c2 @ servers);
+  Tcp.close_listener l;
+  Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.s 2.) tb.Testbed.sim;
+  check_int "A flows drained" 0 (Tcp.active_flows (tcp_a tb));
+  check_int "B flows drained" 0 (Tcp.active_flows (tcp_b tb));
+  check_drained "cookie" tb base
+
 (* --------------------------------------------------------------- *)
 (* Memory-pressure admission                                        *)
 (* --------------------------------------------------------------- *)
@@ -466,8 +514,11 @@ let sockpoll_accept_and_read () =
 (* Port table                                                       *)
 (* --------------------------------------------------------------- *)
 
-let port_table_lifecycle () =
-  let tb = Testbed.create () in
+(* One listener table per host: every shard reads it, so after a
+   rebind connections landing on any shard are admitted. *)
+let port_table_lifecycle_on ~shards =
+  let tb = Testbed.create ~shards () in
+  let base = occupancy tb in
   let tcp = tcp_b tb in
   let l = Tcp.create_listener tcp ~port:7000 () in
   (try
@@ -485,10 +536,34 @@ let port_table_lifecycle () =
   (* ...and unlisten is close-by-port-number. *)
   Tcp.unlisten tcp ~port:7000;
   let l3 = Tcp.create_listener tcp ~port:7000 () in
+  let clients =
+    List.init 8 (fun _ ->
+        Tcp.connect (tcp_a tb) ~dst:Testbed.addr_b ~dst_port:7000 ())
+  in
+  Sim.run ~until:(Simtime.ms 300.) tb.Testbed.sim;
+  let rec accept_all acc =
+    match Tcp.accept l3 with Some p -> accept_all (p :: acc) | None -> acc
+  in
+  let accepted = accept_all [] in
+  check_int "every connection accepted after the rebind" 8
+    (List.length accepted);
+  let used = List.sort_uniq compare (List.map Tcp.pcb_shard accepted) in
+  check_bool "connections spread over the shards" true
+    (shards = 1 || List.length used > 1);
+  List.iter Tcp.close clients;
+  List.iter Tcp.close accepted;
   Tcp.close_listener l3;
   (* Closing twice and unlistening a free port are no-ops. *)
   Tcp.close_listener l3;
-  Tcp.unlisten tcp ~port:9999
+  Tcp.unlisten tcp ~port:9999;
+  Sim.run ~until:(Simtime.s 2.) tb.Testbed.sim;
+  check_int "A flows drained" 0 (Tcp.active_flows (tcp_a tb));
+  check_int "B flows drained" 0 (Tcp.active_flows (tcp_b tb));
+  check_drained "ports" tb base
+
+let port_table_lifecycle () =
+  port_table_lifecycle_on ~shards:1;
+  port_table_lifecycle_on ~shards:4
 
 let () =
   Alcotest.run "conn"
@@ -504,7 +579,12 @@ let () =
           case "close drains the accept queue" close_drains_accept_queue;
           case "close drains half-open records" close_drains_half_open;
         ];
-      sec "handshake" [ case "SYN-ACK reaper recovers a lost ACK" synack_rexmit_completes ];
+      sec "handshake"
+        [
+          case "SYN-ACK reaper recovers a lost ACK" synack_rexmit_completes;
+          case "cookie promotion adds no setup sample"
+            cookie_adds_no_setup_sample;
+        ];
       sec "admission" [ case "pressure sheds, recovery admits" pressure_sheds_then_recovers ];
       sec "keepalive"
         [

@@ -82,23 +82,37 @@ let test_pool_recycle_clean () =
   (* Ownership is clean: each free accounts exactly once. *)
   check_int "nothing live" 0 (Mbuf.Pool.allocated ())
 
-let test_pool_steady_state_allocs () =
+(* One warm-up round, then 50 more; round [i] runs as [run i round]. *)
+let steady_state_allocs run =
   ignore (Mbuf.Pool.trim ());
   Mbuf.Pool.reset ();
+  let rounds = ref 0 in
   let round () =
     let m = Mbuf.of_string ~pkthdr:true (String.make 6000 'a') in
-    Mbuf.free m
+    Mbuf.free m;
+    incr rounds
   in
   (* One warm-up round primes the free lists... *)
-  round ();
+  run 0 round;
   let warm = Mbuf.Pool.total_allocs () in
   (* ...after which a steady-state workload allocates nothing fresh. *)
-  for _ = 1 to 50 do
-    round ()
+  for i = 1 to 50 do
+    run i round
   done;
+  check_int "every round ran" 51 !rounds;
   check_int "total_allocs flat once warm" warm (Mbuf.Pool.total_allocs ());
   check_bool "steady state hit rate > 0.9" true (Mbuf.Pool.hit_rate () > 0.9);
   check_int "nothing live at the end" 0 (Mbuf.Pool.allocated ())
+
+let test_pool_steady_state_allocs () =
+  steady_state_allocs (fun _ round -> round ());
+  (* The free lists are process-wide: a buffer freed on one shard of a
+     multi-shard host is a hit for the next shard. *)
+  let tb = Testbed.create ~shards:4 () in
+  let host = tb.Testbed.b.Testbed.stack.Netstack.host in
+  steady_state_allocs (fun i round ->
+      Host.in_proc_on host ~shard:(i mod 4) ~proc:"app" 0 round;
+      Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.ms 1.) tb.Testbed.sim)
 
 let test_pool_trim () =
   ignore (Mbuf.Pool.trim ());
