@@ -29,9 +29,6 @@ type t = {
       (** throughput / utilization: Mbit/s a fully busy CPU could carry *)
 }
 
-val unaccounted_fraction : float
-(** 0.075 — "consistently, about 7-8% of the time is unaccounted for". *)
-
 val of_cpu : cpu:Cpu.t -> elapsed:Simtime.t -> bytes:int -> t
 (** Reads the ttcp/util buckets off the CPU.  The CPU's idle process must
     have been set to "util" and accounting reset at the measurement

@@ -24,7 +24,7 @@ let run ~tb ~packet_size ~total =
           incr received;
           Cab.rx_free cab_b info.Cab.rx_pkt;
           if !received = npackets then done_at := Sim.now sim
-      | Cab.Sdma_done _ -> ());
+      | Cab.Sdma_done -> ());
   Cab.set_interrupt_handler cab_a (fun _ -> ());
   (* A: post packets back to back; the next SDMA is posted as soon as the
      previous one is accepted by the adaptor, so SDMA and MDMA pipeline. *)

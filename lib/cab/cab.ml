@@ -8,7 +8,7 @@ type rx_info = {
   rx_channel : int;
 }
 
-type intr = Sdma_done of int | Rx_packet of rx_info
+type intr = Sdma_done | Rx_packet of rx_info
 
 type tx_src =
   | From_user of Region.t
@@ -342,8 +342,8 @@ let clear_stall t (pkt : Netmem.packet) =
    (blit + checksum-engine update), then completion notifications.
    [stallable] marks the posts covered by the "cab.sdma_stall" fault site
    — the ones whose callers run a completion-timeout watchdog. *)
-let sdma ?(stallable = false) t (pkt : Netmem.packet) ~bytes ~cookie
-    ~interrupt ~on_complete commit =
+let sdma ?(stallable = false) t (pkt : Netmem.packet) ~bytes ~interrupt
+    ~on_complete commit =
   pkt.sdma_pending <- pkt.sdma_pending + 1;
   if stallable && Fault.fire "cab.sdma_stall" then note_stall t pkt
   else begin
@@ -354,7 +354,7 @@ let sdma ?(stallable = false) t (pkt : Netmem.packet) ~bytes ~cookie
         t.sdma_bytes <- t.sdma_bytes + bytes;
         commit ();
         (match on_complete with Some f -> f () | None -> ());
-        if interrupt then raise_intr t (Sdma_done cookie);
+        if interrupt then raise_intr t Sdma_done;
         sdma_finished t pkt)
   end
 
@@ -430,17 +430,17 @@ let commit_payload (pkt : Netmem.packet) ~src ~pkt_off ~len =
       in
       pkt.body_sum <- Inet_csum.add pkt.body_sum seg
 
-let sdma_header t (pkt : Netmem.packet) ~header ~csum ?(cookie = 0)
-    ?(interrupt = false) ?on_complete () =
+let sdma_header t (pkt : Netmem.packet) ~header ~csum ?(interrupt = false)
+    ?on_complete () =
   let len = Bytes.length header in
   validate_header pkt ~len;
-  sdma t pkt ~bytes:len ~cookie ~interrupt ~on_complete (fun () ->
+  sdma t pkt ~bytes:len ~interrupt ~on_complete (fun () ->
       commit_header pkt ~len ~fill:(blit_header header) ~csum)
 
-let sdma_payload t (pkt : Netmem.packet) ~src ~pkt_off ?(cookie = 0)
-    ?(interrupt = false) ?on_complete () =
+let sdma_payload t (pkt : Netmem.packet) ~src ~pkt_off ?(interrupt = false)
+    ?on_complete () =
   let len = validate_payload pkt ~src ~pkt_off in
-  sdma t pkt ~bytes:len ~cookie ~interrupt ~on_complete (fun () ->
+  sdma t pkt ~bytes:len ~interrupt ~on_complete (fun () ->
       commit_payload pkt ~src ~pkt_off ~len)
 
 (* ---- chained SDMA ---- *)
@@ -457,8 +457,8 @@ type chain_seg =
       on_seg_complete : (unit -> unit) option;
     }
 
-let sdma_chain t (pkt : Netmem.packet) ~segs ?(cookie = 0)
-    ?(interrupt = false) ?on_complete () =
+let sdma_chain t (pkt : Netmem.packet) ~segs ?(interrupt = false)
+    ?on_complete () =
   match segs with
   | [] -> ( match on_complete with Some f -> f () | None -> ())
   | _ ->
@@ -503,11 +503,11 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ?(cookie = 0)
                   (match on_seg_complete with Some f -> f () | None -> ()))
             segs;
           (match on_complete with Some f -> f () | None -> ());
-          if interrupt then raise_intr t (Sdma_done cookie);
+          if interrupt then raise_intr t Sdma_done;
           sdma_finished t pkt)
       end
 
-let tx_rewrite_header t (pkt : Netmem.packet) ~header ~csum ?(cookie = 0)
+let tx_rewrite_header t (pkt : Netmem.packet) ~header ~csum
     ?(interrupt = false) ?on_complete () =
   let len = Bytes.length header in
   require_word_aligned "header length" len;
@@ -516,7 +516,7 @@ let tx_rewrite_header t (pkt : Netmem.packet) ~header ~csum ?(cookie = 0)
   if len <> pkt.hdr_len then
     invalid_arg "Cab.tx_rewrite_header: header length changed";
   pkt.state <- Netmem.Filling;
-  sdma t pkt ~bytes:len ~cookie ~interrupt ~on_complete (fun () ->
+  sdma t pkt ~bytes:len ~interrupt ~on_complete (fun () ->
       commit_header pkt ~len ~fill:(blit_header header) ~csum)
 
 let mdma_send t (pkt : Netmem.packet) ~dst ~channel ~keep =
@@ -612,8 +612,8 @@ let copyout_slot_free t =
     start ()
   end
 
-let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ?(cookie = 0)
-    ?(interrupt = false) ?on_complete () =
+let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ?(interrupt = false)
+    ?on_complete () =
   require_word_aligned "copy-out packet offset" off;
   if off + len > pkt.len then
     invalid_arg "Cab.sdma_copy_out: range past end of packet";
@@ -653,7 +653,7 @@ let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ?(cookie = 0)
             t.rx_pipe_overlap <- t.rx_pipe_overlap + 1;
           commit ();
           (match on_complete with Some f -> f () | None -> ());
-          if interrupt then raise_intr t (Sdma_done cookie);
+          if interrupt then raise_intr t Sdma_done;
           sdma_finished t pkt;
           copyout_slot_free t)
     in
@@ -691,8 +691,6 @@ let stats t =
   }
 
 let bus_busy_time t = Resource.busy_time t.bus
-let rx_dma_busy_time t = Resource.busy_time t.rx_dma
-let copyout_busy_time t = Resource.busy_time t.copyout
 
 let rx_pipe_stats t =
   {

@@ -29,7 +29,7 @@ type t
 
 (** What an interrupt reports. *)
 type intr =
-  | Sdma_done of int  (** cookie passed with a flagged SDMA request *)
+  | Sdma_done  (** a flagged ([~interrupt:true]) SDMA request completed *)
   | Rx_packet of rx_info
 
 and rx_info = {
@@ -114,7 +114,6 @@ val sdma_header :
   Netmem.packet ->
   header:Bytes.t ->
   csum:Csum_offload.tx option ->
-  ?cookie:int ->
   ?interrupt:bool ->
   ?on_complete:(unit -> unit) ->
   unit ->
@@ -129,7 +128,6 @@ val sdma_payload :
   Netmem.packet ->
   src:tx_src ->
   pkt_off:int ->
-  ?cookie:int ->
   ?interrupt:bool ->
   ?on_complete:(unit -> unit) ->
   unit ->
@@ -159,7 +157,6 @@ val sdma_chain :
   t ->
   Netmem.packet ->
   segs:chain_seg list ->
-  ?cookie:int ->
   ?interrupt:bool ->
   ?on_complete:(unit -> unit) ->
   unit ->
@@ -177,7 +174,6 @@ val tx_rewrite_header :
   Netmem.packet ->
   header:Bytes.t ->
   csum:Csum_offload.tx option ->
-  ?cookie:int ->
   ?interrupt:bool ->
   ?on_complete:(unit -> unit) ->
   unit ->
@@ -211,7 +207,6 @@ val sdma_copy_out :
   off:int ->
   len:int ->
   dst:Netif.copy_dest ->
-  ?cookie:int ->
   ?interrupt:bool ->
   ?on_complete:(unit -> unit) ->
   unit ->
@@ -286,12 +281,6 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val bus_busy_time : t -> Simtime.t
 (** Cumulative tenancy of the tx SDMA channel. *)
-
-val rx_dma_busy_time : t -> Simtime.t
-(** Cumulative tenancy of the rx auto-DMA/verify engine. *)
-
-val copyout_busy_time : t -> Simtime.t
-(** Cumulative tenancy of the copy-out engine. *)
 
 (** Receive-pipeline counters: copy-out engine occupancy and its overlap
     with the auto-DMA/verify engine. *)

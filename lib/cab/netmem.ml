@@ -26,7 +26,6 @@ type t = {
   capacity : int;
   mutable used : int;
   mutable next_id : int;
-  mutable allocs : int;
   mutable failures : int;
   live_ids : (int, int) Hashtbl.t;  (* packet id -> pages *)
 }
@@ -37,7 +36,6 @@ let create ~pages =
     capacity = pages;
     used = 0;
     next_id = 0;
-    allocs = 0;
     failures = 0;
     live_ids = Hashtbl.create 64;
   }
@@ -60,7 +58,6 @@ let alloc t ~len ~state =
   end
   else begin
     t.used <- t.used + pages;
-    t.allocs <- t.allocs + 1;
     let id = t.next_id in
     t.next_id <- id + 1;
     Hashtbl.replace t.live_ids id pages;
@@ -94,5 +91,4 @@ let free t pkt =
 let capacity_pages t = t.capacity
 let free_pages t = t.capacity - t.used
 let in_use t = Hashtbl.length t.live_ids
-let allocs t = t.allocs
 let failures t = t.failures

@@ -54,6 +54,5 @@ val free_pages : t -> int
 val in_use : t -> int
 (** Number of live packets. *)
 
-val allocs : t -> int
 val failures : t -> int
 (** Allocation attempts that failed for lack of space. *)

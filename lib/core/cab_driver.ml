@@ -30,8 +30,6 @@ type t = {
   live_outboard : (int, Netmem.packet) Hashtbl.t;
   (* Recovery plane (all inert when [watchdog = None]). *)
   watchdog : Simtime.t option;  (* lost-interrupt poll interval *)
-  sdma_timeout : Simtime.t;  (* base completion timeout, doubled per retry *)
-  max_sdma_retries : int;
   mutable inflight : int;  (* watched posts not yet completed *)
   poll_timer : Sim.handle;  (* reusable lost-interrupt poll timer *)
   mutable watch_key : int;
@@ -84,15 +82,18 @@ let stats t = t.s
    that is merely slow (bus queueing) keeps waiting with no backoff
    growth.  After [max_sdma_retries] reposts the driver resets the
    adaptor, which re-runs every outstanding watched post from scratch.
+   The base timeout [sdma_timeout] doubles per retry.
 
    A separate periodic poll timer covers lost completion interrupts: it
    calls {!Cab.poll}, which schedules a delivery burst for any stranded
    notifications, and stays armed while watched posts are in flight or
    events are pending. *)
 
-let backoff t attempt =
-  Simtime.us
-    (Simtime.to_us t.sdma_timeout *. float_of_int (1 lsl min attempt 6))
+let sdma_timeout = Simtime.us 1000.
+let max_sdma_retries = 3
+
+let backoff attempt =
+  Simtime.us (Simtime.to_us sdma_timeout *. float_of_int (1 lsl min attempt 6))
 
 let driver_reset t =
   t.s <- { t.s with adaptor_resets = t.s.adaptor_resets + 1 };
@@ -147,7 +148,7 @@ let watched_post t netpkt ~post ~on_done =
           Hashtbl.remove t.tx_watch key;
           (match !watch with
           | Some h ->
-              Sim.cancel (Cab.sim t.cab) h;
+              Sim.stop (Cab.sim t.cab) h;
               watch := None
           | None -> ());
           on_done ()
@@ -160,10 +161,10 @@ let watched_post t netpkt ~post ~on_done =
       and arm_watch g attempt =
         watch :=
           Some
-            (Sim.after (Cab.sim t.cab) (backoff t attempt) (fun () ->
+            (Sim.after (Cab.sim t.cab) (backoff attempt) (fun () ->
                if (not !completed) && !gen = g then
                  if Cab.stalled_posts t.cab netpkt > 0 then
-                   if attempt >= t.max_sdma_retries then driver_reset t
+                   if attempt >= max_sdma_retries then driver_reset t
                    else begin
                      t.s <- { t.s with sdma_timeouts = t.s.sdma_timeouts + 1 };
                      Cab.clear_stall t.cab netpkt;
@@ -721,7 +722,7 @@ let handle_rx t (info : Cab.rx_info) =
   end
 
 let handle_ev t = function
-  | Cab.Sdma_done _ -> ()
+  | Cab.Sdma_done -> ()
   | Cab.Rx_packet info -> handle_rx t info
 
 let interrupt_batch t evs =
@@ -777,12 +778,7 @@ let interrupt_batch t evs =
 
 (* ---------- attach ---------- *)
 
-let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog
-    ?(sdma_timeout = Simtime.us 1000.) ?(max_sdma_retries = 3)
-    ?rx_pipe_depth () =
-  (match rx_pipe_depth with
-  | Some d -> Cab.set_rx_pipe_depth cab d
-  | None -> ());
+let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog () =
   let t =
     {
       host;
@@ -791,8 +787,6 @@ let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog
       ifc = None;
       live_outboard = Hashtbl.create 64;
       watchdog;
-      sdma_timeout;
-      max_sdma_retries;
       inflight = 0;
       poll_timer = Sim.timer (Cab.sim cab) ignore;
       watch_key = 0;
@@ -805,7 +799,6 @@ let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog
   let single_copy = Stack_mode.is_single_copy mode in
   let ifc =
     Netif.make ~name:(Cab.name cab) ~addr ~mtu ~single_copy
-      ~hw_csum_rx:single_copy
       ~copy_out:(fun mb ~off ~len ~dst ~on_done ->
         copy_out t mb ~off ~len ~dst ~on_done)
       ~output:(fun ifc pkt ~next_hop -> output t ifc pkt ~next_hop)

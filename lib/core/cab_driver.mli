@@ -42,7 +42,7 @@ type driver_stats = {
   sdma_timeouts : int;
       (** watchdog timeouts that reclaimed a stuck post and reposted it *)
   adaptor_resets : int;
-      (** last-resort adaptor resets after [max_sdma_retries] reposts *)
+      (** last-resort adaptor resets after 3 reposts of one post *)
   watchdog_polls : int;  (** lost-interrupt poll-timer firings *)
   tx_exhausted : int;  (** transmit drops because netmem allocation failed *)
 }
@@ -55,9 +55,6 @@ val attach :
   ?mtu:int ->
   mode:Stack_mode.t ->
   ?watchdog:Simtime.t ->
-  ?sdma_timeout:Simtime.t ->
-  ?max_sdma_retries:int ->
-  ?rx_pipe_depth:int ->
   unit ->
   t
 (** Creates the interface (MTU defaults to 32 KByte as in §7.1), hooks the
@@ -66,15 +63,11 @@ val attach :
 
     [watchdog] (default off) arms the recovery plane: a lost-interrupt
     poll timer at the given interval, plus per-post completion timeouts.
-    A watched SDMA post that has not completed after [sdma_timeout]
-    (default 1 ms, doubled per retry) and shows up in the adaptor's stall
-    status register is reclaimed and reposted; after [max_sdma_retries]
-    (default 3) the driver resets the adaptor and requeues every
-    in-flight watched post.  With [watchdog] unset none of this machinery
-    runs and the datapath is unchanged.
-
-    [rx_pipe_depth] configures the adaptor's copy-out engine bound (see
-    {!Cab.set_rx_pipe_depth}); unset leaves the adaptor default. *)
+    A watched SDMA post that has not completed after 1 ms (doubled per
+    retry) and shows up in the adaptor's stall status register is
+    reclaimed and reposted; after 3 reposts the driver resets the adaptor
+    and requeues every in-flight watched post.  With [watchdog] unset none
+    of this machinery runs and the datapath is unchanged. *)
 
 val iface : t -> Netif.t
 val cab : t -> Cab.t

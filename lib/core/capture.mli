@@ -27,7 +27,5 @@ val entries : t -> entry list
 
 val count : t -> int
 
-val pp_entry : Format.formatter -> entry -> unit
-
 val dump : ?limit:int -> Format.formatter -> t -> unit
 (** Prints up to [limit] entries (default: all). *)

@@ -1,15 +1,5 @@
-let flatten_count = ref 0
 let wcab_count = ref 0
-let materialized_count = ref 0
-
-let conversions () = !flatten_count
 let wcab_conversions () = !wcab_count
-let csum_materializations () = !materialized_count
-
-let reset_counters () =
-  flatten_count := 0;
-  wcab_count := 0;
-  materialized_count := 0
 
 let flatten_for_legacy ~host ~proc_hint m k =
   let total = Mbuf.chain_len m in
@@ -29,7 +19,6 @@ let flatten_for_legacy ~host ~proc_hint m k =
     else Simtime.zero
   in
   let finish () =
-    if uio_bytes > 0 then incr flatten_count;
     let buf = Bytes.create total in
     let pending_csum =
       match m.Mbuf.pkthdr with Some ph -> ph.Mbuf.tx_csum | None -> None
@@ -45,7 +34,6 @@ let flatten_for_legacy ~host ~proc_hint m k =
            flatten copy so the data is still touched only once.  The
            offload record is transport-relative; the chain here starts at
            the IP header. *)
-        incr materialized_count;
         let skip = Ipv4_header.size + rec_.Csum_offload.skip_bytes in
         Mbuf.copy_into m ~off:0 ~len:skip buf ~dst_off:0;
         let s =

@@ -34,12 +34,4 @@ val wcab_to_regular :
 (** Continuation receives an equivalent all-regular chain (the original is
     consumed).  Chains without WCAB parts pass through untouched. *)
 
-val conversions : unit -> int
-(** Global count of flatten conversions performed (for tests/benches). *)
-
 val wcab_conversions : unit -> int
-
-val csum_materializations : unit -> int
-(** Checksums materialized in software by {!flatten_for_legacy}. *)
-
-val reset_counters : unit -> unit

@@ -1,19 +1,16 @@
 type t = {
   host : Host.t;
   mutable ifc : Netif.t option;
-  mutable count : int;
 }
 
 let iface t = Option.get t.ifc
-let packets t = t.count
 
 let attach ~host ~ip ?(mtu = 64 * 1024) () =
-  let t = { host; ifc = None; count = 0 } in
+  let t = { host; ifc = None } in
   let ifc =
     Netif.make ~name:"lo0" ~addr:Inaddr.loopback ~mtu
       ~output:(fun _ifc pkt ~next_hop:_ ->
         Interop.flatten_for_legacy ~host ~proc_hint:"kernel" pkt (fun bytes ->
-            t.count <- t.count + 1;
             ignore
               (Host.after host (Simtime.us 1.) (fun () ->
                    let chain = Mbuf.of_bytes ~pkthdr:true bytes in

@@ -10,10 +10,8 @@ let create ~sim ~profile ~name ~mode ?(tcp_config = fun c -> c) ?(shards = 1)
     () =
   let host = Host.create ~shards ~sim ~profile ~name () in
   let ip = Ipv4.create ~host in
-  let single_copy = Stack_mode.is_single_copy mode in
-  let cfg = { Tcp.default_config with Tcp.single_copy } in
-  let tcp = Tcp.create ~ip ~config:(tcp_config cfg) in
-  let udp = Udp.create ~ip ~single_copy in
+  let tcp = Tcp.create ~ip ~config:(tcp_config Tcp.default_config) in
+  let udp = Udp.create ~ip in
   { host; ip; tcp; udp; mode }
 
 let subnet_of addr =
@@ -29,7 +27,7 @@ let subnet_of addr =
    owns the pcb by construction. *)
 let classify_rx (ev : Cab.intr) =
   match ev with
-  | Cab.Sdma_done _ -> None
+  | Cab.Sdma_done -> None
   | Cab.Rx_packet info ->
       let b = info.Cab.rx_head and n = info.Cab.rx_head_len in
       if
@@ -44,10 +42,10 @@ let classify_rx (ev : Cab.intr) =
         Some (Flow_hash.hash ~raddr ~lport ~rport)
       else None
 
-let attach_cab t ~cab ~addr ?mtu ?watchdog ?sdma_timeout ?rx_pipe_depth () =
+let attach_cab t ~cab ~addr ?mtu ?watchdog () =
   let drv =
     Cab_driver.attach ~host:t.host ~ip:t.ip ~cab ~addr ?mtu ~mode:t.mode
-      ?watchdog ?sdma_timeout ?rx_pipe_depth ()
+      ?watchdog ()
   in
   if Host.shard_count t.host > 1 then Cab_driver.set_steer drv classify_rx;
   Routing.add_route (Ipv4.routing t.ip) ~prefix:(subnet_of addr) ~len:24

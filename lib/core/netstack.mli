@@ -33,13 +33,10 @@ val attach_cab :
   addr:Inaddr.t ->
   ?mtu:int ->
   ?watchdog:Simtime.t ->
-  ?sdma_timeout:Simtime.t ->
-  ?rx_pipe_depth:int ->
   unit ->
   Cab_driver.t
-(** Attaches the CAB and routes [addr]/24 over it.  [watchdog] /
-    [sdma_timeout] arm the driver's recovery plane (see
-    {!Cab_driver.attach}). *)
+(** Attaches the CAB and routes [addr]/24 over it.  [watchdog] arms the
+    driver's recovery plane (see {!Cab_driver.attach}). *)
 
 val attach_ether :
   t -> dev:Etherdev.t -> addr:Inaddr.t -> ?mtu:int -> unit -> Ether_driver.t

@@ -59,7 +59,6 @@ val cab_class : klass
 val all : unit -> klass list
 (** All 36 classes in table order. *)
 
-val op_to_string : op -> string
 val pp_ops : Format.formatter -> op list -> unit
 
 val estimated_efficiency : Host_profile.t -> packet:int -> klass -> float

@@ -17,7 +17,7 @@ let addr_b = Inaddr.v 10 0 0 2
 let create ?(profile = Host_profile.alpha400)
     ?(mode = Stack_mode.Single_copy) ?(mtu = 32 * 1024)
     ?(netmem_pages = 4096) ?tcp_config ?(drop_a_frames = [])
-    ?(drop_b_frames = []) ?watchdog ?sdma_timeout ?(shards = 1) ?link_rate
+    ?(drop_b_frames = []) ?watchdog ?(shards = 1) ?link_rate
     () =
   let sim = Sim.create () in
   (* Packet-trace timestamps come from this testbed's simulator; a new
@@ -54,7 +54,7 @@ let create ?(profile = Host_profile.alpha400)
         ()
     in
     let driver =
-      Netstack.attach_cab stack ~cab ~addr ~mtu ?watchdog ?sdma_timeout ()
+      Netstack.attach_cab stack ~cab ~addr ~mtu ?watchdog ()
     in
     { stack; cab; driver }
   in

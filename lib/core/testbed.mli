@@ -30,7 +30,6 @@ val create :
   ?drop_a_frames:int list ->
   ?drop_b_frames:int list ->
   ?watchdog:Simtime.t ->
-  ?sdma_timeout:Simtime.t ->
   ?shards:int ->
   ?link_rate:float ->
   unit ->
@@ -39,8 +38,8 @@ val create :
     network-memory pages per CAB (16 MByte).  [drop_a_frames] /
     [drop_b_frames] inject loss: the i-th frames sent by that host
     (0-based) are silently discarded — the fault-injection hooks for
-    retransmission experiments.  [watchdog] / [sdma_timeout] arm both
-    drivers' recovery plane (see {!Cab_driver.attach}); off by default.
+    retransmission experiments.  [watchdog] arms both drivers'
+    recovery plane (see {!Cab_driver.attach}); off by default.
     [shards] (default 1) splits both hosts into RSS shards (see
     {!Host.create}); [link_rate] overrides the HIPPI line rate in
     bytes/s for scaling experiments where 100 MByte/s would cap the

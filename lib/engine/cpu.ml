@@ -220,10 +220,6 @@ let procs t =
     (fun (p, _) c acc -> if !c > 0 && not (List.mem p acc) then p :: acc else acc)
     t.buckets []
 
-let queue_length t =
-  Queue.length t.intr_q + Queue.length t.normal_q
-  + (match t.running with Some _ -> 1 | None -> 0)
-
 let reset_accounting t =
   Hashtbl.reset t.buckets;
   (* The memoised cell points into the dropped table: invalidate it. *)

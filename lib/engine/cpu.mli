@@ -77,15 +77,7 @@ val sites_total : t -> Simtime.t
 (** Sum over all profiler sites — equal to {!busy} by construction
     (machine-checked in the test suite). *)
 
-val sites_json : t -> string
-(** The [prof/<name>] table row: per-site cycles plus ["total"]. *)
-
 val procs : t -> string list
 (** All process names with a nonzero bucket. *)
-
-val current_proc : t -> string
-(** The process currently "running" (idle proc when idle). *)
-
-val queue_length : t -> int
 
 val reset_accounting : t -> unit

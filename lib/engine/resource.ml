@@ -47,5 +47,4 @@ let acquire t duration k =
   if not t.held then start_next t
 
 let busy t = t.held
-let queue_length t = Queue.length t.q + if t.held then 1 else 0
 let busy_time t = t.busy_total

@@ -16,6 +16,5 @@ val acquire : t -> Simtime.t -> (unit -> unit) -> unit
     call [k]. *)
 
 val busy : t -> bool
-val queue_length : t -> int
 val busy_time : t -> Simtime.t
 (** Cumulative time the resource has been held. *)

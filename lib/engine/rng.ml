@@ -28,23 +28,3 @@ let float t bound =
   (* 53 random bits scaled into [0, 1). *)
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound
-
-let bool t = Int64.logand (int64 t) 1L = 1L
-
-let exponential t ~mean =
-  let u = float t 1.0 in
-  (* Avoid log 0. *)
-  let u = if u <= 0. then 1e-12 else u in
-  -.mean *. log u
-
-let fill_bytes t buf =
-  let n = Bytes.length buf in
-  let i = ref 0 in
-  while !i + 8 <= n do
-    Bytes.set_int64_le buf !i (int64 t);
-    i := !i + 8
-  done;
-  while !i < n do
-    Bytes.set_uint8 buf !i (int t 256);
-    incr i
-  done

@@ -12,17 +12,8 @@ val create : seed:int -> t
 val split : t -> t
 (** A new generator with an independent stream derived from [t]. *)
 
-val int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  Requires [bound > 0]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
-
-val bool : t -> bool
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed value with the given mean. *)
-
-val fill_bytes : t -> Bytes.t -> unit
-(** Fills a buffer with pseudo-random bytes (used for payload patterns). *)

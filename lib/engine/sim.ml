@@ -40,7 +40,7 @@ let register_obs t =
   Obs.table ~section:"sim" ~name:"wheel_levels" (fun () ->
       let b = Buffer.create 64 in
       Buffer.add_char b '[';
-      for l = 0 to Tw.levels t.wheel - 1 do
+      for l = 0 to Tw.levels - 1 do
         if l > 0 then Buffer.add_char b ',';
         Buffer.add_string b (string_of_int (Tw.level_count t.wheel l))
       done;
@@ -63,12 +63,11 @@ let fresh_seq t =
   t.next_seq <- s + 1;
   s
 
-(* Arm [tm] (deadline/seq/cancelled reset here): wheel if it will take
-   it, heap otherwise. *)
+(* Arm [tm] (deadline/seq set here): wheel if it will take it, heap
+   otherwise. *)
 let schedule t (tm : handle) time =
   tm.Tw.deadline <- time;
   tm.Tw.seq <- fresh_seq t;
-  tm.Tw.cancelled <- false;
   if not (t.use_wheel && Tw.try_schedule t.wheel ~now:t.clock tm) then begin
     tm.Tw.where <- Tw.w_heap;
     Event_queue.push_seq t.queue ~time ~seq:tm.Tw.seq tm
@@ -103,12 +102,6 @@ let at t time fn =
 
 let after t delay fn = at t (Simtime.add t.clock delay) fn
 
-let cancel t (tm : handle) =
-  tm.Tw.cancelled <- true;
-  disarm t tm
-
-let cancelled (tm : handle) = tm.Tw.cancelled
-
 let timer t fn = Tw.alloc t.wheel fn
 let set_fn (tm : handle) fn = Tw.set_fn tm fn
 
@@ -120,16 +113,6 @@ let rearm_at t (tm : handle) time =
 let rearm t (tm : handle) delay = rearm_at t tm (Simtime.add t.clock delay)
 let stop t (tm : handle) = disarm t tm
 let armed (tm : handle) = tm.Tw.where <> Tw.w_none
-
-let dbg_handle (tm : handle) =
-  let where =
-    if tm.Tw.where = Tw.w_none then "idle"
-    else if tm.Tw.where = Tw.w_heap then "heap"
-    else if tm.Tw.where = Tw.w_ready then "ready"
-    else Printf.sprintf "L%d" tm.Tw.where
-  in
-  Printf.sprintf "%s@%d seq=%d%s" where tm.Tw.deadline tm.Tw.seq
-    (if tm.Tw.cancelled then " cancelled" else "")
 
 let periodic t ~every fn =
   let tm = Tw.alloc t.wheel (fun () -> ()) in
@@ -251,5 +234,3 @@ let step t =
     else fire_heap t hseq (Event_queue.take t.queue);
     true
   end
-
-let dbg_locate t (tm : handle) = Tw.dbg_locate t.wheel tm

@@ -26,7 +26,7 @@
 type t
 
 type handle = Timer_wheel.timer
-(** A scheduled event that can be cancelled (e.g. a protocol timer).
+(** A scheduled event that can be stopped (e.g. a protocol timer).
     One-shot handles from {!at}/{!after} are GC-owned; reusable timers
     from {!timer}/{!periodic} come from a free list and can be handed
     back with {!release}. *)
@@ -42,14 +42,6 @@ val at : t -> Simtime.t -> (unit -> unit) -> handle
 
 val after : t -> Simtime.t -> (unit -> unit) -> handle
 (** Schedule a callback [delay] after [now]. *)
-
-val cancel : t -> handle -> unit
-(** O(1): wheel-resident timers are unlinked on the spot; heap-resident
-    ones are invalidated and counted, and the heap compacts itself when
-    dead entries outnumber live ones.  Cancelling a fired or
-    already-cancelled event is a no-op. *)
-
-val cancelled : handle -> bool
 
 (** {2 Reusable timers}
 
@@ -73,14 +65,13 @@ val rearm_at : t -> handle -> Simtime.t -> unit
 (** Arm (or move) the timer to fire at an absolute time (>= [now]). *)
 
 val stop : t -> handle -> unit
-(** Disarm without marking {!cancelled} — the timer can be re-armed. *)
+(** Disarm, O(1): wheel-resident timers are unlinked on the spot;
+    heap-resident ones are invalidated and counted, and the heap compacts
+    itself when dead entries outnumber live ones.  Stopping an idle or
+    fired timer is a no-op, and a stopped timer can be re-armed. *)
 
 val armed : handle -> bool
 (** True while a deadline is pending (armed and not yet fired). *)
-
-val dbg_handle : handle -> string
-(** Debug: where the timer lives (heap/ready/level-N/idle), its deadline
-    and seq — for post-mortem dumps of stuck timers. *)
 
 val periodic : t -> every:Simtime.t -> (unit -> unit) -> handle
 (** A self-re-arming timer: fires every [every], starting one period
@@ -110,6 +101,3 @@ val run : ?until:Simtime.t -> ?max_events:int -> t -> unit
 
 val step : t -> bool
 (** Fires the single earliest event.  [false] when the queue is empty. *)
-
-val dbg_locate : t -> handle -> string
-(** Debug: physically locate an armed timer inside the wheel. *)

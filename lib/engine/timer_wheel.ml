@@ -11,7 +11,6 @@ type timer = {
   mutable deadline : Simtime.t;
   mutable seq : int;
   mutable where : int;
-  mutable cancelled : bool;
   mutable pooled : bool;
   mutable prev : timer;
   mutable next : timer;
@@ -25,20 +24,25 @@ let no_fn () = ()
 
 let make ~fn =
   let rec tm =
-    { fn; deadline = 0; seq = 0; where = w_none; cancelled = false;
-      pooled = false; prev = tm; next = tm }
+    { fn; deadline = 0; seq = 0; where = w_none; pooled = false; prev = tm;
+      next = tm }
   in
   tm
 
 let sentinel () = make ~fn:no_fn
 
+(* Level-0 ticks are 2^9 ns; 2^8 slots per level; three levels give a
+   horizon of 2^(9 + 3*8) ns, about 8.6 s.  64 records start on the
+   free list. *)
+let tick_bits = 9
+let slot_bits = 8
+let levels = 3
+let prealloc = 64
+let mask = (1 lsl slot_bits) - 1
+let horizon_ticks = 1 lsl (levels * slot_bits)
+
 type t = {
-  tick_bits : int;
-  slot_bits : int;
-  nlevels : int;
-  mask : int;                       (* 2^slot_bits - 1 *)
-  horizon_ticks : int;              (* 2^(nlevels * slot_bits) *)
-  slots : timer array array;        (* nlevels x 2^slot_bits sentinels *)
+  slots : timer array array;        (* levels x 2^slot_bits sentinels *)
   counts : int array;               (* live timers per level *)
   ready : timer;                    (* sorted expired list, sentinel *)
   mutable n_ready : int;
@@ -55,17 +59,12 @@ type t = {
   mutable n_far : int;
 }
 
-let create ?(tick_bits = 9) ?(slot_bits = 8) ?(levels = 3) ?(prealloc = 64)
-    () =
-  if levels < 1 || levels > 4 then invalid_arg "Timer_wheel.create: levels";
-  if tick_bits + levels * slot_bits > 61 then
-    invalid_arg "Timer_wheel.create: horizon exceeds int range";
-  let nslots = 1 lsl slot_bits in
+let create () =
   let nil = sentinel () in
   let t =
-    { tick_bits; slot_bits; nlevels = levels; mask = nslots - 1;
-      horizon_ticks = 1 lsl (levels * slot_bits);
-      slots = Array.init levels (fun _ -> Array.init nslots (fun _ -> sentinel ()));
+    { slots =
+        Array.init levels (fun _ ->
+            Array.init (mask + 1) (fun _ -> sentinel ()));
       counts = Array.make levels 0;
       ready = sentinel (); n_ready = 0; n_pending = 0; now_tick = 0;
       nil; free = nil; n_free = 0;
@@ -93,7 +92,6 @@ let alloc t fn =
     tm.next <- tm;
     tm.prev <- tm;
     tm.fn <- fn;
-    tm.cancelled <- false;
     tm
   end
 
@@ -124,27 +122,27 @@ let append_before sent tm =
 
 (* Place [tm] into the slot its deadline selects, given the current
    cursor.  Pre: 0 <= rel < horizon_ticks.  Does not touch n_pending. *)
-let rec level_for t rel l =
-  if rel asr ((l + 1) * t.slot_bits) = 0 then l else level_for t rel (l + 1)
+let rec level_for rel l =
+  if rel asr ((l + 1) * slot_bits) = 0 then l else level_for rel (l + 1)
 
 let place t tm =
-  let dtick = tm.deadline asr t.tick_bits in
+  let dtick = tm.deadline asr tick_bits in
   let rel = dtick - t.now_tick in
-  let level = level_for t rel 0 in
-  let idx = (dtick asr (level * t.slot_bits)) land t.mask in
+  let level = level_for rel 0 in
+  let idx = (dtick asr (level * slot_bits)) land mask in
   append_before t.slots.(level).(idx) tm;
   t.counts.(level) <- t.counts.(level) + 1;
   tm.where <- level
 
 let try_schedule t ~now tm =
-  if t.n_pending = 0 then t.now_tick <- now asr t.tick_bits;
-  let rel = (tm.deadline asr t.tick_bits) - t.now_tick in
+  if t.n_pending = 0 then t.now_tick <- now asr tick_bits;
+  let rel = (tm.deadline asr tick_bits) - t.now_tick in
   if rel < 0 then begin
     (* Inside the swept window (e.g. a zero-delay event, or a deadline
        in the slot already sorted into [ready]). *)
     t.n_near <- t.n_near + 1;
     false
-  end else if rel >= t.horizon_ticks then begin
+  end else if rel >= horizon_ticks then begin
     t.n_far <- t.n_far + 1;
     false
   end else begin
@@ -162,7 +160,7 @@ let cancel t tm =
     t.n_ready <- t.n_ready - 1;
     t.n_pending <- t.n_pending - 1;
     t.n_cancels <- t.n_cancels + 1
-  end else if w >= 0 && w < t.nlevels then begin
+  end else if w >= 0 && w < levels then begin
     unlink tm;
     tm.where <- w_none;
     t.counts.(w) <- t.counts.(w) - 1;
@@ -174,7 +172,7 @@ let cancel t tm =
    Every timer there has rel < 2^(l*slot_bits), so [place] puts it at a
    strictly lower level (or, when rel = 0, level 0 at the cursor). *)
 let cascade t l =
-  let idx = (t.now_tick asr (l * t.slot_bits)) land t.mask in
+  let idx = (t.now_tick asr (l * slot_bits)) land mask in
   let s = t.slots.(l).(idx) in
   while s.next != s do
     let tm = s.next in
@@ -191,7 +189,7 @@ let by_deadline_seq a b =
 (* Sort the level-0 slot under the cursor into [ready].  A slot usually
    holds one timer; that case moves it without allocating. *)
 let collect t =
-  let s = t.slots.(0).(t.now_tick land t.mask) in
+  let s = t.slots.(0).(t.now_tick land mask) in
   let first = s.next in
   if first.next == s then begin
     unlink first;
@@ -225,11 +223,11 @@ let collect t =
    safe to re-test boundaries on every iteration. *)
 let advance t =
   while t.n_ready = 0 do
-    for l = t.nlevels - 1 downto 1 do
-      if t.now_tick land ((1 lsl (l * t.slot_bits)) - 1) = 0 then cascade t l
+    for l = levels - 1 downto 1 do
+      if t.now_tick land ((1 lsl (l * slot_bits)) - 1) = 0 then cascade t l
     done;
     if t.counts.(0) > 0 then begin
-      let s = t.slots.(0).(t.now_tick land t.mask) in
+      let s = t.slots.(0).(t.now_tick land mask) in
       if s.next != s then begin
         collect t;
         (* The collected slot is consumed: deadlines at this tick now
@@ -243,8 +241,8 @@ let advance t =
       (* Level 0 empty: jump to the next boundary of the lowest occupied
          level.  One boundary at a time, so no cascade is skipped. *)
       let l = ref 1 in
-      while !l < t.nlevels - 1 && t.counts.(!l) = 0 do incr l done;
-      let span = (1 lsl (!l * t.slot_bits)) - 1 in
+      while !l < levels - 1 && t.counts.(!l) = 0 do incr l done;
+      let span = (1 lsl (!l * slot_bits)) - 1 in
       t.now_tick <- (t.now_tick lor span) + 1
     end
   done
@@ -274,11 +272,9 @@ let pop_expired t =
   t.n_fired <- t.n_fired + 1;
   tm
 
-let horizon t = t.horizon_ticks lsl t.tick_bits
 let pending t = t.n_pending
 let ready_len t = t.n_ready
 let level_count t l = t.counts.(l)
-let levels t = t.nlevels
 let free_len t = t.n_free
 let scheduled t = t.n_scheduled
 let fired t = t.n_fired
@@ -286,38 +282,3 @@ let cancels t = t.n_cancels
 let cascades t = t.n_cascades
 let near_rejects t = t.n_near
 let far_rejects t = t.n_far
-
-(* Debug: physically locate [tm] by scanning every slot and the ready
-   list; report cursor and per-level counts. *)
-let dbg_locate t tm =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "cursor=%d (t=%dns) pending=%d ready=%d counts=[%s] "
-       t.now_tick (t.now_tick lsl t.tick_bits) t.n_pending t.n_ready
-       (String.concat ";" (Array.to_list (Array.map string_of_int t.counts))));
-  let found = ref false in
-  for l = 0 to t.nlevels - 1 do
-    for i = 0 to t.mask do
-      let s = t.slots.(l).(i) in
-      let cur = ref s.next in
-      while !cur != s do
-        if !cur == tm then begin
-          found := true;
-          let dtick = tm.deadline asr t.tick_bits in
-          Buffer.add_string b
-            (Printf.sprintf
-               "linked L%d[%d] dtick=%d rel=%d place_idx=%d" l i dtick
-               (dtick - t.now_tick)
-               ((dtick asr (l * t.slot_bits)) land t.mask))
-        end;
-        cur := !cur.next
-      done
-    done
-  done;
-  let cur = ref t.ready.next in
-  while !cur != t.ready do
-    if !cur == tm then begin found := true; Buffer.add_string b "in-ready" end;
-    cur := !cur.next
-  done;
-  if not !found then Buffer.add_string b "NOT-LINKED";
-  Buffer.contents b

@@ -34,8 +34,7 @@ type timer = {
   mutable deadline : Simtime.t;  (** exact expiry, not tick-rounded *)
   mutable seq : int;  (** scheduler-wide FIFO tiebreak, set by [Sim] *)
   mutable where : int;
-      (** location: {!w_none}, {!w_heap}, a wheel level, or {!w_ready} *)
-  mutable cancelled : bool;  (** user-visible cancel flag (see [Sim]) *)
+      (** location: {!w_none}, {!w_heap}, a wheel level, or the ready list *)
   mutable pooled : bool;  (** allocated from the free list *)
   mutable prev : timer;  (** intrusive dlist; self-linked when unlinked *)
   mutable next : timer;
@@ -47,20 +46,15 @@ val w_none : int
 val w_heap : int
 (** Resident in the caller's event heap (near/far reject fallback). *)
 
-val w_ready : int
-(** In the sorted expired list, waiting for [Sim] to fire it. *)
-
 type t
 
-val create :
-  ?tick_bits:int -> ?slot_bits:int -> ?levels:int -> ?prealloc:int ->
-  unit -> t
-(** [tick_bits] (default 9): level-0 granularity is [2^tick_bits] ns.
-    [slot_bits] (default 8): [2^slot_bits] slots per level.
-    [levels] (default 3): horizon is [2^(tick_bits + levels*slot_bits)] ns
-    (≈ 8.6 s with the defaults).
-    [prealloc] (default 64): timer records built up front on the free
-    list. *)
+val create : unit -> t
+(** An empty wheel: level-0 granularity 2{^9} ns, 2{^8} slots per level,
+    {!levels} levels, so the horizon is 2{^(9 + 3*8)} ns (≈ 8.6 s).  64
+    timer records start on the free list. *)
+
+val levels : int
+(** Number of wheel levels (3). *)
 
 val make : fn:(unit -> unit) -> timer
 (** A fresh, GC-owned record (for one-shot handles that escape). *)
@@ -99,9 +93,6 @@ val pop_expired : t -> timer
 (** Unlink and return the ready-list head (caller checked
     {!expired_seq}). *)
 
-val horizon : t -> Simtime.t
-(** Width of the schedulable window, in ns. *)
-
 (** {2 Introspection (Obs export, tests)} *)
 
 val pending : t -> int
@@ -109,7 +100,6 @@ val pending : t -> int
 
 val ready_len : t -> int
 val level_count : t -> int -> int
-val levels : t -> int
 val free_len : t -> int
 val scheduled : t -> int
 val fired : t -> int
@@ -117,6 +107,3 @@ val cancels : t -> int
 val cascades : t -> int
 val near_rejects : t -> int
 val far_rejects : t -> int
-
-val dbg_locate : t -> timer -> string
-(** Debug: scan all slots/ready for physical membership of a timer. *)

@@ -17,9 +17,6 @@ type point = {
 
 type report = { profile : Host_profile.t; points : point list }
 
-val default_sizes : int list
-(** 1K .. 512K in powers of two — the paper's x axis. *)
-
 val run :
   ?sizes:int list -> ?min_total:int -> profile:Host_profile.t -> unit -> report
 (** [min_total] (default 2 MByte) bounds the bytes moved per point; larger

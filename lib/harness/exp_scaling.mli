@@ -17,10 +17,6 @@ type row = {
   advantage : float;  (** smod/unmod *)
 }
 
-val derive_profile : Host_profile.t -> cpu_factor:float -> Host_profile.t
-(** CPU-bound costs divided by the factor; memory bandwidths, cache and
-    bus untouched. *)
-
 val run : ?factors:float list -> ?wsize:int -> ?total:int -> unit -> row list
 (** Defaults: factors 1/2/4/8, 512 KByte writes, 8 MByte per run. *)
 

@@ -29,4 +29,3 @@ let print_rule ~widths =
 
 let fmt_mbit v = Printf.sprintf "%.1f" v
 let fmt_util v = Printf.sprintf "%.3f" v
-let fmt_us t = Printf.sprintf "%.1f" (Simtime.to_us t)

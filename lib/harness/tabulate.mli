@@ -8,4 +8,3 @@ val print_rule : widths:int list -> unit
 
 val fmt_mbit : float -> string
 val fmt_util : float -> string
-val fmt_us : Simtime.t -> string

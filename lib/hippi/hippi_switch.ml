@@ -29,7 +29,6 @@ type t = {
   pipes : (Simtime.t * Bytes.t) Queue.t array;
   dtimers : Sim.handle array;
   mutable frames : int;
-  mutable bytes : int;
 }
 
 let arrive t dst =
@@ -66,7 +65,6 @@ let create ~sim ~ports ?(rate = Hippi_link.line_rate)
     pipes = Array.init ports (fun _ -> Queue.create ());
     dtimers = Array.init ports (fun _ -> Sim.timer sim ignore);
     frames = 0;
-    bytes = 0;
   }
   in
   Array.iteri
@@ -136,7 +134,6 @@ let rec try_start t i =
                input.busy <- false;
                t.out_busy.(f.dst) <- false;
                t.frames <- t.frames + 1;
-               t.bytes <- t.bytes + Bytes.length f.payload;
                let dst = f.dst in
                let due = Simtime.add (Sim.now t.sim) t.latency in
                Queue.push (due, f.payload) t.pipes.(dst);
@@ -170,7 +167,6 @@ let submit t ~src ~dst payload =
 
 let input_queue_len t ~port = t.inputs.(port).queued
 let delivered_frames t = t.frames
-let delivered_bytes t = t.bytes
 let output_busy_time t ~port = t.out_busy_time.(port)
 
 let utilization t elapsed =

@@ -28,7 +28,6 @@ val submit : t -> src:int -> dst:int -> Bytes.t -> unit
 
 val input_queue_len : t -> port:int -> int
 val delivered_frames : t -> int
-val delivered_bytes : t -> int
 
 val output_busy_time : t -> port:int -> Simtime.t
 

@@ -41,7 +41,6 @@ let now t = Sim.now t.sim
 let shard_count t = Array.length t.shards
 let shard t i = t.shards.(i)
 let shards t = t.shards
-let current_shard t = t.cur_shard
 
 let in_proc_on t ~shard ~proc ?(mode = Cpu.Sys) ?site ?split cost k =
   if Array.length t.shards = 1 then
@@ -63,13 +62,10 @@ let in_intr_on t ~shard ?site ?split cost k =
         k ();
         t.cur_shard <- prev)
 
-let in_proc t ~proc ?(mode = Cpu.Sys) ?site ?split cost k =
-  if Array.length t.shards = 1 then
-    Cpu.execute t.cpu ~proc ~mode ?site ?split cost k
-  else in_proc_on t ~shard:t.cur_shard ~proc ~mode ?site ?split cost k
+let in_proc t ~proc ?mode ?site ?split cost k =
+  in_proc_on t ~shard:t.cur_shard ~proc ?mode ?site ?split cost k
 
 let in_intr t ?site ?split cost k =
-  if Array.length t.shards = 1 then Cpu.execute_intr t.cpu ?site ?split cost k
-  else in_intr_on t ~shard:t.cur_shard ?site ?split cost k
+  in_intr_on t ~shard:t.cur_shard ?site ?split cost k
 
 let after t d k = Sim.after t.sim d k

@@ -38,7 +38,6 @@ val now : t -> Simtime.t
 val shard_count : t -> int
 val shard : t -> int -> Shard.t
 val shards : t -> Shard.t array
-val current_shard : t -> int
 
 val in_proc :
   t ->

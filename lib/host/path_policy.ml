@@ -53,11 +53,7 @@ type t = {
      piggybacks its measurements back to the sender. *)
   rx_uio : table;
   rx_copy : table;
-  min_cutover : int;
-  max_cutover : int;
-  cold_shift : int;
   explore_period : int;
-  penalty_decay : float;
   mutable cutover : int;
   mutable decisions : int;
   (* Fault-driven cost multiplier on the Uio threshold: >= 1.0, raised by
@@ -81,22 +77,24 @@ type t = {
   mutable rx_feeds : int;
 }
 
-let create ?(cutover = 16384) ?(min_cutover = 1024)
-    ?(max_cutover = 1 lsl 20) ?(cold_shift = 1) ?(explore_period = 16)
-    ?(penalty_decay = 0.9) () =
+(* The cutover estimate stays within [min_cutover, max_cutover]; a
+   pin-cold buffer needs [cutover lsl cold_shift] bytes to route Uio; the
+   fault penalty decays by [penalty_decay] per decision and [penalize]
+   multiplies it by [penalty_factor]. *)
+let min_cutover = 1024
+let max_cutover = 1 lsl 20
+let cold_shift = 1
+let penalty_decay = 0.9
+let penalty_factor = 8.
+
+let create ?(cutover = 16384) ?(explore_period = 16) () =
   if cutover <= 0 then invalid_arg "Path_policy.create: cutover <= 0";
-  if penalty_decay <= 0. || penalty_decay >= 1. then
-    invalid_arg "Path_policy.create: penalty_decay must be in (0, 1)";
   {
     uio = make_table ();
     copy = make_table ();
     rx_uio = make_table ();
     rx_copy = make_table ();
-    min_cutover;
-    max_cutover;
-    cold_shift;
     explore_period;
-    penalty_decay;
     cutover = Stdlib.max min_cutover (Stdlib.min max_cutover cutover);
     decisions = 0;
     penalty = 1.0;
@@ -154,7 +152,7 @@ let refresh_cutover t =
   match !candidate with
   | None -> ()
   | Some c ->
-      t.cutover <- Stdlib.max t.min_cutover (Stdlib.min t.max_cutover c)
+      t.cutover <- Stdlib.max min_cutover (Stdlib.min max_cutover c)
 
 let count_reason t = function
   | Unaligned -> t.n_unaligned <- t.n_unaligned + 1
@@ -167,9 +165,8 @@ let count_reason t = function
 
 let max_penalty = 64.
 
-let penalize ?(factor = 8.) t =
-  if factor < 1. then invalid_arg "Path_policy.penalize: factor < 1";
-  t.penalty <- Stdlib.min max_penalty (t.penalty *. factor)
+let penalize t =
+  t.penalty <- Stdlib.min max_penalty (t.penalty *. penalty_factor)
 
 let penalty t = t.penalty
 
@@ -191,12 +188,12 @@ let decide t ~len ~aligned ~pin_warm =
   else begin
   t.decisions <- t.decisions + 1;
   if t.penalty > 1.0 then
-    t.penalty <- Stdlib.max 1.0 (t.penalty *. t.penalty_decay);
+    t.penalty <- Stdlib.max 1.0 (t.penalty *. penalty_decay);
   let route, reason =
     if not aligned then (Copy, Unaligned)
     else begin
       let threshold =
-        if pin_warm then t.cutover else t.cutover lsl t.cold_shift
+        if pin_warm then t.cutover else t.cutover lsl cold_shift
       in
       (* A sick adaptor (exhaustion, resets, pin failures) inflates the
          effective threshold, shifting traffic to the copy path until the

@@ -13,7 +13,7 @@
     completed send reports its elapsed (simulated) cost back through
     {!observe}; the cutover is re-derived as the smallest bucket where
     the single-copy path is no more expensive than the copy path,
-    clamped to [\[min_cutover, max_cutover\]].  A periodic exploration
+    clamped to [1 KByte, 1 MByte].  A periodic exploration
     probe sends an occasional message down the road not taken so both
     tables stay populated.
 
@@ -68,24 +68,14 @@ type stats = {
 
 type t
 
-val create :
-  ?cutover:int ->
-  ?min_cutover:int ->
-  ?max_cutover:int ->
-  ?cold_shift:int ->
-  ?explore_period:int ->
-  ?penalty_decay:float ->
-  unit ->
-  t
+val create : ?cutover:int -> ?explore_period:int -> unit -> t
 (** [cutover] seeds the estimate (default 16384 — the static
-    [uio_threshold] the stack shipped with).  [cold_shift] raises the
-    effective threshold for pin-cold buffers to [cutover lsl cold_shift]
-    (default 1, i.e. 2x: a cold send must amortize pin+map on this one
-    transfer).  Every [explore_period]-th eligible decision (default 16;
-    [0] disables) is sent down the opposite path so the cost tables see
-    both sides.  [penalty_decay] (default 0.9, must be in (0, 1)) is the
-    per-decision multiplicative decay of the fault penalty (see
-    {!penalize}). *)
+    [uio_threshold] the stack shipped with); the estimate always stays
+    within [1 KByte, 1 MByte].  Pin-cold buffers face twice the
+    threshold: a cold send must amortize pin+map on this one transfer.
+    Every [explore_period]-th eligible decision (default 16; [0]
+    disables) is sent down the opposite path so the cost tables see both
+    sides. *)
 
 val decide : t -> len:int -> aligned:bool -> pin_warm:bool -> route * reason
 (** Route one send.  Unaligned buffers always take [Copy] — exploration
@@ -116,14 +106,13 @@ val rx_hint : t -> len:int -> int * int * int
 val cutover : t -> int
 (** The current cutover estimate in bytes. *)
 
-val penalize : ?factor:float -> t -> unit
-(** Device-fault feedback: multiply the penalty by [factor] (default 8,
-    capped at 64).  While the penalty is above 1 the effective Uio
-    threshold is scaled by it, steering traffic onto the copy path; the
-    penalty decays multiplicatively (by [penalty_decay]) on every
-    subsequent decision, so the cost spike ages out once the adaptor
-    behaves again.  Decisions deflected this way are counted under
-    {!stats}[.penalized] and carry reason {!Penalized}. *)
+val penalize : t -> unit
+(** Device-fault feedback: multiply the penalty by 8 (capped at 64).
+    While the penalty is above 1 the effective Uio threshold is scaled by
+    it, steering traffic onto the copy path; the penalty decays by a
+    factor of 0.9 on every subsequent decision, so the cost spike ages
+    out once the adaptor behaves again.  Decisions deflected this way are
+    counted under {!stats}[.penalized] and carry reason {!Penalized}. *)
 
 val penalty : t -> float
 (** Current fault penalty (1.0 = healthy). *)

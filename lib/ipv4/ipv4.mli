@@ -35,10 +35,6 @@ val set_forwarding : t -> bool -> unit
 
 val register_protocol : t -> proto:int -> handler -> unit
 
-val is_local : t -> Inaddr.t -> bool
-(** True when the address belongs to one of the host's interfaces or is
-    loopback. *)
-
 val output :
   t ->
   proto:int ->

@@ -272,8 +272,6 @@ module Pool : sig
 
   val hit_count : unit -> int
   val miss_count : unit -> int
-  val recycled_count : unit -> int
-  (** Buffers returned to a free list (drops of odd sizes excluded). *)
 
   val hit_rate : unit -> float
   (** hits / (hits + misses), 0 when no requests yet. *)
@@ -286,8 +284,7 @@ module Pool : sig
       hit statistics. *)
 
   val hwm : unit -> int
-  val hwm_clusters : unit -> int
-  (** High-water marks of live mbufs / live clusters. *)
+  (** High-water mark of live mbufs. *)
 
   val trim : unit -> int
   (** Drop both free lists; returns the number of 4K pages released. *)

@@ -29,9 +29,6 @@ val miss_count : t -> int
 val hit_rate : t -> float
 (** hits / (hits + misses), 0 when no requests yet. *)
 
-val free_bytes : t -> int
-(** Total bytes currently parked on free lists. *)
-
 val outstanding : t -> int
 (** [get]s minus [put]s — buffers currently in flight.  Counted even when
     a [put] drops the buffer (full class), so a steady-state datapath

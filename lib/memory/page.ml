@@ -9,5 +9,3 @@ let count ~page_size ~base ~len =
     last - first + 1
 
 let round_up ~page_size n = (n + page_size - 1) / page_size * page_size
-let round_down ~page_size n = n / page_size * page_size
-let is_aligned ~align n = n mod align = 0

@@ -14,5 +14,3 @@ val count : page_size:int -> base:int -> len:int -> int
 (** Number of pages spanned by the byte range [base, base+len). *)
 
 val round_up : page_size:int -> int -> int
-val round_down : page_size:int -> int -> int
-val is_aligned : align:int -> int -> bool

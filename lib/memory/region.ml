@@ -40,24 +40,10 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
 
 (* ---- fused copy + checksum ---- *)
 
-let blit_csum ~src ~src_off ~dst ~dst_off ~len =
-  if src_off < 0 || len < 0 || src_off + len > src.len then
-    invalid_arg "Region.blit_csum: src out of range";
-  if dst_off < 0 || dst_off + len > dst.len then
-    invalid_arg "Region.blit_csum: dst out of range";
-  Inet_csum.copy_and_sum ~src:src.buf ~src_off:(src.off + src_off)
-    ~dst:dst.buf ~dst_off:(dst.off + dst_off) ~len
-
 let blit_csum_to_bytes t ~src_off dst ~dst_off ~len =
   if src_off < 0 || len < 0 || src_off + len > t.len then
     invalid_arg "Region.blit_csum_to_bytes: out of range";
   Inet_csum.copy_and_sum ~src:t.buf ~src_off:(t.off + src_off) ~dst ~dst_off
-    ~len
-
-let blit_csum_from_bytes src ~src_off t ~dst_off ~len =
-  if dst_off < 0 || len < 0 || dst_off + len > t.len then
-    invalid_arg "Region.blit_csum_from_bytes: out of range";
-  Inet_csum.copy_and_sum ~src ~src_off ~dst:t.buf ~dst_off:(t.off + dst_off)
     ~len
 
 external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"

@@ -40,14 +40,8 @@ val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
     {!Inet_csum.copy_and_sum}): the software analogue of the CAB DMA
     engines checksumming words as they stream through. *)
 
-val blit_csum :
-  src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> Inet_csum.sum
-
 val blit_csum_to_bytes :
   t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> Inet_csum.sum
-
-val blit_csum_from_bytes :
-  Bytes.t -> src_off:int -> t -> dst_off:int -> len:int -> Inet_csum.sum
 
 val fill_pattern : t -> seed:int -> unit
 (** Deterministic pattern fill, used by workloads to verify end-to-end data

@@ -7,7 +7,6 @@ type t = {
   addr : Inaddr.t;
   mtu : int;
   single_copy : bool;
-  hw_csum_rx : bool;
   mutable output : t -> Mbuf.t -> next_hop:Inaddr.t -> unit;
   copy_out :
     (Mbuf.t -> off:int -> len:int -> dst:copy_dest -> on_done:(unit -> unit)
@@ -18,14 +17,12 @@ type t = {
   mutable tx_faults : int;
 }
 
-let make ~name ~addr ~mtu ?(single_copy = false) ?(hw_csum_rx = false)
-    ?copy_out ~output () =
+let make ~name ~addr ~mtu ?(single_copy = false) ?copy_out ~output () =
   {
     name;
     addr;
     mtu;
     single_copy;
-    hw_csum_rx;
     output;
     copy_out;
     input =

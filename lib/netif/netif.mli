@@ -19,10 +19,9 @@ type t = {
   addr : Inaddr.t;  (** interface IP address *)
   mtu : int;  (** maximum network-layer packet (IP header + payload) *)
   single_copy : bool;
-      (** device supports outboard buffering + checksumming *)
-  hw_csum_rx : bool;
-      (** receive checksums are verified in hardware; WCAB/flagged packets
-          carry a precomputed engine sum *)
+      (** device supports outboard buffering + checksumming: the one
+          place that decides whether a packet routed here takes the
+          single-copy path *)
   mutable output : t -> Mbuf.t -> next_hop:Inaddr.t -> unit;
       (** transmit a complete IP packet (chain may contain UIO mbufs only
           when [single_copy]); mutable so observers ({!Capture}) can
@@ -48,7 +47,6 @@ val make :
   addr:Inaddr.t ->
   mtu:int ->
   ?single_copy:bool ->
-  ?hw_csum_rx:bool ->
   ?copy_out:
     (Mbuf.t -> off:int -> len:int -> dst:copy_dest -> on_done:(unit -> unit)
      -> unit) ->

@@ -33,10 +33,6 @@ val reset : unit -> unit
 (** Reset all histograms (bench harnesses call this after warm-up so
     percentiles cover only measured iterations). *)
 
-val quantiles_json : Obs.Histogram.t -> string
-(** [{"count": n, "p50": x, "p90": y, "p99": z}] — quantiles [null]
-    when the histogram is empty. *)
-
 val summary_json : unit -> string
 (** JSON object mapping each latency site name to its
     {!quantiles_json}. *)

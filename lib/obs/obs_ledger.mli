@@ -76,9 +76,6 @@ val occurrences : snapshot -> site -> op -> int
 val copied_bytes : snapshot -> site -> int
 (** Copy + Copy_sum bytes at a site. *)
 
-val summed_bytes : snapshot -> site -> int
-(** Sum + Copy_sum bytes at a site. *)
-
 (** Derived per-direction aggregates. "Host" excludes [Drv_tx_header]
     (protocol headers, not payload). *)
 

@@ -82,7 +82,6 @@ let configure ~capacity =
 let set_clock f = clock := f
 let enable () = on := true
 let disable () = on := false
-let enabled () = !on
 
 let emit ev ~a ~b =
   if !on then begin

@@ -29,8 +29,6 @@ type event =
       (** copy-out engine accepted a post: a = bytes, b = posts in
           flight on the engine (after this one) *)
 
-val event_name : event -> string
-
 val configure : capacity:int -> unit
 (** (Re)allocate the ring. Implies {!reset}. Capacity must be positive. *)
 
@@ -40,7 +38,6 @@ val set_clock : (unit -> int) -> unit
 
 val enable : unit -> unit
 val disable : unit -> unit
-val enabled : unit -> bool
 
 val emit : event -> a:int -> b:int -> unit
 (** Record an event (no-op when disabled). *)

@@ -2,7 +2,6 @@ type path_config = {
   force_uio : bool;
   uio_threshold : int;
   use_pin_cache : bool;
-  pin_cache_pages : int;
   align_fixup : bool;
   adaptive : bool;
 }
@@ -12,7 +11,6 @@ let default_paths =
     force_uio = false;
     uio_threshold = 16 * 1024;
     use_pin_cache = true;
-    pin_cache_pages = 1024;
     align_fixup = false;
     adaptive = false;
   }
@@ -97,10 +95,13 @@ let path_policy t = t.policy
 let set_event_hook t f = t.event_hook <- Some f
 let notify_event t = match t.event_hook with Some f -> f () | None -> ()
 
+(* Page budget of each socket's pin cache. *)
+let pin_cache_pages = 1024
+
 let create ~host ~space ~proc ?(paths = default_paths) pcb =
   let cache =
     if paths.use_pin_cache then
-      Some (Pin_cache.create ~space ~max_pages:paths.pin_cache_pages)
+      Some (Pin_cache.create ~space ~max_pages:pin_cache_pages)
     else None
   in
   let policy =
@@ -324,9 +325,6 @@ let write_copy t region k =
   push 0
 
 let single_copy_route t =
-  Tcp.pcb_config t.pcb |> fun (cfg : Tcp.config) ->
-  cfg.Tcp.single_copy
-  &&
   match Tcp.remote_iface t.pcb with
   | Some ifc -> ifc.Netif.single_copy
   | None -> false

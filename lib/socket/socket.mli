@@ -24,7 +24,8 @@ type path_config = {
       (** always take the single-copy path (paper's measurement setup) *)
   uio_threshold : int;  (** smallest write using the UIO path otherwise *)
   use_pin_cache : bool;
-  pin_cache_pages : int;
+      (** keep buffers pinned in a per-socket {!Pin_cache} (1024-page
+          budget) instead of unpinning after every write *)
   align_fixup : bool;
       (** §4.5's unimplemented optimization, implemented here: when a
           large write is misaligned, send the sub-word head through the

@@ -15,7 +15,6 @@
 
 type interest = { want_read : bool; want_write : bool; want_accept : bool }
 
-val read_write : interest
 val accept_only : interest
 
 type item = Sock of Socket.t | Listener of Tcp.listener

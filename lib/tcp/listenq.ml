@@ -26,7 +26,6 @@ let create ~syn_backlog ~backlog =
     acc = Queue.create ();
   }
 
-let syn_backlog t = t.syn_backlog
 let backlog t = t.backlog
 
 (* ---------- SYN (half-open) table ---------- *)
@@ -68,7 +67,6 @@ let acc_push t v =
   end
 
 let acc_pop t = Queue.take_opt t.acc
-let acc_iter f t = Queue.iter f t.acc
 
 let acc_drain f t =
   let q = Queue.create () in

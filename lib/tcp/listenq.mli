@@ -16,7 +16,6 @@ type ('h, 'a) t
 val create : syn_backlog:int -> backlog:int -> ('h, 'a) t
 (** Raises [Invalid_argument] when either bound is [<= 0]. *)
 
-val syn_backlog : ('h, 'a) t -> int
 val backlog : ('h, 'a) t -> int
 
 (** {1 SYN (half-open) table} *)
@@ -44,7 +43,6 @@ val acc_push : ('h, 'a) t -> 'a -> bool
 (** [false] when the queue is at [backlog] (element not queued). *)
 
 val acc_pop : ('h, 'a) t -> 'a option
-val acc_iter : ('a -> unit) -> ('h, 'a) t -> unit
 
 val acc_drain : ('a -> unit) -> ('h, 'a) t -> unit
 (** Remove every queued element, calling [f] on each (listener close). *)

@@ -24,15 +24,8 @@ type config = {
   mss_cap : int option;
   snd_buf : int;
   rcv_buf : int;
-  window_scaling : bool;
-  nagle : bool;
-  delayed_ack : bool;
-  delack_delay : Simtime.t;
-  rto_init : Simtime.t;
   rto_min : Simtime.t;
-  rto_max : Simtime.t;
   msl : Simtime.t;
-  single_copy : bool;
   coalesce_descriptors : bool;
   max_rexmt : int;
   keepalive_idle : Simtime.t;
@@ -45,21 +38,20 @@ let default_config =
     mss_cap = None;
     snd_buf = 512 * 1024;
     rcv_buf = 512 * 1024;
-    window_scaling = true;
-    nagle = true;
-    delayed_ack = true;
-    delack_delay = Simtime.ms 2.;
-    rto_init = Simtime.ms 200.;
     rto_min = Simtime.ms 100.;
-    rto_max = Simtime.s 2.;
     msl = Simtime.ms 20.;
-    single_copy = true;
     coalesce_descriptors = false;
     max_rexmt = 12;
     keepalive_idle = 0;
     keepalive_intvl = Simtime.ms 100.;
     keepalive_probes = 4;
   }
+
+(* Timer constants: delayed-ACK delay, initial RTO (also the first
+   SYN-ACK retransmit deadline) and the RTO backoff cap. *)
+let delack_delay = Simtime.ms 2.
+let rto_init = Simtime.ms 200.
+let rto_max = Simtime.s 2.
 
 type pcb_stats = {
   segs_sent : int;
@@ -221,6 +213,10 @@ type pcb = {
      the cache model for host checksum passes. *)
   mutable ws_hint_tx : int;
   mutable ws_hint_rx : int;
+  (* The route's interface at creation takes the single-copy path: data
+     segments then carry the M_UIO -> M_WCAB hook for the driver.
+     Resolved once per connection, not per segment. *)
+  single_copy : bool;
   (* Steady-state transmit fast path (§4.2: per-packet bookkeeping must
      stay cheap): a preencoded base header patched per segment, and the
      pseudo-header checksum seed for len = 0 — per-segment seeds are one
@@ -321,27 +317,21 @@ and listener = {
   mutable l_cookies_sent : int;
 }
 
-let config t = t.cfg
-let host t = t.hst
-
 let state pcb = pcb.st
 let mss pcb = pcb.mss_val
 let local_port pcb = pcb.lport
 let remote pcb = (pcb.raddr, pcb.rport)
-let snd_queued pcb = Tcp_sendq.length pcb.sendq
 let snd_space pcb = Tcp_sendq.space pcb.sendq
 let pcb_stats pcb = pcb.stats
 let pcb_config pcb = pcb.tcp.cfg
 let pcb_host pcb = pcb.tcp.hst
 let remote_iface pcb =
   Option.map fst (Ipv4.route_for pcb.tcp.ip ~dst:pcb.raddr)
-let srtt pcb = pcb.srtt
 let snd_wnd pcb = pcb.snd_wnd
 let pcb_shard pcb = pcb.shard
 
 let flows_per_shard t = Array.map Flowtab.length t.tabs
 let active_flows t = Array.fold_left (fun a tab -> a + Flowtab.length tab) 0 t.tabs
-let iter_flows t f = Array.iter (fun tab -> Flowtab.iter f tab) t.tabs
 
 let set_pressure_fn tcp f = tcp.pressure_fn <- f
 
@@ -375,18 +365,6 @@ let post_rx_cost pcb ~bucket ~uio_us ~copy_us =
   pcb.rx_cost_pending <-
     Some (Tcp_header.Rx_cost { bucket; uio_us; copy_us })
 
-let pp_pcb fmt pcb =
-  Format.fprintf fmt
-    "tcp[%a:%d->%a:%d %s una=%d nxt=%d max=%d q=%d wnd=%d shift=%d dup=%d \
-     rec=%d pump=%b rexmt=%s persist=%s keep=%s]"
-    Inaddr.pp pcb.local_addr pcb.lport Inaddr.pp pcb.raddr pcb.rport
-    (state_to_string pcb.st) pcb.snd_una pcb.snd_nxt pcb.snd_max
-    (Tcp_sendq.length pcb.sendq)
-    pcb.snd_wnd pcb.rexmt_shift pcb.dupacks pcb.recover pcb.pumping
-    (Sim.dbg_handle pcb.rexmt_timer)
-    (Sim.dbg_handle pcb.persist_timer)
-    (Sim.dbg_handle pcb.keep_timer)
-
 (* ---------- timers ---------- *)
 
 let sim_of pcb = pcb.tcp.hst.Host.sim
@@ -401,19 +379,17 @@ let rcv_space pcb =
     (pcb.tcp.cfg.rcv_buf - pcb.rcvq_len - Tcp_reasm.bytes_held pcb.reasm)
 
 let wanted_wscale cfg =
-  if not cfg.window_scaling then 0
-  else
-    let rec go s = if cfg.rcv_buf lsr s <= 0xffff then s else go (s + 1) in
-    go 0
+  let rec go s = if cfg.rcv_buf lsr s <= 0xffff then s else go (s + 1) in
+  go 0
 
-let default_mss tcp ~dst =
+let route_mss tcp route =
   let iface_mtu =
-    match Ipv4.route_for tcp.ip ~dst with
-    | Some (ifc, _) -> ifc.Netif.mtu
-    | None -> 1500
+    match route with Some (ifc, _) -> ifc.Netif.mtu | None -> 1500
   in
   let mss = iface_mtu - Ipv4_header.size - Tcp_header.base_size in
   match tcp.cfg.mss_cap with Some c -> min c mss | None -> mss
+
+let default_mss tcp ~dst = route_mss tcp (Ipv4.route_for tcp.ip ~dst)
 
 (* ---------- segment transmission ---------- *)
 
@@ -432,8 +408,7 @@ let checksum_plan pcb ~iface ~hdr_len ~(payload : Mbuf.t option) ~seg_len =
         Mbuf.fold (fun acc mb -> acc || Mbuf.kind mb = Mbuf.K_wcab) false p
   in
   let offload =
-    pcb.tcp.cfg.single_copy && iface.Netif.single_copy
-    && (payload <> None || payload_has_wcab)
+    iface.Netif.single_copy && (payload <> None || payload_has_wcab)
   in
   if offload then begin
     pcb.stats <-
@@ -638,7 +613,7 @@ let update_rtt pcb sample =
     pcb.rttvar <- pcb.rttvar + ((abs err - pcb.rttvar) / 4)
   end;
   let rto = pcb.srtt + (4 * pcb.rttvar) in
-  pcb.rto <- max pcb.tcp.cfg.rto_min (min pcb.tcp.cfg.rto_max rto)
+  pcb.rto <- max pcb.tcp.cfg.rto_min (min rto_max rto)
 
 let rec arm_rexmt pcb = Sim.rearm (sim_of pcb) pcb.rexmt_timer pcb.rto
 
@@ -663,7 +638,7 @@ and rto_fire pcb =
       Obs.Counter.incr agg_rto_fires;
       Obs.Counter.incr agg_retransmits;
       (* Back off, rewind, and resend (go-back-N; Karn: discard timing). *)
-      pcb.rto <- min pcb.tcp.cfg.rto_max (2 * pcb.rto);
+      pcb.rto <- min rto_max (2 * pcb.rto);
       pcb.rtt_timing <- None;
       pcb.wr_timing <- None;
       if pcb.st = Syn_sent then begin
@@ -681,18 +656,14 @@ and rto_fire pcb =
 
 (* ---------- output pump (tcp_output) ---------- *)
 
-and syn_options pcb =
-  let opts = [ Tcp_header.Mss pcb.mss_val ] in
-  if pcb.tcp.cfg.window_scaling then
-    opts @ [ Tcp_header.Window_scale (wanted_wscale pcb.tcp.cfg) ]
-  else opts
-
 and send_control pcb ~flags () =
   let is_syn = List.mem Tcp_header.SYN flags in
   let is_fin = List.mem Tcp_header.FIN flags in
   let seq = pcb.snd_nxt in
   let options =
-    if is_syn then syn_options pcb
+    if is_syn then
+      [ Tcp_header.Mss pcb.mss_val;
+        Tcp_header.Window_scale (wanted_wscale pcb.tcp.cfg) ]
     else
       match pcb.rx_cost_pending with
       | Some hint ->
@@ -757,7 +728,6 @@ and decide pcb =
       let send_now =
         len >= pcb.mss_val
         || descriptor
-        || (not pcb.tcp.cfg.nagle)
         || (not inflight)
         || (pcb.fin_pending && available = len)
       in
@@ -791,7 +761,7 @@ and transmit_plan pcb plan =
       (* Arrange the M_UIO -> M_WCAB swap once the driver has the data
          outboard (§4.2). *)
       (match payload.Mbuf.pkthdr with
-      | Some ph when pcb.tcp.cfg.single_copy ->
+      | Some ph when pcb.single_copy ->
           ph.Mbuf.on_outboard <-
             Some
               (fun desc ->
@@ -997,7 +967,6 @@ let schedule_ack pcb =
     pcb.ack_pending <- false;
     send_ack_now pcb
   end
-  else if not pcb.tcp.cfg.delayed_ack then send_ack_now pcb
   else if pcb.ack_pending then begin
     (* Second data segment: ACK every other (BSD delack policy). *)
     cancel_delack pcb;
@@ -1006,7 +975,7 @@ let schedule_ack pcb =
   end
   else begin
     pcb.ack_pending <- true;
-    Sim.rearm (sim_of pcb) pcb.delack_timer pcb.tcp.cfg.delack_delay
+    Sim.rearm (sim_of pcb) pcb.delack_timer delack_delay
   end
 
 let delack_fire pcb =
@@ -1144,10 +1113,8 @@ let apply_syn_options pcb (hdr : Tcp_header.t) =
       match o with
       | Tcp_header.Mss m -> pcb.mss_val <- min pcb.mss_val m
       | Tcp_header.Window_scale s ->
-          if pcb.tcp.cfg.window_scaling then begin
-            pcb.snd_wscale <- s;
-            pcb.rcv_wscale <- wanted_wscale pcb.tcp.cfg
-          end
+          pcb.snd_wscale <- s;
+          pcb.rcv_wscale <- wanted_wscale pcb.tcp.cfg
       | Tcp_header.Rx_cost _ -> ())
     hdr.Tcp_header.options
 
@@ -1340,6 +1307,7 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
   Bytes.set_uint16_be tpl 0 lport;
   Bytes.set_uint16_be tpl 2 rport;
   Bytes.set_uint8 tpl 12 ((Tcp_header.base_size / 4) lsl 4);
+  let route = Ipv4.route_for tcp.ip ~dst:raddr in
   let pcb =
     {
       tcp;
@@ -1368,7 +1336,7 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
       rcvq = [];
       rcvq_len = 0;
       reasm = Tcp_reasm.create ();
-      mss_val = default_mss tcp ~dst:raddr;
+      mss_val = route_mss tcp route;
       rexmt_timer = Sim.timer tcp.hst.Host.sim ignore;
       delack_timer = Sim.timer tcp.hst.Host.sim ignore;
       persist_timer = Sim.timer tcp.hst.Host.sim ignore;
@@ -1377,7 +1345,7 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
       keep_probes = 0;
       srtt = 0;
       rttvar = 0;
-      rto = tcp.cfg.rto_init;
+      rto = rto_init;
       rtt_timing = None;
       wr_timing = None;
       setup_t0 = Sim.now tcp.hst.Host.sim;
@@ -1388,6 +1356,10 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
       rexmt_shift = 0;
       ws_hint_tx = tcp.cfg.snd_buf;
       ws_hint_rx = tcp.cfg.rcv_buf;
+      single_copy =
+        (match route with
+        | Some (ifc, _) -> ifc.Netif.single_copy
+        | None -> false);
       tpl;
       csum_base = pseudo_base ~laddr:local_addr ~raddr;
       pumping = false;
@@ -1488,10 +1460,8 @@ let cookie_validate tcp ~raddr ~lport ~rport ~irs ~iss =
 
 let send_synack tcp _l ho =
   let opts =
-    Tcp_header.Mss ho.ho_mss
-    :: (if tcp.cfg.window_scaling then
-          [ Tcp_header.Window_scale (wanted_wscale tcp.cfg) ]
-        else [])
+    [ Tcp_header.Mss ho.ho_mss;
+      Tcp_header.Window_scale (wanted_wscale tcp.cfg) ]
   in
   emit_raw tcp ~laddr:ho.ho_laddr ~raddr:ho.ho_raddr ~lport:ho.ho_lport
     ~rport:ho.ho_rport ~seq:ho.ho_iss
@@ -1507,10 +1477,10 @@ let send_synack tcp _l ho =
    flood entries just time out. *)
 let reaper_tick = Simtime.ms 50.
 
-(* Rexmit schedule 10/20/40/80/160/320 ms (rto_init doublings): a
-   half-open lives ~630 ms before timing out — long enough that a
-   sustained flood keeps the SYN queue saturated, short enough that the
-   table drains promptly when the flood stops. *)
+(* Rexmit schedule: the waits double from [rto_init], 200/400/800/1600/
+   3200/6400 ms, so a half-open lives about 12.6 s (plus reaper-tick
+   slack) before timing out — long enough that a sustained flood keeps
+   the SYN queue saturated. *)
 let max_synack_rexmt = 5
 
 let arm_reaper tcp l =
@@ -1540,7 +1510,7 @@ let reaper_fire tcp l =
         end
         else begin
           ho.ho_rexmits <- ho.ho_rexmits + 1;
-          ho.ho_deadline <- now + (tcp.cfg.rto_init * (1 lsl ho.ho_rexmits));
+          ho.ho_deadline <- now + (rto_init * (1 lsl ho.ho_rexmits));
           Obs.Counter.incr conn_synack_rexmits;
           Obs.Counter.incr agg_retransmits;
           Host.in_intr_on tcp.hst ~shard:ho.ho_shard ~site:Cpu.Timer
@@ -1591,7 +1561,7 @@ let inject_forged_syns tcp l ~laddr n =
           ho_mss = 536;
           ho_wscale = -1;
           ho_created = now;
-          ho_deadline = now + tcp.cfg.rto_init;
+          ho_deadline = now + rto_init;
           ho_rexmits = 0;
           ho_forged = true;
         }
@@ -1640,7 +1610,7 @@ let establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport ~iss ~irs ~mss
   pcb.irs <- irs;
   pcb.rcv_nxt <- Tcp_seq.add irs 1;
   pcb.mss_val <- min pcb.mss_val mss;
-  if wscale >= 0 && tcp.cfg.window_scaling then begin
+  if wscale >= 0 then begin
     pcb.snd_wscale <- wscale;
     pcb.rcv_wscale <- wanted_wscale tcp.cfg
   end;
@@ -1774,7 +1744,7 @@ let syn_arrived tcp l ~laddr ~raddr ~lport ~rport ~flow_hash ~shard
             ho_mss = !mss_offer;
             ho_wscale = !wscale;
             ho_created = now;
-            ho_deadline = now + tcp.cfg.rto_init;
+            ho_deadline = now + rto_init;
             ho_rexmits = 0;
             ho_forged = false;
           }

@@ -41,21 +41,12 @@ type state =
   | Last_ack
   | Time_wait
 
-val state_to_string : state -> string
-
 type config = {
   mss_cap : int option;  (** upper bound on negotiated MSS *)
   snd_buf : int;  (** send-buffer high-water mark (bytes) *)
   rcv_buf : int;  (** receive buffer = advertised window (bytes) *)
-  window_scaling : bool;  (** RFC 1323 (the paper's stack supports it) *)
-  nagle : bool;  (** coalesce small writes on the regular path *)
-  delayed_ack : bool;
-  delack_delay : Simtime.t;
-  rto_init : Simtime.t;
-  rto_min : Simtime.t;
-  rto_max : Simtime.t;
+  rto_min : Simtime.t;  (** floor of the computed RTO *)
   msl : Simtime.t;  (** TIME_WAIT holds for 2*msl *)
-  single_copy : bool;  (** stack-wide mode: use the descriptor path *)
   coalesce_descriptors : bool;
       (** ablation knob: allow packets to span M_UIO write boundaries and
           subject descriptor data to Nagle.  The paper's stack does NOT
@@ -74,8 +65,15 @@ type config = {
 }
 
 val default_config : config
-(** 512 KByte buffers (the paper's test window), scaling on, Nagle and
-    delayed ACK on, 2 ms delack, RTO 10 ms initial / 5 ms floor. *)
+(** 512 KByte buffers (the paper's test window), no MSS cap, 100 ms RTO
+    floor, 20 ms MSL, no descriptor coalescing, 12 retransmits, keepalive
+    off.
+
+    Fixed for every connection: RFC 1323 window scaling, Nagle and
+    delayed ACKs (ACK every second segment, else after 2 ms) are always
+    on; the RTO starts at 200 ms and backs off to at most 2 s.  Whether
+    a segment takes the single-copy path is decided by its route's
+    interface ({!Netif.t.single_copy}), not by this configuration. *)
 
 type t
 (** Per-host TCP instance (demux tables, ISS state). *)
@@ -89,9 +87,6 @@ val create : ip:Ipv4.t -> config:config -> t
 val set_initial_sequence : t -> int -> unit
 (** Override the next connection's initial sequence number — a testing
     hook for exercising 32-bit sequence wraparound. *)
-
-val config : t -> config
-val host : t -> Host.t
 
 (** {1 Connection management} *)
 
@@ -186,8 +181,6 @@ val remote : pcb -> Inaddr.t * int
 val snd_space : pcb -> int
 (** Free bytes in the send buffer. *)
 
-val snd_queued : pcb -> int
-
 val sosend_append : pcb -> proc:string -> Mbuf.t -> (unit, string) result
 (** Append a chain (regular or M_UIO) to the send queue and pump output in
     the context of [proc].  The caller must respect {!snd_space}. *)
@@ -259,7 +252,6 @@ val remote_iface : pcb -> Netif.t option
     consults it for single-copy path selection (§4.1: only the network
     layer knows). *)
 
-val srtt : pcb -> Simtime.t
 val snd_wnd : pcb -> int
 
 val pcb_shard : pcb -> int
@@ -273,9 +265,4 @@ val active_flows : t -> int
 val flows_per_shard : t -> int array
 (** Per-shard demux-table occupancy. *)
 
-val iter_flows : t -> (pcb -> unit) -> unit
-(** Visit every open connection (includes time-wait residents); do not
-    add or remove flows from inside the callback. *)
-
-val pp_pcb : Format.formatter -> pcb -> unit
 val pp_stats : Format.formatter -> pcb_stats -> unit

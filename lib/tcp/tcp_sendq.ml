@@ -8,7 +8,6 @@ let create ~hiwat = { chains = []; len = 0; hiwat }
 
 let length t = t.len
 let space t = max 0 (t.hiwat - t.len)
-let hiwat t = t.hiwat
 
 let rec last_mbuf (m : Mbuf.t) =
   match m.Mbuf.next with None -> m | Some n -> last_mbuf n

@@ -22,8 +22,6 @@ val space : t -> int
 (** Bytes that may still be appended before reaching the high-water mark.
     Can be negative-clamped to zero when descriptors overshoot. *)
 
-val hiwat : t -> int
-
 val append : ?merge_descriptors:bool -> t -> Mbuf.t -> unit
 (** Takes ownership of the chain (its pkthdr is dropped).  With
     [merge_descriptors] (default false), a new M_UIO descriptor arriving

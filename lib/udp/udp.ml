@@ -30,7 +30,6 @@ type flow = {
 type t = {
   ip : Ipv4.t;
   hst : Host.t;
-  single_copy : bool;
   mutable ports : (int * (src:endpoint -> Mbuf.t -> unit)) list;
   mutable s : stats;
   mutable flow : flow option;
@@ -132,10 +131,8 @@ let input t ~src ~dst dgram =
                   dgram)
           end)
 
-let create ~ip ~single_copy =
-  let t =
-    { ip; hst = Ipv4.host ip; single_copy; ports = []; s = zero; flow = None }
-  in
+let create ~ip =
+  let t = { ip; hst = Ipv4.host ip; ports = []; s = zero; flow = None } in
   Ipv4.register_protocol ip ~proto:Ipv4_header.proto_udp
     (fun ~src ~dst dgram -> input t ~src ~dst dgram);
   t
@@ -196,8 +193,7 @@ let sendto t ~proc ?(checksum = true) ~src_port ~dst payload =
         in
         let pseudo = Inet_csum.add_u16 fl.f_base dgram_len in
         let offload =
-          checksum && t.single_copy && iface.Netif.single_copy
-          && not will_fragment
+          checksum && iface.Netif.single_copy && not will_fragment
         in
         let hbytes = fl.f_tpl in
         Bytes.set_uint16_be hbytes 4 dgram_len;

@@ -1,8 +1,8 @@
-(** UDP with the same per-packet checksum strategy selection as TCP: on
-    the single-copy path the datagram carries an offload record (the
-    hardware computes a plain ones-complement "TCP checksum", which §4.3
-    argues is safe for UDP); otherwise the host sums the payload and pays
-    the per-byte cost. *)
+(** UDP with the same per-packet checksum strategy selection as TCP: when
+    the outgoing interface is single-copy ({!Netif.t.single_copy}) the
+    datagram carries an offload record (the hardware computes a plain
+    ones-complement "TCP checksum", which §4.3 argues is safe for UDP);
+    otherwise the host sums the payload and pays the per-byte cost. *)
 
 type t
 
@@ -22,7 +22,7 @@ type stats = {
   dropped_too_big : int;
 }
 
-val create : ip:Ipv4.t -> single_copy:bool -> t
+val create : ip:Ipv4.t -> t
 (** Registers protocol 17 with the IP instance. *)
 
 val bind : t -> port:int -> (src:endpoint -> Mbuf.t -> unit) -> unit

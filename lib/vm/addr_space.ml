@@ -14,7 +14,6 @@ type t = {
   name : string;
   mutable brk : int;  (* next free virtual address *)
   pins : (int, int) Hashtbl.t;  (* page index -> pin refcount *)
-  mutable pin_ops : int;
 }
 
 let create ~profile ~name =
@@ -25,7 +24,6 @@ let create ~profile ~name =
        bug, and on a page boundary. *)
     brk = 16 * profile.Host_profile.page_size;
     pins = Hashtbl.create 64;
-    pin_ops = 0;
   }
 
 let name t = t.name
@@ -64,7 +62,6 @@ let pin t region =
       if c = 0 then incr total_pinned;
       Hashtbl.replace t.pins p (c + 1))
     pages;
-  t.pin_ops <- t.pin_ops + 1;
   Memcost.pin t.profile ~pages:(List.length pages)
 
 let try_pin t region =
@@ -103,5 +100,3 @@ let is_pinned t region =
 
 let pinned_pages t =
   Hashtbl.fold (fun _ c acc -> if c > 0 then acc + 1 else acc) t.pins 0
-
-let pin_count t = t.pin_ops

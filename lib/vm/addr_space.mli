@@ -44,6 +44,3 @@ val is_pinned : t -> Region.t -> bool
 
 val pinned_pages : t -> int
 (** Number of distinct pages currently pinned in this space. *)
-
-val pin_count : t -> int
-(** Total number of pin operations performed (for tests/benchmarks). *)

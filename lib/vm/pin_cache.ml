@@ -20,7 +20,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable pin_failures : int;
 }
 
 let create ~space ~max_pages =
@@ -33,7 +32,6 @@ let create ~space ~max_pages =
     hits = 0;
     misses = 0;
     evictions = 0;
-    pin_failures = 0;
   }
 
 let key region = (Region.vaddr region, Region.length region)
@@ -110,7 +108,6 @@ let try_acquire t region =
       done;
       match Addr_space.try_pin t.space region with
       | Error `Pin_exhausted ->
-          t.pin_failures <- t.pin_failures + 1;
           Obs.Counter.incr agg_pin_failures;
           (* Eviction work already done stays done (and charged): the
              kernel freed pages before discovering it could not wire the
@@ -140,5 +137,4 @@ let flush t =
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
-let pin_failures t = t.pin_failures
 let resident_pages t = t.resident

@@ -44,7 +44,4 @@ val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
 
-val pin_failures : t -> int
-(** Number of {!try_acquire} misses that failed at the pin stage. *)
-
 val resident_pages : t -> int

@@ -74,7 +74,7 @@ let send_one ?(payload_len = 8192) pair =
   let hdr, csum = build_header ~payload_len ~pseudo in
   let got = ref None in
   Cab.set_interrupt_handler pair.cab_b (fun i ->
-      match i with Cab.Rx_packet info -> got := Some info | Cab.Sdma_done _ -> ());
+      match i with Cab.Rx_packet info -> got := Some info | Cab.Sdma_done -> ());
   Cab.set_interrupt_handler pair.cab_a (fun _ -> ());
   let pkt =
     match Cab.tx_alloc pair.cab_a ~len:(hdr_total + payload_len) with
@@ -359,7 +359,7 @@ let test_batch_interrupt_handler () =
           | Cab.Rx_packet info ->
               seen := info.Cab.rx_total_len :: !seen;
               Cab.rx_free pair.cab_b info.Cab.rx_pkt
-          | Cab.Sdma_done _ -> ())
+          | Cab.Sdma_done -> ())
         evs);
   Cab.set_interrupt_handler pair.cab_a (fun _ -> ());
   let sizes = [ 1024; 2048; 4096; 512; 8192 ] in
@@ -398,7 +398,7 @@ let test_interrupt_handler_latest_wins () =
   Cab.set_interrupt_handler pair.cab_b (fun i ->
       (match i with
       | Cab.Rx_packet info -> Cab.rx_free pair.cab_b info.Cab.rx_pkt
-      | Cab.Sdma_done _ -> ());
+      | Cab.Sdma_done -> ());
       incr single_calls);
   Cab.deliver pair.cab_b (Bytes.create 2048);
   Sim.run pair.sim;
@@ -475,7 +475,7 @@ let prop_offload_any_program =
           | Cab.Rx_packet info ->
               received := info :: !received;
               Cab.rx_free pair.cab_b info.Cab.rx_pkt
-          | Cab.Sdma_done _ -> ());
+          | Cab.Sdma_done -> ());
       Cab.set_interrupt_handler pair.cab_a (fun _ -> ());
       let pkt =
         Option.get (Cab.tx_alloc pair.cab_a ~len:(hdr_total + payload_len))

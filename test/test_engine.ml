@@ -76,10 +76,10 @@ let test_sim_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
   let h = Sim.at sim 10 (fun () -> fired := true) in
-  Sim.cancel sim h;
+  Sim.stop sim h;
   Sim.run sim;
   check_bool "cancelled event did not fire" false !fired;
-  check_bool "handle reports cancelled" true (Sim.cancelled h)
+  check_bool "handle reports disarmed" false (Sim.armed h)
 
 let test_sim_until () =
   let sim = Sim.create () in

@@ -88,28 +88,37 @@ let prop_lpm_always_most_specific =
 
 (* ---------- IP input/output through a stack ---------- *)
 
+(* Run on both stacks: the outgoing interface alone decides whether UDP
+   offloads its checksum (single-copy CAB) or sums on the host. *)
 let test_local_delivery_and_demux () =
-  let tb = Testbed.create () in
-  let got = ref None in
-  Udp.bind tb.Testbed.b.Testbed.stack.Netstack.udp ~port:1234
-    (fun ~src dgram ->
-      got := Some (src, Mbuf.to_string dgram);
-      Mbuf.free dgram);
-  (match
-     Udp.sendto tb.Testbed.a.Testbed.stack.Netstack.udp ~proc:"t"
-       ~src_port:1111
-       ~dst:{ Udp.addr = Testbed.addr_b; port = 1234 }
-       (Mbuf.of_string ~pkthdr:true "ping!")
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Sim.run ~until:(Simtime.s 1.) tb.Testbed.sim;
-  match !got with
-  | Some (src, data) ->
-      Alcotest.(check string) "payload" "ping!" data;
-      check_int "source port" 1111 src.Udp.port;
-      check_bool "source address" true (Inaddr.equal src.Udp.addr Testbed.addr_a)
-  | None -> Alcotest.fail "datagram not delivered"
+  List.iter
+    (fun (mode, offloaded, host) ->
+      let tb = Testbed.create ~mode () in
+      let udp_a = tb.Testbed.a.Testbed.stack.Netstack.udp in
+      let got = ref None in
+      Udp.bind tb.Testbed.b.Testbed.stack.Netstack.udp ~port:1234
+        (fun ~src dgram ->
+          got := Some (src, Mbuf.to_string dgram);
+          Mbuf.free dgram);
+      (match
+         Udp.sendto udp_a ~proc:"t" ~src_port:1111
+           ~dst:{ Udp.addr = Testbed.addr_b; port = 1234 }
+           (Mbuf.of_string ~pkthdr:true "ping!")
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Sim.run ~until:(Simtime.s 1.) tb.Testbed.sim;
+      (match !got with
+      | Some (src, data) ->
+          Alcotest.(check string) "payload" "ping!" data;
+          check_int "source port" 1111 src.Udp.port;
+          check_bool "source address" true
+            (Inaddr.equal src.Udp.addr Testbed.addr_a)
+      | None -> Alcotest.fail "datagram not delivered");
+      let st = Udp.stats udp_a in
+      check_int "checksum offloaded" offloaded st.Udp.csum_offloaded_tx;
+      check_int "checksum on host" host st.Udp.csum_host_tx)
+    [ (Stack_mode.Single_copy, 1, 0); (Stack_mode.Unmodified, 0, 1) ]
 
 let test_no_route_reported () =
   let tb = Testbed.create () in

@@ -202,7 +202,7 @@ let test_path_policy_refines () =
   check_bool "cutover pushed above the losing bucket" true
     (Path_policy.cutover p > 65536);
   (* Clamps: evidence at 64B cannot drag the cutover below min_cutover. *)
-  let p = Path_policy.create ~explore_period:0 ~min_cutover:1024 () in
+  let p = Path_policy.create ~explore_period:0 () in
   for _ = 1 to 4 do
     Path_policy.observe p ~route:Path_policy.Uio ~len:64
       ~cost:(Simtime.us 1.);

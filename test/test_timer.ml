@@ -177,7 +177,7 @@ let test_cancel_inside_handler () =
   let fired = ref false in
   ignore (Sim.after sim 0 (fun () -> ()));
   let h = ref None in
-  ignore (Sim.after sim 0 (fun () -> Option.iter (Sim.cancel sim) !h));
+  ignore (Sim.after sim 0 (fun () -> Option.iter (Sim.stop sim) !h));
   h := Some (Sim.after sim 0 (fun () -> fired := true));
   Sim.run sim;
   check_bool "same-batch cancelled heap event did not fire" false !fired
@@ -264,7 +264,7 @@ let test_heap_compaction () =
   (* Cancel 60: at the 51st the dead outnumber the live and the heap
      compacts in place (100 -> 49 entries); the last 9 cancels stay
      resident as tombstones. *)
-  List.iteri (fun i h -> if i < 60 then Sim.cancel sim h) hs;
+  List.iteri (fun i h -> if i < 60 then Sim.stop sim h) hs;
   check_int "compacted under cancel pressure" 49 (Sim.pending sim);
   Sim.run sim;
   check_int "survivors fired" 40 !fired;
