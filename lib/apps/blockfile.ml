@@ -5,10 +5,10 @@ let magic_rs = 0x5253 (* "RS" *)
 let header_size = 12
 
 type server_stats = {
-  requests : int;
-  blocks_served : int;
-  bytes_served : int;
-  bad_requests : int;
+  mutable requests : int;
+  mutable blocks_served : int;
+  mutable bytes_served : int;
+  mutable bad_requests : int;
 }
 
 (* Block [i]'s pattern, matching Region.fill_pattern ~seed:i. *)
@@ -52,7 +52,7 @@ let decode_header b ~off =
 
 let serve ~stack ~port ~blocks () =
   let stats =
-    ref { requests = 0; blocks_served = 0; bytes_served = 0; bad_requests = 0 }
+    { requests = 0; blocks_served = 0; bytes_served = 0; bad_requests = 0 }
   in
   Tcp.listen stack.Netstack.tcp ~port ~on_accept:(fun pcb ->
       let pending = Buffer.create 64 in
@@ -66,13 +66,12 @@ let serve ~stack ~port ~blocks () =
         in
         let chain = Mbuf.of_bytes ~pkthdr:true hdr in
         if ok then Mbuf.append chain (Mbuf.of_bytes (block_bytes i));
-        stats :=
-          {
-            requests = !stats.requests + 1;
-            blocks_served = (!stats.blocks_served + if ok then 1 else 0);
-            bytes_served = (!stats.bytes_served + if ok then block_size else 0);
-            bad_requests = (!stats.bad_requests + if ok then 0 else 1);
-          };
+        stats.requests <- stats.requests + 1;
+        if ok then begin
+          stats.blocks_served <- stats.blocks_served + 1;
+          stats.bytes_served <- stats.bytes_served + block_size
+        end
+        else stats.bad_requests <- stats.bad_requests + 1;
         match Tcp.sosend_append pcb ~proc:"blockd" chain with
         | Ok () -> ()
         | Error _ -> ()
@@ -94,9 +93,7 @@ let serve ~stack ~port ~blocks () =
                 Buffer.clear pending;
                 Buffer.add_string pending rest;
                 if magic = magic_rq then respond block
-                else
-                  stats :=
-                    { !stats with bad_requests = !stats.bad_requests + 1 };
+                else stats.bad_requests <- stats.bad_requests + 1;
                 parse ()
               end
             in

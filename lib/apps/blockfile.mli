@@ -15,16 +15,18 @@
 val block_size : int
 (** 32 KBytes. *)
 
-type server_stats = {
-  requests : int;
-  blocks_served : int;
-  bytes_served : int;
-  bad_requests : int;
+type server_stats = private {
+  mutable requests : int;
+  mutable blocks_served : int;
+  mutable bytes_served : int;
+  mutable bad_requests : int;
 }
 
-val serve : stack:Netstack.t -> port:int -> blocks:int -> unit -> server_stats ref
+val serve :
+  stack:Netstack.t -> port:int -> blocks:int -> unit -> server_stats
 (** Starts an in-kernel block server with [blocks] cached blocks (block
-    [i] is filled with a deterministic pattern seeded by [i]). *)
+    [i] is filled with a deterministic pattern seeded by [i]).  Returns
+    the server's live counter record. *)
 
 type client = {
   mutable reads : int;

@@ -16,27 +16,27 @@ type tx_src =
   | From_mbuf of { buf : Bytes.t; off : int; len : int }
 
 type stats = {
-  sdma_transfers : int;
-  sdma_bytes : int;
-  sdma_chains : int;
-  mdma_packets : int;
-  mdma_bytes : int;
-  rx_packets : int;
-  rx_bytes : int;
-  rx_dropped : int;
-  interrupts : int;
-  intr_events : int;
-  sdma_stalled : int;
-  intr_lost : int;
-  tx_recoveries : int;
+  mutable sdma_transfers : int;
+  mutable sdma_bytes : int;
+  mutable sdma_chains : int;
+  mutable mdma_packets : int;
+  mutable mdma_bytes : int;
+  mutable rx_packets : int;
+  mutable rx_bytes : int;
+  mutable rx_dropped : int;
+  mutable interrupts : int;
+  mutable intr_events : int;
+  mutable sdma_stalled : int;
+  mutable intr_lost : int;
+  mutable tx_recoveries : int;
 }
 
 type rx_pipe_stats = {
-  rx_pipe_depth : int;
-  rx_pipe_posts : int;
-  rx_pipe_hwm : int;
-  rx_pipe_overlap : int;
-  rx_pipe_stalls : int;
+  mutable rx_pipe_depth : int;
+  mutable rx_pipe_posts : int;
+  mutable rx_pipe_hwm : int;
+  mutable rx_pipe_overlap : int;
+  mutable rx_pipe_stalls : int;
 }
 
 type pending_mdma = { dst : int; channel : int; keep : bool }
@@ -57,15 +57,10 @@ type t = {
      behind it on one channel. *)
   rx_dma : Resource.t;
   copyout : Resource.t;
-  mutable rx_pipe_depth : int;
-      (* descriptor slots on the copy-out engine: posts beyond this park
-         in [copyout_parked] until a completion frees a slot *)
   mutable copyout_inflight : int;
   copyout_parked : (unit -> unit) Queue.t;
-  mutable copyout_posts : int;
-  mutable rx_pipe_stalls : int;
-  mutable rx_pipe_overlap : int;
-  mutable rx_pipe_hwm : int;
+      (* posts beyond [pipe.rx_pipe_depth] descriptor slots park here
+         until a completion frees a slot *)
   mutable intr_handler : intr -> unit;
   mutable batch_handler : (intr list -> unit) option;
   pending_intrs : intr Queue.t;
@@ -83,20 +78,8 @@ type t = {
       (* packet id -> injected-stall count: posts that were accepted but
          will never commit; the driver's watchdog reads this "status
          register" to distinguish stuck from slow *)
-  (* statistics *)
-  mutable sdma_transfers : int;
-  mutable sdma_bytes : int;
-  mutable sdma_chains : int;
-  mutable mdma_packets : int;
-  mutable mdma_bytes : int;
-  mutable rx_packets : int;
-  mutable rx_bytes : int;
-  mutable rx_dropped : int;
-  mutable interrupts : int;
-  mutable intr_events : int;
-  mutable sdma_stalled : int;
-  mutable intr_lost : int;
-  mutable tx_recoveries : int;
+  s : stats;
+  pipe : rx_pipe_stats;
 }
 
 (* Publish this adaptor's counters under ["cab.<name>"]; gauges read the
@@ -105,27 +88,27 @@ type t = {
 let register_obs t =
   let section = "cab." ^ t.name in
   let g name f = Obs.gauge ~section ~name (fun () -> float_of_int (f ())) in
-  g "sdma_transfers" (fun () -> t.sdma_transfers);
-  g "sdma_bytes" (fun () -> t.sdma_bytes);
-  g "sdma_chains" (fun () -> t.sdma_chains);
-  g "mdma_packets" (fun () -> t.mdma_packets);
-  g "mdma_bytes" (fun () -> t.mdma_bytes);
-  g "rx_packets" (fun () -> t.rx_packets);
-  g "rx_bytes" (fun () -> t.rx_bytes);
-  g "rx_dropped" (fun () -> t.rx_dropped);
-  g "interrupts" (fun () -> t.interrupts);
-  g "intr_events" (fun () -> t.intr_events);
-  g "sdma_stalled" (fun () -> t.sdma_stalled);
-  g "intr_lost" (fun () -> t.intr_lost);
-  g "tx_recoveries" (fun () -> t.tx_recoveries);
+  g "sdma_transfers" (fun () -> t.s.sdma_transfers);
+  g "sdma_bytes" (fun () -> t.s.sdma_bytes);
+  g "sdma_chains" (fun () -> t.s.sdma_chains);
+  g "mdma_packets" (fun () -> t.s.mdma_packets);
+  g "mdma_bytes" (fun () -> t.s.mdma_bytes);
+  g "rx_packets" (fun () -> t.s.rx_packets);
+  g "rx_bytes" (fun () -> t.s.rx_bytes);
+  g "rx_dropped" (fun () -> t.s.rx_dropped);
+  g "interrupts" (fun () -> t.s.interrupts);
+  g "intr_events" (fun () -> t.s.intr_events);
+  g "sdma_stalled" (fun () -> t.s.sdma_stalled);
+  g "intr_lost" (fun () -> t.s.intr_lost);
+  g "tx_recoveries" (fun () -> t.s.tx_recoveries);
   (* Rx pipeline: copy-out engine occupancy and its overlap with the
      auto-DMA/verify engine. *)
-  g "rx_pipe_depth" (fun () -> t.rx_pipe_depth);
-  g "rx_pipe_posts" (fun () -> t.copyout_posts);
+  g "rx_pipe_depth" (fun () -> t.pipe.rx_pipe_depth);
+  g "rx_pipe_posts" (fun () -> t.pipe.rx_pipe_posts);
   g "rx_pipe_inflight" (fun () -> t.copyout_inflight);
-  g "rx_pipe_hwm" (fun () -> t.rx_pipe_hwm);
-  g "rx_pipe_overlap" (fun () -> t.rx_pipe_overlap);
-  g "rx_pipe_stalls" (fun () -> t.rx_pipe_stalls);
+  g "rx_pipe_hwm" (fun () -> t.pipe.rx_pipe_hwm);
+  g "rx_pipe_overlap" (fun () -> t.pipe.rx_pipe_overlap);
+  g "rx_pipe_stalls" (fun () -> t.pipe.rx_pipe_stalls);
   (* Outboard-memory occupancy: the soak harness's leak checks diff these
      against their pre-run baseline through the registry. *)
   g "netmem_in_use" (fun () -> Netmem.in_use t.mem);
@@ -150,9 +133,9 @@ let deliver_intrs t =
   match take_intrs t.pending_intrs t.intr_budget with
   | [] -> t.intr_scheduled <- false
   | evs ->
-      t.interrupts <- t.interrupts + 1;
+      t.s.interrupts <- t.s.interrupts + 1;
       let n_evs = List.length evs in
-      t.intr_events <- t.intr_events + n_evs;
+      t.s.intr_events <- t.s.intr_events + n_evs;
       Obs_trace.emit Obs_trace.Intr ~a:n_evs ~b:t.intr_budget;
       (match t.batch_handler with
       | Some f -> f evs
@@ -171,13 +154,8 @@ let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
     bus = Resource.create ~sim ~name:(name ^ ".turbochannel");
     rx_dma = Resource.create ~sim ~name:(name ^ ".rx_dma");
     copyout = Resource.create ~sim ~name:(name ^ ".copyout");
-    rx_pipe_depth = 4;
     copyout_inflight = 0;
     copyout_parked = Queue.create ();
-    copyout_posts = 0;
-    rx_pipe_stalls = 0;
-    rx_pipe_overlap = 0;
-    rx_pipe_hwm = 0;
     intr_handler =
       (fun _ -> invalid_arg (name ^ ": no interrupt handler installed"));
     batch_handler = None;
@@ -190,19 +168,30 @@ let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
     autodma_words = 176;
     mdma_waiting = Hashtbl.create 16;
     stalled = Hashtbl.create 8;
-    sdma_transfers = 0;
-    sdma_bytes = 0;
-    sdma_chains = 0;
-    mdma_packets = 0;
-    mdma_bytes = 0;
-    rx_packets = 0;
-    rx_bytes = 0;
-    rx_dropped = 0;
-    interrupts = 0;
-    intr_events = 0;
-    sdma_stalled = 0;
-    intr_lost = 0;
-    tx_recoveries = 0;
+    s =
+      {
+        sdma_transfers = 0;
+        sdma_bytes = 0;
+        sdma_chains = 0;
+        mdma_packets = 0;
+        mdma_bytes = 0;
+        rx_packets = 0;
+        rx_bytes = 0;
+        rx_dropped = 0;
+        interrupts = 0;
+        intr_events = 0;
+        sdma_stalled = 0;
+        intr_lost = 0;
+        tx_recoveries = 0;
+      };
+    pipe =
+      {
+        rx_pipe_depth = 4;
+        rx_pipe_posts = 0;
+        rx_pipe_hwm = 0;
+        rx_pipe_overlap = 0;
+        rx_pipe_stalls = 0;
+      };
   }
   in
   Sim.set_fn t.intr_timer (fun () -> deliver_intrs t);
@@ -238,9 +227,7 @@ let autodma_words t = t.autodma_words
 
 let set_rx_pipe_depth t n =
   if n <= 0 then invalid_arg "Cab.set_rx_pipe_depth: must be positive";
-  t.rx_pipe_depth <- n
-
-let rx_pipe_depth t = t.rx_pipe_depth
+  t.pipe.rx_pipe_depth <- n
 
 let raise_intr t i =
   Queue.push i t.pending_intrs;
@@ -250,7 +237,7 @@ let raise_intr t i =
          schedules its delivery.  The next raise (later traffic) or a
          watchdog [poll] drains it along with everything queued before
          that instant. *)
-      t.intr_lost <- t.intr_lost + 1
+      t.s.intr_lost <- t.s.intr_lost + 1
     else begin
       t.intr_scheduled <- true;
       Sim.rearm t.sim t.intr_timer Simtime.zero
@@ -295,8 +282,8 @@ let do_mdma t (pkt : Netmem.packet) { dst; channel; keep } =
   let frame = Bufpool.get Bufpool.shared pkt.len in
   Bytes.blit pkt.buf 0 frame 0 pkt.len;
   Obs_ledger.touch Obs_ledger.Media Obs_ledger.Copy pkt.len;
-  t.mdma_packets <- t.mdma_packets + 1;
-  t.mdma_bytes <- t.mdma_bytes + pkt.len;
+  t.s.mdma_packets <- t.s.mdma_packets + 1;
+  t.s.mdma_bytes <- t.s.mdma_bytes + pkt.len;
   t.transmit frame ~dst ~channel;
   if keep then pkt.state <- Netmem.Held
   else begin
@@ -317,7 +304,7 @@ let sdma_finished t (pkt : Netmem.packet) =
    [sdma_pending] share, so a queued MDMA keeps waiting) but it will
    never occupy the bus, commit, or complete. *)
 let note_stall t (pkt : Netmem.packet) =
-  t.sdma_stalled <- t.sdma_stalled + 1;
+  t.s.sdma_stalled <- t.s.sdma_stalled + 1;
   Hashtbl.replace t.stalled pkt.Netmem.id
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.stalled pkt.Netmem.id))
 
@@ -336,7 +323,7 @@ let clear_stall t (pkt : Netmem.packet) =
       if n <= 1 then Hashtbl.remove t.stalled pkt.Netmem.id
       else Hashtbl.replace t.stalled pkt.Netmem.id (n - 1);
       pkt.sdma_pending <- pkt.sdma_pending - 1;
-      t.tx_recoveries <- t.tx_recoveries + 1
+      t.s.tx_recoveries <- t.s.tx_recoveries + 1
 
 (* Common SDMA machinery: occupy the TurboChannel, then apply [commit]
    (blit + checksum-engine update), then completion notifications.
@@ -350,8 +337,8 @@ let sdma ?(stallable = false) t (pkt : Netmem.packet) ~bytes ~interrupt
     Obs_trace.emit Obs_trace.Sdma_post ~a:bytes ~b:1;
     let duration = Memcost.bus_transfer t.profile bytes in
     Resource.acquire t.bus duration (fun () ->
-        t.sdma_transfers <- t.sdma_transfers + 1;
-        t.sdma_bytes <- t.sdma_bytes + bytes;
+        t.s.sdma_transfers <- t.s.sdma_transfers + 1;
+        t.s.sdma_bytes <- t.s.sdma_bytes + bytes;
         commit ();
         (match on_complete with Some f -> f () | None -> ());
         if interrupt then raise_intr t Sdma_done;
@@ -485,13 +472,13 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ?(interrupt = false)
         segs;
       let duration = Memcost.bus_transfer t.profile !total in
       pkt.sdma_pending <- pkt.sdma_pending + 1;
-      t.sdma_chains <- t.sdma_chains + 1;
+      t.s.sdma_chains <- t.s.sdma_chains + 1;
       if Fault.fire "cab.sdma_stall" then note_stall t pkt
       else begin
       Obs_trace.emit Obs_trace.Sdma_post ~a:!total ~b:(List.length segs);
       Resource.acquire t.bus duration (fun () ->
-          t.sdma_transfers <- t.sdma_transfers + List.length segs;
-          t.sdma_bytes <- t.sdma_bytes + !total;
+          t.s.sdma_transfers <- t.s.sdma_transfers + List.length segs;
+          t.s.sdma_bytes <- t.s.sdma_bytes + !total;
           List.iter
             (fun seg ->
               match seg with
@@ -542,11 +529,11 @@ let deliver t frame =
   let len = Bytes.length frame in
   match Netmem.alloc t.mem ~len ~state:Netmem.Receiving with
   | None ->
-      t.rx_dropped <- t.rx_dropped + 1;
+      t.s.rx_dropped <- t.s.rx_dropped + 1;
       Bufpool.put Bufpool.shared frame
   | Some pkt ->
-      t.rx_packets <- t.rx_packets + 1;
-      t.rx_bytes <- t.rx_bytes + len;
+      t.s.rx_packets <- t.s.rx_packets + 1;
+      t.s.rx_bytes <- t.s.rx_bytes + len;
       (* The receive checksum engine ran while the data streamed off the
          media (§2.1): the sum is ready with the packet.  One fused pass
          copies the frame into network memory and produces the sum. *)
@@ -588,7 +575,7 @@ let deliver t frame =
              the header auto-DMA, so most overlap is observed here; the
              mirror-image witness is in [sdma_copy_out]. *)
           if Resource.busy t.copyout then
-            t.rx_pipe_overlap <- t.rx_pipe_overlap + 1;
+            t.pipe.rx_pipe_overlap <- t.pipe.rx_pipe_overlap + 1;
           Obs_trace.emit Obs_trace.Rx_autodma ~a:head_len ~b:pkt.Netmem.id;
           raise_intr t
             (Rx_packet
@@ -640,31 +627,31 @@ let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ?(interrupt = false)
   pkt.sdma_pending <- pkt.sdma_pending + 1;
   if Fault.fire "cab.sdma_stall" then note_stall t pkt
   else begin
-    t.copyout_posts <- t.copyout_posts + 1;
+    t.pipe.rx_pipe_posts <- t.pipe.rx_pipe_posts + 1;
     let start () =
       Obs_trace.emit Obs_trace.Rx_copyout ~a:len ~b:t.copyout_inflight;
       let duration = Memcost.bus_transfer t.profile len in
       Resource.acquire t.copyout duration (fun () ->
-          t.sdma_transfers <- t.sdma_transfers + 1;
-          t.sdma_bytes <- t.sdma_bytes + len;
+          t.s.sdma_transfers <- t.s.sdma_transfers + 1;
+          t.s.sdma_bytes <- t.s.sdma_bytes + len;
           (* Concurrency witness: the verify engine is mid-transfer on a
              later packet at the instant this copy-out completes. *)
           if Resource.busy t.rx_dma then
-            t.rx_pipe_overlap <- t.rx_pipe_overlap + 1;
+            t.pipe.rx_pipe_overlap <- t.pipe.rx_pipe_overlap + 1;
           commit ();
           (match on_complete with Some f -> f () | None -> ());
           if interrupt then raise_intr t Sdma_done;
           sdma_finished t pkt;
           copyout_slot_free t)
     in
-    if t.copyout_inflight >= t.rx_pipe_depth then begin
-      t.rx_pipe_stalls <- t.rx_pipe_stalls + 1;
+    if t.copyout_inflight >= t.pipe.rx_pipe_depth then begin
+      t.pipe.rx_pipe_stalls <- t.pipe.rx_pipe_stalls + 1;
       Queue.push start t.copyout_parked
     end
     else begin
       t.copyout_inflight <- t.copyout_inflight + 1;
-      if t.copyout_inflight > t.rx_pipe_hwm then
-        t.rx_pipe_hwm <- t.copyout_inflight;
+      if t.copyout_inflight > t.pipe.rx_pipe_hwm then
+        t.pipe.rx_pipe_hwm <- t.copyout_inflight;
       start ()
     end
   end
@@ -673,34 +660,11 @@ let rx_free t pkt = Netmem.free t.mem pkt
 
 (* ---- statistics ---- *)
 
-let stats t =
-  {
-    sdma_transfers = t.sdma_transfers;
-    sdma_bytes = t.sdma_bytes;
-    sdma_chains = t.sdma_chains;
-    mdma_packets = t.mdma_packets;
-    mdma_bytes = t.mdma_bytes;
-    rx_packets = t.rx_packets;
-    rx_bytes = t.rx_bytes;
-    rx_dropped = t.rx_dropped;
-    interrupts = t.interrupts;
-    intr_events = t.intr_events;
-    sdma_stalled = t.sdma_stalled;
-    intr_lost = t.intr_lost;
-    tx_recoveries = t.tx_recoveries;
-  }
+let stats t = t.s
 
 let bus_busy_time t = Resource.busy_time t.bus
 
-let rx_pipe_stats t =
-  {
-    rx_pipe_depth = t.rx_pipe_depth;
-    rx_pipe_posts = t.copyout_posts;
-    rx_pipe_hwm = t.rx_pipe_hwm;
-    rx_pipe_overlap = t.rx_pipe_overlap;
-    rx_pipe_stalls = t.rx_pipe_stalls;
-  }
-
+let rx_pipe_stats t = t.pipe
 
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt

@@ -92,8 +92,6 @@ val set_rx_pipe_depth : t -> int -> unit
     posts park FIFO (counted as pipeline stalls) and start as
     completions free slots. *)
 
-val rx_pipe_depth : t -> int
-
 (** {1 Transmit} *)
 
 val tx_alloc : t -> len:int -> Netmem.packet option
@@ -218,8 +216,8 @@ val sdma_copy_out :
     Copy-outs ride a dedicated engine, independent of the auto-DMA /
     checksum-verify channel that lands arriving heads: the copy-out of
     packet [n] overlaps the DMA+verify of packet [n+1].  At most
-    {!rx_pipe_depth} posts are outstanding on the engine; excess posts
-    park FIFO and are started by completions. *)
+    {!set_rx_pipe_depth} posts are outstanding on the engine; excess
+    posts park FIFO and are started by completions. *)
 
 val rx_free : t -> Netmem.packet -> unit
 
@@ -260,23 +258,27 @@ val poll : t -> int
 
 (** {1 Statistics} *)
 
-type stats = {
-  sdma_transfers : int;  (** individual segments moved (chains count each) *)
-  sdma_bytes : int;
-  sdma_chains : int;  (** chained posts ({!sdma_chain} doorbells) *)
-  mdma_packets : int;
-  mdma_bytes : int;
-  rx_packets : int;
-  rx_bytes : int;
-  rx_dropped : int;  (** network memory exhausted *)
-  interrupts : int;  (** delivery bursts (handler invocations) *)
-  intr_events : int;  (** individual notifications across all bursts *)
-  sdma_stalled : int;  (** injected stuck descriptors *)
-  intr_lost : int;  (** injected lost interrupts *)
-  tx_recoveries : int;  (** {!clear_stall} reclaims *)
+type stats = private {
+  mutable sdma_transfers : int;
+      (** individual segments moved (chains count each) *)
+  mutable sdma_bytes : int;
+  mutable sdma_chains : int;  (** chained posts ({!sdma_chain} doorbells) *)
+  mutable mdma_packets : int;
+  mutable mdma_bytes : int;
+  mutable rx_packets : int;
+  mutable rx_bytes : int;
+  mutable rx_dropped : int;  (** network memory exhausted *)
+  mutable interrupts : int;  (** delivery bursts (handler invocations) *)
+  mutable intr_events : int;  (** individual notifications across all bursts *)
+  mutable sdma_stalled : int;  (** injected stuck descriptors *)
+  mutable intr_lost : int;  (** injected lost interrupts *)
+  mutable tx_recoveries : int;  (** {!clear_stall} reclaims *)
 }
 
 val stats : t -> stats
+(** The adaptor's live counter record (it keeps counting after the
+    call). *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val bus_busy_time : t -> Simtime.t
@@ -284,15 +286,17 @@ val bus_busy_time : t -> Simtime.t
 
 (** Receive-pipeline counters: copy-out engine occupancy and its overlap
     with the auto-DMA/verify engine. *)
-type rx_pipe_stats = {
-  rx_pipe_depth : int;  (** configured descriptor-slot bound *)
-  rx_pipe_posts : int;  (** copy-out posts accepted by the engine *)
-  rx_pipe_hwm : int;  (** outstanding-post high-water mark *)
-  rx_pipe_overlap : int;
+type rx_pipe_stats = private {
+  mutable rx_pipe_depth : int;  (** configured descriptor-slot bound *)
+  mutable rx_pipe_posts : int;  (** copy-out posts accepted by the engine *)
+  mutable rx_pipe_hwm : int;  (** outstanding-post high-water mark *)
+  mutable rx_pipe_overlap : int;
       (** copy-out completions at an instant when the auto-DMA/verify
           engine was mid-transfer on another packet — the pipeline's
           concurrency witness *)
-  rx_pipe_stalls : int;  (** posts parked because all slots were busy *)
+  mutable rx_pipe_stalls : int;  (** posts parked because all slots were busy *)
 }
 
 val rx_pipe_stats : t -> rx_pipe_stats
+(** The adaptor's live receive-pipeline record, which is also the home
+    of the {!set_rx_pipe_depth} setting. *)

@@ -1,24 +1,23 @@
 type driver_stats = {
-  tx_packets : int;
-  tx_uio_segments : int;
-  tx_kernel_segments : int;
-  tx_rewrites : int;
-  tx_adaptor_copies : int;
-  tx_conversions : int;
-  tx_drops : int;
-  rx_packets : int;
-  rx_wcab_delivered : int;
-  rx_copied_kernel : int;
-  copyouts : int;
-  unaligned_staged : int;
-  tx_gather_fallbacks : int;  (* unaligned-scatter packets flattened *)
-  tx_gather_bytes : int;
-  tx_staged_segments : int;   (* unaligned pieces bounced via kernel *)
-  tx_staged_bytes : int;
-  sdma_timeouts : int;        (* stuck posts reclaimed and reposted *)
-  adaptor_resets : int;       (* last-resort resets after max retries *)
-  watchdog_polls : int;       (* lost-interrupt poll-timer firings *)
-  tx_exhausted : int;         (* drops because netmem alloc failed *)
+  mutable tx_packets : int;
+  mutable tx_uio_segments : int;
+  mutable tx_kernel_segments : int;
+  mutable tx_rewrites : int;
+  mutable tx_adaptor_copies : int;
+  mutable tx_drops : int;
+  mutable rx_packets : int;
+  mutable rx_wcab_delivered : int;
+  mutable rx_copied_kernel : int;
+  mutable copyouts : int;
+  mutable unaligned_staged : int;
+  mutable tx_gather_fallbacks : int;
+  mutable tx_gather_bytes : int;
+  mutable tx_staged_segments : int;
+  mutable tx_staged_bytes : int;
+  mutable sdma_timeouts : int;
+  mutable adaptor_resets : int;
+  mutable watchdog_polls : int;
+  mutable tx_exhausted : int;
 }
 
 type t = {
@@ -39,17 +38,16 @@ type t = {
      the frame it carries (the stack installs one; see Netstack).  Only
      consulted on multi-shard hosts. *)
   mutable steer : (Cab.intr -> int option) option;
-  mutable s : driver_stats;
+  s : driver_stats;
 }
 
-let zero_stats =
+let new_stats () =
   {
     tx_packets = 0;
     tx_uio_segments = 0;
     tx_kernel_segments = 0;
     tx_rewrites = 0;
     tx_adaptor_copies = 0;
-    tx_conversions = 0;
     tx_drops = 0;
     rx_packets = 0;
     rx_wcab_delivered = 0;
@@ -96,7 +94,7 @@ let backoff attempt =
   Simtime.us (Simtime.to_us sdma_timeout *. float_of_int (1 lsl min attempt 6))
 
 let driver_reset t =
-  t.s <- { t.s with adaptor_resets = t.s.adaptor_resets + 1 };
+  t.s.adaptor_resets <- t.s.adaptor_resets + 1;
   (* A reset is a transmit-side fault the policy layer should see: while
      the adaptor is being bounced the outboard path is the wrong bet. *)
   (match t.ifc with
@@ -113,7 +111,7 @@ let arm_poll t interval =
 (* Installed once on [poll_timer] at attach; re-arms in place (no
    allocation) while watched posts or stranded events remain. *)
 let poll_fire t =
-  t.s <- { t.s with watchdog_polls = t.s.watchdog_polls + 1 };
+  t.s.watchdog_polls <- t.s.watchdog_polls + 1;
   ignore (Cab.poll t.cab);
   match t.watchdog with
   | Some interval when t.inflight > 0 || Cab.pending_events t.cab > 0 ->
@@ -166,7 +164,7 @@ let watched_post t netpkt ~post ~on_done =
                  if Cab.stalled_posts t.cab netpkt > 0 then
                    if attempt >= max_sdma_retries then driver_reset t
                    else begin
-                     t.s <- { t.s with sdma_timeouts = t.s.sdma_timeouts + 1 };
+                     t.s.sdma_timeouts <- t.s.sdma_timeouts + 1;
                      Cab.clear_stall t.cab netpkt;
                      post_attempt (attempt + 1)
                    end
@@ -177,7 +175,7 @@ let watched_post t netpkt ~post ~on_done =
       in
       Hashtbl.replace t.tx_watch key (fun () ->
           if (not !completed) && Cab.stalled_posts t.cab netpkt > 0 then begin
-            t.s <- { t.s with sdma_timeouts = t.s.sdma_timeouts + 1 };
+            t.s.sdma_timeouts <- t.s.sdma_timeouts + 1;
             Cab.clear_stall t.cab netpkt;
             post_attempt 0
           end);
@@ -291,7 +289,7 @@ let detach_pieces (chain : Mbuf.t) =
 let output t ifc pkt ~next_hop =
   match Netif.link_addr ifc next_hop with
   | None ->
-      t.s <- { t.s with tx_drops = t.s.tx_drops + 1 };
+      t.s.tx_drops <- t.s.tx_drops + 1;
       Mbuf.free pkt
   | Some dst -> (
       let total = Mbuf.pkt_len pkt in
@@ -314,12 +312,8 @@ let output t ifc pkt ~next_hop =
           let hdr = Bytes.create (word_pad (hippi_hdr + prefix_len)) in
           charge_prefix pkt ~prefix_len;
           write_header t ~dst ~payload_total:total pkt ~prefix_len hdr;
-          t.s <-
-            {
-              t.s with
-              tx_packets = t.s.tx_packets + 1;
-              tx_rewrites = t.s.tx_rewrites + 1;
-            };
+          t.s.tx_packets <- t.s.tx_packets + 1;
+          t.s.tx_rewrites <- t.s.tx_rewrites + 1;
           Host.in_intr t.host post_cost (fun () ->
               Cab.tx_rewrite_header t.cab netpkt ~header:hdr ~csum:tx_csum ();
               Cab.mdma_send t.cab netpkt ~dst ~channel:(channel_for dst)
@@ -333,12 +327,8 @@ let output t ifc pkt ~next_hop =
                  recovers.  Count it on the interface too so the socket
                  layer's policy can penalize the outboard path while the
                  adaptor is starved. *)
-              t.s <-
-                {
-                  t.s with
-                  tx_drops = t.s.tx_drops + 1;
-                  tx_exhausted = t.s.tx_exhausted + 1;
-                };
+              t.s.tx_drops <- t.s.tx_drops + 1;
+              t.s.tx_exhausted <- t.s.tx_exhausted + 1;
               ifc.Netif.tx_faults <- ifc.Netif.tx_faults + 1;
               Mbuf.free pkt
           | Some netpkt ->
@@ -380,13 +370,9 @@ let output t ifc pkt ~next_hop =
                 Mbuf.copy_into_raw pkt ~off:prefix_len
                   ~len:gathered blob
                   ~dst_off:(hippi_hdr + prefix_len);
-                t.s <-
-                  {
-                    t.s with
-                    tx_packets = t.s.tx_packets + 1;
-                    tx_gather_fallbacks = t.s.tx_gather_fallbacks + 1;
-                    tx_gather_bytes = t.s.tx_gather_bytes + gathered;
-                  };
+                t.s.tx_packets <- t.s.tx_packets + 1;
+                t.s.tx_gather_fallbacks <- t.s.tx_gather_fallbacks + 1;
+                t.s.tx_gather_bytes <- t.s.tx_gather_bytes + gathered;
                 (* Credit any UIO counters: the gather is the copy. *)
                 Mbuf.iter
                   (fun (mb : Mbuf.t) ->
@@ -402,7 +388,7 @@ let output t ifc pkt ~next_hop =
                       ~channel:(channel_for dst) ~keep:false)
               end
               else begin
-                t.s <- { t.s with tx_packets = t.s.tx_packets + 1 };
+                t.s.tx_packets <- t.s.tx_packets + 1;
                 (* Count payload SDMAs so the on_outboard hook fires when
                    the packet is fully outboard. *)
                 let payload_len = total - prefix_len in
@@ -463,11 +449,7 @@ let output t ifc pkt ~next_hop =
                       let src =
                         match mb.Mbuf.storage with
                         | Mbuf.Ext_uio d ->
-                            t.s <-
-                              {
-                                t.s with
-                                tx_uio_segments = t.s.tx_uio_segments + 1;
-                              };
+                            t.s.tx_uio_segments <- t.s.tx_uio_segments + 1;
                             let sub =
                               Region.sub d.Mbuf.uio_region ~off:mb.Mbuf.off
                                 ~len:seg
@@ -477,6 +459,11 @@ let output t ifc pkt ~next_hop =
                             else begin
                               (* §4.5 guard: the socket layer should have
                                  refused this; stage via kernel. *)
+                              t.s.tx_staged_segments <-
+                                t.s.tx_staged_segments + 1;
+                              t.s.tx_staged_bytes <- t.s.tx_staged_bytes + seg;
+                              Obs_ledger.touch Obs_ledger.Drv_tx_stage
+                                Obs_ledger.Copy seg;
                               let b = Bytes.create seg in
                               Region.blit_to_bytes sub ~src_off:0 b
                                 ~dst_off:0 ~len:seg;
@@ -485,11 +472,7 @@ let output t ifc pkt ~next_hop =
                         | Mbuf.Ext_wcab d ->
                             (* Adaptor-local copy of data already in
                                network memory (rare partial retransmit). *)
-                            t.s <-
-                              {
-                                t.s with
-                                tx_adaptor_copies = t.s.tx_adaptor_copies + 1;
-                              };
+                            t.s.tx_adaptor_copies <- t.s.tx_adaptor_copies + 1;
                             Obs_ledger.touch Obs_ledger.Drv_tx_stage
                               Obs_ledger.Copy seg;
                             let b = Bytes.create seg in
@@ -498,11 +481,8 @@ let output t ifc pkt ~next_hop =
                               b 0 seg;
                             Cab.From_kernel b
                         | Mbuf.Internal c | Mbuf.Cluster c ->
-                            t.s <-
-                              {
-                                t.s with
-                                tx_kernel_segments = t.s.tx_kernel_segments + 1;
-                              };
+                            t.s.tx_kernel_segments <-
+                              t.s.tx_kernel_segments + 1;
                             (* Zero-copy capture: hand the adaptor a window
                                on the mbuf storage itself.  The storage is
                                pinned ([retain_storage]) so the pool cannot
@@ -584,7 +564,7 @@ let copy_out t (mb : Mbuf.t) ~off ~len ~dst ~on_done =
   | None ->
       invalid_arg "Cab_driver.copy_out: not an outboard mbuf of this device"
   | Some (desc, pkt) ->
-      t.s <- { t.s with copyouts = t.s.copyouts + 1 };
+      t.s.copyouts <- t.s.copyouts + 1;
       let abs_off = desc.Mbuf.wcab_base + mb.Mbuf.off + off in
       let post = Memcost.dma_post t.host.Host.profile in
       let direct_ok =
@@ -604,7 +584,7 @@ let copy_out t (mb : Mbuf.t) ~off ~len ~dst ~on_done =
       else begin
         (* §4.5: unaligned destinations go the slow way — DMA an aligned
            superset into kernel staging, then memory-copy. *)
-        t.s <- { t.s with unaligned_staged = t.s.unaligned_staged + 1 };
+        t.s.unaligned_staged <- t.s.unaligned_staged + 1;
         let lead = abs_off land 3 in
         let stage_len = word_pad (len + lead) in
         let stage_len = min stage_len (pkt.Netmem.len - (abs_off - lead)) in
@@ -642,7 +622,7 @@ let deliver_chain t chain =
 let rx_csum_rel = (4 * Hippi_framing.rx_csum_start_words) - Hippi_framing.size
 
 let handle_rx t (info : Cab.rx_info) =
-  t.s <- { t.s with rx_packets = t.s.rx_packets + 1 };
+  t.s.rx_packets <- t.s.rx_packets + 1;
   let total = info.Cab.rx_total_len in
   let head_len = info.Cab.rx_head_len in
   let host_bytes = head_len - hippi_hdr in
@@ -695,7 +675,7 @@ let handle_rx t (info : Cab.rx_info) =
                   (Csum_offload.make_rx ~engine_sum:info.Cab.rx_engine_sum
                      ~rx_start:rx_csum_rel)
           | None -> ());
-          t.s <- { t.s with rx_wcab_delivered = t.s.rx_wcab_delivered + 1 };
+          t.s.rx_wcab_delivered <- t.s.rx_wcab_delivered + 1;
           deliver_chain t head
       | Stack_mode.Unmodified ->
           (* Baseline stack: the whole packet must land in kernel buffers
@@ -715,8 +695,7 @@ let handle_rx t (info : Cab.rx_info) =
                 ~on_done:(fun () ->
                   Cab.rx_free t.cab pkt;
                   Mbuf.append head tail;
-                  t.s <-
-                    { t.s with rx_copied_kernel = t.s.rx_copied_kernel + 1 };
+                  t.s.rx_copied_kernel <- t.s.rx_copied_kernel + 1;
                   deliver_chain t head))
     end
   end
@@ -792,7 +771,7 @@ let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog () =
       watch_key = 0;
       tx_watch = Hashtbl.create 16;
       steer = None;
-      s = zero_stats;
+      s = new_stats ();
     }
   in
   Sim.set_fn t.poll_timer (fun () -> poll_fire t);
@@ -812,7 +791,6 @@ let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog () =
    g "tx_kernel_segments" (fun () -> t.s.tx_kernel_segments);
    g "tx_rewrites" (fun () -> t.s.tx_rewrites);
    g "tx_adaptor_copies" (fun () -> t.s.tx_adaptor_copies);
-   g "tx_conversions" (fun () -> t.s.tx_conversions);
    g "tx_drops" (fun () -> t.s.tx_drops);
    g "rx_packets" (fun () -> t.s.rx_packets);
    g "rx_wcab_delivered" (fun () -> t.s.rx_wcab_delivered);

@@ -18,33 +18,37 @@
 
 type t
 
-type driver_stats = {
-  tx_packets : int;
-  tx_uio_segments : int;  (** payload SDMAs straight from user memory *)
-  tx_kernel_segments : int;
-  tx_rewrites : int;  (** retransmits satisfied by header rewrite *)
-  tx_adaptor_copies : int;
+type driver_stats = private {
+  mutable tx_packets : int;
+  mutable tx_uio_segments : int;  (** payload SDMAs straight from user memory *)
+  mutable tx_kernel_segments : int;
+  mutable tx_rewrites : int;  (** retransmits satisfied by header rewrite *)
+  mutable tx_adaptor_copies : int;
       (** netmem-to-netmem payload copies (partial retransmit of outboard
           data) *)
-  tx_conversions : int;  (** UIO chains copied at entry (unmodified mode) *)
-  tx_drops : int;  (** network-memory exhaustion or missing neighbor *)
-  rx_packets : int;
-  rx_wcab_delivered : int;  (** packets handed up with an outboard tail *)
-  rx_copied_kernel : int;  (** packets fully copied to kernel (unmodified) *)
-  copyouts : int;
-  unaligned_staged : int;  (** copy-outs staged through kernel memory *)
-  tx_gather_fallbacks : int;
+  mutable tx_drops : int;  (** network-memory exhaustion or missing neighbor *)
+  mutable rx_packets : int;
+  mutable rx_wcab_delivered : int;
+      (** packets handed up with an outboard tail *)
+  mutable rx_copied_kernel : int;
+      (** packets fully copied to kernel (unmodified) *)
+  mutable copyouts : int;
+  mutable unaligned_staged : int;  (** copy-outs staged through kernel memory *)
+  mutable tx_gather_fallbacks : int;
       (** unaligned-scatter packets flattened into one kernel blob *)
-  tx_gather_bytes : int;  (** payload bytes those flattens copied *)
-  tx_staged_segments : int;
-      (** scatter pieces bounced through a kernel staging buffer *)
-  tx_staged_bytes : int;
-  sdma_timeouts : int;
+  mutable tx_gather_bytes : int;  (** payload bytes those flattens copied *)
+  mutable tx_staged_segments : int;
+      (** word-misaligned user pieces bounced through a kernel staging
+          buffer (the §4.5 guard; also charged to the ledger's
+          [Drv_tx_stage]) *)
+  mutable tx_staged_bytes : int;
+  mutable sdma_timeouts : int;
       (** watchdog timeouts that reclaimed a stuck post and reposted it *)
-  adaptor_resets : int;
+  mutable adaptor_resets : int;
       (** last-resort adaptor resets after 3 reposts of one post *)
-  watchdog_polls : int;  (** lost-interrupt poll-timer firings *)
-  tx_exhausted : int;  (** transmit drops because netmem allocation failed *)
+  mutable watchdog_polls : int;  (** lost-interrupt poll-timer firings *)
+  mutable tx_exhausted : int;
+      (** transmit drops because netmem allocation failed *)
 }
 
 val attach :
@@ -72,6 +76,9 @@ val attach :
 val iface : t -> Netif.t
 val cab : t -> Cab.t
 val stats : t -> driver_stats
+(** The driver's live counter record (it keeps counting after the
+    call). *)
+
 val pp_stats : Format.formatter -> driver_stats -> unit
 
 val add_neighbor : t -> Inaddr.t -> hippi_addr:int -> unit

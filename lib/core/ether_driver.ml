@@ -1,15 +1,15 @@
 type stats = {
-  tx_frames : int;
-  rx_frames : int;
-  tx_converted : int;
-  tx_drops : int;
+  mutable tx_frames : int;
+  mutable rx_frames : int;
+  mutable tx_converted : int;
+  mutable tx_drops : int;
 }
 
 type t = {
   host : Host.t;
   dev : Etherdev.t;
   mutable ifc : Netif.t option;
-  mutable s : stats;
+  s : stats;
 }
 
 let iface t = Option.get t.ifc
@@ -18,7 +18,7 @@ let stats t = t.s
 let output t ifc pkt ~next_hop =
   match Netif.link_addr ifc next_hop with
   | None ->
-      t.s <- { t.s with tx_drops = t.s.tx_drops + 1 };
+      t.s.tx_drops <- t.s.tx_drops + 1;
       Mbuf.free pkt
   | Some dst_mac ->
       let needs_conversion =
@@ -27,7 +27,7 @@ let output t ifc pkt ~next_hop =
           (Mbuf.chain_kinds pkt)
       in
       if needs_conversion then
-        t.s <- { t.s with tx_converted = t.s.tx_converted + 1 };
+        t.s.tx_converted <- t.s.tx_converted + 1;
       Interop.flatten_for_legacy ~host:t.host ~proc_hint:"kernel" pkt
         (fun payload ->
           let frame = Bytes.create (Ether_frame.size + Bytes.length payload) in
@@ -35,7 +35,7 @@ let output t ifc pkt ~next_hop =
             (Ether_frame.make ~src:(Etherdev.mac t.dev) ~dst:dst_mac)
             frame ~off:0;
           Bytes.blit payload 0 frame Ether_frame.size (Bytes.length payload);
-          t.s <- { t.s with tx_frames = t.s.tx_frames + 1 };
+          t.s.tx_frames <- t.s.tx_frames + 1;
           Etherdev.transmit t.dev frame)
 
 let input t frame =
@@ -47,7 +47,7 @@ let input t frame =
       + Memcost.copy t.host.Host.profile ~locality:Memcost.Cold n
     in
     Host.in_intr t.host cost (fun () ->
-        t.s <- { t.s with rx_frames = t.s.rx_frames + 1 };
+        t.s.rx_frames <- t.s.rx_frames + 1;
         let data = Bytes.sub frame Ether_frame.size n in
         let chain = Mbuf.of_bytes ~pkthdr:true data in
         match t.ifc with

@@ -7,11 +7,12 @@
 
 type t
 
-type stats = {
-  tx_frames : int;
-  rx_frames : int;
-  tx_converted : int;  (** frames whose chain needed the §5 conversion *)
-  tx_drops : int;
+type stats = private {
+  mutable tx_frames : int;
+  mutable rx_frames : int;
+  mutable tx_converted : int;
+      (** frames whose chain needed the §5 conversion *)
+  mutable tx_drops : int;
 }
 
 val attach :
@@ -26,5 +27,7 @@ val attach :
 
 val iface : t -> Netif.t
 val stats : t -> stats
+(** The driver's live counter record (it keeps counting after the
+    call). *)
 
 val add_neighbor : t -> Inaddr.t -> mac:int -> unit

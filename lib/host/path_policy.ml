@@ -10,21 +10,21 @@ type reason =
   | Trivial
 
 type stats = {
-  uio_routed : int;
-  copy_routed : int;
-  unaligned : int;
-  below_cutover : int;
-  cold_pin : int;
-  above_cutover : int;
-  explored : int;
-  penalized : int;
-  trivial : int;
-  uio_observed : int;
-  copy_observed : int;
-  rx_uio_observed : int;
-  rx_copy_observed : int;
-  rx_feeds : int;
-  cutover_bytes : int;
+  mutable uio_routed : int;
+  mutable copy_routed : int;
+  mutable unaligned : int;
+  mutable below_cutover : int;
+  mutable cold_pin : int;
+  mutable above_cutover : int;
+  mutable explored : int;
+  mutable penalized : int;
+  mutable trivial : int;
+  mutable uio_observed : int;
+  mutable copy_observed : int;
+  mutable rx_uio_observed : int;
+  mutable rx_copy_observed : int;
+  mutable rx_feeds : int;
+  mutable cutover_bytes : int;
 }
 
 (* Per-path cost table bucketed by log2(size): bucket i covers sizes in
@@ -54,27 +54,12 @@ type t = {
   rx_uio : table;
   rx_copy : table;
   explore_period : int;
-  mutable cutover : int;
   mutable decisions : int;
   (* Fault-driven cost multiplier on the Uio threshold: >= 1.0, raised by
      [penalize] when the device reports trouble, decayed multiplicatively
      toward 1.0 on every decision so the spike ages out. *)
   mutable penalty : float;
-  (* counters *)
-  mutable uio_routed : int;
-  mutable copy_routed : int;
-  mutable n_unaligned : int;
-  mutable n_below : int;
-  mutable n_cold : int;
-  mutable n_above : int;
-  mutable n_explored : int;
-  mutable n_penalized : int;
-  mutable n_trivial : int;
-  mutable uio_observed : int;
-  mutable copy_observed : int;
-  mutable rx_uio_observed : int;
-  mutable rx_copy_observed : int;
-  mutable rx_feeds : int;
+  s : stats;  (* counters, and the cutover estimate [cutover_bytes] *)
 }
 
 (* The cutover estimate stays within [min_cutover, max_cutover]; a
@@ -95,23 +80,27 @@ let create ?(cutover = 16384) ?(explore_period = 16) () =
     rx_uio = make_table ();
     rx_copy = make_table ();
     explore_period;
-    cutover = Stdlib.max min_cutover (Stdlib.min max_cutover cutover);
     decisions = 0;
     penalty = 1.0;
-    uio_routed = 0;
-    copy_routed = 0;
-    n_unaligned = 0;
-    n_below = 0;
-    n_cold = 0;
-    n_above = 0;
-    n_explored = 0;
-    n_penalized = 0;
-    n_trivial = 0;
-    uio_observed = 0;
-    copy_observed = 0;
-    rx_uio_observed = 0;
-    rx_copy_observed = 0;
-    rx_feeds = 0;
+    s =
+      {
+        uio_routed = 0;
+        copy_routed = 0;
+        unaligned = 0;
+        below_cutover = 0;
+        cold_pin = 0;
+        above_cutover = 0;
+        explored = 0;
+        penalized = 0;
+        trivial = 0;
+        uio_observed = 0;
+        copy_observed = 0;
+        rx_uio_observed = 0;
+        rx_copy_observed = 0;
+        rx_feeds = 0;
+        cutover_bytes =
+          Stdlib.max min_cutover (Stdlib.min max_cutover cutover);
+      };
   }
 
 let table t = function Uio -> t.uio | Copy -> t.copy
@@ -152,16 +141,16 @@ let refresh_cutover t =
   match !candidate with
   | None -> ()
   | Some c ->
-      t.cutover <- Stdlib.max min_cutover (Stdlib.min max_cutover c)
+      t.s.cutover_bytes <- Stdlib.max min_cutover (Stdlib.min max_cutover c)
 
 let count_reason t = function
-  | Unaligned -> t.n_unaligned <- t.n_unaligned + 1
-  | Below_cutover -> t.n_below <- t.n_below + 1
-  | Cold_pin -> t.n_cold <- t.n_cold + 1
-  | Above_cutover -> t.n_above <- t.n_above + 1
-  | Explore -> t.n_explored <- t.n_explored + 1
-  | Penalized -> t.n_penalized <- t.n_penalized + 1
-  | Trivial -> t.n_trivial <- t.n_trivial + 1
+  | Unaligned -> t.s.unaligned <- t.s.unaligned + 1
+  | Below_cutover -> t.s.below_cutover <- t.s.below_cutover + 1
+  | Cold_pin -> t.s.cold_pin <- t.s.cold_pin + 1
+  | Above_cutover -> t.s.above_cutover <- t.s.above_cutover + 1
+  | Explore -> t.s.explored <- t.s.explored + 1
+  | Penalized -> t.s.penalized <- t.s.penalized + 1
+  | Trivial -> t.s.trivial <- t.s.trivial + 1
 
 let max_penalty = 64.
 
@@ -180,9 +169,9 @@ let penalty t = t.penalty
 let trivial_shift = 2
 
 let decide t ~len ~aligned ~pin_warm =
-  if t.penalty <= 1.0 && len < t.cutover lsr trivial_shift then begin
-    t.copy_routed <- t.copy_routed + 1;
-    t.n_trivial <- t.n_trivial + 1;
+  if t.penalty <= 1.0 && len < t.s.cutover_bytes lsr trivial_shift then begin
+    t.s.copy_routed <- t.s.copy_routed + 1;
+    t.s.trivial <- t.s.trivial + 1;
     (Copy, Trivial)
   end
   else begin
@@ -193,7 +182,7 @@ let decide t ~len ~aligned ~pin_warm =
     if not aligned then (Copy, Unaligned)
     else begin
       let threshold =
-        if pin_warm then t.cutover else t.cutover lsl cold_shift
+        if pin_warm then t.s.cutover_bytes else t.s.cutover_bytes lsl cold_shift
       in
       (* A sick adaptor (exhaustion, resets, pin failures) inflates the
          effective threshold, shifting traffic to the copy path until the
@@ -206,7 +195,7 @@ let decide t ~len ~aligned ~pin_warm =
       let base =
         if len >= eff_threshold then (Uio, Above_cutover)
         else if len >= threshold then (Copy, Penalized)
-        else if len >= t.cutover then (Copy, Cold_pin)
+        else if len >= t.s.cutover_bytes then (Copy, Cold_pin)
         else (Copy, Below_cutover)
       in
       if
@@ -220,8 +209,8 @@ let decide t ~len ~aligned ~pin_warm =
     end
   in
   (match route with
-  | Uio -> t.uio_routed <- t.uio_routed + 1
-  | Copy -> t.copy_routed <- t.copy_routed + 1);
+  | Uio -> t.s.uio_routed <- t.s.uio_routed + 1
+  | Copy -> t.s.copy_routed <- t.s.copy_routed + 1);
   count_reason t reason;
   (route, reason)
   end
@@ -235,8 +224,8 @@ let observe t ~route ~len ~cost =
     (if n = 0 then us else (0.75 *. tab.ewma_us.(i)) +. (0.25 *. us));
   tab.samples.(i) <- n + 1;
   (match route with
-  | Uio -> t.uio_observed <- t.uio_observed + 1
-  | Copy -> t.copy_observed <- t.copy_observed + 1);
+  | Uio -> t.s.uio_observed <- t.s.uio_observed + 1
+  | Copy -> t.s.copy_observed <- t.s.copy_observed + 1);
   refresh_cutover t
 
 let rx_table t = function Uio -> t.rx_uio | Copy -> t.rx_copy
@@ -250,8 +239,8 @@ let observe_rx t ~route ~len ~cost =
     (if n = 0 then us else (0.75 *. tab.ewma_us.(i)) +. (0.25 *. us));
   tab.samples.(i) <- n + 1;
   (match route with
-  | Uio -> t.rx_uio_observed <- t.rx_uio_observed + 1
-  | Copy -> t.rx_copy_observed <- t.rx_copy_observed + 1);
+  | Uio -> t.s.rx_uio_observed <- t.s.rx_uio_observed + 1
+  | Copy -> t.s.rx_copy_observed <- t.s.rx_copy_observed + 1);
   refresh_cutover t
 
 (* A piggybacked receiver sample: the peer's smoothed per-bucket delivery
@@ -273,7 +262,7 @@ let feed_remote_rx t ~bucket ~uio_us ~copy_us =
   in
   merge t.rx_uio uio_us;
   merge t.rx_copy copy_us;
-  t.rx_feeds <- t.rx_feeds + 1;
+  t.s.rx_feeds <- t.s.rx_feeds + 1;
   refresh_cutover t
 
 (* The receiver's outgoing hint for the bucket containing [len]: rounded
@@ -286,26 +275,9 @@ let rx_hint t ~len =
   in
   (i, us t.rx_uio, us t.rx_copy)
 
-let cutover t = t.cutover
+let cutover t = t.s.cutover_bytes
 
-let stats t =
-  {
-    uio_routed = t.uio_routed;
-    copy_routed = t.copy_routed;
-    unaligned = t.n_unaligned;
-    below_cutover = t.n_below;
-    cold_pin = t.n_cold;
-    above_cutover = t.n_above;
-    explored = t.n_explored;
-    penalized = t.n_penalized;
-    trivial = t.n_trivial;
-    uio_observed = t.uio_observed;
-    copy_observed = t.copy_observed;
-    rx_uio_observed = t.rx_uio_observed;
-    rx_copy_observed = t.rx_copy_observed;
-    rx_feeds = t.rx_feeds;
-    cutover_bytes = t.cutover;
-  }
+let stats t = t.s
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf
@@ -346,21 +318,21 @@ let tables_json t =
 
 let register ?(section = "path_policy") t =
   let g name f = Obs.gauge ~section ~name (fun () -> float_of_int (f ())) in
-  g "uio_routed" (fun () -> t.uio_routed);
-  g "copy_routed" (fun () -> t.copy_routed);
-  g "unaligned" (fun () -> t.n_unaligned);
-  g "below_cutover" (fun () -> t.n_below);
-  g "cold_pin" (fun () -> t.n_cold);
-  g "above_cutover" (fun () -> t.n_above);
-  g "explored" (fun () -> t.n_explored);
-  g "uio_observed" (fun () -> t.uio_observed);
-  g "copy_observed" (fun () -> t.copy_observed);
-  g "cutover_bytes" (fun () -> t.cutover);
+  g "uio_routed" (fun () -> t.s.uio_routed);
+  g "copy_routed" (fun () -> t.s.copy_routed);
+  g "unaligned" (fun () -> t.s.unaligned);
+  g "below_cutover" (fun () -> t.s.below_cutover);
+  g "cold_pin" (fun () -> t.s.cold_pin);
+  g "above_cutover" (fun () -> t.s.above_cutover);
+  g "explored" (fun () -> t.s.explored);
+  g "uio_observed" (fun () -> t.s.uio_observed);
+  g "copy_observed" (fun () -> t.s.copy_observed);
+  g "cutover_bytes" (fun () -> t.s.cutover_bytes);
   g "decisions" (fun () -> t.decisions);
-  g "penalized" (fun () -> t.n_penalized);
-  g "trivial" (fun () -> t.n_trivial);
-  g "rx_uio_observed" (fun () -> t.rx_uio_observed);
-  g "rx_copy_observed" (fun () -> t.rx_copy_observed);
-  g "rx_feeds" (fun () -> t.rx_feeds);
+  g "penalized" (fun () -> t.s.penalized);
+  g "trivial" (fun () -> t.s.trivial);
+  g "rx_uio_observed" (fun () -> t.s.rx_uio_observed);
+  g "rx_copy_observed" (fun () -> t.s.rx_copy_observed);
+  g "rx_feeds" (fun () -> t.s.rx_feeds);
   Obs.gauge ~section ~name:"penalty" (fun () -> t.penalty);
   Obs.table ~section ~name:"ewma_tables" (fun () -> tables_json t)

@@ -48,22 +48,23 @@ type reason =
           the early exit, skipping exploration and decision bookkeeping.
           Callers should not {!observe} these sends. *)
 
-type stats = {
-  uio_routed : int;
-  copy_routed : int;
-  unaligned : int;
-  below_cutover : int;
-  cold_pin : int;
-  above_cutover : int;
-  explored : int;
-  penalized : int;
-  trivial : int;  (** decisions taken by the small-send early exit *)
-  uio_observed : int;  (** completed sends reported for the Uio path *)
-  copy_observed : int;
-  rx_uio_observed : int;  (** local receive-side copy-out cost samples *)
-  rx_copy_observed : int;
-  rx_feeds : int;  (** remote hints merged via {!feed_remote_rx} *)
-  cutover_bytes : int;  (** current online estimate *)
+type stats = private {
+  mutable uio_routed : int;
+  mutable copy_routed : int;
+  mutable unaligned : int;
+  mutable below_cutover : int;
+  mutable cold_pin : int;
+  mutable above_cutover : int;
+  mutable explored : int;
+  mutable penalized : int;
+  mutable trivial : int;  (** decisions taken by the small-send early exit *)
+  mutable uio_observed : int;  (** completed sends reported for the Uio path *)
+  mutable copy_observed : int;
+  mutable rx_uio_observed : int;
+      (** local receive-side copy-out cost samples *)
+  mutable rx_copy_observed : int;
+  mutable rx_feeds : int;  (** remote hints merged via {!feed_remote_rx} *)
+  mutable cutover_bytes : int;  (** current online estimate *)
 }
 
 type t
@@ -118,6 +119,9 @@ val penalty : t -> float
 (** Current fault penalty (1.0 = healthy). *)
 
 val stats : t -> stats
+(** The policy's live counter record (it keeps counting after the call);
+    its [cutover_bytes] is the estimate {!cutover} reads. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val register : ?section:string -> t -> unit

@@ -1,11 +1,11 @@
 type stats = {
-  echo_requests_rcvd : int;
-  echo_replies_sent : int;
-  echo_replies_rcvd : int;
-  time_exceeded_sent : int;
-  unreachable_sent : int;
-  errors_rcvd : int;
-  bad_checksums : int;
+  mutable echo_requests_rcvd : int;
+  mutable echo_replies_sent : int;
+  mutable echo_replies_rcvd : int;
+  mutable time_exceeded_sent : int;
+  mutable unreachable_sent : int;
+  mutable errors_rcvd : int;
+  mutable bad_checksums : int;
 }
 
 type t = {
@@ -16,7 +16,7 @@ type t = {
   mutable next_seq : int;
   mutable on_error :
     (kind:[ `Unreachable | `Time_exceeded ] -> src:Inaddr.t -> unit) option;
-  mutable s : stats;
+  s : stats;
 }
 
 let type_echo_reply = 0
@@ -90,21 +90,20 @@ let input t ~src ~dst:_ m =
   flatten t m (fun b ->
       if Bytes.length b < header_size then ()
       else if not (Inet_csum.is_valid (Inet_csum.of_bytes b)) then
-        t.s <- { t.s with bad_checksums = t.s.bad_checksums + 1 }
+        t.s.bad_checksums <- t.s.bad_checksums + 1
       else begin
         let typ = Bytes.get_uint8 b 0 in
         let word = Int32.to_int (Bytes.get_int32_be b 4) land 0xffffffff in
         if typ = type_echo_request then begin
-          t.s <-
-            { t.s with echo_requests_rcvd = t.s.echo_requests_rcvd + 1 };
+          t.s.echo_requests_rcvd <- t.s.echo_requests_rcvd + 1;
           let payload =
             Bytes.sub b header_size (Bytes.length b - header_size)
           in
-          t.s <- { t.s with echo_replies_sent = t.s.echo_replies_sent + 1 };
+          t.s.echo_replies_sent <- t.s.echo_replies_sent + 1;
           send t ~dst:src ~typ:type_echo_reply ~code:0 ~word ~payload
         end
         else if typ = type_echo_reply then begin
-          t.s <- { t.s with echo_replies_rcvd = t.s.echo_replies_rcvd + 1 };
+          t.s.echo_replies_rcvd <- t.s.echo_replies_rcvd + 1;
           let ident = word lsr 16 and seq = word land 0xffff in
           let rec pick acc = function
             | [] -> (None, List.rev acc)
@@ -121,7 +120,7 @@ let input t ~src ~dst:_ m =
           | None -> ()
         end
         else if typ = type_unreachable || typ = type_time_exceeded then begin
-          t.s <- { t.s with errors_rcvd = t.s.errors_rcvd + 1 };
+          t.s.errors_rcvd <- t.s.errors_rcvd + 1;
           match t.on_error with
           | Some f ->
               f
@@ -156,16 +155,14 @@ let create ~ip =
   Ipv4.register_protocol ip ~proto:Ipv4_header.proto_icmp
     (fun ~src ~dst m -> input t ~src ~dst m);
   Ipv4.set_error_hook ip (fun ~reason ~orig_src ~orig_head ->
-      let typ, update =
+      let typ =
         match reason with
         | `Ttl ->
-            ( type_time_exceeded,
-              fun s -> { s with time_exceeded_sent = s.time_exceeded_sent + 1 }
-            )
+            t.s.time_exceeded_sent <- t.s.time_exceeded_sent + 1;
+            type_time_exceeded
         | `No_route ->
-            ( type_unreachable,
-              fun s -> { s with unreachable_sent = s.unreachable_sent + 1 } )
+            t.s.unreachable_sent <- t.s.unreachable_sent + 1;
+            type_unreachable
       in
-      t.s <- update t.s;
       send t ~dst:orig_src ~typ ~code:0 ~word:0 ~payload:orig_head);
   t

@@ -9,14 +9,14 @@
 
 type t
 
-type stats = {
-  echo_requests_rcvd : int;
-  echo_replies_sent : int;
-  echo_replies_rcvd : int;
-  time_exceeded_sent : int;
-  unreachable_sent : int;
-  errors_rcvd : int;
-  bad_checksums : int;
+type stats = private {
+  mutable echo_requests_rcvd : int;
+  mutable echo_replies_sent : int;
+  mutable echo_replies_rcvd : int;
+  mutable time_exceeded_sent : int;
+  mutable unreachable_sent : int;
+  mutable errors_rcvd : int;
+  mutable bad_checksums : int;
 }
 
 val create : ip:Ipv4.t -> t
@@ -39,3 +39,5 @@ val on_error : t -> (kind:[ `Unreachable | `Time_exceeded ] -> src:Inaddr.t -> u
     arrives. *)
 
 val stats : t -> stats
+(** The instance's live counter record (it keeps counting after the
+    call). *)

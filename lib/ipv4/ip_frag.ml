@@ -13,7 +13,6 @@ type t = {
   timeout : Simtime.t;
   entries : (key, entry) Hashtbl.t;
   mutable n_timeouts : int;
-  mutable n_reassembled : int;
 }
 
 let create ~host ?(timeout = Simtime.ms 200.) () =
@@ -22,12 +21,10 @@ let create ~host ?(timeout = Simtime.ms 200.) () =
     timeout;
     entries = Hashtbl.create 16;
     n_timeouts = 0;
-    n_reassembled = 0;
   }
 
 let pending t = Hashtbl.length t.entries
 let timeouts t = t.n_timeouts
-let reassembled t = t.n_reassembled
 
 (* Merge (off, len) into a sorted disjoint interval list. *)
 let rec merge intervals (off, len) =
@@ -98,7 +95,6 @@ let input t ~hdr chain =
   if complete entry then begin
     Sim.release t.host.Host.sim entry.timer;
     Hashtbl.remove t.entries key;
-    t.n_reassembled <- t.n_reassembled + 1;
     let total = Option.get entry.total in
     let payload = Mbuf.of_bytes ~pkthdr:true (Bytes.sub entry.buf 0 total) in
     let hdr =

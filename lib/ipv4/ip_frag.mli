@@ -21,4 +21,3 @@ val pending : t -> int
 (** Datagrams currently being reassembled. *)
 
 val timeouts : t -> int
-val reassembled : t -> int

@@ -1,17 +1,17 @@
 type handler = src:Inaddr.t -> dst:Inaddr.t -> Mbuf.t -> unit
 
 type stats = {
-  received : int;
-  delivered : int;
-  forwarded : int;
-  dropped_no_route : int;
-  dropped_bad_header : int;
-  dropped_no_proto : int;
-  dropped_ttl : int;
-  sent : int;
-  fragments_sent : int;
-  fragments_rcvd : int;
-  reassembled : int;
+  mutable received : int;
+  mutable delivered : int;
+  mutable forwarded : int;
+  mutable dropped_no_route : int;
+  mutable dropped_bad_header : int;
+  mutable dropped_no_proto : int;
+  mutable dropped_ttl : int;
+  mutable sent : int;
+  mutable fragments_sent : int;
+  mutable fragments_rcvd : int;
+  mutable reassembled : int;
 }
 
 type t = {
@@ -20,14 +20,7 @@ type t = {
   mutable handlers : (int * handler) list;
   mutable ident : int;
   mutable forwarding : bool;
-  mutable s_received : int;
-  mutable s_delivered : int;
-  mutable s_forwarded : int;
-  mutable s_no_route : int;
-  mutable s_bad_header : int;
-  mutable s_no_proto : int;
-  mutable s_ttl : int;
-  mutable s_sent : int;
+  s : stats;
   mutable error_hook :
     (reason:[ `Ttl | `No_route ] ->
     orig_src:Inaddr.t ->
@@ -35,8 +28,6 @@ type t = {
     unit)
     option;
   frag : Ip_frag.t;
-  mutable s_frags_sent : int;
-  mutable s_frags_rcvd : int;
   mutable hdr_memo : hdr_memo option;
 }
 
@@ -63,18 +54,22 @@ let create ~host =
     handlers = [];
     ident = 0;
     forwarding = false;
-    s_received = 0;
-    s_delivered = 0;
-    s_forwarded = 0;
-    s_no_route = 0;
-    s_bad_header = 0;
-    s_no_proto = 0;
-    s_ttl = 0;
-    s_sent = 0;
+    s =
+      {
+        received = 0;
+        delivered = 0;
+        forwarded = 0;
+        dropped_no_route = 0;
+        dropped_bad_header = 0;
+        dropped_no_proto = 0;
+        dropped_ttl = 0;
+        sent = 0;
+        fragments_sent = 0;
+        fragments_rcvd = 0;
+        reassembled = 0;
+      };
     error_hook = None;
     frag = Ip_frag.create ~host ();
-    s_frags_sent = 0;
-    s_frags_rcvd = 0;
     hdr_memo = None;
   }
 
@@ -131,7 +126,7 @@ let next_ident t =
 let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
   match Routing.lookup t.routing dst with
   | None ->
-      t.s_no_route <- t.s_no_route + 1;
+      t.s.dropped_no_route <- t.s.dropped_no_route + 1;
       Mbuf.free seg;
       Error "no route to host"
   | Some (iface, next_hop) ->
@@ -153,7 +148,7 @@ let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
         let hbytes = Bytes.create Ipv4_header.size in
         Ipv4_header.encode hdr hbytes ~off:0;
         Mbuf.copy_from pkt ~off:0 ~len:Ipv4_header.size hbytes ~src_off:0;
-        t.s_sent <- t.s_sent + 1;
+        t.s.sent <- t.s.sent + 1;
         iface.Netif.output iface pkt ~next_hop
       in
       if total_len <= iface.Netif.mtu then begin
@@ -187,7 +182,7 @@ let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
             ph.Mbuf.tx_csum <- tx_csum;
             ph.Mbuf.on_outboard <- on_outboard
         | None -> ());
-        t.s_sent <- t.s_sent + 1;
+        t.s.sent <- t.s.sent + 1;
         iface.Netif.output iface pkt ~next_hop;
         Ok iface
       end
@@ -205,7 +200,7 @@ let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
             if off < seg_len then begin
               let len = min per (seg_len - off) in
               let piece = Mbuf.copy_range seg ~off ~len in
-              t.s_frags_sent <- t.s_frags_sent + 1;
+              t.s.fragments_sent <- t.s.fragments_sent + 1;
               emit_one ~ident ~frag_offset:(off / 8)
                 ~more_fragments:(off + len < seg_len)
                 piece;
@@ -221,10 +216,10 @@ let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
 let deliver_local t ~src ~dst ~proto pkt =
   match List.assoc_opt proto t.handlers with
   | None ->
-      t.s_no_proto <- t.s_no_proto + 1;
+      t.s.dropped_no_proto <- t.s.dropped_no_proto + 1;
       Mbuf.free pkt
   | Some h ->
-      t.s_delivered <- t.s_delivered + 1;
+      t.s.delivered <- t.s.delivered + 1;
       h ~src ~dst pkt
 
 let notify_error t reason (hdr : Ipv4_header.t) pkt =
@@ -238,20 +233,20 @@ let notify_error t reason (hdr : Ipv4_header.t) pkt =
 
 let forward t pkt (hdr : Ipv4_header.t) =
   if hdr.Ipv4_header.ttl <= 1 then begin
-    t.s_ttl <- t.s_ttl + 1;
+    t.s.dropped_ttl <- t.s.dropped_ttl + 1;
     notify_error t `Ttl hdr pkt;
     Mbuf.free pkt
   end
   else
     match Routing.lookup t.routing hdr.Ipv4_header.dst with
     | None ->
-        t.s_no_route <- t.s_no_route + 1;
+        t.s.dropped_no_route <- t.s.dropped_no_route + 1;
         notify_error t `No_route hdr pkt;
         Mbuf.free pkt
     | Some (iface, next_hop) ->
         if Mbuf.pkt_len pkt > iface.Netif.mtu then begin
           (* No fragmentation on the forwarding path in this stack. *)
-          t.s_no_route <- t.s_no_route + 1;
+          t.s.dropped_no_route <- t.s.dropped_no_route + 1;
           Mbuf.free pkt
         end
         else begin
@@ -260,7 +255,7 @@ let forward t pkt (hdr : Ipv4_header.t) =
           let hbytes = Bytes.create Ipv4_header.size in
           Ipv4_header.encode hdr hbytes ~off:0;
           Mbuf.copy_from pkt ~off:0 ~len:Ipv4_header.size hbytes ~src_off:0;
-          t.s_forwarded <- t.s_forwarded + 1;
+          t.s.forwarded <- t.s.forwarded + 1;
           (* Forwarding work is charged here: one per-packet cost. *)
           Host.in_proc t.host ~proc:"kernel.forward" ~site:Cpu.Header
             (Memcost.per_packet t.host.Host.profile) (fun () ->
@@ -268,7 +263,7 @@ let forward t pkt (hdr : Ipv4_header.t) =
         end
 
 let input t (_iface : Netif.t) pkt =
-  t.s_received <- t.s_received + 1;
+  t.s.received <- t.s.received + 1;
   let pkt = Mbuf.pullup pkt Ipv4_header.size in
   (* After pullup the header is contiguous: decode it in place. *)
   let hbytes, hoff =
@@ -281,11 +276,11 @@ let input t (_iface : Netif.t) pkt =
   in
   match Ipv4_header.decode hbytes ~off:hoff with
   | Error _ ->
-      t.s_bad_header <- t.s_bad_header + 1;
+      t.s.dropped_bad_header <- t.s.dropped_bad_header + 1;
       Mbuf.free pkt
   | Ok hdr ->
       if Mbuf.pkt_len pkt < hdr.Ipv4_header.total_len then begin
-        t.s_bad_header <- t.s_bad_header + 1;
+        t.s.dropped_bad_header <- t.s.dropped_bad_header + 1;
         Mbuf.free pkt
       end
       else begin
@@ -300,7 +295,7 @@ let input t (_iface : Netif.t) pkt =
           (* A fragment for us: reassemble.  The copy into the reassembly
              buffer is host work (classic BSD slow path). *)
           Mbuf.adj_head pkt Ipv4_header.size;
-          t.s_frags_rcvd <- t.s_frags_rcvd + 1;
+          t.s.fragments_rcvd <- t.s.fragments_rcvd + 1;
           let cost =
             Memcost.copy t.host.Host.profile ~locality:Memcost.Cold
               (Mbuf.pkt_len pkt)
@@ -309,6 +304,7 @@ let input t (_iface : Netif.t) pkt =
               match Ip_frag.input t.frag ~hdr pkt with
               | None -> ()
               | Some (hdr, datagram) ->
+                  t.s.reassembled <- t.s.reassembled + 1;
                   deliver_local t ~src:hdr.Ipv4_header.src
                     ~dst:hdr.Ipv4_header.dst ~proto:hdr.Ipv4_header.proto
                     datagram)
@@ -331,24 +327,11 @@ let input t (_iface : Netif.t) pkt =
         end
         else if t.forwarding then forward t pkt hdr
         else begin
-          t.s_no_route <- t.s_no_route + 1;
+          t.s.dropped_no_route <- t.s.dropped_no_route + 1;
           Mbuf.free pkt
         end
       end
 
 let set_error_hook t hook = t.error_hook <- Some hook
 
-let stats t =
-  {
-    received = t.s_received;
-    delivered = t.s_delivered;
-    forwarded = t.s_forwarded;
-    dropped_no_route = t.s_no_route;
-    dropped_bad_header = t.s_bad_header;
-    dropped_no_proto = t.s_no_proto;
-    dropped_ttl = t.s_ttl;
-    sent = t.s_sent;
-    fragments_sent = t.s_frags_sent;
-    fragments_rcvd = t.s_frags_rcvd;
-    reassembled = Ip_frag.reassembled t.frag;
-  }
+let stats t = t.s

@@ -10,18 +10,18 @@ type handler = src:Inaddr.t -> dst:Inaddr.t -> Mbuf.t -> unit
 (** Transport input: the chain's IP (and link) headers have been stripped;
     [pkthdr.rx_csum] still describes hardware checksum state. *)
 
-type stats = {
-  received : int;
-  delivered : int;
-  forwarded : int;
-  dropped_no_route : int;
-  dropped_bad_header : int;
-  dropped_no_proto : int;
-  dropped_ttl : int;
-  sent : int;
-  fragments_sent : int;
-  fragments_rcvd : int;
-  reassembled : int;
+type stats = private {
+  mutable received : int;
+  mutable delivered : int;
+  mutable forwarded : int;
+  mutable dropped_no_route : int;
+  mutable dropped_bad_header : int;
+  mutable dropped_no_proto : int;
+  mutable dropped_ttl : int;
+  mutable sent : int;
+  mutable fragments_sent : int;
+  mutable fragments_rcvd : int;
+  mutable reassembled : int;
 }
 
 type t
@@ -72,3 +72,5 @@ val set_error_hook :
     generation wants them.  Installed by {!Icmp}. *)
 
 val stats : t -> stats
+(** The instance's live counter record (it keeps counting after the
+    call). *)

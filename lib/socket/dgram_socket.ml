@@ -1,14 +1,14 @@
 type dgram_stats = {
-  sent : int;
-  sent_uio : int;
-  sent_copy : int;
-  send_errors : int;
-  received : int;
-  rx_copyouts : int;
-  rx_kernel_copies : int;
-  pin_fallbacks : int;
-  truncated : int;
-  queue_drops : int;
+  mutable sent : int;
+  mutable sent_uio : int;
+  mutable sent_copy : int;
+  mutable send_errors : int;
+  mutable received : int;
+  mutable rx_copyouts : int;
+  mutable rx_kernel_copies : int;
+  mutable pin_fallbacks : int;
+  mutable truncated : int;
+  mutable queue_drops : int;
 }
 
 type t = {
@@ -23,7 +23,7 @@ type t = {
   mutable rcvq : (Udp.endpoint * Mbuf.t) list;  (* oldest first *)
   mutable reader : (unit -> unit) option;
   mutable closed : bool;
-  mutable s : dgram_stats;
+  s : dgram_stats;
 }
 
 let stats t = t.s
@@ -63,7 +63,7 @@ let create ~host ~space ~proc ?(paths = Socket.default_paths)
   in
   Udp.bind udp ~port (fun ~src dgram ->
       if t.closed || List.length t.rcvq >= t.rcv_queue_max then begin
-        t.s <- { t.s with queue_drops = t.s.queue_drops + 1 };
+        t.s.queue_drops <- t.s.queue_drops + 1;
         Mbuf.free dgram
       end
       else begin
@@ -97,11 +97,11 @@ let send_path t region ~dst =
       else `Copy
 
 let sendto t region ~dst k =
-  t.s <- { t.s with sent = t.s.sent + 1 };
+  t.s.sent <- t.s.sent + 1;
   charge t (Memcost.syscall (profile t)) (fun () ->
       match send_path t region ~dst with
       | `Uio ->
-          t.s <- { t.s with sent_uio = t.s.sent_uio + 1 };
+          t.s.sent_uio <- t.s.sent_uio + 1;
           let len = Region.length region in
           let notify = Mbuf.make_notify () in
           Mbuf.notify_add notify len;
@@ -123,11 +123,11 @@ let sendto t region ~dst k =
                   if notify.Mbuf.dma_pending = 0 then finish ()
                   else notify.Mbuf.on_drained <- finish
               | Error _ ->
-                  t.s <- { t.s with send_errors = t.s.send_errors + 1 };
+                  t.s.send_errors <- t.s.send_errors + 1;
                   Mbuf.notify_complete_n notify notify.Mbuf.dma_pending;
                   finish ()))
       | `Copy ->
-          t.s <- { t.s with sent_copy = t.s.sent_copy + 1 };
+          t.s.sent_copy <- t.s.sent_copy + 1;
           let len = Region.length region in
           let copy_cost = Memcost.copy (profile t) ~locality:Memcost.Cold len in
           charge t copy_cost (fun () ->
@@ -139,7 +139,7 @@ let sendto t region ~dst k =
                with
               | Ok () -> ()
               | Error _ ->
-                  t.s <- { t.s with send_errors = t.s.send_errors + 1 });
+                  t.s.send_errors <- t.s.send_errors + 1);
               k ()))
 
 (* Deliver one datagram chain into the user region, truncating like a
@@ -150,7 +150,7 @@ let deliver t chain region k =
   let dlen = Mbuf.chain_len chain in
   let want = min dlen (Region.length region) in
   if dlen > Region.length region then
-    t.s <- { t.s with truncated = t.s.truncated + 1 };
+    t.s.truncated <- t.s.truncated + 1;
   let iface =
     Option.bind (Mbuf.rcvif chain) (fun name -> Host.find_iface t.host name)
   in
@@ -162,11 +162,11 @@ let deliver t chain region k =
       cache = None;
       on_kernel_copy =
         (fun _ ->
-          t.s <- { t.s with rx_kernel_copies = t.s.rx_kernel_copies + 1 });
+          t.s.rx_kernel_copies <- t.s.rx_kernel_copies + 1);
       on_copyout =
-        (fun _ -> t.s <- { t.s with rx_copyouts = t.s.rx_copyouts + 1 });
+        (fun _ -> t.s.rx_copyouts <- t.s.rx_copyouts + 1);
       on_pin_fallback =
-        (fun _ -> t.s <- { t.s with pin_fallbacks = t.s.pin_fallbacks + 1 });
+        (fun _ -> t.s.pin_fallbacks <- t.s.pin_fallbacks + 1);
     }
   in
   Copyout_path.deliver_chain ctx ~iface chain region ~dst_off:0 ~limit:want
@@ -179,7 +179,7 @@ let rec recvfrom t region k =
       match t.rcvq with
       | (src, chain) :: rest ->
           t.rcvq <- rest;
-          t.s <- { t.s with received = t.s.received + 1 };
+          t.s.received <- t.s.received + 1;
           deliver t chain region (fun n -> k n src)
       | [] ->
           if not t.closed then

@@ -14,19 +14,19 @@
 
 type t
 
-type dgram_stats = {
-  sent : int;
-  sent_uio : int;  (** single-copy sends *)
-  sent_copy : int;
-  send_errors : int;
-  received : int;
-  rx_copyouts : int;  (** outboard segments moved by the engine *)
-  rx_kernel_copies : int;  (** segments host-copied to the app *)
-  pin_fallbacks : int;
+type dgram_stats = private {
+  mutable sent : int;
+  mutable sent_uio : int;  (** single-copy sends *)
+  mutable sent_copy : int;
+  mutable send_errors : int;
+  mutable received : int;
+  mutable rx_copyouts : int;  (** outboard segments moved by the engine *)
+  mutable rx_kernel_copies : int;  (** segments host-copied to the app *)
+  mutable pin_fallbacks : int;
       (** copy-outs degraded to kernel staging because the destination
           would not pin *)
-  truncated : int;  (** datagrams longer than the receive buffer *)
-  queue_drops : int;  (** receive-queue overflow *)
+  mutable truncated : int;  (** datagrams longer than the receive buffer *)
+  mutable queue_drops : int;  (** receive-queue overflow *)
 }
 
 val create :
@@ -52,6 +52,8 @@ val recvfrom : t -> Region.t -> (int -> Udp.endpoint -> unit) -> unit
     it. *)
 
 val stats : t -> dgram_stats
+(** The socket's live counter record (it keeps counting after the
+    call). *)
 
 val close : t -> unit
 (** Unbinds the port and discards queued datagrams. *)

@@ -16,22 +16,22 @@ let default_paths =
   }
 
 type stats = {
-  writes : int;
-  uio_writes : int;
-  copy_writes : int;
-  unaligned_fallbacks : int;
-  align_fixups : int;
-  bytes_written : int;
-  reads : int;
-  wcab_copyouts : int;
-  kernel_copy_reads : int;
-  bytes_read : int;
-  write_blocks : int;
-  read_blocks : int;
-  pin_fallbacks : int;
+  mutable writes : int;
+  mutable uio_writes : int;
+  mutable copy_writes : int;
+  mutable unaligned_fallbacks : int;
+  mutable align_fixups : int;
+  mutable bytes_written : int;
+  mutable reads : int;
+  mutable wcab_copyouts : int;
+  mutable kernel_copy_reads : int;
+  mutable bytes_read : int;
+  mutable write_blocks : int;
+  mutable read_blocks : int;
+  mutable pin_fallbacks : int;
 }
 
-let zero_stats =
+let new_stats () =
   {
     writes = 0;
     uio_writes = 0;
@@ -82,7 +82,7 @@ type t = {
       (* readiness edge notification for {!Sockpoll}: fired whenever the
          pcb reports readable / sendable / closed, after the socket's own
          wakeups ran (so level checks observe the post-wakeup state) *)
-  mutable s : stats;
+  s : stats;
 }
 
 (* Every this-many rx cost observations, stage a hint for the peer. *)
@@ -128,7 +128,7 @@ let create ~host ~space ~proc ?(paths = default_paths) pcb =
       rx_observations = 0;
       closed = false;
       event_hook = None;
-      s = zero_stats;
+      s = new_stats ();
     }
   in
   (* Bidirectional policy: hints the peer piggybacks on its ACKs land in
@@ -185,7 +185,7 @@ let charge ?(site = Cpu.Socket) t cost k =
     k
 
 let block_writer t k =
-  t.s <- { t.s with write_blocks = t.s.write_blocks + 1 };
+  t.s.write_blocks <- t.s.write_blocks + 1;
   Queue.push k t.writers_waiting
 
 let acquire_append t f =
@@ -201,7 +201,7 @@ let release_append t =
 
 let block_reader t k =
   assert (t.reader_waiting = None);
-  t.s <- { t.s with read_blocks = t.s.read_blocks + 1 };
+  t.s.read_blocks <- t.s.read_blocks + 1;
   t.reader_waiting <- Some k
 
 (* ---------------- write ---------------- *)
@@ -236,7 +236,7 @@ let write_uio t region ~on_appended ~on_pin_fail k =
      exists yet if it fails. *)
   match try_wire t region with
   | Error wasted ->
-      t.s <- { t.s with pin_fallbacks = t.s.pin_fallbacks + 1 };
+      t.s.pin_fallbacks <- t.s.pin_fallbacks + 1;
       charge t wasted on_pin_fail
   | Ok vm_cost ->
   Obs_trace.emit Obs_trace.Sock_write ~a:total ~b:1;
@@ -330,12 +330,8 @@ let single_copy_route t =
   | None -> false
 
 let write t region k =
-  t.s <-
-    {
-      t.s with
-      writes = t.s.writes + 1;
-      bytes_written = t.s.bytes_written + Region.length region;
-    };
+  t.s.writes <- t.s.writes + 1;
+  t.s.bytes_written <- t.s.bytes_written + Region.length region;
   charge t (Memcost.syscall (profile t)) (fun () ->
       acquire_append t (fun () ->
       let len = Region.length region in
@@ -383,7 +379,7 @@ let write t region k =
           in
           (match route with
           | Path_policy.Uio ->
-              t.s <- { t.s with uio_writes = t.s.uio_writes + 1 };
+              t.s.uio_writes <- t.s.uio_writes + 1;
               write_uio t region
                 ~on_appended:(fun () -> release_append t)
                 ~on_pin_fail:(fun () ->
@@ -391,19 +387,15 @@ let write t region k =
                      outboard path and finish the write by copying (still
                      holding the append lock). *)
                   Path_policy.penalize policy;
-                  t.s <- { t.s with copy_writes = t.s.copy_writes + 1 };
+                  t.s.copy_writes <- t.s.copy_writes + 1;
                   write_copy t region (fun () ->
                       release_append t;
                       finish Path_policy.Copy ()))
                 (finish Path_policy.Uio)
           | Path_policy.Copy ->
               if not aligned then
-                t.s <-
-                  {
-                    t.s with
-                    unaligned_fallbacks = t.s.unaligned_fallbacks + 1;
-                  };
-              t.s <- { t.s with copy_writes = t.s.copy_writes + 1 };
+                t.s.unaligned_fallbacks <- t.s.unaligned_fallbacks + 1;
+              t.s.copy_writes <- t.s.copy_writes + 1;
               write_copy t region (fun () ->
                   release_append t;
                   finish Path_policy.Copy ()))
@@ -413,11 +405,11 @@ let write t region k =
         && (t.paths.force_uio || len >= t.paths.uio_threshold)
       in
       if want_uio && aligned then begin
-        t.s <- { t.s with uio_writes = t.s.uio_writes + 1 };
+        t.s.uio_writes <- t.s.uio_writes + 1;
         write_uio t region
           ~on_appended:(fun () -> release_append t)
           ~on_pin_fail:(fun () ->
-            t.s <- { t.s with copy_writes = t.s.copy_writes + 1 };
+            t.s.copy_writes <- t.s.copy_writes + 1;
             write_copy t region (fun () ->
                 release_append t;
                 k ()))
@@ -428,13 +420,9 @@ let write t region k =
            The append lock spans head and bulk so no sibling write can
            slip between them. *)
         let head_len = 4 - (Region.vaddr region land 3) in
-        t.s <-
-          {
-            t.s with
-            align_fixups = t.s.align_fixups + 1;
-            uio_writes = t.s.uio_writes + 1;
-            copy_writes = t.s.copy_writes + 1;
-          };
+        t.s.align_fixups <- t.s.align_fixups + 1;
+        t.s.uio_writes <- t.s.uio_writes + 1;
+        t.s.copy_writes <- t.s.copy_writes + 1;
         write_copy t (Region.sub region ~off:0 ~len:head_len) (fun () ->
             let bulk = Region.sub region ~off:head_len ~len:(len - head_len) in
             write_uio t bulk
@@ -447,9 +435,8 @@ let write t region k =
       end
       else begin
         if want_uio && not aligned then
-          t.s <-
-            { t.s with unaligned_fallbacks = t.s.unaligned_fallbacks + 1 };
-        t.s <- { t.s with copy_writes = t.s.copy_writes + 1 };
+          t.s.unaligned_fallbacks <- t.s.unaligned_fallbacks + 1;
+        t.s.copy_writes <- t.s.copy_writes + 1;
         write_copy t region (fun () ->
             release_append t;
             k ())
@@ -497,11 +484,11 @@ let deliver_chain t chain region ~dst_off k =
       cache = t.cache;
       on_kernel_copy =
         (fun _ ->
-          t.s <- { t.s with kernel_copy_reads = t.s.kernel_copy_reads + 1 });
+          t.s.kernel_copy_reads <- t.s.kernel_copy_reads + 1);
       on_copyout =
-        (fun _ -> t.s <- { t.s with wcab_copyouts = t.s.wcab_copyouts + 1 });
+        (fun _ -> t.s.wcab_copyouts <- t.s.wcab_copyouts + 1);
       on_pin_fallback =
-        (fun _ -> t.s <- { t.s with pin_fallbacks = t.s.pin_fallbacks + 1 });
+        (fun _ -> t.s.pin_fallbacks <- t.s.pin_fallbacks + 1);
     }
   in
   Copyout_path.deliver_chain ctx ~iface:(Tcp.remote_iface t.pcb) chain region
@@ -535,7 +522,7 @@ let observe_rx_cost t ~had_wcab ~len ~t0 =
       end
 
 let rec read t region k =
-  t.s <- { t.s with reads = t.s.reads + 1 };
+  t.s.reads <- t.s.reads + 1;
   charge t (Memcost.syscall (profile t)) (fun () -> read_attempt t region k)
 
 (* Pipelined receive: instead of draining one recv and waiting for all of
@@ -571,7 +558,7 @@ and read_attempt t region k =
         parked := false
       end;
       let got = !claimed in
-      t.s <- { t.s with bytes_read = t.s.bytes_read + got };
+      t.s.bytes_read <- t.s.bytes_read + got;
       observe_rx_cost t ~had_wcab:!had_wcab ~len:got ~t0;
       k got
     in

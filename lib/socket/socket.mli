@@ -44,21 +44,21 @@ val default_paths : path_config
 (** threshold 16 KByte (the measured crossover), pin cache on with a
     1024-page budget, [force_uio] off. *)
 
-type stats = {
-  writes : int;
-  uio_writes : int;
-  copy_writes : int;
-  unaligned_fallbacks : int;
-  align_fixups : int;
+type stats = private {
+  mutable writes : int;
+  mutable uio_writes : int;
+  mutable copy_writes : int;
+  mutable unaligned_fallbacks : int;
+  mutable align_fixups : int;
       (** misaligned writes realigned by a short leading copy (§4.5) *)
-  bytes_written : int;
-  reads : int;
-  wcab_copyouts : int;  (** DMA copy-outs of outboard receive data *)
-  kernel_copy_reads : int;  (** host copies from kernel mbufs to user *)
-  bytes_read : int;
-  write_blocks : int;  (** times a writer slept on buffer space *)
-  read_blocks : int;
-  pin_fallbacks : int;
+  mutable bytes_written : int;
+  mutable reads : int;
+  mutable wcab_copyouts : int;  (** DMA copy-outs of outboard receive data *)
+  mutable kernel_copy_reads : int;  (** host copies from kernel mbufs to user *)
+  mutable bytes_read : int;
+  mutable write_blocks : int;  (** times a writer slept on buffer space *)
+  mutable read_blocks : int;
+  mutable pin_fallbacks : int;
       (** UIO writes / DMA copy-outs that degraded to the copying path
           because the kernel refused to wire the buffer (fault site
           ["vm.pin_fail"]) *)
@@ -78,6 +78,8 @@ val create :
 
 val pcb : t -> Tcp.pcb
 val stats : t -> stats
+(** The socket's live counter record (it keeps counting after the call). *)
+
 val pin_cache : t -> Pin_cache.t option
 
 val path_policy : t -> Path_policy.t option

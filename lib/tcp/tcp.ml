@@ -54,24 +54,24 @@ let rto_init = Simtime.ms 200.
 let rto_max = Simtime.s 2.
 
 type pcb_stats = {
-  segs_sent : int;
-  segs_rcvd : int;
-  bytes_sent : int;
-  bytes_rcvd : int;
-  acks_rcvd : int;
-  dup_acks : int;
-  retransmits : int;
-  rto_fires : int;
-  fast_retransmits : int;
-  csum_offloaded_tx : int;
-  csum_host_tx : int;
-  csum_hw_verified_rx : int;
-  csum_host_verified_rx : int;
-  csum_failures_rx : int;
-  wcab_converted : int;
-  wcab_retransmit_hits : int;
-  dropped_wcab_legacy : int;
-  descriptor_merges : int;
+  mutable segs_sent : int;
+  mutable segs_rcvd : int;
+  mutable bytes_sent : int;
+  mutable bytes_rcvd : int;
+  mutable acks_rcvd : int;
+  mutable dup_acks : int;
+  mutable retransmits : int;
+  mutable rto_fires : int;
+  mutable fast_retransmits : int;
+  mutable csum_offloaded_tx : int;
+  mutable csum_host_tx : int;
+  mutable csum_hw_verified_rx : int;
+  mutable csum_host_verified_rx : int;
+  mutable csum_failures_rx : int;
+  mutable wcab_converted : int;
+  mutable wcab_retransmit_hits : int;
+  mutable dropped_wcab_legacy : int;
+  mutable descriptor_merges : int;
 }
 
 (* Process-wide recovery aggregates: pcbs come and go, but the soak
@@ -125,7 +125,7 @@ let conn_keepalive_drops =
 let conn_listen_drained = Obs.counter ~section:"conn" ~name:"listen_drained"
 let conn_port_lookups = Obs.counter ~section:"conn" ~name:"port_lookups"
 
-let zero_stats =
+let new_stats () =
   {
     segs_sent = 0;
     segs_rcvd = 0;
@@ -238,7 +238,7 @@ type pcb = {
   mutable on_sendable : unit -> unit;
   mutable on_established : unit -> unit;
   mutable on_closed : unit -> unit;
-  mutable stats : pcb_stats;
+  stats : pcb_stats;
 }
 
 and t = {
@@ -411,8 +411,7 @@ let checksum_plan pcb ~iface ~hdr_len ~(payload : Mbuf.t option) ~seg_len =
     iface.Netif.single_copy && (payload <> None || payload_has_wcab)
   in
   if offload then begin
-    pcb.stats <-
-      { pcb.stats with csum_offloaded_tx = pcb.stats.csum_offloaded_tx + 1 };
+    pcb.stats.csum_offloaded_tx <- pcb.stats.csum_offloaded_tx + 1;
     let record =
       Csum_offload.make_tx ~csum_offset:Tcp_header.csum_field_offset
         ~skip_bytes:0 ~seed:pseudo
@@ -426,7 +425,7 @@ let checksum_plan pcb ~iface ~hdr_len ~(payload : Mbuf.t option) ~seg_len =
        the stack cannot transmit this segment (§6 note). *)
     `Unsendable
   else begin
-    pcb.stats <- { pcb.stats with csum_host_tx = pcb.stats.csum_host_tx + 1 };
+    pcb.stats.csum_host_tx <- pcb.stats.csum_host_tx + 1;
     let payload_sum, payload_len =
       match payload with
       | None -> (Inet_csum.zero, 0)
@@ -501,11 +500,7 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
       (match checksum_plan pcb ~iface ~hdr_len ~payload ~seg_len with
       | `Unsendable ->
           (match payload with Some p -> Mbuf.free p | None -> ());
-          pcb.stats <-
-            {
-              pcb.stats with
-              dropped_wcab_legacy = pcb.stats.dropped_wcab_legacy + 1;
-            };
+          pcb.stats.dropped_wcab_legacy <- pcb.stats.dropped_wcab_legacy + 1;
           Error "outboard data on legacy path"
       | `Offload (field, record) ->
           Bytes.set_uint16_be hbytes Tcp_header.csum_field_offset
@@ -528,12 +523,8 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
       |> function
       | Error _ as e -> e
       | Ok (seg, payload_len, csum_cost) ->
-          pcb.stats <-
-            {
-              pcb.stats with
-              segs_sent = pcb.stats.segs_sent + 1;
-              bytes_sent = pcb.stats.bytes_sent + payload_len;
-            };
+          pcb.stats.segs_sent <- pcb.stats.segs_sent + 1;
+          pcb.stats.bytes_sent <- pcb.stats.bytes_sent + payload_len;
           pcb.rcv_adv <- Tcp_seq.add pcb.rcv_nxt (rcv_space pcb);
           pcb.ack_pending <- false;
           pcb.need_ack_now <- false;
@@ -629,12 +620,8 @@ and rto_fire pcb =
         to_closed pcb
       end
       else begin
-      pcb.stats <-
-        {
-          pcb.stats with
-          rto_fires = pcb.stats.rto_fires + 1;
-          retransmits = pcb.stats.retransmits + 1;
-        };
+      pcb.stats.rto_fires <- pcb.stats.rto_fires + 1;
+      pcb.stats.retransmits <- pcb.stats.retransmits + 1;
       Obs.Counter.incr agg_rto_fires;
       Obs.Counter.incr agg_retransmits;
       (* Back off, rewind, and resend (go-back-N; Karn: discard timing). *)
@@ -748,15 +735,10 @@ and transmit_plan pcb plan =
       Obs_trace.emit Obs_trace.Packetize ~a:(seq : Tcp_seq.t :> int) ~b:len;
       let retransmit = Tcp_seq.lt seq pcb.snd_max in
       if retransmit then begin
-        pcb.stats <-
-          { pcb.stats with retransmits = pcb.stats.retransmits + 1 };
+        pcb.stats.retransmits <- pcb.stats.retransmits + 1;
         Obs.Counter.incr agg_retransmits;
         if List.mem Mbuf.K_wcab (Mbuf.chain_kinds payload) then
-          pcb.stats <-
-            {
-              pcb.stats with
-              wcab_retransmit_hits = pcb.stats.wcab_retransmit_hits + 1;
-            }
+          pcb.stats.wcab_retransmit_hits <- pcb.stats.wcab_retransmit_hits + 1
       end;
       (* Arrange the M_UIO -> M_WCAB swap once the driver has the data
          outboard (§4.2). *)
@@ -782,11 +764,7 @@ and transmit_plan pcb plan =
                   if not already_wcab then begin
                     let wm = Mbuf.make_wcab ~desc ~len ~hdr:None in
                     Tcp_sendq.replace pcb.sendq ~off:qoff ~len wm;
-                    pcb.stats <-
-                      {
-                        pcb.stats with
-                        wcab_converted = pcb.stats.wcab_converted + 1;
-                      }
+                    pcb.stats.wcab_converted <- pcb.stats.wcab_converted + 1
                   end
                   else desc.Mbuf.wcab_free ()
                 end
@@ -952,11 +930,9 @@ let verify_checksum pcb seg =
     verify_rx_csum pcb.tcp ~base:pcb.csum_base ~ws_hint:pcb.ws_hint_rx seg
   in
   let s = pcb.stats in
-  pcb.stats <-
-    (if not ok then { s with csum_failures_rx = s.csum_failures_rx + 1 }
-     else if hw then
-       { s with csum_hw_verified_rx = s.csum_hw_verified_rx + 1 }
-     else { s with csum_host_verified_rx = s.csum_host_verified_rx + 1 });
+  if not ok then s.csum_failures_rx <- s.csum_failures_rx + 1
+  else if hw then s.csum_hw_verified_rx <- s.csum_hw_verified_rx + 1
+  else s.csum_host_verified_rx <- s.csum_host_verified_rx + 1;
   r
 
 (* ---------- ack policy on data receipt ---------- *)
@@ -1026,7 +1002,7 @@ let keep_fire pcb =
 let deliver_data pcb chain len =
   pcb.rcvq <- pcb.rcvq @ [ chain ];
   pcb.rcvq_len <- pcb.rcvq_len + len;
-  pcb.stats <- { pcb.stats with bytes_rcvd = pcb.stats.bytes_rcvd + len }
+  pcb.stats.bytes_rcvd <- pcb.stats.bytes_rcvd + len
 
 let process_ack pcb (hdr : Tcp_header.t) =
   let ack = hdr.Tcp_header.ack in
@@ -1039,16 +1015,12 @@ let process_ack pcb (hdr : Tcp_header.t) =
       && pcb.snd_wnd > 0
     then begin
       pcb.dupacks <- pcb.dupacks + 1;
-      pcb.stats <- { pcb.stats with dup_acks = pcb.stats.dup_acks + 1 };
+      pcb.stats.dup_acks <- pcb.stats.dup_acks + 1;
       (* Fast retransmit: resend exactly the missing segment, once per
          window of loss (the [recover] guard prevents a dup-ACK storm from
          triggering a retransmission cascade). *)
       if pcb.dupacks = 3 && Tcp_seq.ge pcb.snd_una pcb.recover then begin
-        pcb.stats <-
-          {
-            pcb.stats with
-            fast_retransmits = pcb.stats.fast_retransmits + 1;
-          };
+        pcb.stats.fast_retransmits <- pcb.stats.fast_retransmits + 1;
         Obs.Counter.incr agg_fast_retransmits;
         pcb.recover <- pcb.snd_max;
         pcb.rtt_timing <- None;
@@ -1066,7 +1038,7 @@ let process_ack pcb (hdr : Tcp_header.t) =
     let acked = Tcp_seq.diff ack pcb.snd_una in
     pcb.dupacks <- 0;
     pcb.rexmt_shift <- 0;
-    pcb.stats <- { pcb.stats with acks_rcvd = pcb.stats.acks_rcvd + 1 };
+    pcb.stats.acks_rcvd <- pcb.stats.acks_rcvd + 1;
     (* RTT sample (Karn: only if the timed segment is covered and was not
        retransmitted — timing is dropped on retransmit). *)
     (match pcb.rtt_timing with
@@ -1182,7 +1154,7 @@ let rec process_data pcb ~seq chain =
 (* Full per-segment state machine, run inside a charged interrupt work
    item. *)
 let segment_arrived pcb (hdr : Tcp_header.t) chain =
-  pcb.stats <- { pcb.stats with segs_rcvd = pcb.stats.segs_rcvd + 1 };
+  pcb.stats.segs_rcvd <- pcb.stats.segs_rcvd + 1;
   keepalive_touch pcb;
   apply_rx_cost_options pcb hdr;
   let seq = hdr.Tcp_header.seq in
@@ -1369,7 +1341,7 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
       on_sendable = (fun () -> ());
       on_established = (fun () -> ());
       on_closed = (fun () -> ());
-      stats = zero_stats;
+      stats = new_stats ();
     }
   in
   (* The timer callbacks need the pcb, so they are installed after the
@@ -1594,17 +1566,14 @@ let establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport ~iss ~irs ~mss
       pcb
   | None ->
   let pcb = make_pcb ~iss tcp ~local_addr:laddr ~lport ~raddr ~rport in
-  pcb.stats <-
-    {
-      zero_stats with
-      segs_sent = 1 + rexmits;
-      segs_rcvd = 1;
-      csum_host_tx = 1 + rexmits;
-      retransmits = rexmits;
-      rto_fires = rexmits;
-      csum_hw_verified_rx = (if verified_hw then 1 else 0);
-      csum_host_verified_rx = (if verified_hw then 0 else 1);
-    };
+  let s = pcb.stats in
+  s.segs_sent <- 1 + rexmits;
+  s.segs_rcvd <- 1;
+  s.csum_host_tx <- 1 + rexmits;
+  s.retransmits <- rexmits;
+  s.rto_fires <- rexmits;
+  if verified_hw then s.csum_hw_verified_rx <- 1
+  else s.csum_host_verified_rx <- 1;
   pcb.setup_t0 <- created;
   pcb.st <- Established;
   pcb.irs <- irs;
@@ -2073,11 +2042,7 @@ let sosend_append pcb ~proc chain =
       let merge = pcb.tcp.cfg.coalesce_descriptors in
       let appended = Mbuf.chain_len chain in
       if merge && Tcp_sendq.append_merges_descriptor pcb.sendq chain then begin
-        pcb.stats <-
-          {
-            pcb.stats with
-            descriptor_merges = pcb.stats.descriptor_merges + 1;
-          };
+        pcb.stats.descriptor_merges <- pcb.stats.descriptor_merges + 1;
         Obs_trace.emit Obs_trace.Sendq_merge ~a:appended
           ~b:(Tcp_sendq.length pcb.sendq)
       end;

@@ -220,31 +220,36 @@ val set_rx_cost_handler :
 
 (** {1 Introspection} *)
 
-type pcb_stats = {
-  segs_sent : int;
-  segs_rcvd : int;
-  bytes_sent : int;
-  bytes_rcvd : int;
-  acks_rcvd : int;
-  dup_acks : int;
-  retransmits : int;
-  rto_fires : int;
-  fast_retransmits : int;
-  csum_offloaded_tx : int;  (** segments sent with the offload record *)
-  csum_host_tx : int;  (** segments checksummed by the host CPU *)
-  csum_hw_verified_rx : int;
-  csum_host_verified_rx : int;
-  csum_failures_rx : int;
-  wcab_converted : int;  (** send-queue ranges swapped to M_WCAB *)
-  wcab_retransmit_hits : int;  (** retransmits that found data outboard *)
-  dropped_wcab_legacy : int;
+type pcb_stats = private {
+  mutable segs_sent : int;
+  mutable segs_rcvd : int;
+  mutable bytes_sent : int;
+  mutable bytes_rcvd : int;
+  mutable acks_rcvd : int;
+  mutable dup_acks : int;
+  mutable retransmits : int;
+  mutable rto_fires : int;
+  mutable fast_retransmits : int;
+  mutable csum_offloaded_tx : int;
+      (** segments sent with the offload record *)
+  mutable csum_host_tx : int;  (** segments checksummed by the host CPU *)
+  mutable csum_hw_verified_rx : int;
+  mutable csum_host_verified_rx : int;
+  mutable csum_failures_rx : int;
+  mutable wcab_converted : int;  (** send-queue ranges swapped to M_WCAB *)
+  mutable wcab_retransmit_hits : int;
+      (** retransmits that found data outboard *)
+  mutable dropped_wcab_legacy : int;
       (** outboard retransmit data routed to a device that cannot send it *)
-  descriptor_merges : int;
+  mutable descriptor_merges : int;
       (** M_UIO descriptors from consecutive writes linked into one
           symbolic send-queue chain ([coalesce_descriptors]) *)
 }
 
 val pcb_stats : pcb -> pcb_stats
+(** The pcb's live counter record: it keeps counting after the call, so
+    read the fields when they are wanted. *)
+
 val pcb_config : pcb -> config
 val pcb_host : pcb -> Host.t
 val remote_iface : pcb -> Netif.t option

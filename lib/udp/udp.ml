@@ -1,17 +1,17 @@
 type endpoint = { addr : Inaddr.t; port : int }
 
 type stats = {
-  dgrams_sent : int;
-  dgrams_rcvd : int;
-  bytes_sent : int;
-  bytes_rcvd : int;
-  csum_offloaded_tx : int;
-  csum_host_tx : int;
-  csum_hw_verified_rx : int;
-  csum_host_verified_rx : int;
-  csum_failures_rx : int;
-  dropped_no_port : int;
-  dropped_too_big : int;
+  mutable dgrams_sent : int;
+  mutable dgrams_rcvd : int;
+  mutable bytes_sent : int;
+  mutable bytes_rcvd : int;
+  mutable csum_offloaded_tx : int;
+  mutable csum_host_tx : int;
+  mutable csum_hw_verified_rx : int;
+  mutable csum_host_verified_rx : int;
+  mutable csum_failures_rx : int;
+  mutable dropped_no_port : int;
+  mutable dropped_too_big : int;
 }
 
 (* Steady-state flow memo: a datagram stream repeats the same
@@ -31,11 +31,11 @@ type t = {
   ip : Ipv4.t;
   hst : Host.t;
   mutable ports : (int * (src:endpoint -> Mbuf.t -> unit)) list;
-  mutable s : stats;
+  s : stats;
   mutable flow : flow option;
 }
 
-let zero =
+let new_stats () =
   {
     dgrams_sent = 0;
     dgrams_rcvd = 0;
@@ -75,10 +75,8 @@ let verify t ~src ~dst dgram =
           else Mbuf.checksum dgram ~off:0 ~len:(min skipped_len len)
         in
         let ok = Csum_offload.rx_verify rx ~skipped ~pseudo in
-        t.s <-
-          (if ok then
-             { t.s with csum_hw_verified_rx = t.s.csum_hw_verified_rx + 1 }
-           else { t.s with csum_failures_rx = t.s.csum_failures_rx + 1 });
+        if ok then t.s.csum_hw_verified_rx <- t.s.csum_hw_verified_rx + 1
+        else t.s.csum_failures_rx <- t.s.csum_failures_rx + 1;
         (ok, 0)
     | Some _ | None ->
         let sum = Mbuf.checksum dgram ~off:0 ~len in
@@ -86,10 +84,8 @@ let verify t ~src ~dst dgram =
         let cost =
           Memcost.checksum_read t.hst.Host.profile ~locality:Memcost.Cold len
         in
-        t.s <-
-          (if ok then
-             { t.s with csum_host_verified_rx = t.s.csum_host_verified_rx + 1 }
-           else { t.s with csum_failures_rx = t.s.csum_failures_rx + 1 });
+        if ok then t.s.csum_host_verified_rx <- t.s.csum_host_verified_rx + 1
+        else t.s.csum_failures_rx <- t.s.csum_failures_rx + 1;
         (ok, cost)
 
 let input t ~src ~dst dgram =
@@ -108,7 +104,7 @@ let input t ~src ~dst dgram =
   | Ok (hdr, _) -> (
       match List.assoc_opt hdr.Udp_header.dst_port t.ports with
       | None ->
-          t.s <- { t.s with dropped_no_port = t.s.dropped_no_port + 1 };
+          t.s.dropped_no_port <- t.s.dropped_no_port + 1;
           Mbuf.free dgram
       | Some handler ->
           let ok, csum_cost = verify t ~src ~dst dgram in
@@ -120,19 +116,17 @@ let input t ~src ~dst dgram =
             Host.in_intr t.hst ~site:Cpu.Header
               ~split:(Cpu.Checksum, csum_cost) cost (fun () ->
                 Mbuf.adj_head dgram Udp_header.size;
-                t.s <-
-                  {
-                    t.s with
-                    dgrams_rcvd = t.s.dgrams_rcvd + 1;
-                    bytes_rcvd = t.s.bytes_rcvd + Mbuf.chain_len dgram;
-                  };
+                t.s.dgrams_rcvd <- t.s.dgrams_rcvd + 1;
+                t.s.bytes_rcvd <- t.s.bytes_rcvd + Mbuf.chain_len dgram;
                 handler
                   ~src:{ addr = src; port = hdr.Udp_header.src_port }
                   dgram)
           end)
 
 let create ~ip =
-  let t = { ip; hst = Ipv4.host ip; ports = []; s = zero; flow = None } in
+  let t =
+    { ip; hst = Ipv4.host ip; ports = []; s = new_stats (); flow = None }
+  in
   Ipv4.register_protocol ip ~proto:Ipv4_header.proto_udp
     (fun ~src ~dst dgram -> input t ~src ~dst dgram);
   t
@@ -154,7 +148,7 @@ let sendto t ~proc ?(checksum = true) ~src_port ~dst payload =
       let dgram_len = Udp_header.size + payload_len in
       if dgram_len > 65507 then begin
         Mbuf.free payload;
-        t.s <- { t.s with dropped_too_big = t.s.dropped_too_big + 1 };
+        t.s.dropped_too_big <- t.s.dropped_too_big + 1;
         Error "datagram exceeds the UDP maximum"
       end
       else begin
@@ -203,7 +197,7 @@ let sendto t ~proc ?(checksum = true) ~src_port ~dst payload =
             (None, 0)
           end
           else if offload then begin
-            t.s <- { t.s with csum_offloaded_tx = t.s.csum_offloaded_tx + 1 };
+            t.s.csum_offloaded_tx <- t.s.csum_offloaded_tx + 1;
             Bytes.set_uint16_be hbytes Udp_header.csum_field_offset
               (Inet_csum.fold pseudo land 0xffff);
             ( Some
@@ -213,7 +207,7 @@ let sendto t ~proc ?(checksum = true) ~src_port ~dst payload =
               0 )
           end
           else begin
-            t.s <- { t.s with csum_host_tx = t.s.csum_host_tx + 1 };
+            t.s.csum_host_tx <- t.s.csum_host_tx + 1;
             Bytes.set_uint16_be hbytes Udp_header.csum_field_offset 0;
             let hdr_sum = Inet_csum.of_bytes hbytes in
             let body = Mbuf.checksum payload ~off:0 ~len:payload_len in
@@ -235,12 +229,8 @@ let sendto t ~proc ?(checksum = true) ~src_port ~dst payload =
         (match dgram.Mbuf.pkthdr with
         | Some ph -> ph.Mbuf.tx_csum <- record
         | None -> ());
-        t.s <-
-          {
-            t.s with
-            dgrams_sent = t.s.dgrams_sent + 1;
-            bytes_sent = t.s.bytes_sent + payload_len;
-          };
+        t.s.dgrams_sent <- t.s.dgrams_sent + 1;
+        t.s.bytes_sent <- t.s.bytes_sent + payload_len;
         let cost = Memcost.per_packet t.hst.Host.profile + csum_cost in
         Host.in_proc t.hst ~proc ~site:Cpu.Header
           ~split:(Cpu.Checksum, csum_cost) cost (fun () ->

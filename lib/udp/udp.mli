@@ -8,18 +8,18 @@ type t
 
 type endpoint = { addr : Inaddr.t; port : int }
 
-type stats = {
-  dgrams_sent : int;
-  dgrams_rcvd : int;
-  bytes_sent : int;
-  bytes_rcvd : int;
-  csum_offloaded_tx : int;
-  csum_host_tx : int;
-  csum_hw_verified_rx : int;
-  csum_host_verified_rx : int;
-  csum_failures_rx : int;
-  dropped_no_port : int;
-  dropped_too_big : int;
+type stats = private {
+  mutable dgrams_sent : int;
+  mutable dgrams_rcvd : int;
+  mutable bytes_sent : int;
+  mutable bytes_rcvd : int;
+  mutable csum_offloaded_tx : int;
+  mutable csum_host_tx : int;
+  mutable csum_hw_verified_rx : int;
+  mutable csum_host_verified_rx : int;
+  mutable csum_failures_rx : int;
+  mutable dropped_no_port : int;
+  mutable dropped_too_big : int;
 }
 
 val create : ip:Ipv4.t -> t
@@ -47,3 +47,5 @@ val sendto :
     protection. *)
 
 val stats : t -> stats
+(** The instance's live counter record (it keeps counting after the
+    call). *)

@@ -310,6 +310,33 @@ let test_gather_fallback_counted () =
      + Obs_ledger.copied_bytes d Obs_ledger.Drv_tx_stage
     > 0)
 
+let test_staged_bounce_counted () =
+  (* The driver's §4.5 guard: an M_UIO piece at a word-aligned packet
+     offset whose user address is not word aligned cannot be DMAed in
+     place, so the driver bounces it through a kernel buffer.  That
+     bounce is a host copy: both staged counters and the ledger's
+     [Drv_tx_stage] site must see every byte of it. *)
+  let tb = Testbed.create () in
+  let node = tb.Testbed.a in
+  let space = Netstack.make_space node.Testbed.stack ~name:"t" in
+  let len = 4096 in
+  let region = Region.sub (Addr_space.alloc space (len + 4)) ~off:1 ~len in
+  check_bool "source misaligned" false (Region.is_word_aligned region);
+  let pkt =
+    Mbuf.of_bytes ~pkthdr:true (Bytes.make Ipv4_header.size '\000')
+  in
+  Mbuf.append pkt
+    (Mbuf.make_uio ~space ~region ~hdr:{ Mbuf.csum = None; notify = None });
+  let s0 = Obs_ledger.snapshot () in
+  let ifc = Cab_driver.iface node.Testbed.driver in
+  ifc.Netif.output ifc pkt ~next_hop:Testbed.addr_b;
+  Sim.run ~until:(Simtime.s 1.) tb.Testbed.sim;
+  let s = Cab_driver.stats node.Testbed.driver in
+  check_int "staged segments" 1 s.Cab_driver.tx_staged_segments;
+  check_int "staged bytes" len s.Cab_driver.tx_staged_bytes;
+  check_int "ledger staged copy" len
+    (Obs_ledger.copied_bytes (Obs_ledger.since s0) Obs_ledger.Drv_tx_stage)
+
 (* ---------- registered subsystems ---------- *)
 
 let test_subsystem_sections_present () =
@@ -381,6 +408,8 @@ let () =
             test_unmodified_two_copy_profile;
           Alcotest.test_case "gather fallback counted" `Quick
             test_gather_fallback_counted;
+          Alcotest.test_case "staged bounce counted" `Quick
+            test_staged_bounce_counted;
         ] );
       ( "subsystems",
         [

@@ -80,7 +80,16 @@ let test_bulk_single_copy () =
       check_int "no copy writes" 0 sock_stats.Socket.copy_writes;
       let drv = Cab_driver.stats tb.Testbed.a.Testbed.driver in
       check_bool "payload DMAed from user memory" true
-        (drv.Cab_driver.tx_uio_segments > 0)
+        (drv.Cab_driver.tx_uio_segments > 0);
+      (* Every layer instance counts into its own record: the receiving
+         side's send counters stay at zero while the sender's run. *)
+      check_int "receiver pcb sent no payload" 0 str.Tcp.bytes_sent;
+      check_int "sender pcb received no payload" 0 st.Tcp.bytes_rcvd;
+      check_int "receiver socket made no writes" 0
+        (Socket.stats sb).Socket.writes;
+      check_int "receiver driver sent no uio segments" 0
+        (Cab_driver.stats tb.Testbed.b.Testbed.driver)
+          .Cab_driver.tx_uio_segments
 
 let test_bulk_unmodified () =
   let wsize = 65536 and total = 1 lsl 20 in

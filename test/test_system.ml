@@ -465,7 +465,7 @@ let test_blockfile_two_clients () =
   start_client 32;
   Sim.run ~until:(Simtime.s 30.) tb.Testbed.sim;
   check_int "both clients finished cleanly" 2 !finished;
-  check_int "eight blocks served" 8 !stats.Blockfile.blocks_served
+  check_int "eight blocks served" 8 stats.Blockfile.blocks_served
 
 let test_udp_checksum_disabled () =
   (* RFC 768's 0-means-no-checksum: corruption sails through unverified
@@ -538,7 +538,7 @@ let test_blockfile_rpc () =
   Sim.run ~until:(Simtime.s 30.) tb.Testbed.sim;
   check_int "five successful reads" 5 !done_reads;
   check_int "no errors" 0 !errs;
-  check_int "server counted" 5 !stats.Blockfile.blocks_served
+  check_int "server counted" 5 stats.Blockfile.blocks_served
 
 let test_udp_echo_kernel_app () =
   let tb = Testbed.create () in
