@@ -12,7 +12,7 @@ let make_tx ~csum_offset ~skip_bytes ~seed =
 let tx_finalize ~header_sum ~body_sum =
   Inet_csum.finish (Inet_csum.add header_sum body_sum)
 
-type rx = { engine_sum : Inet_csum.sum; rx_start : int }
+type rx = { engine_sum : Inet_csum.sum; mutable rx_start : int }
 
 let make_rx ~engine_sum ~rx_start = { engine_sum; rx_start }
 

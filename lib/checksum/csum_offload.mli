@@ -33,7 +33,9 @@ val tx_finalize : header_sum:Inet_csum.sum -> body_sum:Inet_csum.sum -> int
 
 type rx = {
   engine_sum : Inet_csum.sum;  (** sum over [rx_start, packet_len) *)
-  rx_start : int;  (** byte offset where the engine started *)
+  mutable rx_start : int;
+      (** byte offset where the engine started, relative to the packet as
+          the current layer sees it: IP moves it back past its header *)
 }
 
 val make_rx : engine_sum:Inet_csum.sum -> rx_start:int -> rx

@@ -56,7 +56,7 @@ let summarize pkt =
       in
       if ip.Ipv4_header.proto = Ipv4_header.proto_tcp && frag = "" then
         match Tcp_header.decode b ~off:l4 ~len:(head_len - l4) with
-        | Ok (h, _) ->
+        | Ok h ->
             Printf.sprintf "IP %s TCP %d>%d [%s] seq=%d ack=%d win=%d len=%d"
               addr h.Tcp_header.src_port h.Tcp_header.dst_port
               (tcp_flags_string h) h.Tcp_header.seq h.Tcp_header.ack

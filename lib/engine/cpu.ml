@@ -34,28 +34,44 @@ let site_name = function
 
 let all_sites = [ Checksum; Copy; Header; Demux; Intr; Timer; Socket; Other ]
 
+(* A work item: a {!Ring} slot, refilled in place on every submission. *)
 type item = {
-  duration : Simtime.t;
-  proc : string;
-  mode : mode;
+  mutable duration : Simtime.t;
+  mutable proc : string;
+  mutable mode : mode;
   (* Profiler attribution, fixed at submission: the whole item charges
-     to [site] except [split_cost] of it, which charges to
-     [split_site].  One work item, two ledger rows — splitting into two
-     queued items instead would let interrupt work preempt between
-     them and perturb the deterministic schedule. *)
-  site : int;
-  split_site : int;
-  split_cost : Simtime.t;
-  k : unit -> unit;
+     to [site] except [csum] of it, which charges to [Checksum].  One
+     work item, two ledger rows — splitting into two queued items
+     instead would let interrupt work preempt between them and perturb
+     the deterministic schedule. *)
+  mutable site : int;
+  mutable csum : Simtime.t;
+  mutable k : unit -> unit;
 }
+
+let nop () = ()
+
+let blank () =
+  { duration = 0; proc = ""; mode = Sys; site = 0; csum = 0; k = nop }
+
+let push q ~duration ~proc ~mode ~site ~csum k =
+  let it = Ring.push q in
+  it.duration <- duration;
+  it.proc <- proc;
+  it.mode <- mode;
+  it.site <- site;
+  it.csum <-
+    (if csum < 0 then 0 else if csum > duration then duration else csum);
+  it.k <- k
 
 type t = {
   sim : Sim.t;
   name : string;
   mutable idle_proc : string;
-  mutable running : item option;
-  intr_q : item Queue.t;
-  normal_q : item Queue.t;
+  mutable running : bool;
+  mutable cur : item;  (* the running item while [running] *)
+  intr_q : item Ring.t;
+  normal_q : item Ring.t;
   buckets : (string * mode, int ref) Hashtbl.t;
   (* One-entry bucket memo: the steady state charges the same
      (proc, mode) pair event after event, so the common case skips the
@@ -72,6 +88,7 @@ type t = {
 }
 
 let no_cell : int ref = ref 0
+let checksum_index = site_index Checksum
 
 let name t = t.name
 let set_idle_proc t p = t.idle_proc <- p
@@ -99,38 +116,40 @@ let charge t proc mode d =
   cell := !cell + d;
   t.busy_total <- t.busy_total + d
 
-let current_proc t =
-  match t.running with Some item -> item.proc | None -> t.idle_proc
+let current_proc t = if t.running then t.cur.proc else t.idle_proc
 
 let rec start_next t =
-  let next =
-    if not (Queue.is_empty t.intr_q) then Some (Queue.pop t.intr_q)
-    else if not (Queue.is_empty t.normal_q) then Some (Queue.pop t.normal_q)
-    else None
-  in
-  match next with
-  | None -> t.running <- None
-  | Some item ->
-      t.running <- Some item;
-      Sim.rearm t.sim t.timer item.duration
+  let q = if Ring.length t.intr_q > 0 then t.intr_q else t.normal_q in
+  if Ring.length q = 0 then t.running <- false
+  else begin
+    (* The finished item's record (continuation dropped) takes the
+       popped slot. *)
+    t.cur <- Ring.pop q t.cur;
+    t.running <- true;
+    Sim.rearm t.sim t.timer t.cur.duration
+  end
 
 and complete t =
-  match t.running with
-  | None -> ()
-  | Some item ->
-      charge t item.proc item.mode item.duration;
-      (* Attribute every charged cycle to a profiler site; split items
-         divide one duration across two sites, so the site ledger sums
-         to busy_total exactly. *)
-      let d = item.duration in
-      let sc = item.split_cost in
-      if sc > 0 then begin
-        t.sites.(item.split_site) <- t.sites.(item.split_site) + sc;
-        t.sites.(item.site) <- t.sites.(item.site) + (d - sc)
-      end
-      else t.sites.(item.site) <- t.sites.(item.site) + d;
-      item.k ();
-      start_next t
+  if t.running then begin
+    let item = t.cur in
+    charge t item.proc item.mode item.duration;
+    (* Attribute every charged cycle to a profiler site; an item with a
+       checksum share divides one duration across two sites, so the
+       site ledger sums to busy_total exactly. *)
+    let d = item.duration in
+    let sc = item.csum in
+    if sc > 0 then begin
+      t.sites.(checksum_index) <- t.sites.(checksum_index) + sc;
+      t.sites.(item.site) <- t.sites.(item.site) + (d - sc)
+    end
+    else t.sites.(item.site) <- t.sites.(item.site) + d;
+    (* [cur] keeps its proc until [start_next]: an interrupt raised from
+       [k] is charged to the process that just ran. *)
+    let k = item.k in
+    item.k <- nop;
+    k ();
+    start_next t
+  end
 
 let site_charged t s = t.sites.(site_index s)
 let sites_total t = Array.fold_left ( + ) 0 t.sites
@@ -153,9 +172,10 @@ let create ~sim ~name =
       sim;
       name;
       idle_proc = "idle";
-      running = None;
-      intr_q = Queue.create ();
-      normal_q = Queue.create ();
+      running = false;
+      cur = blank ();
+      intr_q = Ring.create blank;
+      normal_q = Ring.create blank;
       buckets = Hashtbl.create 8;
       last_proc = "";
       last_mode = Sys;
@@ -172,41 +192,15 @@ let create ~sim ~name =
   Obs.table ~section:"prof" ~name (fun () -> sites_json t);
   t
 
-let submit t queue item =
-  Queue.push item queue;
-  match t.running with None -> start_next t | Some _ -> ()
+let execute t ~proc ~mode ?(site = Other) ?(csum = 0) duration k =
+  push t.normal_q ~duration ~proc ~mode ~site:(site_index site) ~csum k;
+  if not t.running then start_next t
 
-let execute t ~proc ~mode ?(site = Other) ?split duration k =
-  let split_site, split_cost =
-    match split with
-    | None -> (0, 0)
-    | Some (s, c) ->
-        let c = if c < 0 then 0 else if c > duration then duration else c in
-        (site_index s, c)
-  in
-  submit t t.normal_q
-    { duration; proc; mode; site = site_index site; split_site; split_cost; k }
-
-let execute_intr t ?(site = Intr) ?split duration k =
+let execute_intr t ?(site = Intr) ?(csum = 0) duration k =
   (* Charged to whoever is current at raise time — the paper's mis-charging. *)
-  let victim = current_proc t in
-  let split_site, split_cost =
-    match split with
-    | None -> (0, 0)
-    | Some (s, c) ->
-        let c = if c < 0 then 0 else if c > duration then duration else c in
-        (site_index s, c)
-  in
-  submit t t.intr_q
-    {
-      duration;
-      proc = victim;
-      mode = Sys;
-      site = site_index site;
-      split_site;
-      split_cost;
-      k;
-    }
+  push t.intr_q ~duration ~proc:(current_proc t) ~mode:Sys
+    ~site:(site_index site) ~csum k;
+  if not t.running then start_next t
 
 let charged t ~proc ~mode =
   match Hashtbl.find_opt t.buckets (proc, mode) with

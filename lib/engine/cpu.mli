@@ -16,8 +16,9 @@ type t
 type mode = User | Sys
 
 (** Profiler site: a static taxonomy of where charged cycles go.
-    Every work item carries one (optionally split across two — see
-    {!execute}), so the per-site ledger sums to {!busy} exactly. *)
+    Every work item carries one (optionally sharing its cycles with
+    [Checksum] — see {!execute}), so the per-site ledger sums to {!busy}
+    exactly. *)
 type site =
   | Checksum  (** data-touching checksum/verify reads *)
   | Copy  (** data-touching copies (tx append, rx copy-out, staging) *)
@@ -47,19 +48,23 @@ val execute :
   proc:string ->
   mode:mode ->
   ?site:site ->
-  ?split:site * Simtime.t ->
+  ?csum:Simtime.t ->
   Simtime.t ->
   (unit -> unit) ->
   unit
 (** [execute t ~proc ~mode d k] queues [d] of CPU work charged to
     [(proc, mode)], then calls [k] when it completes.  [?site] (default
-    [Other]) attributes the cycles for the profiler; [?split:(s, c)]
-    attributes [c] of the duration to [s] and the rest to [site] —
-    still one work item, so mixed-cost charges (header + checksum) are
-    profiled without perturbing the event schedule. *)
+    [Other]) attributes the cycles for the profiler; [?csum:c]
+    attributes [c] of the duration to [Checksum] and the rest to [site]
+    — still one work item, so mixed-cost charges (header + checksum)
+    are profiled without perturbing the event schedule.
+
+    Queued items live in preallocated ring slots that are refilled in
+    place, and a completed item's continuation is dropped before it
+    runs: a submission allocates nothing but [k] itself. *)
 
 val execute_intr :
-  t -> ?site:site -> ?split:site * Simtime.t -> Simtime.t -> (unit -> unit) -> unit
+  t -> ?site:site -> ?csum:Simtime.t -> Simtime.t -> (unit -> unit) -> unit
 (** Interrupt-context work: runs ahead of normal work and is charged as
     [Sys] to the process that was current when the interrupt was raised.
     [?site] defaults to [Intr]. *)

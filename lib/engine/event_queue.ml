@@ -129,7 +129,7 @@ let iter_ready ?(seq_below = Stdlib.max_int) q ~now ~f =
   done;
   !n
 
-let peek_time q = if q.size = 0 then None else Some (get q 0).time
+let min_time q = if q.size = 0 then Stdlib.max_int else (get q 0).time
 let peek_seq q = if q.size = 0 then Stdlib.max_int else (get q 0).seq
 
 let take q =

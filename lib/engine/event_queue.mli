@@ -34,15 +34,16 @@ val iter_ready :
     runs, so the callback may freely push or compact.  This is the hot
     path under [Sim.run]'s same-instant batches. *)
 
-val peek_time : 'a t -> Simtime.t option
-(** Time of the earliest event without removing it. *)
+val min_time : 'a t -> Simtime.t
+(** Time of the earliest event without removing it; [max_int] when
+    empty, so the run loop's peek allocates nothing. *)
 
 val peek_seq : 'a t -> int
 (** Sequence number of the earliest event; [max_int] when empty. *)
 
 val take : 'a t -> 'a
 (** Remove and return the earliest payload.  The queue must be
-    non-empty.  [peek_time]/[peek_seq] give the root's key beforehand,
+    non-empty.  [min_time]/[peek_seq] give the root's key beforehand,
     so a merge loop pops without allocating a result tuple. *)
 
 (** {2 Dead-entry accounting}

@@ -13,7 +13,8 @@ val name : t -> string
 
 val acquire : t -> Simtime.t -> (unit -> unit) -> unit
 (** [acquire r d k]: when the resource becomes free, hold it for [d], then
-    call [k]. *)
+    call [k].  Queued holds live in preallocated ring slots, so this
+    allocates nothing but [k]. *)
 
 val busy : t -> bool
 val busy_time : t -> Simtime.t

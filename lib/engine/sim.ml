@@ -147,8 +147,7 @@ let fire_heap t seq (tm : handle) =
 
 let wheel_next t = if t.use_wheel then Tw.next_deadline t.wheel else max_int
 
-let heap_next t =
-  match Event_queue.peek_time t.queue with Some x -> x | None -> max_int
+let heap_next t = Event_queue.min_time t.queue
 
 (* Fire every event at [time] with seq < [seq_limit], lowest seq first,
    merging the wheel's ready list with the heap.  Events the callbacks
@@ -162,9 +161,8 @@ let drain_batch t ~time ~seq_limit ~fired =
       else max_int
     in
     let hseq =
-      match Event_queue.peek_time t.queue with
-      | Some ht when ht = time -> Event_queue.peek_seq t.queue
-      | _ -> max_int
+      if Event_queue.min_time t.queue = time then Event_queue.peek_seq t.queue
+      else max_int
     in
     let hseq = if hseq < seq_limit then hseq else max_int in
     if wseq = max_int && hseq = max_int then continue := false

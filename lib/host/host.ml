@@ -42,30 +42,31 @@ let shard_count t = Array.length t.shards
 let shard t i = t.shards.(i)
 let shards t = t.shards
 
-let in_proc_on t ~shard ~proc ?(mode = Cpu.Sys) ?site ?split cost k =
+let in_proc_on t ~shard ~proc ?(mode = Cpu.Sys) ?(site = Cpu.Other) ?(csum = 0)
+    cost k =
   if Array.length t.shards = 1 then
-    Cpu.execute t.cpu ~proc ~mode ?site ?split cost k
+    Cpu.execute t.cpu ~proc ~mode ~site ~csum cost k
   else
-    Cpu.execute t.shards.(shard).Shard.cpu ~proc ~mode ?site ?split cost
+    Cpu.execute t.shards.(shard).Shard.cpu ~proc ~mode ~site ~csum cost
       (fun () ->
         let prev = t.cur_shard in
         t.cur_shard <- shard;
         k ();
         t.cur_shard <- prev)
 
-let in_intr_on t ~shard ?site ?split cost k =
-  if Array.length t.shards = 1 then Cpu.execute_intr t.cpu ?site ?split cost k
+let in_intr_on t ~shard ?(site = Cpu.Intr) ?(csum = 0) cost k =
+  if Array.length t.shards = 1 then Cpu.execute_intr t.cpu ~site ~csum cost k
   else
-    Cpu.execute_intr t.shards.(shard).Shard.cpu ?site ?split cost (fun () ->
+    Cpu.execute_intr t.shards.(shard).Shard.cpu ~site ~csum cost (fun () ->
         let prev = t.cur_shard in
         t.cur_shard <- shard;
         k ();
         t.cur_shard <- prev)
 
-let in_proc t ~proc ?mode ?site ?split cost k =
-  in_proc_on t ~shard:t.cur_shard ~proc ?mode ?site ?split cost k
+let in_proc t ~proc ?mode ?site ?csum cost k =
+  in_proc_on t ~shard:t.cur_shard ~proc ?mode ?site ?csum cost k
 
-let in_intr t ?site ?split cost k =
-  in_intr_on t ~shard:t.cur_shard ?site ?split cost k
+let in_intr t ?site ?csum cost k =
+  in_intr_on t ~shard:t.cur_shard ?site ?csum cost k
 
 let after t d k = Sim.after t.sim d k

@@ -44,19 +44,19 @@ val in_proc :
   proc:string ->
   ?mode:Cpu.mode ->
   ?site:Cpu.site ->
-  ?split:Cpu.site * Simtime.t ->
+  ?csum:Simtime.t ->
   Simtime.t ->
   (unit -> unit) ->
   unit
 (** Charge CPU time to a process bucket, then continue.  [mode] defaults
     to [Sys] (protocol work).  Runs on the current shard's CPU.
-    [?site]/[?split] attribute the cycles for the profiler (see
+    [?site]/[?csum] attribute the cycles for the profiler (see
     {!Cpu.execute}). *)
 
 val in_intr :
   t ->
   ?site:Cpu.site ->
-  ?split:Cpu.site * Simtime.t ->
+  ?csum:Simtime.t ->
   Simtime.t ->
   (unit -> unit) ->
   unit
@@ -69,7 +69,7 @@ val in_proc_on :
   proc:string ->
   ?mode:Cpu.mode ->
   ?site:Cpu.site ->
-  ?split:Cpu.site * Simtime.t ->
+  ?csum:Simtime.t ->
   Simtime.t ->
   (unit -> unit) ->
   unit
@@ -81,7 +81,7 @@ val in_intr_on :
   t ->
   shard:int ->
   ?site:Cpu.site ->
-  ?split:Cpu.site * Simtime.t ->
+  ?csum:Simtime.t ->
   Simtime.t ->
   (unit -> unit) ->
   unit

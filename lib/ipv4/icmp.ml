@@ -53,7 +53,7 @@ let send t ~dst ~typ ~code ~word ~payload =
   in
   let cost = Memcost.per_packet t.host.Host.profile + csum in
   Host.in_proc t.host ~proc:"kernel.icmp" ~site:Cpu.Header
-    ~split:(Cpu.Checksum, csum) cost (fun () ->
+    ~csum cost (fun () ->
       match Ipv4.output t.ip ~proto:Ipv4_header.proto_icmp ~dst m with
       | Ok _ -> ()
       | Error _ -> ())

@@ -29,6 +29,11 @@ type t = {
     option;
   frag : Ip_frag.t;
   mutable hdr_memo : hdr_memo option;
+  (* Receive-side address memo: a flow's packets repeat their source
+     and destination, so [input] hands up the same boxed addresses
+     packet after packet instead of boxing two fresh ones. *)
+  rx_src : Inaddr.t ref;
+  rx_dst : Inaddr.t ref;
 }
 
 (* Steady-state flow memo: a connection's packets repeat the same
@@ -71,6 +76,8 @@ let create ~host =
     error_hook = None;
     frag = Ip_frag.create ~host ();
     hdr_memo = None;
+    rx_src = ref Inaddr.any;
+    rx_dst = ref Inaddr.any;
   }
 
 let hdr_template t ~src ~dst ~proto ~tos ~ttl =
@@ -111,17 +118,50 @@ let register_protocol t ~proto h =
     invalid_arg (Printf.sprintf "Ipv4: protocol %d already registered" proto);
   t.handlers <- (proto, h) :: t.handlers
 
-let is_local t addr =
-  Inaddr.equal addr Inaddr.loopback
-  || List.exists
-       (fun (i : Netif.t) -> Inaddr.equal i.Netif.addr addr)
-       t.host.Host.ifaces
+(* Whether the address at [buf]/[off] is one of ours, compared in place
+   so the check boxes nothing. *)
+let rec iface_addr_at buf off = function
+  | [] -> false
+  | (i : Netif.t) :: rest ->
+      Bytes.get_int32_be buf off = i.Netif.addr || iface_addr_at buf off rest
+
+let is_local_at t buf off =
+  Bytes.get_int32_be buf off = Inaddr.loopback
+  || iface_addr_at buf off t.host.Host.ifaces
+
+(* The address at [buf]/[off], boxed only when it differs from the one
+   [memo] holds. *)
+let memo_addr memo buf off =
+  if Bytes.get_int32_be buf off <> !memo then
+    memo := Bytes.get_int32_be buf off;
+  !memo
 
 let route_for t ~dst = Routing.lookup t.routing dst
 
 let next_ident t =
   t.ident <- (t.ident + 1) land 0xffff;
   t.ident
+
+(* One fragment of a datagram too large for [iface]: a fresh header
+   encode (the flow memo covers only unfragmented packets). *)
+let output_fragment t iface ~next_hop ~proto ~src ~dst ~tos ~ttl ~ident
+    ~frag_offset ~more_fragments piece =
+  let hdr =
+    {
+      (Ipv4_header.make ~tos ~ident ~ttl ~proto ~src ~dst
+         ~total_len:(Ipv4_header.size + Mbuf.pkt_len piece)
+         ())
+      with
+      Ipv4_header.frag_offset;
+      more_fragments;
+    }
+  in
+  let pkt = Mbuf.prepend piece Ipv4_header.size in
+  let hbytes = Bytes.create Ipv4_header.size in
+  Ipv4_header.encode hdr hbytes ~off:0;
+  Mbuf.copy_from pkt ~off:0 ~len:Ipv4_header.size hbytes ~src_off:0;
+  t.s.sent <- t.s.sent + 1;
+  iface.Netif.output iface pkt ~next_hop
 
 let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
   match Routing.lookup t.routing dst with
@@ -133,24 +173,6 @@ let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
       let src = match src with Some s -> s | None -> iface.Netif.addr in
       let seg_len = Mbuf.pkt_len seg in
       let total_len = Ipv4_header.size + seg_len in
-      let emit_one ~ident ~frag_offset ~more_fragments piece =
-        let hdr =
-          {
-            (Ipv4_header.make ~tos ~ident ~ttl ~proto ~src ~dst
-               ~total_len:(Ipv4_header.size + Mbuf.pkt_len piece)
-               ())
-            with
-            Ipv4_header.frag_offset;
-            more_fragments;
-          }
-        in
-        let pkt = Mbuf.prepend piece Ipv4_header.size in
-        let hbytes = Bytes.create Ipv4_header.size in
-        Ipv4_header.encode hdr hbytes ~off:0;
-        Mbuf.copy_from pkt ~off:0 ~len:Ipv4_header.size hbytes ~src_off:0;
-        t.s.sent <- t.s.sent + 1;
-        iface.Netif.output iface pkt ~next_hop
-      in
       if total_len <= iface.Netif.mtu then begin
         (* Carry the transport offload record straight through. *)
         let ident = next_ident t in
@@ -201,7 +223,8 @@ let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
               let len = min per (seg_len - off) in
               let piece = Mbuf.copy_range seg ~off ~len in
               t.s.fragments_sent <- t.s.fragments_sent + 1;
-              emit_one ~ident ~frag_offset:(off / 8)
+              output_fragment t iface ~next_hop ~proto ~src ~dst ~tos ~ttl
+                ~ident ~frag_offset:(off / 8)
                 ~more_fragments:(off + len < seg_len)
                 piece;
               go (off + len)
@@ -213,14 +236,21 @@ let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
         end
       end
 
-let deliver_local t ~src ~dst ~proto pkt =
-  match List.assoc_opt proto t.handlers with
-  | None ->
+(* A plain walk of the handler list: [List.assoc_opt] would box its
+   answer on every packet. *)
+let rec deliver_local_in t ~src ~dst ~proto pkt = function
+  | [] ->
       t.s.dropped_no_proto <- t.s.dropped_no_proto + 1;
       Mbuf.free pkt
-  | Some h ->
-      t.s.delivered <- t.s.delivered + 1;
-      h ~src ~dst pkt
+  | (p, h) :: rest ->
+      if p = proto then begin
+        t.s.delivered <- t.s.delivered + 1;
+        h ~src ~dst pkt
+      end
+      else deliver_local_in t ~src ~dst ~proto pkt rest
+
+let deliver_local t ~src ~dst ~proto pkt =
+  deliver_local_in t ~src ~dst ~proto pkt t.handlers
 
 let notify_error t reason (hdr : Ipv4_header.t) pkt =
   match t.error_hook with
@@ -262,10 +292,16 @@ let forward t pkt (hdr : Ipv4_header.t) =
               iface.Netif.output iface pkt ~next_hop)
         end
 
+(* The header record, for the paths that keep or rewrite it. *)
+let decode_checked hbytes hoff =
+  match Ipv4_header.decode hbytes ~off:hoff with
+  | Ok hdr -> hdr
+  | Error e -> invalid_arg e (* [Ipv4_header.check] passed *)
+
 let input t (_iface : Netif.t) pkt =
   t.s.received <- t.s.received + 1;
   let pkt = Mbuf.pullup pkt Ipv4_header.size in
-  (* After pullup the header is contiguous: decode it in place. *)
+  (* After pullup the header is contiguous: check it in place. *)
   let hbytes, hoff =
     match Mbuf.view pkt ~off:0 ~len:Ipv4_header.size with
     | Some (b, pos) -> (b, pos)
@@ -274,26 +310,29 @@ let input t (_iface : Netif.t) pkt =
         Mbuf.copy_into pkt ~off:0 ~len:Ipv4_header.size b ~dst_off:0;
         (b, 0)
   in
-  match Ipv4_header.decode hbytes ~off:hoff with
+  match Ipv4_header.check hbytes ~off:hoff with
   | Error _ ->
       t.s.dropped_bad_header <- t.s.dropped_bad_header + 1;
       Mbuf.free pkt
-  | Ok hdr ->
-      if Mbuf.pkt_len pkt < hdr.Ipv4_header.total_len then begin
+  | Ok () ->
+      (* The local-delivery path reads the header fields in place; only
+         fragments and forwarded packets build the header record. *)
+      let total_len = Bytes.get_uint16_be hbytes (hoff + 2) in
+      if Mbuf.pkt_len pkt < total_len then begin
         t.s.dropped_bad_header <- t.s.dropped_bad_header + 1;
         Mbuf.free pkt
       end
       else begin
         (* Trim link-layer padding beyond the IP total length. *)
-        let excess = Mbuf.pkt_len pkt - hdr.Ipv4_header.total_len in
+        let excess = Mbuf.pkt_len pkt - total_len in
         if excess > 0 then Mbuf.adj_tail pkt excess;
-        if
-          is_local t hdr.Ipv4_header.dst
-          && (hdr.Ipv4_header.more_fragments
-             || hdr.Ipv4_header.frag_offset > 0)
-        then begin
+        let local = is_local_at t hbytes (hoff + 16) in
+        (* More-fragments flag or a non-zero fragment offset. *)
+        let fragment = Bytes.get_uint16_be hbytes (hoff + 6) land 0x3fff <> 0 in
+        if local && fragment then begin
           (* A fragment for us: reassemble.  The copy into the reassembly
              buffer is host work (classic BSD slow path). *)
+          let hdr = decode_checked hbytes hoff in
           Mbuf.adj_head pkt Ipv4_header.size;
           t.s.fragments_rcvd <- t.s.fragments_rcvd + 1;
           let cost =
@@ -309,23 +348,22 @@ let input t (_iface : Netif.t) pkt =
                     ~dst:hdr.Ipv4_header.dst ~proto:hdr.Ipv4_header.proto
                     datagram)
         end
-        else if is_local t hdr.Ipv4_header.dst then begin
+        else if local then begin
+          let src = memo_addr t.rx_src hbytes (hoff + 12)
+          and dst = memo_addr t.rx_dst hbytes (hoff + 16)
+          and proto = Bytes.get_uint8 hbytes (hoff + 9) in
           Mbuf.adj_head pkt Ipv4_header.size;
           (* Keep the hardware checksum record relative to what remains of
              the packet: the engine start moves up with the stripped
              header (§4.3 receive adjustment). *)
           (match pkt.Mbuf.pkthdr with
-          | Some ({ Mbuf.rx_csum = Some rx; _ } as ph) ->
-              ph.Mbuf.rx_csum <-
-                Some
-                  (Csum_offload.make_rx
-                     ~engine_sum:rx.Csum_offload.engine_sum
-                     ~rx_start:(rx.Csum_offload.rx_start - Ipv4_header.size))
+          | Some { Mbuf.rx_csum = Some rx; _ } ->
+              rx.Csum_offload.rx_start <-
+                rx.Csum_offload.rx_start - Ipv4_header.size
           | Some _ | None -> ());
-          deliver_local t ~src:hdr.Ipv4_header.src ~dst:hdr.Ipv4_header.dst
-            ~proto:hdr.Ipv4_header.proto pkt
+          deliver_local t ~src ~dst ~proto pkt
         end
-        else if t.forwarding then forward t pkt hdr
+        else if t.forwarding then forward t pkt (decode_checked hbytes hoff)
         else begin
           t.s.dropped_no_route <- t.s.dropped_no_route + 1;
           Mbuf.free pkt

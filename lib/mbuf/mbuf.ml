@@ -451,24 +451,25 @@ let copy_into_csum m ~off ~len dst ~dst_off =
       consumed := !consumed + seg);
   !sum
 
+(* [off] is relative to [mb]; a plain recursive walk, so the common
+   first-mbuf hit allocates only the result. *)
+let rec view_from mb ~off ~len =
+  if off >= mb.len then
+    match mb.next with
+    | None -> None
+    | Some n -> view_from n ~off:(off - mb.len) ~len
+  else if len > mb.len - off then None
+  else
+    match mb.storage with
+    | Internal c | Cluster c -> Some (c.cbuf, mb.off + off)
+    | Ext_uio d ->
+        let ubuf, upos = Region.backing d.uio_region in
+        Some (ubuf, upos + mb.off + off)
+    | Ext_wcab _ -> None
+
 let view m ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Mbuf.view: negative range";
-  let rec go m pos =
-    match m with
-    | None -> None
-    | Some mb ->
-        let skip = off - pos in
-        if skip >= mb.len then go mb.next (pos + mb.len)
-        else if len > mb.len - skip then None
-        else (
-          match mb.storage with
-          | Internal c | Cluster c -> Some (c.cbuf, mb.off + skip)
-          | Ext_uio d ->
-              let ubuf, upos = Region.backing d.uio_region in
-              Some (ubuf, upos + mb.off + skip)
-          | Ext_wcab _ -> None)
-  in
-  go (Some m) 0
+  view_from m ~off ~len
 
 let copy_into_raw m ~off ~len dst ~dst_off =
   if dst_off + len > Bytes.length dst then

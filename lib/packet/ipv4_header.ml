@@ -51,7 +51,7 @@ let encode t buf ~off =
   let csum = Inet_csum.finish (Inet_csum.of_bytes ~off ~len:size buf) in
   Bytes.set_uint16_be buf (off + 10) csum
 
-let decode buf ~off =
+let check buf ~off =
   if off + size > Bytes.length buf then Error "ipv4: truncated header"
   else
     let vihl = Bytes.get_uint8 buf off in
@@ -59,24 +59,28 @@ let decode buf ~off =
     else if vihl land 0xf <> 5 then Error "ipv4: options unsupported"
     else if not (Inet_csum.is_valid (Inet_csum.of_bytes ~off ~len:size buf))
     then Error "ipv4: bad header checksum"
-    else
-      let total_len = Bytes.get_uint16_be buf (off + 2) in
-      if total_len < size then Error "ipv4: total length too small"
-      else
-        let flags = Bytes.get_uint16_be buf (off + 6) in
-        Ok
-          {
-            tos = Bytes.get_uint8 buf (off + 1);
-            total_len;
-            ident = Bytes.get_uint16_be buf (off + 4);
-            dont_fragment = flags land 0x4000 <> 0;
-            more_fragments = flags land 0x2000 <> 0;
-            frag_offset = flags land 0x1fff;
-            ttl = Bytes.get_uint8 buf (off + 8);
-            proto = Bytes.get_uint8 buf (off + 9);
-            src = Bytes.get_int32_be buf (off + 12);
-            dst = Bytes.get_int32_be buf (off + 16);
-          }
+    else if Bytes.get_uint16_be buf (off + 2) < size then
+      Error "ipv4: total length too small"
+    else Ok ()
+
+let decode buf ~off =
+  match check buf ~off with
+  | Error e -> Error e
+  | Ok () ->
+      let flags = Bytes.get_uint16_be buf (off + 6) in
+      Ok
+        {
+          tos = Bytes.get_uint8 buf (off + 1);
+          total_len = Bytes.get_uint16_be buf (off + 2);
+          ident = Bytes.get_uint16_be buf (off + 4);
+          dont_fragment = flags land 0x4000 <> 0;
+          more_fragments = flags land 0x2000 <> 0;
+          frag_offset = flags land 0x1fff;
+          ttl = Bytes.get_uint8 buf (off + 8);
+          proto = Bytes.get_uint8 buf (off + 9);
+          src = Bytes.get_int32_be buf (off + 12);
+          dst = Bytes.get_int32_be buf (off + 16);
+        }
 
 let pp fmt t =
   Format.fprintf fmt "ip{%a->%a proto=%d len=%d id=%d ttl=%d}" Inaddr.pp t.src

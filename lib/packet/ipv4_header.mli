@@ -37,7 +37,11 @@ val make :
 val encode : t -> Bytes.t -> off:int -> unit
 (** Writes the header with a correct header checksum. *)
 
+val check : Bytes.t -> off:int -> (unit, string) result
+(** Validates version, header length, total length and header checksum
+    without building the record: allocates nothing. *)
+
 val decode : Bytes.t -> off:int -> (t, string) result
-(** Validates version, header length, total length and header checksum. *)
+(** {!check}, then the record. *)
 
 val pp : Format.formatter -> t -> unit

@@ -98,35 +98,40 @@ let encode t ~csum buf ~off =
     incr pos
   done
 
-let decode_options buf ~off ~limit =
-  let rec go pos acc =
-    if pos >= limit then Ok (List.rev acc)
-    else
-      match Bytes.get_uint8 buf pos with
-      | 0 -> Ok (List.rev acc) (* end of options *)
-      | 1 -> go (pos + 1) acc (* NOP *)
-      | 2 when pos + 4 <= limit && Bytes.get_uint8 buf (pos + 1) = 4 ->
-          go (pos + 4) (Mss (Bytes.get_uint16_be buf (pos + 2)) :: acc)
-      | 3 when pos + 3 <= limit && Bytes.get_uint8 buf (pos + 1) = 3 ->
-          go (pos + 3) (Window_scale (Bytes.get_uint8 buf (pos + 2)) :: acc)
-      | 14 when pos + 12 <= limit && Bytes.get_uint8 buf (pos + 1) = 12 ->
-          let u32 p = Int32.to_int (Bytes.get_int32_be buf p) land 0xffffffff in
-          go (pos + 12)
-            (Rx_cost
-               {
-                 bucket = Bytes.get_uint8 buf (pos + 2);
-                 uio_us = u32 (pos + 4);
-                 copy_us = u32 (pos + 8);
-               }
-            :: acc)
-      | _ -> Error "tcp: malformed option"
-  in
-  go off []
+let u32 buf p = Int32.to_int (Bytes.get_int32_be buf p) land 0xffffffff
 
-let flags_of_bits bits =
-  List.filter
-    (fun f -> bits land bit_of_flag f <> 0)
-    [ FIN; SYN; RST; PSH; ACK; URG ]
+let rec decode_options buf pos ~limit acc =
+  if pos >= limit then Ok (List.rev acc)
+  else
+    match Bytes.get_uint8 buf pos with
+    | 0 -> Ok (List.rev acc) (* end of options *)
+    | 1 -> decode_options buf (pos + 1) ~limit acc (* NOP *)
+    | 2 when pos + 4 <= limit && Bytes.get_uint8 buf (pos + 1) = 4 ->
+        decode_options buf (pos + 4) ~limit
+          (Mss (Bytes.get_uint16_be buf (pos + 2)) :: acc)
+    | 3 when pos + 3 <= limit && Bytes.get_uint8 buf (pos + 1) = 3 ->
+        decode_options buf (pos + 3) ~limit
+          (Window_scale (Bytes.get_uint8 buf (pos + 2)) :: acc)
+    | 14 when pos + 12 <= limit && Bytes.get_uint8 buf (pos + 1) = 12 ->
+        decode_options buf (pos + 12) ~limit
+          (Rx_cost
+             {
+               bucket = Bytes.get_uint8 buf (pos + 2);
+               uio_us = u32 buf (pos + 4);
+               copy_us = u32 buf (pos + 8);
+             }
+          :: acc)
+    | _ -> Error "tcp: malformed option"
+
+(* Every flags byte's list, built once: decoding shares them, so a
+   header's flags cost no allocation. *)
+let flag_lists =
+  Array.init 64 (fun bits ->
+      List.filter
+        (fun f -> bits land bit_of_flag f <> 0)
+        [ FIN; SYN; RST; PSH; ACK; URG ])
+
+let no_options = Ok []
 
 let decode buf ~off ~len =
   if len < base_size || off + base_size > Bytes.length buf then
@@ -137,22 +142,24 @@ let decode buf ~off ~len =
     else if len < data_off || off + data_off > Bytes.length buf then
       Error "tcp: truncated options"
     else
-      match decode_options buf ~off:(off + base_size) ~limit:(off + data_off) with
+      let options =
+        if data_off = base_size then no_options
+        else decode_options buf (off + base_size) ~limit:(off + data_off) []
+      in
+      match options with
       | Error _ as e -> e
       | Ok options ->
-          let u32 p = Int32.to_int (Bytes.get_int32_be buf p) land 0xffffffff in
           Ok
-            ( {
-                src_port = Bytes.get_uint16_be buf off;
-                dst_port = Bytes.get_uint16_be buf (off + 2);
-                seq = u32 (off + 4);
-                ack = u32 (off + 8);
-                flags = flags_of_bits (Bytes.get_uint8 buf (off + 13));
-                window = Bytes.get_uint16_be buf (off + 14);
-                urgent = Bytes.get_uint16_be buf (off + 18);
-                options;
-              },
-              Bytes.get_uint16_be buf (off + 16) )
+            {
+              src_port = Bytes.get_uint16_be buf off;
+              dst_port = Bytes.get_uint16_be buf (off + 2);
+              seq = u32 buf (off + 4);
+              ack = u32 buf (off + 8);
+              flags = flag_lists.(Bytes.get_uint8 buf (off + 13) land 0x3f);
+              window = Bytes.get_uint16_be buf (off + 14);
+              urgent = Bytes.get_uint16_be buf (off + 18);
+              options;
+            }
 
 let pp_flag fmt f =
   Format.pp_print_string fmt

@@ -55,9 +55,11 @@ val make :
   t
 
 val encode : t -> csum:int -> Bytes.t -> off:int -> unit
-val decode : Bytes.t -> off:int -> len:int -> (t * int, string) result
-(** [decode buf ~off ~len] returns the header and the raw checksum field.
-    [len] is the number of bytes available (for truncation checks). *)
+val decode : Bytes.t -> off:int -> len:int -> (t, string) result
+(** [decode buf ~off ~len] returns the header; the raw checksum field
+    stays in [buf] at {!csum_field_offset}.  [len] is the number of bytes
+    available (for truncation checks).  An optionless header allocates
+    only its record and the [Ok]: the flag list is shared. *)
 
 val csum_field_offset : int
 (** Byte offset of the checksum field within the TCP header (16). *)

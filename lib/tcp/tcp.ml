@@ -197,11 +197,16 @@ type pcb = {
   mutable srtt : Simtime.t;  (* 0 = no sample yet *)
   mutable rttvar : Simtime.t;
   mutable rto : Simtime.t;
-  mutable rtt_timing : (Tcp_seq.t * Simtime.t) option;
+  (* The timed segment's end and its send time; [rtt_t0 = -1] when
+     nothing is being timed. *)
+  mutable rtt_seq : Tcp_seq.t;
+  mutable rtt_t0 : Simtime.t;
   (* Latency instrumentation (Obs_lat): one timed write at a time
-     (Karn-style, discarded on retransmit), and the pcb-creation stamp
-     for the SYN->ESTABLISHED histogram (-1 once observed). *)
-  mutable wr_timing : (Tcp_seq.t * Simtime.t) option;
+     (Karn-style, discarded on retransmit; [wr_t0 = -1] when none), and
+     the pcb-creation stamp for the SYN->ESTABLISHED histogram (-1 once
+     observed). *)
+  mutable wr_seq : Tcp_seq.t;
+  mutable wr_t0 : Simtime.t;
   mutable setup_t0 : Simtime.t;
   (* ack policy *)
   mutable ack_pending : bool;
@@ -225,8 +230,14 @@ type pcb = {
      src/dst-commutative so the same base verifies receive checksums. *)
   tpl : Bytes.t;
   csum_base : Inet_csum.sum;
-  (* pump guard *)
+  (* The output pump: its guard, the charge context the running pump was
+     started with, and its per-segment continuation, built once per pcb
+     so that pumping a segment allocates no closure. *)
   mutable pumping : bool;
+  mutable pump_proc : string;
+  mutable pump_intr : bool;
+  mutable pump_site : Cpu.site;
+  mutable pump_k : unit -> unit;
   (* Receive-cost piggyback (bidirectional path policy): a pending hint
      rides out on the next non-SYN control segment; incoming hints go to
      the handler the socket layer installs.  Data segments are untouched
@@ -393,64 +404,47 @@ let default_mss tcp ~dst = route_mss tcp (Ipv4.route_for tcp.ip ~dst)
 
 (* ---------- segment transmission ---------- *)
 
-(* Fold the transport checksum strategy: either attach an offload record
-   (seed in the field) or compute the ones-complement sum on the host.
-   Returns the checksum field value, the offload record for the pkthdr,
-   and the extra CPU cost of the host computation. *)
-let checksum_plan pcb ~iface ~hdr_len ~(payload : Mbuf.t option) ~seg_len =
-  (* Incremental seed: cached pseudo-header base plus this segment's
-     length word. *)
-  let pseudo = Inet_csum.add_u16 pcb.csum_base seg_len in
-  let payload_has_wcab =
-    match payload with
-    | None -> false
-    | Some p ->
-        Mbuf.fold (fun acc mb -> acc || Mbuf.kind mb = Mbuf.K_wcab) false p
-  in
-  let offload =
-    iface.Netif.single_copy && (payload <> None || payload_has_wcab)
-  in
-  if offload then begin
-    pcb.stats.csum_offloaded_tx <- pcb.stats.csum_offloaded_tx + 1;
-    let record =
-      Csum_offload.make_tx ~csum_offset:Tcp_header.csum_field_offset
-        ~skip_bytes:0 ~seed:pseudo
-    in
-    Obs_trace.emit Obs_trace.Seed_compute ~a:seg_len
-      ~b:(Inet_csum.fold pseudo land 0xffff);
-    `Offload (Inet_csum.fold pseudo, record)
-  end
-  else if payload_has_wcab then
-    (* Outboard data routed at a device that cannot checksum or read it:
-       the stack cannot transmit this segment (§6 note). *)
-    `Unsendable
-  else begin
-    pcb.stats.csum_host_tx <- pcb.stats.csum_host_tx + 1;
-    let payload_sum, payload_len =
-      match payload with
-      | None -> (Inet_csum.zero, 0)
-      | Some p ->
-          let n = Mbuf.chain_len p in
-          Obs_ledger.touch Obs_ledger.Tcp_tx_csum Obs_ledger.Sum n;
-          (Mbuf.checksum p ~off:0 ~len:n, n)
-    in
-    let cost =
-      (* The checksum pass usually runs right after the socket layer's
-         copy of the same bytes, so the segment is cache-warm when the
-         recently-copied working set (the app buffer + kernel copy) fits;
-         streaming very large writes stays cold. *)
-      Memcost.checksum_read pcb.tcp.hst.Host.profile
-        ~locality:(Memcost.Working_set pcb.ws_hint_tx)
-        payload_len
-    in
-    `Host (pseudo, payload_sum, cost, hdr_len)
-  end
-
 let window_field pcb =
   let w = rcv_space pcb lsr pcb.rcv_wscale in
   min w 0xffff
 
-(* Build and emit one segment.  [payload] ownership transfers here. *)
+(* The segment: [hbytes] (checksum field already set) in front of the
+   payload.  [hbytes] may be the shared template, so it is copied. *)
+let build_seg hbytes hdr_len (payload : Mbuf.t option) =
+  match payload with
+  | Some p ->
+      let head = Mbuf.prepend p hdr_len in
+      Mbuf.copy_from head ~off:0 ~len:hdr_len hbytes ~src_off:0;
+      head
+  | None -> Mbuf.of_bytes ~pkthdr:true ~len:hdr_len hbytes
+
+let ip_send pcb seg =
+  match
+    Ipv4.output pcb.tcp.ip ~proto:Ipv4_header.proto_tcp ~src:pcb.local_addr
+      ~dst:pcb.raddr seg
+  with
+  | Ok _ | Error _ -> ()
+
+let send_segment pcb seg ~payload_len ~csum_cost =
+  pcb.stats.segs_sent <- pcb.stats.segs_sent + 1;
+  pcb.stats.bytes_sent <- pcb.stats.bytes_sent + payload_len;
+  pcb.rcv_adv <- Tcp_seq.add pcb.rcv_nxt (rcv_space pcb);
+  pcb.ack_pending <- false;
+  pcb.need_ack_now <- false;
+  cancel_delack pcb;
+  if csum_cost > 0 then
+    (* The host checksum pass is charged to whoever is running on the
+       owning shard's CPU (process context on writes, interrupt on
+       ack-driven sends). *)
+    Host.in_intr_on pcb.tcp.hst ~shard:pcb.shard ~site:Cpu.Checksum
+      csum_cost (fun () -> ip_send pcb seg)
+  else ip_send pcb seg;
+  Ok ()
+
+(* Build and emit one segment.  [payload] ownership transfers here.  The
+   transport checksum either rides out as an offload record (seed in the
+   field) or is computed on the host, which costs a CPU charge before
+   the segment reaches IP. *)
 let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
   match Ipv4.route_for pcb.tcp.ip ~dst:pcb.raddr with
   | None ->
@@ -487,30 +481,52 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
           b
         end
       in
-      (* [hbytes] may be the shared template, so every branch below must
-         copy it into the segment before returning. *)
-      let build_seg () =
-        match payload with
-        | Some p ->
-            let head = Mbuf.prepend p hdr_len in
-            Mbuf.copy_from head ~off:0 ~len:hdr_len hbytes ~src_off:0;
-            head
-        | None -> Mbuf.of_bytes ~pkthdr:true ~len:hdr_len hbytes
-      in
-      (match checksum_plan pcb ~iface ~hdr_len ~payload ~seg_len with
-      | `Unsendable ->
-          (match payload with Some p -> Mbuf.free p | None -> ());
-          pcb.stats.dropped_wcab_legacy <- pcb.stats.dropped_wcab_legacy + 1;
-          Error "outboard data on legacy path"
-      | `Offload (field, record) ->
-          Bytes.set_uint16_be hbytes Tcp_header.csum_field_offset
-            (field land 0xffff);
-          let seg = build_seg () in
+      (* Incremental seed: cached pseudo-header base plus this segment's
+         length word. *)
+      let pseudo = Inet_csum.add_u16 pcb.csum_base seg_len in
+      match payload with
+      | Some _ when iface.Netif.single_copy ->
+          pcb.stats.csum_offloaded_tx <- pcb.stats.csum_offloaded_tx + 1;
+          let record =
+            Csum_offload.make_tx ~csum_offset:Tcp_header.csum_field_offset
+              ~skip_bytes:0 ~seed:pseudo
+          in
+          let field = Inet_csum.fold pseudo land 0xffff in
+          Obs_trace.emit Obs_trace.Seed_compute ~a:seg_len ~b:field;
+          Bytes.set_uint16_be hbytes Tcp_header.csum_field_offset field;
+          let seg = build_seg hbytes hdr_len payload in
           (match seg.Mbuf.pkthdr with
           | Some ph -> ph.Mbuf.tx_csum <- Some record
           | None -> assert false);
-          Ok (seg, payload_len, 0)
-      | `Host (pseudo, payload_sum, cost, _hdr_len) ->
+          send_segment pcb seg ~payload_len ~csum_cost:0
+      | Some p
+        when Mbuf.fold (fun acc mb -> acc || Mbuf.kind mb = Mbuf.K_wcab) false p
+        ->
+          (* Outboard data routed at a device that cannot checksum or read
+             it: the stack cannot transmit this segment (§6 note). *)
+          Mbuf.free p;
+          pcb.stats.dropped_wcab_legacy <- pcb.stats.dropped_wcab_legacy + 1;
+          Error "outboard data on legacy path"
+      | Some _ | None ->
+          pcb.stats.csum_host_tx <- pcb.stats.csum_host_tx + 1;
+          let payload_sum =
+            match payload with
+            | None -> Inet_csum.zero
+            | Some p ->
+                Obs_ledger.touch Obs_ledger.Tcp_tx_csum Obs_ledger.Sum
+                  payload_len;
+                Mbuf.checksum p ~off:0 ~len:payload_len
+          in
+          let csum_cost =
+            (* The checksum pass usually runs right after the socket
+               layer's copy of the same bytes, so the segment is
+               cache-warm when the recently-copied working set (the app
+               buffer + kernel copy) fits; streaming very large writes
+               stays cold. *)
+            Memcost.checksum_read pcb.tcp.hst.Host.profile
+              ~locality:(Memcost.Working_set pcb.ws_hint_tx)
+              payload_len
+          in
           let hdr_sum = Inet_csum.of_bytes ~len:hdr_len hbytes in
           let total =
             Inet_csum.add pseudo
@@ -518,33 +534,8 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
           in
           Bytes.set_uint16_be hbytes Tcp_header.csum_field_offset
             (Inet_csum.finish total);
-          let seg = build_seg () in
-          Ok (seg, payload_len, cost))
-      |> function
-      | Error _ as e -> e
-      | Ok (seg, payload_len, csum_cost) ->
-          pcb.stats.segs_sent <- pcb.stats.segs_sent + 1;
-          pcb.stats.bytes_sent <- pcb.stats.bytes_sent + payload_len;
-          pcb.rcv_adv <- Tcp_seq.add pcb.rcv_nxt (rcv_space pcb);
-          pcb.ack_pending <- false;
-          pcb.need_ack_now <- false;
-          cancel_delack pcb;
-          let send () =
-            match
-              Ipv4.output pcb.tcp.ip ~proto:Ipv4_header.proto_tcp
-                ~src:pcb.local_addr ~dst:pcb.raddr seg
-            with
-            | Ok _ -> ()
-            | Error _ -> ()
-          in
-          if csum_cost > 0 then
-            (* The host checksum pass is charged to whoever is running
-               on the owning shard's CPU (process context on writes,
-               interrupt on ack-driven sends). *)
-            Host.in_intr_on pcb.tcp.hst ~shard:pcb.shard ~site:Cpu.Checksum
-              csum_cost send
-          else send ();
-          Ok ()
+          let seg = build_seg hbytes hdr_len payload in
+          send_segment pcb seg ~payload_len ~csum_cost
 
 (* ---------- connection teardown plumbing ---------- *)
 
@@ -606,6 +597,9 @@ let update_rtt pcb sample =
   let rto = pcb.srtt + (4 * pcb.rttvar) in
   pcb.rto <- max pcb.tcp.cfg.rto_min (min rto_max rto)
 
+let plan_none = 0
+let plan_fin = -1
+
 let rec arm_rexmt pcb = Sim.rearm (sim_of pcb) pcb.rexmt_timer pcb.rto
 
 and rto_fire pcb =
@@ -626,8 +620,8 @@ and rto_fire pcb =
       Obs.Counter.incr agg_retransmits;
       (* Back off, rewind, and resend (go-back-N; Karn: discard timing). *)
       pcb.rto <- min rto_max (2 * pcb.rto);
-      pcb.rtt_timing <- None;
-      pcb.wr_timing <- None;
+      pcb.rtt_t0 <- -1;
+      pcb.wr_t0 <- -1;
       if pcb.st = Syn_sent then begin
         pcb.snd_nxt <- pcb.iss;
         send_control pcb ~flags:[ Tcp_header.SYN ] ()
@@ -674,15 +668,17 @@ and send_control pcb ~flags () =
 
 and send_ack_now pcb = send_control pcb ~flags:[ Tcp_header.ACK ] ()
 
-(* Decide the next data transmission, if any.  Returns the plan without
-   mutating state. *)
+(* Decide the next data transmission, if any, without mutating state.
+   The plan is an int so that deciding allocates nothing: [plan_none],
+   [plan_fin], or a data length [len > 0] starting at offset
+   [snd_nxt - snd_una] of the send queue. *)
 and decide pcb =
   let sendable =
     match pcb.st with
     | Established | Close_wait | Fin_wait_1 | Closing -> true
     | Closed | Syn_sent | Fin_wait_2 | Last_ack | Time_wait -> false
   in
-  if not sendable then None
+  if not sendable then plan_none
   else begin
     let off = Tcp_seq.diff pcb.snd_nxt pcb.snd_una in
     let qlen = Tcp_sendq.length pcb.sendq in
@@ -718,18 +714,19 @@ and decide pcb =
         || (not inflight)
         || (pcb.fin_pending && available = len)
       in
-      if send_now && len > 0 then Some (`Data (off, len)) else None
+      if send_now && len > 0 then len else plan_none
     end
     else if
       pcb.fin_pending && (not pcb.fin_sent) && available = 0
       && Tcp_seq.diff pcb.snd_nxt pcb.snd_una <= usable_window
-    then Some `Fin
-    else None
+    then plan_fin
+    else plan_none
   end
 
 and transmit_plan pcb plan =
   match plan with
-  | `Data (off, len) ->
+  | len when len > 0 ->
+      let off = Tcp_seq.diff pcb.snd_nxt pcb.snd_una in
       let payload = Tcp_sendq.range pcb.sendq ~off ~len in
       let seq = pcb.snd_nxt in
       Obs_trace.emit Obs_trace.Packetize ~a:(seq : Tcp_seq.t :> int) ~b:len;
@@ -776,11 +773,10 @@ and transmit_plan pcb plan =
         && not pcb.fin_sent
       in
       let flags =
-        Tcp_header.ACK
-        ::
-        (if fin_here then [ Tcp_header.FIN ]
-         else if off + len = Tcp_sendq.length pcb.sendq then [ Tcp_header.PSH ]
-         else [])
+        if fin_here then [ Tcp_header.ACK; Tcp_header.FIN ]
+        else if off + len = Tcp_sendq.length pcb.sendq then
+          [ Tcp_header.ACK; Tcp_header.PSH ]
+        else [ Tcp_header.ACK ]
       in
       (match emit pcb ~seq ~flags ~options:[] ~payload:(Some payload) with
       | Ok () ->
@@ -792,9 +788,10 @@ and transmit_plan pcb plan =
           end;
           if Tcp_seq.gt pcb.snd_nxt pcb.snd_max then begin
             (* New data: start RTT timing if idle. *)
-            if pcb.rtt_timing = None then
-              pcb.rtt_timing <-
-                Some (pcb.snd_nxt, Sim.now pcb.tcp.hst.Host.sim)
+            if pcb.rtt_t0 < 0 then begin
+              pcb.rtt_seq <- pcb.snd_nxt;
+              pcb.rtt_t0 <- Sim.now pcb.tcp.hst.Host.sim
+            end
           end;
           pcb.snd_max <- Tcp_seq.max pcb.snd_max pcb.snd_nxt;
           if not (Sim.armed pcb.rexmt_timer) then arm_rexmt pcb
@@ -806,10 +803,11 @@ and transmit_plan pcb plan =
              by the pump's next pass is a safe overestimate. *)
           rescue_outboard pcb ~off ~len
       | Error _ -> ())
-  | `Fin ->
+  | _ when plan = plan_fin ->
       pcb.fin_sent <- true;
       send_control pcb ~flags:[ Tcp_header.FIN; Tcp_header.ACK ] ();
       advance_state_on_fin_sent pcb
+  | _ -> ()
 
 and rescue_outboard pcb ~off ~len =
   let chain = Tcp_sendq.range pcb.sendq ~off ~len in
@@ -827,33 +825,40 @@ and advance_state_on_fin_sent pcb =
 
 (* The single transmission pump: serializes per-packet CPU charging and
    segment emission.  [intr] selects interrupt-context charging (ACK- and
-   timer-driven sends) versus process context ([proc]). *)
+   timer-driven sends) versus process context ([proc]).  A pump already
+   running keeps its own context. *)
 and pump ?(proc = "kernel") ?(intr = false) ?(site = Cpu.Header) pcb =
   if not pcb.pumping then begin
     pcb.pumping <- true;
-    let charge cost k =
-      (* Explicit shard: timer-driven pumps run outside any shard
-         context, so inheritance would misattribute them. *)
-      if intr then
-        Host.in_intr_on pcb.tcp.hst ~shard:pcb.shard ~site cost k
-      else Host.in_proc_on pcb.tcp.hst ~shard:pcb.shard ~proc ~site cost k
-    in
-    let rec loop () =
-      match decide pcb with
-      | None ->
-          pcb.pumping <- false;
-          (* A standalone window-update / delayed ACK might still be
-             owed. *)
-          if pcb.need_ack_now then send_ack_now pcb
-      | Some _ ->
-          charge (Memcost.per_packet pcb.tcp.hst.Host.profile) (fun () ->
-              (match decide pcb with
-              | Some plan -> transmit_plan pcb plan
-              | None -> ());
-              loop ())
-    in
-    loop ()
+    pcb.pump_proc <- proc;
+    pcb.pump_intr <- intr;
+    pcb.pump_site <- site;
+    pump_next pcb
   end
+
+(* Charge one segment's per-packet cost; [pump_k] then transmits it. *)
+and pump_next pcb =
+  if decide pcb = plan_none then begin
+    pcb.pumping <- false;
+    (* A standalone window-update / delayed ACK might still be owed. *)
+    if pcb.need_ack_now then send_ack_now pcb
+  end
+  else begin
+    let cost = Memcost.per_packet pcb.tcp.hst.Host.profile in
+    (* Explicit shard: timer-driven pumps run outside any shard
+       context, so inheritance would misattribute them. *)
+    if pcb.pump_intr then
+      Host.in_intr_on pcb.tcp.hst ~shard:pcb.shard ~site:pcb.pump_site cost
+        pcb.pump_k
+    else
+      Host.in_proc_on pcb.tcp.hst ~shard:pcb.shard ~proc:pcb.pump_proc
+        ~site:pcb.pump_site cost pcb.pump_k
+  end
+
+and pump_step pcb =
+  let plan = decide pcb in
+  if plan <> plan_none then transmit_plan pcb plan;
+  pump_next pcb
 
 (* ---------- persist (zero-window probe) ---------- *)
 
@@ -890,13 +895,20 @@ let pseudo_base ~laddr ~raddr =
   Inet_csum.pseudo_header ~src:laddr ~dst:raddr ~proto:Ipv4_header.proto_tcp
     ~len:0
 
+(* A receive-checksum verdict is one int, so verifying allocates
+   nothing: [csum_bad], [csum_hw] (verified by the adaptor, no host
+   cost), or the host cost [>= 0] of a good host-verified sum. *)
+let csum_bad = -1
+let csum_hw = -2
+let csum_cost_of v = if v > 0 then v else 0
+
 (* Verify a received segment against pseudo-header [base], charging a
    host sum at receive working set [ws_hint] when no hardware checksum
-   rode in with the packet.  Returns (ok, host_cost, hardware_verified). *)
+   rode in with the packet. *)
 let verify_rx_csum tcp ~base ~ws_hint seg =
   let seg_len = Mbuf.pkt_len seg in
   let pseudo = Inet_csum.add_u16 base seg_len in
-  let ((ok, _, _) as r) =
+  let v =
     match seg.Mbuf.pkthdr with
     | Some { Mbuf.rx_csum = Some rx; _ } ->
         (* Hardware path: add back the transport bytes the engine skipped
@@ -912,7 +924,7 @@ let verify_rx_csum tcp ~base ~ws_hint seg =
           end
         in
         Obs_trace.emit Obs_trace.Rx_adjust ~a:seg_len ~b:skipped_len;
-        (Csum_offload.rx_verify rx ~skipped ~pseudo, 0, true)
+        if Csum_offload.rx_verify rx ~skipped ~pseudo then csum_hw else csum_bad
     | Some _ | None ->
         Obs_ledger.touch Obs_ledger.Tcp_rx_csum Obs_ledger.Sum seg_len;
         let sum = Mbuf.checksum seg ~off:0 ~len:seg_len in
@@ -920,20 +932,20 @@ let verify_rx_csum tcp ~base ~ws_hint seg =
           Memcost.checksum_read tcp.hst.Host.profile
             ~locality:(Memcost.Working_set ws_hint) seg_len
         in
-        (Inet_csum.is_valid (Inet_csum.add pseudo sum), cost, false)
+        if Inet_csum.is_valid (Inet_csum.add pseudo sum) then cost else csum_bad
   in
-  if not ok then Obs.Counter.incr agg_csum_failures_rx;
-  r
+  if v = csum_bad then Obs.Counter.incr agg_csum_failures_rx;
+  v
 
 let verify_checksum pcb seg =
-  let ((ok, _, hw) as r) =
+  let v =
     verify_rx_csum pcb.tcp ~base:pcb.csum_base ~ws_hint:pcb.ws_hint_rx seg
   in
   let s = pcb.stats in
-  if not ok then s.csum_failures_rx <- s.csum_failures_rx + 1
-  else if hw then s.csum_hw_verified_rx <- s.csum_hw_verified_rx + 1
+  if v = csum_bad then s.csum_failures_rx <- s.csum_failures_rx + 1
+  else if v = csum_hw then s.csum_hw_verified_rx <- s.csum_hw_verified_rx + 1
   else s.csum_host_verified_rx <- s.csum_host_verified_rx + 1;
-  r
+  v
 
 (* ---------- ack policy on data receipt ---------- *)
 
@@ -1023,13 +1035,12 @@ let process_ack pcb (hdr : Tcp_header.t) =
         pcb.stats.fast_retransmits <- pcb.stats.fast_retransmits + 1;
         Obs.Counter.incr agg_fast_retransmits;
         pcb.recover <- pcb.snd_max;
-        pcb.rtt_timing <- None;
-        pcb.wr_timing <- None;
+        pcb.rtt_t0 <- -1;
+        pcb.wr_t0 <- -1;
         let old_nxt = pcb.snd_nxt in
         pcb.snd_nxt <- pcb.snd_una;
-        (match decide pcb with
-        | Some plan -> transmit_plan pcb plan
-        | None -> ());
+        let plan = decide pcb in
+        if plan <> plan_none then transmit_plan pcb plan;
         pcb.snd_nxt <- Tcp_seq.max pcb.snd_nxt old_nxt
       end
     end
@@ -1041,18 +1052,16 @@ let process_ack pcb (hdr : Tcp_header.t) =
     pcb.stats.acks_rcvd <- pcb.stats.acks_rcvd + 1;
     (* RTT sample (Karn: only if the timed segment is covered and was not
        retransmitted — timing is dropped on retransmit). *)
-    (match pcb.rtt_timing with
-    | Some (seq, t0) when Tcp_seq.ge ack seq ->
-        update_rtt pcb (Simtime.sub (Sim.now pcb.tcp.hst.Host.sim) t0);
-        pcb.rtt_timing <- None
-    | Some _ | None -> ());
+    if pcb.rtt_t0 >= 0 && Tcp_seq.ge ack pcb.rtt_seq then begin
+      update_rtt pcb (Simtime.sub (Sim.now pcb.tcp.hst.Host.sim) pcb.rtt_t0);
+      pcb.rtt_t0 <- -1
+    end;
     (* Write-to-ACK latency, same Karn discipline. *)
-    (match pcb.wr_timing with
-    | Some (seq, t0) when Tcp_seq.ge ack seq ->
-        Obs.Histogram.observe Obs_lat.write_ack_ns
-          (Simtime.sub (Sim.now pcb.tcp.hst.Host.sim) t0);
-        pcb.wr_timing <- None
-    | Some _ | None -> ());
+    if pcb.wr_t0 >= 0 && Tcp_seq.ge ack pcb.wr_seq then begin
+      Obs.Histogram.observe Obs_lat.write_ack_ns
+        (Simtime.sub (Sim.now pcb.tcp.hst.Host.sim) pcb.wr_t0);
+      pcb.wr_t0 <- -1
+    end;
     (* Release acknowledged data; the SYN/FIN occupy sequence space but not
        queue space. *)
     let data_acked = min acked (Tcp_sendq.length pcb.sendq) in
@@ -1318,8 +1327,10 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
       srtt = 0;
       rttvar = 0;
       rto = rto_init;
-      rtt_timing = None;
-      wr_timing = None;
+      rtt_seq = 0;
+      rtt_t0 = -1;
+      wr_seq = 0;
+      wr_t0 = -1;
       setup_t0 = Sim.now tcp.hst.Host.sim;
       ack_pending = false;
       need_ack_now = false;
@@ -1335,6 +1346,10 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
       tpl;
       csum_base = pseudo_base ~laddr:local_addr ~raddr;
       pumping = false;
+      pump_proc = "kernel";
+      pump_intr = false;
+      pump_site = Cpu.Header;
+      pump_k = ignore;
       rx_cost_pending = None;
       on_rx_cost = None;
       on_readable = (fun () -> ());
@@ -1351,6 +1366,7 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
   Sim.set_fn pcb.persist_timer (fun () -> persist_fire pcb);
   Sim.set_fn pcb.time_wait_timer (fun () -> to_closed pcb);
   Sim.set_fn pcb.keep_timer (fun () -> keep_fire pcb);
+  pcb.pump_k <- (fun () -> pump_step pcb);
   Flowtab.add tcp.tabs.(shard) ~hash:flow_hash ~ka:(key_a ~lport ~rport)
     ~kb:(Flow_hash.addr_bits raddr) pcb;
   pcb
@@ -1735,8 +1751,9 @@ let handshake_ack tcp l ho ~key (hdr : Tcp_header.t) seg ~payload_len
       ~base:(pseudo_base ~laddr:ho.ho_laddr ~raddr:ho.ho_raddr)
       ~ws_hint:tcp.cfg.rcv_buf seg
   with
-  | false, _, _ -> Mbuf.free seg
-  | true, csum_cost, verified_hw ->
+  | v when v = csum_bad -> Mbuf.free seg
+  | v ->
+      let csum_cost = csum_cost_of v and verified_hw = v = csum_hw in
       let base_cost =
         if payload_len > 0 then Memcost.per_packet tcp.hst.Host.profile
         else Memcost.ack tcp.hst.Host.profile
@@ -1752,7 +1769,7 @@ let handshake_ack tcp l ho ~key (hdr : Tcp_header.t) seg ~payload_len
         maybe_stop_reaper tcp l
       end;
       Host.in_intr_on tcp.hst ~shard:ho.ho_shard ~site:Cpu.Header
-        ~split:(Cpu.Checksum, csum_cost) (base_cost + csum_cost) (fun () ->
+        ~csum:csum_cost (base_cost + csum_cost) (fun () ->
           Mbuf.adj_head seg hdr_size;
           if rst then Mbuf.free seg
           else if promotes then begin
@@ -1799,15 +1816,16 @@ let cookie_ack tcp l ~laddr ~raddr ~lport ~rport ~shard (hdr : Tcp_header.t)
         verify_rx_csum tcp ~base:(pseudo_base ~laddr ~raddr)
           ~ws_hint:tcp.cfg.rcv_buf seg
       with
-      | false, _, _ -> Mbuf.free seg
-      | true, csum_cost, verified_hw ->
+      | v when v = csum_bad -> Mbuf.free seg
+      | v ->
+          let csum_cost = csum_cost_of v and verified_hw = v = csum_hw in
           Obs.Counter.incr conn_cookies_validated;
           let base_cost =
             if payload_len > 0 then Memcost.per_packet tcp.hst.Host.profile
             else Memcost.ack tcp.hst.Host.profile
           in
           Host.in_intr_on tcp.hst ~shard ~site:Cpu.Header
-            ~split:(Cpu.Checksum, csum_cost) (base_cost + csum_cost)
+            ~csum:csum_cost (base_cost + csum_cost)
             (fun () ->
               Mbuf.adj_head seg hdr_size;
               if
@@ -1847,7 +1865,7 @@ let input tcp ~src ~dst seg =
   in
   match Tcp_header.decode hbytes ~off:hoff ~len:hlen with
   | Error _ -> Mbuf.free seg
-  | Ok (hdr, _csum_field) -> (
+  | Ok hdr -> (
       let hdr_size = Tcp_header.size hdr in
       let payload_len = seg_len - hdr_size in
       match lookup tcp ~lport:hdr.Tcp_header.dst_port ~raddr:src
@@ -1855,15 +1873,16 @@ let input tcp ~src ~dst seg =
       with
       | Some pcb ->
           (* Charge the receive-side processing before acting. *)
-          let ok, csum_cost, _ = verify_checksum pcb seg in
-          if not ok then Mbuf.free seg
+          let v = verify_checksum pcb seg in
+          if v = csum_bad then Mbuf.free seg
           else begin
+            let csum_cost = csum_cost_of v in
             let base_cost =
               if payload_len > 0 then Memcost.per_packet tcp.hst.Host.profile
               else Memcost.ack tcp.hst.Host.profile
             in
             Host.in_intr_on tcp.hst ~shard:pcb.shard ~site:Cpu.Header
-              ~split:(Cpu.Checksum, csum_cost) (base_cost + csum_cost)
+              ~csum:csum_cost (base_cost + csum_cost)
               (fun () ->
                 (* Strip the TCP header, keep descriptor metadata. *)
                 Mbuf.adj_head seg hdr_size;
@@ -2050,12 +2069,11 @@ let sosend_append pcb ~proc chain =
       Obs_trace.emit Obs_trace.Sendq_append ~a:appended
         ~b:(Tcp_sendq.length pcb.sendq);
       (* Time this write to the ACK covering its last byte (one write
-         timed at a time; dropped on retransmit like rtt_timing). *)
-      if pcb.wr_timing = None then
-        pcb.wr_timing <-
-          Some
-            ( Tcp_seq.add pcb.snd_una (Tcp_sendq.length pcb.sendq),
-              Sim.now pcb.tcp.hst.Host.sim );
+         timed at a time; dropped on retransmit like the RTT sample). *)
+      if pcb.wr_t0 < 0 then begin
+        pcb.wr_seq <- Tcp_seq.add pcb.snd_una (Tcp_sendq.length pcb.sendq);
+        pcb.wr_t0 <- Sim.now pcb.tcp.hst.Host.sim
+      end;
       pump pcb ~proc;
       Ok ()
   | st ->

@@ -114,7 +114,7 @@ let input t ~src ~dst dgram =
               Memcost.per_packet t.hst.Host.profile + csum_cost
             in
             Host.in_intr t.hst ~site:Cpu.Header
-              ~split:(Cpu.Checksum, csum_cost) cost (fun () ->
+              ~csum:csum_cost cost (fun () ->
                 Mbuf.adj_head dgram Udp_header.size;
                 t.s.dgrams_rcvd <- t.s.dgrams_rcvd + 1;
                 t.s.bytes_rcvd <- t.s.bytes_rcvd + Mbuf.chain_len dgram;
@@ -233,7 +233,7 @@ let sendto t ~proc ?(checksum = true) ~src_port ~dst payload =
         t.s.bytes_sent <- t.s.bytes_sent + payload_len;
         let cost = Memcost.per_packet t.hst.Host.profile + csum_cost in
         Host.in_proc t.hst ~proc ~site:Cpu.Header
-          ~split:(Cpu.Checksum, csum_cost) cost (fun () ->
+          ~csum:csum_cost cost (fun () ->
             match
               Ipv4.output t.ip ~proto:Ipv4_header.proto_udp ~src
                 ~dst:dst.addr dgram

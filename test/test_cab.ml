@@ -238,7 +238,7 @@ let test_retransmit_header_rewrite () =
          Tcp_header.decode second.Cab.rx_head ~off:transport_off
            ~len:Tcp_header.base_size
        with
-      | Ok (t, _) -> check_int "new ack in retransmit" 777 t.Tcp_header.ack
+      | Ok t -> check_int "new ack in retransmit" 777 t.Tcp_header.ack
       | Error e -> Alcotest.fail e)
   | l -> Alcotest.fail (Printf.sprintf "expected 2 receptions, got %d" (List.length l)));
   Cab.tx_free pair.cab_a pkt

@@ -193,6 +193,161 @@ let test_cpu_zero_duration () =
   Sim.run sim;
   check_int "zero-cost work completes" 5 !hits
 
+(* ---------- Work rings (Cpu and Resource queues) ---------- *)
+
+(* 121 normal items and 13 interrupts queue behind a running interrupt,
+   and continuations submit more of both, two normal items for every one
+   completed early on: the rings grow (also with their head mid-array)
+   and wrap.  Completions must still come interrupt-first, FIFO within
+   each class, with every cycle charged to the right bucket and site. *)
+let test_cpu_ring_order () =
+  let sim = Sim.create () in
+  let cpu = Cpu.create ~sim ~name:"ring" in
+  Cpu.set_idle_proc cpu "util";
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  let dur i = 10 + (i mod 7) in
+  let proc i = if i mod 2 = 0 then "a" else "b" in
+  (* Raised on the idle CPU: runs at once, charged to the soaker. *)
+  Cpu.execute_intr cpu 50 (note "x0");
+  for i = 0 to 120 do
+    let k () =
+      note (Printf.sprintf "n%d" i) ();
+      if i >= 1 && i <= 40 then begin
+        Cpu.execute cpu ~proc:"c" ~mode:Cpu.Sys 5
+          (note (Printf.sprintf "m%d" i));
+        Cpu.execute cpu ~proc:"c" ~mode:Cpu.Sys 5
+          (note (Printf.sprintf "p%d" i))
+      end;
+      if i > 0 && i mod 25 = 0 then
+        (* Raised while n_i is current: charged to n_i's process. *)
+        Cpu.execute_intr cpu 4 (note (Printf.sprintf "y%d" i))
+    in
+    if i mod 3 = 0 then
+      Cpu.execute cpu ~proc:(proc i) ~mode:Cpu.User ~site:Cpu.Header ~csum:2
+        (dur i) k
+    else Cpu.execute cpu ~proc:(proc i) ~mode:Cpu.User (dur i) k;
+    if i mod 10 = 0 then
+      (* Raised while x0 runs: charged to x0's victim, the soaker. *)
+      Cpu.execute_intr cpu 3 (note (Printf.sprintf "x%d" (1 + (i / 10))))
+  done;
+  Sim.run sim;
+  let ns = List.init 121 Fun.id in
+  let expected =
+    List.init 14 (fun j -> Printf.sprintf "x%d" j)
+    @ List.concat_map
+        (fun i ->
+          Printf.sprintf "n%d" i
+          :: (if i > 0 && i mod 25 = 0 then [ Printf.sprintf "y%d" i ] else []))
+        ns
+    @ List.concat_map
+        (fun i -> [ Printf.sprintf "m%d" i; Printf.sprintf "p%d" i ])
+        (List.init 40 succ)
+  in
+  Alcotest.(check (list string)) "completion order" expected (List.rev !log);
+  let sum f = List.fold_left (fun acc i -> acc + f i) 0 ns in
+  let charged proc mode = Cpu.charged cpu ~proc ~mode in
+  check_int "soaker: x0 + 13 interrupts" (50 + (13 * 3))
+    (charged "util" Cpu.Sys);
+  check_int "a user" (sum (fun i -> if i mod 2 = 0 then dur i else 0))
+    (charged "a" Cpu.User);
+  check_int "b user" (sum (fun i -> if i mod 2 = 1 then dur i else 0))
+    (charged "b" Cpu.User);
+  check_int "a victim of y50, y100" 8 (charged "a" Cpu.Sys);
+  check_int "b victim of y25, y75" 8 (charged "b" Cpu.Sys);
+  check_int "c" (80 * 5) (charged "c" Cpu.Sys);
+  let busy = 89 + sum dur + 16 + 400 in
+  check_int "busy" busy (Cpu.busy cpu);
+  check_int "never idle" busy (Sim.now sim);
+  let thirds f = sum (fun i -> if i mod 3 = 0 then f i else 0) in
+  check_int "checksum share" (thirds (fun _ -> 2))
+    (Cpu.site_charged cpu Cpu.Checksum);
+  check_int "header rest" (thirds (fun i -> dur i - 2))
+    (Cpu.site_charged cpu Cpu.Header);
+  check_int "intr" (89 + 16) (Cpu.site_charged cpu Cpu.Intr);
+  check_int "other" (sum dur - thirds dur + 400)
+    (Cpu.site_charged cpu Cpu.Other);
+  check_int "sites_total = busy" busy (Cpu.sites_total cpu)
+
+(* 100 holds queue behind the first and 30 more are taken from inside
+   continuations: FIFO through growth and wrap-around. *)
+let test_resource_ring_order () =
+  let sim = Sim.create () in
+  let r = Resource.create ~sim ~name:"link" in
+  let log = ref [] in
+  for i = 0 to 99 do
+    Resource.acquire r (1 + (i mod 5)) (fun () ->
+        log := i :: !log;
+        if i < 30 then
+          Resource.acquire r 2 (fun () -> log := (1000 + i) :: !log))
+  done;
+  Sim.run sim;
+  Alcotest.(check (list int))
+    "fifo" (List.init 100 Fun.id @ List.init 30 (fun i -> 1000 + i))
+    (List.rev !log);
+  let held =
+    List.fold_left (fun acc i -> acc + 1 + (i mod 5)) 60 (List.init 100 Fun.id)
+  in
+  check_int "busy time" held (Resource.busy_time r);
+  check_int "back to back" held (Sim.now sim);
+  check_bool "released" false (Resource.busy r)
+
+(* Builds the continuation in its own frame, so only the queue can keep
+   [payload] alive once the submission returns. *)
+let[@inline never] submit_tracked submit w =
+  let payload = Bytes.create 16 in
+  Weak.set w 0 (Some payload);
+  submit (fun () -> ignore (Sys.opaque_identity (Bytes.length payload)))
+
+let test_ring_drops_continuations () =
+  let sim = Sim.create () in
+  let cpu = Cpu.create ~sim ~name:"weak" in
+  let res = Resource.create ~sim ~name:"weak-link" in
+  let wc = Weak.create 1 and wr = Weak.create 1 in
+  Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 100 ignore;
+  submit_tracked (fun k -> Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 1 k) wc;
+  Resource.acquire res 100 ignore;
+  submit_tracked (fun k -> Resource.acquire res 1 k) wr;
+  check_bool "cpu continuation queued" true (Weak.check wc 0);
+  Sim.run sim;
+  Gc.full_major ();
+  check_bool "cpu continuation released" false (Weak.check wc 0);
+  check_bool "resource continuation released" false (Weak.check wr 0);
+  (* Both queues stay live across the collection. *)
+  check_int "cpu busy" 101 (Cpu.busy cpu);
+  check_int "resource held" 101 (Resource.busy_time res)
+
+(* Queueing work allocates nothing but the caller's continuation: with
+   one preallocated continuation, 10,000 CPU submissions and 10,000
+   resource holds into warmed-up rings average under one word each. *)
+let test_ring_alloc_budget () =
+  let n = 10_000 in
+  let sim = Sim.create () in
+  let cpu = Cpu.create ~sim ~name:"budget" in
+  let res = Resource.create ~sim ~name:"budget-link" in
+  let count = ref 0 in
+  let k () = incr count in
+  let round () =
+    (* A long first item keeps both busy, so the loop only queues. *)
+    Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 1_000 k;
+    Resource.acquire res 1_000 k;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 1 k;
+      Resource.acquire res 1 k
+    done;
+    let words = Gc.minor_words () -. w0 in
+    Sim.run sim;
+    words
+  in
+  ignore (round () : float);
+  let words = round () in
+  check_int "every item completed" (4 * (n + 1)) !count;
+  check_bool
+    (Printf.sprintf "%.0f words for %d items" words (2 * n))
+    true
+    (words /. float_of_int (2 * n) < 1.)
+
 (* ---------- Rng ---------- *)
 
 let test_rng_determinism () =
@@ -243,7 +398,17 @@ let () =
           Alcotest.test_case "interrupt mischarge" `Quick
             test_cpu_interrupt_mischarge;
           Alcotest.test_case "zero duration" `Quick test_cpu_zero_duration;
+          Alcotest.test_case "ring order and accounting" `Quick
+            test_cpu_ring_order;
           QCheck_alcotest.to_alcotest prop_cpu_conservation;
+        ] );
+      ( "rings",
+        [
+          Alcotest.test_case "resource fifo through growth" `Quick
+            test_resource_ring_order;
+          Alcotest.test_case "completed continuations released" `Quick
+            test_ring_drops_continuations;
+          Alcotest.test_case "allocation budget" `Quick test_ring_alloc_budget;
         ] );
       ( "rng+stats",
         [

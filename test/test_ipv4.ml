@@ -55,6 +55,36 @@ let test_route_removal () =
   Routing.remove_route rt ~prefix:(Inaddr.v 10 0 0 0) ~len:24;
   check_bool "gone" true (Routing.lookup rt (Inaddr.v 10 0 0 2) = None)
 
+(* The lookup memo must never outlive a table change or answer for a
+   different destination. *)
+let test_route_memo_invalidation () =
+  let rt = Routing.create () in
+  let wide = mk_iface "wide" (Inaddr.v 10 0 0 1) in
+  let narrow = mk_iface "narrow" (Inaddr.v 10 0 1 1) in
+  let other = mk_iface "other" (Inaddr.v 192 168 0 1) in
+  Routing.add_route rt ~prefix:(Inaddr.v 10 0 0 0) ~len:8 wide;
+  Routing.add_route rt ~prefix:(Inaddr.v 192 168 0 0) ~len:16 other;
+  let dst = Inaddr.v 10 0 1 7 and dst2 = Inaddr.v 192 168 3 4 in
+  let name d =
+    match Routing.lookup rt d with
+    | Some (i, nh) ->
+        check_bool "next hop is the destination" true (Inaddr.equal nh d);
+        i.Netif.name
+    | None -> "none"
+  in
+  Alcotest.(check string) "first lookup" "wide" (name dst);
+  Alcotest.(check string) "repeat is served the same" "wide" (name dst);
+  Routing.add_route rt ~prefix:(Inaddr.v 10 0 1 0) ~len:24 narrow;
+  Alcotest.(check string) "more specific route wins at once" "narrow"
+    (name dst);
+  Alcotest.(check string) "second destination" "other" (name dst2);
+  Alcotest.(check string) "first again after the second" "narrow" (name dst);
+  Routing.remove_route rt ~prefix:(Inaddr.v 10 0 1 0) ~len:24;
+  Alcotest.(check string) "removal falls back" "wide" (name dst);
+  Alcotest.(check string) "unrouted destination" "none"
+    (name (Inaddr.v 8 8 8 8));
+  Alcotest.(check string) "then the first again" "wide" (name dst)
+
 let prop_lpm_always_most_specific =
   QCheck.Test.make ~name:"lookup returns the longest matching prefix"
     ~count:300
@@ -362,6 +392,8 @@ let () =
           Alcotest.test_case "longest prefix" `Quick test_longest_prefix_match;
           Alcotest.test_case "gateway" `Quick test_gateway_next_hop;
           Alcotest.test_case "removal" `Quick test_route_removal;
+          Alcotest.test_case "lookup memo invalidation" `Quick
+            test_route_memo_invalidation;
           QCheck_alcotest.to_alcotest prop_lpm_always_most_specific;
         ] );
       ( "ip",

@@ -79,7 +79,8 @@ let test_tcp_roundtrip () =
   Tcp_header.encode h ~csum:0xabcd buf ~off:4;
   match Tcp_header.decode buf ~off:4 ~len:60 with
   | Error e -> Alcotest.fail e
-  | Ok (d, csum) ->
+  | Ok d ->
+      let csum = Bytes.get_uint16_be buf (4 + Tcp_header.csum_field_offset) in
       check_int "src port" 5001 d.Tcp_header.src_port;
       check_int "dst port" 5002 d.Tcp_header.dst_port;
       check_int "seq" 0xdeadbeef d.Tcp_header.seq;
@@ -102,7 +103,7 @@ let test_tcp_no_options () =
   Tcp_header.encode h ~csum:0 buf ~off:0;
   match Tcp_header.decode buf ~off:0 ~len:20 with
   | Error e -> Alcotest.fail e
-  | Ok (d, _) -> check_int "no options" 0 (List.length d.Tcp_header.options)
+  | Ok d -> check_int "no options" 0 (List.length d.Tcp_header.options)
 
 let test_tcp_truncated () =
   let buf = Bytes.create 10 in
@@ -119,7 +120,7 @@ let prop_tcp_seq_roundtrip =
       let buf = Bytes.create 20 in
       Tcp_header.encode h ~csum:0 buf ~off:0;
       match Tcp_header.decode buf ~off:0 ~len:20 with
-      | Ok (d, _) -> d.Tcp_header.seq = seq && d.Tcp_header.ack = ack
+      | Ok d -> d.Tcp_header.seq = seq && d.Tcp_header.ack = ack
       | Error _ -> false)
 
 (* ---------- UDP ---------- *)
