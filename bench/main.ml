@@ -56,7 +56,7 @@ let run_analysis measured =
   in
   Exp_tables.print_analysis a
 
-let run_hol () = Exp_hol.print (Exp_hol.run ~seed:20260706 ())
+let run_hol () = Exp_hol.print (Exp_hol.run ())
 
 (* ---------------- Bechamel microbenchmarks ---------------- *)
 

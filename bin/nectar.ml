@@ -50,7 +50,7 @@ let reproduce targets =
         Exp_tables.print_analysis
           (Exp_tables.run_analysis ?measured:!fig5
              ~profile:Host_profile.alpha400 ~packet:32768 ())
-    | "hol" -> Exp_hol.print (Exp_hol.run ~seed:42 ())
+    | "hol" -> Exp_hol.print (Exp_hol.run ())
     | "alignment" -> Exp_extras.print_alignment ()
     | "pincache" -> Exp_extras.print_pin_cache ()
     | "autodma" -> Exp_extras.print_autodma_sweep ()

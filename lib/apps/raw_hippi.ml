@@ -18,21 +18,38 @@ let run ~tb ~packet_size ~total =
   let received = ref 0 in
   let done_at = ref Simtime.zero in
   (* B: count arrivals and free immediately. *)
-  Cab.set_interrupt_handler cab_b (fun i ->
-      match i with
+  Cab.set_batch_interrupt_handler cab_b
+    (List.iter (function
       | Cab.Rx_packet info ->
           incr received;
           Cab.rx_free cab_b info.Cab.rx_pkt;
           if !received = npackets then done_at := Sim.now sim
-      | Cab.Sdma_done -> ());
-  Cab.set_interrupt_handler cab_a (fun _ -> ());
+      | Cab.Sdma_done -> ()));
+  Cab.set_batch_interrupt_handler cab_a ignore;
   (* A: post packets back to back; the next SDMA is posted as soon as the
-     previous one is accepted by the adaptor, so SDMA and MDMA pipeline. *)
-  let hdr = Bytes.create Hippi_framing.size in
-  Hippi_framing.encode
-    (Hippi_framing.make ~src:1 ~dst:2 ~channel:0 ~payload_len:payload)
-    hdr ~off:0;
-  let body = Bytes.create payload in
+     previous one is accepted by the adaptor, so SDMA and MDMA pipeline.
+     Header and payload are two one-segment chains, each its own
+     doorbell. *)
+  let framing =
+    Hippi_framing.make ~src:1 ~dst:2 ~channel:0 ~payload_len:payload
+  in
+  let header =
+    Cab.Seg_header
+      {
+        len = Hippi_framing.size;
+        fill = Hippi_framing.encode framing ~off:0;
+        csum = None;
+      }
+  and body =
+    Cab.Seg_payload
+      {
+        src =
+          Cab.From_kernel
+            { buf = Bytes.create payload; off = 0; len = payload };
+        pkt_off = Hippi_framing.size;
+        on_seg_complete = None;
+      }
+  in
   let t0 = Sim.now sim in
   let rec send n =
     if n < npackets then
@@ -43,9 +60,8 @@ let run ~tb ~packet_size ~total =
       | Some pkt ->
           Host.in_proc host_a ~proc:"rawhippi"
             (2 * Memcost.dma_post host_a.Host.profile) (fun () ->
-              Cab.sdma_header cab_a pkt ~header:hdr ~csum:None ();
-              Cab.sdma_payload cab_a pkt ~src:(Cab.From_kernel body)
-                ~pkt_off:Hippi_framing.size
+              Cab.sdma_chain cab_a pkt ~segs:[ header ] ();
+              Cab.sdma_chain cab_a pkt ~segs:[ body ]
                 ~on_complete:(fun () -> send (n + 1))
                 ();
               pkt.Netmem.len <- packet_size;

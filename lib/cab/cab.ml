@@ -12,8 +12,7 @@ type intr = Sdma_done | Rx_packet of rx_info
 
 type tx_src =
   | From_user of Region.t
-  | From_kernel of Bytes.t
-  | From_mbuf of { buf : Bytes.t; off : int; len : int }
+  | From_kernel of { buf : Bytes.t; off : int; len : int }
 
 type stats = {
   mutable sdma_transfers : int;
@@ -61,8 +60,7 @@ type t = {
   copyout_parked : (unit -> unit) Queue.t;
       (* posts beyond [pipe.rx_pipe_depth] descriptor slots park here
          until a completion frees a slot *)
-  mutable intr_handler : intr -> unit;
-  mutable batch_handler : (intr list -> unit) option;
+  mutable batch_handler : intr list -> unit;
   pending_intrs : intr Queue.t;
       (* notifications waiting for the next delivery burst, in raise
          order: each is queued at the current instant and drained no
@@ -71,7 +69,6 @@ type t = {
   intr_timer : Sim.handle;
       (* one reusable zero-delay timer drives every delivery burst, so
          raising an interrupt never allocates a closure *)
-  mutable intr_budget : int;
   mutable autodma_words : int;
   mdma_waiting : (int, pending_mdma) Hashtbl.t;
   stalled : (int, int) Hashtbl.t;
@@ -115,6 +112,9 @@ let register_obs t =
   g "netmem_free_pages" (fun () -> Netmem.free_pages t.mem);
   g "netmem_failures" (fun () -> Netmem.failures t.mem)
 
+(* Maximum events delivered per burst. *)
+let intr_budget = 64
+
 (* Pop the oldest [n] (or fewer) queued notifications, oldest first. *)
 let rec take_intrs q n =
   if n = 0 || Queue.is_empty q then []
@@ -130,16 +130,14 @@ let rec take_intrs q n =
    of a chained SDMA) lands in a single burst and scheduling the burst
    allocates nothing. *)
 let deliver_intrs t =
-  match take_intrs t.pending_intrs t.intr_budget with
+  match take_intrs t.pending_intrs intr_budget with
   | [] -> t.intr_scheduled <- false
   | evs ->
       t.s.interrupts <- t.s.interrupts + 1;
       let n_evs = List.length evs in
       t.s.intr_events <- t.s.intr_events + n_evs;
-      Obs_trace.emit Obs_trace.Intr ~a:n_evs ~b:t.intr_budget;
-      (match t.batch_handler with
-      | Some f -> f evs
-      | None -> List.iter t.intr_handler evs);
+      Obs_trace.emit Obs_trace.Intr ~a:n_evs ~b:intr_budget;
+      t.batch_handler evs;
       if Queue.is_empty t.pending_intrs then t.intr_scheduled <- false
       else Sim.rearm t.sim t.intr_timer Simtime.zero
 
@@ -156,13 +154,11 @@ let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
     copyout = Resource.create ~sim ~name:(name ^ ".copyout");
     copyout_inflight = 0;
     copyout_parked = Queue.create ();
-    intr_handler =
+    batch_handler =
       (fun _ -> invalid_arg (name ^ ": no interrupt handler installed"));
-    batch_handler = None;
     pending_intrs = Queue.create ();
     intr_scheduled = false;
     intr_timer = Sim.timer sim ignore;
-    intr_budget = 64;
     (* 176 words: "the checksum is passed up the stack together with the
        first 176 words of the packet (data size of the mbuf)" — §4.3. *)
     autodma_words = 176;
@@ -204,20 +200,9 @@ let netmem t = t.mem
 let sim t = t.sim
 let profile t = t.profile
 
-(* Latest installed handler wins, whichever flavour: a per-event handler
-   displaces a batch handler and vice versa (apps like raw_hippi take the
-   adaptor over from the driver by reinstalling). *)
-let set_interrupt_handler t f =
-  t.intr_handler <- f;
-  t.batch_handler <- None
-
-let set_batch_interrupt_handler t f = t.batch_handler <- Some f
-
-let set_intr_budget t n =
-  if n <= 0 then invalid_arg "Cab.set_intr_budget: must be positive";
-  t.intr_budget <- n
-
-let intr_budget t = t.intr_budget
+(* The latest installed handler wins: apps like raw_hippi take the
+   adaptor over from the driver by reinstalling. *)
+let set_batch_interrupt_handler t f = t.batch_handler <- f
 
 let set_autodma_words t w =
   if w <= 0 then invalid_arg "Cab.set_autodma_words: must be positive";
@@ -325,33 +310,13 @@ let clear_stall t (pkt : Netmem.packet) =
       pkt.sdma_pending <- pkt.sdma_pending - 1;
       t.s.tx_recoveries <- t.s.tx_recoveries + 1
 
-(* Common SDMA machinery: occupy the TurboChannel, then apply [commit]
-   (blit + checksum-engine update), then completion notifications.
-   [stallable] marks the posts covered by the "cab.sdma_stall" fault site
-   — the ones whose callers run a completion-timeout watchdog. *)
-let sdma ?(stallable = false) t (pkt : Netmem.packet) ~bytes ~interrupt
-    ~on_complete commit =
-  pkt.sdma_pending <- pkt.sdma_pending + 1;
-  if stallable && Fault.fire "cab.sdma_stall" then note_stall t pkt
-  else begin
-    Obs_trace.emit Obs_trace.Sdma_post ~a:bytes ~b:1;
-    let duration = Memcost.bus_transfer t.profile bytes in
-    Resource.acquire t.bus duration (fun () ->
-        t.s.sdma_transfers <- t.s.sdma_transfers + 1;
-        t.s.sdma_bytes <- t.s.sdma_bytes + bytes;
-        commit ();
-        (match on_complete with Some f -> f () | None -> ());
-        if interrupt then raise_intr t Sdma_done;
-        sdma_finished t pkt)
-  end
-
 (* Validation happens at post time (the caller's bug surfaces where it was
    made); the commit closures run when the bus transfer completes. *)
 
 let validate_header (pkt : Netmem.packet) ~len =
   require_word_aligned "header length" len;
   if len > Bytes.length pkt.buf then
-    invalid_arg "Cab.sdma_header: header larger than packet buffer"
+    invalid_arg "Cab.sdma_chain: header larger than packet buffer"
 
 (* [fill] writes the [len]-byte header into the front of [pkt.buf]. *)
 let commit_header (pkt : Netmem.packet) ~len ~fill ~csum =
@@ -365,10 +330,8 @@ let commit_header (pkt : Netmem.packet) ~len ~fill ~csum =
          through (§2.1), from the offload record's skip onwards. *)
       let skip = c.Csum_offload.skip_bytes in
       if skip > len then
-        invalid_arg "Cab.sdma_header: checksum skip beyond header";
+        invalid_arg "Cab.sdma_chain: checksum skip beyond header";
       pkt.header_sum <- Inet_csum.of_bytes ~off:skip ~len:(len - skip) pkt.buf
-
-let blit_header header buf = Bytes.blit header 0 buf 0 (Bytes.length header)
 
 let validate_payload (pkt : Netmem.packet) ~src ~pkt_off =
   require_word_aligned "payload packet offset" pkt_off;
@@ -377,14 +340,13 @@ let validate_payload (pkt : Netmem.packet) ~src ~pkt_off =
     | From_user region ->
         require_word_aligned "user source address" (Region.vaddr region);
         Region.length region
-    | From_kernel b -> Bytes.length b
-    | From_mbuf { buf; off; len } ->
+    | From_kernel { buf; off; len } ->
         if off < 0 || len < 0 || off + len > Bytes.length buf then
-          invalid_arg "Cab.sdma_payload: mbuf source window out of range";
+          invalid_arg "Cab.sdma_chain: kernel source window out of range";
         len
   in
   if pkt_off + len > Bytes.length pkt.buf then
-    invalid_arg "Cab.sdma_payload: transfer past end of packet buffer";
+    invalid_arg "Cab.sdma_chain: transfer past end of packet buffer";
   len
 
 let commit_payload (pkt : Netmem.packet) ~src ~pkt_off ~len =
@@ -396,8 +358,7 @@ let commit_payload (pkt : Netmem.packet) ~src ~pkt_off ~len =
       match src with
       | From_user region ->
           Region.blit_to_bytes region ~src_off:0 pkt.buf ~dst_off:pkt_off ~len
-      | From_kernel b -> Bytes.blit b 0 pkt.buf pkt_off len
-      | From_mbuf { buf; off; _ } -> Bytes.blit buf off pkt.buf pkt_off len)
+      | From_kernel { buf; off; _ } -> Bytes.blit buf off pkt.buf pkt_off len)
   | Some _ ->
       (* Fused copy + checksum, as in the hardware where the engine
          sums words on their way through.  Word alignment makes every
@@ -408,27 +369,11 @@ let commit_payload (pkt : Netmem.packet) ~src ~pkt_off ~len =
         | From_user region ->
             Region.blit_csum_to_bytes region ~src_off:0 pkt.buf
               ~dst_off:pkt_off ~len
-        | From_kernel b ->
-            Inet_csum.copy_and_sum ~src:b ~src_off:0 ~dst:pkt.buf
-              ~dst_off:pkt_off ~len
-        | From_mbuf { buf; off; _ } ->
+        | From_kernel { buf; off; _ } ->
             Inet_csum.copy_and_sum ~src:buf ~src_off:off ~dst:pkt.buf
               ~dst_off:pkt_off ~len
       in
       pkt.body_sum <- Inet_csum.add pkt.body_sum seg
-
-let sdma_header t (pkt : Netmem.packet) ~header ~csum ?(interrupt = false)
-    ?on_complete () =
-  let len = Bytes.length header in
-  validate_header pkt ~len;
-  sdma t pkt ~bytes:len ~interrupt ~on_complete (fun () ->
-      commit_header pkt ~len ~fill:(blit_header header) ~csum)
-
-let sdma_payload t (pkt : Netmem.packet) ~src ~pkt_off ?(interrupt = false)
-    ?on_complete () =
-  let len = validate_payload pkt ~src ~pkt_off in
-  sdma t pkt ~bytes:len ~interrupt ~on_complete (fun () ->
-      commit_payload pkt ~src ~pkt_off ~len)
 
 (* ---- chained SDMA ---- *)
 
@@ -470,6 +415,18 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ?(interrupt = false)
           in
           total := !total + len)
         segs;
+      (* Retransmission (§4.3): a packet held for retransmit takes a
+         fresh header (with a fresh seed) over the old one; the saved
+         body sum is reused and the data is not touched. *)
+      if pkt.state = Netmem.Held then begin
+        (match segs with
+        | [ Seg_header { len; _ } ] when len = pkt.hdr_len -> ()
+        | _ ->
+            invalid_arg
+              "Cab.sdma_chain: a held packet takes one header segment of \
+               its held length");
+        pkt.state <- Netmem.Filling
+      end;
       let duration = Memcost.bus_transfer t.profile !total in
       pkt.sdma_pending <- pkt.sdma_pending + 1;
       t.s.sdma_chains <- t.s.sdma_chains + 1;
@@ -493,18 +450,6 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ?(interrupt = false)
           if interrupt then raise_intr t Sdma_done;
           sdma_finished t pkt)
       end
-
-let tx_rewrite_header t (pkt : Netmem.packet) ~header ~csum
-    ?(interrupt = false) ?on_complete () =
-  let len = Bytes.length header in
-  require_word_aligned "header length" len;
-  if pkt.state <> Netmem.Held then
-    invalid_arg "Cab.tx_rewrite_header: packet is not held for retransmit";
-  if len <> pkt.hdr_len then
-    invalid_arg "Cab.tx_rewrite_header: header length changed";
-  pkt.state <- Netmem.Filling;
-  sdma t pkt ~bytes:len ~interrupt ~on_complete (fun () ->
-      commit_header pkt ~len ~fill:(blit_header header) ~csum)
 
 let mdma_send t (pkt : Netmem.packet) ~dst ~channel ~keep =
   Obs_trace.emit Obs_trace.Doorbell ~a:pkt.len ~b:pkt.sdma_pending;
@@ -622,7 +567,7 @@ let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ?(interrupt = false)
   (* Copy-outs ride the dedicated copy-out engine, not the tx SDMA
      channel, bounded by [rx_pipe_depth] outstanding descriptors; excess
      posts park FIFO and start as slots free up.  The stall fault keeps
-     the semantics of [sdma]: the post is accepted (holds its
+     the semantics of [sdma_chain]: the post is accepted (holds its
      [sdma_pending] share) but never occupies the engine. *)
   pkt.sdma_pending <- pkt.sdma_pending + 1;
   if Fault.fire "cab.sdma_stall" then note_stall t pkt

@@ -9,6 +9,13 @@
     on receive while data flows *off the media* (so it is available as soon
     as the packet is).
 
+    The driver feeds the transmit SDMA engine one way only: descriptor
+    chains ({!sdma_chain}), one doorbell each.  A retransmission is a
+    chain of one header segment over a packet still held in network
+    memory (§4.3).  Notifications reach the host one way only: as
+    coalesced bursts through the handler installed with
+    {!set_batch_interrupt_handler} (§2.2).
+
     Timing: SDMA transfers serialize per channel (each a {!Resource}),
     costing the per-transfer engine overhead plus bytes at the calibrated
     effective bus bandwidth — none of which is host CPU time.  The model
@@ -61,24 +68,14 @@ val netmem : t -> Netmem.t
 val sim : t -> Sim.t
 val profile : t -> Host_profile.t
 
-val set_interrupt_handler : t -> (intr -> unit) -> unit
-(** The driver's interrupt entry point.  Called in "hardware context": the
-    handler is responsible for charging interrupt CPU time.  Notifications
-    are delivered in coalesced bursts (NAPI-style): events queue on the
-    adaptor and the handler runs once per burst, invoked per event unless
-    a batch handler is installed with {!set_batch_interrupt_handler}. *)
-
 val set_batch_interrupt_handler : t -> (intr list -> unit) -> unit
-(** Burst-aware entry point: receives each delivery burst whole — at most
-    {!intr_budget} events, in raise order — so the driver can charge one
-    interrupt entry for the lot.  Takes precedence over the per-event
-    handler. *)
-
-val set_intr_budget : t -> int -> unit
-(** Maximum events delivered per burst (default 64).  A larger budget
-    coalesces harder; [1] degenerates to one interrupt per event. *)
-
-val intr_budget : t -> int
+(** The interrupt entry point.  Notifications are delivered in coalesced
+    bursts (NAPI-style): events queue on the adaptor and the handler
+    receives each burst whole — at most 64 events, in raise order — so
+    the driver can charge one interrupt entry for the lot.  Called in
+    "hardware context": the handler is responsible for charging interrupt
+    CPU time.  The latest installed handler wins, so an application can
+    take the adaptor over from the driver. *)
 
 val set_autodma_words : t -> int -> unit
 (** The host-selectable L of §2.2 (default 176 words = 704 bytes, the
@@ -97,42 +94,15 @@ val set_rx_pipe_depth : t -> int -> unit
 val tx_alloc : t -> len:int -> Netmem.packet option
 (** Reserve a page-aligned outboard buffer for a fully formed packet. *)
 
-(** Source of an SDMA transfer into network memory. *)
+(** Source of a payload transfer into network memory. *)
 type tx_src =
-  | From_user of Region.t  (** DMA directly out of an application buffer *)
-  | From_kernel of Bytes.t  (** DMA out of kernel mbuf storage *)
-  | From_mbuf of { buf : Bytes.t; off : int; len : int }
-      (** DMA out of a window of mbuf storage in place — no staging copy.
-          The buffer must stay alive and unmodified until the transfer
-          commits (mbuf storage is never recycled, so capturing it at
-          enqueue time is safe). *)
-
-val sdma_header :
-  t ->
-  Netmem.packet ->
-  header:Bytes.t ->
-  csum:Csum_offload.tx option ->
-  ?interrupt:bool ->
-  ?on_complete:(unit -> unit) ->
-  unit ->
-  unit
-(** DMA the packet's headers into the front of the outboard buffer.  When
-    [csum] is given, the transmit checksum engine sums the header range
-    from [csum.skip_bytes] (the seed is already in the field).  Word
-    alignment of the header length is required. *)
-
-val sdma_payload :
-  t ->
-  Netmem.packet ->
-  src:tx_src ->
-  pkt_off:int ->
-  ?interrupt:bool ->
-  ?on_complete:(unit -> unit) ->
-  unit ->
-  unit
-(** DMA payload bytes into the outboard buffer at [pkt_off] (word aligned).
-    The checksum engine accumulates the body sum when the packet has an
-    offload record. *)
+  | From_user of Region.t
+      (** DMA directly out of an application buffer (word-aligned user
+          address required) *)
+  | From_kernel of { buf : Bytes.t; off : int; len : int }
+      (** DMA out of a window of kernel storage (mbuf storage or a
+          staging buffer) in place — no staging copy.  The buffer must
+          stay alive and unmodified until the transfer commits. *)
 
 (** One element of a chained SDMA post. *)
 type chain_seg =
@@ -144,12 +114,17 @@ type chain_seg =
       (** [len] header bytes (word aligned).  [fill] writes them into the
           front of the packet buffer when the chain commits, so a driver
           can gather the header straight from its own storage; it runs
-          once per commit, again if a stalled chain is reposted. *)
+          once per commit, again if a stalled chain is reposted.  When
+          [csum] is given, the transmit checksum engine sums the header
+          from [csum.skip_bytes] (the seed is already in the field). *)
   | Seg_payload of {
       src : tx_src;
       pkt_off : int;
       on_seg_complete : (unit -> unit) option;
     }
+      (** Payload bytes landing at [pkt_off] (word aligned).  The checksum
+          engine accumulates the body sum when the packet has an offload
+          record. *)
 
 val sdma_chain :
   t ->
@@ -159,26 +134,18 @@ val sdma_chain :
   ?on_complete:(unit -> unit) ->
   unit ->
   unit
-(** Batched SDMA: post a whole descriptor chain with one doorbell.  The
-    chain occupies the TurboChannel once (for the sum of the per-segment
-    transfer costs — chaining merges control events, it does not shortcut
-    the bus), commits its segments in list order, and raises at most one
-    completion notification for the burst.  Put the header segment first:
-    it installs the checksum-offload record the payload commits consult.
-    Alignment rules are those of {!sdma_header} / {!sdma_payload}. *)
+(** The transmit SDMA entry: post a whole descriptor chain with one
+    doorbell.  The chain occupies the TurboChannel once (for the sum of
+    the per-segment transfer costs — chaining merges control events, it
+    does not shortcut the bus), commits its segments in list order, and
+    raises at most one completion notification for the burst.  Put the
+    header segment first: it installs the checksum-offload record the
+    payload commits consult.
 
-val tx_rewrite_header :
-  t ->
-  Netmem.packet ->
-  header:Bytes.t ->
-  csum:Csum_offload.tx option ->
-  ?interrupt:bool ->
-  ?on_complete:(unit -> unit) ->
-  unit ->
-  unit
-(** Retransmission support (§4.3): DMA a fresh header (with a fresh seed)
-    over the old one; the saved body sum is reused, the data is not
-    touched. *)
+    Retransmission (§4.3): on a packet {!mdma_send} kept for retransmit,
+    the chain must be one header segment of the held header length.  It
+    writes a fresh header (with a fresh seed) over the old one; the saved
+    body sum is reused and the data is not touched. *)
 
 val mdma_send :
   t -> Netmem.packet -> dst:int -> channel:int -> keep:bool -> unit
@@ -225,10 +192,10 @@ val rx_free : t -> Netmem.packet -> unit
 
     Two fault sites live on the adaptor:
 
-    - ["cab.sdma_stall"], consulted by {!sdma_chain} and
-      {!sdma_copy_out}: the post is accepted (the descriptor counts
-      against [sdma_pending]) but never occupies the bus, never commits
-      and never completes — a stuck descriptor.  The driver detects it
+    - ["cab.sdma_stall"], consulted by every transmit post
+      ({!sdma_chain}) and {!sdma_copy_out}: the post is accepted (the
+      descriptor counts against [sdma_pending]) but never occupies the
+      bus, never commits and never completes — a stuck descriptor.  The driver detects it
       with {!stalled_posts} from a completion-timeout watchdog, reclaims
       it with {!clear_stall} and reposts.
     - ["cab.lost_intr"], consulted when an interrupt would be scheduled:
@@ -262,7 +229,9 @@ type stats = private {
   mutable sdma_transfers : int;
       (** individual segments moved (chains count each) *)
   mutable sdma_bytes : int;
-  mutable sdma_chains : int;  (** chained posts ({!sdma_chain} doorbells) *)
+  mutable sdma_chains : int;
+      (** transmit doorbells: every {!sdma_chain} post, header rewrites
+          included *)
   mutable mdma_packets : int;
   mutable mdma_bytes : int;
   mutable rx_packets : int;

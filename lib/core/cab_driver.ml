@@ -73,7 +73,7 @@ let stats t = t.s
    Entirely opt-in: with [watchdog = None] (the default) none of this
    machinery runs and the clean path is byte-for-byte the old driver.
 
-   Each "watched" SDMA program (the tx descriptor chain, copy-outs) gets
+   Each "watched" SDMA program (every tx descriptor chain, copy-outs) gets
    a completion timer.  On expiry the driver reads the adaptor's stall
    status register ({!Cab.stalled_posts}): a stuck post is reclaimed
    ({!Cab.clear_stall}) and reposted with exponential backoff; a post
@@ -286,6 +286,19 @@ let detach_pieces (chain : Mbuf.t) =
   in
   go chain
 
+(* Ring the doorbell for one transmit descriptor chain: after [cost] of
+   host posting time the chain runs under the watchdog — a stalled chain
+   is reclaimed and reposted whole — and [on_done] fires on its first
+   completion.  [mdma_send] is queued once, here: it waits on
+   [sdma_pending] and fires when the (re)posted chain commits. *)
+let post_chain t netpkt ~cost ~segs ~interrupt ~on_done ~dst ~keep =
+  Host.in_intr t.host cost (fun () ->
+      watched_post t netpkt
+        ~post:(fun ~on_complete ->
+          Cab.sdma_chain t.cab netpkt ~segs ~interrupt ~on_complete ())
+        ~on_done;
+      Cab.mdma_send t.cab netpkt ~dst ~channel:(channel_for dst) ~keep)
+
 let output t ifc pkt ~next_hop =
   match Netif.link_addr ifc next_hop with
   | None ->
@@ -307,18 +320,29 @@ let output t ifc pkt ~next_hop =
       let post_cost = Memcost.dma_post t.host.Host.profile in
       match rewrite_candidate t ~prefix_len pieces with
       | Some netpkt ->
-          (* Header rewrite: new header + saved body checksum; the data is
-             not touched (§4.3). *)
-          let hdr = Bytes.create (word_pad (hippi_hdr + prefix_len)) in
+          (* Header rewrite: a one-header chain over the held packet — new
+             header + saved body checksum; the data is not touched (§4.3).
+             As on the scatter path, the header is gathered from the host
+             prefix when the chain commits.  The chain is freed when the
+             post completes, so its reference keeps the held packet in
+             network memory until then. *)
           charge_prefix pkt ~prefix_len;
-          write_header t ~dst ~payload_total:total pkt ~prefix_len hdr;
           t.s.tx_packets <- t.s.tx_packets + 1;
           t.s.tx_rewrites <- t.s.tx_rewrites + 1;
-          Host.in_intr t.host post_cost (fun () ->
-              Cab.tx_rewrite_header t.cab netpkt ~header:hdr ~csum:tx_csum ();
-              Cab.mdma_send t.cab netpkt ~dst ~channel:(channel_for dst)
-                ~keep:true;
-              Mbuf.free pkt)
+          post_chain t netpkt ~cost:post_cost
+            ~segs:
+              [
+                Cab.Seg_header
+                  {
+                    len = netpkt.Netmem.hdr_len;
+                    fill =
+                      write_header t ~dst ~payload_total:total pkt ~prefix_len;
+                    csum = tx_csum;
+                  };
+              ]
+            ~interrupt:false
+            ~on_done:(fun () -> Mbuf.free pkt)
+            ~dst ~keep:true
       | None -> (
           let pkt_len = hippi_hdr + total in
           match Cab.tx_alloc t.cab ~len:(word_pad pkt_len) with
@@ -382,10 +406,19 @@ let output t ifc pkt ~next_hop =
                     | _ -> ())
                   pkt;
                 Mbuf.free pkt;
-                Host.in_intr t.host post_cost (fun () ->
-                    Cab.sdma_header t.cab netpkt ~header:blob ~csum:tx_csum ();
-                    Cab.mdma_send t.cab netpkt ~dst
-                      ~channel:(channel_for dst) ~keep:false)
+                post_chain t netpkt ~cost:post_cost
+                  ~segs:
+                    [
+                      Cab.Seg_header
+                        {
+                          len = Bytes.length blob;
+                          fill =
+                            (fun buf ->
+                              Bytes.blit blob 0 buf 0 (Bytes.length blob));
+                          csum = tx_csum;
+                        };
+                    ]
+                  ~interrupt:false ~on_done:ignore ~dst ~keep:false
               end
               else begin
                 t.s.tx_packets <- t.s.tx_packets + 1;
@@ -467,7 +500,7 @@ let output t ifc pkt ~next_hop =
                               let b = Bytes.create seg in
                               Region.blit_to_bytes sub ~src_off:0 b
                                 ~dst_off:0 ~len:seg;
-                              Cab.From_kernel b
+                              Cab.From_kernel { buf = b; off = 0; len = seg }
                             end
                         | Mbuf.Ext_wcab d ->
                             (* Adaptor-local copy of data already in
@@ -479,7 +512,7 @@ let output t ifc pkt ~next_hop =
                             Bytes.blit d.Mbuf.wcab_bytes
                               (d.Mbuf.wcab_base + mb.Mbuf.off)
                               b 0 seg;
-                            Cab.From_kernel b
+                            Cab.From_kernel { buf = b; off = 0; len = seg }
                         | Mbuf.Internal c | Mbuf.Cluster c ->
                             t.s.tx_kernel_segments <-
                               t.s.tx_kernel_segments + 1;
@@ -490,7 +523,7 @@ let output t ifc pkt ~next_hop =
                                the SDMA commit; [on_complete] drops the
                                pin. *)
                             release := Mbuf.retain_storage mb;
-                            Cab.From_mbuf
+                            Cab.From_kernel
                               { buf = c.Mbuf.cbuf; off = mb.Mbuf.off; len = seg }
                       in
                       (src, this_off, interrupt, on_complete))
@@ -531,22 +564,11 @@ let output t ifc pkt ~next_hop =
                 let want_intr =
                   List.exists (fun (_, _, i, _) -> i) payload_reqs
                 in
-                let doorbell =
-                  post_cost + (List.length segs * post_cost / 4)
-                in
-                Host.in_intr t.host doorbell (fun () ->
-                    (* The chain is the watched unit: a stalled chain is
-                       reclaimed and reposted whole.  [mdma_send] is
-                       queued once, here — it waits on [sdma_pending]
-                       and fires when the (re)posted chain commits. *)
-                    watched_post t netpkt
-                      ~post:(fun ~on_complete ->
-                        Cab.sdma_chain t.cab netpkt ~segs
-                          ~interrupt:want_intr ~on_complete ())
-                      ~on_done:(fun () -> Mbuf.free pkt);
-                    if payload_reqs = [] then maybe_convert ();
-                    Cab.mdma_send t.cab netpkt ~dst
-                      ~channel:(channel_for dst) ~keep)
+                post_chain t netpkt
+                  ~cost:(post_cost + (List.length segs * post_cost / 4))
+                  ~segs ~interrupt:want_intr
+                  ~on_done:(fun () -> Mbuf.free pkt)
+                  ~dst ~keep
               end))
 
 (* ---------- copy out (receive data to host) ---------- *)

@@ -1,6 +1,11 @@
 let wcab_count = ref 0
 let wcab_conversions () = !wcab_count
 
+(* Ledger charge for the flatten: like the CPU charge below, it counts
+   only descriptor-held bytes as a host copy. *)
+let charge_flatten op n =
+  if n > 0 then Obs_ledger.touch Obs_ledger.Tcp_flatten op n
+
 let flatten_for_legacy ~host ~proc_hint m k =
   let total = Mbuf.chain_len m in
   (* Cost: only descriptor-held bytes need a real (delayed) copy; regular
@@ -45,10 +50,16 @@ let flatten_for_legacy ~host ~proc_hint m k =
            adaptor's [Csum_offload.tx_finalize]. *)
         let fld = Ipv4_header.size + rec_.Csum_offload.csum_offset in
         Bytes.set_uint16_be buf fld (Inet_csum.finish s);
+        (* The host copies and sums the descriptor bytes in one pass and
+           reads the rest of the summed range for the checksum only. *)
+        charge_flatten Obs_ledger.Copy_sum uio_bytes;
+        charge_flatten Obs_ledger.Sum (total - skip - uio_bytes);
         (match m.Mbuf.pkthdr with
         | Some ph -> ph.Mbuf.tx_csum <- None
         | None -> ())
-    | Some _ | None -> Mbuf.copy_into m ~off:0 ~len:total buf ~dst_off:0);
+    | Some _ | None ->
+        Mbuf.copy_into m ~off:0 ~len:total buf ~dst_off:0;
+        charge_flatten Obs_ledger.Copy uio_bytes);
     (* The copy satisfies copy semantics: credit the UIO counters. *)
     Mbuf.iter
       (fun (mb : Mbuf.t) ->

@@ -16,7 +16,9 @@ let measure discipline ~ports ~frame_bytes ~seed =
   Hippi_traffic.stop gen;
   u
 
-let run ?(ports_list = [ 2; 4; 8; 16; 32 ]) ?(frame_bytes = 32768) ~seed () =
+let seed = 20260706
+
+let run ?(ports_list = [ 2; 4; 8; 16; 32 ]) ?(frame_bytes = 32768) () =
   List.map
     (fun ports ->
       {

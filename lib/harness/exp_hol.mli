@@ -5,5 +5,8 @@ type row = { ports : int; fifo_util : float; lc_util : float }
 
 type report = row list
 
-val run : ?ports_list:int list -> ?frame_bytes:int -> seed:int -> unit -> report
+val run : ?ports_list:int list -> ?frame_bytes:int -> unit -> report
+(** Uniform-random traffic from one fixed seed, so every front end prints
+    the same table. *)
+
 val print : report -> unit

@@ -132,6 +132,7 @@ let sendto t region ~dst k =
           let copy_cost = Memcost.copy (profile t) ~locality:Memcost.Cold len in
           charge t copy_cost (fun () ->
               let b = Bytes.create len in
+              Obs_ledger.touch Obs_ledger.Sock_tx_copy Obs_ledger.Copy len;
               Region.blit_to_bytes region ~src_off:0 b ~dst_off:0 ~len;
               (match
                  Udp.sendto t.udp ~proc:t.proc ~src_port:t.port ~dst

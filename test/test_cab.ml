@@ -60,6 +60,23 @@ let build_header ~payload_len ~pseudo =
   in
   (hdr, csum)
 
+(* Descriptor-chain segments for the tests' hand-built packets. *)
+let header_seg ?csum hdr =
+  Cab.Seg_header
+    {
+      len = Bytes.length hdr;
+      fill = (fun buf -> Bytes.blit hdr 0 buf 0 (Bytes.length hdr));
+      csum;
+    }
+
+let payload_seg ?on_seg_complete src ~pkt_off =
+  Cab.Seg_payload { src; pkt_off; on_seg_complete }
+
+let kernel_src b = Cab.From_kernel { buf = b; off = 0; len = Bytes.length b }
+
+(* Per-event view of the burst handler. *)
+let on_each cab f = Cab.set_batch_interrupt_handler cab (List.iter f)
+
 let pseudo_for payload_len =
   Inet_csum.pseudo_header ~src:0x0a000001l ~dst:0x0a000002l ~proto:6
     ~len:(Tcp_header.base_size + payload_len)
@@ -73,16 +90,20 @@ let send_one ?(payload_len = 8192) pair =
   let pseudo = pseudo_for payload_len in
   let hdr, csum = build_header ~payload_len ~pseudo in
   let got = ref None in
-  Cab.set_interrupt_handler pair.cab_b (fun i ->
+  on_each pair.cab_b (fun i ->
       match i with Cab.Rx_packet info -> got := Some info | Cab.Sdma_done -> ());
-  Cab.set_interrupt_handler pair.cab_a (fun _ -> ());
+  Cab.set_batch_interrupt_handler pair.cab_a ignore;
   let pkt =
     match Cab.tx_alloc pair.cab_a ~len:(hdr_total + payload_len) with
     | Some p -> p
     | None -> Alcotest.fail "netmem exhausted"
   in
-  Cab.sdma_header pair.cab_a pkt ~header:hdr ~csum:(Some csum) ();
-  Cab.sdma_payload pair.cab_a pkt ~src:(Cab.From_user user) ~pkt_off:hdr_total
+  Cab.sdma_chain pair.cab_a pkt
+    ~segs:
+      [
+        header_seg ~csum hdr;
+        payload_seg (Cab.From_user user) ~pkt_off:hdr_total;
+      ]
     ();
   Cab.mdma_send pair.cab_a pkt ~dst:2 ~channel:0 ~keep:false;
   Sim.run pair.sim;
@@ -149,23 +170,27 @@ let test_checksum_corruption_detected () =
         Cab.deliver (Option.get !cab_b) frame)
       ()
   in
-  Cab.set_interrupt_handler cab_a (fun _ -> ());
+  Cab.set_batch_interrupt_handler cab_a ignore;
   let b =
     Cab.create ~sim ~profile ~name:"cabB" ~netmem_pages:256 ~hippi_addr:2
       ~transmit:(fun _ ~dst:_ ~channel:_ -> ())
       ()
   in
   cab_b := Some b;
-  Cab.set_interrupt_handler b (fun i ->
+  on_each b (fun i ->
       match i with Cab.Rx_packet info -> got := Some info | _ -> ());
   let payload_len = 4096 in
   let pseudo = pseudo_for payload_len in
   let hdr, csum = build_header ~payload_len ~pseudo in
   let payload = Bytes.create payload_len in
   let pkt = Option.get (Cab.tx_alloc cab_a ~len:(hdr_total + payload_len)) in
-  Cab.sdma_header cab_a pkt ~header:hdr ~csum:(Some csum) ();
-  Cab.sdma_payload cab_a pkt ~src:(Cab.From_kernel payload)
-    ~pkt_off:hdr_total ();
+  Cab.sdma_chain cab_a pkt
+    ~segs:
+      [
+        header_seg ~csum hdr;
+        payload_seg (kernel_src payload) ~pkt_off:hdr_total;
+      ]
+    ();
   Cab.mdma_send cab_a pkt ~dst:2 ~channel:0 ~keep:false;
   Sim.run sim;
   match !got with
@@ -194,18 +219,28 @@ let test_retransmit_header_rewrite () =
   let pseudo = pseudo_for payload_len in
   let hdr, csum = build_header ~payload_len ~pseudo in
   let rxs = ref [] in
-  Cab.set_interrupt_handler pair.cab_b (fun i ->
+  on_each pair.cab_b (fun i ->
       match i with Cab.Rx_packet info -> rxs := info :: !rxs | _ -> ());
-  Cab.set_interrupt_handler pair.cab_a (fun _ -> ());
+  Cab.set_batch_interrupt_handler pair.cab_a ignore;
   let pkt =
     Option.get (Cab.tx_alloc pair.cab_a ~len:(hdr_total + payload_len))
   in
-  Cab.sdma_header pair.cab_a pkt ~header:hdr ~csum:(Some csum) ();
-  Cab.sdma_payload pair.cab_a pkt ~src:(Cab.From_user user) ~pkt_off:hdr_total
-    ();
+  let body = payload_seg (Cab.From_user user) ~pkt_off:hdr_total in
+  Cab.sdma_chain pair.cab_a pkt ~segs:[ header_seg ~csum hdr; body ] ();
   Cab.mdma_send pair.cab_a pkt ~dst:2 ~channel:0 ~keep:true;
   Sim.run pair.sim;
   let bytes_after_first = (Cab.stats pair.cab_a).Cab.sdma_bytes in
+  (* A held packet takes nothing but a header of its held length. *)
+  let rejected segs =
+    try
+      Cab.sdma_chain pair.cab_a pkt ~segs ();
+      false
+    with Invalid_argument _ -> true
+  in
+  check_bool "held packet refuses payload" true
+    (rejected [ header_seg ~csum hdr; body ]);
+  check_bool "held packet refuses a resized header" true
+    (rejected [ header_seg ~csum (Bytes.create (hdr_total + 4)) ]);
   (* Retransmit with a different TCP header (new ack value). *)
   let hdr2 = Bytes.copy hdr in
   let tcp2 =
@@ -214,7 +249,7 @@ let test_retransmit_header_rewrite () =
   in
   Tcp_header.encode tcp2 ~csum:(Inet_csum.fold pseudo) hdr2
     ~off:(Hippi_framing.size + Ipv4_header.size);
-  Cab.tx_rewrite_header pair.cab_a pkt ~header:hdr2 ~csum:(Some csum) ();
+  Cab.sdma_chain pair.cab_a pkt ~segs:[ header_seg ~csum hdr2 ] ();
   Cab.mdma_send pair.cab_a pkt ~dst:2 ~channel:0 ~keep:true;
   Sim.run pair.sim;
   let bytes_after_second = (Cab.stats pair.cab_a).Cab.sdma_bytes in
@@ -246,11 +281,11 @@ let test_retransmit_header_rewrite () =
 (* ---------- chained SDMA and batched notifications ---------- *)
 
 (* The same two-segment packet posted as one descriptor chain and as three
-   individual doorbells: the chain must move the same bytes, fire every
+   one-segment chains: the chain must move the same bytes, fire every
    per-segment hook, and verify at the receiver.  On the bus the chain is
    cheaper by exactly the saved engine starts — one doorbell arms the
    engine once and it walks the prebuilt descriptor list, where three
-   individual posts each pay the engine start; the per-byte transfer time
+   one-segment posts each pay the engine start; the per-byte transfer time
    is identical (chaining merges control events, it does not shortcut the
    bus). *)
 let test_sdma_chain_equivalent () =
@@ -264,50 +299,27 @@ let test_sdma_chain_equivalent () =
     let pseudo = pseudo_for payload_len in
     let hdr, csum = build_header ~payload_len ~pseudo in
     let got = ref None in
-    Cab.set_interrupt_handler pair.cab_b (fun i ->
+    on_each pair.cab_b (fun i ->
         match i with Cab.Rx_packet info -> got := Some info | _ -> ());
-    Cab.set_interrupt_handler pair.cab_a (fun _ -> ());
+    Cab.set_batch_interrupt_handler pair.cab_a ignore;
     let pkt =
       Option.get (Cab.tx_alloc pair.cab_a ~len:(hdr_total + payload_len))
     in
     let seg_done = ref 0 in
     let lo = Region.sub user ~off:0 ~len:half
     and hi = Region.sub user ~off:half ~len:half in
-    if chained then
-      Cab.sdma_chain pair.cab_a pkt
-        ~segs:
-          [
-            Cab.Seg_header
-              {
-                len = Bytes.length hdr;
-                fill = (fun buf -> Bytes.blit hdr 0 buf 0 (Bytes.length hdr));
-                csum = Some csum;
-              };
-            Cab.Seg_payload
-              {
-                src = Cab.From_user lo;
-                pkt_off = hdr_total;
-                on_seg_complete = Some (fun () -> incr seg_done);
-              };
-            Cab.Seg_payload
-              {
-                src = Cab.From_user hi;
-                pkt_off = hdr_total + half;
-                on_seg_complete = Some (fun () -> incr seg_done);
-              };
-          ]
-        ()
-    else begin
-      Cab.sdma_header pair.cab_a pkt ~header:hdr ~csum:(Some csum) ();
-      Cab.sdma_payload pair.cab_a pkt ~src:(Cab.From_user lo)
-        ~pkt_off:hdr_total
-        ~on_complete:(fun () -> incr seg_done)
-        ();
-      Cab.sdma_payload pair.cab_a pkt ~src:(Cab.From_user hi)
-        ~pkt_off:(hdr_total + half)
-        ~on_complete:(fun () -> incr seg_done)
-        ()
-    end;
+    let on_seg_complete () = incr seg_done in
+    let segs =
+      [
+        header_seg ~csum hdr;
+        payload_seg ~on_seg_complete (Cab.From_user lo) ~pkt_off:hdr_total;
+        payload_seg ~on_seg_complete (Cab.From_user hi)
+          ~pkt_off:(hdr_total + half);
+      ]
+    in
+    if chained then Cab.sdma_chain pair.cab_a pkt ~segs ()
+    else
+      List.iter (fun seg -> Cab.sdma_chain pair.cab_a pkt ~segs:[ seg ] ()) segs;
     Cab.mdma_send pair.cab_a pkt ~dst:2 ~channel:0 ~keep:false;
     Sim.run pair.sim;
     check_int "both segment hooks ran" 2 !seg_done;
@@ -341,19 +353,18 @@ let test_sdma_chain_equivalent () =
   let gap = abs (Simtime.sub bus_i saved_starts - bus_c) in
   check_bool "chain saved exactly two engine starts" true (gap <= 2);
   check_int "one chained doorbell" 1 chains_c;
-  check_int "individual posts are not chains" 0 chains_i
+  check_int "one doorbell per one-segment chain" 3 chains_i
 
 let test_batch_interrupt_handler () =
   (* The NAPI-style handler receives every notification exactly once, in
      order, and the burst counters add up. *)
   let pair = make_pair () in
-  Cab.set_intr_budget pair.cab_b 4;
-  check_int "budget readable" 4 (Cab.intr_budget pair.cab_b);
+  let budget = 64 in
   let bursts = ref 0 and seen = ref [] in
   Cab.set_batch_interrupt_handler pair.cab_b (fun evs ->
       incr bursts;
       check_bool "bursts are never empty" true (evs <> []);
-      check_bool "bursts respect the budget" true (List.length evs <= 4);
+      check_bool "bursts respect the budget" true (List.length evs <= budget);
       List.iter
         (function
           | Cab.Rx_packet info ->
@@ -361,7 +372,7 @@ let test_batch_interrupt_handler () =
               Cab.rx_free pair.cab_b info.Cab.rx_pkt
           | Cab.Sdma_done -> ())
         evs);
-  Cab.set_interrupt_handler pair.cab_a (fun _ -> ());
+  Cab.set_batch_interrupt_handler pair.cab_a ignore;
   let sizes = [ 1024; 2048; 4096; 512; 8192 ] in
   List.iter (fun n -> Cab.deliver pair.cab_b (Bytes.create n)) sizes;
   Sim.run pair.sim;
@@ -372,12 +383,14 @@ let test_batch_interrupt_handler () =
     s.Cab.intr_events;
   check_int "stats count handler bursts" !bursts s.Cab.interrupts;
   check_bool "no more bursts than events" true (!bursts <= List.length sizes);
-  (* Lose every interrupt so the notifications pile up, then poll: the
-     backlog drains in budget-sized bursts that keep arrival order. *)
+  (* Lose every interrupt so more notifications than one burst holds pile
+     up, then poll: the backlog drains in budget-sized bursts that keep
+     arrival order. *)
   Fault.arm ~seed:1;
   Fault.plan ~site:"cab.lost_intr" (Fault.Every_n 1);
   seen := [];
   bursts := 0;
+  let sizes = List.init (budget + 5) (fun i -> 256 + (4 * i)) in
   List.iter (fun n -> Cab.deliver pair.cab_b (Bytes.create n)) sizes;
   Sim.run pair.sim;
   Fault.disarm ();
@@ -389,22 +402,6 @@ let test_batch_interrupt_handler () =
     "backlog delivered once, in arrival order" sizes (List.rev !seen);
   check_int "backlog split by the budget" 2 !bursts
 
-let test_interrupt_handler_latest_wins () =
-  (* An application (e.g. raw HIPPI) installing a per-event handler must
-     take the adaptor over from a previously installed batch handler. *)
-  let pair = make_pair () in
-  let batch_calls = ref 0 and single_calls = ref 0 in
-  Cab.set_batch_interrupt_handler pair.cab_b (fun _ -> incr batch_calls);
-  Cab.set_interrupt_handler pair.cab_b (fun i ->
-      (match i with
-      | Cab.Rx_packet info -> Cab.rx_free pair.cab_b info.Cab.rx_pkt
-      | Cab.Sdma_done -> ());
-      incr single_calls);
-  Cab.deliver pair.cab_b (Bytes.create 2048);
-  Sim.run pair.sim;
-  check_int "per-event handler took over" 1 !single_calls;
-  check_int "stale batch handler silenced" 0 !batch_calls
-
 let test_alignment_enforced () =
   let pair = make_pair () in
   let space = Addr_space.create ~profile ~name:"app" in
@@ -412,14 +409,16 @@ let test_alignment_enforced () =
   let pkt = Option.get (Cab.tx_alloc pair.cab_a ~len:4096) in
   check_bool "misaligned user source rejected" true
     (try
-       Cab.sdma_payload pair.cab_a pkt ~src:(Cab.From_user misaligned)
-         ~pkt_off:0 ();
+       Cab.sdma_chain pair.cab_a pkt
+         ~segs:[ payload_seg (Cab.From_user misaligned) ~pkt_off:0 ]
+         ();
        false
      with Invalid_argument _ -> true);
   check_bool "odd packet offset rejected" true
     (try
-       Cab.sdma_payload pair.cab_a pkt ~src:(Cab.From_kernel (Bytes.create 64))
-         ~pkt_off:2 ();
+       Cab.sdma_chain pair.cab_a pkt
+         ~segs:[ payload_seg (kernel_src (Bytes.create 64)) ~pkt_off:2 ]
+         ();
        false
      with Invalid_argument _ -> true)
 
@@ -431,7 +430,7 @@ let test_netmem_exhaustion_drops () =
       ~transmit:(fun _ ~dst:_ ~channel:_ -> ())
       ()
   in
-  Cab.set_interrupt_handler cab (fun _ -> ());
+  Cab.set_batch_interrupt_handler cab ignore;
   Cab.deliver cab (Bytes.create 8192);
   Cab.deliver cab (Bytes.create 8192);
   Sim.run sim;
@@ -470,25 +469,29 @@ let prop_offload_any_program =
       let pseudo = pseudo_for payload_len in
       let hdr, csum = build_header ~payload_len ~pseudo in
       let received = ref [] in
-      Cab.set_interrupt_handler pair.cab_b (fun i ->
+      on_each pair.cab_b (fun i ->
           match i with
           | Cab.Rx_packet info ->
               received := info :: !received;
               Cab.rx_free pair.cab_b info.Cab.rx_pkt
           | Cab.Sdma_done -> ());
-      Cab.set_interrupt_handler pair.cab_a (fun _ -> ());
+      Cab.set_batch_interrupt_handler pair.cab_a ignore;
       let pkt =
         Option.get (Cab.tx_alloc pair.cab_a ~len:(hdr_total + payload_len))
       in
-      Cab.sdma_header pair.cab_a pkt ~header:hdr ~csum:(Some csum) ();
-      Cab.sdma_payload pair.cab_a pkt ~src:(Cab.From_kernel payload)
-        ~pkt_off:hdr_total ();
+      Cab.sdma_chain pair.cab_a pkt
+        ~segs:
+          [
+            header_seg ~csum hdr;
+            payload_seg (kernel_src payload) ~pkt_off:hdr_total;
+          ]
+        ();
       Cab.mdma_send pair.cab_a pkt ~dst:2 ~channel:0 ~keep:true;
       Sim.run pair.sim;
       (* A few header rewrites (retransmissions with fresh seeds). *)
       for _ = 1 to rewrites do
         let hdr2 = Bytes.copy hdr in
-        Cab.tx_rewrite_header pair.cab_a pkt ~header:hdr2 ~csum:(Some csum) ();
+        Cab.sdma_chain pair.cab_a pkt ~segs:[ header_seg ~csum hdr2 ] ();
         Cab.mdma_send pair.cab_a pkt ~dst:2 ~channel:0 ~keep:true;
         Sim.run pair.sim
       done;
@@ -527,8 +530,6 @@ let () =
             test_sdma_chain_equivalent;
           Alcotest.test_case "batch interrupt handler" `Quick
             test_batch_interrupt_handler;
-          Alcotest.test_case "latest handler wins" `Quick
-            test_interrupt_handler_latest_wins;
         ] );
       ( "restrictions",
         [

@@ -231,6 +231,100 @@ let test_netmem_exhaustion_recovers () =
   in
   check_bool "exhaustion was injected" true (fails > 0)
 
+(* Every transmit post consults the stall site, header rewrites and
+   gather fallbacks included.  A probe run (plane armed, no stall plan)
+   finds the first post of the wanted shape among the site's consults:
+   each consult is one [Sdma_post] (transmit chain) or [Rx_copyout]
+   (receive copy-out) trace event, provided no copy-out parks.  Both
+   shapes are one-segment chains over a data-carrying packet, so their
+   [Sdma_post] is followed by the [mdma_send] doorbell of a packet longer
+   than any bare header.  The aimed run stalls exactly that post with
+   [Once_at]; the watchdog must reclaim and repost it, and the stream must
+   finish verified with network memory back at its baseline. *)
+let stall_one_post ?tcp_config ?(drop_a_frames = []) ~wsize ~total () =
+  let run plan =
+    let tb =
+      Testbed.create ~watchdog:(Simtime.us 500.) ?tcp_config ~drop_a_frames ()
+    in
+    let in_use () =
+      Netmem.in_use (Cab.netmem tb.Testbed.a.Testbed.cab)
+      + Netmem.in_use (Cab.netmem tb.Testbed.b.Testbed.cab)
+    in
+    let baseline = in_use () in
+    Fault.arm ~seed:7;
+    plan ();
+    Obs_trace.configure ~capacity:(1 lsl 16);
+    Obs_trace.enable ();
+    let r =
+      Ttcp.run ~tb ~wsize ~total ~force_uio:true ~adaptive:false ~verify:true
+        ()
+    in
+    Obs_trace.disable ();
+    let events = ref [] in
+    Obs_trace.iter (fun ~ts:_ ev ~a ~b -> events := (ev, a, b) :: !events);
+    let consults = Fault.consults ~site:"cab.sdma_stall" in
+    Fault.disarm ();
+    check_int "trace kept every event" 0 (Obs_trace.dropped ());
+    Obs_trace.reset ();
+    (tb, r, List.rev !events, consults, baseline, in_use ())
+  in
+  let tb, _, events, consults, _, _ = run ignore in
+  let parked c = (Cab.rx_pipe_stats c).Cab.rx_pipe_stalls in
+  check_int "no copy-out parked in the probe" 0
+    (parked tb.Testbed.a.Testbed.cab + parked tb.Testbed.b.Testbed.cab);
+  let rec find n = function
+    | (Obs_trace.Sdma_post, _, 1) :: (Obs_trace.Doorbell, len, _) :: _
+      when len > 256 ->
+        Some (n + 1)
+    | ((Obs_trace.Sdma_post | Obs_trace.Rx_copyout), _, _) :: rest ->
+        find (n + 1) rest
+    | _ :: rest -> find n rest
+    | [] -> None
+  in
+  let posts =
+    List.length
+      (List.filter
+         (fun (ev, _, _) ->
+           ev = Obs_trace.Sdma_post || ev = Obs_trace.Rx_copyout)
+         events)
+  in
+  check_int "every SDMA post consulted the stall site" posts consults;
+  let target =
+    match find 0 events with
+    | Some n -> n
+    | None -> Alcotest.fail "no one-segment data post in the probe"
+  in
+  let tb, r, _, _, baseline, final =
+    run (fun () -> Fault.plan ~site:"cab.sdma_stall" (Fault.Once_at target))
+  in
+  let cab = tb.Testbed.a.Testbed.cab in
+  check_int "the aimed post stalled" 1 (Cab.stats cab).Cab.sdma_stalled;
+  check_bool "stalled post reclaimed" true
+    ((Cab.stats cab).Cab.tx_recoveries > 0);
+  check_bool "driver saw the timeout" true
+    ((Cab_driver.stats tb.Testbed.a.Testbed.driver).Cab_driver.sdma_timeouts
+    > 0);
+  check_bool "transfer verified" true r.Ttcp.verified;
+  check_int "network memory drained to baseline" baseline final;
+  Cab_driver.stats tb.Testbed.a.Testbed.driver
+
+let test_stalled_rewrite_recovered () =
+  let d =
+    stall_one_post ~drop_a_frames:[ 3 ] ~wsize:65536 ~total:(256 * 1024) ()
+  in
+  check_bool "header rewrites happened" true (d.Cab_driver.tx_rewrites > 0)
+
+let test_stalled_gather_recovered () =
+  (* Coalesced odd-length writes put descriptor pieces at sub-word packet
+     offsets, which sends those packets down the gather fallback. *)
+  let d =
+    stall_one_post
+      ~tcp_config:(fun c -> { c with Tcp.coalesce_descriptors = true })
+      ~wsize:1001 ~total:(64 * 1001) ()
+  in
+  check_bool "gather fallbacks happened" true
+    (d.Cab_driver.tx_gather_fallbacks > 0)
+
 (* ---------- the storm soak ---------- *)
 
 (* Run on both stacks: the unmodified stack's transmit chain retains its
@@ -305,6 +399,10 @@ let () =
             test_pin_failure_degrades_to_copy;
           Alcotest.test_case "netmem exhaustion recovers" `Quick
             test_netmem_exhaustion_recovers;
+          Alcotest.test_case "stalled rewrite reposted" `Quick
+            test_stalled_rewrite_recovered;
+          Alcotest.test_case "stalled gather reposted" `Quick
+            test_stalled_gather_recovered;
         ] );
       ("soak", [ Alcotest.test_case "8-seed storm" `Quick test_storm_soak ]);
     ]

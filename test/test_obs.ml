@@ -337,6 +337,58 @@ let test_staged_bounce_counted () =
   check_int "ledger staged copy" len
     (Obs_ledger.copied_bytes (Obs_ledger.since s0) Obs_ledger.Drv_tx_stage)
 
+let test_legacy_and_datagram_copies_counted () =
+  (* Two host copies outside the stream socket and the CAB driver.  A
+     legacy interface (lo0 here) flattens descriptor data with a host
+     copy, fusing in the software checksum a pending offload record asks
+     for; the rest of the summed range (the transport header) is read for
+     the checksum only.  A datagram socket's copy path blits the user
+     buffer into a kernel buffer. *)
+  let tb = Testbed.create () in
+  let stack = tb.Testbed.a.Testbed.stack in
+  let lo = Netstack.attach_loopback stack in
+  let space = Netstack.make_space stack ~name:"t" in
+  let len = 4096 in
+  let region = Addr_space.alloc space len in
+  let hdr_len = Ipv4_header.size + Udp_header.size in
+  let pkt = Mbuf.of_bytes ~pkthdr:true (Bytes.make hdr_len '\000') in
+  (match pkt.Mbuf.pkthdr with
+  | Some ph ->
+      ph.Mbuf.tx_csum <-
+        Some (Csum_offload.make_tx ~csum_offset:6 ~skip_bytes:0
+             ~seed:Inet_csum.zero)
+  | None -> Alcotest.fail "no packet header");
+  Mbuf.append pkt
+    (Mbuf.make_uio ~space ~region ~hdr:{ Mbuf.csum = None; notify = None });
+  let s0 = Obs_ledger.snapshot () in
+  let ifc = Loopback.iface lo in
+  ifc.Netif.output ifc pkt ~next_hop:Inaddr.loopback;
+  Sim.run ~until:(Simtime.s 1.) tb.Testbed.sim;
+  let d = Obs_ledger.since s0 in
+  check_int "flatten copies and sums the descriptor bytes" len
+    (Obs_ledger.bytes d Obs_ledger.Tcp_flatten Obs_ledger.Copy_sum);
+  check_int "flatten sums the transport header" Udp_header.size
+    (Obs_ledger.bytes d Obs_ledger.Tcp_flatten Obs_ledger.Sum);
+  check_int "host tx copies" len (Obs_ledger.host_tx_copy_bytes d);
+  check_int "host tx sums" (Udp_header.size + len)
+    (Obs_ledger.host_tx_sum_bytes d);
+  let sock =
+    Dgram_socket.create ~host:stack.Netstack.host ~space ~proc:"app"
+      ~udp:stack.Netstack.udp ~ip:stack.Netstack.ip ~port:4001 ()
+  in
+  let small = Addr_space.alloc space 100 in
+  let s1 = Obs_ledger.snapshot () in
+  let sent = ref false in
+  Dgram_socket.sendto sock small
+    ~dst:{ Udp.addr = Testbed.addr_b; port = 4002 }
+    (fun () -> sent := true);
+  Sim.run ~until:(Simtime.s 2.) tb.Testbed.sim;
+  check_bool "datagram sent" true !sent;
+  check_int "copied datagram send" 1
+    (Dgram_socket.stats sock).Dgram_socket.sent_copy;
+  check_int "socket copyin of the datagram" 100
+    (Obs_ledger.copied_bytes (Obs_ledger.since s1) Obs_ledger.Sock_tx_copy)
+
 (* ---------- registered subsystems ---------- *)
 
 let test_subsystem_sections_present () =
@@ -410,6 +462,8 @@ let () =
             test_gather_fallback_counted;
           Alcotest.test_case "staged bounce counted" `Quick
             test_staged_bounce_counted;
+          Alcotest.test_case "flatten and datagram copies counted" `Quick
+            test_legacy_and_datagram_copies_counted;
         ] );
       ( "subsystems",
         [
