@@ -18,26 +18,28 @@ let run ~tb ~packet_size ~total =
   let received = ref 0 in
   let done_at = ref Simtime.zero in
   (* B: count arrivals and free immediately. *)
-  Cab.set_batch_interrupt_handler cab_b
-    (List.iter (function
-      | Cab.Rx_packet info ->
-          incr received;
-          Cab.rx_free cab_b info.Cab.rx_pkt;
-          if !received = npackets then done_at := Sim.now sim
-      | Cab.Sdma_done -> ()));
-  Cab.set_batch_interrupt_handler cab_a ignore;
+  Cab.set_batch_interrupt_handler cab_b (fun burst n ->
+      for i = 0 to n - 1 do
+        match burst.(i) with
+        | Cab.Rx_packet info ->
+            incr received;
+            Cab.rx_free cab_b info.Cab.rx_pkt;
+            if !received = npackets then done_at := Sim.now sim
+        | Cab.Sdma_done -> ()
+      done);
+  Cab.set_batch_interrupt_handler cab_a (fun _ _ -> ());
   (* A: post packets back to back; the next SDMA is posted as soon as the
      previous one is accepted by the adaptor, so SDMA and MDMA pipeline.
      Header and payload are two one-segment chains, each its own
      doorbell. *)
-  let framing =
-    Hippi_framing.make ~src:1 ~dst:2 ~channel:0 ~payload_len:payload
-  in
   let header =
     Cab.Seg_header
       {
         len = Hippi_framing.size;
-        fill = Hippi_framing.encode framing ~off:0;
+        fill =
+          (fun buf ->
+            Hippi_framing.encode buf ~off:0 ~src:1 ~dst:2 ~channel:0
+              ~payload_len:payload);
         csum = None;
       }
   and body =
@@ -54,16 +56,16 @@ let run ~tb ~packet_size ~total =
   let rec send n =
     if n < npackets then
       match Cab.tx_alloc cab_a ~len:packet_size with
-      | None ->
+      | exception Netmem.Exhausted ->
           (* Adaptor busy: retry shortly. *)
           ignore (Sim.after sim (Simtime.us 20.) (fun () -> send n))
-      | Some pkt ->
+      | pkt ->
           Host.in_proc host_a ~proc:"rawhippi"
             (2 * Memcost.dma_post host_a.Host.profile) (fun () ->
-              Cab.sdma_chain cab_a pkt ~segs:[ header ] ();
-              Cab.sdma_chain cab_a pkt ~segs:[ body ]
-                ~on_complete:(fun () -> send (n + 1))
-                ();
+              Cab.sdma_chain cab_a pkt ~segs:[ header ] ~interrupt:false
+                ~on_complete:ignore;
+              Cab.sdma_chain cab_a pkt ~segs:[ body ] ~interrupt:false
+                ~on_complete:(fun () -> send (n + 1));
               pkt.Netmem.len <- packet_size;
               Cab.mdma_send cab_a pkt ~dst:2 ~channel:0 ~keep:false)
   in

@@ -38,7 +38,42 @@ type rx_pipe_stats = {
   mutable rx_pipe_stalls : int;
 }
 
-type pending_mdma = { dst : int; channel : int; keep : bool }
+(* Engine jobs.  Each engine [Resource] below has exactly one producer
+   and serves FIFO, so a {!Ring} of these preallocated records, pushed
+   in step with every [Resource.acquire], always has the running job at
+   its head; one continuation per engine, built at [create], pops it. *)
+type bus_job = {
+  mutable b_pkt : Netmem.packet;
+  mutable b_segs : chain_seg list;
+  mutable b_total : int;
+  mutable b_interrupt : bool;
+  mutable b_on_complete : unit -> unit;
+}
+
+(* A pending notification, and an auto-DMA job: the event the engine
+   raises when the head lands. *)
+and intr_slot = { mutable ev : intr }
+
+and copyout_job = {
+  mutable c_pkt : Netmem.packet;
+  mutable c_off : int;
+  mutable c_len : int;
+  mutable c_dst : Netif.copy_dest;
+  mutable c_interrupt : bool;
+  mutable c_on_complete : unit -> unit;
+}
+
+and chain_seg =
+  | Seg_header of {
+      len : int;
+      fill : Bytes.t -> unit;
+      csum : Csum_offload.tx option;
+    }
+  | Seg_payload of {
+      src : tx_src;
+      pkt_off : int;
+      on_seg_complete : (unit -> unit) option;
+    }
 
 type t = {
   sim : Sim.t;
@@ -48,6 +83,8 @@ type t = {
   addr : int;
   transmit : Bytes.t -> dst:int -> channel:int -> unit;
   bus : Resource.t;
+  bus_jobs : bus_job Ring.t;
+  mutable bus_done : unit -> unit;
   (* The receive side runs as a two-stage pipeline on two independent
      SDMA channels: [rx_dma] auto-DMAs each arriving packet's head prefix
      (the checksum-verify engine's completion event), while [copyout]
@@ -55,22 +92,26 @@ type t = {
      overlaps the DMA+verify of packet [n+1] instead of serializing
      behind it on one channel. *)
   rx_dma : Resource.t;
+  rx_jobs : intr_slot Ring.t;
+  mutable rx_done : unit -> unit;
   copyout : Resource.t;
+  copyout_jobs : copyout_job Ring.t;
+  mutable copyout_done : unit -> unit;
   mutable copyout_inflight : int;
-  copyout_parked : (unit -> unit) Queue.t;
+  copyout_parked : copyout_job Ring.t;
       (* posts beyond [pipe.rx_pipe_depth] descriptor slots park here
          until a completion frees a slot *)
-  mutable batch_handler : intr list -> unit;
-  pending_intrs : intr Queue.t;
+  mutable batch_handler : intr array -> int -> unit;
+  pending_intrs : intr_slot Ring.t;
       (* notifications waiting for the next delivery burst, in raise
          order: each is queued at the current instant and drained no
          earlier, so FIFO order is (time, raise) order *)
+  burst : intr array;  (* the burst handed to the handler, reused *)
   mutable intr_scheduled : bool;
   intr_timer : Sim.handle;
       (* one reusable zero-delay timer drives every delivery burst, so
          raising an interrupt never allocates a closure *)
   mutable autodma_words : int;
-  mdma_waiting : (int, pending_mdma) Hashtbl.t;
   stalled : (int, int) Hashtbl.t;
       (* packet id -> injected-stall count: posts that were accepted but
          will never commit; the driver's watchdog reads this "status
@@ -78,6 +119,29 @@ type t = {
   s : stats;
   pipe : rx_pipe_stats;
 }
+
+let blank_bus_job () =
+  {
+    b_pkt = Netmem.placeholder;
+    b_segs = [];
+    b_total = 0;
+    b_interrupt = false;
+    b_on_complete = ignore;
+  }
+
+let blank_intr_slot () = { ev = Sdma_done }
+
+let no_dest = Netif.To_kernel (Bytes.empty, 0)
+
+let blank_copyout_job () =
+  {
+    c_pkt = Netmem.placeholder;
+    c_off = 0;
+    c_len = 0;
+    c_dst = no_dest;
+    c_interrupt = false;
+    c_on_complete = ignore;
+  }
 
 (* Publish this adaptor's counters under ["cab.<name>"]; gauges read the
    live record, and re-creating an adaptor with the same name replaces the
@@ -115,84 +179,32 @@ let register_obs t =
 (* Maximum events delivered per burst. *)
 let intr_budget = 64
 
-(* Pop the oldest [n] (or fewer) queued notifications, oldest first. *)
-let rec take_intrs q n =
-  if n = 0 || Queue.is_empty q then []
-  else
-    let i = Queue.pop q in
-    i :: take_intrs q (n - 1)
-
 (* NAPI-style coalesced notification delivery: completions and rx events
    queue up, and the host sees one delivery per burst — at most
    [intr_budget] events each — instead of one interrupt per packet.
    Delivery rides the adaptor's reusable zero-delay timer, so everything
    that became ready at this instant (e.g. the per-segment completions
-   of a chained SDMA) lands in a single burst and scheduling the burst
-   allocates nothing. *)
+   of a chained SDMA) lands in a single burst.  The oldest events move
+   from the pending ring into the reusable [burst] array, so neither
+   raising an event nor delivering a burst allocates. *)
 let deliver_intrs t =
-  match take_intrs t.pending_intrs intr_budget with
-  | [] -> t.intr_scheduled <- false
-  | evs ->
-      t.s.interrupts <- t.s.interrupts + 1;
-      let n_evs = List.length evs in
-      t.s.intr_events <- t.s.intr_events + n_evs;
-      Obs_trace.emit Obs_trace.Intr ~a:n_evs ~b:intr_budget;
-      t.batch_handler evs;
-      if Queue.is_empty t.pending_intrs then t.intr_scheduled <- false
-      else Sim.rearm t.sim t.intr_timer Simtime.zero
-
-let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
-  let t = {
-    sim;
-    profile;
-    name;
-    mem = Netmem.create ~pages:netmem_pages;
-    addr = hippi_addr;
-    transmit;
-    bus = Resource.create ~sim ~name:(name ^ ".turbochannel");
-    rx_dma = Resource.create ~sim ~name:(name ^ ".rx_dma");
-    copyout = Resource.create ~sim ~name:(name ^ ".copyout");
-    copyout_inflight = 0;
-    copyout_parked = Queue.create ();
-    batch_handler =
-      (fun _ -> invalid_arg (name ^ ": no interrupt handler installed"));
-    pending_intrs = Queue.create ();
-    intr_scheduled = false;
-    intr_timer = Sim.timer sim ignore;
-    (* 176 words: "the checksum is passed up the stack together with the
-       first 176 words of the packet (data size of the mbuf)" — §4.3. *)
-    autodma_words = 176;
-    mdma_waiting = Hashtbl.create 16;
-    stalled = Hashtbl.create 8;
-    s =
-      {
-        sdma_transfers = 0;
-        sdma_bytes = 0;
-        sdma_chains = 0;
-        mdma_packets = 0;
-        mdma_bytes = 0;
-        rx_packets = 0;
-        rx_bytes = 0;
-        rx_dropped = 0;
-        interrupts = 0;
-        intr_events = 0;
-        sdma_stalled = 0;
-        intr_lost = 0;
-        tx_recoveries = 0;
-      };
-    pipe =
-      {
-        rx_pipe_depth = 4;
-        rx_pipe_posts = 0;
-        rx_pipe_hwm = 0;
-        rx_pipe_overlap = 0;
-        rx_pipe_stalls = 0;
-      };
-  }
-  in
-  Sim.set_fn t.intr_timer (fun () -> deliver_intrs t);
-  register_obs t;
-  t
+  let n = min intr_budget (Ring.length t.pending_intrs) in
+  if n = 0 then t.intr_scheduled <- false
+  else begin
+    for i = 0 to n - 1 do
+      let slot = Ring.peek t.pending_intrs in
+      t.burst.(i) <- slot.ev;
+      slot.ev <- Sdma_done;
+      Ring.drop t.pending_intrs
+    done;
+    t.s.interrupts <- t.s.interrupts + 1;
+    t.s.intr_events <- t.s.intr_events + n;
+    Obs_trace.emit Obs_trace.Intr ~a:n ~b:intr_budget;
+    t.batch_handler t.burst n;
+    Array.fill t.burst 0 n Sdma_done;
+    if Ring.length t.pending_intrs = 0 then t.intr_scheduled <- false
+    else Sim.rearm t.sim t.intr_timer Simtime.zero
+  end
 
 let name t = t.name
 let hippi_addr t = t.addr
@@ -215,7 +227,7 @@ let set_rx_pipe_depth t n =
   t.pipe.rx_pipe_depth <- n
 
 let raise_intr t i =
-  Queue.push i t.pending_intrs;
+  (Ring.push t.pending_intrs).ev <- i;
   if not t.intr_scheduled then begin
     if Fault.fire "cab.lost_intr" then
       (* The interrupt line glitched: the event stays queued but nothing
@@ -229,7 +241,7 @@ let raise_intr t i =
     end
   end
 
-let pending_events t = Queue.length t.pending_intrs
+let pending_events t = Ring.length t.pending_intrs
 
 let poll t =
   let n = pending_events t in
@@ -259,7 +271,7 @@ let finalize_csum (pkt : Netmem.packet) =
       in
       Bytes.set_uint16_be pkt.buf c.Csum_offload.csum_offset field
 
-let do_mdma t (pkt : Netmem.packet) { dst; channel; keep } =
+let do_mdma t (pkt : Netmem.packet) ~dst ~channel ~keep =
   finalize_csum pkt;
   (* The wire frame is a recycled buffer: [deliver] on the receiving
      adaptor consumes it and returns it to the pool once the data has
@@ -276,18 +288,20 @@ let do_mdma t (pkt : Netmem.packet) { dst; channel; keep } =
     Netmem.free t.mem pkt
   end
 
+(* The last outstanding SDMA of a packet releases its queued media
+   request, which [mdma_send] left in the packet's [mdma_*] fields. *)
 let sdma_finished t (pkt : Netmem.packet) =
   pkt.sdma_pending <- pkt.sdma_pending - 1;
-  if pkt.sdma_pending = 0 then
-    match Hashtbl.find_opt t.mdma_waiting pkt.Netmem.id with
-    | None -> ()
-    | Some req ->
-        Hashtbl.remove t.mdma_waiting pkt.Netmem.id;
-        do_mdma t pkt req
+  if pkt.sdma_pending = 0 && pkt.mdma_queued then begin
+    pkt.mdma_queued <- false;
+    do_mdma t pkt ~dst:pkt.mdma_dst ~channel:pkt.mdma_channel
+      ~keep:pkt.mdma_keep
+  end
 
 (* Injected stuck descriptor: the post was accepted (it holds its
    [sdma_pending] share, so a queued MDMA keeps waiting) but it will
-   never occupy the bus, commit, or complete. *)
+   never occupy the bus, commit, or complete.  It pushes no engine job,
+   so the job rings stay in step with their engines. *)
 let note_stall t (pkt : Netmem.packet) =
   t.s.sdma_stalled <- t.s.sdma_stalled + 1;
   Hashtbl.replace t.stalled pkt.Netmem.id
@@ -311,7 +325,7 @@ let clear_stall t (pkt : Netmem.packet) =
       t.s.tx_recoveries <- t.s.tx_recoveries + 1
 
 (* Validation happens at post time (the caller's bug surfaces where it was
-   made); the commit closures run when the bus transfer completes. *)
+   made); the commits run when the bus transfer completes. *)
 
 let validate_header (pkt : Netmem.packet) ~len =
   require_word_aligned "header length" len;
@@ -377,22 +391,30 @@ let commit_payload (pkt : Netmem.packet) ~src ~pkt_off ~len =
 
 (* ---- chained SDMA ---- *)
 
-type chain_seg =
-  | Seg_header of {
-      len : int;
-      fill : Bytes.t -> unit;
-      csum : Csum_offload.tx option;
-    }
-  | Seg_payload of {
-      src : tx_src;
-      pkt_off : int;
-      on_seg_complete : (unit -> unit) option;
-    }
+(* Validate every segment of a chain; the chain's total bytes. *)
+let rec validate_chain pkt total = function
+  | [] -> total
+  | Seg_header { len; _ } :: rest ->
+      validate_header pkt ~len;
+      validate_chain pkt (total + len) rest
+  | Seg_payload { src; pkt_off; _ } :: rest ->
+      validate_chain pkt (total + validate_payload pkt ~src ~pkt_off) rest
 
-let sdma_chain t (pkt : Netmem.packet) ~segs ?(interrupt = false)
-    ?on_complete () =
+(* Commit the segments in list order. *)
+let rec commit_chain pkt = function
+  | [] -> ()
+  | Seg_header { len; fill; csum } :: rest ->
+      commit_header pkt ~len ~fill ~csum;
+      commit_chain pkt rest
+  | Seg_payload { src; pkt_off; on_seg_complete } :: rest ->
+      let len = validate_payload pkt ~src ~pkt_off in
+      commit_payload pkt ~src ~pkt_off ~len;
+      (match on_seg_complete with Some f -> f () | None -> ());
+      commit_chain pkt rest
+
+let sdma_chain t (pkt : Netmem.packet) ~segs ~interrupt ~on_complete =
   match segs with
-  | [] -> ( match on_complete with Some f -> f () | None -> ())
+  | [] -> on_complete ()
   | _ ->
       (* One doorbell, one bus tenancy, one completion for the whole
          descriptor chain.  The engine start cost is paid once per
@@ -402,19 +424,7 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ?(interrupt = false)
          notifications, and the transfer setup, it does not shortcut
          the bus.  Segments commit in list order, so the header (which
          installs the checksum-offload record) must come first. *)
-      let total = ref 0 in
-      List.iter
-        (fun seg ->
-          let len =
-            match seg with
-            | Seg_header { len; _ } ->
-                validate_header pkt ~len;
-                len
-            | Seg_payload { src; pkt_off; _ } ->
-                validate_payload pkt ~src ~pkt_off
-          in
-          total := !total + len)
-        segs;
+      let total = validate_chain pkt 0 segs in
       (* Retransmission (§4.3): a packet held for retransmit takes a
          fresh header (with a fresh seed) over the old one; the saved
          body sum is reused and the data is not touched. *)
@@ -427,38 +437,47 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ?(interrupt = false)
                its held length");
         pkt.state <- Netmem.Filling
       end;
-      let duration = Memcost.bus_transfer t.profile !total in
+      let duration = Memcost.bus_transfer t.profile total in
       pkt.sdma_pending <- pkt.sdma_pending + 1;
       t.s.sdma_chains <- t.s.sdma_chains + 1;
       if Fault.fire "cab.sdma_stall" then note_stall t pkt
       else begin
-      Obs_trace.emit Obs_trace.Sdma_post ~a:!total ~b:(List.length segs);
-      Resource.acquire t.bus duration (fun () ->
-          t.s.sdma_transfers <- t.s.sdma_transfers + List.length segs;
-          t.s.sdma_bytes <- t.s.sdma_bytes + !total;
-          List.iter
-            (fun seg ->
-              match seg with
-              | Seg_header { len; fill; csum } ->
-                  commit_header pkt ~len ~fill ~csum
-              | Seg_payload { src; pkt_off; on_seg_complete } ->
-                  let len = validate_payload pkt ~src ~pkt_off in
-                  commit_payload pkt ~src ~pkt_off ~len;
-                  (match on_seg_complete with Some f -> f () | None -> ()))
-            segs;
-          (match on_complete with Some f -> f () | None -> ());
-          if interrupt then raise_intr t Sdma_done;
-          sdma_finished t pkt)
+        Obs_trace.emit Obs_trace.Sdma_post ~a:total ~b:(List.length segs);
+        let j = Ring.push t.bus_jobs in
+        j.b_pkt <- pkt;
+        j.b_segs <- segs;
+        j.b_total <- total;
+        j.b_interrupt <- interrupt;
+        j.b_on_complete <- on_complete;
+        Resource.acquire t.bus duration t.bus_done
       end
+
+(* The bus finished the chain at the head of [bus_jobs]. *)
+let bus_done t =
+  let j = Ring.peek t.bus_jobs in
+  let pkt = j.b_pkt and segs = j.b_segs and interrupt = j.b_interrupt in
+  let on_complete = j.b_on_complete in
+  t.s.sdma_transfers <- t.s.sdma_transfers + List.length segs;
+  t.s.sdma_bytes <- t.s.sdma_bytes + j.b_total;
+  j.b_pkt <- Netmem.placeholder;
+  j.b_segs <- [];
+  j.b_on_complete <- ignore;
+  Ring.drop t.bus_jobs;
+  commit_chain pkt segs;
+  on_complete ();
+  if interrupt then raise_intr t Sdma_done;
+  sdma_finished t pkt
 
 let mdma_send t (pkt : Netmem.packet) ~dst ~channel ~keep =
   Obs_trace.emit Obs_trace.Doorbell ~a:pkt.len ~b:pkt.sdma_pending;
-  let req = { dst; channel; keep } in
-  if pkt.sdma_pending = 0 then do_mdma t pkt req
+  if pkt.sdma_pending = 0 then do_mdma t pkt ~dst ~channel ~keep
   else begin
-    if Hashtbl.mem t.mdma_waiting pkt.Netmem.id then
+    if pkt.mdma_queued then
       invalid_arg "Cab.mdma_send: packet already queued for media";
-    Hashtbl.replace t.mdma_waiting pkt.Netmem.id req
+    pkt.mdma_queued <- true;
+    pkt.mdma_dst <- dst;
+    pkt.mdma_channel <- channel;
+    pkt.mdma_keep <- keep
   end
 
 let tx_free t pkt = Netmem.free t.mem pkt
@@ -473,79 +492,133 @@ let rx_csum_start = 4 * Hippi_framing.rx_csum_start_words
 let deliver t frame =
   let len = Bytes.length frame in
   match Netmem.alloc t.mem ~len ~state:Netmem.Receiving with
-  | None ->
+  | exception Netmem.Exhausted ->
       t.s.rx_dropped <- t.s.rx_dropped + 1;
       Bufpool.put Bufpool.shared frame
-  | Some pkt ->
+  | pkt ->
       t.s.rx_packets <- t.s.rx_packets + 1;
       t.s.rx_bytes <- t.s.rx_bytes + len;
       (* The receive checksum engine ran while the data streamed off the
          media (§2.1): the sum is ready with the packet.  One fused pass
          copies the frame into network memory and produces the sum. *)
-      let engine_sum =
-        if len > rx_csum_start then begin
-          Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy rx_csum_start;
-          Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy_sum
-            (len - rx_csum_start);
-          Bytes.blit frame 0 pkt.buf 0 rx_csum_start;
-          Inet_csum.copy_and_sum ~src:frame ~src_off:rx_csum_start
-            ~dst:pkt.buf ~dst_off:rx_csum_start ~len:(len - rx_csum_start)
-        end
-        else begin
-          Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy len;
-          Bytes.blit frame 0 pkt.buf 0 len;
-          Inet_csum.zero
-        end
-      in
-      pkt.body_sum <- engine_sum;
+      pkt.body_sum <-
+        (if len > rx_csum_start then begin
+           Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy rx_csum_start;
+           Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy_sum
+             (len - rx_csum_start);
+           Bytes.blit frame 0 pkt.buf 0 rx_csum_start;
+           Inet_csum.copy_and_sum ~src:frame ~src_off:rx_csum_start
+             ~dst:pkt.buf ~dst_off:rx_csum_start ~len:(len - rx_csum_start)
+         end
+         else begin
+           Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy len;
+           Bytes.blit frame 0 pkt.buf 0 len;
+           Inet_csum.zero
+         end);
       Bufpool.put Bufpool.shared frame;
-      let channel =
-        match Hippi_framing.decode pkt.buf ~off:0 with
-        | Ok h -> h.Hippi_framing.channel
-        | Error _ -> 0
-      in
-      let head_len = min (4 * t.autodma_words) len in
-      let complete = len <= head_len in
       (* Auto-DMA of the prefix, then the receive interrupt.  The bus
          transfer is charged here; [rx_head] is a window on the packet
          buffer ([rx_head_len] valid bytes) that the driver copies out of
          synchronously in the interrupt handler, before it can release
-         the packet. *)
-      let duration = Memcost.bus_transfer t.profile head_len in
-      Resource.acquire t.rx_dma duration (fun () ->
-          pkt.state <- Netmem.Held;
-          (* Concurrency witness, arrival side: the copy-out engine is
-             mid-transfer on an earlier packet while this one's
-             auto-DMA/verify completes.  Copy-outs are much longer than
-             the header auto-DMA, so most overlap is observed here; the
-             mirror-image witness is in [sdma_copy_out]. *)
-          if Resource.busy t.copyout then
-            t.pipe.rx_pipe_overlap <- t.pipe.rx_pipe_overlap + 1;
-          Obs_trace.emit Obs_trace.Rx_autodma ~a:head_len ~b:pkt.Netmem.id;
-          raise_intr t
-            (Rx_packet
-               {
-                 rx_pkt = pkt;
-                 rx_head = pkt.buf;
-                 rx_head_len = head_len;
-                 rx_total_len = len;
-                 rx_engine_sum = engine_sum;
-                 rx_complete = complete;
-                 rx_channel = channel;
-               }))
+         the packet.  The engine's job is the event it will raise. *)
+      let head_len = min (4 * t.autodma_words) len in
+      (Ring.push t.rx_jobs).ev <-
+        Rx_packet
+          {
+            rx_pkt = pkt;
+            rx_head = pkt.buf;
+            rx_head_len = head_len;
+            rx_total_len = len;
+            rx_engine_sum = pkt.body_sum;
+            rx_complete = len <= head_len;
+            rx_channel = Hippi_framing.read_channel pkt.buf ~off:0;
+          };
+      Resource.acquire t.rx_dma (Memcost.bus_transfer t.profile head_len)
+        t.rx_done
+
+(* The auto-DMA engine landed the head of the packet at the front of
+   [rx_jobs]. *)
+let rx_done t =
+  let slot = Ring.peek t.rx_jobs in
+  let ev = slot.ev in
+  slot.ev <- Sdma_done;
+  Ring.drop t.rx_jobs;
+  (match ev with
+  | Rx_packet info ->
+      info.rx_pkt.state <- Netmem.Held;
+      Obs_trace.emit Obs_trace.Rx_autodma ~a:info.rx_head_len
+        ~b:info.rx_pkt.Netmem.id
+  | Sdma_done -> ());
+  (* Concurrency witness, arrival side: the copy-out engine is
+     mid-transfer on an earlier packet while this one's auto-DMA/verify
+     completes.  Copy-outs are much longer than the header auto-DMA, so
+     most overlap is observed here; the mirror-image witness is in
+     [copyout_done]. *)
+  if Resource.busy t.copyout then
+    t.pipe.rx_pipe_overlap <- t.pipe.rx_pipe_overlap + 1;
+  raise_intr t ev
+
+let fill_copyout j ~pkt ~off ~len ~dst ~interrupt ~on_complete =
+  j.c_pkt <- pkt;
+  j.c_off <- off;
+  j.c_len <- len;
+  j.c_dst <- dst;
+  j.c_interrupt <- interrupt;
+  j.c_on_complete <- on_complete
+
+(* Remove the head job of [r], dropping its references; read it first. *)
+let drop_copyout r =
+  let j = Ring.peek r in
+  j.c_pkt <- Netmem.placeholder;
+  j.c_dst <- no_dest;
+  j.c_on_complete <- ignore;
+  Ring.drop r
+
+(* Put a copy-out on the engine: it joins [copyout_jobs] in step with
+   the engine's queue. *)
+let start_copyout t ~pkt ~off ~len ~dst ~interrupt ~on_complete =
+  Obs_trace.emit Obs_trace.Rx_copyout ~a:len ~b:t.copyout_inflight;
+  fill_copyout (Ring.push t.copyout_jobs) ~pkt ~off ~len ~dst ~interrupt
+    ~on_complete;
+  Resource.acquire t.copyout (Memcost.bus_transfer t.profile len)
+    t.copyout_done
 
 (* One copy-out engine completion: free the descriptor slot and start the
    oldest parked post, if any. *)
 let copyout_slot_free t =
   t.copyout_inflight <- t.copyout_inflight - 1;
-  if not (Queue.is_empty t.copyout_parked) then begin
-    let start = Queue.pop t.copyout_parked in
+  if Ring.length t.copyout_parked > 0 then begin
+    let j = Ring.peek t.copyout_parked in
+    let pkt = j.c_pkt and off = j.c_off and len = j.c_len and dst = j.c_dst in
+    let interrupt = j.c_interrupt and on_complete = j.c_on_complete in
+    drop_copyout t.copyout_parked;
     t.copyout_inflight <- t.copyout_inflight + 1;
-    start ()
+    start_copyout t ~pkt ~off ~len ~dst ~interrupt ~on_complete
   end
 
-let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ?(interrupt = false)
-    ?on_complete () =
+let copyout_done t =
+  let j = Ring.peek t.copyout_jobs in
+  let pkt = j.c_pkt and off = j.c_off and len = j.c_len and dst = j.c_dst in
+  let interrupt = j.c_interrupt and on_complete = j.c_on_complete in
+  drop_copyout t.copyout_jobs;
+  t.s.sdma_transfers <- t.s.sdma_transfers + 1;
+  t.s.sdma_bytes <- t.s.sdma_bytes + len;
+  (* Concurrency witness: the verify engine is mid-transfer on a later
+     packet at the instant this copy-out completes. *)
+  if Resource.busy t.rx_dma then
+    t.pipe.rx_pipe_overlap <- t.pipe.rx_pipe_overlap + 1;
+  Obs_ledger.touch Obs_ledger.Copyout Obs_ledger.Copy len;
+  (match dst with
+  | Netif.To_user (_, region) ->
+      Region.blit_from_bytes pkt.buf ~src_off:off region ~dst_off:0 ~len
+  | Netif.To_kernel (b, k_off) -> Bytes.blit pkt.buf off b k_off len);
+  on_complete ();
+  if interrupt then raise_intr t Sdma_done;
+  sdma_finished t pkt;
+  copyout_slot_free t
+
+let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ~interrupt
+    ~on_complete =
   require_word_aligned "copy-out packet offset" off;
   if off + len > pkt.len then
     invalid_arg "Cab.sdma_copy_out: range past end of packet";
@@ -557,13 +630,6 @@ let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ?(interrupt = false)
   | Netif.To_kernel (b, k_off) ->
       if k_off + len > Bytes.length b then
         invalid_arg "Cab.sdma_copy_out: kernel destination too small");
-  let commit () =
-    Obs_ledger.touch Obs_ledger.Copyout Obs_ledger.Copy len;
-    match dst with
-    | Netif.To_user (_, region) ->
-        Region.blit_from_bytes pkt.buf ~src_off:off region ~dst_off:0 ~len
-    | Netif.To_kernel (b, k_off) -> Bytes.blit pkt.buf off b k_off len
-  in
   (* Copy-outs ride the dedicated copy-out engine, not the tx SDMA
      channel, bounded by [rx_pipe_depth] outstanding descriptors; excess
      posts park FIFO and start as slots free up.  The stall fault keeps
@@ -573,35 +639,82 @@ let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ?(interrupt = false)
   if Fault.fire "cab.sdma_stall" then note_stall t pkt
   else begin
     t.pipe.rx_pipe_posts <- t.pipe.rx_pipe_posts + 1;
-    let start () =
-      Obs_trace.emit Obs_trace.Rx_copyout ~a:len ~b:t.copyout_inflight;
-      let duration = Memcost.bus_transfer t.profile len in
-      Resource.acquire t.copyout duration (fun () ->
-          t.s.sdma_transfers <- t.s.sdma_transfers + 1;
-          t.s.sdma_bytes <- t.s.sdma_bytes + len;
-          (* Concurrency witness: the verify engine is mid-transfer on a
-             later packet at the instant this copy-out completes. *)
-          if Resource.busy t.rx_dma then
-            t.pipe.rx_pipe_overlap <- t.pipe.rx_pipe_overlap + 1;
-          commit ();
-          (match on_complete with Some f -> f () | None -> ());
-          if interrupt then raise_intr t Sdma_done;
-          sdma_finished t pkt;
-          copyout_slot_free t)
-    in
     if t.copyout_inflight >= t.pipe.rx_pipe_depth then begin
       t.pipe.rx_pipe_stalls <- t.pipe.rx_pipe_stalls + 1;
-      Queue.push start t.copyout_parked
+      fill_copyout (Ring.push t.copyout_parked) ~pkt ~off ~len ~dst
+        ~interrupt ~on_complete
     end
     else begin
       t.copyout_inflight <- t.copyout_inflight + 1;
       if t.copyout_inflight > t.pipe.rx_pipe_hwm then
         t.pipe.rx_pipe_hwm <- t.copyout_inflight;
-      start ()
+      start_copyout t ~pkt ~off ~len ~dst ~interrupt ~on_complete
     end
   end
 
 let rx_free t pkt = Netmem.free t.mem pkt
+
+let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
+  let t = {
+    sim;
+    profile;
+    name;
+    mem = Netmem.create ~pages:netmem_pages;
+    addr = hippi_addr;
+    transmit;
+    bus = Resource.create ~sim ~name:(name ^ ".turbochannel");
+    bus_jobs = Ring.create blank_bus_job;
+    bus_done = ignore;
+    rx_dma = Resource.create ~sim ~name:(name ^ ".rx_dma");
+    rx_jobs = Ring.create blank_intr_slot;
+    rx_done = ignore;
+    copyout = Resource.create ~sim ~name:(name ^ ".copyout");
+    copyout_jobs = Ring.create blank_copyout_job;
+    copyout_done = ignore;
+    copyout_inflight = 0;
+    copyout_parked = Ring.create blank_copyout_job;
+    batch_handler =
+      (fun _ _ -> invalid_arg (name ^ ": no interrupt handler installed"));
+    pending_intrs = Ring.create blank_intr_slot;
+    burst = Array.make intr_budget Sdma_done;
+    intr_scheduled = false;
+    intr_timer = Sim.timer sim ignore;
+    (* 176 words: "the checksum is passed up the stack together with the
+       first 176 words of the packet (data size of the mbuf)" — §4.3. *)
+    autodma_words = 176;
+    stalled = Hashtbl.create 8;
+    s =
+      {
+        sdma_transfers = 0;
+        sdma_bytes = 0;
+        sdma_chains = 0;
+        mdma_packets = 0;
+        mdma_bytes = 0;
+        rx_packets = 0;
+        rx_bytes = 0;
+        rx_dropped = 0;
+        interrupts = 0;
+        intr_events = 0;
+        sdma_stalled = 0;
+        intr_lost = 0;
+        tx_recoveries = 0;
+      };
+    pipe =
+      {
+        rx_pipe_depth = 4;
+        rx_pipe_posts = 0;
+        rx_pipe_hwm = 0;
+        rx_pipe_overlap = 0;
+        rx_pipe_stalls = 0;
+      };
+  }
+  in
+  Sim.set_fn t.intr_timer (fun () -> deliver_intrs t);
+  t.bus_done <- (fun () -> bus_done t);
+  t.rx_done <- (fun () -> rx_done t);
+  t.copyout_done <- (fun () -> copyout_done t);
+  register_obs t;
+  t
 
 (* ---- statistics ---- *)
 

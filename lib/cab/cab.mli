@@ -30,7 +30,20 @@
     The receive side auto-DMAs the first [autodma_words] words of every
     arriving packet into preallocated host buffers and interrupts the host
     (§2.2); packets that fit entirely are complete, larger ones leave the
-    tail in network memory for later SDMA copy-out. *)
+    tail in network memory for later SDMA copy-out.
+
+    Allocation: each engine (the tx SDMA channel, the auto-DMA/verify
+    engine, the copy-out engine) has exactly one producer — the entry
+    point that posts to it — and serves FIFO, so its queued jobs live in
+    a {!Ring} of preallocated records beside its {!Resource}, pushed in
+    step with every hold, and one continuation built at {!create} serves
+    every job.  A stalled post pushes no job.  Pending notifications
+    wait in a ring as well, and a burst is handed over in a reused
+    array.  Per-packet state (the queued media request, liveness) lives
+    in the {!Netmem.packet}.  What a post allocates is what the caller
+    hands in (the segment list, the completion); what a received frame
+    allocates, through its interrupt burst, is its packet record and its
+    {!Rx_packet} event. *)
 
 type t
 
@@ -68,14 +81,17 @@ val netmem : t -> Netmem.t
 val sim : t -> Sim.t
 val profile : t -> Host_profile.t
 
-val set_batch_interrupt_handler : t -> (intr list -> unit) -> unit
+val set_batch_interrupt_handler : t -> (intr array -> int -> unit) -> unit
 (** The interrupt entry point.  Notifications are delivered in coalesced
     bursts (NAPI-style): events queue on the adaptor and the handler
-    receives each burst whole — at most 64 events, in raise order — so
-    the driver can charge one interrupt entry for the lot.  Called in
-    "hardware context": the handler is responsible for charging interrupt
-    CPU time.  The latest installed handler wins, so an application can
-    take the adaptor over from the driver. *)
+    receives each burst whole — [f burst n] is handed events
+    [burst.(0)] to [burst.(n - 1)], at most 64, in raise order — so the
+    driver can charge one interrupt entry for the lot.  The array is the
+    adaptor's and is reused by the next burst: a handler that defers the
+    work copies the events it keeps.  Called in "hardware context": the
+    handler is responsible for charging interrupt CPU time.  The latest
+    installed handler wins, so an application can take the adaptor over
+    from the driver. *)
 
 val set_autodma_words : t -> int -> unit
 (** The host-selectable L of §2.2 (default 176 words = 704 bytes, the
@@ -91,8 +107,9 @@ val set_rx_pipe_depth : t -> int -> unit
 
 (** {1 Transmit} *)
 
-val tx_alloc : t -> len:int -> Netmem.packet option
-(** Reserve a page-aligned outboard buffer for a fully formed packet. *)
+val tx_alloc : t -> len:int -> Netmem.packet
+(** Reserve a page-aligned outboard buffer for a fully formed packet.
+    @raise Netmem.Exhausted when network memory is full. *)
 
 (** Source of a payload transfer into network memory. *)
 type tx_src =
@@ -130,17 +147,18 @@ val sdma_chain :
   t ->
   Netmem.packet ->
   segs:chain_seg list ->
-  ?interrupt:bool ->
-  ?on_complete:(unit -> unit) ->
-  unit ->
+  interrupt:bool ->
+  on_complete:(unit -> unit) ->
   unit
 (** The transmit SDMA entry: post a whole descriptor chain with one
     doorbell.  The chain occupies the TurboChannel once (for the sum of
     the per-segment transfer costs — chaining merges control events, it
-    does not shortcut the bus), commits its segments in list order, and
-    raises at most one completion notification for the burst.  Put the
-    header segment first: it installs the checksum-offload record the
-    payload commits consult.
+    does not shortcut the bus), commits its segments in list order, then
+    calls [on_complete] and, when [interrupt], raises one completion
+    notification for the burst.  Put the header segment first: it
+    installs the checksum-offload record the payload commits consult.
+    The post itself allocates nothing: the chain waits in a preallocated
+    job slot until the bus reaches it.
 
     Retransmission (§4.3): on a packet {!mdma_send} kept for retransmit,
     the chain must be one header segment of the held header length.  It
@@ -153,7 +171,10 @@ val mdma_send :
     outstanding SDMAs for the packet have completed; the final checksum is
     folded into the packet just before it leaves.  [keep = false] frees
     the outboard buffer after the media transfer (UDP / raw); [keep =
-    true] retains it for retransmission until {!tx_free} (TCP). *)
+    true] retains it for retransmission until {!tx_free} (TCP).  A
+    request that waits is kept in the packet's [mdma_*] fields, so a
+    packet has at most one.
+    @raise Invalid_argument if the packet already has a request waiting. *)
 
 val tx_free : t -> Netmem.packet -> unit
 (** Release a kept packet (e.g. when the TCP acknowledgement arrives). *)
@@ -172,9 +193,8 @@ val sdma_copy_out :
   off:int ->
   len:int ->
   dst:Netif.copy_dest ->
-  ?interrupt:bool ->
-  ?on_complete:(unit -> unit) ->
-  unit ->
+  interrupt:bool ->
+  on_complete:(unit -> unit) ->
   unit
 (** Copy received outboard data to the host ([off] is relative to the
     start of the packet).  Word alignment of [off] and of the user

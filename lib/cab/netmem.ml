@@ -11,9 +11,15 @@ type packet = {
   mutable state : state;
   mutable sdma_pending : int;
   pages : int;
+  mutable live : bool;
+  mutable mdma_queued : bool;
+  mutable mdma_dst : int;
+  mutable mdma_channel : int;
+  mutable mdma_keep : bool;
 }
 
 exception Double_free of int
+exception Exhausted
 
 (* Process-wide aggregates: netmem instances are per-adaptor, but the
    soak harness checks these via one registry lookup. *)
@@ -27,18 +33,35 @@ type t = {
   mutable used : int;
   mutable next_id : int;
   mutable failures : int;
-  live_ids : (int, int) Hashtbl.t;  (* packet id -> pages *)
+  mutable live_count : int;
 }
 
 let create ~pages =
   if pages <= 0 then invalid_arg "Netmem.create: pages";
+  { capacity = pages; used = 0; next_id = 0; failures = 0; live_count = 0 }
+
+let make_packet ~id ~buf ~len ~state ~pages ~live =
   {
-    capacity = pages;
-    used = 0;
-    next_id = 0;
-    failures = 0;
-    live_ids = Hashtbl.create 64;
+    id;
+    buf;
+    len;
+    hdr_len = 0;
+    header_sum = Inet_csum.zero;
+    body_sum = Inet_csum.zero;
+    csum = None;
+    state;
+    sdma_pending = 0;
+    pages;
+    live;
+    mdma_queued = false;
+    mdma_dst = 0;
+    mdma_channel = 0;
+    mdma_keep = false;
   }
+
+let placeholder =
+  make_packet ~id:(-1) ~buf:Bytes.empty ~len:0 ~state:Ready ~pages:0
+    ~live:false
 
 let alloc t ~len ~state =
   if len < 0 then invalid_arg "Netmem.alloc: negative length";
@@ -50,45 +73,35 @@ let alloc t ~len ~state =
        out-of-pages condition, so callers' degradation paths run. *)
     t.failures <- t.failures + 1;
     Obs.Counter.incr agg_injected_exhaustions;
-    None
+    raise Exhausted
   end
   else if t.used + pages > t.capacity then begin
     t.failures <- t.failures + 1;
-    None
+    raise Exhausted
   end
   else begin
     t.used <- t.used + pages;
+    t.live_count <- t.live_count + 1;
     let id = t.next_id in
     t.next_id <- id + 1;
-    Hashtbl.replace t.live_ids id pages;
-    Some
-      {
-        id;
-        (* Page-granular buffers recycle perfectly by exact size; the
-           producer (SDMA / frame copy-in) overwrites [0, len) before any
-           byte is read, so stale contents are harmless. *)
-        buf = Bufpool.get Bufpool.shared (pages * Page.cab_page_size);
-        len;
-        hdr_len = 0;
-        header_sum = Inet_csum.zero;
-        body_sum = Inet_csum.zero;
-        csum = None;
-        state;
-        sdma_pending = 0;
-        pages;
-      }
+    (* Page-granular buffers recycle perfectly by exact size; the
+       producer (SDMA / frame copy-in) overwrites [0, len) before any
+       byte is read, so stale contents are harmless. *)
+    let buf = Bufpool.get Bufpool.shared (pages * Page.cab_page_size) in
+    make_packet ~id ~buf ~len ~state ~pages ~live:true
   end
 
 let free t pkt =
-  if not (Hashtbl.mem t.live_ids pkt.id) then begin
+  if not pkt.live then begin
     Obs.Counter.incr agg_double_frees;
     raise (Double_free pkt.id)
   end;
-  Hashtbl.remove t.live_ids pkt.id;
+  pkt.live <- false;
+  t.live_count <- t.live_count - 1;
   t.used <- t.used - pkt.pages;
   Bufpool.put Bufpool.shared pkt.buf
 
 let capacity_pages t = t.capacity
 let free_pages t = t.capacity - t.used
-let in_use t = Hashtbl.length t.live_ids
+let in_use t = t.live_count
 let failures t = t.failures

@@ -10,7 +10,14 @@
     while data is DMAed in: the header-range sum, the saved body sum
     (needed to rebuild the checksum on retransmit without touching the
     data), and the offload record describing where the final checksum
-    field lives. *)
+    field lives.
+
+    The packet record is also where the adaptor keeps every other piece
+    of per-packet state, so moving a packet through the engines
+    allocates nothing beside it: its liveness (the [live] flag, with a
+    live count in {!t}) and a media request that waits for outstanding
+    SDMAs ({!Cab.mdma_send} fills the [mdma_*] fields and the last SDMA
+    completion consumes them). *)
 
 type state =
   | Filling  (** SDMA transfers outstanding *)
@@ -29,6 +36,12 @@ type packet = {
   mutable state : state;
   mutable sdma_pending : int;
   pages : int;
+  mutable live : bool;  (** allocated and not yet freed *)
+  mutable mdma_queued : bool;
+      (** a media request is waiting for [sdma_pending] to reach 0 *)
+  mutable mdma_dst : int;  (** the queued request's destination, ... *)
+  mutable mdma_channel : int;  (** ... its channel ... *)
+  mutable mdma_keep : bool;  (** ... and whether it keeps the packet *)
 }
 
 type t
@@ -41,13 +54,21 @@ exception Double_free of int
 val create : pages:int -> t
 (** Capacity in CAB pages ({!Page.cab_page_size} bytes each). *)
 
-val alloc : t -> len:int -> state:state -> packet option
-(** Page-aligned allocation; [None] when memory is exhausted.  The fault
-    site ["netmem.exhaust"] can force an exhaustion (counted both in
-    {!failures} and the Obs counter [netmem.injected_exhaustions]). *)
+exception Exhausted
+(** Raised by {!alloc} when network memory has no room for the packet. *)
+
+val alloc : t -> len:int -> state:state -> packet
+(** Page-aligned allocation.  The fault site ["netmem.exhaust"] can force
+    an exhaustion (counted both in {!failures} and the Obs counter
+    [netmem.injected_exhaustions]).
+    @raise Exhausted when memory is exhausted. *)
 
 val free : t -> packet -> unit
 (** @raise Double_free if [packet] is not live. *)
+
+val placeholder : packet
+(** A packet that is never live, for the empty slots of the adaptor's
+    job rings. *)
 
 val capacity_pages : t -> int
 val free_pages : t -> int

@@ -20,6 +20,8 @@ type driver_stats = {
   mutable tx_exhausted : int;
 }
 
+type ev_slot = { mutable ev : Cab.intr }
+
 type t = {
   host : Host.t;
   cab : Cab.t;
@@ -38,6 +40,9 @@ type t = {
      the frame it carries (the stack installs one; see Netstack).  Only
      consulted on multi-shard hosts. *)
   mutable steer : (Cab.intr -> int option) option;
+  held : ev_slot Ring.t array;
+      (* per shard: burst events waiting for that shard's interrupt work *)
+  held_counts : int array;  (* per-shard tally while a burst is split *)
   s : driver_stats;
 }
 
@@ -122,65 +127,77 @@ let kick_watchdog t =
   match t.watchdog with None -> () | Some interval -> arm_poll t interval
 
 (* Run [post] (which must accept a completion callback and be safe to
-   re-run after a [clear_stall]) under the watchdog.  [on_done] fires
+   re-run after a [clear_stall]) under the watchdog, which must be armed;
+   callers post straight to the adaptor when it is not.  [on_done] fires
    exactly once, on the first completion. *)
 let watched_post t netpkt ~post ~on_done =
+  let key = t.watch_key in
+  t.watch_key <- key + 1;
+  t.inflight <- t.inflight + 1;
+  let completed = ref false in
+  (* Generation stamp: reposting invalidates any timer armed for an
+     earlier attempt, so at most one recovery path is live. *)
+  let gen = ref 0 in
+  (* The live watch timer, cancelled the moment the post completes —
+     an O(1) wheel unlink instead of a tombstone that would sit in
+     the scheduler until its (seconds-scale backoff) deadline. *)
+  let watch : Sim.handle option ref = ref None in
+  let finish () =
+    if not !completed then begin
+      completed := true;
+      t.inflight <- t.inflight - 1;
+      Hashtbl.remove t.tx_watch key;
+      (match !watch with
+      | Some h ->
+          Sim.stop (Cab.sim t.cab) h;
+          watch := None
+      | None -> ());
+      on_done ()
+    end
+  in
+  let rec post_attempt attempt =
+    incr gen;
+    post ~on_complete:finish;
+    arm_watch !gen attempt
+  and arm_watch g attempt =
+    watch :=
+      Some
+        (Sim.after (Cab.sim t.cab) (backoff attempt) (fun () ->
+           if (not !completed) && !gen = g then
+             if Cab.stalled_posts t.cab netpkt > 0 then
+               if attempt >= max_sdma_retries then driver_reset t
+               else begin
+                 t.s.sdma_timeouts <- t.s.sdma_timeouts + 1;
+                 Cab.clear_stall t.cab netpkt;
+                 post_attempt (attempt + 1)
+               end
+             else
+               (* Not stuck, just slow (bus queueing): keep waiting
+                  at the same timeout — no backoff growth. *)
+               arm_watch g attempt))
+  in
+  Hashtbl.replace t.tx_watch key (fun () ->
+      if (not !completed) && Cab.stalled_posts t.cab netpkt > 0 then begin
+        t.s.sdma_timeouts <- t.s.sdma_timeouts + 1;
+        Cab.clear_stall t.cab netpkt;
+        post_attempt 0
+      end);
+  post_attempt 0;
+  kick_watchdog t
+
+(* Post a copy-out of [pkt] with a completion interrupt, under the
+   watchdog when it is armed. *)
+let post_copy_out t pkt ~off ~len ~dst ~on_done =
   match t.watchdog with
-  | None -> post ~on_complete:on_done
+  | None ->
+      Cab.sdma_copy_out t.cab pkt ~off ~len ~dst ~interrupt:true
+        ~on_complete:on_done
   | Some _ ->
-      let key = t.watch_key in
-      t.watch_key <- key + 1;
-      t.inflight <- t.inflight + 1;
-      let completed = ref false in
-      (* Generation stamp: reposting invalidates any timer armed for an
-         earlier attempt, so at most one recovery path is live. *)
-      let gen = ref 0 in
-      (* The live watch timer, cancelled the moment the post completes —
-         an O(1) wheel unlink instead of a tombstone that would sit in
-         the scheduler until its (seconds-scale backoff) deadline. *)
-      let watch : Sim.handle option ref = ref None in
-      let finish () =
-        if not !completed then begin
-          completed := true;
-          t.inflight <- t.inflight - 1;
-          Hashtbl.remove t.tx_watch key;
-          (match !watch with
-          | Some h ->
-              Sim.stop (Cab.sim t.cab) h;
-              watch := None
-          | None -> ());
-          on_done ()
-        end
-      in
-      let rec post_attempt attempt =
-        incr gen;
-        post ~on_complete:finish;
-        arm_watch !gen attempt
-      and arm_watch g attempt =
-        watch :=
-          Some
-            (Sim.after (Cab.sim t.cab) (backoff attempt) (fun () ->
-               if (not !completed) && !gen = g then
-                 if Cab.stalled_posts t.cab netpkt > 0 then
-                   if attempt >= max_sdma_retries then driver_reset t
-                   else begin
-                     t.s.sdma_timeouts <- t.s.sdma_timeouts + 1;
-                     Cab.clear_stall t.cab netpkt;
-                     post_attempt (attempt + 1)
-                   end
-                 else
-                   (* Not stuck, just slow (bus queueing): keep waiting
-                      at the same timeout — no backoff growth. *)
-                   arm_watch g attempt))
-      in
-      Hashtbl.replace t.tx_watch key (fun () ->
-          if (not !completed) && Cab.stalled_posts t.cab netpkt > 0 then begin
-            t.s.sdma_timeouts <- t.s.sdma_timeouts + 1;
-            Cab.clear_stall t.cab netpkt;
-            post_attempt 0
-          end);
-      post_attempt 0;
-      kick_watchdog t
+      watched_post t pkt
+        ~post:(fun ~on_complete ->
+          Cab.sdma_copy_out t.cab pkt ~off ~len ~dst ~interrupt:true
+            ~on_complete)
+        ~on_done
 
 let hippi_hdr = Hippi_framing.size (* 40 *)
 let net_hdrs = Hippi_framing.size + Ipv4_header.size (* 60 *)
@@ -199,43 +216,38 @@ let translate_csum (rec_ : Csum_offload.tx) =
 
 (* ---------- transmit ---------- *)
 
-(* Host-readable prefix: the leading internal/cluster mbufs (headers and
-   any inline data). *)
-let split_prefix chain =
-  let rec go (m : Mbuf.t option) acc =
-    match m with
-    | None -> (acc, [])
-    | Some mb -> (
-        match Mbuf.kind mb with
-        | Mbuf.K_internal | Mbuf.K_cluster -> go mb.Mbuf.next (acc + mb.Mbuf.len)
-        | Mbuf.K_uio | Mbuf.K_wcab ->
-            let rec rest (m : Mbuf.t option) acc2 =
-              match m with
-              | None -> List.rev acc2
-              | Some mb -> rest mb.Mbuf.next (mb :: acc2)
-            in
-            (acc, rest (Some mb) []))
-  in
-  go (Some chain) 0
+(* Length of the host-readable prefix: the leading internal/cluster mbufs
+   (headers and any inline data). *)
+let rec prefix_length (mb : Mbuf.t) acc =
+  if Mbuf.is_descriptor mb then acc
+  else
+    match mb.Mbuf.next with
+    | None -> acc + mb.Mbuf.len
+    | Some nx -> prefix_length nx (acc + mb.Mbuf.len)
+
+(* The last mbuf of the host-readable prefix: its [next] link is the
+   descriptor pieces.  IP output always leads with a header mbuf, so the
+   head is never a descriptor. *)
+let rec prefix_tail (mb : Mbuf.t) =
+  match mb.Mbuf.next with
+  | Some nx when not (Mbuf.is_descriptor nx) -> prefix_tail nx
+  | Some _ | None -> mb
 
 (* Retransmission fast path: the payload is exactly the outboard image of
    a packet we still hold (§4.3). *)
-let rewrite_candidate t ~prefix_len pieces =
+let rewrite_candidate t ~prefix_len (pieces : Mbuf.t option) =
   match pieces with
-  | [ (mb : Mbuf.t) ] when Mbuf.kind mb = Mbuf.K_wcab -> (
-      match mb.Mbuf.storage with
-      | Mbuf.Ext_wcab desc -> (
-          match Hashtbl.find_opt t.live_outboard desc.Mbuf.wcab_id with
-          | Some pkt
-            when pkt.Netmem.state = Netmem.Held
-                 && mb.Mbuf.off = 0
-                 && desc.Mbuf.wcab_base = pkt.Netmem.hdr_len
-                 && hippi_hdr + prefix_len = pkt.Netmem.hdr_len
-                 && mb.Mbuf.len = pkt.Netmem.len - pkt.Netmem.hdr_len ->
-              Some pkt
-          | Some _ | None -> None)
-      | _ -> None)
-  | _ -> None
+  | Some ({ Mbuf.storage = Mbuf.Ext_wcab desc; next = None; _ } as mb) -> (
+      match Hashtbl.find_opt t.live_outboard desc.Mbuf.wcab_id with
+      | Some pkt as found
+        when pkt.Netmem.state = Netmem.Held
+             && mb.Mbuf.off = 0
+             && desc.Mbuf.wcab_base = pkt.Netmem.hdr_len
+             && hippi_hdr + prefix_len = pkt.Netmem.hdr_len
+             && mb.Mbuf.len = pkt.Netmem.len - pkt.Netmem.hdr_len ->
+          found
+      | Some _ | None -> None)
+  | Some _ | None -> None
 
 (* Ledger attribution for the prefix gather in [write_header]: leading
    internal mbufs are protocol headers (prepended by the transports),
@@ -262,41 +274,136 @@ let charge_prefix chain ~prefix_len =
    are never transmitted, so they must be zero (a ones-complement sum is
    unchanged by zeros). *)
 let write_header t ~dst ~payload_total chain ~prefix_len buf =
-  Hippi_framing.encode
-    (Hippi_framing.make
-       ~src:(Cab.hippi_addr t.cab)
-       ~dst ~channel:(channel_for dst) ~payload_len:payload_total)
-    buf ~off:0;
+  Hippi_framing.encode buf ~off:0 ~src:(Cab.hippi_addr t.cab) ~dst
+    ~channel:(channel_for dst) ~payload_len:payload_total;
   Mbuf.copy_into chain ~off:0 ~len:prefix_len buf ~dst_off:hippi_hdr;
   let n = hippi_hdr + prefix_len in
   Bytes.fill buf n (word_pad n - n) '\000'
 
-(* Unlink the descriptor pieces from behind the host-readable prefix and
-   return them as a chain of their own; [chain] keeps the prefix.  IP
-   output always leads with a header mbuf, so the head is never a
-   descriptor. *)
-let detach_pieces (chain : Mbuf.t) =
-  let rec go (mb : Mbuf.t) =
-    match mb.Mbuf.next with
-    | Some nx when Mbuf.is_descriptor nx ->
-        mb.Mbuf.next <- None;
-        Some nx
-    | Some nx -> go nx
-    | None -> None
+(* §4.5 guard, generalized to the whole scatter list: does any non-empty
+   piece land off a word boundary, [off] being where the first lands?  An
+   unaligned base (inline data ahead of descriptors) or an odd-length
+   piece mid-list (coalesced sub-word writes) sends the packet down the
+   gather path. *)
+let rec scatter_unaligned off (m : Mbuf.t option) =
+  match m with
+  | None -> false
+  | Some mb when mb.Mbuf.len = 0 -> scatter_unaligned off mb.Mbuf.next
+  | Some mb ->
+      off land 3 <> 0 || scatter_unaligned (off + mb.Mbuf.len) mb.Mbuf.next
+
+(* Does a non-empty piece finish its write's UIO counter?  Then the chain
+   raises a completion interrupt. *)
+let rec wants_intr (m : Mbuf.t option) =
+  match m with
+  | None -> false
+  | Some mb -> (
+      mb.Mbuf.len > 0
+      && (match mb.Mbuf.uwhdr with
+         | Some { Mbuf.notify = Some n; _ } -> n.Mbuf.dma_pending <= mb.Mbuf.len
+         | Some { Mbuf.notify = None; _ } | None -> false)
+      || wants_intr mb.Mbuf.next)
+
+(* The payload SDMA for one non-empty piece landing at [pkt_off].  The
+   source is captured now, so the piece can be freed before the chain
+   commits.  A completion is built only for a piece that has something
+   to do then: credit its write's UIO counter, or drop the pin on mbuf
+   storage the adaptor reads in place. *)
+let payload_seg t (mb : Mbuf.t) ~pkt_off =
+  let seg = mb.Mbuf.len in
+  let release = ref None in
+  let src =
+    match mb.Mbuf.storage with
+    | Mbuf.Ext_uio d ->
+        t.s.tx_uio_segments <- t.s.tx_uio_segments + 1;
+        let sub = Region.sub d.Mbuf.uio_region ~off:mb.Mbuf.off ~len:seg in
+        if Region.is_word_aligned sub then Cab.From_user sub
+        else begin
+          (* §4.5 guard: the socket layer should have refused this; stage
+             via kernel. *)
+          t.s.tx_staged_segments <- t.s.tx_staged_segments + 1;
+          t.s.tx_staged_bytes <- t.s.tx_staged_bytes + seg;
+          Obs_ledger.touch Obs_ledger.Drv_tx_stage Obs_ledger.Copy seg;
+          let b = Bytes.create seg in
+          Region.blit_to_bytes sub ~src_off:0 b ~dst_off:0 ~len:seg;
+          Cab.From_kernel { buf = b; off = 0; len = seg }
+        end
+    | Mbuf.Ext_wcab d ->
+        (* Adaptor-local copy of data already in network memory (rare
+           partial retransmit). *)
+        t.s.tx_adaptor_copies <- t.s.tx_adaptor_copies + 1;
+        Obs_ledger.touch Obs_ledger.Drv_tx_stage Obs_ledger.Copy seg;
+        let b = Bytes.create seg in
+        Bytes.blit d.Mbuf.wcab_bytes (d.Mbuf.wcab_base + mb.Mbuf.off) b 0 seg;
+        Cab.From_kernel { buf = b; off = 0; len = seg }
+    | Mbuf.Internal c | Mbuf.Cluster c ->
+        t.s.tx_kernel_segments <- t.s.tx_kernel_segments + 1;
+        (* Zero-copy capture: hand the adaptor a window on the mbuf
+           storage itself.  The storage is pinned ([retain_storage]) so
+           the pool cannot recycle it between the [Mbuf.free] of the
+           pieces and the SDMA commit; the completion drops the pin. *)
+        release := Some (Mbuf.retain_storage mb);
+        Cab.From_kernel { buf = c.Mbuf.cbuf; off = mb.Mbuf.off; len = seg }
   in
-  go chain
+  let on_seg_complete =
+    match mb.Mbuf.uwhdr with
+    | Some { Mbuf.notify = Some n; _ } ->
+        let release = !release in
+        Some
+          (fun () ->
+            Mbuf.notify_complete_n n seg;
+            match release with Some f -> f () | None -> ())
+    | Some { Mbuf.notify = None; _ } | None -> !release
+  in
+  Cab.Seg_payload { src; pkt_off; on_seg_complete }
+
+(* The payload SDMAs for the non-empty pieces, in order, the first
+   landing at [off]. *)
+let rec payload_segs t off (m : Mbuf.t option) =
+  match m with
+  | None -> []
+  | Some mb when mb.Mbuf.len = 0 -> payload_segs t off mb.Mbuf.next
+  | Some mb ->
+      let seg = payload_seg t mb ~pkt_off:off in
+      seg :: payload_segs t (off + mb.Mbuf.len) mb.Mbuf.next
+
+(* Once the payload is in network memory, hand the transport an M_WCAB
+   descriptor of it (§4.2); the packet stays live, held for
+   retransmission, until the last reference drops. *)
+let convert_to_wcab t netpkt hook ~base ~valid =
+  let desc =
+    {
+      Mbuf.wcab_id = netpkt.Netmem.id;
+      wcab_bytes = netpkt.Netmem.buf;
+      wcab_base = base;
+      wcab_valid = valid;
+      wcab_body_sum = netpkt.Netmem.body_sum;
+      wcab_free =
+        (fun () ->
+          Hashtbl.remove t.live_outboard netpkt.Netmem.id;
+          Cab.tx_free t.cab netpkt);
+      wcab_refs = ref 1;
+    }
+  in
+  Hashtbl.replace t.live_outboard netpkt.Netmem.id netpkt;
+  hook desc
 
 (* Ring the doorbell for one transmit descriptor chain: after [cost] of
-   host posting time the chain runs under the watchdog — a stalled chain
-   is reclaimed and reposted whole — and [on_done] fires on its first
-   completion.  [mdma_send] is queued once, here: it waits on
-   [sdma_pending] and fires when the (re)posted chain commits. *)
+   host posting time the chain runs — under the watchdog when it is
+   armed, where a stalled chain is reclaimed and reposted whole — and
+   [on_done] fires on its first completion.  [mdma_send] is queued once,
+   here: it waits on [sdma_pending] and fires when the (re)posted chain
+   commits. *)
 let post_chain t netpkt ~cost ~segs ~interrupt ~on_done ~dst ~keep =
   Host.in_intr t.host cost (fun () ->
-      watched_post t netpkt
-        ~post:(fun ~on_complete ->
-          Cab.sdma_chain t.cab netpkt ~segs ~interrupt ~on_complete ())
-        ~on_done;
+      (match t.watchdog with
+      | None ->
+          Cab.sdma_chain t.cab netpkt ~segs ~interrupt ~on_complete:on_done
+      | Some _ ->
+          watched_post t netpkt
+            ~post:(fun ~on_complete ->
+              Cab.sdma_chain t.cab netpkt ~segs ~interrupt ~on_complete)
+            ~on_done);
       Cab.mdma_send t.cab netpkt ~dst ~channel:(channel_for dst) ~keep)
 
 let output t ifc pkt ~next_hop =
@@ -306,11 +413,13 @@ let output t ifc pkt ~next_hop =
       Mbuf.free pkt
   | Some dst -> (
       let total = Mbuf.pkt_len pkt in
-      let prefix_len, pieces = split_prefix pkt in
+      let prefix_len = prefix_length pkt 0 in
+      let last = prefix_tail pkt in
+      let pieces = last.Mbuf.next in
       let tx_csum =
         match pkt.Mbuf.pkthdr with
-        | Some ph -> Option.map translate_csum ph.Mbuf.tx_csum
-        | None -> None
+        | Some { Mbuf.tx_csum = Some c; _ } -> Some (translate_csum c)
+        | Some { Mbuf.tx_csum = None; _ } | None -> None
       in
       let on_outboard =
         match pkt.Mbuf.pkthdr with
@@ -346,7 +455,7 @@ let output t ifc pkt ~next_hop =
       | None -> (
           let pkt_len = hippi_hdr + total in
           match Cab.tx_alloc t.cab ~len:(word_pad pkt_len) with
-          | None ->
+          | exception Netmem.Exhausted ->
               (* Network memory exhausted: drop; TCP retransmission
                  recovers.  Count it on the interface too so the socket
                  layer's policy can penalize the outboard path while the
@@ -355,30 +464,11 @@ let output t ifc pkt ~next_hop =
               t.s.tx_exhausted <- t.s.tx_exhausted + 1;
               ifc.Netif.tx_faults <- ifc.Netif.tx_faults + 1;
               Mbuf.free pkt
-          | Some netpkt ->
+          | netpkt ->
               netpkt.Netmem.len <- pkt_len;
               charge_prefix pkt ~prefix_len;
               let payload_base = hippi_hdr + prefix_len in
-              let nonempty =
-                List.filter (fun (mb : Mbuf.t) -> mb.Mbuf.len > 0) pieces
-              in
-              (* §4.5 guard, generalized to the whole scatter list: every
-                 piece must land word aligned.  An unaligned base (inline
-                 data ahead of descriptors) or an odd-length piece mid-list
-                 (coalesced sub-word writes) sends the packet down the
-                 gather path. *)
-              let scatter_unaligned =
-                nonempty <> []
-                &&
-                let off = ref payload_base and bad = ref false in
-                List.iter
-                  (fun (mb : Mbuf.t) ->
-                    if !off land 3 <> 0 then bad := true;
-                    off := !off + mb.Mbuf.len)
-                  nonempty;
-                !bad
-              in
-              if scatter_unaligned then begin
+              if scatter_unaligned payload_base pieces then begin
                 (* Unaligned scatter (a packet mixing inline and descriptor
                    data, or descriptor pieces at sub-word offsets): gather
                    the whole packet into one kernel blob and DMA it as a
@@ -422,119 +512,8 @@ let output t ifc pkt ~next_hop =
               end
               else begin
                 t.s.tx_packets <- t.s.tx_packets + 1;
-                (* Count payload SDMAs so the on_outboard hook fires when
-                   the packet is fully outboard. *)
                 let payload_len = total - prefix_len in
-                let remaining = ref (List.length nonempty) in
-                let keep = on_outboard <> None && payload_len > 0 in
-                let maybe_convert () =
-                  match on_outboard with
-                  | Some hook when payload_len > 0 ->
-                      let desc =
-                        {
-                          Mbuf.wcab_id = netpkt.Netmem.id;
-                          wcab_bytes = netpkt.Netmem.buf;
-                          wcab_base = hippi_hdr + prefix_len;
-                          wcab_valid = payload_len;
-                          wcab_body_sum = netpkt.Netmem.body_sum;
-                          wcab_free =
-                            (fun () ->
-                              Hashtbl.remove t.live_outboard netpkt.Netmem.id;
-                              Cab.tx_free t.cab netpkt);
-                          wcab_refs = ref 1;
-                        }
-                      in
-                      Hashtbl.replace t.live_outboard netpkt.Netmem.id netpkt;
-                      hook desc
-                  | Some _ | None -> ()
-                in
-                (* Describe the payload SDMAs (scatter/gather over the
-                   pieces); the sources are captured eagerly so freeing the
-                   chain below is safe. *)
-                let pkt_off = ref payload_base in
-                let payload_reqs =
-                  List.map
-                    (fun (mb : Mbuf.t) ->
-                      let seg = mb.Mbuf.len in
-                      let this_off = !pkt_off in
-                      pkt_off := !pkt_off + seg;
-                      let notify =
-                        match mb.Mbuf.uwhdr with
-                        | Some { Mbuf.notify = Some n; _ } -> Some n
-                        | Some { Mbuf.notify = None; _ } | None -> None
-                      in
-                      let interrupt =
-                        match notify with
-                        | Some n -> n.Mbuf.dma_pending <= seg
-                        | None -> false
-                      in
-                      (* Set for zero-copy captures: releases the pin on
-                         the mbuf storage once the SDMA has committed. *)
-                      let release = ref (fun () -> ()) in
-                      let on_complete () =
-                        (match notify with
-                        | Some n -> Mbuf.notify_complete_n n seg
-                        | None -> ());
-                        !release ();
-                        decr remaining;
-                        if !remaining = 0 then maybe_convert ()
-                      in
-                      let src =
-                        match mb.Mbuf.storage with
-                        | Mbuf.Ext_uio d ->
-                            t.s.tx_uio_segments <- t.s.tx_uio_segments + 1;
-                            let sub =
-                              Region.sub d.Mbuf.uio_region ~off:mb.Mbuf.off
-                                ~len:seg
-                            in
-                            if Region.is_word_aligned sub then
-                              Cab.From_user sub
-                            else begin
-                              (* §4.5 guard: the socket layer should have
-                                 refused this; stage via kernel. *)
-                              t.s.tx_staged_segments <-
-                                t.s.tx_staged_segments + 1;
-                              t.s.tx_staged_bytes <- t.s.tx_staged_bytes + seg;
-                              Obs_ledger.touch Obs_ledger.Drv_tx_stage
-                                Obs_ledger.Copy seg;
-                              let b = Bytes.create seg in
-                              Region.blit_to_bytes sub ~src_off:0 b
-                                ~dst_off:0 ~len:seg;
-                              Cab.From_kernel { buf = b; off = 0; len = seg }
-                            end
-                        | Mbuf.Ext_wcab d ->
-                            (* Adaptor-local copy of data already in
-                               network memory (rare partial retransmit). *)
-                            t.s.tx_adaptor_copies <- t.s.tx_adaptor_copies + 1;
-                            Obs_ledger.touch Obs_ledger.Drv_tx_stage
-                              Obs_ledger.Copy seg;
-                            let b = Bytes.create seg in
-                            Bytes.blit d.Mbuf.wcab_bytes
-                              (d.Mbuf.wcab_base + mb.Mbuf.off)
-                              b 0 seg;
-                            Cab.From_kernel { buf = b; off = 0; len = seg }
-                        | Mbuf.Internal c | Mbuf.Cluster c ->
-                            t.s.tx_kernel_segments <-
-                              t.s.tx_kernel_segments + 1;
-                            (* Zero-copy capture: hand the adaptor a window
-                               on the mbuf storage itself.  The storage is
-                               pinned ([retain_storage]) so the pool cannot
-                               recycle it between the [Mbuf.free] below and
-                               the SDMA commit; [on_complete] drops the
-                               pin. *)
-                            release := Mbuf.retain_storage mb;
-                            Cab.From_kernel
-                              { buf = c.Mbuf.cbuf; off = mb.Mbuf.off; len = seg }
-                      in
-                      (src, this_off, interrupt, on_complete))
-                    nonempty
-                in
-                (* The pieces are captured, so they are freed now.  The
-                   host prefix stays with [pkt] until the chain commits:
-                   the header segment gathers it straight into network
-                   memory then (again on a watchdog repost), and the
-                   chain's completion frees it. *)
-                Option.iter Mbuf.free (detach_pieces pkt);
+                let interrupt = wants_intr pieces in
                 (* Chained post: header + payload segments ride one
                    descriptor chain behind one doorbell.  Charged as one
                    doorbell ring plus a quarter-cost descriptor write per
@@ -551,41 +530,45 @@ let output t ifc pkt ~next_hop =
                           ~prefix_len;
                       csum = tx_csum;
                     }
-                  :: List.map
-                       (fun (src, this_off, _interrupt, on_complete) ->
-                         Cab.Seg_payload
-                           {
-                             src;
-                             pkt_off = this_off;
-                             on_seg_complete = Some on_complete;
-                           })
-                       payload_reqs
+                  :: payload_segs t payload_base pieces
                 in
-                let want_intr =
-                  List.exists (fun (_, _, i, _) -> i) payload_reqs
+                (* The pieces are captured, so they are freed now.  The
+                   host prefix stays with [pkt] until the chain commits:
+                   the header segment gathers it straight into network
+                   memory then (again on a watchdog repost), and the
+                   chain's completion frees it — after handing the
+                   transport its M_WCAB image when it asked for one. *)
+                last.Mbuf.next <- None;
+                Option.iter Mbuf.free pieces;
+                let on_done =
+                  match on_outboard with
+                  | Some hook when payload_len > 0 ->
+                      fun () ->
+                        convert_to_wcab t netpkt hook ~base:payload_base
+                          ~valid:payload_len;
+                        Mbuf.free pkt
+                  | Some _ | None -> fun () -> Mbuf.free pkt
                 in
                 post_chain t netpkt
                   ~cost:(post_cost + (List.length segs * post_cost / 4))
-                  ~segs ~interrupt:want_intr
-                  ~on_done:(fun () -> Mbuf.free pkt)
-                  ~dst ~keep
+                  ~segs ~interrupt ~on_done ~dst
+                  ~keep:(Option.is_some on_outboard && payload_len > 0)
               end))
 
 (* ---------- copy out (receive data to host) ---------- *)
 
-let find_packet t (mb : Mbuf.t) =
-  match mb.Mbuf.storage with
-  | Mbuf.Ext_wcab desc -> (
-      match Hashtbl.find_opt t.live_outboard desc.Mbuf.wcab_id with
-      | Some pkt -> Some (desc, pkt)
-      | None -> None)
-  | Mbuf.Internal _ | Mbuf.Cluster _ | Mbuf.Ext_uio _ -> None
+let not_outboard () =
+  invalid_arg "Cab_driver.copy_out: not an outboard mbuf of this device"
 
 let copy_out t (mb : Mbuf.t) ~off ~len ~dst ~on_done =
-  match find_packet t mb with
-  | None ->
-      invalid_arg "Cab_driver.copy_out: not an outboard mbuf of this device"
-  | Some (desc, pkt) ->
+  let desc =
+    match mb.Mbuf.storage with
+    | Mbuf.Ext_wcab desc -> desc
+    | Mbuf.Internal _ | Mbuf.Cluster _ | Mbuf.Ext_uio _ -> not_outboard ()
+  in
+  match Hashtbl.find t.live_outboard desc.Mbuf.wcab_id with
+  | exception Not_found -> not_outboard ()
+  | pkt ->
       t.s.copyouts <- t.s.copyouts + 1;
       let abs_off = desc.Mbuf.wcab_base + mb.Mbuf.off + off in
       let post = Memcost.dma_post t.host.Host.profile in
@@ -598,11 +581,7 @@ let copy_out t (mb : Mbuf.t) ~off ~len ~dst ~on_done =
       in
       if direct_ok then
         Host.in_intr t.host post (fun () ->
-            watched_post t pkt
-              ~post:(fun ~on_complete ->
-                Cab.sdma_copy_out t.cab pkt ~off:abs_off ~len ~dst
-                  ~interrupt:true ~on_complete ())
-              ~on_done)
+            post_copy_out t pkt ~off:abs_off ~len ~dst ~on_done)
       else begin
         (* §4.5: unaligned destinations go the slow way — DMA an aligned
            superset into kernel staging, then memory-copy. *)
@@ -612,12 +591,8 @@ let copy_out t (mb : Mbuf.t) ~off ~len ~dst ~on_done =
         let stage_len = min stage_len (pkt.Netmem.len - (abs_off - lead)) in
         let stage = Bytes.create stage_len in
         Host.in_intr t.host post (fun () ->
-            watched_post t pkt
-              ~post:(fun ~on_complete ->
-                Cab.sdma_copy_out t.cab pkt ~off:(abs_off - lead)
-                  ~len:stage_len
-                  ~dst:(Netif.To_kernel (stage, 0))
-                  ~interrupt:true ~on_complete ())
+            post_copy_out t pkt ~off:(abs_off - lead) ~len:stage_len
+              ~dst:(Netif.To_kernel (stage, 0))
               ~on_done:(fun () ->
                 let copy_cost =
                   Memcost.copy t.host.Host.profile ~locality:Memcost.Cold len
@@ -709,11 +684,8 @@ let handle_rx t (info : Cab.rx_info) =
           let pkt = info.Cab.rx_pkt in
           let post = Memcost.dma_post t.host.Host.profile in
           Host.in_intr t.host post (fun () ->
-              watched_post t pkt
-                ~post:(fun ~on_complete ->
-                  Cab.sdma_copy_out t.cab pkt ~off:head_len ~len:tail_len
-                    ~dst:(Netif.To_kernel (tail_buf, 0))
-                    ~interrupt:true ~on_complete ())
+              post_copy_out t pkt ~off:head_len ~len:tail_len
+                ~dst:(Netif.To_kernel (tail_buf, 0))
                 ~on_done:(fun () ->
                   Cab.rx_free t.cab pkt;
                   Mbuf.append head tail;
@@ -722,56 +694,73 @@ let handle_rx t (info : Cab.rx_info) =
     end
   end
 
-let handle_ev t = function
-  | Cab.Sdma_done -> ()
-  | Cab.Rx_packet info -> handle_rx t info
+(* Handle the oldest [n] events held in [q], in order.  Sdma_done
+   bookkeeping already ran in the on_complete hooks. *)
+let rec handle_held t q n =
+  if n > 0 then begin
+    let slot = Ring.peek q in
+    let ev = slot.ev in
+    slot.ev <- Cab.Sdma_done;
+    Ring.drop q;
+    (match ev with
+    | Cab.Rx_packet info -> handle_rx t info
+    | Cab.Sdma_done -> ());
+    handle_held t q (n - 1)
+  end
 
-let interrupt_batch t evs =
+(* The adaptor reuses its burst array, so each event is held in the ring
+   of the shard that will handle it until that shard's interrupt work
+   runs.  A shard's CPU runs its interrupt work in FIFO order, so the
+   work for a burst of [n] events pops exactly its own [n]. *)
+let interrupt_batch t burst n =
   (* NAPI-style burst: one interrupt entry/exit for the whole batch, a
      quarter-cost charge for each coalesced follower (its handler work
-     runs inside the already-open interrupt), all in one charged step.
-     Sdma_done bookkeeping already ran in the on_complete hooks. *)
+     runs inside the already-open interrupt), all in one charged step. *)
   let intr = Memcost.interrupt t.host.Host.profile in
   let nshards = Host.shard_count t.host in
   if nshards = 1 then begin
-    let n = List.length evs in
+    let q = t.held.(0) in
+    for i = 0 to n - 1 do
+      (Ring.push q).ev <- burst.(i)
+    done;
     let cost = intr + ((n - 1) * intr / 4) in
-    Host.in_intr t.host cost (fun () -> List.iter (handle_ev t) evs)
+    Host.in_intr t.host cost (fun () -> handle_held t q n)
   end
   else begin
     (* RSS: split the batch by owning shard (classifier hash mod shard
        count; unclassifiable events go to shard 0) and raise one
        NAPI-style interrupt per shard, each on that shard's CPU, in
-       shard order with per-group event order preserved. *)
-    let groups = Array.make nshards [] in
-    List.iter
-      (fun ev ->
-        let s =
-          match t.steer with
-          | None -> 0
-          | Some classify -> (
-              match classify ev with
-              | Some h -> h mod nshards
-              | None ->
-                  Shard.note_default (Host.shard t.host 0);
-                  0)
-        in
-        groups.(s) <- ev :: groups.(s))
-      evs;
-    Array.iteri
-      (fun s g ->
-        match List.rev g with
-        | [] -> ()
-        | g ->
-            let n = List.length g in
-            Shard.note_batch (Host.shard t.host s) n;
-            let cost = intr + ((n - 1) * intr / 4) in
-            (* Steered per-shard dispatch: this charge is the RSS demux
-               path (classify + per-shard raise), distinct from the
-               plain single-CPU interrupt entry above. *)
-            Host.in_intr_on t.host ~shard:s ~site:Cpu.Demux cost (fun () ->
-                List.iter (handle_ev t) g))
-      groups
+       shard order with per-shard event order preserved. *)
+    let counts = t.held_counts in
+    for i = 0 to n - 1 do
+      let ev = burst.(i) in
+      let s =
+        match t.steer with
+        | None -> 0
+        | Some classify -> (
+            match classify ev with
+            | Some h -> h mod nshards
+            | None ->
+                Shard.note_default (Host.shard t.host 0);
+                0)
+      in
+      (Ring.push t.held.(s)).ev <- ev;
+      counts.(s) <- counts.(s) + 1
+    done;
+    for s = 0 to nshards - 1 do
+      let k = counts.(s) in
+      if k > 0 then begin
+        counts.(s) <- 0;
+        Shard.note_batch (Host.shard t.host s) k;
+        let cost = intr + ((k - 1) * intr / 4) in
+        (* Steered per-shard dispatch: this charge is the RSS demux
+           path (classify + per-shard raise), distinct from the plain
+           single-CPU interrupt entry above. *)
+        let q = t.held.(s) in
+        Host.in_intr_on t.host ~shard:s ~site:Cpu.Demux cost (fun () ->
+            handle_held t q k)
+      end
+    done
   end;
   (* Keep the poll timer armed while anything could strand: a lost
      interrupt after this burst would otherwise leave events queued. *)
@@ -793,6 +782,10 @@ let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog () =
       watch_key = 0;
       tx_watch = Hashtbl.create 16;
       steer = None;
+      held =
+        Array.init (Host.shard_count host) (fun _ ->
+            Ring.create (fun () -> { ev = Cab.Sdma_done }));
+      held_counts = Array.make (Host.shard_count host) 0;
       s = new_stats ();
     }
   in
@@ -827,7 +820,8 @@ let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog () =
    g "adaptor_resets" (fun () -> t.s.adaptor_resets);
    g "watchdog_polls" (fun () -> t.s.watchdog_polls);
    g "tx_exhausted" (fun () -> t.s.tx_exhausted));
-  Cab.set_batch_interrupt_handler cab (fun evs -> interrupt_batch t evs);
+  Cab.set_batch_interrupt_handler cab (fun burst n ->
+      interrupt_batch t burst n);
   Netif.attach_input ifc (fun m -> Ipv4.input ip ifc m);
   Host.add_iface host ifc;
   t

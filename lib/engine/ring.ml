@@ -28,3 +28,9 @@ let pop r spare =
   r.head <- (r.head + 1) land (Array.length r.slots - 1);
   r.len <- r.len - 1;
   slot
+
+let peek r = r.slots.(r.head)
+
+let drop r =
+  r.head <- (r.head + 1) land (Array.length r.slots - 1);
+  r.len <- r.len - 1

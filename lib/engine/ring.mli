@@ -1,5 +1,6 @@
 (** FIFO of preallocated mutable records: the work queues of {!Cpu} and
-    {!Resource}.
+    {!Resource}, and the job queues of the adaptor's engines and the
+    link.
 
     A queued item is a record the ring already owns, refilled in place,
     so steady-state queueing allocates nothing.  Capacity is a power of
@@ -20,3 +21,11 @@ val pop : 'a t -> 'a -> 'a
 (** [pop r spare] removes and returns the head record, leaving [spare]
     in its slot for later reuse; the caller owns the returned record.
     The ring must be non-empty. *)
+
+val peek : 'a t -> 'a
+(** The head record, left in the ring.  The ring must be non-empty. *)
+
+val drop : 'a t -> unit
+(** Remove the head, keeping its record in the ring for a later {!push}
+    to refill: read what you need from {!peek} first.  The ring must be
+    non-empty. *)

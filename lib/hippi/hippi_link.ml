@@ -2,16 +2,25 @@ let line_rate = 100e6
 
 type side = A | B
 
-(* Each direction is a serialization resource feeding a delay line: a
-   FIFO of (arrival time, frame) drained by one reusable timer.  Frames
-   enter at serialization completion and arrive [latency] later;
+(* Each direction is a serialization resource feeding a delay line, and
+   both hold their frames in {!Ring}s of preallocated slots.  [serq]
+   holds the frames queued on [res], in step with it: [send] is the
+   resource's only producer and it serves FIFO, so the head of [serq] is
+   always the frame whose serialization just completed, and one
+   preallocated continuation ([serialized]) serves every frame.  Frames
+   then enter [pipe] stamped with their arrival time, [latency] later;
    arrival times are non-decreasing (the resource serializes), so the
-   head of the FIFO is always the next arrival and one timer per
-   direction replaces a per-frame closure + handle. *)
+   head of [pipe] is always the next arrival and one reusable timer per
+   direction drains it.  [rx] is the far end's receiver. *)
+type slot = { mutable due : Simtime.t; mutable frame : Bytes.t }
+
 type dir = {
   res : Resource.t;
-  pipe : (Simtime.t * Bytes.t) Queue.t;
+  serq : slot Ring.t;
+  pipe : slot Ring.t;
   timer : Sim.handle;
+  mutable serialized : unit -> unit;
+  mutable rx : Bytes.t -> unit;
 }
 
 type t = {
@@ -20,12 +29,20 @@ type t = {
   latency : Simtime.t;
   a2b : dir;
   b2a : dir;
-  mutable rx_a : Bytes.t -> unit;
-  mutable rx_b : Bytes.t -> unit;
   mutable carried : int;
   mutable corrupted : int;
   mutable dropped : int;
 }
+
+let blank_slot () = { due = Simtime.zero; frame = Bytes.empty }
+
+(* Remove the head slot of [r] and return its frame. *)
+let take r =
+  let s = Ring.peek r in
+  let frame = s.frame in
+  s.frame <- Bytes.empty;
+  Ring.drop r;
+  frame
 
 (* Wire faults happen after serialization, at the instant the frame
    reaches the far end.  A corrupted frame has one byte XORed — the
@@ -48,54 +65,62 @@ let deliver t rx frame =
     rx frame
   end
 
-let arrive t dir rx =
-  match Queue.take_opt dir.pipe with
-  | None -> ()
-  | Some (_, frame) ->
-      deliver t rx frame;
-      (match Queue.peek_opt dir.pipe with
-      | Some (due, _) -> Sim.rearm_at t.sim dir.timer due
-      | None -> ())
+let arrive t dir =
+  if Ring.length dir.pipe > 0 then begin
+    deliver t dir.rx (take dir.pipe);
+    if Ring.length dir.pipe > 0 then
+      Sim.rearm_at t.sim dir.timer (Ring.peek dir.pipe).due
+  end
+
+let serialized t dir =
+  let frame = take dir.serq in
+  t.carried <- t.carried + Bytes.length frame;
+  let due = Simtime.add (Sim.now t.sim) t.latency in
+  let s = Ring.push dir.pipe in
+  s.due <- due;
+  s.frame <- frame;
+  if not (Sim.armed dir.timer) then Sim.rearm_at t.sim dir.timer due
 
 let create ~sim ?(rate = line_rate) ?(latency = Simtime.us 1.) () =
-  let mk name =
-    { res = Resource.create ~sim ~name;
-      pipe = Queue.create ();
-      timer = Sim.timer sim ignore }
+  let mk name side =
+    {
+      res = Resource.create ~sim ~name;
+      serq = Ring.create blank_slot;
+      pipe = Ring.create blank_slot;
+      timer = Sim.timer sim ignore;
+      serialized = ignore;
+      rx = (fun _ -> invalid_arg ("Hippi_link: no rx on side " ^ side));
+    }
   in
   let t =
     {
       sim;
       rate;
       latency;
-      a2b = mk "link.a2b";
-      b2a = mk "link.b2a";
-      rx_a = (fun _ -> invalid_arg "Hippi_link: no rx on side A");
-      rx_b = (fun _ -> invalid_arg "Hippi_link: no rx on side B");
+      a2b = mk "link.a2b" "B";
+      b2a = mk "link.b2a" "A";
       carried = 0;
       corrupted = 0;
       dropped = 0;
     }
   in
-  (* The receivers are installed later ([set_rx]), so the arrival
-     callbacks read them through [t] at fire time. *)
-  Sim.set_fn t.a2b.timer (fun () -> arrive t t.a2b (fun f -> t.rx_b f));
-  Sim.set_fn t.b2a.timer (fun () -> arrive t t.b2a (fun f -> t.rx_a f));
+  List.iter
+    (fun dir ->
+      Sim.set_fn dir.timer (fun () -> arrive t dir);
+      dir.serialized <- (fun () -> serialized t dir))
+    [ t.a2b; t.b2a ];
   t
 
 let set_rx t side f =
-  match side with A -> t.rx_a <- f | B -> t.rx_b <- f
+  match side with A -> t.b2a.rx <- f | B -> t.a2b.rx <- f
 
 let send t ~from frame =
   let dir = match from with A -> t.a2b | B -> t.b2a in
   let ser =
     Simtime.of_bytes_at_rate ~bytes_per_s:t.rate (Bytes.length frame)
   in
-  Resource.acquire dir.res ser (fun () ->
-      t.carried <- t.carried + Bytes.length frame;
-      let due = Simtime.add (Sim.now t.sim) t.latency in
-      Queue.push (due, frame) dir.pipe;
-      if not (Sim.armed dir.timer) then Sim.rearm_at t.sim dir.timer due)
+  (Ring.push dir.serq).frame <- frame;
+  Resource.acquire dir.res ser dir.serialized
 
 let bytes_carried t = t.carried
 let frames_corrupted t = t.corrupted

@@ -1,4 +1,6 @@
-type klass = { mutable bufs : Bytes.t list; mutable depth : int }
+(* A size class's free buffers are a stack in [bufs.(0 .. depth-1)], so
+   filing a buffer allocates nothing. *)
+type klass = { bufs : Bytes.t array; mutable depth : int }
 
 type t = {
   classes : (int, klass) Hashtbl.t;
@@ -15,13 +17,14 @@ let max_per_class = 64
 let get t n =
   t.outstanding <- t.outstanding + 1;
   match Hashtbl.find t.classes n with
-  | { bufs = b :: tl; _ } as k ->
-      k.bufs <- tl;
+  | k when k.depth > 0 ->
       k.depth <- k.depth - 1;
+      let b = k.bufs.(k.depth) in
+      k.bufs.(k.depth) <- Bytes.empty;
       t.free_total <- t.free_total - n;
       t.hits <- t.hits + 1;
       b
-  | { bufs = []; _ } | (exception Not_found) ->
+  | _ | (exception Not_found) ->
       t.misses <- t.misses + 1;
       Bytes.create n
 
@@ -34,12 +37,12 @@ let put t b =
     match Hashtbl.find t.classes n with
     | k -> k
     | exception Not_found ->
-        let k = { bufs = []; depth = 0 } in
+        let k = { bufs = Array.make max_per_class Bytes.empty; depth = 0 } in
         Hashtbl.replace t.classes n k;
         k
   in
   if k.depth < max_per_class then begin
-    k.bufs <- b :: k.bufs;
+    k.bufs.(k.depth) <- b;
     k.depth <- k.depth + 1;
     t.free_total <- t.free_total + n
   end

@@ -40,10 +40,12 @@ let deliver t m =
 
 let add_neighbor t ip link = t.neighbors <- (ip, link) :: t.neighbors
 
-let link_addr t ip =
-  List.find_map
-    (fun (a, l) -> if Inaddr.equal a ip then Some l else None)
-    t.neighbors
+let rec find_neighbor ip = function
+  | [] -> None
+  | (a, l) :: rest ->
+      if Inaddr.equal a ip then Some l else find_neighbor ip rest
+
+let link_addr t ip = find_neighbor ip t.neighbors
 
 let pp fmt t =
   Format.fprintf fmt "%s(%a mtu=%d%s)" t.name Inaddr.pp t.addr t.mtu

@@ -20,9 +20,15 @@ val size : int
 val rx_csum_start_words : int
 (** 20 — the fixed word offset where the receive checksum engine starts. *)
 
-val make : src:int -> dst:int -> channel:int -> payload_len:int -> t
+val encode :
+  Bytes.t -> off:int -> src:int -> dst:int -> channel:int -> payload_len:int ->
+  unit
+(** Write a header at [off] straight from its fields (no record). *)
 
-val encode : t -> Bytes.t -> off:int -> unit
 val decode : Bytes.t -> off:int -> (t, string) result
+
+val read_channel : Bytes.t -> off:int -> int
+(** The channel field of the header at [off], read in place; 0 when the
+    header is truncated or its magic is wrong (what {!decode} rejects). *)
 
 val pp : Format.formatter -> t -> unit

@@ -83,6 +83,8 @@ type t = {
          pcb reports readable / sendable / closed, after the socket's own
          wakeups ran (so level checks observe the post-wakeup state) *)
   s : stats;
+  copyout : Copyout_path.ctx;
+      (* receive delivery context: fixed for the socket's life *)
 }
 
 (* Every this-many rx cost observations, stage a hint for the peer. *)
@@ -109,6 +111,19 @@ let create ~host ~space ~proc ?(paths = default_paths) pcb =
       Some (Path_policy.create ~cutover:paths.uio_threshold ())
     else None
   in
+  let s = new_stats () in
+  let copyout =
+    {
+      Copyout_path.host;
+      space;
+      proc;
+      cache;
+      on_kernel_copy =
+        (fun _ -> s.kernel_copy_reads <- s.kernel_copy_reads + 1);
+      on_copyout = (fun _ -> s.wcab_copyouts <- s.wcab_copyouts + 1);
+      on_pin_fallback = (fun _ -> s.pin_fallbacks <- s.pin_fallbacks + 1);
+    }
+  in
   let t =
     {
       host;
@@ -128,7 +143,8 @@ let create ~host ~space ~proc ?(paths = default_paths) pcb =
       rx_observations = 0;
       closed = false;
       event_hook = None;
-      s = new_stats ();
+      s;
+      copyout;
     }
   in
   (* Bidirectional policy: hints the peer piggybacks on its ACKs land in
@@ -476,23 +492,8 @@ let is_closed t = t.closed || Tcp.state t.pcb = Tcp.Closed
    Continuation gets called once every piece (sync copies and async DMA
    copy-outs) has landed. *)
 let deliver_chain t chain region ~dst_off k =
-  let ctx =
-    {
-      Copyout_path.host = t.host;
-      space = t.space;
-      proc = t.proc;
-      cache = t.cache;
-      on_kernel_copy =
-        (fun _ ->
-          t.s.kernel_copy_reads <- t.s.kernel_copy_reads + 1);
-      on_copyout =
-        (fun _ -> t.s.wcab_copyouts <- t.s.wcab_copyouts + 1);
-      on_pin_fallback =
-        (fun _ -> t.s.pin_fallbacks <- t.s.pin_fallbacks + 1);
-    }
-  in
-  Copyout_path.deliver_chain ctx ~iface:(Tcp.remote_iface t.pcb) chain region
-    ~dst_off ~limit:(Mbuf.chain_len chain) k
+  Copyout_path.deliver_chain t.copyout ~iface:(Tcp.remote_iface t.pcb) chain
+    region ~dst_off ~limit:(Mbuf.chain_len chain) k
 
 let rec chain_has_wcab (m : Mbuf.t option) =
   match m with

@@ -327,26 +327,20 @@ let test_ring_alloc_budget () =
   let res = Resource.create ~sim ~name:"budget-link" in
   let count = ref 0 in
   let k () = incr count in
-  let round () =
-    (* A long first item keeps both busy, so the loop only queues. *)
-    Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 1_000 k;
-    Resource.acquire res 1_000 k;
-    let w0 = Gc.minor_words () in
-    for _ = 1 to n do
-      Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 1 k;
-      Resource.acquire res 1 k
-    done;
-    let words = Gc.minor_words () -. w0 in
-    Sim.run sim;
-    words
+  let { Alloc_budget.submit = words; _ } =
+    Alloc_budget.measure n
+      ~submit:(fun i ->
+        (* A long first item keeps both busy, so the loop only queues. *)
+        let d = if i = 1 then 1_000 else 1 in
+        Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys d k;
+        Resource.acquire res d k)
+      ~drain:(fun () -> Sim.run sim)
   in
-  ignore (round () : float);
-  let words = round () in
-  check_int "every item completed" (4 * (n + 1)) !count;
+  check_int "every item completed" (4 * n) !count;
   check_bool
-    (Printf.sprintf "%.0f words for %d items" words (2 * n))
+    (Printf.sprintf "%.2f words per CPU item + resource hold" words)
     true
-    (words /. float_of_int (2 * n) < 1.)
+    (words /. 2. < 1.)
 
 (* ---------- Rng ---------- *)
 

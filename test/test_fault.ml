@@ -96,8 +96,8 @@ let test_obs_export () =
 let test_netmem_double_free_raises () =
   let nm = Netmem.create ~pages:8 in
   match Netmem.alloc nm ~len:100 ~state:Netmem.Ready with
-  | None -> Alcotest.fail "alloc failed with free pages"
-  | Some pkt ->
+  | exception Netmem.Exhausted -> Alcotest.fail "alloc failed with free pages"
+  | pkt ->
       Netmem.free nm pkt;
       check_bool "second free raises" true
         (try
@@ -109,11 +109,14 @@ let test_netmem_injected_exhaustion () =
   let nm = Netmem.create ~pages:8 in
   Fault.arm ~seed:1;
   Fault.plan ~site:"netmem.exhaust" (Fault.Once_at 1);
-  check_bool "injected exhaustion" true
-    (Netmem.alloc nm ~len:100 ~state:Netmem.Ready = None);
+  let allocates () =
+    match Netmem.alloc nm ~len:100 ~state:Netmem.Ready with
+    | _ -> true
+    | exception Netmem.Exhausted -> false
+  in
+  check_bool "injected exhaustion" false (allocates ());
   check_int "counted as failure" 1 (Netmem.failures nm);
-  check_bool "next alloc recovers" true
-    (Netmem.alloc nm ~len:100 ~state:Netmem.Ready <> None);
+  check_bool "next alloc recovers" true (allocates ());
   Fault.disarm ()
 
 (* ---------- Path_policy penalty ---------- *)

@@ -133,6 +133,30 @@ let prop_switch_conserves_frames =
       in
       run Hippi_switch.Fifo && run Hippi_switch.Logical_channels)
 
+(* A frame's trip over the link allocates nothing: the serializer queue
+   and the delay line are rings of preallocated slots, each drained by
+   one preallocated continuation.  10,000 sends of a test-owned frame,
+   through to the receiver, average under one word each.  The frame is
+   large enough that every deadline lands on the timer wheel, which
+   schedules without allocating. *)
+let test_link_alloc_budget () =
+  let n = 10_000 in
+  let sim = Sim.create () in
+  let link = Hippi_link.create ~sim () in
+  let frame = Bytes.create 65536 in
+  let got = ref 0 in
+  Hippi_link.set_rx link Hippi_link.B (fun f -> if f == frame then incr got);
+  let w =
+    Alloc_budget.measure n
+      ~submit:(fun _ -> Hippi_link.send link ~from:Hippi_link.A frame)
+      ~drain:(fun () -> Sim.run sim)
+  in
+  check_int "every frame reached the receiver" (2 * n) !got;
+  check_bool
+    (Printf.sprintf "%.2f words per send + %.2f per arrival" w.submit w.drain)
+    true
+    (w.submit +. w.drain < 1.)
+
 let () =
   Alcotest.run "hippi"
     [
@@ -141,6 +165,7 @@ let () =
           Alcotest.test_case "delivery timing" `Quick test_link_delivery;
           Alcotest.test_case "serialization" `Quick test_link_serializes;
           Alcotest.test_case "full duplex" `Quick test_link_full_duplex;
+          Alcotest.test_case "allocation budget" `Quick test_link_alloc_budget;
         ] );
       ( "switch",
         [

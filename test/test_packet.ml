@@ -148,9 +148,9 @@ let test_udp_zero_csum_substitution () =
 (* ---------- HIPPI ---------- *)
 
 let test_hippi_roundtrip () =
-  let h = Hippi_framing.make ~src:3 ~dst:9 ~channel:2 ~payload_len:32768 in
   let buf = Bytes.create 64 in
-  Hippi_framing.encode h buf ~off:0;
+  Hippi_framing.encode buf ~off:0 ~src:3 ~dst:9 ~channel:2 ~payload_len:32768;
+  check_int "channel read in place" 2 (Hippi_framing.read_channel buf ~off:0);
   match Hippi_framing.decode buf ~off:0 with
   | Error e -> Alcotest.fail e
   | Ok d ->
@@ -176,7 +176,9 @@ let test_hippi_bad_magic () =
   check_bool "bad magic rejected" true
     (match Hippi_framing.decode buf ~off:0 with
     | Error "hippi: bad magic" -> true
-    | _ -> false)
+    | _ -> false);
+  check_int "no channel without magic" 0
+    (Hippi_framing.read_channel buf ~off:0)
 
 (* ---------- Ethernet ---------- *)
 
