@@ -113,7 +113,7 @@ let pop q =
     Some (root.time, root.payload)
   end
 
-let iter_ready ?(seq_below = Stdlib.max_int) q ~now ~f =
+let iter_ready q ~now ~seq_below ~f =
   let n = ref 0 in
   let continue = ref true in
   while !continue && q.size > 0 do

@@ -26,9 +26,9 @@ val pop : 'a t -> (Simtime.t * 'a) option
     captures) reachable. *)
 
 val iter_ready :
-  ?seq_below:int -> 'a t -> now:Simtime.t -> f:(int -> 'a -> unit) -> int
+  'a t -> now:Simtime.t -> seq_below:int -> f:(int -> 'a -> unit) -> int
 (** Allocation-free bulk drain: removes every event with [time <= now]
-    (and, when [seq_below] is given, [seq < seq_below]), calling
+    and [seq < seq_below], calling
     [f seq payload] on each in (time, seq) order, and
     returns the number drained.  Each entry is removed {e before} [f]
     runs, so the callback may freely push or compact.  This is the hot

@@ -12,6 +12,9 @@ type t = {
      every event, so the merged run loop fires in exactly the order a
      single heap would. *)
   mutable fired_total : int;
+  drain : int -> handle -> unit;
+      (* [fire_heap t], built once in [create]: the heap-only drain in
+         [run] passes it to [Event_queue.iter_ready] without allocating *)
 }
 
 exception Stuck of string
@@ -47,11 +50,24 @@ let register_obs t =
       Buffer.add_char b ']';
       Buffer.contents b)
 
+let fire t (tm : handle) =
+  t.fired_total <- t.fired_total + 1;
+  tm.Tw.fn ()
+
+(* Heap pops carry the entry's seq so stale entries (cancelled or
+   re-armed while heap-resident) are recognized and skipped. *)
+let fire_heap t seq (tm : handle) =
+  if heap_live seq tm then begin
+    tm.Tw.where <- Tw.w_none;
+    fire t tm
+  end
+  else Event_queue.dead_decr t.queue
+
 let create ?(wheel = true) () =
-  let t =
+  let rec t =
     { clock = Simtime.zero; queue = Event_queue.create ();
       wheel = Tw.create (); use_wheel = wheel; next_seq = 0;
-      fired_total = 0 }
+      fired_total = 0; drain = (fun seq tm -> fire_heap t seq tm) }
   in
   register_obs t;
   t
@@ -132,19 +148,6 @@ let pending t = Event_queue.length t.queue + Tw.pending t.wheel
 
 let events_fired t = t.fired_total
 
-let fire t (tm : handle) =
-  t.fired_total <- t.fired_total + 1;
-  tm.Tw.fn ()
-
-(* Heap pops carry the entry's seq so stale entries (cancelled or
-   re-armed while heap-resident) are recognized and skipped. *)
-let fire_heap t seq (tm : handle) =
-  if heap_live seq tm then begin
-    tm.Tw.where <- Tw.w_none;
-    fire t tm
-  end
-  else Event_queue.dead_decr t.queue
-
 let wheel_next t = if t.use_wheel then Tw.next_deadline t.wheel else max_int
 
 let heap_next t = Event_queue.min_time t.queue
@@ -202,7 +205,7 @@ let run ?until ?(max_events = 200_000_000) t =
             (* Heap-only instant: allocation-free drain. *)
             let n =
               Event_queue.iter_ready t.queue ~now:time ~seq_below:seq_limit
-                ~f:(fun seq tm -> fire_heap t seq tm)
+                ~f:t.drain
             in
             fired := !fired + n
           end

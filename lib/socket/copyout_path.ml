@@ -37,22 +37,22 @@ let unwire ctx region =
   | Some cache -> Pin_cache.release cache region
   | None -> Addr_space.unpin ctx.space region
 
-(* Host copy of one mbuf's bytes into [dst]: straight blit when the
-   storage is contiguous, staged through a pooled buffer (two touches)
-   when it is a descriptor chain. *)
-let host_copy_seg ctx mb ~seg ~dst ~release =
+(* Host copy of one mbuf's bytes into [region] at [dst_off]: straight
+   blit when the storage is contiguous, staged through a pooled buffer
+   (two touches) when it is a descriptor chain. *)
+let host_copy_seg ctx mb ~seg region ~dst_off ~release =
   ctx.on_kernel_copy seg;
   let cost = Memcost.copy (profile ctx) ~locality:Memcost.Cold seg in
   charge ~site:Cpu.Copy ctx cost (fun () ->
       (match Mbuf.view mb ~off:0 ~len:seg with
       | Some (b, pos) ->
           Obs_ledger.touch Obs_ledger.Sock_rx_copy Obs_ledger.Copy seg;
-          Region.blit_from_bytes b ~src_off:pos dst ~dst_off:0 ~len:seg
+          Region.blit_from_bytes b ~src_off:pos region ~dst_off ~len:seg
       | None ->
           Obs_ledger.touch Obs_ledger.Sock_rx_copy Obs_ledger.Copy (2 * seg);
           let tmp = Bufpool.get Bufpool.shared seg in
           Mbuf.copy_into mb ~off:0 ~len:seg tmp ~dst_off:0;
-          Region.blit_from_bytes tmp ~src_off:0 dst ~dst_off:0 ~len:seg;
+          Region.blit_from_bytes tmp ~src_off:0 region ~dst_off ~len:seg;
           Bufpool.put Bufpool.shared tmp);
       release ())
 
@@ -60,8 +60,9 @@ let host_copy_seg ctx mb ~seg ~dst ~release =
    driver's copy-out engine move the data.  If the pin fails, degrade:
    DMA into kernel staging (no user pages need wiring for that) and
    finish with a host copy. *)
-let copyout_seg ctx ~copy_out mb ~seg ~dst ~release =
+let copyout_seg ctx ~copy_out mb ~seg region ~dst_off ~release =
   ctx.on_copyout seg;
+  let dst = Region.sub region ~off:dst_off ~len:seg in
   match try_wire ctx dst with
   | Ok vm_cost ->
       (* Warm pin: no kernel VM work to charge, so hand the descriptor
@@ -99,39 +100,51 @@ let copyout_seg ctx ~copy_out mb ~seg ~dst ~release =
                   Bufpool.put Bufpool.shared stage;
                   release ())))
 
+(* Post one piece — [seg] bytes of [mb] to [region] at [dst_off] — and
+   run [release] when it has landed.  False when nothing can move an
+   outboard piece (cannot happen with a correctly assembled stack): its
+   bytes are dropped and [release] never runs. *)
+let post_seg ctx ~iface mb ~seg region ~dst_off ~release =
+  match Mbuf.kind mb with
+  | Mbuf.K_internal | Mbuf.K_cluster | Mbuf.K_uio ->
+      host_copy_seg ctx mb ~seg region ~dst_off ~release;
+      true
+  | Mbuf.K_wcab -> (
+      match iface with
+      | Some { Netif.copy_out = Some copy_out; _ } ->
+          copyout_seg ctx ~copy_out mb ~seg region ~dst_off ~release;
+          true
+      | Some _ | None -> false)
+
+(* Post every piece of the chain from [mb] on, [off] being where [mb]'s
+   bytes land in [region]; each posted piece holds [pending] until it
+   lands, and the walk's own hold (the barrier) is released at the end
+   of the chain or where [limit] truncates it. *)
+let rec walk ctx ~iface (mb : Mbuf.t) region ~dst_off ~limit ~off ~pending
+    ~release =
+  let seg = min mb.Mbuf.len (limit - (off - dst_off)) in
+  if mb.Mbuf.len > 0 && seg <= 0 then release ()
+  else begin
+    if seg > 0 then begin
+      incr pending;
+      if not (post_seg ctx ~iface mb ~seg region ~dst_off:off ~release) then
+        decr pending
+    end;
+    match mb.Mbuf.next with
+    | Some next ->
+        walk ctx ~iface next region ~dst_off ~limit
+          ~off:(off + Stdlib.max seg 0)
+          ~pending ~release
+    | None -> release ()
+  end
+
 let deliver_chain ctx ~iface chain region ~dst_off ~limit k =
   let pending = ref 1 (* barrier: released after the walk *) in
   let release () =
     decr pending;
-    if !pending = 0 then k ()
+    if !pending = 0 then begin
+      Mbuf.free chain;
+      k ()
+    end
   in
-  let rec walk (m : Mbuf.t option) off =
-    match m with
-    | None -> release () (* the barrier *)
-    | Some mb ->
-        if mb.Mbuf.len = 0 then walk mb.Mbuf.next off
-        else begin
-          let seg = min mb.Mbuf.len (limit - (off - dst_off)) in
-          if seg <= 0 then release () (* truncated: stop the walk *)
-          else begin
-            let dst = Region.sub region ~off ~len:seg in
-            (match Mbuf.kind mb with
-            | Mbuf.K_internal | Mbuf.K_cluster | Mbuf.K_uio ->
-                incr pending;
-                host_copy_seg ctx mb ~seg ~dst ~release
-            | Mbuf.K_wcab -> (
-                match iface with
-                | Some ifc when ifc.Netif.copy_out <> None ->
-                    incr pending;
-                    copyout_seg ctx
-                      ~copy_out:(Option.get ifc.Netif.copy_out)
-                      mb ~seg ~dst ~release
-                | Some _ | None ->
-                    (* No device able to move it: drop the bytes (cannot
-                       happen with a correctly assembled stack). *)
-                    ()));
-            walk mb.Mbuf.next (off + seg)
-          end
-        end
-  in
-  walk (Some chain) dst_off
+  walk ctx ~iface chain region ~dst_off ~limit ~off:dst_off ~pending ~release

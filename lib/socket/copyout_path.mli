@@ -32,6 +32,6 @@ val deliver_chain :
   (unit -> unit) ->
   unit
 (** [deliver_chain ctx ~iface chain region ~dst_off ~limit k] lands the
-    first [limit] bytes of [chain] at [region]\[[dst_off]…\] and calls
-    [k] once every piece (sync copies and async DMA copy-outs) has
-    arrived.  The chain is not freed. *)
+    first [limit] bytes of [chain] at [region]\[[dst_off]…\], frees the
+    chain once every piece (sync copies and async DMA copy-outs) has
+    arrived, then calls [k]. *)

@@ -171,9 +171,7 @@ let deliver t chain region k =
     }
   in
   Copyout_path.deliver_chain ctx ~iface chain region ~dst_off:0 ~limit:want
-    (fun () ->
-      Mbuf.free chain;
-      k want)
+    (fun () -> k want)
 
 let rec recvfrom t region k =
   charge t (Memcost.syscall (profile t)) (fun () ->

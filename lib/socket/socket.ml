@@ -48,6 +48,13 @@ let new_stats () =
     pin_fallbacks = 0;
   }
 
+(* Where the socket's one read stands.  [Rd_syscall] covers the syscall
+   charge and the sb_wait charge after a blocked reader is woken: the
+   read will [attempt] when that charge completes.  [Rd_pumping] is the
+   pipelined delivery that [pump] drives; a pump that arrives in any
+   other phase belongs to a finished read and does nothing. *)
+type rd_phase = Rd_idle | Rd_syscall | Rd_blocked | Rd_pumping
+
 type t = {
   host : Host.t;
   space : Addr_space.t;
@@ -68,7 +75,6 @@ type t = {
          releases the lock once fully appended (its drain wait happens
          off-lock — that is what lets the next write overlap with this
          one's DMA); a copying write holds it to completion. *)
-  mutable reader_waiting : (unit -> unit) option;
   mutable pending_notifies : Mbuf.notify list;
       (* in-flight writes' UIO counters, force-drained if the
          connection dies so no writer can hang *)
@@ -85,6 +91,37 @@ type t = {
   s : stats;
   copyout : Copyout_path.ctx;
       (* receive delivery context: fixed for the socket's life *)
+  (* The active copy-route write.  It holds the append lock until it
+     completes, so there is at most one. *)
+  mutable wr_region : Region.t;
+  mutable wr_off : int;  (* bytes of [wr_region] appended so far *)
+  mutable wr_chunk : int;
+      (* the chunk whose copy is being charged; 0 while the writer waits
+         for buffer space *)
+  mutable wr_next : (unit -> unit) option;
+      (* what runs once the region is appended; [None] for a whole
+         write, which [finish_copy_write] ends *)
+  mutable wr_k : unit -> unit;  (* the caller's continuation *)
+  mutable wr_observe : bool;  (* feed the policy's copy-path cost *)
+  mutable wr_len : int;
+  mutable wr_t0 : Simtime.t;
+  wr_step : unit -> unit;  (* a copy or post-wake charge completed *)
+  wr_wake : unit -> unit;  (* parked on buffer space, now woken *)
+  (* The active read (one reader per socket).  [rd_exact] loops reads
+     for {!read_exact}; [rd_base] is what its earlier reads landed. *)
+  mutable rd_phase : rd_phase;
+  mutable rd_region : Region.t;
+  mutable rd_k : int -> unit;
+  mutable rd_exact : bool;
+  mutable rd_base : int;
+  mutable rd_claimed : int;  (* bytes past [rd_base] assigned to chains *)
+  mutable rd_outstanding : int;  (* posted chains not yet fully landed *)
+  mutable rd_parked : bool;  (* pump waiting on readability, in flight *)
+  mutable rd_had_wcab : bool;
+  mutable rd_t0 : Simtime.t;
+  rd_attempt : unit -> unit;  (* the syscall (or sb_wait) charge completed *)
+  rd_pump : unit -> unit;  (* a parked pump's sb_wait charge completed *)
+  rd_delivered : unit -> unit;  (* one posted chain landed *)
 }
 
 (* Every this-many rx cost observations, stage a hint for the peer. *)
@@ -100,98 +137,9 @@ let notify_event t = match t.event_hook with Some f -> f () | None -> ()
 (* Page budget of each socket's pin cache. *)
 let pin_cache_pages = 1024
 
-let create ~host ~space ~proc ?(paths = default_paths) pcb =
-  let cache =
-    if paths.use_pin_cache then
-      Some (Pin_cache.create ~space ~max_pages:pin_cache_pages)
-    else None
-  in
-  let policy =
-    if paths.adaptive then
-      Some (Path_policy.create ~cutover:paths.uio_threshold ())
-    else None
-  in
-  let s = new_stats () in
-  let copyout =
-    {
-      Copyout_path.host;
-      space;
-      proc;
-      cache;
-      on_kernel_copy =
-        (fun _ -> s.kernel_copy_reads <- s.kernel_copy_reads + 1);
-      on_copyout = (fun _ -> s.wcab_copyouts <- s.wcab_copyouts + 1);
-      on_pin_fallback = (fun _ -> s.pin_fallbacks <- s.pin_fallbacks + 1);
-    }
-  in
-  let t =
-    {
-      host;
-      space;
-      proc;
-      paths;
-      pcb;
-      cache;
-      policy;
-      policy_registered = false;
-      writers_waiting = Queue.create ();
-      appending = false;
-      append_queue = Queue.create ();
-      reader_waiting = None;
-      pending_notifies = [];
-      last_tx_faults = 0;
-      rx_observations = 0;
-      closed = false;
-      event_hook = None;
-      s;
-      copyout;
-    }
-  in
-  (* Bidirectional policy: hints the peer piggybacks on its ACKs land in
-     our policy's receive-side tables, so the cutover accounts for what
-     our sends cost the receiver. *)
-  (match policy with
-  | Some p ->
-      Tcp.set_rx_cost_handler pcb (fun ~bucket ~uio_us ~copy_us ->
-          Path_policy.feed_remote_rx p ~bucket
-            ~uio_us:(float_of_int uio_us)
-            ~copy_us:(float_of_int copy_us))
-  | None -> ());
-  Tcp.set_callbacks pcb
-    ~on_readable:(fun () ->
-      (match t.reader_waiting with
-      | Some k ->
-          t.reader_waiting <- None;
-          k ()
-      | None -> ());
-      notify_event t)
-    ~on_sendable:(fun () ->
-      (* Wake every parked writer: each re-checks the space it needs, so
-         a spurious wake only costs a recheck. *)
-      let woken = Queue.create () in
-      Queue.transfer t.writers_waiting woken;
-      Queue.iter (fun k -> k ()) woken;
-      notify_event t)
-    ~on_closed:(fun () ->
-      (* Wake anyone blocked so the simulation cannot wedge. *)
-      let notifies = t.pending_notifies in
-      t.pending_notifies <- [];
-      List.iter
-        (fun n ->
-          if n.Mbuf.dma_pending > 0 then
-            Mbuf.notify_complete_n n n.Mbuf.dma_pending)
-        notifies;
-      (match t.reader_waiting with
-      | Some k ->
-          t.reader_waiting <- None;
-          k ()
-      | None -> ());
-      let woken = Queue.create () in
-      Queue.transfer t.writers_waiting woken;
-      Queue.iter (fun k -> k ()) woken;
-      notify_event t)
-    ();
-  t
+(* What the socket's per-call fields hold between calls, so a finished
+   call keeps nothing of the caller's alive. *)
+let no_region = Region.create ~vaddr:0 0
 
 (* Syscall-side costs run on the CPU of the shard owning the connection
    (explicit: callbacks waking blocked readers/writers arrive from timer
@@ -204,21 +152,10 @@ let block_writer t k =
   t.s.write_blocks <- t.s.write_blocks + 1;
   Queue.push k t.writers_waiting
 
-let acquire_append t f =
-  if t.appending then Queue.push f t.append_queue
-  else begin
-    t.appending <- true;
-    f ()
-  end
-
+(* The lock passes to the next queued writer, which takes it afresh. *)
 let release_append t =
-  if Queue.is_empty t.append_queue then t.appending <- false
-  else (Queue.pop t.append_queue) () (* lock passes to the next writer *)
-
-let block_reader t k =
-  assert (t.reader_waiting = None);
-  t.s.read_blocks <- t.s.read_blocks + 1;
-  t.reader_waiting <- Some k
+  t.appending <- false;
+  if not (Queue.is_empty t.append_queue) then (Queue.pop t.append_queue) ()
 
 (* ---------------- write ---------------- *)
 
@@ -309,113 +246,141 @@ let write_uio t region ~on_appended ~on_pin_fail k =
       in
       push 0)
 
-(* Traditional path: copy through kernel mbufs; returns when all bytes are
-   buffered. *)
-let write_copy t region k =
-  let total = Region.length region in
-  Obs_trace.emit Obs_trace.Sock_write ~a:total ~b:0;
-  let rec push off =
-    if off >= total then k ()
-    else begin
-      let space = Tcp.snd_space t.pcb in
-      if space <= 0 then begin
-        let retry () =
-          charge t (Memcost.sb_wait (profile t)) (fun () -> push off)
-        in
-        block_writer t retry
-      end
-      else begin
-        let chunk = min (total - off) space in
-        let copy_cost =
-          Memcost.copy (profile t) ~locality:Memcost.Cold chunk
-        in
-        charge ~site:Cpu.Copy t copy_cost (fun () ->
-            Obs_ledger.touch Obs_ledger.Sock_tx_copy Obs_ledger.Copy chunk;
-            let m = Mbuf.of_region ~pkthdr:true region ~off ~len:chunk in
-            match Tcp.sosend_append t.pcb ~proc:t.proc m with
-            | Ok () -> push (off + chunk)
-            | Error _ -> k ())
-      end
+(* Adaptive routing's feedback: the observed (simulated) time until the
+   app may reuse the buffer — which is what copy semantics make
+   app-visible — feeds the policy's online cutover estimate. *)
+let observe_tx t ~route ~len ~t0 =
+  match t.policy with
+  | Some policy ->
+      Path_policy.observe policy ~route ~len
+        ~cost:(Simtime.sub (Host.now t.host) t0)
+  | None -> ()
+
+(* The end of a whole copy-route write: release the append lock, feed
+   the policy when asked to, then continue with the caller's [wr_k]. *)
+let finish_copy_write t =
+  (* Read the fields first: releasing the lock may start the next
+     copy-route write, which refills them. *)
+  let k = t.wr_k and observe = t.wr_observe in
+  let len = t.wr_len and t0 = t.wr_t0 in
+  t.wr_k <- ignore;
+  release_append t;
+  if observe then observe_tx t ~route:Path_policy.Copy ~len ~t0;
+  k ()
+
+(* Traditional path: copy through kernel mbufs, a chunk per charge, until
+   every byte is buffered.  The write's progress lives in the socket's
+   [wr_*] fields. *)
+let rec copy_push t =
+  let total = Region.length t.wr_region in
+  let off = t.wr_off in
+  if off >= total then copy_done t
+  else begin
+    let space = Tcp.snd_space t.pcb in
+    if space <= 0 then begin
+      t.wr_chunk <- 0;
+      block_writer t t.wr_wake
     end
-  in
-  push 0
+    else begin
+      let chunk = min (total - off) space in
+      t.wr_chunk <- chunk;
+      charge ~site:Cpu.Copy t
+        (Memcost.copy (profile t) ~locality:Memcost.Cold chunk)
+        t.wr_step
+    end
+  end
+
+and copy_done t =
+  let next = t.wr_next in
+  t.wr_next <- None;
+  t.wr_region <- no_region;
+  match next with Some f -> f () | None -> finish_copy_write t
+
+let copy_chunk t =
+  let chunk = t.wr_chunk and off = t.wr_off in
+  Obs_ledger.touch Obs_ledger.Sock_tx_copy Obs_ledger.Copy chunk;
+  let m = Mbuf.of_region ~pkthdr:true t.wr_region ~off ~len:chunk in
+  match Tcp.sosend_append t.pcb ~proc:t.proc m with
+  | Ok () ->
+      t.wr_off <- off + chunk;
+      copy_push t
+  | Error _ -> copy_done t
+
+(* Copy [region] in, then run [next] ([None]: finish the whole write). *)
+let write_copy t region next =
+  Obs_trace.emit Obs_trace.Sock_write ~a:(Region.length region) ~b:0;
+  t.wr_region <- region;
+  t.wr_off <- 0;
+  t.wr_next <- next;
+  copy_push t
+
+(* A whole write on the copying path. *)
+let copy_write t region ~observe ~t0 k =
+  t.wr_k <- k;
+  t.wr_observe <- observe;
+  t.wr_len <- Region.length region;
+  t.wr_t0 <- t0;
+  write_copy t region None
 
 let single_copy_route t =
   match Tcp.remote_iface t.pcb with
   | Some ifc -> ifc.Netif.single_copy
   | None -> false
 
-let write t region k =
-  t.s.writes <- t.s.writes + 1;
-  t.s.bytes_written <- t.s.bytes_written + Region.length region;
-  charge t (Memcost.syscall (profile t)) (fun () ->
-      acquire_append t (fun () ->
-      let len = Region.length region in
-      let aligned = Region.is_word_aligned region in
-      match t.policy with
-      | Some policy when single_copy_route t && not t.paths.force_uio ->
-          (* Adaptive routing: size / alignment / pin-cache warmth feed
-             the policy; the observed (simulated) time until the app may
-             reuse the buffer — which is what copy semantics make
-             app-visible — feeds its online cutover estimate. *)
-          (* Registry registration is deferred to the first routing
-             decision so an idle peer's policy (a receiver never routes a
-             write) cannot replace-register over the active sender's. *)
-          if not t.policy_registered then begin
-            t.policy_registered <- true;
-            Path_policy.register policy
-          end;
-          (* Device-fault feedback: a rise in the interface's fault count
-             (netmem exhaustion, adaptor reset) since our last decision
-             penalizes the outboard path until the spike decays. *)
-          (match Tcp.remote_iface t.pcb with
-          | Some ifc when ifc.Netif.tx_faults > t.last_tx_faults ->
-              t.last_tx_faults <- ifc.Netif.tx_faults;
-              Path_policy.penalize policy
-          | Some _ | None -> ());
-          let pin_warm =
-            match t.cache with
-            | Some cache -> Pin_cache.is_resident cache region
-            | None -> false
-          in
-          let route, reason =
-            Path_policy.decide policy ~len ~aligned ~pin_warm
-          in
-          let t0 = Host.now t.host in
-          let finish route () =
-            (* Trivial decisions skip the cost tables entirely — the
-               whole point of the early exit is to keep small sends off
-               the EWMA/refresh bookkeeping. *)
-            (match reason with
-            | Path_policy.Trivial -> ()
-            | _ ->
-                Path_policy.observe policy ~route ~len
-                  ~cost:(Simtime.sub (Host.now t.host) t0));
-            k ()
-          in
-          (match route with
-          | Path_policy.Uio ->
-              t.s.uio_writes <- t.s.uio_writes + 1;
-              write_uio t region
-                ~on_appended:(fun () -> release_append t)
-                ~on_pin_fail:(fun () ->
-                  (* The kernel would not wire the buffer: penalize the
-                     outboard path and finish the write by copying (still
-                     holding the append lock). *)
-                  Path_policy.penalize policy;
-                  t.s.copy_writes <- t.s.copy_writes + 1;
-                  write_copy t region (fun () ->
-                      release_append t;
-                      finish Path_policy.Copy ()))
-                (finish Path_policy.Uio)
-          | Path_policy.Copy ->
-              if not aligned then
-                t.s.unaligned_fallbacks <- t.s.unaligned_fallbacks + 1;
+(* The body of a write, run under the append lock. *)
+let write_locked t region k =
+  let len = Region.length region in
+  let aligned = Region.is_word_aligned region in
+  match t.policy with
+  | Some policy when single_copy_route t && not t.paths.force_uio ->
+      (* Adaptive routing: size / alignment / pin-cache warmth feed the
+         policy.  Registry registration is deferred to the first routing
+         decision so an idle peer's policy (a receiver never routes a
+         write) cannot replace-register over the active sender's. *)
+      if not t.policy_registered then begin
+        t.policy_registered <- true;
+        Path_policy.register policy
+      end;
+      (* Device-fault feedback: a rise in the interface's fault count
+         (netmem exhaustion, adaptor reset) since our last decision
+         penalizes the outboard path until the spike decays. *)
+      (match Tcp.remote_iface t.pcb with
+      | Some ifc when ifc.Netif.tx_faults > t.last_tx_faults ->
+          t.last_tx_faults <- ifc.Netif.tx_faults;
+          Path_policy.penalize policy
+      | Some _ | None -> ());
+      let pin_warm =
+        match t.cache with
+        | Some cache -> Pin_cache.is_resident cache region
+        | None -> false
+      in
+      let route, reason = Path_policy.decide policy ~len ~aligned ~pin_warm in
+      let t0 = Host.now t.host in
+      (* Trivial decisions skip the cost tables entirely — the whole
+         point of the early exit is to keep small sends off the
+         EWMA/refresh bookkeeping. *)
+      let observe = reason <> Path_policy.Trivial in
+      (match route with
+      | Path_policy.Uio ->
+          t.s.uio_writes <- t.s.uio_writes + 1;
+          write_uio t region
+            ~on_appended:(fun () -> release_append t)
+            ~on_pin_fail:(fun () ->
+              (* The kernel would not wire the buffer: penalize the
+                 outboard path and finish the write by copying (still
+                 holding the append lock). *)
+              Path_policy.penalize policy;
               t.s.copy_writes <- t.s.copy_writes + 1;
-              write_copy t region (fun () ->
-                  release_append t;
-                  finish Path_policy.Copy ()))
-      | Some _ | None ->
+              copy_write t region ~observe ~t0 k)
+            (fun () ->
+              if observe then observe_tx t ~route:Path_policy.Uio ~len ~t0;
+              k ())
+      | Path_policy.Copy ->
+          if not aligned then
+            t.s.unaligned_fallbacks <- t.s.unaligned_fallbacks + 1;
+          t.s.copy_writes <- t.s.copy_writes + 1;
+          copy_write t region ~observe ~t0 k)
+  | Some _ | None ->
       let want_uio =
         single_copy_route t
         && (t.paths.force_uio || len >= t.paths.uio_threshold)
@@ -426,9 +391,7 @@ let write t region k =
           ~on_appended:(fun () -> release_append t)
           ~on_pin_fail:(fun () ->
             t.s.copy_writes <- t.s.copy_writes + 1;
-            write_copy t region (fun () ->
-                release_append t;
-                k ()))
+            copy_write t region ~observe:false ~t0:0 k)
           k
       end
       else if want_uio && t.paths.align_fixup && len > 64 then begin
@@ -439,24 +402,38 @@ let write t region k =
         t.s.align_fixups <- t.s.align_fixups + 1;
         t.s.uio_writes <- t.s.uio_writes + 1;
         t.s.copy_writes <- t.s.copy_writes + 1;
-        write_copy t (Region.sub region ~off:0 ~len:head_len) (fun () ->
-            let bulk = Region.sub region ~off:head_len ~len:(len - head_len) in
-            write_uio t bulk
-              ~on_appended:(fun () -> release_append t)
-              ~on_pin_fail:(fun () ->
-                write_copy t bulk (fun () ->
-                    release_append t;
-                    k ()))
-              k)
+        write_copy t (Region.sub region ~off:0 ~len:head_len)
+          (Some
+             (fun () ->
+               let bulk =
+                 Region.sub region ~off:head_len ~len:(len - head_len)
+               in
+               write_uio t bulk
+                 ~on_appended:(fun () -> release_append t)
+                 ~on_pin_fail:(fun () ->
+                   copy_write t bulk ~observe:false ~t0:0 k)
+                 k))
       end
       else begin
         if want_uio && not aligned then
           t.s.unaligned_fallbacks <- t.s.unaligned_fallbacks + 1;
         t.s.copy_writes <- t.s.copy_writes + 1;
-        write_copy t region (fun () ->
-            release_append t;
-            k ())
-      end))
+        copy_write t region ~observe:false ~t0:0 k
+      end
+
+let write t region k =
+  t.s.writes <- t.s.writes + 1;
+  t.s.bytes_written <- t.s.bytes_written + Region.length region;
+  (* One closure per write, run first after the syscall charge and again
+     when the append lock passes to it. *)
+  let rec locked () =
+    if t.appending then Queue.push locked t.append_queue
+    else begin
+      t.appending <- true;
+      write_locked t region k
+    end
+  in
+  charge t (Memcost.syscall (profile t)) locked
 
 (* ---------------- read ---------------- *)
 
@@ -488,17 +465,9 @@ let writable t =
 
 let is_closed t = t.closed || Tcp.state t.pcb = Tcp.Closed
 
-(* Move one received chain into the user region starting at [dst_off].
-   Continuation gets called once every piece (sync copies and async DMA
-   copy-outs) has landed. *)
-let deliver_chain t chain region ~dst_off k =
-  Copyout_path.deliver_chain t.copyout ~iface:(Tcp.remote_iface t.pcb) chain
-    region ~dst_off ~limit:(Mbuf.chain_len chain) k
-
-let rec chain_has_wcab (m : Mbuf.t option) =
-  match m with
-  | None -> false
-  | Some mb -> Mbuf.kind mb = Mbuf.K_wcab || chain_has_wcab mb.Mbuf.next
+let rec chain_has_wcab (mb : Mbuf.t) =
+  Mbuf.kind mb = Mbuf.K_wcab
+  || match mb.Mbuf.next with Some n -> chain_has_wcab n | None -> false
 
 (* Receiver half of the bidirectional path policy: the simulated time
    from syscall entry to last byte landed is this host's delivery cost
@@ -522,9 +491,36 @@ let observe_rx_cost t ~had_wcab ~len ~t0 =
         end
       end
 
-let rec read t region k =
+(* One read syscall: charged, then [attempt]ed. *)
+let start_read t =
   t.s.reads <- t.s.reads + 1;
-  charge t (Memcost.syscall (profile t)) (fun () -> read_attempt t region k)
+  t.rd_phase <- Rd_syscall;
+  charge t (Memcost.syscall (profile t)) t.rd_attempt
+
+(* A read syscall returned [n]: {!read_exact} goes round again while the
+   region has room and the stream has not ended; otherwise the caller's
+   continuation runs, after the socket has let go of it and its region. *)
+let read_returned t n =
+  if t.rd_exact && n > 0 && t.rd_base + n < Region.length t.rd_region
+  then begin
+    t.rd_base <- t.rd_base + n;
+    start_read t
+  end
+  else begin
+    let k = t.rd_k and total = t.rd_base + n in
+    t.rd_k <- ignore;
+    t.rd_region <- no_region;
+    t.rd_phase <- Rd_idle;
+    k total
+  end
+
+let finish_read t =
+  t.rd_phase <- Rd_idle;
+  t.rd_parked <- false;
+  let got = t.rd_claimed in
+  t.s.bytes_read <- t.s.bytes_read + got;
+  observe_rx_cost t ~had_wcab:t.rd_had_wcab ~len:got ~t0:t.rd_t0;
+  read_returned t got
 
 (* Pipelined receive: instead of draining one recv and waiting for all of
    its copy-outs (a full barrier per syscall), post each chain's delivery
@@ -534,111 +530,220 @@ let rec read t region k =
    landing chain n+1, and the socket hands it over without waiting —
    that overlap is what the two-channel CAB model (see {!Cab}) buys.
    The read completes once nothing more is available and every posted
-   delivery has landed; it never blocks after the first byte. *)
-and read_attempt t region k =
-  let avail = Tcp.recv_available t.pcb in
-  if avail = 0 then begin
-    if eof_state t || t.closed then k 0
+   delivery has landed; it never blocks after the first byte.  Outside
+   [Rd_pumping] a pump is a late one of a finished read (the [pump ()]
+   after a delivery that completed synchronously, or a parked wake's
+   charge), and does nothing. *)
+let rec pump t =
+  if t.rd_phase = Rd_pumping then begin
+    let cap = Region.length t.rd_region - t.rd_base in
+    let avail = Tcp.recv_available t.pcb in
+    let want = min avail (cap - t.rd_claimed) in
+    (* Claim whole chains: stopping a claim short of a chain boundary
+       would split the outboard segment into two copy-outs (a sliver and
+       a remainder), each paying full engine setup, and the sliver's post
+       would wedge between back-to-back full-segment copy-outs.  Better
+       to return a short read at the boundary — the next read claims the
+       rest aligned.  A chain longer than the whole destination still
+       splits (progress for reads smaller than a segment). *)
+    let first = Tcp.recv_first_chain_len t.pcb in
+    let claim =
+      if want = 0 then 0
+      else if first <= want then first
+      else if t.rd_claimed = 0 then want
+      else 0
+    in
+    if claim = 0 then begin
+      if t.rd_outstanding = 0 then finish_read t
+      else if
+        want = 0
+        && cap - t.rd_claimed > 0
+        && (not t.rd_parked)
+        && not (eof_state t || t.closed)
+      then
+        (* Posted deliveries still in flight and budget left: park on
+           readability so a chain arriving mid-pipeline is claimed (and
+           its copy-out posted) immediately, not at the next completion
+           — claiming early keeps the copy-out queue deep and lets the
+           rcv window reopen while the engine is still busy. *)
+        t.rd_parked <- true
+    end
     else
-      block_reader t (fun () ->
-          charge t (Memcost.sb_wait (profile t)) (fun () ->
-              read_attempt t region k))
-  end
-  else begin
-    let cap = Region.length region in
-    let claimed = ref 0 (* bytes of [region] assigned to posted chains *) in
-    let outstanding = ref 0 (* posted chains not yet fully landed *) in
-    let finished = ref false in
-    let parked = ref false (* pump waiting on readability, in-flight *) in
-    let had_wcab = ref false in
-    let t0 = Host.now t.host in
-    let finish () =
-      finished := true;
-      if !parked then begin
-        t.reader_waiting <- None;
-        parked := false
-      end;
-      let got = !claimed in
-      t.s.bytes_read <- t.s.bytes_read + got;
-      observe_rx_cost t ~had_wcab:!had_wcab ~len:got ~t0;
-      k got
-    in
-    let rec pump () =
-      if !finished then ()
-      else begin
-        let avail = Tcp.recv_available t.pcb in
-        let want = min avail (cap - !claimed) in
-        (* Claim whole chains: stopping a claim short of a chain boundary
-           would split the outboard segment into two copy-outs (a sliver
-           and a remainder), each paying full engine setup, and the
-           sliver's post would wedge between back-to-back full-segment
-           copy-outs.  Better to return a short read at the boundary —
-           the next read claims the rest aligned.  A chain longer than
-           the whole destination still splits (progress for reads smaller
-           than a segment). *)
-        let first = Tcp.recv_first_chain_len t.pcb in
-        let claim =
-          if want = 0 then 0
-          else if first <= want then first
-          else if !claimed = 0 then want
-          else 0
-        in
-        if claim = 0 then begin
-          if !outstanding = 0 then finish ()
-          else if
-            want = 0
-            && cap - !claimed > 0
-            && (not !parked)
-            && t.reader_waiting = None
-            && not (eof_state t || t.closed)
-          then begin
-            (* Posted deliveries still in flight and budget left: park on
-               readability so a chain arriving mid-pipeline is claimed
-               (and its copy-out posted) immediately, not at the next
-               completion — claiming early keeps the copy-out queue deep
-               and lets the rcv window reopen while the engine is still
-               busy. *)
-            parked := true;
-            t.reader_waiting <-
-              Some
-                (fun () ->
-                  parked := false;
-                  if not !finished then
-                    charge t (Memcost.sb_wait (profile t)) (fun () ->
-                        pump ()))
-          end
-        end
-        else
-          match Tcp.recv t.pcb ~max:claim with
-          | None -> if !outstanding = 0 then finish ()
-          | Some chain ->
-              let got = Mbuf.chain_len chain in
-              let dst_off = !claimed in
-              claimed := !claimed + got;
-              incr outstanding;
-              if (not !had_wcab) && chain_has_wcab (Some chain) then
-                had_wcab := true;
-              Obs_trace.emit Obs_trace.Sock_read ~a:got ~b:avail;
-              deliver_chain t chain region ~dst_off (fun () ->
-                  Mbuf.free chain;
-                  decr outstanding;
-                  pump ());
-              pump ()
-      end
-    in
-    pump ()
+      match Tcp.recv t.pcb ~max:claim with
+      | None -> if t.rd_outstanding = 0 then finish_read t
+      | Some chain ->
+          let got = Mbuf.chain_len chain in
+          let dst_off = t.rd_base + t.rd_claimed in
+          t.rd_claimed <- t.rd_claimed + got;
+          t.rd_outstanding <- t.rd_outstanding + 1;
+          if (not t.rd_had_wcab) && chain_has_wcab chain then
+            t.rd_had_wcab <- true;
+          Obs_trace.emit Obs_trace.Sock_read ~a:got ~b:avail;
+          Copyout_path.deliver_chain t.copyout
+            ~iface:(Tcp.remote_iface t.pcb) chain t.rd_region ~dst_off
+            ~limit:got t.rd_delivered;
+          pump t
   end
 
+let attempt t =
+  if Tcp.recv_available t.pcb = 0 then begin
+    if eof_state t || t.closed then read_returned t 0
+    else begin
+      t.s.read_blocks <- t.s.read_blocks + 1;
+      t.rd_phase <- Rd_blocked
+    end
+  end
+  else begin
+    t.rd_phase <- Rd_pumping;
+    t.rd_claimed <- 0;
+    t.rd_outstanding <- 0;
+    t.rd_parked <- false;
+    t.rd_had_wcab <- false;
+    t.rd_t0 <- Host.now t.host;
+    pump t
+  end
+
+(* Readability (or the connection's end) reached a waiting reader. *)
+let wake_reader t =
+  match t.rd_phase with
+  | Rd_blocked ->
+      t.rd_phase <- Rd_syscall;
+      charge t (Memcost.sb_wait (profile t)) t.rd_attempt
+  | Rd_pumping when t.rd_parked ->
+      t.rd_parked <- false;
+      charge t (Memcost.sb_wait (profile t)) t.rd_pump
+  | Rd_idle | Rd_syscall | Rd_pumping -> ()
+
+let begin_read t region ~exact k =
+  if t.rd_phase <> Rd_idle then
+    invalid_arg "Socket.read: another read is in flight on this socket";
+  t.rd_region <- region;
+  t.rd_k <- k;
+  t.rd_exact <- exact;
+  t.rd_base <- 0;
+  start_read t
+
+let read t region k = begin_read t region ~exact:false k
+
 let read_exact t region k =
-  let total = Region.length region in
-  let rec go off =
-    if off >= total then k off
-    else
-      read t
-        (Region.sub region ~off ~len:(total - off))
-        (fun n -> if n = 0 then k off else go (off + n))
+  if Region.length region = 0 then k 0 else begin_read t region ~exact:true k
+
+(* ---------------- setup ---------------- *)
+
+(* Wake every parked writer: each re-checks the space it needs, so a
+   spurious wake only costs a recheck. *)
+let wake_writers t =
+  if not (Queue.is_empty t.writers_waiting) then begin
+    let woken = Queue.create () in
+    Queue.transfer t.writers_waiting woken;
+    Queue.iter (fun k -> k ()) woken
+  end
+
+let create ~host ~space ~proc ?(paths = default_paths) pcb =
+  let cache =
+    if paths.use_pin_cache then
+      Some (Pin_cache.create ~space ~max_pages:pin_cache_pages)
+    else None
   in
-  go 0
+  let policy =
+    if paths.adaptive then
+      Some (Path_policy.create ~cutover:paths.uio_threshold ())
+    else None
+  in
+  let s = new_stats () in
+  let copyout =
+    {
+      Copyout_path.host;
+      space;
+      proc;
+      cache;
+      on_kernel_copy =
+        (fun _ -> s.kernel_copy_reads <- s.kernel_copy_reads + 1);
+      on_copyout = (fun _ -> s.wcab_copyouts <- s.wcab_copyouts + 1);
+      on_pin_fallback = (fun _ -> s.pin_fallbacks <- s.pin_fallbacks + 1);
+    }
+  in
+  let rec t =
+    {
+      host;
+      space;
+      proc;
+      paths;
+      pcb;
+      cache;
+      policy;
+      policy_registered = false;
+      writers_waiting = Queue.create ();
+      appending = false;
+      append_queue = Queue.create ();
+      pending_notifies = [];
+      last_tx_faults = 0;
+      rx_observations = 0;
+      closed = false;
+      event_hook = None;
+      s;
+      copyout;
+      wr_region = no_region;
+      wr_off = 0;
+      wr_chunk = 0;
+      wr_next = None;
+      wr_k = ignore;
+      wr_observe = false;
+      wr_len = 0;
+      wr_t0 = Simtime.zero;
+      wr_step =
+        (fun () -> if t.wr_chunk > 0 then copy_chunk t else copy_push t);
+      wr_wake =
+        (fun () -> charge t (Memcost.sb_wait (profile t)) t.wr_step);
+      rd_phase = Rd_idle;
+      rd_region = no_region;
+      rd_k = ignore;
+      rd_exact = false;
+      rd_base = 0;
+      rd_claimed = 0;
+      rd_outstanding = 0;
+      rd_parked = false;
+      rd_had_wcab = false;
+      rd_t0 = Simtime.zero;
+      rd_attempt = (fun () -> attempt t);
+      rd_pump = (fun () -> pump t);
+      rd_delivered =
+        (fun () ->
+          t.rd_outstanding <- t.rd_outstanding - 1;
+          pump t);
+    }
+  in
+  (* Bidirectional policy: hints the peer piggybacks on its ACKs land in
+     our policy's receive-side tables, so the cutover accounts for what
+     our sends cost the receiver. *)
+  (match policy with
+  | Some p ->
+      Tcp.set_rx_cost_handler pcb (fun ~bucket ~uio_us ~copy_us ->
+          Path_policy.feed_remote_rx p ~bucket
+            ~uio_us:(float_of_int uio_us)
+            ~copy_us:(float_of_int copy_us))
+  | None -> ());
+  Tcp.set_callbacks pcb
+    ~on_readable:(fun () ->
+      wake_reader t;
+      notify_event t)
+    ~on_sendable:(fun () ->
+      wake_writers t;
+      notify_event t)
+    ~on_closed:(fun () ->
+      (* Wake anyone blocked so the simulation cannot wedge. *)
+      let notifies = t.pending_notifies in
+      t.pending_notifies <- [];
+      List.iter
+        (fun n ->
+          if n.Mbuf.dma_pending > 0 then
+            Mbuf.notify_complete_n n n.Mbuf.dma_pending)
+        notifies;
+      wake_reader t;
+      wake_writers t;
+      notify_event t)
+    ();
+  t
 
 let close t =
   t.closed <- true;

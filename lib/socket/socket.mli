@@ -17,7 +17,15 @@
     process context — maps the buffer into kernel space and pins it,
     charging Table 2 costs; a {!Pin_cache} amortizes the cost for
     applications that reuse buffers.  Unpinning is lazy when the cache is
-    enabled, immediate otherwise. *)
+    enabled, immediate otherwise.
+
+    Per-call state: the socket keeps its one read and its one copy-route
+    write (which holds the stream-order lock until it completes) in its
+    own fields, with continuations built once when the socket is created:
+    a read allocates no closure, and a copy-route write only the one that
+    may wait for the stream-order lock.  A
+    finished call keeps no reference to the caller's buffer or
+    continuation: both are dropped before the continuation runs. *)
 
 type path_config = {
   force_uio : bool;
@@ -88,16 +96,25 @@ val path_policy : t -> Path_policy.t option
 
 val write : t -> Region.t -> (unit -> unit) -> unit
 (** Copy-semantics send of the whole region; continuation runs when the
-    application may reuse the buffer. *)
+    application may reuse the buffer.  Writes may be pipelined: a write
+    issued while another is in flight queues behind it, in stream
+    order. *)
 
 val read : t -> Region.t -> (int -> unit) -> unit
 (** Receive into the region; continues with the byte count (0 = EOF).
     Returns short reads like BSD — whatever is available, up to the region
-    size. *)
+    size.
+
+    One reader per socket: a read (or {!read_exact}) issued while another
+    is in flight — from the call until its continuation runs — raises
+    [Invalid_argument], whether the first one is parked on an empty
+    stream or still delivering queued data.  A read issued from the
+    continuation is accepted. *)
 
 val read_exact : t -> Region.t -> (int -> unit) -> unit
 (** Loops {!read} until the region is full or EOF; continues with the
-    total. *)
+    total.  Each underlying read is a syscall of its own: it is charged
+    and counted in [reads] like a {!read}. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

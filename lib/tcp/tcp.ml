@@ -2100,52 +2100,58 @@ let maybe_window_update pcb =
     || growth >= pcb.tcp.cfg.rcv_buf / 2
   then send_ack_now pcb
 
+(* Detach the queue's first chain [c] (the queue is [c :: rest], [c] is
+   [cl] bytes long), or only its first [room] bytes when it is longer. *)
+let detach_front pcb c cl rest room =
+  if cl <= room then begin
+    pcb.rcvq <- rest;
+    c
+  end
+  else begin
+    let front, back = Mbuf.split c room in
+    pcb.rcvq <- back :: rest;
+    front
+  end
+
+(* Append further queued chains to [head] while [got] < [max]. *)
+let rec recv_more pcb head got max =
+  if got >= max then got
+  else
+    match pcb.rcvq with
+    | [] -> got
+    | c :: rest ->
+        let cl = Mbuf.chain_len c in
+        let room = max - got in
+        Mbuf.append head (detach_front pcb c cl rest room);
+        recv_more pcb head (got + if cl <= room then cl else room) max
+
 let recv pcb ~max =
   if max > 0 then pcb.ws_hint_rx <- 2 * max;
   if max <= 0 || pcb.rcvq_len = 0 then None
-  else begin
-    let rec take acc got =
-      if got >= max then (acc, got)
-      else
-        match pcb.rcvq with
-        | [] -> (acc, got)
-        | c :: rest ->
-            let cl = Mbuf.chain_len c in
-            if cl <= max - got then begin
-              pcb.rcvq <- rest;
-              take (c :: acc) (got + cl)
-            end
-            else begin
-              let want = max - got in
-              let front, back = Mbuf.split c want in
-              pcb.rcvq <- back :: rest;
-              (front :: acc, got + want)
-            end
-    in
-    let chains, got = take [] 0 in
-    pcb.rcvq_len <- pcb.rcvq_len - got;
-    maybe_window_update pcb;
-    match List.rev chains with
-    | [] -> None
-    | head :: rest ->
-        let head =
-          if Mbuf.has_pkthdr head then head
-          else begin
-            head.Mbuf.pkthdr <-
-              Some
-                {
-                  Mbuf.pkt_len = Mbuf.chain_len head;
-                  rcvif = None;
-                  rx_csum = None;
-                  tx_csum = None;
-                  on_outboard = None;
-                };
-            head
-          end
-        in
-        List.iter (fun c -> Mbuf.append head c) rest;
+  else
+    match pcb.rcvq with
+    | [] ->
+        maybe_window_update pcb;
+        None
+    | c :: rest ->
+        (* Almost always the whole answer is the first chain: nothing
+           beyond its header is built for it. *)
+        let cl = Mbuf.chain_len c in
+        let head = detach_front pcb c cl rest max in
+        if not (Mbuf.has_pkthdr head) then
+          head.Mbuf.pkthdr <-
+            Some
+              {
+                Mbuf.pkt_len = Mbuf.chain_len head;
+                rcvif = None;
+                rx_csum = None;
+                tx_csum = None;
+                on_outboard = None;
+              };
+        let got = recv_more pcb head (if cl <= max then cl else max) max in
+        pcb.rcvq_len <- pcb.rcvq_len - got;
+        maybe_window_update pcb;
         Some head
-  end
 
 let close pcb =
   match pcb.st with

@@ -342,6 +342,36 @@ let test_ring_alloc_budget () =
     true
     (words /. 2. < 1.)
 
+(* The run loop allocates nothing per instant.  Under [~wheel:false]
+   every deadline is a heap entry, and a reusable timer that re-arms
+   itself with zero delay fires once per heap-only run-loop pass: each
+   event costs its heap entry and that entry's option box (6 words) and
+   nothing more; [Sim.run] itself takes a few words per call. *)
+let test_heap_drain_alloc_budget () =
+  let n = 10_000 in
+  let sim = Sim.create ~wheel:false () in
+  let left = ref 0 and fired = ref 0 in
+  let tm = Sim.timer sim ignore in
+  Sim.set_fn tm (fun () ->
+      incr fired;
+      if !left > 0 then begin
+        decr left;
+        Sim.rearm sim tm Simtime.zero
+      end);
+  let { Alloc_budget.submit; drain } =
+    Alloc_budget.measure 1
+      ~submit:(fun _ ->
+        left := n - 1;
+        Sim.rearm sim tm Simtime.zero)
+      ~drain:(fun () -> Sim.run sim)
+  in
+  check_int "every re-arm fired" (2 * n) !fired;
+  let words = (submit +. drain) /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.4f words per zero-delay heap event" words)
+    true
+    (words <= 6. +. (8. /. float_of_int n))
+
 (* ---------- Rng ---------- *)
 
 let test_rng_determinism () =
@@ -403,6 +433,8 @@ let () =
           Alcotest.test_case "completed continuations released" `Quick
             test_ring_drops_continuations;
           Alcotest.test_case "allocation budget" `Quick test_ring_alloc_budget;
+          Alcotest.test_case "heap drain allocation budget" `Quick
+            test_heap_drain_alloc_budget;
         ] );
       ( "rng+stats",
         [

@@ -368,6 +368,173 @@ let test_pin_cache_shared_across_write_and_read () =
   Sim.run ~until:(Simtime.s 30.) tb.Testbed.sim;
   check_bool "echo roundtrip intact" true !ok
 
+(* ---------- one reader per socket ---------- *)
+
+let raises_invalid_arg f =
+  match f () with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+let test_second_reader_blocked () =
+  (* The first read parks on an empty stream; a second one is refused,
+     and the first still completes once data arrives. *)
+  let refused = ref false and got = ref 0 in
+  let tb =
+    with_stream (fun tb sa sb ->
+        let a_sp = Netstack.make_space tb.Testbed.a.Testbed.stack ~name:"s" in
+        let b_sp = Netstack.make_space tb.Testbed.b.Testbed.stack ~name:"s" in
+        let src = Addr_space.alloc a_sp 512 in
+        let dst = Addr_space.alloc b_sp 512 in
+        Socket.read_exact sb dst (fun n -> got := n);
+        ignore
+          (Sim.after tb.Testbed.sim (Simtime.ms 5.) (fun () ->
+               check_int "first reader parked" 1
+                 (Socket.stats sb).Socket.read_blocks;
+               refused :=
+                 raises_invalid_arg (fun () ->
+                     Socket.read sb dst (fun _ -> ()));
+               Socket.write sa src ignore)))
+  in
+  Sim.run ~until:(Simtime.s 10.) tb.Testbed.sim;
+  check_bool "second read refused" true !refused;
+  check_int "first read completed" 512 !got
+
+let test_second_reader_data_queued () =
+  (* Data is already queued: the first read would complete without
+     parking, but until it has returned a second read is refused; one
+     issued from its continuation is accepted. *)
+  let refused = ref false and first = ref 0 and second = ref 0 in
+  let tb =
+    with_stream (fun tb sa sb ->
+        let a_sp = Netstack.make_space tb.Testbed.a.Testbed.stack ~name:"s" in
+        let b_sp = Netstack.make_space tb.Testbed.b.Testbed.stack ~name:"s" in
+        let src = Addr_space.alloc a_sp 1024 in
+        let dst = Addr_space.alloc b_sp 512 in
+        Socket.write sa src ignore;
+        ignore
+          (Sim.after tb.Testbed.sim (Simtime.ms 5.) (fun () ->
+               check_bool "data queued" true (Socket.readable sb);
+               Socket.read_exact sb dst (fun n ->
+                   first := n;
+                   Socket.read_exact sb dst (fun n -> second := n));
+               refused :=
+                 raises_invalid_arg (fun () ->
+                     Socket.read_exact sb dst (fun _ -> ())))))
+  in
+  Sim.run ~until:(Simtime.s 10.) tb.Testbed.sim;
+  check_bool "concurrent read refused" true !refused;
+  check_int "first read" 512 !first;
+  check_int "read from the continuation" 512 !second
+
+(* ---------- no retention ---------- *)
+
+(* A finished call leaves nothing of the caller's reachable from the
+   socket: the region and continuation of a completed read, an EOF read
+   and a copy-route write are collected once the caller drops them. *)
+let test_no_retention () =
+  let collected = ref 0 and probed = ref 0 in
+  let probe v =
+    incr probed;
+    Gc.finalise (fun _ -> incr collected) v
+  in
+  let outcome = ref [] in
+  let note what n = outcome := (what, n) :: !outcome in
+  let sockets = ref None in
+  let tb =
+    with_stream (fun tb sa sb ->
+        sockets := Some (sa, sb);
+        let a_sp = Netstack.make_space tb.Testbed.a.Testbed.stack ~name:"s" in
+        let b_sp = Netstack.make_space tb.Testbed.b.Testbed.stack ~name:"s" in
+        let buf_a = Addr_space.alloc a_sp 256 in
+        let buf_b = Addr_space.alloc b_sp 256 in
+        (* Fresh region records and closures, probed and then dropped. *)
+        let write () =
+          let src = Region.sub buf_a ~off:0 ~len:64 in
+          let k () = note "write" (Region.length src) in
+          probe src;
+          probe k;
+          Socket.write sa src k
+        in
+        let read ~eof =
+          let dst = Region.sub buf_b ~off:0 ~len:64 in
+          let k n =
+            note (if eof then "eof read" else "read") n;
+            if not eof then Socket.close sa
+          in
+          probe dst;
+          probe k;
+          Socket.read_exact sb dst k
+        in
+        write ();
+        read ~eof:false;
+        ignore
+          (Sim.after tb.Testbed.sim (Simtime.ms 50.) (fun () ->
+               read ~eof:true)))
+  in
+  Sim.run ~until:(Simtime.s 10.) tb.Testbed.sim;
+  Alcotest.(check (list (pair string int)))
+    "calls completed"
+    [ ("eof read", 0); ("read", 64); ("write", 64) ]
+    (List.sort compare !outcome);
+  check_bool "sockets still reachable" true (!sockets <> None);
+  Gc.full_major ();
+  Gc.full_major ();
+  check_int "regions and continuations collected" !probed !collected;
+  ignore (Sys.opaque_identity (tb, !sockets))
+
+(* ---------- allocation budget ---------- *)
+
+(* A 64-byte echo in the rpc benchmark's configuration (adaptive policy,
+   descriptor coalescing, copy route both ways) allocates at most 1,250
+   words per round trip, all layers included (about 1,190 with per-call
+   state kept in the socket; rebuilding it per call took about 1,710). *)
+let test_echo_alloc_budget () =
+  let size = 64 and trips = 2_000 in
+  let adaptive =
+    { Socket.default_paths with Socket.force_uio = false; adaptive = true }
+  in
+  let run = ref (fun () -> ()) and completed = ref 0 in
+  let tb =
+    Testbed.create
+      ~tcp_config:(fun c -> { c with Tcp.coalesce_descriptors = true })
+      ()
+  in
+  Testbed.establish_stream tb ~port:5001 ~a_paths:adaptive ~b_paths:adaptive
+    (fun sa sb ->
+      let a_sp = Netstack.make_space tb.Testbed.a.Testbed.stack ~name:"s" in
+      let b_sp = Netstack.make_space tb.Testbed.b.Testbed.stack ~name:"s" in
+      let req = Addr_space.alloc a_sp size in
+      let reply = Addr_space.alloc a_sp size in
+      let srv = Addr_space.alloc b_sp size in
+      let left = ref 0 in
+      let rec serve () = Socket.read_exact sb srv served
+      and served n = if n > 0 then Socket.write sb srv serve
+      and ask () = Socket.write sa req await
+      and await () = Socket.read_exact sa reply answered
+      and answered n =
+        if n = size then incr completed;
+        decr left;
+        if !left > 0 then ask ()
+      in
+      serve ();
+      run :=
+        fun () ->
+          left := trips;
+          ask ());
+  Sim.run ~until:(Simtime.ms 100.) tb.Testbed.sim;
+  let sim = tb.Testbed.sim in
+  let { Alloc_budget.submit; drain } =
+    Alloc_budget.measure 1
+      ~submit:(fun _ -> !run ())
+      ~drain:(fun () ->
+        Sim.run ~until:(Simtime.add (Sim.now sim) (Simtime.s 60.)) sim)
+  in
+  check_int "every round trip echoed" (2 * trips) !completed;
+  let words = (submit +. drain) /. float_of_int trips in
+  check_bool
+    (Printf.sprintf "%.1f words per 64-byte round trip" words)
+    true (words <= 1250.)
+
 let () =
   Alcotest.run "socket"
     [
@@ -379,6 +546,17 @@ let () =
             test_read_blocks_counted;
           Alcotest.test_case "write after peer abort" `Quick
             test_write_after_peer_gone;
+          Alcotest.test_case "second reader refused while one is parked"
+            `Quick test_second_reader_blocked;
+          Alcotest.test_case "second reader refused with data queued"
+            `Quick test_second_reader_data_queued;
+          Alcotest.test_case "finished calls retain nothing" `Quick
+            test_no_retention;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "64-byte echo budget" `Quick
+            test_echo_alloc_budget;
         ] );
       ( "paths",
         [
