@@ -11,61 +11,25 @@ open Cmdliner
 (* ---------------- reproduce ---------------- *)
 
 let reproduce targets =
-  let targets = if targets = [] then [ "paper" ] else targets in
-  let known =
-    [ "paper"; "all"; "fig5"; "fig6"; "table1"; "table2"; "analysis"; "hol";
-      "alignment"; "pincache"; "autodma"; "smallwrite"; "interop"; "incast";
-      "allpairs"; "scaling"; "netmem"; "serverapi" ]
-  in
-  List.iter
-    (fun t ->
-      if not (List.mem t known) then begin
-        Printf.eprintf "unknown target %S; known: %s\n" t
-          (String.concat " " known);
-        exit 2
-      end)
-    targets;
   let expand = function
-    | "paper" -> [ "table1"; "table2"; "fig5"; "fig6"; "analysis"; "hol" ]
-    | "all" ->
-        [ "table1"; "table2"; "fig5"; "fig6"; "analysis"; "hol"; "alignment";
-          "pincache"; "autodma"; "smallwrite"; "interop"; "incast";
-          "allpairs"; "scaling"; "netmem"; "serverapi" ]
+    | "paper" -> Targets.paper
+    | "all" -> Targets.all
     | t -> [ t ]
   in
-  let fig5 = ref None in
-  let run = function
-    | "fig5" ->
-        let r = Exp_figures.run ~profile:Host_profile.alpha400 () in
-        fig5 := Some r;
-        Exp_figures.print ~figure:"Figure 5" r
-    | "fig6" ->
-        Exp_figures.print ~figure:"Figure 6"
-          (Exp_figures.run ~profile:Host_profile.alpha300lx ())
-    | "table1" -> Exp_tables.print_table1 ~profile:Host_profile.alpha400
-    | "table2" ->
-        Exp_tables.print_table2
-          (Exp_tables.run_table2 ~profile:Host_profile.alpha400)
-    | "analysis" ->
-        Exp_tables.print_analysis
-          (Exp_tables.run_analysis ?measured:!fig5
-             ~profile:Host_profile.alpha400 ~packet:32768 ())
-    | "hol" -> Exp_hol.print (Exp_hol.run ())
-    | "alignment" -> Exp_extras.print_alignment ()
-    | "pincache" -> Exp_extras.print_pin_cache ()
-    | "autodma" -> Exp_extras.print_autodma_sweep ()
-    | "smallwrite" -> Exp_extras.print_small_write_policies ()
-    | "interop" -> Exp_extras.print_interop ()
-    | "incast" ->
-        Exp_incast.print (Exp_incast.run ~mode:Stack_mode.Unmodified ());
-        Exp_incast.print (Exp_incast.run ~mode:Stack_mode.Single_copy ())
-    | "allpairs" -> Exp_incast.print_all_pairs (Exp_incast.run_all_pairs ())
-    | "scaling" -> Exp_scaling.print (Exp_scaling.run ())
-    | "netmem" -> Exp_netmem.print (Exp_netmem.run ())
-    | "serverapi" -> Exp_serverapi.print (Exp_serverapi.run ())
-    | _ -> assert false
+  let targets = if targets = [] then [ "paper" ] else targets in
+  (* Every name is checked before the first target runs. *)
+  let runs =
+    List.map
+      (fun t ->
+        match Targets.find t with
+        | Some run -> run
+        | None ->
+            Printf.eprintf "unknown target %S; known: paper all %s\n" t
+              (String.concat " " Targets.all);
+            exit 2)
+      (List.concat_map expand targets)
   in
-  List.iter run (List.concat_map expand targets)
+  List.iter (fun run -> run ()) runs
 
 let reproduce_cmd =
   let targets =

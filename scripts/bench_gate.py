@@ -1,620 +1,152 @@
 #!/usr/bin/env python3
-"""Macro-bench regression gate.
+"""Bench gate: check the invariants each bench artifact declares.
 
-Compares a freshly generated BENCH_macro.json against the committed
-baseline (bench/BENCH_baseline.json).  Because absolute wall-clock
-ns/run depends on the machine, every row is first normalized by the
-same file's ttcp-4K-unmodified ns/run and compared against the
-baseline.  That comparison is ADVISORY: on a loaded shared box the
-run-to-run spread of the normalized values exceeds 30% with an
-identical binary, so drift past the tolerance prints a WARN rather
-than failing the gate.  Wall-clock regressions are caught by a human
-reading the warnings; the hard gates are all machine-independent.
+Usage: bench_gate.py BASELINE ARTIFACT...
 
-Machine-independent invariants are checked unconditionally:
+Every artifact bench/main.exe writes (BENCH_macro.json, BENCH_micro.json,
+BENCH_soak.json, BENCH_server.json) carries its own invariants: each
+"invariants" list anywhere in its JSON holds entries
 
-  * ttcp-4K-single-copy and the small rpc rows must match their
-    unmodified twins in simulated throughput (the adaptive path
-    policy's small-transfer parity guarantee);
-  * the routing counters must show the policy copying small sends and
-    taking the single-copy path for the warm bulk transfers;
-  * the single-copy invariant, from the data-touch ledger of the
-    forced-uio measurement row: copies/byte == 1.0 exactly (the SDMA is
-    the only payload movement, zero host copies) and host
-    checksums/byte == 0.0;
-  * the unmodified baseline's 2-copy + 1-checksum profile;
-  * ttcp-1M-single-copy's simulated throughput must be at least
-    ttcp-1M-unmodified's (the bulk-transfer crossover), and both 1M
-    rows must report a live rx copy-out pipeline (posts and
-    copy-out/auto-DMA overlap non-zero);
-  * the packet tracer's overhead on ttcp-1M (traced twin row vs the
-    untraced one) stays per-event — a ratio past 1.5x means tracing
-    leaked onto a per-byte path;
-  * the rpc and ttcp-1M rows must carry per-flow latency percentiles
-    ("lat" section, populated from the Obs log2 histograms): at least
-    one histogram sampled, and every sampled histogram reporting
-    p50/p99 with p99 >= p50 — a missing section means the
-    instrumentation fell off the datapath, an inverted pair means the
-    quantile interpolation broke.
+  {"name": ..., "lhs": OPERAND, "op": OP, "rhs": OPERAND,
+   "scale": NUMBER (optional, default 1), "severity": "fail" | "warn"}
 
-When MICRO (a BENCH_micro.json) is given, the timer-core rows are gated
-too: the O(1)-wheel claim is held as a machine-independent ratio inside
-the same file (heap churn / wheel churn >= 4x), and each timer row is
-anchor-normalized by the unrelated mbuf/of_bytes row and compared
-against the "micro" section of the baseline advisorily (drift past the
-tolerance warns — bechamel estimates are too noisy on a shared box to
-make the comparison a hard failure; the ratio gates carry the actual
-performance claims).  The RSS
-demux pair is held the same way: flow-table lookup must beat the
-assoc-list scan by >= 20x at 10K standing flows.
+read as `lhs OP scale * rhs`, OP one of == <= > >=.  An OPERAND is
+  - a JSON constant (number, boolean, null);
+  - a string: a dot path from the artifact's root, list elements by
+    index and "#" for the length of a list or object; a "baseline:"
+    prefix reads BASELINE instead;
+  - a list [OPERAND, "-" | "/", OPERAND].
 
-Sharding invariants (machine-independent, same file): the 4-shard
-parallel ttcp row must aggregate >= 2.5x its 1-shard twin, and every
-non-fault row's *simulated* throughput must equal the baseline's to the
-decimal — sharding may never perturb the serialized schedules.
-
-Soak mode (bench_gate.py --soak BENCH_soak.json --budget-s N) gates the
-fault-storm soak's wall clock: all seeds ok and wall_s <= N, with the
-dispatched event count reported so the 5x-volume claim is auditable.
-
-Server mode (bench_gate.py --server BENCH_server.json --budget-s N)
-gates the 100K-flow mixed-server scenario: both rows (clean and SYN
-flood) hit the accept target with zero occupancy leaks, the flood row
-keeps the bulk flows at >= 0.8x the clean throughput with the shed and
-cookie counters both engaged, and the combined wall clock fits N.
-
-Usage: bench_gate.py BASELINE CURRENT [MICRO]
-       bench_gate.py --soak SOAK_JSON --budget-s SECONDS
-       bench_gate.py --server SERVER_JSON --budget-s SECONDS
+The checker prints every invariant with its resolved values.  It exits 1
+when a "fail" invariant is false, when an operand cannot be resolved (a
+missing row or field is a failure, never a skip), when an artifact
+declares no invariants or mixes name prefixes, or when a name that
+BASELINE's "required_invariants" lists under an artifact's prefix (the
+part of its invariant names before the first dot) is absent.  A false
+"warn" invariant prints a WARN line only.
 """
 
 import json
+import operator
 import sys
 
-TOLERANCE = 0.35
-ANCHOR = "ttcp-4K-unmodified"
-MICRO_ANCHOR = "micro mbuf/of_bytes-32K"
-# The churn ratio measures 5-7x run-to-run on a shared box; 4x keeps
-# headroom below the noise band while still catching a wheel that has
-# lost its O(1) schedule/cancel behaviour (which drops the ratio to ~1x).
-TIMER_SPEEDUP_MIN = 4.0
-DEMUX_SPEEDUP_MIN = 20.0
-SHARD_SPEEDUP_MIN = 2.5
+COMPARE = {"==": operator.eq, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge}
+ARITH = {"-": operator.sub, "/": operator.truediv}
 
 
-def load(path):
-    with open(path) as f:
-        data = json.load(f)
-    if ANCHOR not in data:
-        sys.exit(f"{path}: missing anchor row {ANCHOR!r}")
-    return data
+class Unresolved(Exception):
+    pass
 
 
-def normalized(data):
-    anchor = data[ANCHOR]["ns_per_run"]
-    return {k: v["ns_per_run"] / anchor for k, v in data.items()}
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def spread(row):
-    """Half the min-max span of the per-iteration samples, relative to
-    the median — the context a drift warning needs before anyone chases
-    a wall-clock number on a shared box."""
-    samples = row.get("ns_samples")
-    if not samples or len(samples) < 2:
-        return ""
-    med = samples[len(samples) // 2]
-    if med <= 0:
-        return ""
-    half_span = (samples[-1] - samples[0]) / 2.0 / med
-    return f" [samples ±{half_span:.0%} over {len(samples)} iters]"
-
-
-def micro_gate(base_micro, micro_path, failures, warnings):
-    """Timer-core micro gate: same-file >=4x churn ratio plus
-    anchor-normalized drift vs the baseline's "micro" section."""
-    with open(micro_path) as f:
-        cur = json.load(f)
-
-    wheel = cur.get("micro timer/churn-wheel")
-    heap = cur.get("micro timer/churn-heap")
-    if wheel is None or heap is None:
-        failures.append(f"{micro_path}: missing timer churn row pair")
-    else:
-        ratio = heap / wheel
-        print(f"  timer churn speedup (heap/wheel): {ratio:.1f}x")
-        if ratio < TIMER_SPEEDUP_MIN:
-            failures.append(
-                f"timer churn speedup {ratio:.1f}x below the "
-                f"{TIMER_SPEEDUP_MIN:.0f}x floor: the wheel lost its O(1) "
-                "schedule/re-arm/cancel advantage"
-            )
-    fw = cur.get("micro timer/fire-wheel")
-    fh = cur.get("micro timer/fire-heap")
-    if fw is None or fh is None:
-        failures.append(f"{micro_path}: missing timer fire row pair")
-    elif fw > fh:
-        failures.append(
-            f"timer fire: wheel dispatch ({fw:.0f} ns) slower than heap "
-            f"({fh:.0f} ns)"
-        )
-
-    # RSS demux: the O(1) flow table against the assoc-list scan it
-    # replaced, both at 10K standing flows in the same run.
-    dh = cur.get("micro demux/lookup-10K-hash")
-    da = cur.get("micro demux/lookup-10K-assoc")
-    if dh is None or da is None:
-        failures.append(f"{micro_path}: missing demux lookup row pair")
-    else:
-        ratio = da / dh
-        print(f"  demux lookup speedup (assoc/hash): {ratio:.1f}x")
-        if ratio < DEMUX_SPEEDUP_MIN:
-            failures.append(
-                f"demux lookup speedup {ratio:.1f}x below the "
-                f"{DEMUX_SPEEDUP_MIN:.0f}x floor: the flow table lost its "
-                "O(1) advantage over the assoc-list scan"
-            )
-
-    if base_micro is None:
-        warnings.append("baseline has no micro section; timer drift unchecked")
-        return
-    if MICRO_ANCHOR not in cur or MICRO_ANCHOR not in base_micro:
-        failures.append(f"missing micro anchor row {MICRO_ANCHOR!r}")
-        return
-    for key, bval in sorted(base_micro.items()):
-        if key == MICRO_ANCHOR or not key.startswith("micro timer/"):
-            continue
-        if key not in cur:
-            failures.append(f"micro row {key!r} disappeared from {micro_path}")
-            continue
-        bn = bval / base_micro[MICRO_ANCHOR]
-        cn = cur[key] / cur[MICRO_ANCHOR]
-        drift = cn / bn - 1.0
-        line = f"{key}: normalized {cn:.3f} vs baseline {bn:.3f} ({drift:+.1%})"
-        # Advisory only: bechamel estimates on a shared box swing well
-        # past any sensible tolerance, and the machine-independent
-        # ratio gates above already hold the actual wheel/demux claims.
-        if abs(drift) > TOLERANCE:
-            warnings.append(line)
+def lookup(doc, path):
+    node = doc
+    for key in path.split("."):
+        if key == "#" and isinstance(node, (list, dict)):
+            node = len(node)
+        elif isinstance(node, dict) and key in node:
+            node = node[key]
+        elif isinstance(node, list) and key.isdigit() and int(key) < len(node):
+            node = node[int(key)]
         else:
-            print(f"  ok   {line}")
+            raise Unresolved(f"no {key!r} in {path!r}")
+    return node
 
 
-def soak_gate(soak_path, budget_s):
-    with open(soak_path) as f:
-        soak = json.load(f)
-    failures = []
-    if not soak.get("ok", False):
-        failures.append("soak reported failure (leak / unverified / timeout)")
-    wall = soak.get("wall_s")
-    if wall is None:
-        failures.append("soak report missing wall_s")
-    elif wall > budget_s:
-        failures.append(
-            f"soak wall clock {wall:.1f} s exceeds the {budget_s:.0f} s budget"
-        )
-    else:
-        print(f"  soak wall clock {wall:.1f} s within {budget_s:.0f} s budget")
-    events = soak.get("events", 0)
-    if events <= 0:
-        failures.append("soak report missing dispatched event count")
-    else:
-        print(
-            f"  {events} events over {soak.get('seeds', 0)} seeds, "
-            f"{soak.get('bytes_per_seed', 0)} bytes/seed"
-        )
-    if failures:
-        print(f"\n{len(failures)} soak gate failure(s):", file=sys.stderr)
-        for f_ in failures:
-            print(f"  FAIL {f_}", file=sys.stderr)
-        sys.exit(1)
-    print("\nsoak gate ok")
+def resolve(operand, doc, baseline):
+    if isinstance(operand, str):
+        if operand.startswith("baseline:"):
+            return lookup(baseline, operand[len("baseline:"):])
+        return lookup(doc, operand)
+    if isinstance(operand, list):
+        if len(operand) != 3 or operand[1] not in ARITH:
+            raise Unresolved(f"malformed expression {operand!r}")
+        a, b = resolve(operand[0], doc, baseline), resolve(operand[2], doc, baseline)
+        if not (is_number(a) and is_number(b)):
+            raise Unresolved(f"non-numeric term in {operand!r}")
+        try:
+            return ARITH[operand[1]](a, b)
+        except ZeroDivisionError:
+            raise Unresolved(f"division by zero in {operand!r}")
+    return operand
 
 
-def server_gate(server_path, budget_s):
-    """Hard gates for the 100K-flow mixed-server scenario (clean + flood).
+def collect(node):
+    """Every entry of every "invariants" list in the document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "invariants" and isinstance(value, list):
+                yield from value
+            else:
+                yield from collect(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from collect(value)
 
-    - both rows hit the accept target and drain exactly to baseline;
-    - the flood row keeps bulk throughput >= 0.8x the clean row (the
-      established flows must not starve while the listener is attacked);
-    - the flood row's shed AND cookie counters are both non-zero (the
-      admission machinery actually engaged, rather than the flood being
-      absorbed by queue capacity);
-    - the accept-queue residency histogram was sampled;
-    - combined wall clock stays inside the CI budget.
-    """
-    with open(server_path) as f:
-        rep = json.load(f)
-    failures = []
-    rows = rep.get("rows", [])
-    if len(rows) != 2:
-        failures.append(f"expected 2 rows (clean + flood), got {len(rows)}")
-        rows = []
-    clean = next((r for r in rows if not r.get("flood")), None)
-    flood = next((r for r in rows if r.get("flood")), None)
-    for name, row in (("clean", clean), ("flood", flood)):
-        if row is None:
-            failures.append(f"missing {name} row")
+
+def show(v):
+    return f"{v:.6g}" if is_number(v) else json.dumps(v)
+
+
+def check(inv, doc, baseline):
+    """Returns (status, line): status "ok", "FAIL" or "WARN"."""
+    name, op = inv.get("name", "?"), inv.get("op")
+    scale = inv.get("scale", 1)
+    try:
+        if op not in COMPARE or not is_number(scale):
+            raise Unresolved(f"malformed invariant {inv!r}")
+        lhs = resolve(inv.get("lhs"), doc, baseline)
+        rhs = resolve(inv.get("rhs"), doc, baseline)
+        if scale != 1 or op != "==":
+            if not (is_number(lhs) and is_number(rhs)):
+                raise Unresolved(f"non-numeric operand ({show(lhs)} {op} {show(rhs)})")
+    except Unresolved as e:
+        return "FAIL", f"{name}: cannot resolve: {e}"
+    scaled = "" if scale == 1 else f"{scale:g} x "
+    line = f"{name}: {show(lhs)} {op} {scaled}{show(rhs)}"
+    if COMPARE[op](lhs, scale * rhs if scale != 1 else rhs):
+        return "ok  ", line
+    return ("WARN" if inv.get("severity") == "warn" else "FAIL"), line
+
+
+def gate(baseline_path, artifact_paths):
+    with open(baseline_path) as f:
+        baseline = json.load(f)
+    required = baseline.get("required_invariants", [])
+    failures = warnings = checked = 0
+    for path in artifact_paths:
+        print(path)
+        with open(path) as f:
+            doc = json.load(f)
+        invariants = list(collect(doc))
+        prefixes = {str(i.get("name", "")).split(".")[0] for i in invariants}
+        if len(prefixes) != 1:
+            found = sorted(prefixes) if prefixes else "no invariants"
+            print(f"  FAIL {path}: expected one invariant-name prefix, "
+                  f"found {found}")
+            failures += 1
             continue
-        if not row.get("ok", False):
-            failures.append(f"{name} row reported failure")
-        if row.get("accepted", 0) < row.get("target", 1):
-            failures.append(
-                f"{name} accepted {row.get('accepted', 0)} < target "
-                f"{row.get('target', 0)}"
-            )
-        if row.get("leaks", 1) != 0:
-            failures.append(f"{name} row leaked {row.get('leaks')} metrics")
-        if row.get("accept_p99_us") is None:
-            failures.append(f"{name} accept-residency histogram not sampled")
-        print(
-            f"  {name}: accepted {row.get('accepted', 0)}, bulk "
-            f"{row.get('bulk_mbit', 0.0):.1f} Mbit/s, sheds "
-            f"{row.get('sheds', 0)}, cookies {row.get('cookies_sent', 0)}, "
-            f"leaks {row.get('leaks', '?')}"
-        )
-    if clean and flood:
-        floor = 0.8 * clean.get("bulk_mbit", 0.0)
-        if flood.get("bulk_mbit", 0.0) < floor:
-            failures.append(
-                f"flood bulk {flood.get('bulk_mbit', 0.0):.1f} Mbit/s below "
-                f"0.8x clean ({floor:.1f})"
-            )
-        else:
-            print(
-                f"  flood bulk {flood.get('bulk_mbit', 0.0):.1f} Mbit/s >= "
-                f"0.8x clean ({floor:.1f})"
-            )
-        if flood.get("sheds", 0) <= 0:
-            failures.append("flood row shed nothing: admission control idle")
-        if flood.get("cookies_sent", 0) <= 0:
-            failures.append("flood row sent no SYN cookies: fallback idle")
-    wall = rep.get("wall_s")
-    if wall is None:
-        failures.append("server report missing wall_s")
-    elif wall > budget_s:
-        failures.append(
-            f"server wall clock {wall:.1f} s exceeds the {budget_s:.0f} s "
-            f"budget"
-        )
-    else:
-        print(f"  server wall clock {wall:.1f} s within {budget_s:.0f} s budget")
-    if failures:
-        print(f"\n{len(failures)} server gate failure(s):", file=sys.stderr)
-        for f_ in failures:
-            print(f"  FAIL {f_}", file=sys.stderr)
-        sys.exit(1)
-    print("\nserver gate ok")
-
-
-def main(baseline_path, current_path, micro_path=None):
-    base = load(baseline_path)
-    cur = load(current_path)
-    failures, warnings = [], []
-
-    # The baseline's "micro" section rides alongside the macro rows; pull
-    # it out before the macro normalization walks the rows.
-    base_micro = base.pop("micro", None)
-    cur.pop("micro", None)
-    if micro_path is not None:
-        micro_gate(base_micro, micro_path, failures, warnings)
-
-    # Hard invariant: small-transfer parity, in *simulated* throughput
-    # (wall-clock ns/run measures the simulator, which legitimately does
-    # more bookkeeping on the single-copy rows).  When the policy routes
-    # small sends to the copy path the two stacks do the same simulated
-    # work, so the rows measure equal up to a margin that keeps a
-    # dead-even pair from flapping the gate.
-    parity_pairs = [
-        ("ttcp-4K-single-copy", ANCHOR),
-        ("rpc-64B-single-copy", "rpc-64B-unmodified"),
-        ("rpc-512B-single-copy", "rpc-512B-unmodified"),
-    ]
-    for sc_key, un_key in parity_pairs:
-        sc = cur.get(sc_key, {}).get("sim_throughput_mbit")
-        un = cur.get(un_key, {}).get("sim_throughput_mbit")
-        if sc is None or un is None:
-            failures.append(f"missing sim_throughput_mbit for {sc_key}/{un_key}")
-        elif sc < un * 0.95:
-            failures.append(
-                f"{sc_key} ({sc:.1f} Mbit/s sim) below {un_key} "
-                f"({un:.1f} Mbit/s sim): adaptive policy lost "
-                "small-transfer parity"
-            )
-
-    # Hard invariant: the policy routes by size/warmth.
-    r4 = cur["ttcp-4K-single-copy"].get("routing", {})
-    if r4.get("copy", 0) == 0 or r4.get("uio", 0) > 0:
-        failures.append(
-            f"ttcp-4K-single-copy routing {r4}: expected every send on "
-            "the copy path"
-        )
-    for big in ("ttcp-64K-single-copy", "ttcp-1M-single-copy"):
-        r = cur.get(big, {}).get("routing", {})
-        if r.get("uio", 0) == 0:
-            failures.append(
-                f"{big} routing {r}: expected single-copy-path sends"
-            )
-
-    # Hard invariant: at the 1 MByte bulk point the single-copy stack
-    # must beat the unmodified stack on simulated throughput — the
-    # paper's headline result, achievable only when the receive-side
-    # copy-out pipeline keeps the adaptor's bus advantage from being
-    # squandered on a serialized drain.
-    sc1 = cur.get("ttcp-1M-single-copy", {}).get("sim_throughput_mbit")
-    un1 = cur.get("ttcp-1M-unmodified", {}).get("sim_throughput_mbit")
-    if sc1 is None or un1 is None:
-        failures.append("missing ttcp-1M sim_throughput_mbit row pair")
-    elif sc1 < un1:
-        failures.append(
-            f"ttcp-1M-single-copy ({sc1:.1f} Mbit/s) below "
-            f"ttcp-1M-unmodified ({un1:.1f} Mbit/s): single-copy lost "
-            "the bulk-transfer crossover"
-        )
-
-    # Hard invariant: the rx copy-out pipeline actually ran on the bulk
-    # rows — posts accepted and genuine copy-out/auto-DMA overlap
-    # observed.  A zero here means the receive path silently fell back
-    # to a synchronous drain.
-    for key in ("ttcp-1M-single-copy", "ttcp-1M-unmodified"):
-        pipe = cur.get(key, {}).get("rx_pipe")
-        if pipe is None:
-            failures.append(f"{key}: missing rx_pipe section")
-        elif pipe.get("posts", 0) <= 0 or pipe.get("overlap", 0) <= 0:
-            failures.append(
-                f"{key}: rx pipeline idle (posts={pipe.get('posts', 0)}, "
-                f"overlap={pipe.get('overlap', 0)})"
-            )
-
-    # Hard invariant: the machine-checked single-copy path (ISSUE 4).
-    # The forced-uio row is the paper's measurement configuration, so the
-    # ledger must show *exactly* one copy per payload byte — the SDMA out
-    # of pinned user memory — and no host checksum passes at all.
-    touch = cur.get("ttcp-64K-forced-uio", {}).get("touch")
-    if touch is None:
-        failures.append("ttcp-64K-forced-uio: missing touch ledger section")
-    else:
-        if touch.get("host_tx_copy_bytes", -1) != 0:
-            failures.append(
-                f"single-copy invariant: host tx copies "
-                f"{touch.get('host_tx_copy_bytes')} bytes, expected 0"
-            )
-        if touch.get("host_tx_sum_bytes", -1) != 0:
-            failures.append(
-                f"single-copy invariant: host tx checksums "
-                f"{touch.get('host_tx_sum_bytes')} bytes, expected 0"
-            )
-        if touch.get("sdma_payload_bytes") != touch.get("payload_bytes"):
-            failures.append(
-                f"single-copy invariant: SDMA moved "
-                f"{touch.get('sdma_payload_bytes')} of "
-                f"{touch.get('payload_bytes')} payload bytes"
-            )
-        if abs(touch.get("tx_copies_per_byte", 0.0) - 1.0) > 1e-6:
-            failures.append(
-                f"single-copy invariant: tx copies/byte "
-                f"{touch.get('tx_copies_per_byte')}, expected 1.0"
-            )
-        if touch.get("tx_sums_per_byte", -1.0) != 0.0:
-            failures.append(
-                f"single-copy invariant: tx host checksums/byte "
-                f"{touch.get('tx_sums_per_byte')}, expected 0.0"
-            )
-        rx = touch.get("rx_copies_per_byte", 0.0)
-        if not (0.95 <= rx <= 1.15):
-            failures.append(
-                f"single-copy invariant: rx copies/byte {rx}, expected ~1"
-            )
-
-    # Hard invariant: the unmodified stack's 2-copy + 1-checksum profile.
-    touch = cur.get("ttcp-1M-unmodified", {}).get("touch")
-    if touch is None:
-        failures.append("ttcp-1M-unmodified: missing touch ledger section")
-    else:
-        checks = [
-            ("tx_copies_per_byte", 1.95, 2.05),
-            ("tx_sums_per_byte", 0.95, 1.05),
-            ("rx_copies_per_byte", 1.90, 2.10),
-            ("rx_sums_per_byte", 0.95, 1.10),
-        ]
-        for field, lo, hi in checks:
-            v = touch.get(field, 0.0)
-            if not (lo <= v <= hi):
-                failures.append(
-                    f"unmodified profile: {field} = {v}, "
-                    f"expected [{lo}, {hi}]"
-                )
-        if touch.get("sdma_payload_bytes", -1) != 0:
-            failures.append(
-                f"unmodified profile: sdma_payload_bytes "
-                f"{touch.get('sdma_payload_bytes')}, expected 0"
-            )
-
-    # Tracing overhead: traced twin vs untraced ttcp-1M.  The tracer's
-    # cost is per *event*, so as the untraced datapath gets cheaper to
-    # simulate (fewer, larger sim steps) the overhead fraction naturally
-    # grows even though the tracer itself is unchanged.  The gate exists
-    # to catch a structural regression — tracing accidentally placed on
-    # the per-byte path would multiply the row, not add a third — so it
-    # bounds the ratio well above the measured ~25%.
-    traced = cur.get("ttcp-1M-single-copy-traced", {}).get("ns_per_run")
-    untraced = cur.get("ttcp-1M-single-copy", {}).get("ns_per_run")
-    if traced is None or untraced is None:
-        failures.append("missing ttcp-1M traced/untraced row pair")
-    else:
-        ratio = traced / untraced
-        print(f"  tracing overhead on ttcp-1M: {ratio - 1.0:+.1%}")
-        if ratio > 1.5:
-            failures.append(
-                f"tracing overhead {ratio - 1.0:+.1%}: tracing has "
-                "leaked onto a per-byte path"
-            )
-
-    # Every macro row must carry a routing section (zeros are fine).
-    for key, row in cur.items():
-        if "routing" not in row:
-            failures.append(f"{key}: missing routing section")
-
-    # Hard invariant: per-flow latency percentiles on the rpc and
-    # ttcp-1M rows.  The "lat" section is sourced from the Obs log2
-    # histograms (connection setup, write->ACK, rx copy-out, RTT); a
-    # row that lost it means the instrumentation fell off the
-    # datapath, and a sampled histogram whose p99 dips below its p50
-    # means the quantile interpolation is broken.
-    lat_rows = [k for k in cur if k.startswith("rpc-") or k.startswith("ttcp-1M-")]
-    for key in sorted(lat_rows):
-        if key.endswith("-faulty"):
-            continue
-        lat = cur[key].get("lat")
-        if lat is None:
-            failures.append(f"{key}: missing lat section")
-            continue
-        sampled = 0
-        for hname, h in sorted(lat.items()):
-            count = h.get("count", 0)
-            if count <= 0:
-                continue
-            sampled += 1
-            p50, p99 = h.get("p50"), h.get("p99")
-            if p50 is None or p99 is None:
-                failures.append(
-                    f"{key}: lat.{hname} sampled {count} but missing "
-                    "p50/p99 fields"
-                )
-            elif p99 < p50:
-                failures.append(
-                    f"{key}: lat.{hname} p99 {p99} < p50 {p50} — "
-                    "quantile interpolation broke"
-                )
-        if sampled == 0:
-            failures.append(
-                f"{key}: lat section has no sampled histogram — latency "
-                "instrumentation fell off the datapath"
-            )
-
-    # Hard invariants on the fault-injection row.  Its throughput is
-    # exempt from the drift gate below (recovery work — retransmissions,
-    # SDMA reposts, exhaustion fallbacks — varies legitimately), but the
-    # recovery report itself is not negotiable: data must arrive
-    # byte-identical, every pool must drain back to baseline after
-    # quiescence, and the storm must demonstrably have fired (checksum
-    # verification caught corrupted frames and TCP retransmission healed
-    # them) — otherwise the row is testing nothing.
-    frow = cur.get("ttcp-1M-faulty")
-    if frow is None:
-        failures.append("missing ttcp-1M-faulty row")
-    else:
-        fault = frow.get("fault")
-        if fault is None:
-            failures.append("ttcp-1M-faulty: missing fault section")
-        else:
-            if not fault.get("verified", False):
-                failures.append(
-                    "fault row: received data not byte-identical "
-                    "(corruption leaked past checksum verify)"
-                )
-            if not fault.get("completed", False):
-                failures.append("fault row: transfer did not complete")
-            if fault.get("leaks", -1) != 0:
-                failures.append(
-                    f"fault row: {fault.get('leaks')} occupancy metric(s) "
-                    "failed to return to baseline after recovery"
-                )
-            if fault.get("csum_failures_rx", 0) <= 0:
-                failures.append(
-                    "fault row: no checksum failures caught — the "
-                    "corruption storm did not exercise rx verify"
-                )
-            if fault.get("retransmits", 0) <= 0:
-                failures.append(
-                    "fault row: no retransmissions — nothing was healed"
-                )
-
-    # Hard invariant: RSS sharding scales.  The 4-shard parallel row must
-    # aggregate at least SHARD_SPEEDUP_MIN x its serialized 1-shard twin
-    # (same run, same smp profile, same fat link).
-    p1 = cur.get("ttcp-parallel-8x1M-1shard", {}).get("sim_throughput_mbit")
-    p4 = cur.get("ttcp-parallel-8x1M-4shard", {}).get("sim_throughput_mbit")
-    if p1 is None or p4 is None:
-        failures.append("missing ttcp-parallel-8x1M shard row pair")
-    else:
-        ratio = p4 / p1
-        print(f"  shard scaling (4-shard/1-shard aggregate): {ratio:.2f}x")
-        if ratio < SHARD_SPEEDUP_MIN:
-            failures.append(
-                f"shard scaling {ratio:.2f}x below the "
-                f"{SHARD_SPEEDUP_MIN:.1f}x floor: per-shard CPUs are not "
-                "sharing the per-packet work"
-            )
-
-    # Hard invariant: sharding must not perturb the serialized schedules.
-    # Simulated throughput is deterministic, so every non-fault row must
-    # match the committed baseline *to the decimal* — any drift means the
-    # single-shard fast path stopped being byte-identical to the
-    # pre-sharding event trace.
-    for key in sorted(base):
-        if key.endswith("-faulty"):
-            continue
-        b = base[key].get("sim_throughput_mbit")
-        c = cur.get(key, {}).get("sim_throughput_mbit")
-        if b is None or c is None:
-            continue  # a disappeared row already fails the drift gate
-        if b != c:
-            failures.append(
-                f"{key}: sim throughput {c} != baseline {b} — the "
-                "deterministic schedule changed"
-            )
-
-    # Anchor-normalized drift vs the committed baseline.
-    bn, cn = normalized(base), normalized(cur)
-    for key in sorted(bn):
-        if key == ANCHOR:
-            continue
-        # Fault-injection rows carry recovery work whose cost varies
-        # legitimately; their invariants are gated above, not their speed.
-        if key.endswith("-faulty"):
-            continue
-        if key not in cn:
-            failures.append(f"row {key!r} disappeared from {current_path}")
-            continue
-        drift = cn[key] / bn[key] - 1.0
-        line = (
-            f"{key}: normalized {cn[key]:.3f} vs baseline {bn[key]:.3f} "
-            f"({drift:+.1%})"
-        )
-        # Advisory only: run-to-run spread of the normalized wall clock
-        # exceeds 30% on a loaded shared box even with an identical
-        # binary, so drift cannot be a hard failure.  The hard gates are
-        # the machine-independent invariants above — exact simulated
-        # throughputs, the data-touch ledger, and the same-run ratios.
-        # A warned row carries its per-iteration sample spread so the
-        # reader can tell load spikes from a real shift.
-        if abs(drift) > TOLERANCE:
-            warnings.append(line + spread(cur[key]))
-        else:
-            print(f"  ok   {line}")
-
-    for w in warnings:
-        print(f"  WARN {w}")
-    if failures:
-        print(f"\n{len(failures)} bench gate failure(s):", file=sys.stderr)
-        for f_ in failures:
-            print(f"  FAIL {f_}", file=sys.stderr)
-        sys.exit(1)
-    print(f"\nbench gate ok ({len(bn) - 1} rows, warn threshold ±{TOLERANCE:.0%})")
+        prefix = prefixes.pop()
+        names = {i.get("name") for i in invariants}
+        for name in required:
+            if name.split(".")[0] == prefix and name not in names:
+                print(f"  FAIL {name}: required invariant missing")
+                failures += 1
+        for inv in invariants:
+            status, line = check(inv, doc, baseline)
+            print(f"  {status} {line}")
+            warnings += status == "WARN"
+            failures += status == "FAIL"
+        checked += len(invariants)
+    print(f"\n{checked} invariants, {warnings} warning(s), {failures} failure(s)")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 5 and sys.argv[1] == "--soak" and sys.argv[3] == "--budget-s":
-        soak_gate(sys.argv[2], float(sys.argv[4]))
-    elif (
-        len(sys.argv) == 5
-        and sys.argv[1] == "--server"
-        and sys.argv[3] == "--budget-s"
-    ):
-        server_gate(sys.argv[2], float(sys.argv[4]))
-    elif len(sys.argv) == 3:
-        main(sys.argv[1], sys.argv[2])
-    elif len(sys.argv) == 4:
-        main(sys.argv[1], sys.argv[2], sys.argv[3])
-    else:
+    if len(sys.argv) < 3:
         sys.exit(__doc__)
+    sys.exit(gate(sys.argv[1], sys.argv[2:]))
