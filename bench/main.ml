@@ -980,7 +980,9 @@ let run_target t =
       let t0 = Unix.gettimeofday () in
       let clean = Exp_server.run ~target () in
       Exp_server.print clean;
-      Obs_lat.reset ();
+      (* The registry dump covers the flood row alone: every counter and
+         histogram restarts here. *)
+      Obs.reset ();
       let flood = Exp_server.run ~flood:true ~target () in
       Exp_server.print flood;
       let wall = Unix.gettimeofday () -. t0 in

@@ -38,10 +38,9 @@ type rx_pipe_stats = {
   mutable rx_pipe_stalls : int;
 }
 
-(* Engine jobs.  Each engine [Resource] below has exactly one producer
-   and serves FIFO, so a {!Ring} of these preallocated records, pushed
-   in step with every [Resource.acquire], always has the running job at
-   its head; one continuation per engine, built at [create], pops it. *)
+(* Engine jobs: each engine [Resource] below keeps one of these records
+   per queued hold, filled in place at the post and handed back to the
+   engine's completion function. *)
 type bus_job = {
   mutable b_pkt : Netmem.packet;
   mutable b_segs : chain_seg list;
@@ -82,21 +81,15 @@ type t = {
   mem : Netmem.t;
   addr : int;
   transmit : Bytes.t -> dst:int -> channel:int -> unit;
-  bus : Resource.t;
-  bus_jobs : bus_job Ring.t;
-  mutable bus_done : unit -> unit;
+  bus : bus_job Resource.t;
   (* The receive side runs as a two-stage pipeline on two independent
      SDMA channels: [rx_dma] auto-DMAs each arriving packet's head prefix
      (the checksum-verify engine's completion event), while [copyout]
      moves queued tails to the host — so the copy-out of packet [n]
      overlaps the DMA+verify of packet [n+1] instead of serializing
      behind it on one channel. *)
-  rx_dma : Resource.t;
-  rx_jobs : intr_slot Ring.t;
-  mutable rx_done : unit -> unit;
-  copyout : Resource.t;
-  copyout_jobs : copyout_job Ring.t;
-  mutable copyout_done : unit -> unit;
+  rx_dma : intr_slot Resource.t;
+  copyout : copyout_job Resource.t;
   mutable copyout_inflight : int;
   copyout_parked : copyout_job Ring.t;
       (* posts beyond [pipe.rx_pipe_depth] descriptor slots park here
@@ -300,8 +293,7 @@ let sdma_finished t (pkt : Netmem.packet) =
 
 (* Injected stuck descriptor: the post was accepted (it holds its
    [sdma_pending] share, so a queued MDMA keeps waiting) but it will
-   never occupy the bus, commit, or complete.  It pushes no engine job,
-   so the job rings stay in step with their engines. *)
+   never occupy the bus, commit, or complete. *)
 let note_stall t (pkt : Netmem.packet) =
   t.s.sdma_stalled <- t.s.sdma_stalled + 1;
   Hashtbl.replace t.stalled pkt.Netmem.id
@@ -443,18 +435,16 @@ let sdma_chain t (pkt : Netmem.packet) ~segs ~interrupt ~on_complete =
       if Fault.fire "cab.sdma_stall" then note_stall t pkt
       else begin
         Obs_trace.emit Obs_trace.Sdma_post ~a:total ~b:(List.length segs);
-        let j = Ring.push t.bus_jobs in
+        let j = Resource.acquire t.bus duration in
         j.b_pkt <- pkt;
         j.b_segs <- segs;
         j.b_total <- total;
         j.b_interrupt <- interrupt;
-        j.b_on_complete <- on_complete;
-        Resource.acquire t.bus duration t.bus_done
+        j.b_on_complete <- on_complete
       end
 
-(* The bus finished the chain at the head of [bus_jobs]. *)
-let bus_done t =
-  let j = Ring.peek t.bus_jobs in
+(* The bus finished the chain [j]. *)
+let bus_finished t j =
   let pkt = j.b_pkt and segs = j.b_segs and interrupt = j.b_interrupt in
   let on_complete = j.b_on_complete in
   t.s.sdma_transfers <- t.s.sdma_transfers + List.length segs;
@@ -462,7 +452,6 @@ let bus_done t =
   j.b_pkt <- Netmem.placeholder;
   j.b_segs <- [];
   j.b_on_complete <- ignore;
-  Ring.drop t.bus_jobs;
   commit_chain pkt segs;
   on_complete ();
   if interrupt then raise_intr t Sdma_done;
@@ -522,7 +511,10 @@ let deliver t frame =
          synchronously in the interrupt handler, before it can release
          the packet.  The engine's job is the event it will raise. *)
       let head_len = min (4 * t.autodma_words) len in
-      (Ring.push t.rx_jobs).ev <-
+      let slot =
+        Resource.acquire t.rx_dma (Memcost.bus_transfer t.profile head_len)
+      in
+      slot.ev <-
         Rx_packet
           {
             rx_pkt = pkt;
@@ -532,17 +524,13 @@ let deliver t frame =
             rx_engine_sum = pkt.body_sum;
             rx_complete = len <= head_len;
             rx_channel = Hippi_framing.read_channel pkt.buf ~off:0;
-          };
-      Resource.acquire t.rx_dma (Memcost.bus_transfer t.profile head_len)
-        t.rx_done
+          }
 
-(* The auto-DMA engine landed the head of the packet at the front of
-   [rx_jobs]. *)
-let rx_done t =
-  let slot = Ring.peek t.rx_jobs in
+(* The auto-DMA engine landed the head of the packet whose event is in
+   [slot]. *)
+let autodma_finished t slot =
   let ev = slot.ev in
   slot.ev <- Sdma_done;
-  Ring.drop t.rx_jobs;
   (match ev with
   | Rx_packet info ->
       info.rx_pkt.state <- Netmem.Held;
@@ -553,7 +541,7 @@ let rx_done t =
      mid-transfer on an earlier packet while this one's auto-DMA/verify
      completes.  Copy-outs are much longer than the header auto-DMA, so
      most overlap is observed here; the mirror-image witness is in
-     [copyout_done]. *)
+     [copyout_finished]. *)
   if Resource.busy t.copyout then
     t.pipe.rx_pipe_overlap <- t.pipe.rx_pipe_overlap + 1;
   raise_intr t ev
@@ -566,22 +554,17 @@ let fill_copyout j ~pkt ~off ~len ~dst ~interrupt ~on_complete =
   j.c_interrupt <- interrupt;
   j.c_on_complete <- on_complete
 
-(* Remove the head job of [r], dropping its references; read it first. *)
-let drop_copyout r =
-  let j = Ring.peek r in
+(* Drop a copy-out job's references; read it first. *)
+let clear_copyout j =
   j.c_pkt <- Netmem.placeholder;
   j.c_dst <- no_dest;
-  j.c_on_complete <- ignore;
-  Ring.drop r
+  j.c_on_complete <- ignore
 
-(* Put a copy-out on the engine: it joins [copyout_jobs] in step with
-   the engine's queue. *)
 let start_copyout t ~pkt ~off ~len ~dst ~interrupt ~on_complete =
   Obs_trace.emit Obs_trace.Rx_copyout ~a:len ~b:t.copyout_inflight;
-  fill_copyout (Ring.push t.copyout_jobs) ~pkt ~off ~len ~dst ~interrupt
-    ~on_complete;
-  Resource.acquire t.copyout (Memcost.bus_transfer t.profile len)
-    t.copyout_done
+  fill_copyout
+    (Resource.acquire t.copyout (Memcost.bus_transfer t.profile len))
+    ~pkt ~off ~len ~dst ~interrupt ~on_complete
 
 (* One copy-out engine completion: free the descriptor slot and start the
    oldest parked post, if any. *)
@@ -589,18 +572,17 @@ let copyout_slot_free t =
   t.copyout_inflight <- t.copyout_inflight - 1;
   if Ring.length t.copyout_parked > 0 then begin
     let j = Ring.peek t.copyout_parked in
-    let pkt = j.c_pkt and off = j.c_off and len = j.c_len and dst = j.c_dst in
-    let interrupt = j.c_interrupt and on_complete = j.c_on_complete in
-    drop_copyout t.copyout_parked;
     t.copyout_inflight <- t.copyout_inflight + 1;
-    start_copyout t ~pkt ~off ~len ~dst ~interrupt ~on_complete
+    start_copyout t ~pkt:j.c_pkt ~off:j.c_off ~len:j.c_len ~dst:j.c_dst
+      ~interrupt:j.c_interrupt ~on_complete:j.c_on_complete;
+    clear_copyout j;
+    Ring.drop t.copyout_parked
   end
 
-let copyout_done t =
-  let j = Ring.peek t.copyout_jobs in
+let copyout_finished t j =
   let pkt = j.c_pkt and off = j.c_off and len = j.c_len and dst = j.c_dst in
   let interrupt = j.c_interrupt and on_complete = j.c_on_complete in
-  drop_copyout t.copyout_jobs;
+  clear_copyout j;
   t.s.sdma_transfers <- t.s.sdma_transfers + 1;
   t.s.sdma_bytes <- t.s.sdma_bytes + len;
   (* Concurrency witness: the verify engine is mid-transfer on a later
@@ -662,15 +644,9 @@ let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
     mem = Netmem.create ~pages:netmem_pages;
     addr = hippi_addr;
     transmit;
-    bus = Resource.create ~sim ~name:(name ^ ".turbochannel");
-    bus_jobs = Ring.create blank_bus_job;
-    bus_done = ignore;
-    rx_dma = Resource.create ~sim ~name:(name ^ ".rx_dma");
-    rx_jobs = Ring.create blank_intr_slot;
-    rx_done = ignore;
-    copyout = Resource.create ~sim ~name:(name ^ ".copyout");
-    copyout_jobs = Ring.create blank_copyout_job;
-    copyout_done = ignore;
+    bus = Resource.create ~sim blank_bus_job;
+    rx_dma = Resource.create ~sim blank_intr_slot;
+    copyout = Resource.create ~sim blank_copyout_job;
     copyout_inflight = 0;
     copyout_parked = Ring.create blank_copyout_job;
     batch_handler =
@@ -710,9 +686,9 @@ let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
   }
   in
   Sim.set_fn t.intr_timer (fun () -> deliver_intrs t);
-  t.bus_done <- (fun () -> bus_done t);
-  t.rx_done <- (fun () -> rx_done t);
-  t.copyout_done <- (fun () -> copyout_done t);
+  Resource.set_finished t.bus (bus_finished t);
+  Resource.set_finished t.rx_dma (autodma_finished t);
+  Resource.set_finished t.copyout (copyout_finished t);
   register_obs t;
   t
 

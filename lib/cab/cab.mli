@@ -33,11 +33,10 @@
     tail in network memory for later SDMA copy-out.
 
     Allocation: each engine (the tx SDMA channel, the auto-DMA/verify
-    engine, the copy-out engine) has exactly one producer — the entry
-    point that posts to it — and serves FIFO, so its queued jobs live in
-    a {!Ring} of preallocated records beside its {!Resource}, pushed in
-    step with every hold, and one continuation built at {!create} serves
-    every job.  A stalled post pushes no job.  Pending notifications
+    engine, the copy-out engine) is a {!Resource} that owns its queued
+    jobs, preallocated records filled in place at the post, and one
+    completion function installed at {!create} finishes every job.  A
+    stalled post queues no job.  Pending notifications
     wait in a ring as well, and a burst is handed over in a reused
     array.  Per-packet state (the queued media request, liveness) lives
     in the {!Netmem.packet}.  What a post allocates is what the caller

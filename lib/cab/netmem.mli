@@ -67,8 +67,7 @@ val free : t -> packet -> unit
 (** @raise Double_free if [packet] is not live. *)
 
 val placeholder : packet
-(** A packet that is never live, for the empty slots of the adaptor's
-    job rings. *)
+(** A packet that is never live, for the adaptor's idle job records. *)
 
 val capacity_pages : t -> int
 val free_pages : t -> int

@@ -1,55 +1,51 @@
-(* A hold: a {!Ring} slot, refilled in place on every [acquire]. *)
-type item = { mutable duration : Simtime.t; mutable k : unit -> unit }
+(* A hold: a {!Ring} slot that owns its job record; both are refilled in
+   place on every [acquire]. *)
+type 'a item = { mutable duration : Simtime.t; job : 'a }
 
-let nop () = ()
-let blank () = { duration = 0; k = nop }
-
-type t = {
+type 'a t = {
   sim : Sim.t;
-  name : string;
-  q : item Ring.t;
+  q : 'a item Ring.t;
   mutable held : bool;
-  mutable cur : item;  (* the current hold while [held] *)
+  mutable cur : 'a item;  (* the current hold while [held] *)
+  mutable finished : 'a -> unit;
   mutable busy_total : Simtime.t;
-  (* One reusable completion timer: the resource serializes its items, so
-     every hold re-arms the same record — no per-item closure. *)
+  (* One reusable completion timer: the resource serializes its holds, so
+     every hold re-arms the same record. *)
   timer : Sim.handle;
 }
 
-let name t = t.name
-
-let rec start_next t =
+let start_next t =
   if Ring.length t.q = 0 then t.held <- false
   else begin
     t.held <- true;
-    (* The finished hold's record (continuation dropped) takes the
-       popped slot. *)
+    (* The finished hold's record takes the popped slot. *)
     t.cur <- Ring.pop t.q t.cur;
     Sim.rearm t.sim t.timer t.cur.duration
   end
 
-and complete t =
+let complete t =
   if t.held then begin
     t.busy_total <- t.busy_total + t.cur.duration;
-    let k = t.cur.k in
-    t.cur.k <- nop;
-    k ();
+    t.finished t.cur.job;
     start_next t
   end
 
-let create ~sim ~name =
+let create ~sim blank =
+  let item () = { duration = 0; job = blank () } in
   let t =
-    { sim; name; q = Ring.create blank; held = false; cur = blank ();
-      busy_total = 0; timer = Sim.timer sim ignore }
+    { sim; q = Ring.create item; held = false; cur = item ();
+      finished = ignore; busy_total = 0; timer = Sim.timer sim ignore }
   in
   Sim.set_fn t.timer (fun () -> complete t);
   t
 
-let acquire t duration k =
+let set_finished t f = t.finished <- f
+
+let acquire t duration =
   let it = Ring.push t.q in
   it.duration <- duration;
-  it.k <- k;
-  if not t.held then start_next t
+  if not t.held then start_next t;
+  it.job
 
 let busy t = t.held
 let busy_time t = t.busy_total

@@ -1,6 +1,6 @@
-(** FIFO of preallocated mutable records: the work queues of {!Cpu} and
-    {!Resource}, and the job queues of the adaptor's engines and the
-    link.
+(** FIFO of preallocated mutable records: the work queues of {!Cpu},
+    {!Resource} and {!Delay_line}, and the adaptor's parked copy-outs and
+    pending notifications.
 
     A queued item is a record the ring already owns, refilled in place,
     so steady-state queueing allocates nothing.  Capacity is a power of

@@ -1,81 +1,83 @@
-type t = {
-  mac_addr : int;
-  mutable rx : Bytes.t -> unit;
-  seg : segment;
-}
+(* A station's receive hook.  It stands apart from the station so the
+   medium's jobs and the delay line can hold one without a segment to
+   build a blank station from. *)
+type port = { mutable rx : Bytes.t -> unit }
+
+type t = { mac_addr : int; port : port; seg : segment }
 
 and segment = {
   sim : Sim.t;
-  medium : Resource.t;
+  medium : sending Resource.t;
   latency : Simtime.t;
   rate : float;
   mutable stations : t list;
   mutable frames : int;
-  (* Propagation delay line: (arrival time, station, frame) in FIFO
-     order drained by one reusable timer — arrival times are
-     non-decreasing because the medium serializes transmissions, so the
-     head is always next and per-delivery closures are gone. *)
-  pipe : (Simtime.t * t * Bytes.t) Queue.t;
-  timer : Sim.handle;
+  (* Propagation delay line: each frame reaches each receiving port
+     [latency] after the medium serialized it. *)
+  line : (port * Bytes.t) Delay_line.t;
 }
 
-let broadcast = 0xffffffffffff
+(* The medium's job: the frame on the wire and its sender. *)
+and sending = { mutable from : port; mutable frame : Bytes.t }
 
-let arrive seg =
-  match Queue.take_opt seg.pipe with
-  | None -> ()
-  | Some (_, st, frame) ->
-      st.rx frame;
-      (match Queue.peek_opt seg.pipe with
-      | Some (due, _, _) -> Sim.rearm_at seg.sim seg.timer due
-      | None -> ())
+let broadcast = 0xffffffffffff
+let no_port = { rx = ignore }
+
+(* Queue [frame] for each listed station, in order, that [dst]
+   addresses, except the sender. *)
+let rec fan_out line ~from ~dst due frame = function
+  | [] -> ()
+  | st :: rest ->
+      if st.port != from && (st.mac_addr = dst || dst = broadcast) then
+        Delay_line.push line due (st.port, frame);
+      fan_out line ~from ~dst due frame rest
+
+(* The medium carried the frame in [s]: every other station it is
+   addressed to receives it [latency] later. *)
+let sent seg s =
+  let from = s.from and frame = s.frame in
+  s.from <- no_port;
+  s.frame <- Bytes.empty;
+  seg.frames <- seg.frames + 1;
+  match Ether_frame.decode frame ~off:0 with
+  | Error _ -> ()
+  | Ok hdr ->
+      fan_out seg.line ~from ~dst:hdr.Ether_frame.dst
+        (Simtime.add (Sim.now seg.sim) seg.latency)
+        frame seg.stations
 
 let create_segment ~sim ?(rate = 10e6 /. 8.) ?(latency = Simtime.us 5.) () =
   let seg =
     {
       sim;
-      medium = Resource.create ~sim ~name:"ether.medium";
+      medium =
+        Resource.create ~sim (fun () -> { from = no_port; frame = Bytes.empty });
       latency;
       rate;
       stations = [];
       frames = 0;
-      pipe = Queue.create ();
-      timer = Sim.timer sim ignore;
+      line = Delay_line.create ~sim ~empty:(no_port, Bytes.empty);
     }
   in
-  Sim.set_fn seg.timer (fun () -> arrive seg);
+  Resource.set_finished seg.medium (sent seg);
+  Delay_line.set_deliver seg.line (fun (port, frame) -> port.rx frame);
   seg
 
 let attach seg ~mac =
-  let t = { mac_addr = mac; rx = (fun _ -> ()); seg } in
+  let t = { mac_addr = mac; port = { rx = (fun _ -> ()) }; seg } in
   seg.stations <- t :: seg.stations;
   t
 
 let mac t = t.mac_addr
-let set_rx t f = t.rx <- f
+let set_rx t f = t.port.rx <- f
 
 let transmit t frame =
   let seg = t.seg in
   let ser =
     Simtime.of_bytes_at_rate ~bytes_per_s:seg.rate (Bytes.length frame)
   in
-  Resource.acquire seg.medium ser (fun () ->
-      seg.frames <- seg.frames + 1;
-      match Ether_frame.decode frame ~off:0 with
-      | Error _ -> ()
-      | Ok hdr ->
-          let due = Simtime.add (Sim.now seg.sim) seg.latency in
-          List.iter
-            (fun st ->
-              if
-                st != t
-                && (st.mac_addr = hdr.Ether_frame.dst
-                   || hdr.Ether_frame.dst = broadcast)
-              then begin
-                Queue.push (due, st, frame) seg.pipe;
-                if not (Sim.armed seg.timer) then
-                  Sim.rearm_at seg.sim seg.timer due
-              end)
-            seg.stations)
+  let s = Resource.acquire seg.medium ser in
+  s.from <- t.port;
+  s.frame <- frame
 
 let frames_carried seg = seg.frames

@@ -42,8 +42,9 @@ type result = {
 val run :
   ?flood:bool -> ?seed:int -> ?target:int -> ?concurrency:int -> unit -> result
 (** Defaults: no flood, seed 42, target 100_000 accepts, 256 concurrent
-    churn clients.  Run the clean and flood variants in separate
-    processes or reset {!Obs_lat} between them when comparing latency
-    histograms. *)
+    churn clients.  The result's counts are deltas over this run, but the
+    registry keeps counting across runs: call {!Obs.reset} before a run
+    for its registry dump, latency histograms included, to cover that
+    run alone. *)
 
 val print : result -> unit

@@ -2,24 +2,14 @@ let line_rate = 100e6
 
 type side = A | B
 
-(* Each direction is a serialization resource feeding a delay line, and
-   both hold their frames in {!Ring}s of preallocated slots.  [serq]
-   holds the frames queued on [res], in step with it: [send] is the
-   resource's only producer and it serves FIFO, so the head of [serq] is
-   always the frame whose serialization just completed, and one
-   preallocated continuation ([serialized]) serves every frame.  Frames
-   then enter [pipe] stamped with their arrival time, [latency] later;
-   arrival times are non-decreasing (the resource serializes), so the
-   head of [pipe] is always the next arrival and one reusable timer per
-   direction drains it.  [rx] is the far end's receiver. *)
-type slot = { mutable due : Simtime.t; mutable frame : Bytes.t }
+(* Each direction is a serializer whose job is the frame on the wire,
+   feeding a delay line that delivers it [latency] later to the far
+   end's receiver [rx]. *)
+type sending = { mutable frame : Bytes.t }
 
 type dir = {
-  res : Resource.t;
-  serq : slot Ring.t;
-  pipe : slot Ring.t;
-  timer : Sim.handle;
-  mutable serialized : unit -> unit;
+  res : sending Resource.t;
+  line : Bytes.t Delay_line.t;
   mutable rx : Bytes.t -> unit;
 }
 
@@ -33,16 +23,6 @@ type t = {
   mutable corrupted : int;
   mutable dropped : int;
 }
-
-let blank_slot () = { due = Simtime.zero; frame = Bytes.empty }
-
-(* Remove the head slot of [r] and return its frame. *)
-let take r =
-  let s = Ring.peek r in
-  let frame = s.frame in
-  s.frame <- Bytes.empty;
-  Ring.drop r;
-  frame
 
 (* Wire faults happen after serialization, at the instant the frame
    reaches the far end.  A corrupted frame has one byte XORed — the
@@ -65,30 +45,19 @@ let deliver t rx frame =
     rx frame
   end
 
-let arrive t dir =
-  if Ring.length dir.pipe > 0 then begin
-    deliver t dir.rx (take dir.pipe);
-    if Ring.length dir.pipe > 0 then
-      Sim.rearm_at t.sim dir.timer (Ring.peek dir.pipe).due
-  end
-
-let serialized t dir =
-  let frame = take dir.serq in
+(* The serializer put the frame in [s] on the wire; it arrives [latency]
+   later. *)
+let sent t dir s =
+  let frame = s.frame in
+  s.frame <- Bytes.empty;
   t.carried <- t.carried + Bytes.length frame;
-  let due = Simtime.add (Sim.now t.sim) t.latency in
-  let s = Ring.push dir.pipe in
-  s.due <- due;
-  s.frame <- frame;
-  if not (Sim.armed dir.timer) then Sim.rearm_at t.sim dir.timer due
+  Delay_line.push dir.line (Simtime.add (Sim.now t.sim) t.latency) frame
 
 let create ~sim ?(rate = line_rate) ?(latency = Simtime.us 1.) () =
-  let mk name side =
+  let mk side =
     {
-      res = Resource.create ~sim ~name;
-      serq = Ring.create blank_slot;
-      pipe = Ring.create blank_slot;
-      timer = Sim.timer sim ignore;
-      serialized = ignore;
+      res = Resource.create ~sim (fun () -> { frame = Bytes.empty });
+      line = Delay_line.create ~sim ~empty:Bytes.empty;
       rx = (fun _ -> invalid_arg ("Hippi_link: no rx on side " ^ side));
     }
   in
@@ -97,8 +66,8 @@ let create ~sim ?(rate = line_rate) ?(latency = Simtime.us 1.) () =
       sim;
       rate;
       latency;
-      a2b = mk "link.a2b" "B";
-      b2a = mk "link.b2a" "A";
+      a2b = mk "B";
+      b2a = mk "A";
       carried = 0;
       corrupted = 0;
       dropped = 0;
@@ -106,8 +75,8 @@ let create ~sim ?(rate = line_rate) ?(latency = Simtime.us 1.) () =
   in
   List.iter
     (fun dir ->
-      Sim.set_fn dir.timer (fun () -> arrive t dir);
-      dir.serialized <- (fun () -> serialized t dir))
+      Resource.set_finished dir.res (sent t dir);
+      Delay_line.set_deliver dir.line (fun frame -> deliver t dir.rx frame))
     [ t.a2b; t.b2a ];
   t
 
@@ -119,8 +88,7 @@ let send t ~from frame =
   let ser =
     Simtime.of_bytes_at_rate ~bytes_per_s:t.rate (Bytes.length frame)
   in
-  (Ring.push dir.serq).frame <- frame;
-  Resource.acquire dir.res ser dir.serialized
+  (Resource.acquire dir.res ser).frame <- frame
 
 let bytes_carried t = t.carried
 let frames_corrupted t = t.corrupted

@@ -22,23 +22,11 @@ type t = {
   mutable out_busy : bool array;
   out_busy_time : Simtime.t array;
   rx : (Bytes.t -> unit) array;
-  (* Per-output-port delay line for the crossbar→station latency hop:
-     [out_busy] serializes each output, so arrival times per port are
-     non-decreasing and one reusable timer per port replaces a closure
-     per frame. *)
-  pipes : (Simtime.t * Bytes.t) Queue.t array;
-  dtimers : Sim.handle array;
+  (* Per-output-port delay line for the crossbar→station latency hop;
+     [out_busy] serializes each output. *)
+  lines : Bytes.t Delay_line.t array;
   mutable frames : int;
 }
-
-let arrive t dst =
-  match Queue.take_opt t.pipes.(dst) with
-  | None -> ()
-  | Some (_, payload) ->
-      t.rx.(dst) payload;
-      (match Queue.peek_opt t.pipes.(dst) with
-      | Some (due, _) -> Sim.rearm_at t.sim t.dtimers.(dst) due
-      | None -> ())
 
 let create ~sim ~ports ?(rate = Hippi_link.line_rate)
     ?(latency = Simtime.us 1.) discipline =
@@ -62,14 +50,14 @@ let create ~sim ~ports ?(rate = Hippi_link.line_rate)
     out_busy = Array.make ports false;
     out_busy_time = Array.make ports 0;
     rx = Array.make ports (fun _ -> ());
-    pipes = Array.init ports (fun _ -> Queue.create ());
-    dtimers = Array.init ports (fun _ -> Sim.timer sim ignore);
+    lines =
+      Array.init ports (fun _ -> Delay_line.create ~sim ~empty:Bytes.empty);
     frames = 0;
   }
   in
   Array.iteri
-    (fun dst tm -> Sim.set_fn tm (fun () -> arrive t dst))
-    t.dtimers;
+    (fun dst l -> Delay_line.set_deliver l (fun payload -> t.rx.(dst) payload))
+    t.lines;
   t
 
 let ports t = t.nports
@@ -134,11 +122,9 @@ let rec try_start t i =
                input.busy <- false;
                t.out_busy.(f.dst) <- false;
                t.frames <- t.frames + 1;
-               let dst = f.dst in
-               let due = Simtime.add (Sim.now t.sim) t.latency in
-               Queue.push (due, f.payload) t.pipes.(dst);
-               if not (Sim.armed t.dtimers.(dst)) then
-                 Sim.rearm_at t.sim t.dtimers.(dst) due;
+               Delay_line.push t.lines.(f.dst)
+                 (Simtime.add (Sim.now t.sim) t.latency)
+                 f.payload;
                (* The freed output may unblock any input; the freed input
                   may have more queued. *)
                for j = 0 to t.nports - 1 do

@@ -22,6 +22,15 @@ type ctx = {
       (** stats hook: copy-out degraded to kernel staging *)
 }
 
+val try_wire : ctx -> Region.t -> (Simtime.t, Simtime.t) result
+(** Pin and map a region for DMA, through the pin cache when there is
+    one: [Ok cost] when wired, [Error wasted] when the kernel refused the
+    pin (the ["vm.pin_fail"] fault site), where [wasted] is work already
+    done (cache evictions) before the refusal. *)
+
+val unwire : ctx -> Region.t -> Simtime.t
+(** Undo {!try_wire}; returns the cost of the release. *)
+
 val deliver_chain :
   ctx ->
   iface:Netif.t option ->

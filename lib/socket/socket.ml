@@ -161,21 +161,6 @@ let release_append t =
 
 let profile t = t.host.Host.profile
 
-(* Pin + map a region for DMA, fallibly: [Ok cost] when wired, [Error
-   wasted] when the kernel refused the pin ("vm.pin_fail" fault site) —
-   [wasted] is work already charged-for (cache evictions) before the
-   refusal. *)
-let try_wire t region =
-  match t.cache with
-  | Some cache -> (
-      match Pin_cache.try_acquire cache region with
-      | Ok c -> Ok c
-      | Error (`Pin_exhausted wasted) -> Error wasted)
-  | None -> (
-      match Addr_space.try_pin t.space region with
-      | Ok c -> Ok (Simtime.add c (Addr_space.map_into_kernel t.space region))
-      | Error `Pin_exhausted -> Error Simtime.zero)
-
 (* Single-copy transmit path (§4.4): map + pin, enqueue an M_UIO
    descriptor, and let the UIO byte counter resynchronize us with the
    driver's DMA completions.  When the pin fails the buffer never becomes
@@ -187,7 +172,7 @@ let write_uio t region ~on_appended ~on_pin_fail k =
      socket-buffer chunk at a time would be more faithful, but the cost is
      linear in pages either way.  Wiring comes first: no descriptor state
      exists yet if it fails. *)
-  match try_wire t region with
+  match Copyout_path.try_wire t.copyout region with
   | Error wasted ->
       t.s.pin_fallbacks <- t.s.pin_fallbacks + 1;
       charge t wasted on_pin_fail
@@ -200,12 +185,7 @@ let write_uio t region ~on_appended ~on_pin_fail k =
       let finish () =
         t.pending_notifies <-
           List.filter (fun n -> n != notify) t.pending_notifies;
-        let unpin_cost =
-          match t.cache with
-          | Some cache -> Pin_cache.release cache region
-          | None -> Addr_space.unpin t.space region
-        in
-        charge t unpin_cost k
+        charge t (Copyout_path.unwire t.copyout region) k
       in
       let rec push off =
         if off >= total then begin

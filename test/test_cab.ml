@@ -527,10 +527,10 @@ let counter_value ~section ~name =
   | Some (Obs.M_counter c) -> Obs.Counter.get c
   | _ -> 0
 
-(* A chain post allocates nothing: the chain waits in a preallocated
-   bus-job slot and one continuation completes every job.  10,000 posts
-   of a test-owned header+payload chain, run to completion, average
-   under one word each. *)
+(* A chain post allocates nothing: the chain waits in a bus job the
+   engine preallocated, and one completion function finishes every job.
+   10,000 posts of a test-owned header+payload chain, run to completion,
+   average under one word each. *)
 let test_tx_alloc_budget () =
   let n = 10_000 and payload_len = 1024 in
   let pair = make_pair () in
@@ -562,10 +562,10 @@ let test_tx_alloc_budget () =
 
 (* A received frame, from [Cab.deliver] through the interrupt burst to a
    handler that frees it, allocates its packet record and its rx event
-   and nothing else: the auto-DMA engine's queued jobs live in a ring,
-   one continuation raises every event, the channel is read in place,
-   and pending events wait in a ring until the burst hands them over in
-   a reused array.  A round stays within one buffer-pool size class, so
+   and nothing else: the auto-DMA engine's queued jobs are records it
+   preallocated, one completion function raises every event, the channel
+   is read in place, and pending events wait in a ring until the burst
+   hands them over in a reused array.  A round stays within one buffer-pool size class, so
    every frame and packet buffer is recycled; per frame, the words are
    compared to the word, since the run loop's few words per [Sim.run]
    call spread over the round. *)
@@ -603,7 +603,7 @@ let test_rx_alloc_budget () =
     (Float.round (w.submit +. w.drain) <= budget)
 
 (* One chain stalls in the middle of back-to-back chains on different
-   packets.  A stalled post pushes no bus job, so every other chain still
+   packets.  A stalled post queues no bus job, so every other chain still
    completes with its own packet, in post order; the watchdog's recovery
    (reclaim with [clear_stall], post again) completes the stalled one,
    and every packet goes to the media exactly once. *)

@@ -269,17 +269,25 @@ let test_cpu_ring_order () =
     (Cpu.site_charged cpu Cpu.Other);
   check_int "sites_total = busy" busy (Cpu.sites_total cpu)
 
+(* A resource's job record for these tests: an id, and a payload the
+   completion must let go of. *)
+type job = { mutable id : int; mutable payload : Bytes.t }
+
+let blank_job () = { id = 0; payload = Bytes.empty }
+
 (* 100 holds queue behind the first and 30 more are taken from inside
-   continuations: FIFO through growth and wrap-around. *)
+   the completion: FIFO through growth and wrap-around, each completion
+   handed its own job. *)
 let test_resource_ring_order () =
   let sim = Sim.create () in
-  let r = Resource.create ~sim ~name:"link" in
+  let r = Resource.create ~sim blank_job in
   let log = ref [] in
+  Resource.set_finished r (fun j ->
+      let i = j.id in
+      log := i :: !log;
+      if i < 30 then (Resource.acquire r 2).id <- 1000 + i);
   for i = 0 to 99 do
-    Resource.acquire r (1 + (i mod 5)) (fun () ->
-        log := i :: !log;
-        if i < 30 then
-          Resource.acquire r 2 (fun () -> log := (1000 + i) :: !log))
+    (Resource.acquire r (1 + (i mod 5))).id <- i
   done;
   Sim.run sim;
   Alcotest.(check (list int))
@@ -292,55 +300,101 @@ let test_resource_ring_order () =
   check_int "back to back" held (Sim.now sim);
   check_bool "released" false (Resource.busy r)
 
-(* Builds the continuation in its own frame, so only the queue can keep
-   [payload] alive once the submission returns. *)
+(* Builds the payload in its own frame, so only the queue can keep it
+   alive once the submission returns. *)
 let[@inline never] submit_tracked submit w =
   let payload = Bytes.create 16 in
   Weak.set w 0 (Some payload);
-  submit (fun () -> ignore (Sys.opaque_identity (Bytes.length payload)))
+  submit payload
 
 let test_ring_drops_continuations () =
   let sim = Sim.create () in
   let cpu = Cpu.create ~sim ~name:"weak" in
-  let res = Resource.create ~sim ~name:"weak-link" in
+  let res = Resource.create ~sim blank_job in
+  Resource.set_finished res (fun j ->
+      ignore (Sys.opaque_identity (Bytes.length j.payload));
+      j.payload <- Bytes.empty);
   let wc = Weak.create 1 and wr = Weak.create 1 in
   Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 100 ignore;
-  submit_tracked (fun k -> Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 1 k) wc;
-  Resource.acquire res 100 ignore;
-  submit_tracked (fun k -> Resource.acquire res 1 k) wr;
+  submit_tracked
+    (fun p ->
+      Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 1 (fun () ->
+          ignore (Sys.opaque_identity (Bytes.length p))))
+    wc;
+  ignore (Resource.acquire res 100);
+  submit_tracked (fun p -> (Resource.acquire res 1).payload <- p) wr;
   check_bool "cpu continuation queued" true (Weak.check wc 0);
+  check_bool "resource job queued" true (Weak.check wr 0);
   Sim.run sim;
   Gc.full_major ();
   check_bool "cpu continuation released" false (Weak.check wc 0);
-  check_bool "resource continuation released" false (Weak.check wr 0);
+  check_bool "resource job payload released" false (Weak.check wr 0);
   (* Both queues stay live across the collection. *)
   check_int "cpu busy" 101 (Cpu.busy cpu);
   check_int "resource held" 101 (Resource.busy_time res)
 
-(* Queueing work allocates nothing but the caller's continuation: with
-   one preallocated continuation, 10,000 CPU submissions and 10,000
-   resource holds into warmed-up rings average under one word each. *)
+(* Queueing work allocates nothing: with one preallocated continuation,
+   10,000 CPU submissions into a warmed-up ring average under one word
+   each, and 10,000 resource holds, each filling its job record in
+   place, take 0 words. *)
 let test_ring_alloc_budget () =
   let n = 10_000 in
   let sim = Sim.create () in
   let cpu = Cpu.create ~sim ~name:"budget" in
-  let res = Resource.create ~sim ~name:"budget-link" in
+  let res = Resource.create ~sim blank_job in
   let count = ref 0 in
   let k () = incr count in
-  let { Alloc_budget.submit = words; _ } =
-    Alloc_budget.measure n
-      ~submit:(fun i ->
-        (* A long first item keeps both busy, so the loop only queues. *)
-        let d = if i = 1 then 1_000 else 1 in
-        Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys d k;
-        Resource.acquire res d k)
-      ~drain:(fun () -> Sim.run sim)
+  Resource.set_finished res (fun _ -> incr count);
+  (* A long first item keeps each busy, so the loop only queues. *)
+  let d i = if i = 1 then 1_000 else 1 in
+  let drain () = Sim.run sim in
+  let cpu_words =
+    (Alloc_budget.measure n ~drain ~submit:(fun i ->
+         Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys (d i) k))
+      .Alloc_budget.submit
+  in
+  let hold_words =
+    (Alloc_budget.measure n ~drain ~submit:(fun i ->
+         (Resource.acquire res (d i)).id <- i))
+      .Alloc_budget.submit
   in
   check_int "every item completed" (4 * n) !count;
   check_bool
-    (Printf.sprintf "%.2f words per CPU item + resource hold" words)
-    true
-    (words /. 2. < 1.)
+    (Printf.sprintf "%.2f words per CPU item" cpu_words)
+    true (cpu_words < 1.);
+  Alcotest.(check (float 0.)) "words per resource hold" 0. hold_words
+
+(* Values pushed with non-decreasing due times, ties included, arrive in
+   push order at their due times through ring growth; a push made from
+   inside a delivery joins the tail.  Once the ring has grown, a push
+   allocates nothing: 10,000 pushes 1 us apart (so the one that arms the
+   timer lands on the wheel, which schedules without allocating) take
+   0 words. *)
+let test_delay_line () =
+  let sim = Sim.create () in
+  let l = Delay_line.create ~sim ~empty:(-1) in
+  let log = ref [] in
+  Delay_line.set_deliver l (fun v ->
+      log := (Sim.now sim, v) :: !log;
+      if v = 7 then Delay_line.push l (Simtime.add (Sim.now sim) 1_000) 100);
+  for i = 0 to 39 do
+    Delay_line.push l (10 * (i / 2)) i
+  done;
+  Sim.run sim;
+  Alcotest.(check (list (pair int int)))
+    "fifo at the due times"
+    (List.init 40 (fun i -> (10 * (i / 2), i)) @ [ (1_030, 100) ])
+    (List.rev !log);
+  let n = 10_000 and got = ref 0 in
+  Delay_line.set_deliver l (fun _ -> incr got);
+  let w =
+    Alloc_budget.measure n
+      ~submit:(fun i ->
+        Delay_line.push l (Simtime.add (Sim.now sim) (1_000 * i)) i)
+      ~drain:(fun () -> Sim.run sim)
+  in
+  check_int "every value delivered" (2 * n) !got;
+  Alcotest.(check (float 0.)) "words per push" 0. w.submit
 
 (* The run loop allocates nothing per instant.  Under [~wheel:false]
    every deadline is a heap entry, and a reusable timer that re-arms
@@ -435,6 +489,8 @@ let () =
           Alcotest.test_case "allocation budget" `Quick test_ring_alloc_budget;
           Alcotest.test_case "heap drain allocation budget" `Quick
             test_heap_drain_alloc_budget;
+          Alcotest.test_case "delay line fifo and budget" `Quick
+            test_delay_line;
         ] );
       ( "rng+stats",
         [

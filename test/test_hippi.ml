@@ -133,9 +133,9 @@ let prop_switch_conserves_frames =
       in
       run Hippi_switch.Fifo && run Hippi_switch.Logical_channels)
 
-(* A frame's trip over the link allocates nothing: the serializer queue
-   and the delay line are rings of preallocated slots, each drained by
-   one preallocated continuation.  10,000 sends of a test-owned frame,
+(* A frame's trip over the link allocates nothing: the serializer owns
+   preallocated job records and the delay line preallocated slots, each
+   finished by one function installed at creation.  10,000 sends of a test-owned frame,
    through to the receiver, average under one word each.  The frame is
    large enough that every deadline lands on the timer wheel, which
    schedules without allocating. *)
