@@ -3,7 +3,6 @@ type sink = {
   mutable chains : int;
   mutable converted_in : int;
   mutable saw_descriptor : bool;
-  mutable out_of_order : bool;
   mutable eof : bool;
 }
 
@@ -14,7 +13,6 @@ let sink_on ~stack ~port =
       chains = 0;
       converted_in = 0;
       saw_descriptor = false;
-      out_of_order = false;
       eof = false;
     }
   in

@@ -4,10 +4,7 @@
     directly, exchanging mbuf chains — an API with share semantics, so
     over the CAB they get single-copy behaviour automatically on transmit.
     On receive they must never see M_WCAB mbufs: the §5 conversion
-    ({!Interop.wcab_to_regular}) runs at the delivery boundary.
-
-    The sink also reports whether chains were delivered in order, the
-    §5 packet-reordering concern. *)
+    ({!Interop.wcab_to_regular}) runs at the delivery boundary. *)
 
 type sink = {
   mutable received : int;  (** bytes consumed *)
@@ -15,7 +12,6 @@ type sink = {
   mutable converted_in : int;  (** chains that needed WCAB conversion *)
   mutable saw_descriptor : bool;
       (** true if a WCAB/UIO mbuf leaked through the conversion *)
-  mutable out_of_order : bool;
   mutable eof : bool;
 }
 

@@ -19,7 +19,7 @@ type t = {
   latency : Simtime.t;
   discipline : mac;
   inputs : input array;
-  mutable out_busy : bool array;
+  out_busy : bool array;
   out_busy_time : Simtime.t array;
   rx : (Bytes.t -> unit) array;
   (* Per-output-port delay line for the crossbar→station latency hop;

@@ -63,8 +63,8 @@ let in_intr_on t ~shard ?(site = Cpu.Intr) ?(csum = 0) cost k =
         k ();
         t.cur_shard <- prev)
 
-let in_proc t ~proc ?mode ?site ?csum cost k =
-  in_proc_on t ~shard:t.cur_shard ~proc ?mode ?site ?csum cost k
+let in_proc t ~proc ?site ?csum cost k =
+  in_proc_on t ~shard:t.cur_shard ~proc ?site ?csum cost k
 
 let in_intr t ?site ?csum cost k =
   in_intr_on t ~shard:t.cur_shard ?site ?csum cost k

@@ -42,14 +42,13 @@ val shards : t -> Shard.t array
 val in_proc :
   t ->
   proc:string ->
-  ?mode:Cpu.mode ->
   ?site:Cpu.site ->
   ?csum:Simtime.t ->
   Simtime.t ->
   (unit -> unit) ->
   unit
-(** Charge CPU time to a process bucket, then continue.  [mode] defaults
-    to [Sys] (protocol work).  Runs on the current shard's CPU.
+(** Charge CPU time to a process bucket in [Sys] mode (protocol work),
+    then continue.  Runs on the current shard's CPU.
     [?site]/[?csum] attribute the cycles for the profiler (see
     {!Cpu.execute}). *)
 

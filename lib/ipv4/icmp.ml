@@ -11,8 +11,8 @@ type stats = {
 type t = {
   ip : Ipv4.t;
   host : Host.t;
-  mutable pending : (int * int * Simtime.t * (seq:int -> rtt:Simtime.t -> unit)) list;
-      (* (ident, seq, sent_at, callback) *)
+  mutable pending : (int * Simtime.t * (seq:int -> rtt:Simtime.t -> unit)) list;
+      (* (seq, sent_at, callback) *)
   mutable next_seq : int;
   mutable on_error :
     (kind:[ `Unreachable | `Time_exceeded ] -> src:Inaddr.t -> unit) option;
@@ -58,7 +58,10 @@ let send t ~dst ~typ ~code ~word ~payload =
       | Ok _ -> ()
       | Error _ -> ())
 
-let ping t ~dst ?(size = 56) ?(ident = 0x1234) ~on_reply () =
+(* The echo identifier every request carries. *)
+let ident = 0x1234
+
+let ping t ~dst ?(size = 56) ~on_reply () =
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
   let payload = Bytes.create size in
@@ -66,7 +69,7 @@ let ping t ~dst ?(size = 56) ?(ident = 0x1234) ~on_reply () =
     Bytes.set_uint8 payload i (i land 0xff)
   done;
   t.pending <-
-    (ident, seq, Sim.now t.host.Host.sim, on_reply) :: t.pending;
+    (seq, Sim.now t.host.Host.sim, on_reply) :: t.pending;
   send t ~dst ~typ:type_echo_request ~code:0
     ~word:((ident lsl 16) lor (seq land 0xffff))
     ~payload
@@ -104,11 +107,11 @@ let input t ~src ~dst:_ m =
         end
         else if typ = type_echo_reply then begin
           t.s.echo_replies_rcvd <- t.s.echo_replies_rcvd + 1;
-          let ident = word lsr 16 and seq = word land 0xffff in
+          let seq = word land 0xffff in
           let rec pick acc = function
             | [] -> (None, List.rev acc)
-            | (i, s', t0, cb) :: rest when i = ident && s' land 0xffff = seq
-              ->
+            | (s', t0, cb) :: rest
+              when word lsr 16 = ident && s' land 0xffff = seq ->
                 (Some (s', t0, cb), List.rev_append acc rest)
             | e :: rest -> pick (e :: acc) rest
           in

@@ -27,7 +27,6 @@ val ping :
   t ->
   dst:Inaddr.t ->
   ?size:int ->
-  ?ident:int ->
   on_reply:(seq:int -> rtt:Simtime.t -> unit) ->
   unit ->
   unit

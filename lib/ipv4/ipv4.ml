@@ -37,7 +37,7 @@ type t = {
 }
 
 (* Steady-state flow memo: a connection's packets repeat the same
-   (src, dst, proto, tos, ttl), so the header prototype (total_len,
+   (src, dst, proto, ttl), so the header prototype (total_len,
    ident, flags and checksum fields zero) and its checksum base are
    cached — per packet the header cost is two 16-bit patches and an
    incremental [finish (base + len + ident)] instead of a fresh encode
@@ -46,7 +46,6 @@ and hdr_memo = {
   p_src : Inaddr.t;
   p_dst : Inaddr.t;
   p_proto : int;
-  p_tos : int;
   p_ttl : int;
   p_tpl : Bytes.t;
   p_base : Inet_csum.sum;
@@ -80,17 +79,17 @@ let create ~host =
     rx_dst = ref Inaddr.any;
   }
 
-let hdr_template t ~src ~dst ~proto ~tos ~ttl =
+let hdr_template t ~src ~dst ~proto ~ttl =
   match t.hdr_memo with
   | Some m
     when Inaddr.equal m.p_src src && Inaddr.equal m.p_dst dst
-         && m.p_proto = proto && m.p_tos = tos && m.p_ttl = ttl ->
+         && m.p_proto = proto && m.p_ttl = ttl ->
       m
   | Some _ | None ->
       let tpl = Bytes.make Ipv4_header.size '\000' in
       Bytes.set_uint8 tpl 0 0x45 (* version 4, ihl 5 *);
-      Bytes.set_uint8 tpl 1 tos;
-      (* total_len (2), ident (4), flags (6), checksum (10) stay zero *)
+      (* tos (1), total_len (2), ident (4), flags (6), checksum (10) stay
+         zero *)
       Bytes.set_uint8 tpl 8 ttl;
       Bytes.set_uint8 tpl 9 proto;
       Bytes.set_int32_be tpl 12 src;
@@ -100,7 +99,6 @@ let hdr_template t ~src ~dst ~proto ~tos ~ttl =
           p_src = src;
           p_dst = dst;
           p_proto = proto;
-          p_tos = tos;
           p_ttl = ttl;
           p_tpl = tpl;
           p_base = Inet_csum.of_bytes tpl;
@@ -144,11 +142,11 @@ let next_ident t =
 
 (* One fragment of a datagram too large for [iface]: a fresh header
    encode (the flow memo covers only unfragmented packets). *)
-let output_fragment t iface ~next_hop ~proto ~src ~dst ~tos ~ttl ~ident
+let output_fragment t iface ~next_hop ~proto ~src ~dst ~ttl ~ident
     ~frag_offset ~more_fragments piece =
   let hdr =
     {
-      (Ipv4_header.make ~tos ~ident ~ttl ~proto ~src ~dst
+      (Ipv4_header.make ~ident ~ttl ~proto ~src ~dst
          ~total_len:(Ipv4_header.size + Mbuf.pkt_len piece)
          ())
       with
@@ -163,7 +161,7 @@ let output_fragment t iface ~next_hop ~proto ~src ~dst ~tos ~ttl ~ident
   t.s.sent <- t.s.sent + 1;
   iface.Netif.output iface pkt ~next_hop
 
-let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
+let output t ~proto ?src ~dst ?(ttl = 64) seg =
   match Routing.lookup t.routing dst with
   | None ->
       t.s.dropped_no_route <- t.s.dropped_no_route + 1;
@@ -187,7 +185,7 @@ let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
         (* Unfragmented packet: flags field is zero, so the cached
            prototype needs only total_len, ident and the incrementally
            derived header checksum patched in. *)
-        let memo = hdr_template t ~src ~dst ~proto ~tos ~ttl in
+        let memo = hdr_template t ~src ~dst ~proto ~ttl in
         let hbytes = memo.p_tpl in
         Bytes.set_uint16_be hbytes 2 total_len;
         Bytes.set_uint16_be hbytes 4 ident;
@@ -223,7 +221,7 @@ let output t ~proto ?src ~dst ?(tos = 0) ?(ttl = 64) seg =
               let len = min per (seg_len - off) in
               let piece = Mbuf.copy_range seg ~off ~len in
               t.s.fragments_sent <- t.s.fragments_sent + 1;
-              output_fragment t iface ~next_hop ~proto ~src ~dst ~tos ~ttl
+              output_fragment t iface ~next_hop ~proto ~src ~dst ~ttl
                 ~ident ~frag_offset:(off / 8)
                 ~more_fragments:(off + len < seg_len)
                 piece;

@@ -40,7 +40,6 @@ val output :
   proto:int ->
   ?src:Inaddr.t ->
   dst:Inaddr.t ->
-  ?tos:int ->
   ?ttl:int ->
   Mbuf.t ->
   (Netif.t, string) result

@@ -34,7 +34,7 @@ type wcab_desc = {
   wcab_id : int;
   wcab_bytes : Bytes.t;
   wcab_base : int;
-  mutable wcab_valid : int;
+  wcab_valid : int;
   wcab_body_sum : Inet_csum.sum;
   wcab_free : unit -> unit;
   wcab_refs : int ref;

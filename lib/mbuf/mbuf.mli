@@ -57,7 +57,7 @@ type wcab_desc = {
   wcab_id : int;
   wcab_bytes : Bytes.t;
   wcab_base : int;  (** offset of this mbuf's first byte in [wcab_bytes] *)
-  mutable wcab_valid : int;  (** §4.2: how much outboard data is valid *)
+  wcab_valid : int;  (** §4.2: how much outboard data is valid *)
   wcab_body_sum : Inet_csum.sum;  (** engine sum saved with the packet *)
   wcab_free : unit -> unit;
   wcab_refs : int ref;

@@ -49,9 +49,9 @@ let options_size options =
 
 let size t = base_size + options_size t.options
 
-let make ?(flags = []) ?(window = 0) ?(urgent = 0) ?(options = []) ~src_port
-    ~dst_port ~seq ~ack () =
-  { src_port; dst_port; seq; ack; flags; window; urgent; options }
+let make ?(flags = []) ?(window = 0) ?(options = []) ~src_port ~dst_port ~seq
+    ~ack () =
+  { src_port; dst_port; seq; ack; flags; window; urgent = 0; options }
 
 let encode t ~csum buf ~off =
   let hdr_size = size t in

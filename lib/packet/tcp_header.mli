@@ -45,7 +45,6 @@ val flag_bits : flag list -> int
 val make :
   ?flags:flag list ->
   ?window:int ->
-  ?urgent:int ->
   ?options:option_ list ->
   src_port:int ->
   dst_port:int ->

@@ -297,7 +297,6 @@ and half_open = {
   ho_raddr : Inaddr.t;
   ho_lport : int;
   ho_rport : int;
-  ho_flow_hash : int;
   ho_shard : int;
   ho_iss : Tcp_seq.t;
   ho_irs : Tcp_seq.t;
@@ -314,7 +313,7 @@ and listener = {
   l_port : int;
   l_rst_on_full : bool;  (* RST (vs silently drop) on accept overflow *)
   l_cookies : bool;  (* stateless fallback when the SYN queue saturates *)
-  mutable l_on_accept : (pcb -> unit) option;
+  l_on_accept : (pcb -> unit) option;
       (* auto-accept callback (the legacy [listen] API); [None] means
          completed connections queue for [accept] *)
   mutable l_on_acceptable : unit -> unit;
@@ -418,12 +417,31 @@ let build_seg hbytes hdr_len (payload : Mbuf.t option) =
       head
   | None -> Mbuf.of_bytes ~pkthdr:true ~len:hdr_len hbytes
 
-let ip_send pcb seg =
-  match
-    Ipv4.output pcb.tcp.ip ~proto:Ipv4_header.proto_tcp ~src:pcb.local_addr
-      ~dst:pcb.raddr seg
-  with
+(* A header carrying options, encoded with its checksum field zero. *)
+let encode_header ~hdr_len ~flags ~window ~options ~src_port ~dst_port ~seq
+    ~ack =
+  let b = Bytes.create hdr_len in
+  Tcp_header.encode
+    (Tcp_header.make ~flags ~window ~options ~src_port ~dst_port ~seq ~ack ())
+    ~csum:0 b ~off:0;
+  b
+
+(* The host checksum: seed [pseudo] (pseudo-header plus segment length),
+   the header bytes and the payload's sum, stored in the header. *)
+let set_host_csum hbytes hdr_len ~pseudo payload_sum =
+  let hdr_sum = Inet_csum.of_bytes ~len:hdr_len hbytes in
+  let total =
+    Inet_csum.add pseudo
+      (Inet_csum.concat ~first_len:hdr_len hdr_sum payload_sum)
+  in
+  Bytes.set_uint16_be hbytes Tcp_header.csum_field_offset
+    (Inet_csum.finish total)
+
+let ip_output tcp ~src ~dst seg =
+  match Ipv4.output tcp.ip ~proto:Ipv4_header.proto_tcp ~src ~dst seg with
   | Ok _ | Error _ -> ()
+
+let ip_send pcb seg = ip_output pcb.tcp ~src:pcb.local_addr ~dst:pcb.raddr seg
 
 let send_segment pcb seg ~payload_len ~csum_cost =
   pcb.stats.segs_sent <- pcb.stats.segs_sent + 1;
@@ -470,16 +488,9 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
           Bytes.set_uint16_be b 16 0;
           b
         end
-        else begin
-          let hdr =
-            Tcp_header.make ~flags ~window:(window_field pcb) ~options
-              ~src_port:pcb.lport ~dst_port:pcb.rport ~seq ~ack:pcb.rcv_nxt
-              ()
-          in
-          let b = Bytes.create hdr_len in
-          Tcp_header.encode hdr ~csum:0 b ~off:0;
-          b
-        end
+        else
+          encode_header ~hdr_len ~flags ~window:(window_field pcb) ~options
+            ~src_port:pcb.lport ~dst_port:pcb.rport ~seq ~ack:pcb.rcv_nxt
       in
       (* Incremental seed: cached pseudo-header base plus this segment's
          length word. *)
@@ -527,13 +538,7 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
               ~locality:(Memcost.Working_set pcb.ws_hint_tx)
               payload_len
           in
-          let hdr_sum = Inet_csum.of_bytes ~len:hdr_len hbytes in
-          let total =
-            Inet_csum.add pseudo
-              (Inet_csum.concat ~first_len:hdr_len hdr_sum payload_sum)
-          in
-          Bytes.set_uint16_be hbytes Tcp_header.csum_field_offset
-            (Inet_csum.finish total);
+          set_host_csum hbytes hdr_len ~pseudo payload_sum;
           let seg = build_seg hbytes hdr_len payload in
           send_segment pcb seg ~payload_len ~csum_cost
 
@@ -947,6 +952,18 @@ let verify_checksum pcb seg =
   else s.csum_host_verified_rx <- s.csum_host_verified_rx + 1;
   v
 
+(* A received segment's interrupt charge, for a pcb and a handshake
+   alike: the per-packet cost (an ACK's when there is no payload) plus
+   the host checksum of verdict [v], then [k]. *)
+let charge_rx tcp ~shard ~payload_len v k =
+  let csum_cost = csum_cost_of v in
+  let base_cost =
+    if payload_len > 0 then Memcost.per_packet tcp.hst.Host.profile
+    else Memcost.ack tcp.hst.Host.profile
+  in
+  Host.in_intr_on tcp.hst ~shard ~site:Cpu.Header ~csum:csum_cost
+    (base_cost + csum_cost) k
+
 (* ---------- ack policy on data receipt ---------- *)
 
 let schedule_ack pcb =
@@ -1088,16 +1105,42 @@ let update_send_window pcb (hdr : Tcp_header.t) seg_seq =
     if opened then pump pcb ~intr:true
   end
 
-let apply_syn_options pcb (hdr : Tcp_header.t) =
-  List.iter
-    (fun o ->
-      match o with
-      | Tcp_header.Mss m -> pcb.mss_val <- min pcb.mss_val m
-      | Tcp_header.Window_scale s ->
-          pcb.snd_wscale <- s;
-          pcb.rcv_wscale <- wanted_wscale pcb.tcp.cfg
-      | Tcp_header.Rx_cost _ -> ())
-    hdr.Tcp_header.options
+(* The peer's SYN options, folded without allocating: the smallest MSS
+   offered (at most [mss]) and the last window shift offered ([w] when
+   none). *)
+let rec syn_mss mss = function
+  | [] -> mss
+  | Tcp_header.Mss m :: rest -> syn_mss (min mss m) rest
+  | (Tcp_header.Window_scale _ | Tcp_header.Rx_cost _) :: rest ->
+      syn_mss mss rest
+
+let rec syn_wscale w = function
+  | [] -> w
+  | Tcp_header.Window_scale s :: rest -> syn_wscale s rest
+  | (Tcp_header.Mss _ | Tcp_header.Rx_cost _) :: rest -> syn_wscale w rest
+
+(* The one transition into ESTABLISHED, for the active open's SYN-ACK and
+   the listener's promotion alike: the peer's ISN, its folded MSS and
+   window shift ([wscale] -1 = not offered), the send window from the
+   segment that completed the handshake, and the setup sample. *)
+let handshake_done pcb ~irs ~mss ~wscale (hdr : Tcp_header.t) =
+  pcb.irs <- irs;
+  pcb.rcv_nxt <- Tcp_seq.add irs 1;
+  pcb.mss_val <- min pcb.mss_val mss;
+  if wscale >= 0 then begin
+    pcb.snd_wscale <- wscale;
+    pcb.rcv_wscale <- wanted_wscale pcb.tcp.cfg
+  end;
+  pcb.snd_una <- hdr.Tcp_header.ack;
+  (* An RTO may have rewound snd_nxt below the ack (go-back-N rewind
+     raced the in-flight handshake reply). *)
+  if Tcp_seq.lt pcb.snd_nxt pcb.snd_una then pcb.snd_nxt <- pcb.snd_una;
+  pcb.snd_max <- Tcp_seq.max pcb.snd_max pcb.snd_nxt;
+  pcb.snd_wnd <- hdr.Tcp_header.window lsl pcb.snd_wscale;
+  pcb.snd_wl1 <- hdr.Tcp_header.seq;
+  pcb.snd_wl2 <- hdr.Tcp_header.ack;
+  pcb.st <- Established;
+  observe_conn_setup pcb
 
 let apply_rx_cost_options pcb (hdr : Tcp_header.t) =
   match hdr.Tcp_header.options with
@@ -1180,19 +1223,9 @@ let segment_arrived pcb (hdr : Tcp_header.t) chain =
     match pcb.st with
     | Syn_sent ->
         if has Tcp_header.SYN && has Tcp_header.ACK then begin
-          pcb.irs <- seq;
-          pcb.rcv_nxt <- Tcp_seq.add seq 1;
-          apply_syn_options pcb hdr;
-          pcb.snd_una <- hdr.Tcp_header.ack;
-          (* An RTO may have rewound snd_nxt below the ack (go-back-N
-             rewind raced the in-flight handshake reply). *)
-          if Tcp_seq.lt pcb.snd_nxt pcb.snd_una then
-            pcb.snd_nxt <- pcb.snd_una;
-          pcb.snd_wnd <- hdr.Tcp_header.window lsl pcb.snd_wscale;
-          pcb.snd_wl1 <- seq;
-          pcb.snd_wl2 <- hdr.Tcp_header.ack;
-          pcb.st <- Established;
-          observe_conn_setup pcb;
+          let opts = hdr.Tcp_header.options in
+          handshake_done pcb ~irs:seq ~mss:(syn_mss max_int opts)
+            ~wscale:(syn_wscale (-1) opts) hdr;
           cancel_rexmt pcb;
           keepalive_touch pcb;
           Mbuf.free chain;
@@ -1381,33 +1414,20 @@ let lookup tcp ~lport ~raddr ~rport =
 
 (* Emit a control segment for a connection that has no pcb: the
    listener's SYN-ACK (half-open admission, cookie fallback) and the RST
-   on accept-queue overflow.  Host-checksummed with the same arithmetic
-   as [emit]'s control path, so these segments are byte-identical to
-   ones a pcb in the same sequence state would emit. *)
+   on accept-queue overflow.  Host-checksummed by [emit]'s own helpers,
+   so these segments are byte-identical to ones a pcb in the same
+   sequence state would emit. *)
 let emit_raw tcp ~laddr ~raddr ~lport ~rport ~seq ~ack ~flags ~options
     ~window =
   let hdr_len = Tcp_header.base_size + Tcp_header.options_size options in
-  let hdr =
-    Tcp_header.make ~flags ~window ~options ~src_port:lport ~dst_port:rport
-      ~seq ~ack ()
+  let hbytes =
+    encode_header ~hdr_len ~flags ~window ~options ~src_port:lport
+      ~dst_port:rport ~seq ~ack
   in
-  let hbytes = Bytes.create hdr_len in
-  Tcp_header.encode hdr ~csum:0 hbytes ~off:0;
-  let pseudo = Inet_csum.add_u16 (pseudo_base ~laddr ~raddr) hdr_len in
-  let hdr_sum = Inet_csum.of_bytes ~len:hdr_len hbytes in
-  let total =
-    Inet_csum.add pseudo
-      (Inet_csum.concat ~first_len:hdr_len hdr_sum Inet_csum.zero)
-  in
-  Bytes.set_uint16_be hbytes Tcp_header.csum_field_offset
-    (Inet_csum.finish total);
-  let seg = Mbuf.of_bytes ~pkthdr:true ~len:hdr_len hbytes in
-  match
-    Ipv4.output tcp.ip ~proto:Ipv4_header.proto_tcp ~src:laddr ~dst:raddr
-      seg
-  with
-  | Ok _ -> ()
-  | Error _ -> ()
+  set_host_csum hbytes hdr_len
+    ~pseudo:(Inet_csum.add_u16 (pseudo_base ~laddr ~raddr) hdr_len)
+    Inet_csum.zero;
+  ip_output tcp ~src:laddr ~dst:raddr (build_seg hbytes hdr_len None)
 
 (* The window a fresh SYN-ACK advertises: the full receive buffer,
    scaled only when the peer offered window scaling (exactly what
@@ -1446,17 +1466,42 @@ let cookie_validate tcp ~raddr ~lport ~rport ~irs ~iss =
 
 (* ---------- connection plane: SYN queue + promotion ---------- *)
 
-let send_synack tcp _l ho =
-  let opts =
-    [ Tcp_header.Mss ho.ho_mss;
-      Tcp_header.Window_scale (wanted_wscale tcp.cfg) ]
-  in
+(* The one constructor of a half-open: a queued SYN, a forged flood SYN,
+   or a cookie rebuilt from its handshake ACK ([created] -1: no SYN
+   timestamp survives a cookie, and it never holds a SYN slot). *)
+let half_open ~laddr ~raddr ~lport ~rport ~shard ~iss ~irs ~mss ~wscale
+    ~created ~forged =
+  {
+    ho_laddr = laddr;
+    ho_raddr = raddr;
+    ho_lport = lport;
+    ho_rport = rport;
+    ho_shard = shard;
+    ho_iss = iss;
+    ho_irs = irs;
+    ho_mss = mss;
+    ho_wscale = wscale;
+    ho_created = created;
+    ho_deadline = created + rto_init;
+    ho_rexmits = 0;
+    ho_forged = forged;
+  }
+
+let send_synack tcp ho =
   emit_raw tcp ~laddr:ho.ho_laddr ~raddr:ho.ho_raddr ~lport:ho.ho_lport
     ~rport:ho.ho_rport ~seq:ho.ho_iss
     ~ack:(Tcp_seq.add ho.ho_irs 1)
     ~flags:[ Tcp_header.SYN; Tcp_header.ACK ]
-    ~options:opts
+    ~options:
+      [ Tcp_header.Mss ho.ho_mss;
+        Tcp_header.Window_scale (wanted_wscale tcp.cfg) ]
     ~window:(synack_window tcp.cfg ~wscale_on:(ho.ho_wscale >= 0))
+
+(* Every SYN-ACK a half-open sends (on admission, to a duplicate SYN, on
+   a reaper retransmit) is one ACK-cost interrupt on its shard. *)
+let charge_synack tcp ~site ho =
+  Host.in_intr_on tcp.hst ~shard:ho.ho_shard ~site
+    (Memcost.ack tcp.hst.Host.profile) (fun () -> send_synack tcp ho)
 
 (* The half-open reaper: one timer per listener, armed only while its
    SYN table is non-empty (a clean handshake stops it before it ever
@@ -1501,14 +1546,22 @@ let reaper_fire tcp l =
           ho.ho_deadline <- now + (rto_init * (1 lsl ho.ho_rexmits));
           Obs.Counter.incr conn_synack_rexmits;
           Obs.Counter.incr agg_retransmits;
-          Host.in_intr_on tcp.hst ~shard:ho.ho_shard ~site:Cpu.Timer
-            (Memcost.ack tcp.hst.Host.profile) (fun () ->
-              send_synack tcp l ho)
+          charge_synack tcp ~site:Cpu.Timer ho
         end)
       !expired;
     if Listenq.syn_count l.l_q > 0 then
       Sim.rearm tcp.hst.Host.sim l.l_reaper reaper_tick
   end
+
+(* The one admission of a half-open: its SYN slot, the reaper, and the
+   SYN-ACK. *)
+let admit tcp l ho =
+  ignore
+    (Listenq.syn_add l.l_q (half_open_key ~raddr:ho.ho_raddr ~rport:ho.ho_rport)
+       ho
+      : bool);
+  arm_reaper tcp l;
+  charge_synack tcp ~site:Cpu.Header ho
 
 (* The synflood fault site fired: ride [n] forged SYNs on spoofed
    tuples into the listener ahead of the real one.  The server cannot
@@ -1528,110 +1581,78 @@ let inject_forged_syns tcp l ~laddr n =
        and a colliding tuple would corrupt one of its live outbound
        connections — a real flood's SYN-ACKs go to third parties. *)
     let rport = 1024 + Rng.int tcp.flood_rng 8900 in
-    let flow_hash = Flow_hash.hash ~raddr ~lport:l.l_port ~rport in
-    let shard = Flow_hash.shard ~count:tcp.shard_count flow_hash in
+    let shard =
+      Flow_hash.shard ~count:tcp.shard_count
+        (Flow_hash.hash ~raddr ~lport:l.l_port ~rport)
+    in
     Obs.Counter.incr conn_syn_rcvd;
     if Listenq.syn_full l.l_q then begin
       tcp.penalty.(shard) <- Float.min 8. (tcp.penalty.(shard) *. 2.);
       Obs.Counter.incr conn_syn_drop_full
     end
     else begin
-      let ho =
-        {
-          ho_laddr = laddr;
-          ho_raddr = raddr;
-          ho_lport = l.l_port;
-          ho_rport = rport;
-          ho_flow_hash = flow_hash;
-          ho_shard = shard;
-          ho_iss = Tcp_seq.norm (Rng.int tcp.flood_rng 0x40000000);
-          ho_irs = 0;
-          ho_mss = 536;
-          ho_wscale = -1;
-          ho_created = now;
-          ho_deadline = now + rto_init;
-          ho_rexmits = 0;
-          ho_forged = true;
-        }
-      in
-      ignore (Listenq.syn_add l.l_q (half_open_key ~raddr ~rport) ho : bool);
       Obs.Counter.incr conn_flood_injected;
-      arm_reaper tcp l;
-      Host.in_intr_on tcp.hst ~shard ~site:Cpu.Header
-        (Memcost.ack tcp.hst.Host.profile)
-        (fun () -> send_synack tcp l ho)
+      admit tcp l
+        (half_open ~laddr ~raddr ~lport:l.l_port ~rport ~shard
+           ~iss:(Tcp_seq.norm (Rng.int tcp.flood_rng 0x40000000))
+           ~irs:0 ~mss:536 ~wscale:(-1) ~created:now ~forged:true)
     end
   done
 
 (* Promote a completed handshake into a full pcb — the only moment the
    listener allocates connection state, so a server pcb is never in a
-   handshake state.  Option folding matches [apply_syn_options],
-   window/una/nxt come from the handshake ACK, and the acceptor is
-   notified before the ACK's payload is processed.  [rexmits]/[verified_hw] reconstruct the
-   stats the pcb would have accumulated had it existed since the SYN.
-   [created] is the SYN's arrival time, or -1 when no SYN timestamp
-   survives (a cookie): then no setup latency is observed. *)
-let establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport ~iss ~irs ~mss
-    ~wscale ~created ~rexmits ~verified_hw (hdr : Tcp_header.t) chain =
-  match lookup tcp ~lport ~raddr ~rport with
-  | Some pcb ->
-      (* A duplicate (cookie) ACK raced an earlier promotion that was
-         still queued behind its interrupt charge: the tuple is already
-         established — never create a second pcb for it. *)
-      Mbuf.free chain;
-      pcb
-  | None ->
-  let pcb = make_pcb ~iss tcp ~local_addr:laddr ~lport ~raddr ~rport in
-  let s = pcb.stats in
-  s.segs_sent <- 1 + rexmits;
-  s.segs_rcvd <- 1;
-  s.csum_host_tx <- 1 + rexmits;
-  s.retransmits <- rexmits;
-  s.rto_fires <- rexmits;
-  if verified_hw then s.csum_hw_verified_rx <- 1
-  else s.csum_host_verified_rx <- 1;
-  pcb.setup_t0 <- created;
-  pcb.st <- Established;
-  pcb.irs <- irs;
-  pcb.rcv_nxt <- Tcp_seq.add irs 1;
-  pcb.mss_val <- min pcb.mss_val mss;
-  if wscale >= 0 then begin
-    pcb.snd_wscale <- wscale;
-    pcb.rcv_wscale <- wanted_wscale tcp.cfg
-  end;
-  (* The SYN-ACK consumed one sequence number before this pcb existed. *)
-  pcb.snd_nxt <- Tcp_seq.add iss 1;
-  pcb.snd_max <- pcb.snd_nxt;
-  pcb.rcv_adv <- Tcp_seq.add pcb.rcv_nxt (rcv_space pcb);
-  pcb.snd_una <- hdr.Tcp_header.ack;
-  if Tcp_seq.lt pcb.snd_nxt pcb.snd_una then pcb.snd_nxt <- pcb.snd_una;
-  pcb.snd_max <- Tcp_seq.max pcb.snd_max pcb.snd_nxt;
-  pcb.snd_wnd <- hdr.Tcp_header.window lsl pcb.snd_wscale;
-  pcb.snd_wl1 <- hdr.Tcp_header.seq;
-  pcb.snd_wl2 <- hdr.Tcp_header.ack;
-  Obs.Counter.incr conn_promoted;
-  observe_conn_setup pcb;
-  keepalive_touch pcb;
-  (match l.l_on_accept with
-  | Some cb ->
-      Obs.Counter.incr conn_accepted;
-      cb pcb
-  | None ->
-      if Listenq.acc_push l.l_q (pcb, Sim.now tcp.hst.Host.sim) then begin
-        Obs.Counter.incr conn_accept_queued;
-        l.l_acc_shard.(pcb.shard) <- l.l_acc_shard.(pcb.shard) + 1;
-        l.l_on_acceptable ()
-      end
-      else begin
-        (* The overflow check runs before promotion; this is the
-           belt-and-braces path for a race with the fault site. *)
-        Obs.Counter.incr conn_accept_overflow;
-        send_control pcb ~flags:[ Tcp_header.RST; Tcp_header.ACK ] ();
-        to_closed pcb
-      end);
-  (* The handshake ACK may carry data. *)
-  process_data pcb ~seq:hdr.Tcp_header.seq chain;
-  pcb
+   handshake state.  The half-open's rexmits and [verified_hw]
+   reconstruct the stats the pcb would have accumulated had it existed
+   since the SYN, its creation time (-1 for a cookie: no sample) times
+   the setup, and the acceptor is notified before the ACK's payload is
+   processed. *)
+let establish_server_pcb tcp l ho ~verified_hw (hdr : Tcp_header.t) chain =
+  let lport = ho.ho_lport and raddr = ho.ho_raddr and rport = ho.ho_rport in
+  if lookup tcp ~lport ~raddr ~rport <> None then
+    (* A duplicate (cookie) ACK raced an earlier promotion that was
+       still queued behind its interrupt charge: the tuple is already
+       established — never create a second pcb for it. *)
+    Mbuf.free chain
+  else begin
+    let pcb =
+      make_pcb ~iss:ho.ho_iss tcp ~local_addr:ho.ho_laddr ~lport ~raddr ~rport
+    in
+    let s = pcb.stats and rexmits = ho.ho_rexmits in
+    s.segs_sent <- 1 + rexmits;
+    s.segs_rcvd <- 1;
+    s.csum_host_tx <- 1 + rexmits;
+    s.retransmits <- rexmits;
+    s.rto_fires <- rexmits;
+    if verified_hw then s.csum_hw_verified_rx <- 1
+    else s.csum_host_verified_rx <- 1;
+    pcb.setup_t0 <- ho.ho_created;
+    (* The SYN-ACK consumed one sequence number before this pcb existed. *)
+    pcb.snd_nxt <- Tcp_seq.add ho.ho_iss 1;
+    pcb.snd_max <- pcb.snd_nxt;
+    handshake_done pcb ~irs:ho.ho_irs ~mss:ho.ho_mss ~wscale:ho.ho_wscale hdr;
+    pcb.rcv_adv <- Tcp_seq.add pcb.rcv_nxt (rcv_space pcb);
+    Obs.Counter.incr conn_promoted;
+    keepalive_touch pcb;
+    (match l.l_on_accept with
+    | Some cb ->
+        Obs.Counter.incr conn_accepted;
+        cb pcb
+    | None ->
+        if Listenq.acc_push l.l_q (pcb, Sim.now tcp.hst.Host.sim) then begin
+          Obs.Counter.incr conn_accept_queued;
+          l.l_acc_shard.(pcb.shard) <- l.l_acc_shard.(pcb.shard) + 1;
+          l.l_on_acceptable ()
+        end
+        else begin
+          (* The overflow check runs before promotion; this is the
+             belt-and-braces path for a race with the fault site. *)
+          Obs.Counter.incr conn_accept_overflow;
+          send_control pcb ~flags:[ Tcp_header.RST; Tcp_header.ACK ] ();
+          to_closed pcb
+        end);
+    (* The handshake ACK may carry data. *)
+    process_data pcb ~seq:hdr.Tcp_header.seq chain
+  end
 
 (* A SYN (without ACK) reached a listener: admission control, then a
    compact half-open — never a pcb.  Shedding order: memory pressure
@@ -1643,26 +1664,15 @@ let establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport ~iss ~irs ~mss
 let syn_arrived tcp l ~laddr ~raddr ~lport ~rport ~flow_hash ~shard
     (hdr : Tcp_header.t) seg =
   Obs.Counter.incr conn_syn_rcvd;
-  let key = half_open_key ~raddr ~rport in
-  let irs = hdr.Tcp_header.seq in
-  (* Fold the peer's options the way [apply_syn_options] would have. *)
-  let mss_offer = ref (default_mss tcp ~dst:raddr) in
-  let wscale = ref (-1) in
-  List.iter
-    (fun o ->
-      match o with
-      | Tcp_header.Mss m -> mss_offer := min !mss_offer m
-      | Tcp_header.Window_scale s -> wscale := s
-      | Tcp_header.Rx_cost _ -> ())
-    hdr.Tcp_header.options;
-  match Listenq.syn_find l.l_q key with
+  let irs = hdr.Tcp_header.seq and opts = hdr.Tcp_header.options in
+  let mss = syn_mss (default_mss tcp ~dst:raddr) opts in
+  match Listenq.syn_find l.l_q (half_open_key ~raddr ~rport) with
   | Some ho when not ho.ho_forged ->
       (* Duplicate SYN: our SYN-ACK was lost or is late.  Resend it (the
          per-pcb rexmt timer used to do this). *)
       Obs.Counter.incr conn_syn_dup;
       Mbuf.free seg;
-      Host.in_intr_on tcp.hst ~shard ~site:Cpu.Header
-        (Memcost.ack tcp.hst.Host.profile) (fun () -> send_synack tcp l ho)
+      charge_synack tcp ~site:Cpu.Header ho
   | Some _ | None ->
       let pressure = tcp.pressure_fn () in
       if pressure >= 0.9 then begin
@@ -1700,8 +1710,8 @@ let syn_arrived tcp l ~laddr ~raddr ~lport ~rport ~flow_hash ~shard
           (* Stateless fallback: answer without storing anything. *)
           Obs.Counter.incr conn_cookies_sent;
           l.l_cookies_sent <- l.l_cookies_sent + 1;
-          let iss = cookie_iss tcp ~raddr ~lport ~rport ~irs ~mss:!mss_offer in
-          let mss_echo = cookie_mss_table.(cookie_mss_index !mss_offer) in
+          let iss = cookie_iss tcp ~raddr ~lport ~rport ~irs ~mss in
+          let mss_echo = cookie_mss_table.(cookie_mss_index mss) in
           Mbuf.free seg;
           Host.in_intr_on tcp.hst ~shard ~site:Cpu.Header
             (Memcost.ack tcp.hst.Host.profile) (fun () ->
@@ -1715,94 +1725,62 @@ let syn_arrived tcp l ~laddr ~raddr ~lport ~rport ~flow_hash ~shard
       else begin
         tcp.penalty.(shard) <- Float.max 1. (tcp.penalty.(shard) *. 0.98);
         let iss = draw_iss tcp ~flow_hash in
-        let now = Sim.now tcp.hst.Host.sim in
-        let ho =
-          {
-            ho_laddr = laddr;
-            ho_raddr = raddr;
-            ho_lport = lport;
-            ho_rport = rport;
-            ho_flow_hash = flow_hash;
-            ho_shard = shard;
-            ho_iss = iss;
-            ho_irs = irs;
-            ho_mss = !mss_offer;
-            ho_wscale = !wscale;
-            ho_created = now;
-            ho_deadline = now + rto_init;
-            ho_rexmits = 0;
-            ho_forged = false;
-          }
-        in
-        ignore (Listenq.syn_add l.l_q key ho : bool);
         Obs.Counter.incr conn_syn_queued;
-        arm_reaper tcp l;
         Mbuf.free seg;
-        Host.in_intr_on tcp.hst ~shard ~site:Cpu.Header
-          (Memcost.ack tcp.hst.Host.profile) (fun () -> send_synack tcp l ho)
+        admit tcp l
+          (half_open ~laddr ~raddr ~lport ~rport ~shard ~iss ~irs ~mss
+             ~wscale:(syn_wscale (-1) opts) ~created:(Sim.now tcp.hst.Host.sim)
+             ~forged:false)
       end
 
-(* An ACK matching a half-open: verify, charge, and promote — charged
-   like any received segment (per-packet or ACK cost plus checksum). *)
-let handshake_ack tcp l ho ~key (hdr : Tcp_header.t) seg ~payload_len
-    ~hdr_size =
-  match
+(* An ACK completing a handshake, for a queued half-open or one rebuilt
+   from a valid cookie: verify, claim, charge like any received segment,
+   then answer an overflowing accept queue with RST or promote.  An RST,
+   or an ACK below our ISS, only frees its claim. *)
+let handshake_ack tcp l ho (hdr : Tcp_header.t) seg ~payload_len ~hdr_size =
+  let v =
     verify_rx_csum tcp
       ~base:(pseudo_base ~laddr:ho.ho_laddr ~raddr:ho.ho_raddr)
       ~ws_hint:tcp.cfg.rcv_buf seg
-  with
-  | v when v = csum_bad -> Mbuf.free seg
-  | v ->
-      let csum_cost = csum_cost_of v and verified_hw = v = csum_hw in
-      let base_cost =
-        if payload_len > 0 then Memcost.per_packet tcp.hst.Host.profile
-        else Memcost.ack tcp.hst.Host.profile
-      in
-      (* Claim the half-open NOW, before the charged closure runs: a
-         reaper-retransmitted SYN-ACK can elicit a second handshake ACK
-         that would otherwise find the entry still present and promote
-         the same tuple twice. *)
-      let rst = Tcp_header.has Tcp_header.RST hdr in
-      let promotes = (not rst) && Tcp_seq.gt hdr.Tcp_header.ack ho.ho_iss in
-      if rst || promotes then begin
-        Listenq.syn_remove l.l_q key;
-        maybe_stop_reaper tcp l
-      end;
-      Host.in_intr_on tcp.hst ~shard:ho.ho_shard ~site:Cpu.Header
-        ~csum:csum_cost (base_cost + csum_cost) (fun () ->
-          Mbuf.adj_head seg hdr_size;
-          if rst then Mbuf.free seg
-          else if promotes then begin
-            if
-              l.l_on_accept = None
-              && (Listenq.acc_full l.l_q || Fault.fire "conn.accept_full")
-            then begin
-              Obs.Counter.incr conn_accept_overflow;
-              if l.l_rst_on_full then
-                emit_raw tcp ~laddr:ho.ho_laddr ~raddr:ho.ho_raddr
-                  ~lport:ho.ho_lport ~rport:ho.ho_rport
-                  ~seq:hdr.Tcp_header.ack
-                  ~ack:(Tcp_seq.add ho.ho_irs 1)
-                  ~flags:[ Tcp_header.RST; Tcp_header.ACK ]
-                  ~options:[] ~window:0;
-              Mbuf.free seg
-            end
-            else
-              ignore
-                (establish_server_pcb tcp l ~laddr:ho.ho_laddr
-                   ~raddr:ho.ho_raddr ~lport:ho.ho_lport ~rport:ho.ho_rport
-                   ~iss:ho.ho_iss ~irs:ho.ho_irs ~mss:ho.ho_mss
-                   ~wscale:ho.ho_wscale ~created:ho.ho_created
-                   ~rexmits:ho.ho_rexmits ~verified_hw hdr seg
-                  : pcb)
-          end
-          else
-            (* Stale ACK below our ISS: drop, as the old code did. *)
-            Mbuf.free seg)
+  in
+  if v = csum_bad then Mbuf.free seg
+  else begin
+    if ho.ho_created < 0 then Obs.Counter.incr conn_cookies_validated;
+    (* Claim the half-open NOW, before the charged closure runs: a
+       reaper-retransmitted SYN-ACK can elicit a second handshake ACK
+       that would otherwise find the entry still present and promote
+       the same tuple twice.  A cookie holds no slot, so its claim
+       removes nothing. *)
+    let rst = Tcp_header.has Tcp_header.RST hdr in
+    let promotes = (not rst) && Tcp_seq.gt hdr.Tcp_header.ack ho.ho_iss in
+    if rst || promotes then begin
+      Listenq.syn_remove l.l_q
+        (half_open_key ~raddr:ho.ho_raddr ~rport:ho.ho_rport);
+      maybe_stop_reaper tcp l
+    end;
+    charge_rx tcp ~shard:ho.ho_shard ~payload_len v (fun () ->
+        Mbuf.adj_head seg hdr_size;
+        if not promotes then Mbuf.free seg
+        else if
+          l.l_on_accept = None
+          && (Listenq.acc_full l.l_q || Fault.fire "conn.accept_full")
+        then begin
+          Obs.Counter.incr conn_accept_overflow;
+          if l.l_rst_on_full then
+            emit_raw tcp ~laddr:ho.ho_laddr ~raddr:ho.ho_raddr
+              ~lport:ho.ho_lport ~rport:ho.ho_rport ~seq:hdr.Tcp_header.ack
+              ~ack:(Tcp_seq.add ho.ho_irs 1)
+              ~flags:[ Tcp_header.RST; Tcp_header.ACK ]
+              ~options:[] ~window:0;
+          Mbuf.free seg
+        end
+        else establish_server_pcb tcp l ho ~verified_hw:(v = csum_hw) hdr seg)
+  end
 
 (* An ACK matching no half-open while cookies are outstanding: it may
    carry a cookie we minted statelessly.  Validation is pure arithmetic;
-   only a valid cookie pays the promotion charge. *)
+   a valid cookie rebuilds its half-open and completes the handshake like
+   a queued one. *)
 let cookie_ack tcp l ~laddr ~raddr ~lport ~rport ~shard (hdr : Tcp_header.t)
     seg ~payload_len ~hdr_size =
   let irs = Tcp_seq.add hdr.Tcp_header.seq (-1) in
@@ -1811,42 +1789,11 @@ let cookie_ack tcp l ~laddr ~raddr ~lport ~rport ~shard (hdr : Tcp_header.t)
   | None ->
       Obs.Counter.incr conn_cookies_rejected;
       Mbuf.free seg
-  | Some mss -> (
-      match
-        verify_rx_csum tcp ~base:(pseudo_base ~laddr ~raddr)
-          ~ws_hint:tcp.cfg.rcv_buf seg
-      with
-      | v when v = csum_bad -> Mbuf.free seg
-      | v ->
-          let csum_cost = csum_cost_of v and verified_hw = v = csum_hw in
-          Obs.Counter.incr conn_cookies_validated;
-          let base_cost =
-            if payload_len > 0 then Memcost.per_packet tcp.hst.Host.profile
-            else Memcost.ack tcp.hst.Host.profile
-          in
-          Host.in_intr_on tcp.hst ~shard ~site:Cpu.Header
-            ~csum:csum_cost (base_cost + csum_cost)
-            (fun () ->
-              Mbuf.adj_head seg hdr_size;
-              if
-                l.l_on_accept = None
-                && (Listenq.acc_full l.l_q || Fault.fire "conn.accept_full")
-              then begin
-                Obs.Counter.incr conn_accept_overflow;
-                if l.l_rst_on_full then
-                  emit_raw tcp ~laddr ~raddr ~lport ~rport
-                    ~seq:hdr.Tcp_header.ack ~ack:(Tcp_seq.add irs 1)
-                    ~flags:[ Tcp_header.RST; Tcp_header.ACK ]
-                    ~options:[] ~window:0;
-                Mbuf.free seg
-              end
-              else
-                ignore
-                  (establish_server_pcb tcp l ~laddr ~raddr ~lport ~rport
-                     ~iss ~irs ~mss ~wscale:(-1)
-                     ~created:(-1) ~rexmits:0
-                     ~verified_hw hdr seg
-                    : pcb)))
+  | Some mss ->
+      handshake_ack tcp l
+        (half_open ~laddr ~raddr ~lport ~rport ~shard ~iss ~irs ~mss
+           ~wscale:(-1) ~created:(-1) ~forged:false)
+        hdr seg ~payload_len ~hdr_size
 
 let input tcp ~src ~dst seg =
   let seg = Mbuf.pullup seg Tcp_header.base_size in
@@ -1875,19 +1822,11 @@ let input tcp ~src ~dst seg =
           (* Charge the receive-side processing before acting. *)
           let v = verify_checksum pcb seg in
           if v = csum_bad then Mbuf.free seg
-          else begin
-            let csum_cost = csum_cost_of v in
-            let base_cost =
-              if payload_len > 0 then Memcost.per_packet tcp.hst.Host.profile
-              else Memcost.ack tcp.hst.Host.profile
-            in
-            Host.in_intr_on tcp.hst ~shard:pcb.shard ~site:Cpu.Header
-              ~csum:csum_cost (base_cost + csum_cost)
-              (fun () ->
+          else
+            charge_rx tcp ~shard:pcb.shard ~payload_len v (fun () ->
                 (* Strip the TCP header, keep descriptor metadata. *)
                 Mbuf.adj_head seg hdr_size;
                 segment_arrived pcb hdr seg)
-          end
       | None -> (
           (* No pcb: the connection plane.  O(1) port lookup, then the
              bounded SYN/accept machinery on the shard the tuple hashes
@@ -1918,9 +1857,7 @@ let input tcp ~src ~dst seg =
                 match Listenq.syn_find l.l_q (half_open_key ~raddr:src ~rport)
                 with
                 | Some ho ->
-                    handshake_ack tcp l ho
-                      ~key:(half_open_key ~raddr:src ~rport)
-                      hdr seg ~payload_len ~hdr_size
+                    handshake_ack tcp l ho hdr seg ~payload_len ~hdr_size
                 | None ->
                     if l.l_cookies && l.l_cookies_sent > 0 then
                       cookie_ack tcp l ~laddr:dst ~raddr:src ~lport ~rport
@@ -2024,20 +1961,14 @@ let half_open_info l ~raddr ~rport =
   | Some ho -> Some (ho.ho_iss, ho.ho_rexmits)
   | None -> None
 
-let connect tcp ?src_port ~dst ~dst_port ?(on_established = fun () -> ()) ()
-    =
-  let lport =
-    match src_port with
-    | Some p -> p
-    | None ->
-        (* Ephemeral range 10001..59999 with wraparound: a server-scale
-           client can open far more connections than the range holds, as
-           long as earlier ones have left the flow table (time-wait
-           shadowing replaces entries, so reuse during drain is safe). *)
-        tcp.next_port <-
-          (if tcp.next_port >= 59999 then 10000 else tcp.next_port + 1);
-        tcp.next_port
-  in
+let connect tcp ~dst ~dst_port ?(on_established = fun () -> ()) () =
+  (* Ephemeral range 10001..59999 with wraparound: a server-scale client
+     can open far more connections than the range holds, as long as
+     earlier ones have left the flow table (time-wait shadowing replaces
+     entries, so reuse during drain is safe). *)
+  tcp.next_port <-
+    (if tcp.next_port >= 59999 then 10000 else tcp.next_port + 1);
+  let lport = tcp.next_port in
   let local_addr =
     match Ipv4.route_for tcp.ip ~dst with
     | Some (ifc, _) -> ifc.Netif.addr

@@ -158,7 +158,6 @@ val set_pressure_fn : t -> (unit -> float) -> unit
 
 val connect :
   t ->
-  ?src_port:int ->
   dst:Inaddr.t ->
   dst_port:int ->
   ?on_established:(unit -> unit) ->

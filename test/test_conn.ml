@@ -347,6 +347,118 @@ let cookie_adds_no_setup_sample () =
   check_int "B flows drained" 0 (Tcp.active_flows (tcp_b tb));
   check_drained "cookie" tb base
 
+(* The client's handshake ACK is lost on a cookie connection, so the
+   client is established and the server holds nothing.  The client's
+   RST then carries a valid cookie in its ack field: it must not promote
+   a connection no one will ever use. *)
+let cookie_rst_promotes_nothing () =
+  (* Frames 0 and 1 are the two SYNs, 2 and 3 the two handshake ACKs:
+     drop the second (cookie) client's. *)
+  let tb = Testbed.create ~drop_a_frames:[ 3 ] () in
+  let base = occupancy tb in
+  let l =
+    Tcp.create_listener (tcp_b tb) ~port:7000 ~syn_backlog:1 ~cookies:true ()
+  in
+  let sent0 = conn_counter "cookies_sent" in
+  let c1 = Tcp.connect (tcp_a tb) ~dst:Testbed.addr_b ~dst_port:7000 () in
+  let c2 = Tcp.connect (tcp_a tb) ~dst:Testbed.addr_b ~dst_port:7000 () in
+  Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.ms 50.) tb.Testbed.sim;
+  check_int "second client answered with a cookie" 1
+    (conn_counter "cookies_sent" - sent0);
+  check_bool "cookie client established" true (Tcp.state c2 = Tcp.Established);
+  check_int "only the stateful handshake promoted" 1 (Tcp.listener_pending l);
+  let promoted0 = conn_counter "promoted" in
+  Tcp.abort c2;
+  Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.ms 50.) tb.Testbed.sim;
+  check_int "the RST promotes nothing" 0 (conn_counter "promoted" - promoted0);
+  check_int "accept queue still holds one" 1 (Tcp.listener_pending l);
+  (match Tcp.accept l with Some s -> Tcp.close s | None -> ());
+  Tcp.close c1;
+  Tcp.close_listener l;
+  Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.s 2.) tb.Testbed.sim;
+  check_int "A flows drained" 0 (Tcp.active_flows (tcp_a tb));
+  check_int "B flows drained" 0 (Tcp.active_flows (tcp_b tb));
+  check_drained "cookie rst" tb base
+
+(* A hand-built segment from A to B's port 7000, for admission outcomes
+   a well-behaved client never produces.  A holds no state for [sport],
+   so whatever B answers is dropped there. *)
+let send_raw tb ~sport ~flags ~seq ~ack =
+  let options =
+    if List.mem Tcp_header.SYN flags then [ Tcp_header.Mss 1460 ] else []
+  in
+  let hdr =
+    Tcp_header.make ~flags ~window:65535 ~options ~src_port:sport
+      ~dst_port:7000 ~seq ~ack ()
+  in
+  let len = Tcp_header.size hdr in
+  let b = Bytes.create len in
+  Tcp_header.encode hdr ~csum:0 b ~off:0;
+  let pseudo =
+    Inet_csum.pseudo_header ~src:Testbed.addr_a ~dst:Testbed.addr_b
+      ~proto:Ipv4_header.proto_tcp ~len
+  in
+  Tcp_header.encode hdr
+    ~csum:(Inet_csum.finish (Inet_csum.add pseudo (Inet_csum.of_bytes b)))
+    b ~off:0;
+  ignore
+    (Ipv4.output tb.Testbed.a.Testbed.stack.Netstack.ip
+       ~proto:Ipv4_header.proto_tcp ~dst:Testbed.addr_b
+       (Mbuf.of_bytes ~pkthdr:true ~len b)
+      : (Netif.t, string) result);
+  Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.ms 10.) tb.Testbed.sim
+
+let b_ip_sent tb = (Ipv4.stats tb.Testbed.b.Testbed.stack.Netstack.ip).Ipv4.sent
+
+(* A retransmitted SYN finds its half-open: the listener answers from
+   that record (same ISS, a second SYN-ACK) instead of queueing again. *)
+let duplicate_syn_answered () =
+  let tb = Testbed.create () in
+  let base = occupancy tb in
+  let l = Tcp.create_listener (tcp_b tb) ~port:7000 () in
+  let queued0 = conn_counter "syn_queued" and dup0 = conn_counter "syn_dup" in
+  let syn () =
+    send_raw tb ~sport:4000 ~flags:[ Tcp_header.SYN ] ~seq:1000 ~ack:0
+  in
+  let half_open () = Tcp.half_open_info l ~raddr:Testbed.addr_a ~rport:4000 in
+  syn ();
+  let first = half_open () and sent0 = b_ip_sent tb in
+  syn ();
+  check_int "queued once" 1 (conn_counter "syn_queued" - queued0);
+  check_int "second SYN counted as a duplicate" 1
+    (conn_counter "syn_dup" - dup0);
+  check_int "one half-open" 1 (Tcp.listener_half_open l);
+  check_bool "answered from the same record" true
+    (first <> None && half_open () = first);
+  check_int "a second SYN-ACK sent" 1 (b_ip_sent tb - sent0);
+  Tcp.close_listener l;
+  Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.s 1.) tb.Testbed.sim;
+  check_drained "duplicate SYN" tb base
+
+(* Once cookies are outstanding, an ACK matching no half-open is checked
+   as a cookie; a forged one is refused without promoting anything. *)
+let bad_cookie_refused () =
+  let tb = Testbed.create () in
+  let base = occupancy tb in
+  let l =
+    Tcp.create_listener (tcp_b tb) ~port:7000 ~syn_backlog:1 ~cookies:true ()
+  in
+  let sent0 = conn_counter "cookies_sent"
+  and rejected0 = conn_counter "cookies_rejected"
+  and promoted0 = conn_counter "promoted" in
+  send_raw tb ~sport:4000 ~flags:[ Tcp_header.SYN ] ~seq:1000 ~ack:0;
+  send_raw tb ~sport:4001 ~flags:[ Tcp_header.SYN ] ~seq:5000 ~ack:0;
+  check_int "the full SYN queue answered with a cookie" 1
+    (conn_counter "cookies_sent" - sent0);
+  send_raw tb ~sport:4001 ~flags:[ Tcp_header.ACK ] ~seq:5001 ~ack:12345;
+  check_int "bad cookie refused" 1
+    (conn_counter "cookies_rejected" - rejected0);
+  check_int "nothing promoted" 0 (conn_counter "promoted" - promoted0);
+  check_int "nothing to accept" 0 (Tcp.listener_pending l);
+  Tcp.close_listener l;
+  Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.s 1.) tb.Testbed.sim;
+  check_drained "bad cookie" tb base
+
 (* --------------------------------------------------------------- *)
 (* Memory-pressure admission                                        *)
 (* --------------------------------------------------------------- *)
@@ -584,8 +696,16 @@ let () =
           case "SYN-ACK reaper recovers a lost ACK" synack_rexmit_completes;
           case "cookie promotion adds no setup sample"
             cookie_adds_no_setup_sample;
+          case "RST with a valid cookie promotes nothing"
+            cookie_rst_promotes_nothing;
         ];
-      sec "admission" [ case "pressure sheds, recovery admits" pressure_sheds_then_recovers ];
+      sec "admission"
+        [
+          case "pressure sheds, recovery admits" pressure_sheds_then_recovers;
+          case "duplicate SYN answered from its half-open"
+            duplicate_syn_answered;
+          case "bad cookie refused" bad_cookie_refused;
+        ];
       sec "keepalive"
         [
           case "healthy peer survives" keepalive_healthy_survives;
