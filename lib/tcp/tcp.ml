@@ -678,10 +678,12 @@ and send_ack_now pcb = send_control pcb ~flags:[ Tcp_header.ACK ] ()
    [plan_fin], or a data length [len > 0] starting at offset
    [snd_nxt - snd_una] of the send queue. *)
 and decide pcb =
+  (* LAST_ACK stays sendable: an RTO rewinds [snd_nxt] over an unacked
+     FIN, and only this plan resends it. *)
   let sendable =
     match pcb.st with
-    | Established | Close_wait | Fin_wait_1 | Closing -> true
-    | Closed | Syn_sent | Fin_wait_2 | Last_ack | Time_wait -> false
+    | Established | Close_wait | Fin_wait_1 | Closing | Last_ack -> true
+    | Closed | Syn_sent | Fin_wait_2 | Time_wait -> false
   in
   if not sendable then plan_none
   else begin

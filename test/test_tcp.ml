@@ -380,6 +380,32 @@ let test_full_teardown_states () =
   Sim.run ~until:(Simtime.ms 400.) tb.Testbed.sim;
   check_bool "A closed after TIME_WAIT" true (Tcp.state a_pcb = Tcp.Closed)
 
+(* B's FIN is lost while B sits in LAST_ACK.  The retransmit timer
+   rewinds [snd_nxt] over the FIN, so the FIN must count as sendable in
+   LAST_ACK or nothing ever resends it: B would keep its pcb forever and
+   A would wait in FIN_WAIT_2. *)
+let test_last_ack_fin_retransmitted () =
+  (* B's frames: 0 SYN-ACK, 1 the ACK of A's FIN, 2 B's own FIN. *)
+  let tb = Testbed.create ~drop_b_frames:[ 2 ] () in
+  let tcp_a = tb.Testbed.a.Testbed.stack.Netstack.tcp in
+  let tcp_b = tb.Testbed.b.Testbed.stack.Netstack.tcp in
+  let b_pcb = ref None in
+  Tcp.listen tcp_b ~port:99 ~on_accept:(fun pcb -> b_pcb := Some pcb);
+  let a_pcb = Tcp.connect tcp_a ~dst:Testbed.addr_b ~dst_port:99 () in
+  Sim.run ~until:(Simtime.ms 50.) tb.Testbed.sim;
+  Tcp.close a_pcb;
+  Sim.run ~until:(Simtime.ms 100.) tb.Testbed.sim;
+  let b_pcb = Option.get !b_pcb in
+  check_bool "B in CLOSE_WAIT" true (Tcp.state b_pcb = Tcp.Close_wait);
+  Tcp.close b_pcb;
+  Sim.run ~until:(Simtime.ms 110.) tb.Testbed.sim;
+  check_bool "B in LAST_ACK, FIN lost" true (Tcp.state b_pcb = Tcp.Last_ack);
+  Sim.run ~until:(Simtime.s 10.) tb.Testbed.sim;
+  check_bool "B closed" true (Tcp.state b_pcb = Tcp.Closed);
+  check_bool "A closed" true (Tcp.state a_pcb = Tcp.Closed);
+  check_int "A flow table drained" 0 (Tcp.active_flows tcp_a);
+  check_int "B flow table drained" 0 (Tcp.active_flows tcp_b)
+
 let test_listener_port_conflict () =
   let tb = Testbed.create () in
   Tcp.listen tb.Testbed.b.Testbed.stack.Netstack.tcp ~port:7 ~on_accept:ignore;
@@ -575,6 +601,8 @@ let () =
         [
           Alcotest.test_case "handshake" `Quick test_handshake_states;
           Alcotest.test_case "teardown states" `Quick test_full_teardown_states;
+          Alcotest.test_case "FIN lost in LAST_ACK is retransmitted" `Quick
+            test_last_ack_fin_retransmitted;
           Alcotest.test_case "port conflict" `Quick test_listener_port_conflict;
           Alcotest.test_case "bulk with RTT estimation" `Quick
             test_rtt_estimation;
