@@ -15,149 +15,191 @@ type result = {
 }
 
 (* ttcp's own loop overhead per write/read call, charged as user time. *)
-let loop_cost_us = 5.
+let loop_cost = Simtime.us 5.
+
+(* Writes the sender keeps in flight, double-buffer style: see the
+   interface. *)
+let pipeline_writes = 2
+
+type flow = {
+  sa : Socket.t;
+  sb : Socket.t;
+  a_cpu : Cpu.t;  (* the CPUs of the shards owning the connection *)
+  b_cpu : Cpu.t;
+  t_start : Simtime.t;
+  mutable issued : int;  (* bytes handed to writes *)
+  mutable completed : int;  (* bytes whose write returned *)
+  mutable got : int;
+  mutable verified : bool;
+  mutable finished : bool;
+  mutable t_end : Simtime.t;  (* the receiver's last read *)
+}
+
+(* The one flow body.  The sender cycles [srcs], identically filled,
+   through Socket.write, reusing each buffer only after its own write
+   returns; the receiver reads into [dst] and checks the stream.  Both
+   app loops run on the CPU of the shard owning the connection, like
+   the syscalls they make. *)
+let start_flow ~tb ~sa ~sb ~wsize ~total ~verify ~seed ~write_lat =
+  let sim = tb.Testbed.sim in
+  let a = tb.Testbed.a.Testbed.stack.Netstack.host in
+  let b = tb.Testbed.b.Testbed.stack.Netstack.host in
+  let a_shard = Tcp.pcb_shard (Socket.pcb sa) in
+  let b_shard = Tcp.pcb_shard (Socket.pcb sb) in
+  let a_space = Netstack.make_space tb.Testbed.a.Testbed.stack ~name:"ttcp" in
+  let b_space = Netstack.make_space tb.Testbed.b.Testbed.stack ~name:"ttcp" in
+  let srcs =
+    Array.init
+      (min pipeline_writes (max 1 (total / wsize)))
+      (fun _ ->
+        let r = Addr_space.alloc a_space wsize in
+        Region.fill_pattern r ~seed;
+        r)
+  in
+  let dst = Addr_space.alloc b_space wsize in
+  let f =
+    {
+      sa;
+      sb;
+      a_cpu = (Host.shards a).(a_shard).Shard.cpu;
+      b_cpu = (Host.shards b).(b_shard).Shard.cpu;
+      t_start = Sim.now sim;
+      issued = 0;
+      completed = 0;
+      got = 0;
+      verified = true;
+      finished = false;
+      t_end = Simtime.zero;
+    }
+  in
+  let finish () =
+    f.finished <- true;
+    f.t_end <- Sim.now sim
+  in
+  let rec send buf =
+    if f.issued >= total then begin
+      (* Every write is issued: the last writer to complete closes. *)
+      if f.completed >= total then Socket.close sa
+    end
+    else begin
+      f.issued <- f.issued + wsize;
+      Host.in_proc_on a ~shard:a_shard ~proc:"ttcp" ~mode:Cpu.User loop_cost
+        (fun () ->
+          let t_write = Sim.now sim in
+          Socket.write sa srcs.(buf) (fun () ->
+              Obs.Histogram.observe write_lat
+                (Simtime.sub (Sim.now sim) t_write);
+              f.completed <- f.completed + wsize;
+              send buf))
+    end
+  in
+  (* The stream is the source pattern repeated, so [len] bytes read into
+     [dst] at [doff] must equal the pattern from [soff], wrapping at the
+     buffer boundary: exact although plain reads return at segment
+     boundaries rather than in wsize units. *)
+  let rec matches doff soff len =
+    len = 0
+    ||
+    let piece = min len (wsize - soff) in
+    Region.equal_contents
+      (Region.sub dst ~off:doff ~len:piece)
+      (Region.sub srcs.(0) ~off:soff ~len:piece)
+    && matches (doff + piece) ((soff + piece) mod wsize) (len - piece)
+  in
+  let rec recv () =
+    if f.got >= total then finish ()
+    else
+      Host.in_proc_on b ~shard:b_shard ~proc:"ttcp" ~mode:Cpu.User loop_cost
+        (fun () ->
+          Socket.read sb dst (fun n ->
+              if n = 0 then begin
+                (* Premature EOF: the flow ends short and unverified. *)
+                f.verified <- false;
+                finish ()
+              end
+              else begin
+                if verify && not (matches 0 (f.got mod wsize) n) then
+                  f.verified <- false;
+                f.got <- f.got + n;
+                recv ()
+              end))
+  in
+  for buf = 0 to Array.length srcs - 1 do
+    send buf
+  done;
+  recv ();
+  f
+
+(* Runs [flows] flows on ports [base_port ..] to completion.  The
+   measurement window (every shard's CPU books reset, util soakers
+   started) opens when the first connection is up, at the returned
+   time.  Flow [i]'s pattern seed is [1234 + i]. *)
+let run_flows ~tb ~flows ~wsize ~total ~paths ~verify ~base_port ~write_lat =
+  if total mod wsize <> 0 then
+    invalid_arg "Ttcp: total must be a multiple of wsize";
+  if flows < 1 then invalid_arg "Ttcp: flows must be >= 1";
+  let sim = tb.Testbed.sim in
+  let started = Array.make flows None in
+  let t0 = ref None in
+  let open_window (n : Testbed.node) =
+    Array.iter
+      (fun sh ->
+        Cpu.reset_accounting sh.Shard.cpu;
+        Cpu.set_idle_proc sh.Shard.cpu "util")
+      (Host.shards n.Testbed.stack.Netstack.host)
+  in
+  for i = 0 to flows - 1 do
+    Testbed.establish_stream tb ~port:(base_port + i) ~a_paths:paths
+      ~b_paths:paths (fun sa sb ->
+        if !t0 = None then begin
+          open_window tb.Testbed.a;
+          open_window tb.Testbed.b;
+          t0 := Some (Sim.now sim)
+        end;
+        started.(i) <-
+          Some
+            (start_flow ~tb ~sa ~sb ~wsize ~total ~verify ~seed:(1234 + i)
+               ~write_lat))
+  done;
+  Sim.run ~until:(Simtime.s 600.) sim;
+  let completed =
+    Array.fold_left
+      (fun n -> function Some { finished = true; _ } -> n + 1 | _ -> n)
+      0 started
+  in
+  if completed < flows then
+    failwith (Printf.sprintf "Ttcp: %d of %d flows completed" completed flows);
+  (Option.get !t0, Array.map Option.get started)
 
 let run ~tb ~wsize ~total ?(force_uio = true) ?(adaptive = false)
-    ?(verify = true) ?(port = 5001) ?(pipeline_writes = 2) () =
-  if total mod wsize <> 0 then
-    invalid_arg "Ttcp.run: total must be a multiple of wsize";
-  if pipeline_writes < 1 then
-    invalid_arg "Ttcp.run: pipeline_writes must be at least 1";
+    ?(verify = true) ?(port = 5001) () =
   let paths =
     if adaptive then
       { Socket.default_paths with Socket.force_uio = false; adaptive = true }
     else { Socket.default_paths with Socket.force_uio }
   in
-  let sim = tb.Testbed.sim in
-  let a_host = tb.Testbed.a.Testbed.stack.Netstack.host in
-  let b_host = tb.Testbed.b.Testbed.stack.Netstack.host in
-  let finished = ref None in
-  let all_ok = ref true in
   let write_lat = Obs.Histogram.create () in
-  Testbed.establish_stream tb ~port ~a_paths:paths ~b_paths:paths
-    (fun sa sb ->
-      (* Measurement window starts once the connection is up: reset the
-         books (every shard's CPU) and start the util soakers. *)
-      Array.iter
-        (fun sh ->
-          Cpu.reset_accounting sh.Shard.cpu;
-          Cpu.set_idle_proc sh.Shard.cpu "util")
-        (Host.shards a_host);
-      Array.iter
-        (fun sh ->
-          Cpu.reset_accounting sh.Shard.cpu;
-          Cpu.set_idle_proc sh.Shard.cpu "util")
-        (Host.shards b_host);
-      (* The app loop runs on the CPU of the shard owning the
-         connection, like the syscalls it makes. *)
-      let a_shard = Tcp.pcb_shard (Socket.pcb sa) in
-      let b_shard = Tcp.pcb_shard (Socket.pcb sb) in
-      let t0 = Sim.now sim in
-      let a_space = Netstack.make_space tb.Testbed.a.Testbed.stack ~name:"ttcp" in
-      let b_space = Netstack.make_space tb.Testbed.b.Testbed.stack ~name:"ttcp" in
-      (* Classic double-buffered sender: [pipeline_writes] identical
-         source buffers cycle through Socket.write, so while one write
-         sits in the kernel waiting for its bytes to drain (UIO copy
-         semantics block until the adaptor's SDMA has pulled them) the
-         next buffer's write is already appended — the socket send
-         queue never runs dry between writes and the host-to-adaptor
-         DMA engine stays busy across write boundaries.  Every buffer
-         carries the same pattern, so the receiver's verification
-         against [srcs.(0)] is unaffected by which buffer produced a
-         byte. *)
-      let nbuf = min pipeline_writes (max 1 (total / wsize)) in
-      let srcs =
-        Array.init nbuf (fun _ ->
-            let r = Addr_space.alloc a_space wsize in
-            Region.fill_pattern r ~seed:1234;
-            r)
-      in
-      let src = srcs.(0) in
-      let dst = Addr_space.alloc b_space wsize in
-      let issued = ref 0 in
-      let completed = ref 0 in
-      let rec send_loop buf =
-        if !issued >= total then begin
-          if !completed >= total then Socket.close sa
-          (* else: a sibling writer is still draining; the last one to
-             complete closes. *)
-        end
-        else begin
-          issued := !issued + wsize;
-          Host.in_proc_on a_host ~shard:a_shard ~proc:"ttcp" ~mode:Cpu.User
-            (Simtime.us loop_cost_us) (fun () ->
-              let t_write = Sim.now sim in
-              Socket.write sa srcs.(buf) (fun () ->
-                  Obs.Histogram.observe write_lat
-                    (Simtime.sub (Sim.now sim) t_write);
-                  completed := !completed + wsize;
-                  send_loop buf))
-        end
-      in
-      (* The stream is the source pattern repeated, so a read of [n] bytes
-         that began at stream offset [got] must equal the pattern starting
-         at [got mod wsize], wrapping at the buffer boundary.  Checking
-         piecewise views keeps verification exact even though plain reads
-         return at segment boundaries rather than in wsize units. *)
-      let verify_stream ~stream_off ~len =
-        let rec check doff soff remaining =
-          remaining = 0
-          ||
-          let piece = min remaining (wsize - soff) in
-          Region.equal_contents
-            (Region.sub dst ~off:doff ~len:piece)
-            (Region.sub src ~off:soff ~len:piece)
-          && check (doff + piece) ((soff + piece) mod wsize) (remaining - piece)
-        in
-        check 0 (stream_off mod wsize) len
-      in
-      let rec recv_loop got =
-        if got >= total then begin
-          let t1 = Sim.now sim in
-          finished := Some (t0, t1, got, sa, sb)
-        end
-        else
-          Host.in_proc_on b_host ~shard:b_shard ~proc:"ttcp" ~mode:Cpu.User
-            (Simtime.us loop_cost_us) (fun () ->
-              Socket.read sb dst (fun n ->
-                  if n = 0 then begin
-                    all_ok := false;
-                    let t1 = Sim.now sim in
-                    finished := Some (t0, t1, got + n, sa, sb)
-                  end
-                  else begin
-                    if verify && not (verify_stream ~stream_off:got ~len:n)
-                    then all_ok := false;
-                    recv_loop (got + n)
-                  end))
-      in
-      for buf = 0 to nbuf - 1 do
-        send_loop buf
-      done;
-      recv_loop 0);
-  Sim.run ~until:(Simtime.s 600.) sim;
-  match !finished with
-  | None -> failwith "Ttcp.run: transfer did not complete"
-  | Some (t0, t1, got, sa, sb) ->
-      let elapsed = Simtime.sub t1 t0 in
-      {
-        sender =
-          Measurement.of_cpu ~cpu:a_host.Host.cpu ~elapsed ~bytes:got;
-        receiver =
-          Measurement.of_cpu ~cpu:b_host.Host.cpu ~elapsed ~bytes:got;
-        wsize;
-        total;
-        verified = !all_ok;
-        retransmits = (Tcp.pcb_stats (Socket.pcb sa)).Tcp.retransmits;
-        sender_tcp = Tcp.pcb_stats (Socket.pcb sa);
-        receiver_tcp = Tcp.pcb_stats (Socket.pcb sb);
-        write_latency_p50 = Measurement.latency_quantile write_lat 0.5;
-        write_latency_p99 = Measurement.latency_quantile write_lat 0.99;
-        sender_socket = Socket.stats sa;
-        receiver_socket = Socket.stats sb;
-        sender_policy =
-          Option.map Path_policy.stats (Socket.path_policy sa);
-      }
+  let t0, fs =
+    run_flows ~tb ~flows:1 ~wsize ~total ~paths ~verify ~base_port:port
+      ~write_lat
+  in
+  let f = fs.(0) in
+  let elapsed = Simtime.sub f.t_end t0 in
+  {
+    sender = Measurement.of_cpu ~cpu:f.a_cpu ~elapsed ~bytes:f.got;
+    receiver = Measurement.of_cpu ~cpu:f.b_cpu ~elapsed ~bytes:f.got;
+    wsize;
+    total;
+    verified = f.verified;
+    retransmits = (Tcp.pcb_stats (Socket.pcb f.sa)).Tcp.retransmits;
+    sender_tcp = Tcp.pcb_stats (Socket.pcb f.sa);
+    receiver_tcp = Tcp.pcb_stats (Socket.pcb f.sb);
+    write_latency_p50 = Measurement.latency_quantile write_lat 0.5;
+    write_latency_p99 = Measurement.latency_quantile write_lat 0.99;
+    sender_socket = Socket.stats f.sa;
+    receiver_socket = Socket.stats f.sb;
+    sender_policy = Option.map Path_policy.stats (Socket.path_policy f.sa);
+  }
 
 (* ---------- parallel flows (RSS scaling experiment) ---------- *)
 
@@ -171,131 +213,27 @@ type parallel_result = {
 }
 
 let run_parallel ~tb ~flows ~wsize ~total ?(force_uio = true)
-    ?(verify = true) ?(base_port = 5001) ?(pipeline_writes = 2) () =
-  if total mod wsize <> 0 then
-    invalid_arg "Ttcp.run_parallel: total must be a multiple of wsize";
-  if flows < 1 then invalid_arg "Ttcp.run_parallel: flows must be >= 1";
+    ?(verify = true) ?(base_port = 5001) () =
   let paths = { Socket.default_paths with Socket.force_uio } in
-  let sim = tb.Testbed.sim in
-  let a_host = tb.Testbed.a.Testbed.stack.Netstack.host in
-  let b_host = tb.Testbed.b.Testbed.stack.Netstack.host in
-  let started = ref 0 in
-  let done_flows = ref 0 in
-  let all_ok = ref true in
-  let t0 = ref Simtime.zero in
-  let t_last = ref Simtime.zero in
-  let flow_elapsed = Array.make flows Simtime.zero in
-  let launch i =
-    Testbed.establish_stream tb ~port:(base_port + i) ~a_paths:paths
-      ~b_paths:paths (fun sa sb ->
-        incr started;
-        if !started = 1 then begin
-          (* Measurement window opens with the first connection. *)
-          Array.iter
-            (fun sh ->
-              Cpu.reset_accounting sh.Shard.cpu;
-              Cpu.set_idle_proc sh.Shard.cpu "util")
-            (Host.shards a_host);
-          Array.iter
-            (fun sh ->
-              Cpu.reset_accounting sh.Shard.cpu;
-              Cpu.set_idle_proc sh.Shard.cpu "util")
-            (Host.shards b_host);
-          t0 := Sim.now sim
-        end;
-        let t_start = Sim.now sim in
-        let a_shard = Tcp.pcb_shard (Socket.pcb sa) in
-        let b_shard = Tcp.pcb_shard (Socket.pcb sb) in
-        let a_space =
-          Netstack.make_space tb.Testbed.a.Testbed.stack
-            ~name:(Printf.sprintf "ttcp%d" i)
-        in
-        let b_space =
-          Netstack.make_space tb.Testbed.b.Testbed.stack
-            ~name:(Printf.sprintf "ttcp%d" i)
-        in
-        let nbuf = min pipeline_writes (max 1 (total / wsize)) in
-        (* Per-flow seed: cross-flow misdelivery cannot verify. *)
-        let srcs =
-          Array.init nbuf (fun _ ->
-              let r = Addr_space.alloc a_space wsize in
-              Region.fill_pattern r ~seed:(1234 + i);
-              r)
-        in
-        let src = srcs.(0) in
-        let dst = Addr_space.alloc b_space wsize in
-        let issued = ref 0 in
-        let completed = ref 0 in
-        let rec send_loop buf =
-          if !issued >= total then begin
-            if !completed >= total then Socket.close sa
-          end
-          else begin
-            issued := !issued + wsize;
-            Host.in_proc_on a_host ~shard:a_shard ~proc:"ttcp"
-              ~mode:Cpu.User (Simtime.us loop_cost_us) (fun () ->
-                Socket.write sa srcs.(buf) (fun () ->
-                    completed := !completed + wsize;
-                    send_loop buf))
-          end
-        in
-        let verify_stream ~stream_off ~len =
-          let rec check doff soff remaining =
-            remaining = 0
-            ||
-            let piece = min remaining (wsize - soff) in
-            Region.equal_contents
-              (Region.sub dst ~off:doff ~len:piece)
-              (Region.sub src ~off:soff ~len:piece)
-            && check (doff + piece)
-                 ((soff + piece) mod wsize)
-                 (remaining - piece)
-          in
-          check 0 (stream_off mod wsize) len
-        in
-        let rec recv_loop got =
-          if got >= total then begin
-            flow_elapsed.(i) <- Simtime.sub (Sim.now sim) t_start;
-            t_last := Sim.now sim;
-            incr done_flows
-          end
-          else
-            Host.in_proc_on b_host ~shard:b_shard ~proc:"ttcp"
-              ~mode:Cpu.User (Simtime.us loop_cost_us) (fun () ->
-                Socket.read sb dst (fun n ->
-                    if n = 0 then all_ok := false
-                    else begin
-                      if
-                        verify && not (verify_stream ~stream_off:got ~len:n)
-                      then all_ok := false;
-                      recv_loop (got + n)
-                    end))
-        in
-        for buf = 0 to nbuf - 1 do
-          send_loop buf
-        done;
-        recv_loop 0)
+  let t0, fs =
+    run_flows ~tb ~flows ~wsize ~total ~paths ~verify ~base_port
+      ~write_lat:(Obs.Histogram.create ())
   in
-  for i = 0 to flows - 1 do
-    launch i
-  done;
-  Sim.run ~until:(Simtime.s 600.) sim;
-  if !done_flows < flows then
-    failwith
-      (Printf.sprintf "Ttcp.run_parallel: %d of %d flows completed"
-         !done_flows flows);
-  let elapsed = Simtime.sub !t_last !t0 in
+  let elapsed =
+    Simtime.sub (Array.fold_left (fun t f -> max t f.t_end) t0 fs) t0
+  in
   {
     p_flows = flows;
     p_total = total;
     p_elapsed = elapsed;
-    p_mbit = Simtime.rate_mbit ~bytes:(flows * total) elapsed;
-    p_verified = !all_ok;
+    p_mbit =
+      Simtime.rate_mbit ~bytes:(Array.fold_left (fun n f -> n + f.got) 0 fs)
+        elapsed;
+    p_verified = Array.for_all (fun f -> f.verified) fs;
     p_flow_mbit =
       Array.map
-        (fun e ->
-          if Simtime.compare e Simtime.zero > 0 then
-            Simtime.rate_mbit ~bytes:total e
-          else 0.)
-        flow_elapsed;
+        (fun f ->
+          let e = Simtime.sub f.t_end f.t_start in
+          if e > 0 then Simtime.rate_mbit ~bytes:total e else 0.)
+        fs;
   }

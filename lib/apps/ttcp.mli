@@ -1,13 +1,19 @@
 (** The ttcp bulk-throughput benchmark (§7.1).
 
-    Sender writes [total] bytes as [wsize]-byte socket writes cycling
-    through a small ring of identically-filled buffers (see
-    [pipeline_writes] below); receiver reads [wsize]-byte chunks into one
-    reused buffer.  Both nodes run the util idle-soaker so utilization
-    can be computed with the paper's formula ({!Measurement}).
+    Every flow runs one body: the sender writes [total] bytes as
+    [wsize]-byte socket writes, keeping two writes in flight over two
+    identically filled buffers (UIO copy semantics block each write
+    until the adaptor has pulled its bytes, so a single reused buffer
+    would drain the socket send queue between writes and idle the DMA
+    engine for the syscall + per-packet setup of every write); the
+    receiver reads into one reused [wsize]-byte buffer and checks the
+    stream against the pattern.  Each loop call charges ttcp 5 us of
+    user time on the CPU of the shard owning the connection.  Both
+    hosts run the util idle-soaker on every shard, so utilization can
+    be computed with the paper's formula ({!Measurement}).
 
-    The run completes when the receiver has consumed every byte; results
-    cover both directions' hosts. *)
+    A run completes when every receiver has consumed every byte; a
+    flow the peer ends early (EOF) finishes short and unverified. *)
 
 type result = {
   sender : Measurement.t;
@@ -36,24 +42,18 @@ val run :
   ?adaptive:bool ->
   ?verify:bool ->
   ?port:int ->
-  ?pipeline_writes:int ->
   unit ->
   result
-(** Builds the workload on the testbed and runs the simulation to
-    completion.  [force_uio] (default true) reproduces the paper's
-    measurement configuration: the single-copy stack always takes the
-    single-copy path regardless of write size.  [adaptive] (default
-    false) overrides it: sends route through a per-socket {!Path_policy}
-    (size / alignment / pin-warmth, online cutover) and the sender's
-    routing counters are reported in [sender_policy].
-    [pipeline_writes] (default 2) is how many writes the sender keeps in
-    flight, double-buffer style: UIO copy semantics block each write
-    until the adaptor has pulled its bytes, so a single reused buffer
-    would drain the socket send queue between writes and idle the DMA
-    engine for the syscall + per-packet setup of every write.  Each
-    buffer is still strictly reused only after its own write returns.
-    Raises [Failure] if the transfer does not finish within simulated 10
-    minutes. *)
+(** One flow on port [port] (default 5001), run to completion.
+    [force_uio] (default true) reproduces the paper's measurement
+    configuration: the single-copy stack always takes the single-copy
+    path regardless of write size.  [adaptive] (default false) overrides
+    it: sends route through a per-socket {!Path_policy} (size /
+    alignment / pin-warmth, online cutover) and the sender's routing
+    counters are reported in [sender_policy].  [sender] and [receiver]
+    are measured on the CPU of the shard that owns the connection on
+    each host.  Raises [Failure] if the transfer does not finish within
+    simulated 10 minutes. *)
 
 type parallel_result = {
   p_flows : int;
@@ -72,7 +72,6 @@ val run_parallel :
   ?force_uio:bool ->
   ?verify:bool ->
   ?base_port:int ->
-  ?pipeline_writes:int ->
   unit ->
   parallel_result
 (** [flows] concurrent ttcp streams (ports [base_port] ..

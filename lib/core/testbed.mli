@@ -1,6 +1,9 @@
 (** The paper's two-host testbed: two workstations with CAB adaptors on a
     point-to-point HIPPI link (§7.1), ready for experiments, tests and
-    examples.
+    examples.  It also holds what every harness shares: the one CAB-host
+    builder ({!make_node}, used by switched topologies too), the
+    single-buffer sender ({!write_all}) and the one drain-to-baseline
+    check ({!occupancy}, {!quiesce}, {!leaks}).
 
     Addresses: host A is 10.0.0.1, host B is 10.0.0.2, on HIPPI switch
     addresses 1 and 2. *)
@@ -20,6 +23,27 @@ type t = {
 
 val addr_a : Inaddr.t
 val addr_b : Inaddr.t
+
+val make_node :
+  sim:Sim.t ->
+  profile:Host_profile.t ->
+  mode:Stack_mode.t ->
+  name:string ->
+  ?tcp_config:(Tcp.config -> Tcp.config) ->
+  ?shards:int ->
+  netmem_pages:int ->
+  hippi_addr:int ->
+  transmit:(Bytes.t -> dst:int -> channel:int -> unit) ->
+  addr:Inaddr.t ->
+  ?mtu:int ->
+  ?watchdog:Simtime.t ->
+  unit ->
+  node
+(** One CAB host, the only place a CAB is built outside [lib/cab]: a
+    {!Netstack} named [name], a CAB named [name ^ ".cab"] whose media
+    hook is [transmit], and the CAB attached at [addr]/24 (see
+    {!Netstack.attach_cab} for [mtu] and [watchdog]).  The caller wires
+    the fabric's receive side to {!Cab.deliver} and adds neighbours. *)
 
 val create :
   ?profile:Host_profile.t ->
@@ -55,3 +79,59 @@ val establish_stream :
 (** Listens on B, connects from A, and calls the continuation with the
     two connected sockets (A-side first) once the handshake completes.
     Run the simulation to make progress. *)
+
+val write_all : Socket.t -> Region.t -> total:int -> unit
+(** The single-buffer sender: writes [src] again and again until [total]
+    bytes are written, then closes the socket.  Unlike ttcp it charges
+    no application loop cost. *)
+
+val send_stream :
+  Netstack.t ->
+  dst:Inaddr.t ->
+  port:int ->
+  proc:string ->
+  wsize:int ->
+  total:int ->
+  seed:int ->
+  unit
+(** Connects from the stack to [dst]:[port] and, once established,
+    {!write_all}s one forced-UIO [wsize]-byte buffer filled with pattern
+    [seed] as process [proc]. *)
+
+(** {2 Drain to baseline}
+
+    Every scenario that must leave nothing behind takes an
+    {!occupancy} snapshot before it starts and diffs it with {!leaks}
+    at the end, after {!quiesce} if its traffic needs settling.  The
+    snapshot reads, by name:
+
+    - [sim/pending]: armed timers and queued events;
+    - [mbuf_pool/live] ({!Mbuf.Pool.allocated}) and
+      [mbuf_pool/live_clusters];
+    - [bufpool/outstanding] (frames out of {!Bufpool.shared}) and
+      [addr_space/pinned_pages];
+    - [cab.<cab>/netmem_in_use] for each CAB;
+    - [tcp.<host>/active_flows] for each host.
+
+    The pools and pinned pages are process-wide, so a snapshot is only
+    comparable with a later one taken in the same process. *)
+
+type occupancy
+
+val occupancy : t -> occupancy
+
+val quiesce : t -> slack:Simtime.t -> unit
+(** Runs the simulation for [slack], then polls both CABs (a swallowed
+    interrupt can strand events) and runs [slack] again, repeating while
+    a poll finds work (at most 16 rounds), and ends with one more
+    [slack].  Choose [slack] longer than the slowest timer that must
+    expire, such as a SYN_SENT give-up. *)
+
+type leak = { metric : string; baseline : float; final : float }
+
+val leaks : t -> occupancy -> leak list
+(** Every metric whose reading differs from the snapshot, in snapshot
+    order; [[]] when the testbed drained to baseline. *)
+
+val string_of_leak : leak -> string
+(** ["metric: baseline B -> final F"]. *)

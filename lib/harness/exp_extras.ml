@@ -1,9 +1,12 @@
 let force_uio = { Socket.default_paths with Socket.force_uio = true }
 
-(* ---------------- alignment (§4.5) ---------------- *)
-
-let run_aligned_pair ?(paths = force_uio) ~aligned ~wsize ~total () =
+(* One stream on a fresh testbed: the sender rewrites one [wsize] buffer
+   (page-aligned, or two bytes into a page) until [total] bytes are
+   sent, charging no loop cost; the receiver reads into one buffer.
+   Returns the sender's measurement and socket. *)
+let single_buffer_stream ~paths ~aligned ~seed ~wsize ~total =
   let tb = Testbed.create () in
+  let cpu = tb.Testbed.a.Testbed.stack.Netstack.host.Host.cpu in
   let finished = ref None in
   Testbed.establish_stream tb ~port:5001 ~a_paths:paths (fun sa sb ->
       let a_space = Netstack.make_space tb.Testbed.a.Testbed.stack ~name:"b" in
@@ -13,34 +16,26 @@ let run_aligned_pair ?(paths = force_uio) ~aligned ~wsize ~total () =
         else Addr_space.alloc_at_offset a_space ~page_offset:2 wsize
       in
       let dst = Addr_space.alloc b_space wsize in
-      Region.fill_pattern src ~seed:3;
-      Cpu.reset_accounting tb.Testbed.a.Testbed.stack.Netstack.host.Host.cpu;
-      Cpu.set_idle_proc tb.Testbed.a.Testbed.stack.Netstack.host.Host.cpu
-        "util";
+      Region.fill_pattern src ~seed;
+      Cpu.reset_accounting cpu;
+      Cpu.set_idle_proc cpu "util";
       let t0 = Sim.now tb.Testbed.sim in
-      let rec send sent =
-        if sent >= total then Socket.close sa
-        else Socket.write sa src (fun () -> send (sent + wsize))
-      in
+      Testbed.write_all sa src ~total;
       let rec recv got =
         if got >= total then finished := Some (t0, Sim.now tb.Testbed.sim, sa)
-        else Socket.read_exact sb dst (fun n ->
-            if n = 0 then finished := Some (t0, Sim.now tb.Testbed.sim, sa)
-            else recv (got + n))
+        else
+          Socket.read_exact sb dst (fun n ->
+              if n = 0 then finished := Some (t0, Sim.now tb.Testbed.sim, sa)
+              else recv (got + n))
       in
-      send 0;
       recv 0);
   Sim.run ~until:(Simtime.s 120.) tb.Testbed.sim;
   match !finished with
-  | None -> failwith "alignment experiment did not complete"
+  | None -> failwith "single-buffer stream did not complete"
   | Some (t0, t1, sa) ->
-      let elapsed = Simtime.sub t1 t0 in
-      let m =
-        Measurement.of_cpu
-          ~cpu:tb.Testbed.a.Testbed.stack.Netstack.host.Host.cpu ~elapsed
-          ~bytes:total
-      in
-      (m, Socket.stats sa)
+      (Measurement.of_cpu ~cpu ~elapsed:(Simtime.sub t1 t0) ~bytes:total, sa)
+
+(* ---------------- alignment (§4.5) ---------------- *)
 
 let print_alignment ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
   Tabulate.print_header
@@ -55,7 +50,10 @@ let print_alignment ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
   Tabulate.print_rule ~widths;
   List.iter
     (fun (label, aligned, paths) ->
-      let m, st = run_aligned_pair ~paths ~aligned ~wsize ~total () in
+      let m, sa =
+        single_buffer_stream ~paths ~aligned ~seed:3 ~wsize ~total
+      in
+      let st = Socket.stats sa in
       Tabulate.print_row ~widths
         [
           label;
@@ -73,42 +71,6 @@ let print_alignment ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
 
 (* ---------------- pin cache (§4.4.1) ---------------- *)
 
-let ttcp_with_paths paths ~wsize ~total =
-  let tb = Testbed.create () in
-  let finished = ref None in
-  Testbed.establish_stream tb ~port:5001 ~a_paths:paths (fun sa sb ->
-      let a_space = Netstack.make_space tb.Testbed.a.Testbed.stack ~name:"b" in
-      let b_space = Netstack.make_space tb.Testbed.b.Testbed.stack ~name:"b" in
-      let src = Addr_space.alloc a_space wsize in
-      let dst = Addr_space.alloc b_space wsize in
-      Region.fill_pattern src ~seed:4;
-      Cpu.reset_accounting tb.Testbed.a.Testbed.stack.Netstack.host.Host.cpu;
-      Cpu.set_idle_proc tb.Testbed.a.Testbed.stack.Netstack.host.Host.cpu
-        "util";
-      let t0 = Sim.now tb.Testbed.sim in
-      let rec send sent =
-        if sent >= total then Socket.close sa
-        else Socket.write sa src (fun () -> send (sent + wsize))
-      in
-      let rec recv got =
-        if got >= total then finished := Some (t0, Sim.now tb.Testbed.sim, sa)
-        else
-          Socket.read_exact sb dst (fun n ->
-              if n = 0 then finished := Some (t0, Sim.now tb.Testbed.sim, sa)
-              else recv (got + n))
-      in
-      send 0;
-      recv 0);
-  Sim.run ~until:(Simtime.s 120.) tb.Testbed.sim;
-  match !finished with
-  | None -> failwith "pin-cache experiment did not complete"
-  | Some (t0, t1, sa) ->
-      let elapsed = Simtime.sub t1 t0 in
-      ( Measurement.of_cpu
-          ~cpu:tb.Testbed.a.Testbed.stack.Netstack.host.Host.cpu ~elapsed
-          ~bytes:total,
-        sa )
-
 let print_pin_cache ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
   Tabulate.print_header
     "Section 4.4.1: pinned-buffer cache amortization (buffer reused by \
@@ -122,7 +84,9 @@ let print_pin_cache ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
       let paths =
         { force_uio with Socket.use_pin_cache = use_cache }
       in
-      let m, sa = ttcp_with_paths paths ~wsize ~total in
+      let m, sa =
+        single_buffer_stream ~paths ~aligned:true ~seed:4 ~wsize ~total
+      in
       let hits, misses =
         match Socket.pin_cache sa with
         | Some c -> (Pin_cache.hits c, Pin_cache.misses c)
@@ -191,42 +155,20 @@ type world = {
   sim : Sim.t;
   a : Netstack.t;
   b : Netstack.t;
-  a_cab_drv : Cab_driver.t;
   a_eth_drv : Ether_driver.t;
   b_eth_drv : Ether_driver.t;
 }
 
 let build_world () =
-  let sim = Sim.create () in
-  let profile = Host_profile.alpha400 in
-  let mode = Stack_mode.Single_copy in
   (* Mixed media: cap the MSS so segments fit the smallest interface —
      a route change must not strand packets bigger than the new MTU. *)
-  let tcp_config c = { c with Tcp.mss_cap = Some 1400 } in
-  let a = Netstack.create ~sim ~profile ~name:"hostA" ~mode ~tcp_config () in
-  let b = Netstack.create ~sim ~profile ~name:"hostB" ~mode ~tcp_config () in
-  let link = Hippi_link.create ~sim () in
-  let cab_a =
-    Cab.create ~sim ~profile ~name:"cabA" ~netmem_pages:2048 ~hippi_addr:1
-      ~transmit:(fun f ~dst:_ ~channel:_ ->
-        Hippi_link.send link ~from:Hippi_link.A f)
-      ()
-  and cab_b =
-    Cab.create ~sim ~profile ~name:"cabB" ~netmem_pages:2048 ~hippi_addr:2
-      ~transmit:(fun f ~dst:_ ~channel:_ ->
-        Hippi_link.send link ~from:Hippi_link.B f)
+  let tb =
+    Testbed.create ~netmem_pages:2048
+      ~tcp_config:(fun c -> { c with Tcp.mss_cap = Some 1400 })
       ()
   in
-  let a_cab_drv =
-    Netstack.attach_cab a ~cab:cab_a ~addr:(Inaddr.v 10 0 0 1) ()
-  in
-  let b_cab_drv =
-    Netstack.attach_cab b ~cab:cab_b ~addr:(Inaddr.v 10 0 0 2) ()
-  in
-  Hippi_link.set_rx link Hippi_link.B (fun f -> Cab.deliver cab_b f);
-  Hippi_link.set_rx link Hippi_link.A (fun f -> Cab.deliver cab_a f);
-  Cab_driver.add_neighbor a_cab_drv (Inaddr.v 10 0 0 2) ~hippi_addr:2;
-  Cab_driver.add_neighbor b_cab_drv (Inaddr.v 10 0 0 1) ~hippi_addr:1;
+  let sim = tb.Testbed.sim in
+  let a = tb.Testbed.a.Testbed.stack and b = tb.Testbed.b.Testbed.stack in
   (* Fast Ethernet so the interop experiments finish quickly. *)
   let seg = Etherdev.create_segment ~sim ~rate:(100e6 /. 8.) () in
   let dev_a = Etherdev.attach seg ~mac:0xa and dev_b = Etherdev.attach seg ~mac:0xb in
@@ -238,35 +180,27 @@ let build_world () =
   in
   Ether_driver.add_neighbor a_eth_drv (Inaddr.v 10 0 1 2) ~mac:0xb;
   Ether_driver.add_neighbor b_eth_drv (Inaddr.v 10 0 1 1) ~mac:0xa;
-  { sim; a; b; a_cab_drv; a_eth_drv; b_eth_drv }
+  { sim; a; b; a_eth_drv; b_eth_drv }
+
+(* A user socket on B accepts on [port] and reads [total] bytes;
+   [on_read] gets the count. *)
+let user_sink w ~port ~total on_read =
+  Tcp.listen w.b.Netstack.tcp ~port ~on_accept:(fun pcb ->
+      let space = Netstack.make_space w.b ~name:"u" in
+      let sock = Socket.create ~host:w.b.Netstack.host ~space ~proc:"app" pcb in
+      Socket.read_exact sock (Addr_space.alloc space total) on_read)
 
 let print_interop () =
   Tabulate.print_header
     "Section 5: interoperability — legacy devices and in-kernel \
      applications";
+  let total = 256 * 1024 in
   (* 1. user sockets over the legacy Ethernet (single-copy stack). *)
   let w = build_world () in
   let done1 = ref false in
-  let total = 256 * 1024 in
-  Tcp.listen w.b.Netstack.tcp ~port:7001 ~on_accept:(fun pcb ->
-      let space = Netstack.make_space w.b ~name:"u" in
-      let sock = Socket.create ~host:w.b.Netstack.host ~space ~proc:"app" pcb in
-      let dst = Addr_space.alloc space total in
-      Socket.read_exact sock dst (fun n -> done1 := n = total));
-  let pcb = ref None in
-  pcb :=
-    Some
-      (Tcp.connect w.a.Netstack.tcp ~dst:(Inaddr.v 10 0 1 2) ~dst_port:7001
-         ~on_established:(fun () ->
-           let space = Netstack.make_space w.a ~name:"u" in
-           let sock =
-             Socket.create ~host:w.a.Netstack.host ~space ~proc:"app"
-               ~paths:force_uio (Option.get !pcb)
-           in
-           let src = Addr_space.alloc space total in
-           Region.fill_pattern src ~seed:9;
-           Socket.write sock src (fun () -> Socket.close sock))
-         ());
+  user_sink w ~port:7001 ~total (fun n -> done1 := n = total);
+  Testbed.send_stream w.a ~dst:(Inaddr.v 10 0 1 2) ~port:7001 ~proc:"app"
+    ~wsize:total ~total ~seed:9;
   Sim.run ~until:(Simtime.s 60.) w.sim;
   Printf.printf
     "  1. user sockets over legacy Ethernet          : %s (socket took the \
@@ -277,7 +211,7 @@ let print_interop () =
   let w = build_world () in
   let sink = Inkernel.sink_on ~stack:w.b ~port:7002 in
   let sent = ref false in
-  Inkernel.source ~stack:w.a ~dst:(Inaddr.v 10 0 0 2) ~port:7002 ~total
+  Inkernel.source ~stack:w.a ~dst:Testbed.addr_b ~port:7002 ~total
     ~chunk:32768 ~on_done:(fun () -> sent := true);
   Sim.run ~until:(Simtime.s 60.) w.sim;
   Printf.printf
@@ -289,20 +223,8 @@ let print_interop () =
   (* 3. user socket sender -> in-kernel sink over the CAB. *)
   let w = build_world () in
   let sink = Inkernel.sink_on ~stack:w.b ~port:7003 in
-  let pcb = ref None in
-  pcb :=
-    Some
-      (Tcp.connect w.a.Netstack.tcp ~dst:(Inaddr.v 10 0 0 2) ~dst_port:7003
-         ~on_established:(fun () ->
-           let space = Netstack.make_space w.a ~name:"u" in
-           let sock =
-             Socket.create ~host:w.a.Netstack.host ~space ~proc:"app"
-               ~paths:force_uio (Option.get !pcb)
-           in
-           let src = Addr_space.alloc space total in
-           Region.fill_pattern src ~seed:11;
-           Socket.write sock src (fun () -> Socket.close sock))
-         ());
+  Testbed.send_stream w.a ~dst:Testbed.addr_b ~port:7003 ~proc:"app"
+    ~wsize:total ~total ~seed:11;
   Sim.run ~until:(Simtime.s 60.) w.sim;
   Printf.printf
     "  3. user socket -> in-kernel app over the CAB  : %s (%d bytes; %d \
@@ -312,45 +234,26 @@ let print_interop () =
   (* 4. route change mid-transfer: queued M_UIO data drains through the
      legacy driver's conversion shim. *)
   let w = build_world () in
-  let done4 = ref false in
   let got4 = ref 0 in
-  Tcp.listen w.b.Netstack.tcp ~port:7004 ~on_accept:(fun pcb ->
-      let space = Netstack.make_space w.b ~name:"u" in
-      let sock = Socket.create ~host:w.b.Netstack.host ~space ~proc:"app" pcb in
-      let dst = Addr_space.alloc space total in
-      Socket.read_exact sock dst (fun n ->
-          got4 := n;
-          done4 := n = total));
-  let pcb = ref None in
-  pcb :=
-    Some
-      (Tcp.connect w.a.Netstack.tcp ~dst:(Inaddr.v 10 0 0 2) ~dst_port:7004
-         ~on_established:(fun () ->
-           let space = Netstack.make_space w.a ~name:"u" in
-           let sock =
-             Socket.create ~host:w.a.Netstack.host ~space ~proc:"app"
-               ~paths:force_uio (Option.get !pcb)
-           in
-           let src = Addr_space.alloc space total in
-           Region.fill_pattern src ~seed:13;
-           Socket.write sock src (fun () -> Socket.close sock))
-         ());
+  user_sink w ~port:7004 ~total (fun n -> got4 := n);
+  Testbed.send_stream w.a ~dst:Testbed.addr_b ~port:7004 ~proc:"app"
+    ~wsize:total ~total ~seed:13;
   (* After 2 ms, reroute 10.0.0.2 over the Ethernet (host route wins by
      prefix length).  Queued descriptor data must convert at the legacy
      driver. *)
   ignore
     (Sim.after w.sim (Simtime.ms 2.) (fun () ->
-         Netstack.add_route w.a ~prefix:(Inaddr.v 10 0 0 2) ~len:32
+         Netstack.add_route w.a ~prefix:Testbed.addr_b ~len:32
            ~gateway:(Inaddr.v 10 0 1 2)
            (Ether_driver.iface w.a_eth_drv);
-         Netstack.add_route w.b ~prefix:(Inaddr.v 10 0 0 1) ~len:32
+         Netstack.add_route w.b ~prefix:Testbed.addr_a ~len:32
            ~gateway:(Inaddr.v 10 0 1 1)
            (Ether_driver.iface w.b_eth_drv)));
   Sim.run ~until:(Simtime.s 60.) w.sim;
   Printf.printf
     "  4. route change CAB->Ethernet mid-transfer    : %s (%d/%d bytes; %d \
      UIO chains converted at the legacy driver)\n"
-    (if !done4 then "ok" else "FAILED")
+    (if !got4 = total then "ok" else "FAILED")
     !got4 total
     (Ether_driver.stats w.a_eth_drv).Ether_driver.tx_converted
 

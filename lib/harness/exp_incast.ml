@@ -7,6 +7,33 @@ type row = {
 
 type report = { mode : Stack_mode.t; rows : row list }
 
+(* The host on switch port [port]: a CAB node whose media hook submits
+   to [sw] and whose port delivers to its CAB. *)
+let switch_node ~sim ~profile ~mode ~sw ~netmem_pages ~name ~port ~addr =
+  let n =
+    Testbed.make_node ~sim ~profile ~mode ~name ~netmem_pages ~hippi_addr:port
+      ~transmit:(fun frame ~dst ~channel:_ ->
+        Hippi_switch.submit sw ~src:port ~dst frame)
+      ~addr ()
+  in
+  Hippi_switch.attach sw ~port (fun f -> Cab.deliver n.Testbed.cab f);
+  (n.Testbed.stack, n.Testbed.driver)
+
+(* Accepts every connection on port 5001 of [stack] and reads each into
+   a reused 64 KB buffer.  [on_accept ()] gives the connection's read
+   handler, which takes each read's byte count and says whether to read
+   on. *)
+let sink_all stack ~proc on_accept =
+  Tcp.listen stack.Netstack.tcp ~port:5001 ~on_accept:(fun pcb ->
+      let space = Netstack.make_space stack ~name:"rx" in
+      let sock = Socket.create ~host:stack.Netstack.host ~space ~proc pcb in
+      let buf = Addr_space.alloc space 65536 in
+      let on_read = on_accept () in
+      let rec drain () =
+        Socket.read sock buf (fun n -> if n > 0 && on_read n then drain ())
+      in
+      drain ())
+
 (* Build a star: senders on switch ports 0..n-1, the receiver on port n. *)
 let run_one ~profile ~mode ~senders ~per_sender =
   let sim = Sim.create () in
@@ -14,19 +41,7 @@ let run_one ~profile ~mode ~senders ~per_sender =
     Hippi_switch.create ~sim ~ports:(senders + 1)
       Hippi_switch.Logical_channels
   in
-  let mk_node ~name ~port ~addr =
-    let stack = Netstack.create ~sim ~profile ~name ~mode () in
-    let cab =
-      Cab.create ~sim ~profile ~name:(name ^ ".cab") ~netmem_pages:2048
-        ~hippi_addr:port
-        ~transmit:(fun frame ~dst ~channel:_ ->
-          Hippi_switch.submit sw ~src:port ~dst frame)
-        ()
-    in
-    Hippi_switch.attach sw ~port (fun f -> Cab.deliver cab f);
-    let driver = Netstack.attach_cab stack ~cab ~addr () in
-    (stack, driver)
-  in
+  let mk_node = switch_node ~sim ~profile ~mode ~sw ~netmem_pages:2048 in
   let rx_addr = Inaddr.v 10 0 0 100 in
   let rx_stack, rx_driver =
     mk_node ~name:"rx" ~port:senders ~addr:rx_addr
@@ -51,42 +66,15 @@ let run_one ~profile ~mode ~senders ~per_sender =
   let total_expected = senders * per_sender in
   let got = ref 0 in
   let t_done = ref Simtime.zero in
-  Tcp.listen rx_stack.Netstack.tcp ~port:5001 ~on_accept:(fun pcb ->
-      let space = Netstack.make_space rx_stack ~name:"rx" in
-      let sock = Socket.create ~host:rx_host ~space ~proc:"ttcp" pcb in
-      let buf = Addr_space.alloc space 65536 in
-      let rec drain () =
-        Socket.read sock buf (fun n ->
-            if n > 0 then begin
-              got := !got + n;
-              if !got >= total_expected then t_done := Sim.now sim;
-              drain ()
-            end)
-      in
-      drain ());
+  sink_all rx_stack ~proc:"ttcp" (fun () n ->
+      got := !got + n;
+      if !got >= total_expected then t_done := Sim.now sim;
+      true);
   (* Senders: everyone starts together. *)
-  let paths = { Socket.default_paths with Socket.force_uio = true } in
   List.iter
     (fun stack ->
-      let pcb = ref None in
-      let conn =
-          Tcp.connect stack.Netstack.tcp ~dst:rx_addr ~dst_port:5001
-             ~on_established:(fun () ->
-               let space = Netstack.make_space stack ~name:"tx" in
-               let sock =
-                 Socket.create ~host:stack.Netstack.host ~space ~proc:"ttcp"
-                   ~paths (Option.get !pcb)
-               in
-               let buf = Addr_space.alloc space 65536 in
-               Region.fill_pattern buf ~seed:7;
-               let rec push sent =
-                 if sent >= per_sender then Socket.close sock
-                 else Socket.write sock buf (fun () -> push (sent + 65536))
-               in
-               push 0)
-             ()
-      in
-      pcb := Some conn)
+      Testbed.send_stream stack ~dst:rx_addr ~port:5001 ~proc:"ttcp"
+        ~wsize:65536 ~total:per_sender ~seed:7)
     tx;
   let t0 = Sim.now sim in
   Cpu.reset_accounting rx_host.Host.cpu;
@@ -153,20 +141,9 @@ let run_all_pairs_one ~profile ~mac ~hosts ~per_flow =
   let sw = Hippi_switch.create ~sim ~ports:hosts ~rate:4e6 mac in
   let nodes =
     Array.init hosts (fun port ->
-        let name = Printf.sprintf "h%d" port in
-        let stack = Netstack.create ~sim ~profile ~name ~mode:Stack_mode.Single_copy () in
-        let cab =
-          Cab.create ~sim ~profile ~name:(name ^ ".cab") ~netmem_pages:4096
-            ~hippi_addr:port
-            ~transmit:(fun frame ~dst ~channel:_ ->
-              Hippi_switch.submit sw ~src:port ~dst frame)
-            ()
-        in
-        Hippi_switch.attach sw ~port (fun f -> Cab.deliver cab f);
-        let driver =
-          Netstack.attach_cab stack ~cab ~addr:(Inaddr.v 10 0 0 (port + 1)) ()
-        in
-        (stack, driver))
+        switch_node ~sim ~profile ~mode:Stack_mode.Single_copy ~sw
+          ~netmem_pages:4096 ~name:(Printf.sprintf "h%d" port) ~port
+          ~addr:(Inaddr.v 10 0 0 (port + 1)))
   in
   Array.iteri
     (fun i (_, di) ->
@@ -180,57 +157,28 @@ let run_all_pairs_one ~profile ~mac ~hosts ~per_flow =
   let flows = hosts * (hosts - 1) in
   let done_flows = ref 0 in
   let t_done = ref Simtime.zero in
-  Array.iteri
-    (fun j (stack_j, _) ->
-      Tcp.listen stack_j.Netstack.tcp ~port:5001 ~on_accept:(fun pcb ->
-          let space = Netstack.make_space stack_j ~name:"rx" in
-          let sock =
-            Socket.create ~host:stack_j.Netstack.host ~space ~proc:"app" pcb
-          in
-          let buf = Addr_space.alloc space 65536 in
+  Array.iter
+    (fun (stack_j, _) ->
+      sink_all stack_j ~proc:"app" (fun () ->
           let got = ref 0 in
-          let rec drain () =
-            Socket.read sock buf (fun n ->
-                if n > 0 then begin
-                  got := !got + n;
-                  if !got >= per_flow then begin
-                    incr done_flows;
-                    if !done_flows = flows then t_done := Sim.now sim
-                  end
-                  else drain ()
-                end)
-          in
-          drain ());
-      ignore j)
+          fun n ->
+            got := !got + n;
+            if !got < per_flow then true
+            else begin
+              incr done_flows;
+              if !done_flows = flows then t_done := Sim.now sim;
+              false
+            end))
     nodes;
-  let paths = { Socket.default_paths with Socket.force_uio = true } in
   Array.iteri
     (fun i (stack_i, _) ->
       Array.iteri
         (fun j _ ->
-          if i <> j then begin
-            let pcb = ref None in
-            let conn =
-              Tcp.connect stack_i.Netstack.tcp
-                ~dst:(Inaddr.v 10 0 0 (j + 1))
-                ~dst_port:5001
-                ~on_established:(fun () ->
-                  let space = Netstack.make_space stack_i ~name:"tx" in
-                  let sock =
-                    Socket.create ~host:stack_i.Netstack.host ~space
-                      ~proc:"app" ~paths (Option.get !pcb)
-                  in
-                  let buf = Addr_space.alloc space 32768 in
-                  Region.fill_pattern buf ~seed:(i + j);
-                  let rec push sent =
-                    if sent >= per_flow then Socket.close sock
-                    else Socket.write sock buf (fun () -> push (sent + 32768))
-                  in
-                  push 0)
-                ()
-            in
-            pcb := Some conn
-          end)
+          if i <> j then
+            Testbed.send_stream stack_i
+              ~dst:(Inaddr.v 10 0 0 (j + 1))
+              ~port:5001 ~proc:"app" ~wsize:32768 ~total:per_flow
+              ~seed:(i + j))
         nodes)
     nodes;
   let t0 = Sim.now sim in

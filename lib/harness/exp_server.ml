@@ -16,11 +16,9 @@
    the gate checks the bulk flows keep >= 0.8x their no-flood
    throughput while sheds and cookies are both non-zero.
 
-   Every run ends with the churn-test drain discipline: everything is
-   closed, the listener drained, the simulation quiesced, and timers,
-   mbufs, frames and netmem pages must return exactly to baseline. *)
-
-type leak = { metric : string; baseline : float; final : float }
+   Every run ends with the testbed's drain check: everything is closed,
+   the listener drained, the simulation quiesced, and every
+   {!Testbed.occupancy} metric must return exactly to baseline. *)
 
 type result = {
   flood : bool;
@@ -46,30 +44,19 @@ type result = {
   accept_p99_us : float option;
   elapsed_s : float;  (* sim seconds of the churn window *)
   events : int;
-  leaks : leak list;
+  leaks : Testbed.leak list;
   ok : bool;
 }
 
-let occupancy_metrics =
+let conn_counter name = int_of_float (Obs.value ~section:"conn" ~name)
+
+(* The conn counters a result reports, each as a delta over the run. *)
+let conn_reported =
   [
-    ("mbuf_pool", "live");
-    ("mbuf_pool", "live_clusters");
-    ("bufpool", "outstanding");
-    ("addr_space", "pinned_pages");
-    ("cab.hostA.cab", "netmem_in_use");
-    ("cab.hostB.cab", "netmem_in_use");
+    "syn_rcvd"; "syn_queued"; "synack_rexmits"; "syn_timeouts";
+    "flood_injected"; "cookies_sent"; "cookies_validated"; "cookies_rejected";
+    "shed_pressure"; "shed_accept"; "shed_penalty"; "accept_overflow";
   ]
-
-let read_metric (section, name) =
-  match Obs.find ~section ~name with
-  | Some (Obs.M_gauge f) -> f ()
-  | Some (Obs.M_counter c) -> float_of_int (Obs.Counter.get c)
-  | _ -> 0.
-
-let conn_counter name =
-  match Obs.find ~section:"conn" ~name with
-  | Some (Obs.M_counter c) -> Obs.Counter.get c
-  | _ -> 0
 
 let rpc_port = 7000
 let bulk_ports = [ 7100; 7101; 7102; 7103 ]
@@ -96,22 +83,8 @@ let run ?(flood = false) ?(seed = 42) ?(target = 100_000)
   let tcp_b = tb.Testbed.b.Testbed.stack.Netstack.tcp in
   (* Baselines: process-global conn counters are cumulative, so every
      figure this run reports is a delta from here. *)
-  let c0 name = conn_counter name in
-  let syn_rcvd0 = c0 "syn_rcvd" and syn_queued0 = c0 "syn_queued" in
-  let synack_rexmits0 = c0 "synack_rexmits" in
-  let syn_timeouts0 = c0 "syn_timeouts" in
-  let flood_injected0 = c0 "flood_injected" in
-  let cookies_sent0 = c0 "cookies_sent" in
-  let cookies_validated0 = c0 "cookies_validated" in
-  let cookies_rejected0 = c0 "cookies_rejected" in
-  let shed_pressure0 = c0 "shed_pressure" in
-  let shed_accept0 = c0 "shed_accept" in
-  let shed_penalty0 = c0 "shed_penalty" in
-  let accept_overflow0 = c0 "accept_overflow" in
-  let baseline = List.map (fun m -> (m, read_metric m)) occupancy_metrics in
-  let pending0 = Sim.pending sim in
-  let mbufs0 = Mbuf.Pool.allocated () in
-  let frames0 = Bufpool.outstanding Bufpool.shared in
+  let conn0 = List.map (fun name -> (name, conn_counter name)) conn_reported in
+  let baseline = Testbed.occupancy tb in
   (* Memory-pressure admission: the server's listener sheds all new
      SYNs when its adaptor's network memory is nearly exhausted. *)
   let nm_b = Cab.netmem tb.Testbed.b.Testbed.cab in
@@ -231,10 +204,8 @@ let run ?(flood = false) ?(seed = 42) ?(target = 100_000)
 
   (* ---- client churn: closed-loop RPC connections ---- *)
   let retries = ref 0 in
-  let launched = ref 0 in
   let rec launch () =
     if not !churn_done then begin
-      incr launched;
       let pcb = ref None in
       let done_ = ref false in
       let finish ~completed =
@@ -281,11 +252,14 @@ let run ?(flood = false) ?(seed = 42) ?(target = 100_000)
      target; the churn's replacement spawning stops on its own. *)
   let t0 = Sim.now sim in
   let t_end = ref t0 in
+  let stop_churn () =
+    churn_done := true;
+    List.iter Tcp.close !bulk_senders
+  in
   let rec watch () =
     if !accepted >= target then begin
-      churn_done := true;
       t_end := Sim.now sim;
-      List.iter (fun p -> Tcp.close p) !bulk_senders
+      stop_churn ()
     end
     else ignore (Sim.after sim (Simtime.ms 1.) watch : Sim.handle)
   in
@@ -308,60 +282,18 @@ let run ?(flood = false) ?(seed = 42) ?(target = 100_000)
      stop the churn and bulk senders here so quiesce can still prove the
      exact-drain invariant (the accepted-count shortfall fails [ok] on
      its own). *)
-  if not !churn_done then begin
-    churn_done := true;
-    List.iter (fun p -> Tcp.close p) !bulk_senders
-  end;
+  if not !churn_done then stop_churn ();
   Tcp.close_listener l;
   List.iter (fun port -> Tcp.unlisten tcp_b ~port) bulk_ports;
   (* Generous slack: stuck SYN_SENT churn clients need the full
      12-rexmit backoff (~30 s) to give up on themselves, and idle-flow
      reaping needs keepalive_idle + probes * keepalive_intvl. *)
-  let run_slack () =
-    Sim.run ~until:(Simtime.add (Sim.now sim) (Simtime.s 40.)) sim
-  in
-  run_slack ();
-  let rec drain n =
-    if n > 0 then begin
-      let pending =
-        Cab.poll tb.Testbed.a.Testbed.cab + Cab.poll tb.Testbed.b.Testbed.cab
-      in
-      run_slack ();
-      if pending > 0 then drain (n - 1)
-    end
-  in
-  drain 16;
-  run_slack ();
-  let leaks =
-    let pool_leaks =
-      List.filter_map
-        (fun ((section, name), b) ->
-          let f = read_metric (section, name) in
-          if f <> b then
-            Some { metric = section ^ "/" ^ name; baseline = b; final = f }
-          else None)
-        baseline
-    in
-    let exact name b f =
-      if f <> b then
-        Some { metric = name; baseline = float_of_int b; final = float_of_int f }
-      else None
-    in
-    List.filter_map
-      (fun x -> x)
-      [
-        exact "sim/pending_timers" pending0 (Sim.pending sim);
-        exact "mbuf_pool/allocated" mbufs0 (Mbuf.Pool.allocated ());
-        exact "bufpool/outstanding" frames0 (Bufpool.outstanding Bufpool.shared);
-        exact "tcp/active_flows_a" 0 (Tcp.active_flows tcp_a);
-        exact "tcp/active_flows_b" 0 (Tcp.active_flows tcp_b);
-      ]
-    @ pool_leaks
-  in
-  let d name v0 = conn_counter name - v0 in
-  let shed_pressure = d "shed_pressure" shed_pressure0 in
-  let shed_accept = d "shed_accept" shed_accept0 in
-  let shed_penalty = d "shed_penalty" shed_penalty0 in
+  Testbed.quiesce tb ~slack:(Simtime.s 40.);
+  let leaks = Testbed.leaks tb baseline in
+  let d name = conn_counter name - List.assoc name conn0 in
+  let shed_pressure = d "shed_pressure" in
+  let shed_accept = d "shed_accept" in
+  let shed_penalty = d "shed_penalty" in
   let quantile_us h q =
     match Obs.Histogram.quantile h q with
     | Some ns -> Some (ns /. 1e3)
@@ -374,19 +306,19 @@ let run ?(flood = false) ?(seed = 42) ?(target = 100_000)
     rpc_completed = !rpc_completed;
     client_retries = !retries;
     bulk_mbit;
-    syn_rcvd = d "syn_rcvd" syn_rcvd0;
-    syn_queued = d "syn_queued" syn_queued0;
-    synack_rexmits = d "synack_rexmits" synack_rexmits0;
-    syn_timeouts = d "syn_timeouts" syn_timeouts0;
-    flood_injected = d "flood_injected" flood_injected0;
-    cookies_sent = d "cookies_sent" cookies_sent0;
-    cookies_validated = d "cookies_validated" cookies_validated0;
-    cookies_rejected = d "cookies_rejected" cookies_rejected0;
+    syn_rcvd = d "syn_rcvd";
+    syn_queued = d "syn_queued";
+    synack_rexmits = d "synack_rexmits";
+    syn_timeouts = d "syn_timeouts";
+    flood_injected = d "flood_injected";
+    cookies_sent = d "cookies_sent";
+    cookies_validated = d "cookies_validated";
+    cookies_rejected = d "cookies_rejected";
     sheds = shed_pressure + shed_accept + shed_penalty;
     shed_pressure;
     shed_accept;
     shed_penalty;
-    accept_overflows = d "accept_overflow" accept_overflow0;
+    accept_overflows = d "accept_overflow";
     accept_p50_us = quantile_us Obs_lat.accept_ns 0.5;
     accept_p99_us = quantile_us Obs_lat.accept_ns 0.99;
     elapsed_s = Simtime.to_s elapsed;
@@ -417,8 +349,6 @@ let print (r : result) =
         p99
   | _ -> ());
   List.iter
-    (fun l ->
-      Printf.printf "  LEAK %s: baseline %.0f -> final %.0f\n" l.metric
-        l.baseline l.final)
+    (fun l -> Printf.printf "  LEAK %s\n" (Testbed.string_of_leak l))
     r.leaks;
   Printf.printf "  %s\n" (if r.ok then "ok" else "NOT OK")

@@ -6,10 +6,11 @@
     [concurrency] closed-loop RPC clients until the server has accepted
     [target] connections.  The flood variant arms [tcp.synflood] and
     [conn.accept_full] to verify the admission machinery protects the
-    established (bulk) flows.  Every run must drain timers, mbufs,
-    frames and netmem pages exactly back to baseline. *)
-
-type leak = { metric : string; baseline : float; final : float }
+    established (bulk) flows.  Every run must drain every
+    {!Testbed.occupancy} metric (armed timers, mbufs and clusters,
+    frames, pinned pages, netmem pages, live flows on both hosts)
+    exactly back to baseline after a {!Testbed.quiesce} with 40 s
+    slack. *)
 
 type result = {
   flood : bool;
@@ -35,7 +36,7 @@ type result = {
   accept_p99_us : float option;
   elapsed_s : float;
   events : int;
-  leaks : leak list;
+  leaks : Testbed.leak list;
   ok : bool;
 }
 

@@ -50,11 +50,7 @@ let serve ~api ~total ~block =
           let space = Netstack.make_space b ~name:"srvbuf" in
           let buf = Addr_space.alloc space block in
           Region.fill_pattern buf ~seed:1;
-          let rec push sent =
-            if sent >= total then Socket.close sock
-            else Socket.write sock buf (fun () -> push (sent + block))
-          in
-          push 0)
+          Testbed.write_all sock buf ~total)
   | `Share ->
       (* In-kernel server: mbufs are the shared buffers. *)
       Tcp.listen tb.Testbed.b.Testbed.stack.Netstack.tcp ~port:2049

@@ -1,10 +1,8 @@
-type leak = { metric : string; baseline : float; final : float }
-
 type seed_report = {
   seed : int;
   completed : bool;
   verified : bool;
-  leaks : leak list;
+  leaks : Testbed.leak list;
   throughput_mbit : float;
   retransmits : int;
   csum_failures : int;
@@ -19,25 +17,6 @@ type seed_report = {
   policy : Path_policy.stats option;
   ok : bool;
 }
-
-(* The occupancy metrics that must return exactly to baseline once the
-   connection is closed, injection disarmed and the simulation quiesced.
-   Anything still held afterwards is a leak in a recovery path. *)
-let occupancy_metrics =
-  [
-    ("mbuf_pool", "live");
-    ("mbuf_pool", "live_clusters");
-    ("bufpool", "outstanding");
-    ("addr_space", "pinned_pages");
-    ("cab.hostA.cab", "netmem_in_use");
-    ("cab.hostB.cab", "netmem_in_use");
-  ]
-
-let read_metric (section, name) =
-  match Obs.find ~section ~name with
-  | Some (Obs.M_gauge f) -> f ()
-  | Some (Obs.M_counter c) -> float_of_int (Obs.Counter.get c)
-  | _ -> 0.
 
 (* Seed-derived storm: every class of modeled hardware fault at once,
    with rates drawn from the seed so distinct seeds exercise distinct
@@ -61,17 +40,17 @@ let run_seed ?(wsize = 64 * 1024) ?(total = 2 * 1024 * 1024)
     invalid_arg "Exp_soak.run_seed: total must be a multiple of wsize";
   let tb = Testbed.create ~mode ~watchdog:(Simtime.us 500.) () in
   let sim = tb.Testbed.sim in
-  let baseline = List.map (fun m -> (m, read_metric m)) occupancy_metrics in
-  let csum0 = read_metric ("tcp", "csum_failures_rx") in
+  let baseline = Testbed.occupancy tb in
+  let csum_failures () = Obs.value ~section:"tcp" ~name:"csum_failures_rx" in
+  let csum0 = csum_failures () in
   Fault.arm ~seed;
   plans ~seed;
   let paths =
     { Socket.default_paths with Socket.force_uio = false; adaptive = true }
   in
-  let finished = ref false in
   let verified = ref true in
   let handles = ref None in
-  let window = ref (Simtime.zero, Simtime.zero) in
+  let window = ref None in
   Testbed.establish_stream tb ~port:5001 ~a_paths:paths ~b_paths:paths
     (fun sa sb ->
       handles := Some (sa, sb);
@@ -81,14 +60,9 @@ let run_seed ?(wsize = 64 * 1024) ?(total = 2 * 1024 * 1024)
       let src = Addr_space.alloc a_space wsize in
       let dst = Addr_space.alloc b_space wsize in
       Region.fill_pattern src ~seed:((seed * 7919) + 17);
-      let rec send_loop sent =
-        if sent >= total then Socket.close sa
-        else Socket.write sa src (fun () -> send_loop (sent + wsize))
-      in
       let rec recv_loop got =
         if got >= total then begin
-          finished := true;
-          window := (t0, Sim.now sim);
+          window := Some (Simtime.sub (Sim.now sim) t0);
           Socket.close sb
         end
         else
@@ -100,44 +74,22 @@ let run_seed ?(wsize = 64 * 1024) ?(total = 2 * 1024 * 1024)
                 recv_loop (got + n)
               end)
       in
-      send_loop 0;
+      Testbed.write_all sa src ~total;
       recv_loop 0);
   Sim.run ~until:(Simtime.s 600.) sim;
   Fault.disarm ();
-  (* Quiesce: process whatever the storm left queued, poll both adaptors
-     in case the last interrupt of the run was swallowed, and flush the
-     pin caches so lazily-held pins are released. *)
-  let run_slack () = Sim.run ~until:(Simtime.add (Sim.now sim) (Simtime.s 10.)) sim in
-  run_slack ();
-  let rec drain n =
-    if n > 0 then begin
-      let pending =
-        Cab.poll tb.Testbed.a.Testbed.cab + Cab.poll tb.Testbed.b.Testbed.cab
-      in
-      run_slack ();
-      if pending > 0 then drain (n - 1)
-    end
-  in
-  drain 16;
-  (match !handles with
-  | Some (sa, sb) ->
+  (* Quiesce: process whatever the storm left queued, then flush the pin
+     caches so lazily-held pins are released before the leak diff. *)
+  Testbed.quiesce tb ~slack:(Simtime.s 10.);
+  Option.iter
+    (fun (sa, sb) ->
       List.iter
         (fun s ->
-          match Socket.pin_cache s with
-          | Some c -> ignore (Pin_cache.flush c)
-          | None -> ())
-        [ sa; sb ]
-  | None -> ());
-  run_slack ();
-  let leaks =
-    List.filter_map
-      (fun ((section, name), b) ->
-        let f = read_metric (section, name) in
-        if f <> b then
-          Some { metric = section ^ "/" ^ name; baseline = b; final = f }
-        else None)
-      baseline
-  in
+          Option.iter (fun c -> ignore (Pin_cache.flush c : Simtime.t))
+            (Socket.pin_cache s))
+        [ sa; sb ])
+    !handles;
+  let leaks = Testbed.leaks tb baseline in
   let retransmits, pin_fallbacks =
     match !handles with
     | Some (sa, sb) ->
@@ -150,13 +102,12 @@ let run_seed ?(wsize = 64 * 1024) ?(total = 2 * 1024 * 1024)
   let db = Cab_driver.stats tb.Testbed.b.Testbed.driver in
   let ca = Cab.stats tb.Testbed.a.Testbed.cab in
   let cb = Cab.stats tb.Testbed.b.Testbed.cab in
-  let completed = !finished in
+  let completed = !window <> None in
   let verified = !verified in
   let throughput_mbit =
-    if completed then
-      let t0, t1 = !window in
-      float_of_int (total * 8) /. Simtime.to_s (Simtime.sub t1 t0) /. 1e6
-    else 0.
+    match !window with
+    | Some elapsed -> float_of_int (total * 8) /. Simtime.to_s elapsed /. 1e6
+    | None -> 0.
   in
   {
     seed;
@@ -165,7 +116,7 @@ let run_seed ?(wsize = 64 * 1024) ?(total = 2 * 1024 * 1024)
     leaks;
     throughput_mbit;
     retransmits;
-    csum_failures = int_of_float (read_metric ("tcp", "csum_failures_rx") -. csum0);
+    csum_failures = int_of_float (csum_failures () -. csum0);
     frames_corrupted = Hippi_link.frames_corrupted tb.Testbed.link;
     frames_dropped = Hippi_link.frames_dropped tb.Testbed.link;
     tx_recoveries = ca.Cab.tx_recoveries + cb.Cab.tx_recoveries;
@@ -220,8 +171,6 @@ let print reports =
           string_of_int r.adaptor_resets;
         ];
       List.iter
-        (fun l ->
-          Printf.printf "    leak %s: baseline %.0f -> final %.0f\n" l.metric
-            l.baseline l.final)
+        (fun l -> Printf.printf "    leak %s\n" (Testbed.string_of_leak l))
         r.leaks)
     reports

@@ -9,26 +9,22 @@
     - {b integrity}: every received window is byte-identical to the
       sender's buffer (corruption must be caught by the checksum and
       healed by TCP retransmission, never delivered);
-    - {b no leaks}: after the connection closes, injection is disarmed
-      and the simulation quiesces, every occupancy metric in the {!Obs}
-      registry (mbuf pool, frame bufpool, pinned pages, outboard memory
-      in use on both adaptors) returns exactly to its pre-transfer
-      baseline.
+    - {b no leaks}: after the connection closes, injection is disarmed,
+      the simulation quiesces ({!Testbed.quiesce}, 10 s slack) and the
+      pin caches are flushed, every {!Testbed.occupancy} metric (armed
+      timers, mbufs and clusters, frames, pinned pages, outboard memory
+      in use on both adaptors, live flows on both hosts) returns
+      exactly to its pre-transfer baseline.
 
     Determinism: the same seed replays the same storm, so a failing seed
     is a reproducible test case. *)
-
-type leak = {
-  metric : string;  (** ["section/name"] in the {!Obs} registry *)
-  baseline : float;
-  final : float;
-}
 
 type seed_report = {
   seed : int;
   completed : bool;  (** transfer finished before the simulation deadline *)
   verified : bool;  (** every window byte-identical *)
-  leaks : leak list;  (** occupancy metrics that failed to return to baseline *)
+  leaks : Testbed.leak list;
+      (** occupancy metrics that failed to return to baseline *)
   throughput_mbit : float;  (** 0 when the transfer never completed *)
   retransmits : int;
   csum_failures : int;  (** corrupted frames caught by checksum verify *)

@@ -93,6 +93,14 @@ let histogram ~section ~name =
 let table ~section ~name f = register ~section ~name (M_table f)
 let find ~section ~name = Hashtbl.find_opt tbl (section, name)
 
+let value ~section ~name =
+  match find ~section ~name with
+  | Some (M_counter c) -> float_of_int (Counter.get c)
+  | Some (M_gauge f) -> f ()
+  | Some (M_histogram _ | M_table _) | None ->
+      invalid_arg
+        (Printf.sprintf "Obs.value: no counter or gauge %s/%s" section name)
+
 (* Sorted, not insertion-ordered: JSON export (and any golden test or
    registry diff built on it) must not depend on module-init order. *)
 let ordered () =

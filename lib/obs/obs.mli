@@ -82,6 +82,11 @@ val table : section:string -> name:string -> (unit -> string) -> unit
 
 val find : section:string -> name:string -> metric option
 
+val value : section:string -> name:string -> float
+(** The current reading of a registered counter or gauge.  Raises
+    [Invalid_argument] if [(section, name)] is not registered or is a
+    histogram or table, so a misspelled name fails instead of reading 0. *)
+
 val sections : unit -> string list
 (** Registered section names, sorted. *)
 

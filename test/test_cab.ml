@@ -522,11 +522,6 @@ let prop_offload_any_program =
 
 (* ---------- engine job rings ---------- *)
 
-let counter_value ~section ~name =
-  match Obs.find ~section ~name with
-  | Some (Obs.M_counter c) -> Obs.Counter.get c
-  | _ -> 0
-
 (* A chain post allocates nothing: the chain waits in a bus job the
    engine preallocated, and one completion function finishes every job.
    10,000 posts of a test-owned header+payload chain, run to completion,
@@ -710,7 +705,7 @@ let test_copyouts_beyond_pipe_depth () =
 let test_netmem_double_free_counted () =
   let nm = Netmem.create ~pages:8 in
   let base = Netmem.in_use nm in
-  let frees = counter_value ~section:"netmem" ~name:"double_frees" in
+  let frees = Obs.value ~section:"netmem" ~name:"double_frees" in
   let pkt = Netmem.alloc nm ~len:100 ~state:Netmem.Ready in
   check_int "one more live packet" (base + 1) (Netmem.in_use nm);
   Netmem.free nm pkt;
@@ -719,8 +714,8 @@ let test_netmem_double_free_counted () =
        Netmem.free nm pkt;
        false
      with Netmem.Double_free _ -> true);
-  check_int "double free counted" (frees + 1)
-    (counter_value ~section:"netmem" ~name:"double_frees");
+  Alcotest.(check (float 0.)) "double free counted" (frees +. 1.)
+    (Obs.value ~section:"netmem" ~name:"double_frees");
   check_int "live count back to baseline" base (Netmem.in_use nm);
   check_int "pages back" 8 (Netmem.free_pages nm)
 

@@ -11,25 +11,14 @@ let qcase t = QCheck_alcotest.to_alcotest t
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let conn_counter name =
-  match Obs.find ~section:"conn" ~name with
-  | Some (Obs.M_counter c) -> Obs.Counter.get c
-  | _ -> 0
+let conn_counter name = int_of_float (Obs.value ~section:"conn" ~name)
 
-(* Process-wide occupancy snapshot: every scenario below must return the
-   world exactly to this baseline, or it leaked. *)
-let occupancy tb =
-  ( Sim.pending tb.Testbed.sim,
-    Bufpool.outstanding Bufpool.shared,
-    Mbuf.Pool.allocated () )
-
-let check_drained name tb (timers0, frames0, mbufs0) =
-  check_int (name ^ ": armed timers back to baseline") timers0
-    (Sim.pending tb.Testbed.sim);
-  check_int (name ^ ": frame pool back to baseline") frames0
-    (Bufpool.outstanding Bufpool.shared);
-  check_int (name ^ ": live mbufs back to baseline") mbufs0
-    (Mbuf.Pool.allocated ())
+(* Every scenario below must return the testbed exactly to its
+   occupancy snapshot, or it leaked. *)
+let check_drained name tb base =
+  Alcotest.(check (list string))
+    (name ^ ": drained to baseline") []
+    (List.map Testbed.string_of_leak (Testbed.leaks tb base))
 
 let tcp_a tb = tb.Testbed.a.Testbed.stack.Netstack.tcp
 let tcp_b tb = tb.Testbed.b.Testbed.stack.Netstack.tcp
@@ -144,7 +133,7 @@ let listenq_drain_and_bounds () =
 
 let accept_basic () =
   let tb = Testbed.create () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let l = Tcp.create_listener (tcp_b tb) ~port:7000 () in
   check_int "listener_port" 7000 (Tcp.listener_port l);
   let pcb_a = Tcp.connect (tcp_a tb) ~dst:Testbed.addr_b ~dst_port:7000 () in
@@ -170,7 +159,7 @@ let accept_basic () =
 
 let accept_overflow_rst () =
   let tb = Testbed.create () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let overflow0 = conn_counter "accept_overflow" in
   let l =
     Tcp.create_listener (tcp_b tb) ~port:7000 ~backlog:2 ~rst_on_full:true ()
@@ -207,12 +196,29 @@ let accept_overflow_rst () =
   check_drained "overflow" tb base
 
 (* --------------------------------------------------------------- *)
+(* The drain check names what leaked                                *)
+(* --------------------------------------------------------------- *)
+
+let drain_check_names_leaks () =
+  let tb = Testbed.create () in
+  let base = Testbed.occupancy tb in
+  let m = Mbuf.alloc ~pkthdr:true 64 in
+  let timer = Sim.after tb.Testbed.sim (Simtime.s 1.) ignore in
+  Alcotest.(check (list string))
+    "an unreleased mbuf and an armed timer are named"
+    [ "sim/pending"; "mbuf_pool/live" ]
+    (List.map (fun l -> l.Testbed.metric) (Testbed.leaks tb base));
+  Mbuf.free m;
+  Sim.stop tb.Testbed.sim timer;
+  check_drained "released" tb base
+
+(* --------------------------------------------------------------- *)
 (* Listener close drains to exact occupancy                         *)
 (* --------------------------------------------------------------- *)
 
 let close_drains_accept_queue () =
   let tb = Testbed.create () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let drained0 = conn_counter "listen_drained" in
   let l = Tcp.create_listener (tcp_b tb) ~port:7000 ~backlog:16 () in
   let clients =
@@ -239,7 +245,7 @@ let close_drains_half_open () =
      so the server still holds a half-open record, then close the
      listener out from under it. *)
   let tb = Testbed.create ~drop_a_frames:[ 1 ] () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let drained0 = conn_counter "listen_drained" in
   let l = Tcp.create_listener (tcp_b tb) ~port:7000 () in
   let pcb_a = Tcp.connect (tcp_a tb) ~dst:Testbed.addr_b ~dst_port:7000 () in
@@ -268,7 +274,7 @@ let close_drains_half_open () =
 
 let synack_rexmit_completes () =
   let tb = Testbed.create ~drop_a_frames:[ 1 ] () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let rexmits0 = conn_counter "synack_rexmits" in
   let l = Tcp.create_listener (tcp_b tb) ~port:7000 () in
   let pcb_a = Tcp.connect (tcp_a tb) ~dst:Testbed.addr_b ~dst_port:7000 () in
@@ -306,7 +312,7 @@ let synack_rexmit_completes () =
    every server-side stateful handshake. *)
 let cookie_adds_no_setup_sample () =
   let tb = Testbed.create () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let setup () = Obs.Histogram.count Obs_lat.conn_setup_ns in
   let l =
     Tcp.create_listener (tcp_b tb) ~port:7000 ~syn_backlog:1 ~cookies:true ()
@@ -355,7 +361,7 @@ let cookie_rst_promotes_nothing () =
   (* Frames 0 and 1 are the two SYNs, 2 and 3 the two handshake ACKs:
      drop the second (cookie) client's. *)
   let tb = Testbed.create ~drop_a_frames:[ 3 ] () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let l =
     Tcp.create_listener (tcp_b tb) ~port:7000 ~syn_backlog:1 ~cookies:true ()
   in
@@ -414,7 +420,7 @@ let b_ip_sent tb = (Ipv4.stats tb.Testbed.b.Testbed.stack.Netstack.ip).Ipv4.sent
    that record (same ISS, a second SYN-ACK) instead of queueing again. *)
 let duplicate_syn_answered () =
   let tb = Testbed.create () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let l = Tcp.create_listener (tcp_b tb) ~port:7000 () in
   let queued0 = conn_counter "syn_queued" and dup0 = conn_counter "syn_dup" in
   let syn () =
@@ -439,7 +445,7 @@ let duplicate_syn_answered () =
    as a cookie; a forged one is refused without promoting anything. *)
 let bad_cookie_refused () =
   let tb = Testbed.create () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let l =
     Tcp.create_listener (tcp_b tb) ~port:7000 ~syn_backlog:1 ~cookies:true ()
   in
@@ -465,7 +471,7 @@ let bad_cookie_refused () =
 
 let pressure_sheds_then_recovers () =
   let tb = Testbed.create () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let shed0 = conn_counter "shed_pressure" in
   let pressure = ref 1.0 in
   Tcp.set_pressure_fn (tcp_b tb) (fun () -> !pressure);
@@ -506,7 +512,7 @@ let keepalive_cfg c =
 
 let keepalive_healthy_survives () =
   let tb = Testbed.create ~tcp_config:keepalive_cfg () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let probes0 = conn_counter "keepalive_probes" in
   let drops0 = conn_counter "keepalive_drops" in
   let b_side = ref None in
@@ -541,7 +547,7 @@ let keepalive_reaps_dead_peer () =
       ~drop_b_frames:(List.init 400 (fun i -> i + 1))
       ()
   in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let probes0 = conn_counter "keepalive_probes" in
   let drops0 = conn_counter "keepalive_drops" in
   let b_side = ref None in
@@ -571,7 +577,7 @@ let find_ev evs data = List.find_opt (fun e -> e.Sockpoll.ev_data = data) evs
 
 let sockpoll_accept_and_read () =
   let tb = Testbed.create () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let sp = Sockpoll.create () in
   let l = Tcp.create_listener (tcp_b tb) ~port:7000 () in
   let e_l = Sockpoll.add_listener sp ~interest:Sockpoll.accept_only ~data:1 l in
@@ -620,6 +626,11 @@ let sockpoll_accept_and_read () =
   Sim.run ~until:(Simtime.s 2.) tb.Testbed.sim;
   check_int "A flows drained" 0 (Tcp.active_flows (tcp_a tb));
   check_int "B flows drained" 0 (Tcp.active_flows (tcp_b tb));
+  (* A closed socket's pin cache still holds the read buffer's page;
+     release it as the soak does. *)
+  Option.iter
+    (fun c -> ignore (Pin_cache.flush c : Simtime.t))
+    (Socket.pin_cache sock_b);
   check_drained "sockpoll" tb base
 
 (* --------------------------------------------------------------- *)
@@ -630,7 +641,7 @@ let sockpoll_accept_and_read () =
    rebind connections landing on any shard are admitted. *)
 let port_table_lifecycle_on ~shards =
   let tb = Testbed.create ~shards () in
-  let base = occupancy tb in
+  let base = Testbed.occupancy tb in
   let tcp = tcp_b tb in
   let l = Tcp.create_listener tcp ~port:7000 () in
   (try
@@ -688,6 +699,7 @@ let () =
         ];
       sec "drain"
         [
+          case "leak diff names the metric" drain_check_names_leaks;
           case "close drains the accept queue" close_drains_accept_queue;
           case "close drains half-open records" close_drains_half_open;
         ];

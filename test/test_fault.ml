@@ -8,11 +8,6 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let counter_value ~section ~name =
-  match Obs.find ~section ~name with
-  | Some (Obs.M_counter c) -> Obs.Counter.get c
-  | _ -> 0
-
 (* ---------- plane semantics ---------- *)
 
 let test_disarmed_never_fires () =
@@ -83,10 +78,10 @@ let test_fire_at_bounds () =
 let test_obs_export () =
   Fault.arm ~seed:3;
   Fault.plan ~site:"obs.site" (Fault.Probability 1.0);
-  let fires0 = counter_value ~section:"fault" ~name:"fires" in
+  let fires0 = Obs.value ~section:"fault" ~name:"fires" in
   ignore (Fault.fire "obs.site");
   check_bool "fault fires counted in Obs" true
-    (counter_value ~section:"fault" ~name:"fires" > fires0);
+    (Obs.value ~section:"fault" ~name:"fires" > fires0);
   check_bool "sites table registered" true
     (Obs.find ~section:"fault" ~name:"sites" <> None);
   Fault.disarm ()
@@ -195,14 +190,14 @@ let test_lost_interrupt_recovery () =
     (d.Cab_driver.watchdog_polls + d'.Cab_driver.watchdog_polls > 0)
 
 let test_corruption_healed_by_retransmission () =
-  let csum0 = counter_value ~section:"tcp" ~name:"csum_failures_rx" in
+  let csum0 = Obs.value ~section:"tcp" ~name:"csum_failures_rx" in
   let _tb, r =
     faulty_ttcp ~seed:1995 ~total:(2 lsl 20) (fun () ->
         Fault.plan ~site:"wire.corrupt" (Fault.Probability 0.05))
   in
   check_bool "corrupted data never delivered" true r.Ttcp.verified;
   check_bool "checksum verify caught corruption" true
-    (counter_value ~section:"tcp" ~name:"csum_failures_rx" > csum0);
+    (Obs.value ~section:"tcp" ~name:"csum_failures_rx" > csum0);
   check_bool "retransmission healed the stream" true (r.Ttcp.retransmits > 0)
 
 let test_pin_failure_degrades_to_copy () =

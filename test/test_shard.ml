@@ -143,9 +143,7 @@ let churn_10k () =
   let tb = Testbed.create ~shards:4 () in
   let tcp_a = tb.Testbed.a.Testbed.stack.Netstack.tcp in
   let tcp_b = tb.Testbed.b.Testbed.stack.Netstack.tcp in
-  let pending0 = Sim.pending tb.Testbed.sim in
-  let out0 = Bufpool.outstanding Bufpool.shared in
-  let mb0 = Mbuf.Pool.allocated () in
+  let base = Testbed.occupancy tb in
   let n = 10_000 in
   let b_pcbs = ref [] and a_pcbs = ref [] in
   let established = ref 0 in
@@ -198,14 +196,8 @@ let churn_10k () =
   Alcotest.(check int) "all connections established" n !established;
   Alcotest.(check int) "accepted matches" n (List.length !b_pcbs);
   Alcotest.(check bool) "peak occupancy sampled" true !peak_checked;
-  Alcotest.(check int) "A flow tables drained" 0 (Tcp.active_flows tcp_a);
-  Alcotest.(check int) "B flow tables drained" 0 (Tcp.active_flows tcp_b);
-  Alcotest.(check int) "armed timers back to baseline" pending0
-    (Sim.pending tb.Testbed.sim);
-  Alcotest.(check int) "frame pool outstanding back to baseline" out0
-    (Bufpool.outstanding Bufpool.shared);
-  Alcotest.(check int) "live mbufs back to baseline" mb0
-    (Mbuf.Pool.allocated ())
+  Alcotest.(check (list string)) "drained to baseline" []
+    (List.map Testbed.string_of_leak (Testbed.leaks tb base))
 
 (* --------------------------------------------------------------- *)
 (* 1-shard identity and multi-shard scaling                         *)
@@ -216,16 +208,16 @@ let churn_10k () =
    rport=p); the B-side tuple is (lport=p, raddr=A, rport=10001).
    Sdma_done completions always steer to shard 0, so only a
    shard-0-on-both-sides flow runs the byte-identical schedule. *)
-let shard0_port () =
+let port_on_shard shard =
   let rec go p =
-    if p > 60_000 then Alcotest.fail "no shard-0 port found"
+    if p > 60_000 then Alcotest.failf "no shard-%d port found" shard
     else if
       Flow_hash.shard ~count:4
         (Flow_hash.hash ~raddr:Testbed.addr_b ~lport:10_001 ~rport:p)
-      = 0
+      = shard
       && Flow_hash.shard ~count:4
            (Flow_hash.hash ~raddr:Testbed.addr_a ~lport:p ~rport:10_001)
-         = 0
+         = shard
     then p
     else go (p + 1)
   in
@@ -236,7 +228,7 @@ let one_shard_identity () =
      flow that hashes to shard 0 on both sides, must produce the exact
      same event schedule: same event count, same completion time, same
      throughput to the last bit. *)
-  let port = shard0_port () in
+  let port = port_on_shard 0 in
   let run shards =
     let tb = Testbed.create ~profile:Host_profile.smp ~shards () in
     let r = Ttcp.run ~tb ~wsize:(64 * 1024) ~total:(1024 * 1024) ~port () in
@@ -249,6 +241,21 @@ let one_shard_identity () =
   Alcotest.(check int) "events fired identical" ev1 ev4;
   Alcotest.(check (float 0.)) "elapsed identical" us1 us4;
   Alcotest.(check (float 0.)) "throughput identical" mbit1 mbit4
+
+(* Ttcp measures the CPU of the shard that owns the flow.  On a flow
+   hashing to shard 2 on both hosts, the sender's ttcp user time is
+   exactly its loop cost: 5 us per write. *)
+let ttcp_measures_owning_shard () =
+  let port = port_on_shard 2 in
+  let tb = Testbed.create ~profile:Host_profile.smp ~shards:4 () in
+  let wsize = 64 * 1024 and total = 1024 * 1024 in
+  let r = Ttcp.run ~tb ~wsize ~total ~port () in
+  Alcotest.(check bool) "verified" true r.Ttcp.verified;
+  Alcotest.(check int) "sender ttcp_user = writes x 5 us"
+    (total / wsize * Simtime.us 5.)
+    r.Ttcp.sender.Measurement.ttcp_user;
+  Alcotest.(check bool) "receiver ttcp_user charged" true
+    (r.Ttcp.receiver.Measurement.ttcp_user > 0)
 
 let parallel_scaling () =
   (* 8 concurrent flows on the CPU-bound smp profile with a fat link:
@@ -297,6 +304,10 @@ let () =
       sec "flowtab" [ qcase flowtab_model; qcase sharded_demux_oracle ];
       sec "hash" [ case "toeplitz spread" hash_spread ];
       sec "churn" [ case "10K open/close across 4 shards" churn_10k ];
-      sec "identity" [ case "1-shard vs 4-shard shard-0 flow" one_shard_identity ];
+      sec "identity"
+        [
+          case "1-shard vs 4-shard shard-0 flow" one_shard_identity;
+          case "ttcp measures the owning shard" ttcp_measures_owning_shard;
+        ];
       sec "scaling" [ case "8-flow parallel speedup" parallel_scaling ];
     ]
