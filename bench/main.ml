@@ -76,16 +76,16 @@ let micro ?(json = false) () =
   (* A two-segment descriptor (M_UIO) chain over one user region: checksum
      over it exercises the zero-copy iter_segments path. *)
   let uio_chain =
-    let sp = Addr_space.create ~profile:Host_profile.alpha400 ~name:"bench" in
+    let sp = Addr_space.create ~profile:Host_profile.alpha400 ~name:"bench" () in
     let r = Addr_space.alloc sp 32768 in
     Region.fill_pattern r ~seed:7;
     let a =
-      Mbuf.make_uio ~space:sp
+      Mbuf.make_uio
         ~region:(Region.sub r ~off:0 ~len:16384)
         ~hdr:{ Mbuf.csum = None; notify = None }
     in
     let b =
-      Mbuf.make_uio ~space:sp
+      Mbuf.make_uio
         ~region:(Region.sub r ~off:16384 ~len:16384)
         ~hdr:{ Mbuf.csum = None; notify = None }
     in

@@ -23,7 +23,7 @@ let run ~tb ~packet_size ~total =
         match burst.(i) with
         | Cab.Rx_packet info ->
             incr received;
-            Cab.rx_free cab_b info.Cab.rx_pkt;
+            Cab.free cab_b info.Cab.rx_pkt;
             if !received = npackets then done_at := Sim.now sim
         | Cab.Sdma_done -> ()
       done);

@@ -469,7 +469,7 @@ let mdma_send t (pkt : Netmem.packet) ~dst ~channel ~keep =
     pkt.mdma_keep <- keep
   end
 
-let tx_free t pkt = Netmem.free t.mem pkt
+let free t pkt = Netmem.free t.mem pkt
 
 (* ---- receive ---- *)
 
@@ -591,7 +591,7 @@ let copyout_finished t j =
     t.pipe.rx_pipe_overlap <- t.pipe.rx_pipe_overlap + 1;
   Obs_ledger.touch Obs_ledger.Copyout Obs_ledger.Copy len;
   (match dst with
-  | Netif.To_user (_, region) ->
+  | Netif.To_user region ->
       Region.blit_from_bytes pkt.buf ~src_off:off region ~dst_off:0 ~len
   | Netif.To_kernel (b, k_off) -> Bytes.blit pkt.buf off b k_off len);
   on_complete ();
@@ -605,7 +605,7 @@ let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ~interrupt
   if off + len > pkt.len then
     invalid_arg "Cab.sdma_copy_out: range past end of packet";
   (match dst with
-  | Netif.To_user (_, region) ->
+  | Netif.To_user region ->
       require_word_aligned "user destination address" (Region.vaddr region);
       if Region.length region < len then
         invalid_arg "Cab.sdma_copy_out: destination region too small"
@@ -633,8 +633,6 @@ let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ~interrupt
       start_copyout t ~pkt ~off ~len ~dst ~interrupt ~on_complete
     end
   end
-
-let rx_free t pkt = Netmem.free t.mem pkt
 
 let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
   let t = {

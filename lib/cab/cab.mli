@@ -170,13 +170,14 @@ val mdma_send :
     outstanding SDMAs for the packet have completed; the final checksum is
     folded into the packet just before it leaves.  [keep = false] frees
     the outboard buffer after the media transfer (UDP / raw); [keep =
-    true] retains it for retransmission until {!tx_free} (TCP).  A
+    true] retains it for retransmission until {!free} (TCP).  A
     request that waits is kept in the packet's [mdma_*] fields, so a
     packet has at most one.
     @raise Invalid_argument if the packet already has a request waiting. *)
 
-val tx_free : t -> Netmem.packet -> unit
-(** Release a kept packet (e.g. when the TCP acknowledgement arrives). *)
+val free : t -> Netmem.packet -> unit
+(** Release a packet's network memory: a kept transmit packet (e.g. when
+    the TCP acknowledgement arrives) or a received one. *)
 
 (** {1 Receive} *)
 
@@ -204,8 +205,6 @@ val sdma_copy_out :
     packet [n] overlaps the DMA+verify of packet [n+1].  At most
     {!set_rx_pipe_depth} posts are outstanding on the engine; excess
     posts park FIFO and are started by completions. *)
-
-val rx_free : t -> Netmem.packet -> unit
 
 (** {1 Fault injection and recovery}
 

@@ -314,9 +314,9 @@ let payload_seg t (mb : Mbuf.t) ~pkt_off =
   let release = ref None in
   let src =
     match mb.Mbuf.storage with
-    | Mbuf.Ext_uio d ->
+    | Mbuf.Ext_uio r ->
         t.s.tx_uio_segments <- t.s.tx_uio_segments + 1;
-        let sub = Region.sub d.Mbuf.uio_region ~off:mb.Mbuf.off ~len:seg in
+        let sub = Region.sub r ~off:mb.Mbuf.off ~len:seg in
         if Region.is_word_aligned sub then Cab.From_user sub
         else begin
           (* §4.5 guard: the socket layer should have refused this; stage
@@ -367,26 +367,27 @@ let rec payload_segs t off (m : Mbuf.t option) =
       let seg = payload_seg t mb ~pkt_off:off in
       seg :: payload_segs t (off + mb.Mbuf.len) mb.Mbuf.next
 
-(* Once the payload is in network memory, hand the transport an M_WCAB
-   descriptor of it (§4.2); the packet stays live, held for
-   retransmission, until the last reference drops. *)
-let convert_to_wcab t netpkt hook ~base ~valid =
+(* An M_WCAB descriptor of [valid] bytes of [pkt] from [base] (§4.2):
+   the transmit payload once it is in network memory (held for
+   retransmission) or a received tail left outboard.  The packet stays
+   live until the last reference drops. *)
+let wcab_desc t (pkt : Netmem.packet) ~base ~valid ~body_sum =
   let desc =
     {
-      Mbuf.wcab_id = netpkt.Netmem.id;
-      wcab_bytes = netpkt.Netmem.buf;
+      Mbuf.wcab_id = pkt.Netmem.id;
+      wcab_bytes = pkt.Netmem.buf;
       wcab_base = base;
       wcab_valid = valid;
-      wcab_body_sum = netpkt.Netmem.body_sum;
+      wcab_body_sum = body_sum;
       wcab_free =
         (fun () ->
-          Hashtbl.remove t.live_outboard netpkt.Netmem.id;
-          Cab.tx_free t.cab netpkt);
+          Hashtbl.remove t.live_outboard pkt.Netmem.id;
+          Cab.free t.cab pkt);
       wcab_refs = ref 1;
     }
   in
-  Hashtbl.replace t.live_outboard netpkt.Netmem.id netpkt;
-  hook desc
+  Hashtbl.replace t.live_outboard pkt.Netmem.id pkt;
+  desc
 
 (* Ring the doorbell for one transmit descriptor chain: after [cost] of
    host posting time the chain runs — under the watchdog when it is
@@ -544,8 +545,10 @@ let output t ifc pkt ~next_hop =
                   match on_outboard with
                   | Some hook when payload_len > 0 ->
                       fun () ->
-                        convert_to_wcab t netpkt hook ~base:payload_base
-                          ~valid:payload_len;
+                        hook
+                          (wcab_desc t netpkt ~base:payload_base
+                             ~valid:payload_len
+                             ~body_sum:netpkt.Netmem.body_sum);
                         Mbuf.free pkt
                   | Some _ | None -> fun () -> Mbuf.free pkt
                 in
@@ -576,7 +579,7 @@ let copy_out t (mb : Mbuf.t) ~off ~len ~dst ~on_done =
         abs_off land 3 = 0
         &&
         match dst with
-        | Netif.To_user (_, region) -> Region.is_word_aligned region
+        | Netif.To_user region -> Region.is_word_aligned region
         | Netif.To_kernel _ -> true
       in
       if direct_ok then
@@ -601,7 +604,7 @@ let copy_out t (mb : Mbuf.t) ~off ~len ~dst ~on_done =
                     Obs_ledger.touch Obs_ledger.Drv_rx_stage Obs_ledger.Copy
                       len;
                     (match dst with
-                    | Netif.To_user (_, region) ->
+                    | Netif.To_user region ->
                         Region.blit_from_bytes stage ~src_off:lead region
                           ~dst_off:0 ~len
                     | Netif.To_kernel (b, k_off) ->
@@ -618,12 +621,22 @@ let deliver_chain t chain =
 
 let rx_csum_rel = (4 * Hippi_framing.rx_csum_start_words) - Hippi_framing.size
 
+(* Hand the transport the engine's receive checksum of the packet. *)
+let set_rx_csum (head : Mbuf.t) (info : Cab.rx_info) =
+  match head.Mbuf.pkthdr with
+  | Some ph ->
+      ph.Mbuf.rx_csum <-
+        Some
+          (Csum_offload.make_rx ~engine_sum:info.Cab.rx_engine_sum
+             ~rx_start:rx_csum_rel)
+  | None -> ()
+
 let handle_rx t (info : Cab.rx_info) =
   t.s.rx_packets <- t.s.rx_packets + 1;
   let total = info.Cab.rx_total_len in
   let head_len = info.Cab.rx_head_len in
   let host_bytes = head_len - hippi_hdr in
-  if host_bytes <= 0 then Cab.rx_free t.cab info.Cab.rx_pkt
+  if host_bytes <= 0 then Cab.free t.cab info.Cab.rx_pkt
   else begin
     (* Copy the auto-DMA'd prefix (minus link framing) straight into
        pooled mbuf storage — no intermediate staging buffer. *)
@@ -633,45 +646,21 @@ let handle_rx t (info : Cab.rx_info) =
         info.Cab.rx_head
     in
     if info.Cab.rx_complete then begin
-      Cab.rx_free t.cab info.Cab.rx_pkt;
-      (match (t.mode, head.Mbuf.pkthdr) with
-      | Stack_mode.Single_copy, Some ph ->
-          ph.Mbuf.rx_csum <-
-            Some
-              (Csum_offload.make_rx ~engine_sum:info.Cab.rx_engine_sum
-                 ~rx_start:rx_csum_rel)
-      | _ -> ());
+      Cab.free t.cab info.Cab.rx_pkt;
+      if t.mode = Stack_mode.Single_copy then set_rx_csum head info;
       deliver_chain t head
     end
     else begin
       let tail_len = total - head_len in
       match t.mode with
       | Stack_mode.Single_copy ->
-          let pkt = info.Cab.rx_pkt in
           let desc =
-            {
-              Mbuf.wcab_id = pkt.Netmem.id;
-              wcab_bytes = pkt.Netmem.buf;
-              wcab_base = head_len;
-              wcab_valid = tail_len;
-              wcab_body_sum = info.Cab.rx_engine_sum;
-              wcab_free =
-                (fun () ->
-                  Hashtbl.remove t.live_outboard pkt.Netmem.id;
-                  Cab.rx_free t.cab pkt);
-              wcab_refs = ref 1;
-            }
+            wcab_desc t info.Cab.rx_pkt ~base:head_len ~valid:tail_len
+              ~body_sum:info.Cab.rx_engine_sum
           in
-          Hashtbl.replace t.live_outboard pkt.Netmem.id pkt;
           let tail = Mbuf.make_wcab ~desc ~len:tail_len ~hdr:None in
           Mbuf.append head tail;
-          (match head.Mbuf.pkthdr with
-          | Some ph ->
-              ph.Mbuf.rx_csum <-
-                Some
-                  (Csum_offload.make_rx ~engine_sum:info.Cab.rx_engine_sum
-                     ~rx_start:rx_csum_rel)
-          | None -> ());
+          set_rx_csum head info;
           t.s.rx_wcab_delivered <- t.s.rx_wcab_delivered + 1;
           deliver_chain t head
       | Stack_mode.Unmodified ->
@@ -687,7 +676,7 @@ let handle_rx t (info : Cab.rx_info) =
               post_copy_out t pkt ~off:head_len ~len:tail_len
                 ~dst:(Netif.To_kernel (tail_buf, 0))
                 ~on_done:(fun () ->
-                  Cab.rx_free t.cab pkt;
+                  Cab.free t.cab pkt;
                   Mbuf.append head tail;
                   t.s.rx_copied_kernel <- t.s.rx_copied_kernel + 1;
                   deliver_chain t head))

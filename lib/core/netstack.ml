@@ -67,4 +67,4 @@ let set_forwarding t v = Ipv4.set_forwarding t.ip v
 
 let make_space t ~name =
   Addr_space.create ~profile:t.host.Host.profile
-    ~name:(t.host.Host.name ^ "." ^ name)
+    ~name:(t.host.Host.name ^ "." ^ name) ()

@@ -87,34 +87,29 @@ let print_pin_cache ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
       let m, sa =
         single_buffer_stream ~paths ~aligned:true ~seed:4 ~wsize ~total
       in
-      let hits, misses =
-        match Socket.pin_cache sa with
-        | Some c -> (Pin_cache.hits c, Pin_cache.misses c)
-        | None -> (0, 0)
-      in
+      let space = Socket.space sa in
       Tabulate.print_row ~widths
         [
           (if use_cache then "on" else "off");
           Tabulate.fmt_mbit m.Measurement.throughput_mbit;
           Tabulate.fmt_util m.Measurement.utilization;
           Tabulate.fmt_mbit m.Measurement.efficiency_mbit;
-          string_of_int hits;
-          string_of_int misses;
+          string_of_int (Addr_space.cache_hits space);
+          string_of_int (Addr_space.cache_misses space);
         ])
     [ true; false ];
-  (* Microbenchmark: acquire cost under reuse vs cycling. *)
+  (* Microbenchmark: cached wiring cost under reuse vs cycling. *)
   let profile = Host_profile.alpha400 in
-  let space = Addr_space.create ~profile ~name:"pc" in
-  let cache = Pin_cache.create ~space ~max_pages:64 in
+  let space = Addr_space.create ~pin_budget:64 ~profile ~name:"pc" () in
+  let wire region = Result.get_ok (Addr_space.wire space region ~cached:true) in
   let bufs = List.init 16 (fun _ -> Addr_space.alloc space 65536) in
   let reuse_cost = ref 0 and cycle_cost = ref 0 in
   let first = List.hd bufs in
   for _ = 1 to 64 do
-    reuse_cost := !reuse_cost + Pin_cache.acquire cache first
+    reuse_cost := !reuse_cost + wire first
   done;
   for i = 1 to 64 do
-    cycle_cost :=
-      !cycle_cost + Pin_cache.acquire cache (List.nth bufs (i mod 16))
+    cycle_cost := !cycle_cost + wire (List.nth bufs (i mod 16))
   done;
   Printf.printf
     "\n  acquire cost over 64 ops: reuse one buffer %.1f us total; cycle 16 \

@@ -78,26 +78,21 @@ let run_seed ?(wsize = 64 * 1024) ?(total = 2 * 1024 * 1024)
       recv_loop 0);
   Sim.run ~until:(Simtime.s 600.) sim;
   Fault.disarm ();
-  (* Quiesce: process whatever the storm left queued, then flush the pin
-     caches so lazily-held pins are released before the leak diff. *)
+  (* Quiesce: process whatever the storm left queued, then flush the
+     sockets' pin caches so lazily-held pins are released before the leak
+     diff: a cache that holds pins is working, not leaking. *)
   Testbed.quiesce tb ~slack:(Simtime.s 10.);
-  Option.iter
-    (fun (sa, sb) ->
-      List.iter
-        (fun s ->
-          Option.iter (fun c -> ignore (Pin_cache.flush c : Simtime.t))
-            (Socket.pin_cache s))
-        [ sa; sb ])
-    !handles;
-  let leaks = Testbed.leaks tb baseline in
   let retransmits, pin_fallbacks =
     match !handles with
     | Some (sa, sb) ->
+        ignore (Addr_space.flush (Socket.space sa) : Simtime.t);
+        ignore (Addr_space.flush (Socket.space sb) : Simtime.t);
         ( (Tcp.pcb_stats (Socket.pcb sa)).Tcp.retransmits,
           (Socket.stats sa).Socket.pin_fallbacks
           + (Socket.stats sb).Socket.pin_fallbacks )
     | None -> (0, 0)
   in
+  let leaks = Testbed.leaks tb baseline in
   let da = Cab_driver.stats tb.Testbed.a.Testbed.driver in
   let db = Cab_driver.stats tb.Testbed.b.Testbed.driver in
   let ca = Cab.stats tb.Testbed.a.Testbed.cab in

@@ -18,7 +18,7 @@ let linear_fit points =
   (a, b)
 
 let run_table2 ~profile =
-  let space = Addr_space.create ~profile ~name:"table2" in
+  let space = Addr_space.create ~profile ~name:"table2" () in
   let page = profile.Host_profile.page_size in
   let measure op =
     List.map

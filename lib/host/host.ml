@@ -3,7 +3,6 @@ type t = {
   cpu : Cpu.t;
   profile : Host_profile.t;
   name : string;
-  kernel_space : Addr_space.t;
   mutable ifaces : Netif.t list;
   shards : Shard.t array;
   mutable cur_shard : int;
@@ -25,7 +24,6 @@ let create ?(shards = 1) ~sim ~profile ~name () =
     cpu;
     profile;
     name;
-    kernel_space = Addr_space.create ~profile ~name:(name ^ ".kernel");
     ifaces = [];
     shards = shard_arr;
     cur_shard = 0;

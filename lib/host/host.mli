@@ -1,4 +1,4 @@
-(** A simulated host: CPU, cost profile, kernel address space, interfaces.
+(** A simulated host: CPU, cost profile, interfaces.
 
     Bundles what every stack layer needs and provides charge-then-continue
     helpers: protocol code models its cost by running the real logic in the
@@ -15,7 +15,6 @@ type t = {
   cpu : Cpu.t;  (** shard 0's CPU *)
   profile : Host_profile.t;
   name : string;
-  kernel_space : Addr_space.t;
   mutable ifaces : Netif.t list;
   shards : Shard.t array;
   mutable cur_shard : int;

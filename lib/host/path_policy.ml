@@ -38,6 +38,14 @@ type table = { ewma_us : float array; samples : int array }
 let make_table () =
   { ewma_us = Array.make buckets 0.; samples = Array.make buckets 0 }
 
+(* Fold one cost sample into bucket [i]; the first sample is taken as
+   is. *)
+let add_sample tab i us =
+  let n = tab.samples.(i) in
+  tab.ewma_us.(i) <-
+    (if n = 0 then us else (0.75 *. tab.ewma_us.(i)) +. (0.25 *. us));
+  tab.samples.(i) <- n + 1
+
 let bucket_of len =
   let len = Stdlib.max 1 len in
   let rec bits n acc = if n <= 1 then acc else bits (n lsr 1) (acc + 1) in
@@ -72,8 +80,9 @@ let cold_shift = 1
 let penalty_decay = 0.9
 let penalty_factor = 8.
 
-let create ?(cutover = 16384) ?(explore_period = 16) () =
-  if cutover <= 0 then invalid_arg "Path_policy.create: cutover <= 0";
+let static_cutover = 16 * 1024
+
+let create ?(explore_period = 16) () =
   {
     uio = make_table ();
     copy = make_table ();
@@ -98,8 +107,7 @@ let create ?(cutover = 16384) ?(explore_period = 16) () =
         rx_uio_observed = 0;
         rx_copy_observed = 0;
         rx_feeds = 0;
-        cutover_bytes =
-          Stdlib.max min_cutover (Stdlib.min max_cutover cutover);
+        cutover_bytes = static_cutover;
       };
   }
 
@@ -216,13 +224,7 @@ let decide t ~len ~aligned ~pin_warm =
   end
 
 let observe t ~route ~len ~cost =
-  let tab = table t route in
-  let i = bucket_of len in
-  let us = Simtime.to_us cost in
-  let n = tab.samples.(i) in
-  tab.ewma_us.(i) <-
-    (if n = 0 then us else (0.75 *. tab.ewma_us.(i)) +. (0.25 *. us));
-  tab.samples.(i) <- n + 1;
+  add_sample (table t route) (bucket_of len) (Simtime.to_us cost);
   (match route with
   | Uio -> t.s.uio_observed <- t.s.uio_observed + 1
   | Copy -> t.s.copy_observed <- t.s.copy_observed + 1);
@@ -231,13 +233,7 @@ let observe t ~route ~len ~cost =
 let rx_table t = function Uio -> t.rx_uio | Copy -> t.rx_copy
 
 let observe_rx t ~route ~len ~cost =
-  let tab = rx_table t route in
-  let i = bucket_of len in
-  let us = Simtime.to_us cost in
-  let n = tab.samples.(i) in
-  tab.ewma_us.(i) <-
-    (if n = 0 then us else (0.75 *. tab.ewma_us.(i)) +. (0.25 *. us));
-  tab.samples.(i) <- n + 1;
+  add_sample (rx_table t route) (bucket_of len) (Simtime.to_us cost);
   (match route with
   | Uio -> t.s.rx_uio_observed <- t.s.rx_uio_observed + 1
   | Copy -> t.s.rx_copy_observed <- t.s.rx_copy_observed + 1);
@@ -251,17 +247,8 @@ let observe_rx t ~route ~len ~cost =
 let feed_remote_rx t ~bucket ~uio_us ~copy_us =
   if bucket < 0 || bucket >= buckets then
     invalid_arg "Path_policy.feed_remote_rx: bucket out of range";
-  let merge tab us =
-    if us > 0. then begin
-      let n = tab.samples.(bucket) in
-      tab.ewma_us.(bucket) <-
-        (if n = 0 then us
-         else (0.75 *. tab.ewma_us.(bucket)) +. (0.25 *. us));
-      tab.samples.(bucket) <- n + 1
-    end
-  in
-  merge t.rx_uio uio_us;
-  merge t.rx_copy copy_us;
+  if uio_us > 0. then add_sample t.rx_uio bucket uio_us;
+  if copy_us > 0. then add_sample t.rx_copy bucket copy_us;
   t.s.rx_feeds <- t.s.rx_feeds + 1;
   refresh_cutover t
 
@@ -278,16 +265,6 @@ let rx_hint t ~len =
 let cutover t = t.s.cutover_bytes
 
 let stats t = t.s
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "routed uio=%d copy=%d (unaligned=%d below=%d cold=%d above=%d \
-     explore=%d penalized=%d trivial=%d) observed uio=%d copy=%d \
-     rx_uio=%d rx_copy=%d rx_feeds=%d cutover=%dB"
-    s.uio_routed s.copy_routed s.unaligned s.below_cutover s.cold_pin
-    s.above_cutover s.explored s.penalized s.trivial s.uio_observed
-    s.copy_observed s.rx_uio_observed s.rx_copy_observed s.rx_feeds
-    s.cutover_bytes
 
 (* Registry export: decision counters as gauges over the live instance,
    EWMA cost tables as a lazy JSON table. Policies are per-socket;

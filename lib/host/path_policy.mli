@@ -69,10 +69,14 @@ type stats = private {
 
 type t
 
-val create : ?cutover:int -> ?explore_period:int -> unit -> t
-(** [cutover] seeds the estimate (default 16384 — the static
-    [uio_threshold] the stack shipped with); the estimate always stays
-    within [1 KByte, 1 MByte].  Pin-cold buffers face twice the
+val static_cutover : int
+(** 16 KByte, the measured crossover: the smallest write the static
+    routing rule sends down the single-copy path, and the seed of every
+    policy's estimate. *)
+
+val create : ?explore_period:int -> unit -> t
+(** The estimate starts at {!static_cutover} and always stays within
+    [1 KByte, 1 MByte].  Pin-cold buffers face twice the
     threshold: a cold send must amortize pin+map on this one transfer.
     Every [explore_period]-th eligible decision (default 16; [0]
     disables) is sent down the opposite path so the cost tables see both
@@ -121,8 +125,6 @@ val penalty : t -> float
 val stats : t -> stats
 (** The policy's live counter record (it keeps counting after the call);
     its [cutover_bytes] is the estimate {!cutover} reads. *)
-
-val pp_stats : Format.formatter -> stats -> unit
 
 val register : ?section:string -> t -> unit
 (** Publish this policy's decision counters (as gauges over the live

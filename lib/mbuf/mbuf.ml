@@ -28,8 +28,6 @@ type uiowcab_hdr = {
   notify : notify option;
 }
 
-type uio_desc = { uio_space : Addr_space.t; uio_region : Region.t }
-
 type wcab_desc = {
   wcab_id : int;
   wcab_bytes : Bytes.t;
@@ -50,7 +48,7 @@ type cell = { cbuf : Bytes.t; mutable refs : int }
 type storage =
   | Internal of cell
   | Cluster of cell
-  | Ext_uio of uio_desc
+  | Ext_uio of Region.t
   | Ext_wcab of wcab_desc
 
 type pkthdr = {
@@ -315,10 +313,9 @@ let alloc ?pkthdr n =
   build_chain ?pkthdr ~total:n (fun _pos dst seg ->
       Bytes.fill dst 0 seg '\000')
 
-let make_uio ~space ~region ~hdr =
-  let desc = { uio_space = space; uio_region = region } in
+let make_uio ~region ~hdr =
   let m =
-    mk ~pkthdr:true (Ext_uio desc) ~off:0 ~len:(Region.length region)
+    mk ~pkthdr:true (Ext_uio region) ~off:0 ~len:(Region.length region)
   in
   m.uwhdr <- Some hdr;
   m
@@ -376,7 +373,7 @@ let nth m i =
 
 let storage_capacity = function
   | Internal c | Cluster c -> Bytes.length c.cbuf
-  | Ext_uio d -> Region.length d.uio_region
+  | Ext_uio r -> Region.length r
   | Ext_wcab d -> Bytes.length d.wcab_bytes - d.wcab_base
 
 let check_invariants m =
@@ -418,12 +415,12 @@ let iter_segments m ~off ~len f =
             (match mb.storage with
             | Internal c | Cluster c ->
                 f c.cbuf (mb.off + skip) seg (off + len - remaining)
-            | Ext_uio d ->
+            | Ext_uio r ->
                 (* Reading through to user memory: allowed (it is host
                    memory); the caller charges the cost.  Zero-copy: hand
                    out the region's backing store directly rather than
                    materializing a [Bytes.sub] of it per segment. *)
-                let ubuf, upos = Region.backing d.uio_region in
+                let ubuf, upos = Region.backing r in
                 f ubuf (upos + mb.off + skip) seg (off + len - remaining)
             | Ext_wcab _ -> raise Outboard_data);
             go mb.next (pos + mb.len) (remaining - seg)
@@ -462,8 +459,8 @@ let rec view_from mb ~off ~len =
   else
     match mb.storage with
     | Internal c | Cluster c -> Some (c.cbuf, mb.off + off)
-    | Ext_uio d ->
-        let ubuf, upos = Region.backing d.uio_region in
+    | Ext_uio r ->
+        let ubuf, upos = Region.backing r in
         Some (ubuf, upos + mb.off + off)
     | Ext_wcab _ -> None
 
@@ -489,8 +486,8 @@ let copy_into_raw m ~off ~len dst ~dst_off =
                 Bytes.blit c.cbuf (mb.off + skip) dst
                   (dst_off + (chain_off - off))
                   seg
-            | Ext_uio d ->
-                Region.blit_to_bytes d.uio_region ~src_off:(mb.off + skip)
+            | Ext_uio r ->
+                Region.blit_to_bytes r ~src_off:(mb.off + skip)
                   dst ~dst_off:(dst_off + (chain_off - off)) ~len:seg
             | Ext_wcab d ->
                 Bytes.blit d.wcab_bytes
@@ -520,10 +517,10 @@ let copy_from m ~off ~len src ~src_off =
                 Bytes.blit src
                   (src_off + (chain_off - off))
                   c.cbuf (mb.off + skip) seg
-            | Ext_uio d ->
+            | Ext_uio r ->
                 Region.blit_from_bytes src
                   ~src_off:(src_off + (chain_off - off))
-                  d.uio_region ~dst_off:(mb.off + skip) ~len:seg
+                  r ~dst_off:(mb.off + skip) ~len:seg
             | Ext_wcab _ -> raise Outboard_data);
             go mb.next (pos + mb.len) (remaining - seg)
           end
@@ -605,8 +602,8 @@ let share_storage mb ~skip ~seg =
   | Cluster c ->
       cell_retain c;
       mk (Cluster c) ~off:(mb.off + skip) ~len:seg
-  | Ext_uio d ->
-      let copy = mk (Ext_uio d) ~off:(mb.off + skip) ~len:seg in
+  | Ext_uio r ->
+      let copy = mk (Ext_uio r) ~off:(mb.off + skip) ~len:seg in
       copy.uwhdr <- mb.uwhdr;
       copy
   | Ext_wcab d ->

@@ -47,9 +47,6 @@ type uiowcab_hdr = {
   notify : notify option;
 }
 
-(** Descriptor for data in a user address space. *)
-type uio_desc = { uio_space : Addr_space.t; uio_region : Region.t }
-
 (** Descriptor for data in CAB network memory.  [wcab_bytes] is simulator
     plumbing shared with the adaptor model — host-side stack code must go
     through the driver to move it. *)
@@ -74,7 +71,7 @@ type cell = { cbuf : Bytes.t; mutable refs : int }
 type storage =
   | Internal of cell
   | Cluster of cell
-  | Ext_uio of uio_desc
+  | Ext_uio of Region.t
   | Ext_wcab of wcab_desc
 
 type pkthdr = {
@@ -136,9 +133,9 @@ val contiguous : int -> t * Bytes.t
 val alloc : ?pkthdr:bool -> int -> t
 (** Zero-filled chain of the given total length. *)
 
-val make_uio :
-  space:Addr_space.t -> region:Region.t -> hdr:uiowcab_hdr -> t
-(** A packet-headed M_UIO mbuf describing [region]. *)
+val make_uio : region:Region.t -> hdr:uiowcab_hdr -> t
+(** A packet-headed M_UIO mbuf describing [region], a user buffer the
+    socket layer has wired ([Addr_space.wire]). *)
 
 val make_wcab : desc:wcab_desc -> len:int -> hdr:uiowcab_hdr option -> t
 (** A packet-headed M_WCAB mbuf of [len] payload bytes. *)

@@ -1,5 +1,5 @@
 type copy_dest =
-  | To_user of Addr_space.t * Region.t
+  | To_user of Region.t
   | To_kernel of Bytes.t * int
 
 type t = {

@@ -9,7 +9,7 @@
     path per packet. *)
 
 type copy_dest =
-  | To_user of Addr_space.t * Region.t
+  | To_user of Region.t
       (** DMA straight into an application buffer (already pinned/mapped) *)
   | To_kernel of Bytes.t * int
       (** copy into kernel memory at the given offset (conversion shims) *)

@@ -7,7 +7,7 @@ type ctx = {
   host : Host.t;
   space : Addr_space.t;
   proc : string;
-  cache : Pin_cache.t option;
+  cached : bool;
   on_kernel_copy : int -> unit;
   on_copyout : int -> unit;
   on_pin_fallback : int -> unit;
@@ -17,25 +17,9 @@ let charge ?(site = Cpu.Socket) ctx cost k =
   Host.in_proc ctx.host ~proc:ctx.proc ~site cost k
 let profile ctx = ctx.host.Host.profile
 
-(* Pin + map a region for DMA, fallibly: [Ok cost] when wired, [Error
-   wasted] when the kernel refused the pin ("vm.pin_fail" fault site) —
-   [wasted] is work already charged-for (cache evictions) before the
-   refusal. *)
-let try_wire ctx region =
-  match ctx.cache with
-  | Some cache -> (
-      match Pin_cache.try_acquire cache region with
-      | Ok c -> Ok c
-      | Error (`Pin_exhausted wasted) -> Error wasted)
-  | None -> (
-      match Addr_space.try_pin ctx.space region with
-      | Ok c -> Ok (Simtime.add c (Addr_space.map_into_kernel ctx.space region))
-      | Error `Pin_exhausted -> Error Simtime.zero)
-
-let unwire ctx region =
-  match ctx.cache with
-  | Some cache -> Pin_cache.release cache region
-  | None -> Addr_space.unpin ctx.space region
+let observe_copyout ctx t0 =
+  Obs.Histogram.observe Obs_lat.rx_copyout_ns
+    (Simtime.sub (Sim.now ctx.host.Host.sim) t0)
 
 (* Host copy of one mbuf's bytes into [region] at [dst_off]: straight
    blit when the storage is contiguous, staged through a pooled buffer
@@ -63,7 +47,7 @@ let host_copy_seg ctx mb ~seg region ~dst_off ~release =
 let copyout_seg ctx ~copy_out mb ~seg region ~dst_off ~release =
   ctx.on_copyout seg;
   let dst = Region.sub region ~off:dst_off ~len:seg in
-  match try_wire ctx dst with
+  match Addr_space.wire ctx.space dst ~cached:ctx.cached with
   | Ok vm_cost ->
       (* Warm pin: no kernel VM work to charge, so hand the descriptor
          to the engine immediately rather than queueing a zero-length
@@ -74,11 +58,11 @@ let copyout_seg ctx ~copy_out mb ~seg region ~dst_off ~release =
       let post () =
         let t0 = Sim.now ctx.host.Host.sim in
         copy_out mb ~off:0 ~len:seg
-          ~dst:(Netif.To_user (ctx.space, dst))
+          ~dst:(Netif.To_user dst)
           ~on_done:(fun () ->
-            Obs.Histogram.observe Obs_lat.rx_copyout_ns
-              (Simtime.sub (Sim.now ctx.host.Host.sim) t0);
-            charge ctx (unwire ctx dst) release)
+            observe_copyout ctx t0;
+            charge ctx (Addr_space.unwire ctx.space dst ~cached:ctx.cached)
+              release)
       in
       if vm_cost = Simtime.zero then post ()
       else charge ctx vm_cost post
@@ -90,8 +74,7 @@ let copyout_seg ctx ~copy_out mb ~seg region ~dst_off ~release =
           copy_out mb ~off:0 ~len:seg
             ~dst:(Netif.To_kernel (stage, 0))
             ~on_done:(fun () ->
-              Obs.Histogram.observe Obs_lat.rx_copyout_ns
-                (Simtime.sub (Sim.now ctx.host.Host.sim) t0);
+              observe_copyout ctx t0;
               let cost = Memcost.copy (profile ctx) ~locality:Memcost.Cold seg in
               charge ~site:Cpu.Copy ctx cost (fun () ->
                   Obs_ledger.touch Obs_ledger.Sock_rx_copy Obs_ledger.Copy seg;

@@ -13,23 +13,14 @@ type ctx = {
   host : Host.t;
   space : Addr_space.t;
   proc : string;  (** process the copy work is charged to *)
-  cache : Pin_cache.t option;
-      (** pin-cache for copy-out destinations; [None] pins through
-          {!Addr_space.try_pin} directly *)
+  cached : bool;
+      (** wire copy-out destinations through the space's pinned-buffer
+          cache ({!Addr_space.wire}) *)
   on_kernel_copy : int -> unit;  (** stats hook: host-copied segment *)
   on_copyout : int -> unit;  (** stats hook: engine-moved segment *)
   on_pin_fallback : int -> unit;
       (** stats hook: copy-out degraded to kernel staging *)
 }
-
-val try_wire : ctx -> Region.t -> (Simtime.t, Simtime.t) result
-(** Pin and map a region for DMA, through the pin cache when there is
-    one: [Ok cost] when wired, [Error wasted] when the kernel refused the
-    pin (the ["vm.pin_fail"] fault site), where [wasted] is work already
-    done (cache evictions) before the refusal. *)
-
-val unwire : ctx -> Region.t -> Simtime.t
-(** Undo {!try_wire}; returns the cost of the release. *)
 
 val deliver_chain :
   ctx ->

@@ -24,6 +24,7 @@ type t = {
   mutable reader : (unit -> unit) option;
   mutable closed : bool;
   s : dgram_stats;
+  copyout : Copyout_path.ctx;  (* receive delivery context *)
 }
 
 let stats t = t.s
@@ -33,6 +34,31 @@ let profile t = t.host.Host.profile
 
 let create ~host ~space ~proc ?(paths = Socket.default_paths)
     ?(rcv_queue = 64) ~udp ~ip ~port () =
+  let s =
+    {
+      sent = 0;
+      sent_uio = 0;
+      sent_copy = 0;
+      send_errors = 0;
+      received = 0;
+      rx_copyouts = 0;
+      rx_kernel_copies = 0;
+      pin_fallbacks = 0;
+      truncated = 0;
+      queue_drops = 0;
+    }
+  in
+  let copyout =
+    {
+      Copyout_path.host;
+      space;
+      proc;
+      cached = paths.Socket.use_pin_cache;
+      on_kernel_copy = (fun _ -> s.rx_kernel_copies <- s.rx_kernel_copies + 1);
+      on_copyout = (fun _ -> s.rx_copyouts <- s.rx_copyouts + 1);
+      on_pin_fallback = (fun _ -> s.pin_fallbacks <- s.pin_fallbacks + 1);
+    }
+  in
   let t =
     {
       host;
@@ -46,19 +72,8 @@ let create ~host ~space ~proc ?(paths = Socket.default_paths)
       rcvq = [];
       reader = None;
       closed = false;
-      s =
-        {
-          sent = 0;
-          sent_uio = 0;
-          sent_copy = 0;
-          send_errors = 0;
-          received = 0;
-          rx_copyouts = 0;
-          rx_kernel_copies = 0;
-          pin_fallbacks = 0;
-          truncated = 0;
-          queue_drops = 0;
-        };
+      s;
+      copyout;
     }
   in
   Udp.bind udp ~port (fun ~src dgram ->
@@ -91,57 +106,63 @@ let send_path t region ~dst =
       if
         ifc.Netif.single_copy && fits
         && (t.paths.Socket.force_uio
-           || len >= t.paths.Socket.uio_threshold)
+           || len >= Path_policy.static_cutover)
         && Region.is_word_aligned region
       then `Uio
       else `Copy
 
+(* Single-copy send: the wired buffer goes out as an M_UIO descriptor,
+   and the call completes when the DMA has made the kernel's copy. *)
+let send_uio t region ~dst vm_cost k =
+  t.s.sent_uio <- t.s.sent_uio + 1;
+  let cached = t.paths.Socket.use_pin_cache in
+  let len = Region.length region in
+  let notify = Mbuf.make_notify () in
+  Mbuf.notify_add notify len;
+  charge t vm_cost (fun () ->
+      let hdr = { Mbuf.csum = None; notify = Some notify } in
+      let m = Mbuf.make_uio ~region ~hdr in
+      let finish () = charge t (Addr_space.unwire t.space region ~cached) k in
+      match Udp.sendto t.udp ~proc:t.proc ~src_port:t.port ~dst m with
+      | Ok () ->
+          if notify.Mbuf.dma_pending = 0 then finish ()
+          else notify.Mbuf.on_drained <- finish
+      | Error _ ->
+          t.s.send_errors <- t.s.send_errors + 1;
+          Mbuf.notify_complete_n notify notify.Mbuf.dma_pending;
+          finish ())
+
+let send_copy t region ~dst k =
+  t.s.sent_copy <- t.s.sent_copy + 1;
+  let len = Region.length region in
+  let copy_cost = Memcost.copy (profile t) ~locality:Memcost.Cold len in
+  charge t copy_cost (fun () ->
+      let b = Bytes.create len in
+      Obs_ledger.touch Obs_ledger.Sock_tx_copy Obs_ledger.Copy len;
+      Region.blit_to_bytes region ~src_off:0 b ~dst_off:0 ~len;
+      (match
+         Udp.sendto t.udp ~proc:t.proc ~src_port:t.port ~dst
+           (Mbuf.of_bytes ~pkthdr:true b)
+       with
+      | Ok () -> ()
+      | Error _ -> t.s.send_errors <- t.s.send_errors + 1);
+      k ())
+
+(* A send whose buffer the kernel will not wire degrades to the copying
+   path, as a stream write does. *)
 let sendto t region ~dst k =
   t.s.sent <- t.s.sent + 1;
   charge t (Memcost.syscall (profile t)) (fun () ->
       match send_path t region ~dst with
-      | `Uio ->
-          t.s.sent_uio <- t.s.sent_uio + 1;
-          let len = Region.length region in
-          let notify = Mbuf.make_notify () in
-          Mbuf.notify_add notify len;
-          let vm_cost =
-            Simtime.add
-              (Addr_space.pin t.space region)
-              (Addr_space.map_into_kernel t.space region)
-          in
-          charge t vm_cost (fun () ->
-              let hdr = { Mbuf.csum = None; notify = Some notify } in
-              let m = Mbuf.make_uio ~space:t.space ~region ~hdr in
-              let finish () =
-                charge t (Addr_space.unpin t.space region) k
-              in
-              (match
-                 Udp.sendto t.udp ~proc:t.proc ~src_port:t.port ~dst m
-               with
-              | Ok () ->
-                  if notify.Mbuf.dma_pending = 0 then finish ()
-                  else notify.Mbuf.on_drained <- finish
-              | Error _ ->
-                  t.s.send_errors <- t.s.send_errors + 1;
-                  Mbuf.notify_complete_n notify notify.Mbuf.dma_pending;
-                  finish ()))
-      | `Copy ->
-          t.s.sent_copy <- t.s.sent_copy + 1;
-          let len = Region.length region in
-          let copy_cost = Memcost.copy (profile t) ~locality:Memcost.Cold len in
-          charge t copy_cost (fun () ->
-              let b = Bytes.create len in
-              Obs_ledger.touch Obs_ledger.Sock_tx_copy Obs_ledger.Copy len;
-              Region.blit_to_bytes region ~src_off:0 b ~dst_off:0 ~len;
-              (match
-                 Udp.sendto t.udp ~proc:t.proc ~src_port:t.port ~dst
-                   (Mbuf.of_bytes ~pkthdr:true b)
-               with
-              | Ok () -> ()
-              | Error _ ->
-                  t.s.send_errors <- t.s.send_errors + 1);
-              k ()))
+      | `Copy -> send_copy t region ~dst k
+      | `Uio -> (
+          match
+            Addr_space.wire t.space region ~cached:t.paths.Socket.use_pin_cache
+          with
+          | Ok vm_cost -> send_uio t region ~dst vm_cost k
+          | Error wasted ->
+              t.s.pin_fallbacks <- t.s.pin_fallbacks + 1;
+              charge t wasted (fun () -> send_copy t region ~dst k)))
 
 (* Deliver one datagram chain into the user region, truncating like a
    real datagram socket.  Shares the stream socket's delivery mechanics —
@@ -155,23 +176,8 @@ let deliver t chain region k =
   let iface =
     Option.bind (Mbuf.rcvif chain) (fun name -> Host.find_iface t.host name)
   in
-  let ctx =
-    {
-      Copyout_path.host = t.host;
-      space = t.space;
-      proc = t.proc;
-      cache = None;
-      on_kernel_copy =
-        (fun _ ->
-          t.s.rx_kernel_copies <- t.s.rx_kernel_copies + 1);
-      on_copyout =
-        (fun _ -> t.s.rx_copyouts <- t.s.rx_copyouts + 1);
-      on_pin_fallback =
-        (fun _ -> t.s.pin_fallbacks <- t.s.pin_fallbacks + 1);
-    }
-  in
-  Copyout_path.deliver_chain ctx ~iface chain region ~dst_off:0 ~limit:want
-    (fun () -> k want)
+  Copyout_path.deliver_chain t.copyout ~iface chain region ~dst_off:0
+    ~limit:want (fun () -> k want)
 
 let rec recvfrom t region k =
   charge t (Memcost.syscall (profile t)) (fun () ->

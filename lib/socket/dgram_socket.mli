@@ -6,7 +6,9 @@
     is DMAed straight from the application buffer with the checksum
     computed by the adaptor — and the call completes when the DMA has made
     the kernel's copy.  Small, misaligned, or fragmented datagrams take
-    the copying path.
+    the copying path, and so does a send whose buffer the kernel will not
+    wire.  Buffers are wired through the address space
+    ({!Addr_space.wire}), cached when [paths.use_pin_cache] is set.
 
     Receives land in a per-socket queue; [recvfrom] copies (or DMAs, for
     outboard tails) the next datagram into the caller's buffer,
@@ -23,8 +25,9 @@ type dgram_stats = private {
   mutable rx_copyouts : int;  (** outboard segments moved by the engine *)
   mutable rx_kernel_copies : int;  (** segments host-copied to the app *)
   mutable pin_fallbacks : int;
-      (** copy-outs degraded to kernel staging because the destination
-          would not pin *)
+      (** single-copy sends degraded to the copying path, and copy-outs
+          degraded to kernel staging, because the buffer would not pin
+          (fault site ["vm.pin_fail"]) *)
   mutable truncated : int;  (** datagrams longer than the receive buffer *)
   mutable queue_drops : int;  (** receive-queue overflow *)
 }

@@ -1,6 +1,5 @@
 type path_config = {
   force_uio : bool;
-  uio_threshold : int;
   use_pin_cache : bool;
   align_fixup : bool;
   adaptive : bool;
@@ -9,7 +8,6 @@ type path_config = {
 let default_paths =
   {
     force_uio = false;
-    uio_threshold = 16 * 1024;
     use_pin_cache = true;
     align_fixup = false;
     adaptive = false;
@@ -61,7 +59,6 @@ type t = {
   proc : string;
   paths : path_config;
   pcb : Tcp.pcb;
-  cache : Pin_cache.t option;
   policy : Path_policy.t option;
   mutable policy_registered : bool;
   writers_waiting : (unit -> unit) Queue.t;
@@ -129,13 +126,10 @@ let rx_hint_period = 8
 
 let pcb t = t.pcb
 let stats t = t.s
-let pin_cache t = t.cache
+let space t = t.space
 let path_policy t = t.policy
 let set_event_hook t f = t.event_hook <- Some f
 let notify_event t = match t.event_hook with Some f -> f () | None -> ()
-
-(* Page budget of each socket's pin cache. *)
-let pin_cache_pages = 1024
 
 (* What the socket's per-call fields hold between calls, so a finished
    call keeps nothing of the caller's alive. *)
@@ -166,13 +160,13 @@ let profile t = t.host.Host.profile
    driver's DMA completions.  When the pin fails the buffer never becomes
    DMA-able: [on_pin_fail] runs (after charging any wasted eviction work)
    and the caller degrades to the copying path. *)
-let write_uio t region ~on_appended ~on_pin_fail k =
+let write_uio t region ~on_pin_fail k =
   let total = Region.length region in
   (* Map into kernel space and pin — charged to the writing process, one
      socket-buffer chunk at a time would be more faithful, but the cost is
      linear in pages either way.  Wiring comes first: no descriptor state
      exists yet if it fails. *)
-  match Copyout_path.try_wire t.copyout region with
+  match Addr_space.wire t.space region ~cached:t.paths.use_pin_cache with
   | Error wasted ->
       t.s.pin_fallbacks <- t.s.pin_fallbacks + 1;
       charge t wasted on_pin_fail
@@ -185,7 +179,9 @@ let write_uio t region ~on_appended ~on_pin_fail k =
       let finish () =
         t.pending_notifies <-
           List.filter (fun n -> n != notify) t.pending_notifies;
-        charge t (Copyout_path.unwire t.copyout region) k
+        charge t
+          (Addr_space.unwire t.space region ~cached:t.paths.use_pin_cache)
+          k
       in
       let rec push off =
         if off >= total then begin
@@ -193,7 +189,7 @@ let write_uio t region ~on_appended ~on_pin_fail k =
              then wait for the DMAs (copy semantics).  The next write
              appends while this one's bytes drain — that overlap is the
              double-buffered send pipeline. *)
-          on_appended ();
+          release_append t;
           if notify.Mbuf.dma_pending = 0 then finish ()
           else notify.Mbuf.on_drained <- finish
         end
@@ -203,7 +199,7 @@ let write_uio t region ~on_appended ~on_pin_fail k =
             if Tcp.snd_space t.pcb >= chunk then begin
               let sub = Region.sub region ~off ~len:chunk in
               let hdr = { Mbuf.csum = None; notify = Some notify } in
-              let m = Mbuf.make_uio ~space:t.space ~region:sub ~hdr in
+              let m = Mbuf.make_uio ~region:sub ~hdr in
               (match Tcp.sosend_append t.pcb ~proc:t.proc m with
               | Ok () -> push (off + chunk)
               | Error _ ->
@@ -330,9 +326,7 @@ let write_locked t region k =
           Path_policy.penalize policy
       | Some _ | None -> ());
       let pin_warm =
-        match t.cache with
-        | Some cache -> Pin_cache.is_resident cache region
-        | None -> false
+        t.paths.use_pin_cache && Addr_space.is_cached t.space region
       in
       let route, reason = Path_policy.decide policy ~len ~aligned ~pin_warm in
       let t0 = Host.now t.host in
@@ -344,7 +338,6 @@ let write_locked t region k =
       | Path_policy.Uio ->
           t.s.uio_writes <- t.s.uio_writes + 1;
           write_uio t region
-            ~on_appended:(fun () -> release_append t)
             ~on_pin_fail:(fun () ->
               (* The kernel would not wire the buffer: penalize the
                  outboard path and finish the write by copying (still
@@ -363,12 +356,11 @@ let write_locked t region k =
   | Some _ | None ->
       let want_uio =
         single_copy_route t
-        && (t.paths.force_uio || len >= t.paths.uio_threshold)
+        && (t.paths.force_uio || len >= Path_policy.static_cutover)
       in
       if want_uio && aligned then begin
         t.s.uio_writes <- t.s.uio_writes + 1;
         write_uio t region
-          ~on_appended:(fun () -> release_append t)
           ~on_pin_fail:(fun () ->
             t.s.copy_writes <- t.s.copy_writes + 1;
             copy_write t region ~observe:false ~t0:0 k)
@@ -389,7 +381,6 @@ let write_locked t region k =
                  Region.sub region ~off:head_len ~len:(len - head_len)
                in
                write_uio t bulk
-                 ~on_appended:(fun () -> release_append t)
                  ~on_pin_fail:(fun () ->
                    copy_write t bulk ~observe:false ~t0:0 k)
                  k))
@@ -620,15 +611,8 @@ let wake_writers t =
   end
 
 let create ~host ~space ~proc ?(paths = default_paths) pcb =
-  let cache =
-    if paths.use_pin_cache then
-      Some (Pin_cache.create ~space ~max_pages:pin_cache_pages)
-    else None
-  in
   let policy =
-    if paths.adaptive then
-      Some (Path_policy.create ~cutover:paths.uio_threshold ())
-    else None
+    if paths.adaptive then Some (Path_policy.create ()) else None
   in
   let s = new_stats () in
   let copyout =
@@ -636,7 +620,7 @@ let create ~host ~space ~proc ?(paths = default_paths) pcb =
       Copyout_path.host;
       space;
       proc;
-      cache;
+      cached = paths.use_pin_cache;
       on_kernel_copy =
         (fun _ -> s.kernel_copy_reads <- s.kernel_copy_reads + 1);
       on_copyout = (fun _ -> s.wcab_copyouts <- s.wcab_copyouts + 1);
@@ -650,7 +634,6 @@ let create ~host ~space ~proc ?(paths = default_paths) pcb =
       proc;
       paths;
       pcb;
-      cache;
       policy;
       policy_registered = false;
       writers_waiting = Queue.create ();

@@ -9,15 +9,17 @@
 
     Path selection per write (§4.4.3, §4.5): the single-copy (M_UIO) path
     is taken when the stack and the route's interface support it, the
-    write is at least [uio_threshold] bytes (or [force_uio] is set, as in
-    the paper's Figure 5 runs), and the user buffer is word aligned.
-    Everything else falls back to copying through kernel mbufs.
+    write is at least {!Path_policy.static_cutover} bytes (16 KByte, the
+    measured crossover) or [force_uio] is set (as in the paper's Figure 5
+    runs), and the user buffer is word aligned.  Everything else falls
+    back to copying through kernel mbufs.
 
     VM work (§4.4.1): on the UIO path the socket layer — which runs in
     process context — maps the buffer into kernel space and pins it,
-    charging Table 2 costs; a {!Pin_cache} amortizes the cost for
-    applications that reuse buffers.  Unpinning is lazy when the cache is
-    enabled, immediate otherwise.
+    charging Table 2 costs, through {!Addr_space.wire}.  The address
+    space's pinned-buffer cache amortizes the cost for applications that
+    reuse buffers, across every socket of the process.  Unpinning is lazy
+    when the cache is enabled, immediate otherwise.
 
     Per-call state: the socket keeps its one read and its one copy-route
     write (which holds the stream-order lock until it completes) in its
@@ -30,10 +32,10 @@
 type path_config = {
   force_uio : bool;
       (** always take the single-copy path (paper's measurement setup) *)
-  uio_threshold : int;  (** smallest write using the UIO path otherwise *)
   use_pin_cache : bool;
-      (** keep buffers pinned in a per-socket {!Pin_cache} (1024-page
-          budget) instead of unpinning after every write *)
+      (** keep buffers pinned in the address space's pinned-buffer cache
+          (1024-page budget, shared by every socket on the space) instead
+          of unpinning after every transfer *)
   align_fixup : bool;
       (** §4.5's unimplemented optimization, implemented here: when a
           large write is misaligned, send the sub-word head through the
@@ -42,15 +44,14 @@ type path_config = {
           optimization." *)
   adaptive : bool;
       (** route each write through a per-socket {!Path_policy} instead of
-          the static [uio_threshold] rule: size, alignment, and pin-cache
-          warmth pick the path, and observed per-path costs refine the
-          cutover online.  Ignored when [force_uio] is set (measurement
+          the static size rule: size, alignment, and pin-cache warmth
+          pick the path, and observed per-path costs refine the cutover
+          online.  Ignored when [force_uio] is set (measurement
           runs pin the path on purpose). *)
 }
 
 val default_paths : path_config
-(** threshold 16 KByte (the measured crossover), pin cache on with a
-    1024-page budget, [force_uio] off. *)
+(** Pin cache on, [force_uio], [align_fixup] and [adaptive] off. *)
 
 type stats = private {
   mutable writes : int;
@@ -88,7 +89,9 @@ val pcb : t -> Tcp.pcb
 val stats : t -> stats
 (** The socket's live counter record (it keeps counting after the call). *)
 
-val pin_cache : t -> Pin_cache.t option
+val space : t -> Addr_space.t
+(** The address space the socket's buffers live in; it holds the pins
+    (and the pinned-buffer cache) of the socket's transfers. *)
 
 val path_policy : t -> Path_policy.t option
 (** The adaptive routing policy, when [paths.adaptive] is set — exposes

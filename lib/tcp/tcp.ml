@@ -24,10 +24,8 @@ type config = {
   mss_cap : int option;
   snd_buf : int;
   rcv_buf : int;
-  rto_min : Simtime.t;
   msl : Simtime.t;
   coalesce_descriptors : bool;
-  max_rexmt : int;
   keepalive_idle : Simtime.t;
   keepalive_intvl : Simtime.t;
   keepalive_probes : int;
@@ -38,20 +36,22 @@ let default_config =
     mss_cap = None;
     snd_buf = 512 * 1024;
     rcv_buf = 512 * 1024;
-    rto_min = Simtime.ms 100.;
     msl = Simtime.ms 20.;
     coalesce_descriptors = false;
-    max_rexmt = 12;
     keepalive_idle = 0;
     keepalive_intvl = Simtime.ms 100.;
     keepalive_probes = 4;
   }
 
 (* Timer constants: delayed-ACK delay, initial RTO (also the first
-   SYN-ACK retransmit deadline) and the RTO backoff cap. *)
+   SYN-ACK retransmit deadline), the floor of the computed RTO, the RTO
+   backoff cap, and the consecutive RTO expirations before a connection
+   is dropped (BSD's TCP_MAXRXTSHIFT). *)
 let delack_delay = Simtime.ms 2.
 let rto_init = Simtime.ms 200.
+let rto_min = Simtime.ms 100.
 let rto_max = Simtime.s 2.
+let max_rexmt = 12
 
 type pcb_stats = {
   mutable segs_sent : int;
@@ -443,6 +443,14 @@ let ip_output tcp ~src ~dst seg =
 
 let ip_send pcb seg = ip_output pcb.tcp ~src:pcb.local_addr ~dst:pcb.raddr seg
 
+(* What [emit] did with a segment. *)
+type emitted =
+  | Sent
+  | No_route
+  | Outboard_on_legacy
+      (* outboard data routed at a device that cannot read it: the
+         segment was dropped and the range must be copied back *)
+
 let send_segment pcb seg ~payload_len ~csum_cost =
   pcb.stats.segs_sent <- pcb.stats.segs_sent + 1;
   pcb.stats.bytes_sent <- pcb.stats.bytes_sent + payload_len;
@@ -457,7 +465,7 @@ let send_segment pcb seg ~payload_len ~csum_cost =
     Host.in_intr_on pcb.tcp.hst ~shard:pcb.shard ~site:Cpu.Checksum
       csum_cost (fun () -> ip_send pcb seg)
   else ip_send pcb seg;
-  Ok ()
+  Sent
 
 (* Build and emit one segment.  [payload] ownership transfers here.  The
    transport checksum either rides out as an offload record (seed in the
@@ -467,7 +475,7 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
   match Ipv4.route_for pcb.tcp.ip ~dst:pcb.raddr with
   | None ->
       (match payload with Some p -> Mbuf.free p | None -> ());
-      Error "no route"
+      No_route
   | Some (iface, _next_hop) ->
       let hdr_len = Tcp_header.base_size + Tcp_header.options_size options in
       let payload_len =
@@ -517,7 +525,7 @@ let emit pcb ~seq ~flags ~options ~(payload : Mbuf.t option) =
              it: the stack cannot transmit this segment (§6 note). *)
           Mbuf.free p;
           pcb.stats.dropped_wcab_legacy <- pcb.stats.dropped_wcab_legacy + 1;
-          Error "outboard data on legacy path"
+          Outboard_on_legacy
       | Some _ | None ->
           pcb.stats.csum_host_tx <- pcb.stats.csum_host_tx + 1;
           let payload_sum =
@@ -600,7 +608,7 @@ let update_rtt pcb sample =
     pcb.rttvar <- pcb.rttvar + ((abs err - pcb.rttvar) / 4)
   end;
   let rto = pcb.srtt + (4 * pcb.rttvar) in
-  pcb.rto <- max pcb.tcp.cfg.rto_min (min rto_max rto)
+  pcb.rto <- max rto_min (min rto_max rto)
 
 let plan_none = 0
 let plan_fin = -1
@@ -611,7 +619,7 @@ and rto_fire pcb =
   match pcb.st with
   | Established | Fin_wait_1 | Closing | Close_wait | Last_ack | Syn_sent ->
       pcb.rexmt_shift <- pcb.rexmt_shift + 1;
-      if pcb.rexmt_shift > pcb.tcp.cfg.max_rexmt then begin
+      if pcb.rexmt_shift > max_rexmt then begin
         (* The peer is unreachable: give up (BSD drops with ETIMEDOUT),
            telling the peer with a best-effort RST so its readers see the
            reset rather than hanging. *)
@@ -663,13 +671,13 @@ and send_control pcb ~flags () =
     else Tcp_header.ACK :: flags
   in
   (match emit pcb ~seq ~flags ~options ~payload:None with
-  | Ok () ->
+  | Sent ->
       if is_syn || is_fin then begin
         pcb.snd_nxt <- Tcp_seq.add pcb.snd_nxt 1;
         pcb.snd_max <- Tcp_seq.max pcb.snd_max pcb.snd_nxt;
         if not (Sim.armed pcb.rexmt_timer) then arm_rexmt pcb
       end
-  | Error _ -> ())
+  | No_route | Outboard_on_legacy -> ())
 
 and send_ack_now pcb = send_control pcb ~flags:[ Tcp_header.ACK ] ()
 
@@ -786,7 +794,7 @@ and transmit_plan pcb plan =
         else [ Tcp_header.ACK ]
       in
       (match emit pcb ~seq ~flags ~options:[] ~payload:(Some payload) with
-      | Ok () ->
+      | Sent ->
           pcb.snd_nxt <- Tcp_seq.add pcb.snd_nxt len;
           if fin_here then begin
             pcb.fin_sent <- true;
@@ -802,14 +810,14 @@ and transmit_plan pcb plan =
           end;
           pcb.snd_max <- Tcp_seq.max pcb.snd_max pcb.snd_nxt;
           if not (Sim.armed pcb.rexmt_timer) then arm_rexmt pcb
-      | Error "outboard data on legacy path" ->
+      | Outboard_on_legacy ->
           (* The route moved to a device that cannot read outboard data
              (§4.1's "stack switch" hazard): copy the range back from
              network memory into regular mbufs and let the pump retry.
              A real driver would SDMA it back; the CPU-copy cost charged
              by the pump's next pass is a safe overestimate. *)
           rescue_outboard pcb ~off ~len
-      | Error _ -> ())
+      | No_route -> ())
   | _ when plan = plan_fin ->
       pcb.fin_sent <- true;
       send_control pcb ~flags:[ Tcp_header.FIN; Tcp_header.ACK ] ();
@@ -887,10 +895,10 @@ and persist_fire pcb =
        emit pcb ~seq:pcb.snd_nxt ~flags:[ Tcp_header.ACK ] ~options:[]
          ~payload:(Some payload)
      with
-    | Ok () ->
+    | Sent ->
         pcb.snd_nxt <- Tcp_seq.add pcb.snd_nxt 1;
         pcb.snd_max <- Tcp_seq.max pcb.snd_max pcb.snd_nxt
-    | Error _ -> ());
+    | No_route | Outboard_on_legacy -> ());
     arm_persist pcb
   end
 

@@ -45,15 +45,11 @@ type config = {
   mss_cap : int option;  (** upper bound on negotiated MSS *)
   snd_buf : int;  (** send-buffer high-water mark (bytes) *)
   rcv_buf : int;  (** receive buffer = advertised window (bytes) *)
-  rto_min : Simtime.t;  (** floor of the computed RTO *)
   msl : Simtime.t;  (** TIME_WAIT holds for 2*msl *)
   coalesce_descriptors : bool;
       (** ablation knob: allow packets to span M_UIO write boundaries and
           subject descriptor data to Nagle.  The paper's stack does NOT
           coalesce (§7.1); default false. *)
-  max_rexmt : int;
-      (** consecutive RTO expirations before the connection is dropped
-          (BSD's TCP_MAXRXTSHIFT); default 12 *)
   keepalive_idle : Simtime.t;
       (** idle time before keepalive probing starts; 0 disables the
           keepalive machinery entirely (the default — one branch per
@@ -65,13 +61,14 @@ type config = {
 }
 
 val default_config : config
-(** 512 KByte buffers (the paper's test window), no MSS cap, 100 ms RTO
-    floor, 20 ms MSL, no descriptor coalescing, 12 retransmits, keepalive
-    off.
+(** 512 KByte buffers (the paper's test window), no MSS cap, 20 ms MSL,
+    no descriptor coalescing, keepalive off.
 
     Fixed for every connection: RFC 1323 window scaling, Nagle and
     delayed ACKs (ACK every second segment, else after 2 ms) are always
-    on; the RTO starts at 200 ms and backs off to at most 2 s.  Whether
+    on; the RTO starts at 200 ms, never falls below 100 ms and backs off
+    to at most 2 s, and 12 consecutive RTO expirations drop the
+    connection (BSD's TCP_MAXRXTSHIFT).  Whether
     a segment takes the single-copy path is decided by its route's
     interface ({!Netif.t.single_copy}), not by this configuration. *)
 

@@ -9,14 +9,38 @@ let () =
 
 let agg_pin_failures = Obs.counter ~section:"addr_space" ~name:"pin_failures"
 
+(* Process-wide aggregates of the pinned-buffer caches (per-space counts
+   stay on [t]). *)
+let agg_hits = Obs.counter ~section:"pin_cache" ~name:"hits"
+let agg_misses = Obs.counter ~section:"pin_cache" ~name:"misses"
+let agg_evictions = Obs.counter ~section:"pin_cache" ~name:"evictions"
+let agg_cache_pin_failures =
+  Obs.counter ~section:"pin_cache" ~name:"pin_failures"
+
+(* A region the cache keeps wired. *)
+type wired = {
+  region : Region.t;
+  pages : int;
+  mutable last_used : int;  (* LRU stamp *)
+}
+
 type t = {
   profile : Host_profile.t;
   name : string;
   mutable brk : int;  (* next free virtual address *)
   pins : (int, int) Hashtbl.t;  (* page index -> pin refcount *)
+  pin_budget : int;  (* pages the cache may keep wired *)
+  mutable cache : wired list;
+      (* one entry per (vaddr, length); a list, so a space that never
+         wires allocates nothing for its cache *)
+  mutable clock : int;
+  mutable cached_pages : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
 }
 
-let create ~profile ~name =
+let create ?(pin_budget = 1024) ~profile ~name () =
   {
     profile;
     name;
@@ -24,10 +48,14 @@ let create ~profile ~name =
        bug, and on a page boundary. *)
     brk = 16 * profile.Host_profile.page_size;
     pins = Hashtbl.create 64;
+    pin_budget;
+    cache = [];
+    clock = 0;
+    cached_pages = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
   }
-
-let name t = t.name
-let profile t = t.profile
 
 let alloc t ?align len =
   let align =
@@ -46,57 +74,146 @@ let alloc_at_offset t ~page_offset len =
   t.brk <- base + len;
   Region.create ~vaddr:base len
 
-let pages_of t region =
-  let page_size = t.profile.Host_profile.page_size in
-  let base = Region.vaddr region and len = Region.length region in
-  if len = 0 then []
-  else
-    let first = base / page_size and last = (base + len - 1) / page_size in
-    List.init (last - first + 1) (fun i -> first + i)
+(* The region covers pages [first_page .. first_page + page_count - 1]. *)
+let first_page t region =
+  Region.vaddr region / t.profile.Host_profile.page_size
+
+let page_count t region =
+  Region.pages ~page_size:t.profile.Host_profile.page_size region
+
+let pin_count t p =
+  match Hashtbl.find t.pins p with c -> c | exception Not_found -> 0
 
 let pin t region =
-  let pages = pages_of t region in
-  List.iter
-    (fun p ->
-      let c = Option.value ~default:0 (Hashtbl.find_opt t.pins p) in
-      if c = 0 then incr total_pinned;
-      Hashtbl.replace t.pins p (c + 1))
-    pages;
-  Memcost.pin t.profile ~pages:(List.length pages)
+  let first = first_page t region and n = page_count t region in
+  for p = first to first + n - 1 do
+    let c = pin_count t p in
+    if c = 0 then incr total_pinned;
+    Hashtbl.replace t.pins p (c + 1)
+  done;
+  Memcost.pin t.profile ~pages:n
 
-let try_pin t region =
-  if Fault.fire "vm.pin_fail" then begin
-    Obs.Counter.incr agg_pin_failures;
-    Error `Pin_exhausted
-  end
-  else Ok (pin t region)
+(* The fault site ["vm.pin_fail"]: the kernel refusing to wire more
+   pages (resident-set limit, fragmentation). *)
+let pin_refused () =
+  let refused = Fault.fire "vm.pin_fail" in
+  if refused then Obs.Counter.incr agg_pin_failures;
+  refused
 
 let unpin t region =
-  let pages = pages_of t region in
-  List.iter
-    (fun p ->
-      match Hashtbl.find_opt t.pins p with
-      | None | Some 0 ->
-          invalid_arg
-            (Printf.sprintf "Addr_space.unpin(%s): page %d not pinned" t.name p)
-      | Some 1 ->
-          decr total_pinned;
-          Hashtbl.remove t.pins p
-      | Some c -> Hashtbl.replace t.pins p (c - 1))
-    pages;
-  Memcost.unpin t.profile ~pages:(List.length pages)
+  let first = first_page t region and n = page_count t region in
+  for p = first to first + n - 1 do
+    match pin_count t p with
+    | 0 ->
+        invalid_arg
+          (Printf.sprintf "Addr_space.unpin(%s): page %d not pinned" t.name p)
+    | 1 ->
+        decr total_pinned;
+        Hashtbl.remove t.pins p
+    | c -> Hashtbl.replace t.pins p (c - 1)
+  done;
+  Memcost.unpin t.profile ~pages:n
 
 let map_into_kernel t region =
-  let pages = List.length (pages_of t region) in
-  Memcost.map t.profile ~pages
+  Memcost.map t.profile ~pages:(page_count t region)
 
 let is_pinned t region =
-  List.for_all
-    (fun p ->
-      match Hashtbl.find_opt t.pins p with
-      | Some c when c > 0 -> true
-      | Some _ | None -> false)
-    (pages_of t region)
+  let first = first_page t region in
+  let rec from p =
+    p >= first + page_count t region || (pin_count t p > 0 && from (p + 1))
+  in
+  from first
 
 let pinned_pages t =
   Hashtbl.fold (fun _ c acc -> if c > 0 then acc + 1 else acc) t.pins 0
+
+(* ---------- the pinned-buffer cache (§4.4.1) ---------- *)
+
+(* What [find] returns for a region the cache does not hold. *)
+let absent = { region = Region.create ~vaddr:0 0; pages = 0; last_used = 0 }
+
+let rec find region = function
+  | [] -> absent
+  | e :: rest ->
+      if
+        Region.vaddr e.region = Region.vaddr region
+        && Region.length e.region = Region.length region
+      then e
+      else find region rest
+
+let tick t =
+  t.clock <- t.clock + 1;
+  t.clock
+
+let evict_lru t =
+  match t.cache with
+  | [] -> Simtime.zero
+  | e :: rest ->
+      let victim =
+        List.fold_left
+          (fun v e -> if e.last_used < v.last_used then e else v)
+          e rest
+      in
+      t.cache <- List.filter (fun e -> e != victim) t.cache;
+      t.cached_pages <- t.cached_pages - victim.pages;
+      t.evictions <- t.evictions + 1;
+      Obs.Counter.incr agg_evictions;
+      unpin t victim.region
+
+let wire t region ~cached =
+  let e = if cached then find region t.cache else absent in
+  if e != absent then begin
+    (* A cached buffer is already wired: hits never consult the fault
+       site, which models the pin syscall refusing. *)
+    e.last_used <- tick t;
+    t.hits <- t.hits + 1;
+    Obs.Counter.incr agg_hits;
+    Ok Simtime.zero
+  end
+  else begin
+    (* A cache miss first evicts down to the budget (lazy unpinning
+       bounds the pages held).  A refused pin keeps the eviction work
+       done, and charged: the kernel freed pages before it found it
+       could not wire the new buffer. *)
+    let pages = page_count t region in
+    let evict_cost = ref Simtime.zero in
+    if cached then begin
+      t.misses <- t.misses + 1;
+      Obs.Counter.incr agg_misses;
+      while t.cached_pages > 0 && t.cached_pages + pages > t.pin_budget do
+        evict_cost := Simtime.add !evict_cost (evict_lru t)
+      done
+    end;
+    if pin_refused () then begin
+      if cached then Obs.Counter.incr agg_cache_pin_failures;
+      Error !evict_cost
+    end
+    else begin
+      let pin_cost = pin t region in
+      let map_cost = map_into_kernel t region in
+      if cached then begin
+        t.cache <- { region; pages; last_used = tick t } :: t.cache;
+        t.cached_pages <- t.cached_pages + pages
+      end;
+      Ok (Simtime.add !evict_cost (Simtime.add pin_cost map_cost))
+    end
+  end
+
+let unwire t region ~cached =
+  if cached then Simtime.zero else unpin t region
+
+let is_cached t region = find region t.cache != absent
+
+let flush t =
+  let cost =
+    List.fold_left (fun acc e -> Simtime.add acc (unpin t e.region))
+      Simtime.zero t.cache
+  in
+  t.cache <- [];
+  t.cached_pages <- 0;
+  cost
+
+let cache_hits t = t.hits
+let cache_misses t = t.misses
+let cache_evictions t = t.evictions
+let cached_pages t = t.cached_pages

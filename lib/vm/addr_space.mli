@@ -6,14 +6,25 @@
     paper); callers charge that cost to the right process on the host CPU.
 
     Pinning is reference counted per page: overlapping buffers or repeated
-    pins of the same page keep it resident until every pin is released. *)
+    pins of the same page keep it resident until every pin is released.
+
+    Each space also owns the pinned-buffer cache of §4.4.1: "for
+    applications that reuse the same set of buffers repeatedly, this
+    overhead can be avoided by keeping the buffers pinned and mapped so
+    the overhead is amortized over several IO operations; buffers can be
+    unpinned lazily, thus limiting the number of pages that an
+    application can have pinned at one time."  The cache is per process:
+    every socket whose buffers live in the space shares it.  {!wire} and
+    {!unwire} are the one way the datapath makes a user buffer DMA-ready
+    and releases it again. *)
 
 type t
 
-val create : profile:Host_profile.t -> name:string -> t
-
-val name : t -> string
-val profile : t -> Host_profile.t
+val create :
+  ?pin_budget:int -> profile:Host_profile.t -> name:string -> unit -> t
+(** [pin_budget] bounds the pages the cache keeps wired (default 1024).
+    When a miss would exceed it, the least recently used buffers are
+    unpinned first. *)
 
 val alloc : t -> ?align:int -> int -> Region.t
 (** Allocates a region of the given size.  [align] defaults to the page
@@ -29,13 +40,6 @@ val pin : t -> Region.t -> Simtime.t
 (** Pins every page the region touches; returns the CPU cost
     (35 + 29 n us on the alpha400). *)
 
-val try_pin : t -> Region.t -> (Simtime.t, [ `Pin_exhausted ]) result
-(** Fallible pin for datapath callers: the fault site ["vm.pin_fail"]
-    models the kernel refusing to wire more pages (resident-set limit,
-    fragmentation).  On [Error] nothing is pinned and nothing is charged;
-    the caller degrades to the copying path.  Failures are counted in the
-    Obs counter [addr_space.pin_failures]. *)
-
 val unpin : t -> Region.t -> Simtime.t
 val map_into_kernel : t -> Region.t -> Simtime.t
 
@@ -44,3 +48,37 @@ val is_pinned : t -> Region.t -> bool
 
 val pinned_pages : t -> int
 (** Number of distinct pages currently pinned in this space. *)
+
+(** {1 Wiring for DMA} *)
+
+val wire : t -> Region.t -> cached:bool -> (Simtime.t, Simtime.t) result
+(** Pin and map the region for DMA.  [Ok cost] when it is wired;
+    [Error wasted] when the kernel refused the pin (the fault site
+    ["vm.pin_fail"], counted in [addr_space.pin_failures]), where
+    [wasted] is work already done (cache evictions) before the refusal.
+    On [Error] the region is not pinned; the caller degrades to the
+    copying path.
+
+    [cached]: a buffer the cache holds is a hit, costs nothing and never
+    consults the fault site; a miss evicts down to the budget, then pins,
+    maps and keeps the buffer.  Otherwise the region is pinned and mapped
+    for this transfer only. *)
+
+val unwire : t -> Region.t -> cached:bool -> Simtime.t
+(** Release a {!wire} with the same [cached]: free when cached (the
+    buffer stays pinned, unpinned lazily), an unpin otherwise. *)
+
+val is_cached : t -> Region.t -> bool
+(** Warmth probe: whether a cached {!wire} would hit.  Does not touch the
+    LRU clock, so policy layers can ask without distorting eviction
+    order. *)
+
+val flush : t -> Simtime.t
+(** Unpins every cached buffer; returns the total unpin cost. *)
+
+val cache_hits : t -> int
+val cache_misses : t -> int
+val cache_evictions : t -> int
+
+val cached_pages : t -> int
+(** Pages the cache holds wired. *)

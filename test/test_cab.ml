@@ -88,7 +88,7 @@ let pseudo_for payload_len =
 (* Send one offloaded packet from user memory through the pair; return the
    receive info seen by cab_b's driver. *)
 let send_one ?(payload_len = 8192) pair =
-  let space = Addr_space.create ~profile ~name:"app" in
+  let space = Addr_space.create ~profile ~name:"app" () in
   let user = Addr_space.alloc space payload_len in
   Region.fill_pattern user ~seed:99;
   let pseudo = pseudo_for payload_len in
@@ -138,18 +138,18 @@ let test_tx_rx_roundtrip () =
               ~rx_start)
            ~skipped ~pseudo);
       (* Copy the payload out and compare with what the user sent. *)
-      let space2 = Addr_space.create ~profile ~name:"rcv" in
+      let space2 = Addr_space.create ~profile ~name:"rcv" () in
       let dst = Addr_space.alloc space2 8192 in
       let done_ = ref false in
       Cab.sdma_copy_out pair.cab_b info.Cab.rx_pkt ~off:hdr_total ~len:8192
-        ~dst:(Netif.To_user (space2, dst))
+        ~dst:(Netif.To_user dst)
         ~interrupt:false
         ~on_complete:(fun () -> done_ := true);
       Sim.run pair.sim;
       check_bool "copy-out completed" true !done_;
       check_bool "payload intact end to end" true
         (Region.equal_contents user dst);
-      Cab.rx_free pair.cab_b info.Cab.rx_pkt
+      Cab.free pair.cab_b info.Cab.rx_pkt
 
 let test_small_packet_complete () =
   let pair = make_pair () in
@@ -159,7 +159,7 @@ let test_small_packet_complete () =
   | Some info ->
       check_bool "fits in auto-DMA buffer" true info.Cab.rx_complete;
       check_int "head covers all" (hdr_total + 256) info.Cab.rx_head_len;
-      Cab.rx_free pair.cab_b info.Cab.rx_pkt
+      Cab.free pair.cab_b info.Cab.rx_pkt
 
 let test_checksum_corruption_detected () =
   (* Flip a bit mid-flight by wiring a mangling link. *)
@@ -217,7 +217,7 @@ let test_retransmit_header_rewrite () =
      re-DMAed. *)
   let pair = make_pair () in
   let payload_len = 8192 in
-  let space = Addr_space.create ~profile ~name:"app" in
+  let space = Addr_space.create ~profile ~name:"app" () in
   let user = Addr_space.alloc space payload_len in
   Region.fill_pattern user ~seed:5;
   let pseudo = pseudo_for payload_len in
@@ -283,7 +283,7 @@ let test_retransmit_header_rewrite () =
       | Ok t -> check_int "new ack in retransmit" 777 t.Tcp_header.ack
       | Error e -> Alcotest.fail e)
   | l -> Alcotest.fail (Printf.sprintf "expected 2 receptions, got %d" (List.length l)));
-  Cab.tx_free pair.cab_a pkt
+  Cab.free pair.cab_a pkt
 
 (* ---------- chained SDMA and batched notifications ---------- *)
 
@@ -300,7 +300,7 @@ let test_sdma_chain_equivalent () =
   let half = payload_len / 2 in
   let run ~chained =
     let pair = make_pair () in
-    let space = Addr_space.create ~profile ~name:"app" in
+    let space = Addr_space.create ~profile ~name:"app" () in
     let user = Addr_space.alloc space payload_len in
     Region.fill_pattern user ~seed:42;
     let pseudo = pseudo_for payload_len in
@@ -377,7 +377,7 @@ let test_batch_interrupt_handler () =
         match burst.(i) with
         | Cab.Rx_packet info ->
             seen := info.Cab.rx_total_len :: !seen;
-            Cab.rx_free pair.cab_b info.Cab.rx_pkt
+            Cab.free pair.cab_b info.Cab.rx_pkt
         | Cab.Sdma_done -> ()
       done);
   no_handler pair.cab_a;
@@ -412,7 +412,7 @@ let test_batch_interrupt_handler () =
 
 let test_alignment_enforced () =
   let pair = make_pair () in
-  let space = Addr_space.create ~profile ~name:"app" in
+  let space = Addr_space.create ~profile ~name:"app" () in
   let misaligned = Addr_space.alloc_at_offset space ~page_offset:2 1024 in
   let pkt = Cab.tx_alloc pair.cab_a ~len:4096 in
   check_bool "misaligned user source rejected" true
@@ -481,7 +481,7 @@ let prop_offload_any_program =
           match i with
           | Cab.Rx_packet info ->
               received := info :: !received;
-              Cab.rx_free pair.cab_b info.Cab.rx_pkt
+              Cab.free pair.cab_b info.Cab.rx_pkt
           | Cab.Sdma_done -> ());
       no_handler pair.cab_a;
       let pkt =
@@ -504,7 +504,7 @@ let prop_offload_any_program =
         Cab.mdma_send pair.cab_a pkt ~dst:2 ~channel:0 ~keep:true;
         Sim.run pair.sim
       done;
-      Cab.tx_free pair.cab_a pkt;
+      Cab.free pair.cab_a pkt;
       let transport_off = Hippi_framing.size + Ipv4_header.size in
       let rx_start = 4 * Hippi_framing.rx_csum_start_words in
       List.length !received = rewrites + 1
@@ -579,7 +579,7 @@ let test_rx_alloc_budget () =
         incr got;
         pkt_words := Obj.size (Obj.repr info.Cab.rx_pkt) + 1;
         ev_words := Obj.size (Obj.repr ev) + 1 + Obj.size (Obj.repr info) + 1;
-        Cab.rx_free cab info.Cab.rx_pkt
+        Cab.free cab info.Cab.rx_pkt
     | Cab.Sdma_done -> ());
   let w =
     Alloc_budget.measure frames
@@ -610,7 +610,7 @@ let test_stalled_chain_keeps_ring_aligned () =
   on_each pair.cab_b (function
     | Cab.Rx_packet info ->
         on_media := Bytes.get info.Cab.rx_head hdr_total :: !on_media;
-        Cab.rx_free pair.cab_b info.Cab.rx_pkt
+        Cab.free pair.cab_b info.Cab.rx_pkt
     | Cab.Sdma_done -> ());
   no_handler pair.cab_a;
   let completed = ref [] in
@@ -698,7 +698,7 @@ let test_copyouts_beyond_pipe_depth () =
         (Bytes.equal d (Bytes.sub frame (i * chunk) chunk)))
     dsts;
   check_int "the excess parked" 3 (Cab.rx_pipe_stats cab).Cab.rx_pipe_stalls;
-  Cab.rx_free cab info.Cab.rx_pkt
+  Cab.free cab info.Cab.rx_pkt
 
 (* Liveness is a flag on the packet: a second free still raises and is
    counted, and the live count returns to its baseline. *)
@@ -724,7 +724,7 @@ let test_netmem_double_free_counted () =
 let test_second_media_request_raises () =
   let pair = make_pair () in
   on_each pair.cab_b (function
-    | Cab.Rx_packet info -> Cab.rx_free pair.cab_b info.Cab.rx_pkt
+    | Cab.Rx_packet info -> Cab.free pair.cab_b info.Cab.rx_pkt
     | Cab.Sdma_done -> ());
   no_handler pair.cab_a;
   let pkt = Cab.tx_alloc pair.cab_a ~len:(hdr_total + 256) in

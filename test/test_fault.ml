@@ -217,6 +217,44 @@ let test_pin_failure_degrades_to_copy () =
     (r.Ttcp.sender_socket.Socket.copy_writes
     >= r.Ttcp.sender_socket.Socket.pin_fallbacks)
 
+(* A datagram send whose buffer will not pin takes the copying path, as
+   a stream write does, and the datagram still arrives intact. *)
+let test_dgram_pin_failure_degrades_to_copy () =
+  let tb = Testbed.create () in
+  let a = tb.Testbed.a.Testbed.stack and b = tb.Testbed.b.Testbed.stack in
+  let a_sp = Netstack.make_space a ~name:"dg" in
+  let b_sp = Netstack.make_space b ~name:"dg" in
+  let sa =
+    Dgram_socket.create ~host:a.Netstack.host ~space:a_sp ~proc:"app"
+      ~udp:a.Netstack.udp ~ip:a.Netstack.ip ~port:4000 ()
+  in
+  let sb =
+    Dgram_socket.create ~host:b.Netstack.host ~space:b_sp ~proc:"app"
+      ~udp:b.Netstack.udp ~ip:b.Netstack.ip ~port:4001 ()
+  in
+  (* Large and word aligned: the single-copy route's kind of datagram. *)
+  let big = Addr_space.alloc a_sp 24576 in
+  Region.fill_pattern big ~seed:21;
+  let rbuf = Addr_space.alloc b_sp 32768 in
+  let got = ref None and consults_at_send = ref (-1) in
+  Fault.arm ~seed:1;
+  Fault.plan ~site:"vm.pin_fail" (Fault.Every_n 1);
+  Dgram_socket.recvfrom sb rbuf (fun n _src ->
+      got :=
+        Some (n, Region.equal_contents (Region.sub rbuf ~off:0 ~len:n) big));
+  Dgram_socket.sendto sa big ~dst:{ Udp.addr = Testbed.addr_b; port = 4001 }
+    (fun () -> consults_at_send := Fault.consults ~site:"vm.pin_fail");
+  Sim.run ~until:(Simtime.s 5.) tb.Testbed.sim;
+  Fault.disarm ();
+  let st = Dgram_socket.stats sa in
+  check_int "the send consulted the pin fault site" 1 !consults_at_send;
+  check_int "no single-copy send" 0 st.Dgram_socket.sent_uio;
+  check_int "sent by copying" 1 st.Dgram_socket.sent_copy;
+  check_int "the fallback was counted" 1 st.Dgram_socket.pin_fallbacks;
+  check_bool "datagram arrived intact" true (!got = Some (24576, true));
+  Dgram_socket.close sa;
+  Dgram_socket.close sb
+
 let test_netmem_exhaustion_recovers () =
   let tb, r =
     faulty_ttcp (fun () ->
@@ -395,6 +433,8 @@ let () =
             test_corruption_healed_by_retransmission;
           Alcotest.test_case "pin failure degrades to copy" `Quick
             test_pin_failure_degrades_to_copy;
+          Alcotest.test_case "datagram pin failure degrades to copy" `Quick
+            test_dgram_pin_failure_degrades_to_copy;
           Alcotest.test_case "netmem exhaustion recovers" `Quick
             test_netmem_exhaustion_recovers;
           Alcotest.test_case "stalled rewrite reposted" `Quick

@@ -140,14 +140,14 @@ let profile = Host_profile.alpha400
 (* A chain whose bytes are exactly [golden], cut into [cuts] segments;
    segment [i] is a UIO descriptor when [uio.(i)], else regular storage. *)
 let build_mixed_chain ~golden ~cuts ~uio =
-  let sp = Addr_space.create ~profile ~name:"fuzzk" in
+  let sp = Addr_space.create ~profile ~name:"fuzzk" () in
   let n = Bytes.length golden in
   let piece i lo hi =
     let len = hi - lo in
     if uio.(i) then begin
       let r = Addr_space.alloc sp len in
       Region.blit_from_bytes golden ~src_off:lo r ~dst_off:0 ~len;
-      Mbuf.make_uio ~space:sp ~region:r
+      Mbuf.make_uio ~region:r
         ~hdr:{ Mbuf.csum = None; notify = None }
     end
     else Mbuf.of_bytes (Bytes.sub golden lo len)

@@ -64,17 +64,17 @@ let test_cross_segment_parity () =
     (Inet_csum.fold (Inet_csum.concat ~first_len:33 a c))
 
 let build_uio_chain n =
-  let sp = Addr_space.create ~profile ~name:"kern" in
+  let sp = Addr_space.create ~profile ~name:"kern" () in
   let r = Addr_space.alloc sp n in
   Region.fill_pattern r ~seed:5;
   let half = n / 2 in
   let a =
-    Mbuf.make_uio ~space:sp
+    Mbuf.make_uio
       ~region:(Region.sub r ~off:0 ~len:half)
       ~hdr:{ Mbuf.csum = None; notify = None }
   in
   let b =
-    Mbuf.make_uio ~space:sp
+    Mbuf.make_uio
       ~region:(Region.sub r ~off:half ~len:(n - half))
       ~hdr:{ Mbuf.csum = None; notify = None }
   in

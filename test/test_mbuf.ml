@@ -5,7 +5,7 @@ let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
 let profile = Host_profile.alpha400
-let space () = Addr_space.create ~profile ~name:"app"
+let space () = Addr_space.create ~profile ~name:"app" ()
 
 let assert_ok m =
   match Mbuf.check_invariants m with
@@ -139,7 +139,7 @@ let test_uio_mbuf () =
   let r = Addr_space.alloc sp 10000 in
   Region.fill_pattern r ~seed:3;
   let hdr = { Mbuf.csum = None; notify = Some (Mbuf.make_notify ()) } in
-  let m = Mbuf.make_uio ~space:sp ~region:r ~hdr in
+  let m = Mbuf.make_uio ~region:r ~hdr in
   assert_ok m;
   check_int "pkt_len = region len" 10000 (Mbuf.pkt_len m);
   check_bool "is descriptor" true (Mbuf.is_descriptor m);
@@ -263,7 +263,7 @@ let test_prepend_descriptor_never_inline () =
   let sp = space () in
   let r = Addr_space.alloc sp 512 in
   let hdr = { Mbuf.csum = None; notify = None } in
-  let m = Mbuf.make_uio ~space:sp ~region:r ~hdr in
+  let m = Mbuf.make_uio ~region:r ~hdr in
   let m' = Mbuf.prepend m 40 in
   assert_ok m';
   Alcotest.(check bool) "new head is internal" true

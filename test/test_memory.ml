@@ -95,7 +95,7 @@ let test_fused_copy_checksum () =
 
 (* ---------- Addr_space ---------- *)
 
-let space () = Addr_space.create ~profile:p ~name:"test"
+let space () = Addr_space.create ~profile:p ~name:"test" ()
 
 let test_alloc_alignment () =
   let sp = space () in
@@ -136,99 +136,102 @@ let test_unpin_unpinned_rejected () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------- Pin_cache ---------- *)
+(* ---------- the pinned-buffer cache (Addr_space.wire ~cached) ---------- *)
+
+let cached_space ~pin_budget =
+  Addr_space.create ~pin_budget ~profile:p ~name:"test" ()
+
+(* A cached wire that must succeed (the fault plane is disarmed). *)
+let wire sp r =
+  match Addr_space.wire sp r ~cached:true with
+  | Ok cost -> cost
+  | Error _ -> Alcotest.fail "pin refused with faults disarmed"
 
 let test_pin_cache_amortization () =
-  let sp = space () in
-  let cache = Pin_cache.create ~space:sp ~max_pages:64 in
+  let sp = cached_space ~pin_budget:64 in
   let r = Addr_space.alloc sp 32768 in
-  let first = Pin_cache.acquire cache r in
+  let first = wire sp r in
   check_bool "first acquire costs" true (first > 0);
-  let again = Pin_cache.acquire cache r in
+  let again = wire sp r in
   check_int "hit is free" 0 again;
-  check_int "hits" 1 (Pin_cache.hits cache);
-  check_int "misses" 1 (Pin_cache.misses cache);
-  ignore (Pin_cache.release cache r);
-  check_int "release is lazy (still resident)" 4 (Pin_cache.resident_pages cache)
+  check_int "hits" 1 (Addr_space.cache_hits sp);
+  check_int "misses" 1 (Addr_space.cache_misses sp);
+  ignore (Addr_space.unwire sp r ~cached:true);
+  check_int "release is lazy (still resident)" 4 (Addr_space.cached_pages sp)
 
 let test_pin_cache_eviction () =
-  let sp = space () in
   (* Budget of 8 pages; each buffer takes 4. *)
-  let cache = Pin_cache.create ~space:sp ~max_pages:8 in
+  let sp = cached_space ~pin_budget:8 in
   let a = Addr_space.alloc sp 32768 in
   let b = Addr_space.alloc sp 32768 in
   let c = Addr_space.alloc sp 32768 in
-  ignore (Pin_cache.acquire cache a);
-  ignore (Pin_cache.acquire cache b);
-  ignore (Pin_cache.acquire cache c);
-  check_int "one eviction" 1 (Pin_cache.evictions cache);
-  check_int "resident bounded" 8 (Pin_cache.resident_pages cache);
+  ignore (wire sp a);
+  ignore (wire sp b);
+  ignore (wire sp c);
+  check_int "one eviction" 1 (Addr_space.cache_evictions sp);
+  check_int "resident bounded" 8 (Addr_space.cached_pages sp);
   (* LRU: [a] was evicted, so it misses; [c] hits. *)
-  ignore (Pin_cache.acquire cache c);
-  check_int "c still resident" 1 (Pin_cache.hits cache);
-  let cost_a = Pin_cache.acquire cache a in
+  ignore (wire sp c);
+  check_int "c still resident" 1 (Addr_space.cache_hits sp);
+  let cost_a = wire sp a in
   check_bool "a was evicted" true (cost_a > 0)
 
 let test_pin_cache_lru_touch_refreshes () =
-  let sp = space () in
-  let cache = Pin_cache.create ~space:sp ~max_pages:8 in
+  let sp = cached_space ~pin_budget:8 in
   let a = Addr_space.alloc sp 32768 in
   let b = Addr_space.alloc sp 32768 in
   let c = Addr_space.alloc sp 32768 in
-  ignore (Pin_cache.acquire cache a);
-  ignore (Pin_cache.acquire cache b);
+  ignore (wire sp a);
+  ignore (wire sp b);
   (* Touch [a]: now [b] is the least recently used entry. *)
-  check_int "touch is a hit" 0 (Pin_cache.acquire cache a);
-  ignore (Pin_cache.acquire cache c);
-  check_int "one eviction" 1 (Pin_cache.evictions cache);
-  check_int "a survived" 0 (Pin_cache.acquire cache a);
-  check_bool "b was the victim" true (Pin_cache.acquire cache b > 0)
+  check_int "touch is a hit" 0 (wire sp a);
+  ignore (wire sp c);
+  check_int "one eviction" 1 (Addr_space.cache_evictions sp);
+  check_int "a survived" 0 (wire sp a);
+  check_bool "b was the victim" true (wire sp b > 0)
 
 let test_pin_cache_eviction_cost_charged () =
-  let sp = space () in
-  let cache = Pin_cache.create ~space:sp ~max_pages:8 in
+  let sp = cached_space ~pin_budget:8 in
   let a = Addr_space.alloc sp 32768 in
   let b = Addr_space.alloc sp 32768 in
   let c = Addr_space.alloc sp 32768 in
-  let cost_a = Pin_cache.acquire cache a in
+  let cost_a = wire sp a in
   check_int "miss without eviction = pin + map"
     (Memcost.pin p ~pages:4 + Memcost.map p ~pages:4)
     cost_a;
-  ignore (Pin_cache.acquire cache b);
-  (* The cache is full: acquiring [c] must also pay [a]'s unpin, folded
-     into the faulting acquire's cost rather than billed elsewhere. *)
-  let cost_c = Pin_cache.acquire cache c in
+  ignore (wire sp b);
+  (* The cache is full: wiring [c] must also pay [a]'s unpin, folded
+     into the faulting wire's cost rather than billed elsewhere. *)
+  let cost_c = wire sp c in
   check_int "evicting miss also pays the victim's unpin"
     (cost_a + Memcost.unpin p ~pages:4)
     cost_c
 
 let test_pin_cache_flush_accounting () =
-  let sp = space () in
-  let cache = Pin_cache.create ~space:sp ~max_pages:64 in
+  let sp = cached_space ~pin_budget:64 in
   let a = Addr_space.alloc sp 32768 in
   (* 4 pages *)
   let b = Addr_space.alloc sp 16384 in
   (* 2 pages *)
-  ignore (Pin_cache.acquire cache a);
-  ignore (Pin_cache.acquire cache b);
-  check_int "six pages resident" 6 (Pin_cache.resident_pages cache);
-  let cost = Pin_cache.flush cache in
+  ignore (wire sp a);
+  ignore (wire sp b);
+  check_int "six pages resident" 6 (Addr_space.cached_pages sp);
+  let cost = Addr_space.flush sp in
   check_int "flush pays exactly the residents' unpins"
     (Memcost.unpin p ~pages:4 + Memcost.unpin p ~pages:2)
     cost;
-  check_int "nothing resident" 0 (Pin_cache.resident_pages cache);
+  check_int "nothing resident" 0 (Addr_space.cached_pages sp);
   check_int "space agrees" 0 (Addr_space.pinned_pages sp);
   (* A flushed entry faults again. *)
-  check_bool "post-flush acquire misses" true (Pin_cache.acquire cache a > 0)
+  check_bool "post-flush acquire misses" true (wire sp a > 0)
 
 let test_pin_cache_flush () =
-  let sp = space () in
-  let cache = Pin_cache.create ~space:sp ~max_pages:64 in
+  let sp = cached_space ~pin_budget:64 in
   let r = Addr_space.alloc sp 16384 in
-  ignore (Pin_cache.acquire cache r);
-  let cost = Pin_cache.flush cache in
+  ignore (wire sp r);
+  let cost = Addr_space.flush sp in
   check_bool "flush pays unpin" true (cost > 0);
-  check_int "nothing resident" 0 (Pin_cache.resident_pages cache);
+  check_int "nothing resident" 0 (Addr_space.cached_pages sp);
   check_int "space agrees" 0 (Addr_space.pinned_pages sp)
 
 let prop_pin_cache_bounded =
@@ -238,8 +241,7 @@ let prop_pin_cache_bounded =
       pair (int_range 4 32)
         (list_of_size Gen.(1 -- 40) (pair (int_bound 15) (int_range 1 65536))))
     (fun (budget, ops) ->
-      let sp = space () in
-      let cache = Pin_cache.create ~space:sp ~max_pages:budget in
+      let sp = cached_space ~pin_budget:budget in
       let regions = Hashtbl.create 8 in
       let ok = ref true in
       List.iter
@@ -252,15 +254,15 @@ let prop_pin_cache_bounded =
                 Hashtbl.add regions slot r;
                 r
           in
-          ignore (Pin_cache.acquire cache r);
+          ignore (wire sp r);
           (* The budget can only be exceeded transiently by a single
              too-large buffer; steady state must respect it whenever the
              last buffer itself fits. *)
           let pages = Region.pages ~page_size:p.Host_profile.page_size r in
-          if pages <= budget && Pin_cache.resident_pages cache > budget then
+          if pages <= budget && Addr_space.cached_pages sp > budget then
             ok := false)
         ops;
-      ignore (Pin_cache.flush cache);
+      ignore (Addr_space.flush sp);
       !ok && Addr_space.pinned_pages sp = 0)
 
 (* ---------- Host profiles ---------- *)

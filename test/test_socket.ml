@@ -323,7 +323,7 @@ let test_descriptor_coalescing () =
           let pcb = Socket.pcb sa in
           for i = 0 to count - 1 do
             let m =
-              Mbuf.make_uio ~space:a_sp
+              Mbuf.make_uio
                 ~region:(Region.sub src ~off:(i * wsize) ~len:wsize)
                 ~hdr:{ Mbuf.csum = None; notify = None }
             in
@@ -367,6 +367,50 @@ let test_pin_cache_shared_across_write_and_read () =
   in
   Sim.run ~until:(Simtime.s 30.) tb.Testbed.sim;
   check_bool "echo roundtrip intact" true !ok
+
+let test_sockets_share_space_pins () =
+  (* Pins belong to the address space: a second socket's first write of
+     a buffer the first socket already wired is a pin-cache hit, with no
+     pin charged.  The receivers wire uncached, so every pin-cache count
+     below is the senders'. *)
+  let tb = Testbed.create () in
+  let a = tb.Testbed.a.Testbed.stack and b = tb.Testbed.b.Testbed.stack in
+  let wsize = 65536 in
+  let received = ref 0 in
+  Socket.listen ~stack_tcp:b.Netstack.tcp ~host:b.Netstack.host ~proc:"srv"
+    ~paths:{ Socket.default_paths with Socket.use_pin_cache = false }
+    ~make_space:(fun () -> Netstack.make_space b ~name:"srv")
+    ~port:7001
+    (fun sock ->
+      let buf = Addr_space.alloc (Netstack.make_space b ~name:"rd") wsize in
+      Socket.read_exact sock buf (fun n -> received := !received + n));
+  let space = Netstack.make_space a ~name:"app" in
+  let buf = Addr_space.alloc space wsize in
+  Region.fill_pattern buf ~seed:5;
+  let counter name = int_of_float (Obs.value ~section:"pin_cache" ~name) in
+  let hits0 = counter "hits" and misses0 = counter "misses" in
+  let connect k =
+    let pcb = ref None in
+    pcb :=
+      Some
+        (Tcp.connect a.Netstack.tcp ~dst:Testbed.addr_b ~dst_port:7001
+           ~on_established:(fun () ->
+             k
+               (Socket.create ~host:a.Netstack.host ~space ~proc:"app"
+                  ~paths:force_uio (Option.get !pcb)))
+           ())
+  in
+  let misses_after_first = ref (-1) in
+  connect (fun s1 ->
+      Socket.write s1 buf (fun () ->
+          misses_after_first := counter "misses" - misses0;
+          connect (fun s2 -> Socket.write s2 buf (fun () -> ()))));
+  Sim.run ~until:(Simtime.s 5.) tb.Testbed.sim;
+  check_int "both writes arrived" (2 * wsize) !received;
+  check_int "the first socket's write missed" 1 !misses_after_first;
+  check_int "the second socket's write missed nothing" 1
+    (counter "misses" - misses0);
+  check_int "the second socket's write hit" 1 (counter "hits" - hits0)
 
 (* ---------- one reader per socket ---------- *)
 
@@ -565,6 +609,8 @@ let () =
             test_two_sockets_one_host;
           Alcotest.test_case "echo through one pin cache" `Quick
             test_pin_cache_shared_across_write_and_read;
+          Alcotest.test_case "two sockets share their space's pins" `Quick
+            test_sockets_share_space_pins;
         ] );
       ( "path policy",
         [

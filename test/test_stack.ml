@@ -125,12 +125,11 @@ let test_small_writes () =
         (check_pattern_repeats ~src ~dst ~wsize ~total)
 
 let test_threshold_fallback () =
-  (* Below the UIO threshold the single-copy stack still works, via the
-     copying path (§4.4.3). *)
+  (* Below the UIO threshold (16 KByte) the single-copy stack still
+     works, via the copying path (§4.4.3). *)
   let wsize = 4096 and total = 64 * 1024 in
   let _tb, result =
-    transfer ~mode:Stack_mode.Single_copy
-      ~a_paths:{ Socket.default_paths with Socket.uio_threshold = 16384 }
+    transfer ~mode:Stack_mode.Single_copy ~a_paths:Socket.default_paths
       ~wsize ~total ()
   in
   match result with
@@ -261,12 +260,10 @@ let test_pin_cache_reuse () =
   in
   match result with
   | None -> Alcotest.fail "transfer did not complete"
-  | Some (sa, _, _, _, _) -> (
-      match Socket.pin_cache sa with
-      | None -> Alcotest.fail "pin cache expected"
-      | Some cache ->
-          check_int "one miss (first use)" 1 (Pin_cache.misses cache);
-          check_bool "hits on every reuse" true (Pin_cache.hits cache >= 14))
+  | Some (sa, _, _, _, _) ->
+      let space = Socket.space sa in
+      check_int "one miss (first use)" 1 (Addr_space.cache_misses space);
+      check_bool "hits on every reuse" true (Addr_space.cache_hits space >= 14)
 
 let test_mss_respected () =
   let tb = Testbed.create ~mtu:(16 * 1024) () in

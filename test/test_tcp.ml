@@ -71,10 +71,10 @@ let test_sendq_replace_full_chain () =
 let test_sendq_chain_extent () =
   let q = Tcp_sendq.create ~hiwat:(1 lsl 20) in
   Tcp_sendq.append q (Mbuf.of_string ~pkthdr:true "0123456789");
-  let space = Addr_space.create ~profile:Host_profile.alpha400 ~name:"t" in
+  let space = Addr_space.create ~profile:Host_profile.alpha400 ~name:"t" () in
   let region = Addr_space.alloc space 100 in
   let hdr = { Mbuf.csum = None; notify = None } in
-  Tcp_sendq.append q (Mbuf.make_uio ~space ~region ~hdr);
+  Tcp_sendq.append q (Mbuf.make_uio ~region ~hdr);
   let k, ext = Tcp_sendq.chain_extent q ~off:0 in
   check_bool "regular chain" true (k = Mbuf.K_internal);
   check_int "extent to chain end" 10 ext;
@@ -88,11 +88,11 @@ let test_sendq_chain_extent () =
 
 let test_sendq_merge_descriptors () =
   let q = Tcp_sendq.create ~hiwat:(1 lsl 19) in
-  let space = Addr_space.create ~profile:Host_profile.alpha400 ~name:"t" in
+  let space = Addr_space.create ~profile:Host_profile.alpha400 ~name:"t" () in
   let r = Addr_space.alloc space 16384 in
   Region.fill_pattern r ~seed:11;
   let chunk i =
-    Mbuf.make_uio ~space
+    Mbuf.make_uio
       ~region:(Region.sub r ~off:(i * 4096) ~len:4096)
       ~hdr:{ Mbuf.csum = None; notify = None }
   in
@@ -459,11 +459,7 @@ let test_gives_up_after_max_rexmt () =
   (* Kill the link after the handshake: the sender must not retry
      forever. *)
   let drop_everything_after = List.init 500 (fun i -> i + 2) in
-  let tb =
-    Testbed.create
-      ~tcp_config:(fun c -> { c with Tcp.max_rexmt = 3 })
-      ~drop_a_frames:drop_everything_after ()
-  in
+  let tb = Testbed.create ~drop_a_frames:drop_everything_after () in
   let closed = ref false in
   let sent_pcb = ref None in
   Testbed.establish_stream tb ~port:5001 (fun sa _sb ->
@@ -487,8 +483,7 @@ let test_persist_recovers_lost_window_update () =
      for a while.  Only the sender's persist probe can reopen the flow. *)
   let tb =
     Testbed.create
-      ~tcp_config:(fun c ->
-        { c with Tcp.rcv_buf = 65536; rto_min = Simtime.ms 20. })
+      ~tcp_config:(fun c -> { c with Tcp.rcv_buf = 65536 })
       (* Drop a swath of B's frames around the drain. *)
       ~drop_b_frames:(List.init 6 (fun i -> i + 4))
       ()
