@@ -61,9 +61,3 @@ let latency_quantile h q =
   match Obs.Histogram.quantile h q with
   | Some ns -> Float.to_int (Float.round ns)
   | None -> 0
-
-let pp fmt m =
-  Format.fprintf fmt
-    "%.1f Mb/s in %a, util %.3f (eff %.1f Mb/s; ttcp %a/%a util_sys %a)"
-    m.throughput_mbit Simtime.pp m.elapsed m.utilization m.efficiency_mbit
-    Simtime.pp m.ttcp_user Simtime.pp m.ttcp_sys Simtime.pp m.util_sys

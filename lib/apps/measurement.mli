@@ -38,5 +38,3 @@ val latency_quantile : Obs.Histogram.t -> float -> Simtime.t
 (** [latency_quantile h q] is {!Obs.Histogram.quantile} of a histogram of
     simulated-time latencies, rounded to the nanosecond; 0 when [h] is
     empty. *)
-
-val pp : Format.formatter -> t -> unit

@@ -212,11 +212,10 @@ type parallel_result = {
   p_flow_mbit : float array;
 }
 
-let run_parallel ~tb ~flows ~wsize ~total ?(force_uio = true)
-    ?(verify = true) ?(base_port = 5001) () =
-  let paths = { Socket.default_paths with Socket.force_uio } in
+let run_parallel ~tb ~flows ~wsize ~total ?(verify = true) () =
+  let paths = { Socket.default_paths with Socket.force_uio = true } in
   let t0, fs =
-    run_flows ~tb ~flows ~wsize ~total ~paths ~verify ~base_port
+    run_flows ~tb ~flows ~wsize ~total ~paths ~verify ~base_port:5001
       ~write_lat:(Obs.Histogram.create ())
   in
   let elapsed =

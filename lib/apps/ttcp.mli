@@ -69,15 +69,14 @@ val run_parallel :
   flows:int ->
   wsize:int ->
   total:int ->
-  ?force_uio:bool ->
   ?verify:bool ->
-  ?base_port:int ->
   unit ->
   parallel_result
-(** [flows] concurrent ttcp streams (ports [base_port] ..
-    [base_port + flows - 1]), each moving [total] bytes; the RSS demux
-    spreads them across the testbed hosts' shards, each app loop charging
-    the CPU of the shard owning its connection.  Each flow's payload
+(** [flows] concurrent ttcp streams (ports 5001 .. [5000 + flows]), each
+    moving [total] bytes; the RSS demux spreads them across the testbed
+    hosts' shards, each app loop charging the CPU of the shard owning its
+    connection.  Every flow forces the single-copy path, as {!run} does by
+    default.  Each flow's payload
     carries a flow-specific pattern seed, so cross-flow misdelivery fails
     verification.  Aggregate throughput is measured from the first
     established connection to the last completed flow.  Raises [Failure]

@@ -203,7 +203,6 @@ let name t = t.name
 let hippi_addr t = t.addr
 let netmem t = t.mem
 let sim t = t.sim
-let profile t = t.profile
 
 (* The latest installed handler wins: apps like raw_hippi take the
    adaptor over from the driver by reinstalling. *)

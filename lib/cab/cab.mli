@@ -78,7 +78,6 @@ val name : t -> string
 val hippi_addr : t -> int
 val netmem : t -> Netmem.t
 val sim : t -> Sim.t
-val profile : t -> Host_profile.t
 
 val set_batch_interrupt_handler : t -> (intr array -> int -> unit) -> unit
 (** The interrupt entry point.  Notifications are delivered in coalesced

@@ -174,5 +174,3 @@ let pseudo_header ~src ~dst ~proto ~len =
   add_u16 s (len land 0xffff)
 
 let equal a b = fold a = fold b
-
-let pp fmt s = Format.fprintf fmt "0x%04x" (fold s)

@@ -65,5 +65,3 @@ val pseudo_header : src:int32 -> dst:int32 -> proto:int -> len:int -> sum
 
 val equal : sum -> sum -> bool
 (** Equality of folded values. *)
-
-val pp : Format.formatter -> sum -> unit

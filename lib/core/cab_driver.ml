@@ -70,7 +70,6 @@ let new_stats () =
   }
 
 let iface t = Option.get t.ifc
-let cab t = t.cab
 let stats t = t.s
 
 (* ---------- SDMA completion watchdog / recovery plane ----------

@@ -74,7 +74,6 @@ val attach :
     of this machinery runs and the datapath is unchanged. *)
 
 val iface : t -> Netif.t
-val cab : t -> Cab.t
 val stats : t -> driver_stats
 (** The driver's live counter record (it keeps counting after the
     call). *)

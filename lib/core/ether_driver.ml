@@ -55,7 +55,7 @@ let input t frame =
         | None -> Mbuf.free chain)
   end
 
-let attach ~host ~ip ~dev ~addr ?(mtu = 1500) () =
+let attach ~host ~ip ~dev ~addr =
   let t =
     {
       host;
@@ -66,7 +66,7 @@ let attach ~host ~ip ~dev ~addr ?(mtu = 1500) () =
   in
   let ifc =
     Netif.make ~name:(Printf.sprintf "en%x" (Etherdev.mac dev land 0xff))
-      ~addr ~mtu
+      ~addr ~mtu:1500
       ~output:(fun ifc pkt ~next_hop -> output t ifc pkt ~next_hop)
       ()
   in

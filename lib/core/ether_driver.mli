@@ -20,10 +20,8 @@ val attach :
   ip:Ipv4.t ->
   dev:Etherdev.t ->
   addr:Inaddr.t ->
-  ?mtu:int ->
-  unit ->
   t
-(** MTU defaults to 1500. *)
+(** The interface's MTU is 1500. *)
 
 val iface : t -> Netif.t
 val stats : t -> stats

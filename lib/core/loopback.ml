@@ -5,10 +5,10 @@ type t = {
 
 let iface t = Option.get t.ifc
 
-let attach ~host ~ip ?(mtu = 64 * 1024) () =
+let attach ~host ~ip =
   let t = { host; ifc = None } in
   let ifc =
-    Netif.make ~name:"lo0" ~addr:Inaddr.loopback ~mtu
+    Netif.make ~name:"lo0" ~addr:Inaddr.loopback ~mtu:(64 * 1024)
       ~output:(fun _ifc pkt ~next_hop:_ ->
         Interop.flatten_for_legacy ~host ~proc_hint:"kernel" pkt (fun bytes ->
             ignore

@@ -4,7 +4,7 @@
 
 type t
 
-val attach : host:Host.t -> ip:Ipv4.t -> ?mtu:int -> unit -> t
-(** MTU defaults to 64 KByte.  Registers a route for 127.0.0.1/8. *)
+val attach : host:Host.t -> ip:Ipv4.t -> t
+(** MTU 64 KByte.  Registers a route for 127.0.0.1/8. *)
 
 val iface : t -> Netif.t

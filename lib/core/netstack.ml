@@ -52,13 +52,13 @@ let attach_cab t ~cab ~addr ?mtu ?watchdog () =
     (Cab_driver.iface drv);
   drv
 
-let attach_ether t ~dev ~addr ?mtu () =
-  let drv = Ether_driver.attach ~host:t.host ~ip:t.ip ~dev ~addr ?mtu () in
+let attach_ether t ~dev ~addr =
+  let drv = Ether_driver.attach ~host:t.host ~ip:t.ip ~dev ~addr in
   Routing.add_route (Ipv4.routing t.ip) ~prefix:(subnet_of addr) ~len:24
     (Ether_driver.iface drv);
   drv
 
-let attach_loopback t = Loopback.attach ~host:t.host ~ip:t.ip ()
+let attach_loopback t = Loopback.attach ~host:t.host ~ip:t.ip
 
 let add_route t ~prefix ~len ?gateway ifc =
   Routing.add_route (Ipv4.routing t.ip) ~prefix ~len ?gateway ifc

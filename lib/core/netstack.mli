@@ -38,8 +38,7 @@ val attach_cab :
 (** Attaches the CAB and routes [addr]/24 over it.  [watchdog] arms the
     driver's recovery plane (see {!Cab_driver.attach}). *)
 
-val attach_ether :
-  t -> dev:Etherdev.t -> addr:Inaddr.t -> ?mtu:int -> unit -> Ether_driver.t
+val attach_ether : t -> dev:Etherdev.t -> addr:Inaddr.t -> Ether_driver.t
 (** Attaches a legacy Ethernet and routes [addr]/24 over it. *)
 
 val attach_loopback : t -> Loopback.t

@@ -66,7 +66,6 @@ let push q ~duration ~proc ~mode ~site ~csum k =
 
 type t = {
   sim : Sim.t;
-  name : string;
   mutable idle_proc : string;
   mutable running : bool;
   mutable cur : item;  (* the running item while [running] *)
@@ -90,7 +89,6 @@ type t = {
 let no_cell : int ref = ref 0
 let checksum_index = site_index Checksum
 
-let name t = t.name
 let set_idle_proc t p = t.idle_proc <- p
 
 let charge t proc mode d =
@@ -170,7 +168,6 @@ let create ~sim ~name =
   let t =
     {
       sim;
-      name;
       idle_proc = "idle";
       running = false;
       cur = blank ();

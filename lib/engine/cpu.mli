@@ -36,8 +36,6 @@ val create : sim:Sim.t -> name:string -> t
 (** Also registers the CPU's profiler row as Obs table
     [prof/<name>]: [{"checksum": n, ..., "total": busy}]. *)
 
-val name : t -> string
-
 val set_idle_proc : t -> string -> unit
 (** Name of the process considered "running" while the CPU is idle
     (the compute-bound [util] soaker in the paper's methodology).

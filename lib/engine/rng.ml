@@ -15,10 +15,6 @@ let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let split t =
-  let s = int64 t in
-  { state = s }
-
 let int t bound =
   assert (bound > 0);
   let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in

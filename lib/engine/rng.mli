@@ -9,9 +9,6 @@ type t
 
 val create : seed:int -> t
 
-val split : t -> t
-(** A new generator with an independent stream derived from [t]. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  Requires [bound > 0]. *)
 

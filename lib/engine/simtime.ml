@@ -10,15 +10,12 @@ let to_ms t = float_of_int t /. 1e6
 let to_s t = float_of_int t /. 1e9
 let add = ( + )
 let sub = ( - )
-let max = Stdlib.max
-let min = Stdlib.min
-let compare = Int.compare
 
 let of_bytes_at_rate ~bytes_per_s n =
   if n <= 0 then 0
   else
     let t = float_of_int n /. bytes_per_s *. 1e9 in
-    Stdlib.max 1 (int_of_float (Float.ceil t))
+    max 1 (int_of_float (Float.ceil t))
 
 let rate_mbit ~bytes t =
   if t <= 0 then 0.

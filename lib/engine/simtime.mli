@@ -21,9 +21,6 @@ val to_s : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val max : t -> t -> t
-val min : t -> t -> t
-val compare : t -> t -> int
 
 val of_bytes_at_rate : bytes_per_s:float -> int -> t
 (** [of_bytes_at_rate ~bytes_per_s n] is the time needed to move [n] bytes

@@ -8,7 +8,6 @@ type t = { mac_addr : int; port : port; seg : segment }
 and segment = {
   sim : Sim.t;
   medium : sending Resource.t;
-  latency : Simtime.t;
   rate : float;
   mutable stations : t list;
   mutable frames : int;
@@ -21,6 +20,9 @@ and segment = {
 and sending = { mutable from : port; mutable frame : Bytes.t }
 
 let broadcast = 0xffffffffffff
+
+(* Propagation delay from the end of serialization to each receiver. *)
+let latency = Simtime.us 5.
 let no_port = { rx = ignore }
 
 (* Queue [frame] for each listed station, in order, that [dst]
@@ -43,16 +45,15 @@ let sent seg s =
   | Error _ -> ()
   | Ok hdr ->
       fan_out seg.line ~from ~dst:hdr.Ether_frame.dst
-        (Simtime.add (Sim.now seg.sim) seg.latency)
+        (Simtime.add (Sim.now seg.sim) latency)
         frame seg.stations
 
-let create_segment ~sim ?(rate = 10e6 /. 8.) ?(latency = Simtime.us 5.) () =
+let create_segment ~sim ?(rate = 10e6 /. 8.) () =
   let seg =
     {
       sim;
       medium =
         Resource.create ~sim (fun () -> { from = no_port; frame = Bytes.empty });
-      latency;
       rate;
       stations = [];
       frames = 0;

@@ -9,8 +9,9 @@
 type segment
 type t
 
-val create_segment : sim:Sim.t -> ?rate:float -> ?latency:Simtime.t -> unit -> segment
-(** [rate] defaults to 10 Mbit/s Ethernet (1.25e6 bytes/s). *)
+val create_segment : sim:Sim.t -> ?rate:float -> unit -> segment
+(** [rate] defaults to 10 Mbit/s Ethernet (1.25e6 bytes/s); each frame
+    reaches its receivers 5 us after the medium serialized it. *)
 
 val attach : segment -> mac:int -> t
 (** Attach a station with a 48-bit MAC address. *)

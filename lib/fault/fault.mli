@@ -56,7 +56,3 @@ val consults : site:string -> int
 
 val fires : site:string -> int
 (** Fires since the last {!arm} (0 for never-fired sites). *)
-
-val sites : unit -> (string * plan * int * int) list
-(** [(site, plan, consults, fires)] for every site seen since {!arm},
-    sorted by site name. *)

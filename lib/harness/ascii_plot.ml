@@ -1,4 +1,6 @@
-let plot ?(width = 64) ?(height = 16) ~title ~y_label ~x_labels ~series () =
+let width = 64
+
+let plot ?(height = 16) ~title ~y_label ~x_labels ~series () =
   let n = List.length x_labels in
   if n = 0 then ()
   else begin

@@ -2,7 +2,6 @@
     paper, drawn in the terminal. *)
 
 val plot :
-  ?width:int ->
   ?height:int ->
   title:string ->
   y_label:string ->
@@ -11,4 +10,4 @@ val plot :
   unit ->
   unit
 (** Each series is (mark, legend, values); all series share [x_labels]
-    positions.  Y starts at zero. *)
+    positions across 64 columns.  Y starts at zero. *)

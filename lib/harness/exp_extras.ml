@@ -1,10 +1,11 @@
 let force_uio = { Socket.default_paths with Socket.force_uio = true }
 
-(* One stream on a fresh testbed: the sender rewrites one [wsize] buffer
-   (page-aligned, or two bytes into a page) until [total] bytes are
-   sent, charging no loop cost; the receiver reads into one buffer.
-   Returns the sender's measurement and socket. *)
-let single_buffer_stream ~paths ~aligned ~seed ~wsize ~total =
+(* One stream on a fresh testbed: the sender rewrites one 64 KB buffer
+   (page-aligned, or two bytes into a page) until 2 MB are sent,
+   charging no loop cost; the receiver reads into one buffer.  Returns
+   the sender's measurement and socket. *)
+let single_buffer_stream ~paths ~aligned ~seed =
+  let wsize = 65536 and total = 2 * 1024 * 1024 in
   let tb = Testbed.create () in
   let cpu = tb.Testbed.a.Testbed.stack.Netstack.host.Host.cpu in
   let finished = ref None in
@@ -37,7 +38,7 @@ let single_buffer_stream ~paths ~aligned ~seed ~wsize ~total =
 
 (* ---------------- alignment (§4.5) ---------------- *)
 
-let print_alignment ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
+let print_alignment () =
   Tabulate.print_header
     "Section 4.5: word-aligned vs unaligned application buffers \
      (single-copy stack)";
@@ -50,9 +51,7 @@ let print_alignment ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
   Tabulate.print_rule ~widths;
   List.iter
     (fun (label, aligned, paths) ->
-      let m, sa =
-        single_buffer_stream ~paths ~aligned ~seed:3 ~wsize ~total
-      in
+      let m, sa = single_buffer_stream ~paths ~aligned ~seed:3 in
       let st = Socket.stats sa in
       Tabulate.print_row ~widths
         [
@@ -71,7 +70,7 @@ let print_alignment ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
 
 (* ---------------- pin cache (§4.4.1) ---------------- *)
 
-let print_pin_cache ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
+let print_pin_cache () =
   Tabulate.print_header
     "Section 4.4.1: pinned-buffer cache amortization (buffer reused by \
      every write)";
@@ -84,9 +83,7 @@ let print_pin_cache ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
       let paths =
         { force_uio with Socket.use_pin_cache = use_cache }
       in
-      let m, sa =
-        single_buffer_stream ~paths ~aligned:true ~seed:4 ~wsize ~total
-      in
+      let m, sa = single_buffer_stream ~paths ~aligned:true ~seed:4 in
       let space = Socket.space sa in
       Tabulate.print_row ~widths
         [
@@ -119,7 +116,7 @@ let print_pin_cache ?(wsize = 65536) ?(total = 2 * 1024 * 1024) () =
 
 (* ---------------- auto-DMA threshold sweep ---------------- *)
 
-let print_autodma_sweep ?(wsize = 32768) ?(total = 2 * 1024 * 1024) () =
+let print_autodma_sweep () =
   Tabulate.print_header
     "Section 4.4.3 / 2.2: receive efficiency vs auto-DMA threshold L";
   let widths = [ 10; 12; 10; 10; 12 ] in
@@ -130,7 +127,9 @@ let print_autodma_sweep ?(wsize = 32768) ?(total = 2 * 1024 * 1024) () =
     (fun words ->
       let tb = Testbed.create () in
       Cab.set_autodma_words tb.Testbed.b.Testbed.cab words;
-      let r = Ttcp.run ~tb ~wsize ~total ~verify:false () in
+      let r =
+        Ttcp.run ~tb ~wsize:32768 ~total:(2 * 1024 * 1024) ~verify:false ()
+      in
       Tabulate.print_row ~widths
         [
           string_of_int words;
@@ -168,10 +167,10 @@ let build_world () =
   let seg = Etherdev.create_segment ~sim ~rate:(100e6 /. 8.) () in
   let dev_a = Etherdev.attach seg ~mac:0xa and dev_b = Etherdev.attach seg ~mac:0xb in
   let a_eth_drv =
-    Netstack.attach_ether a ~dev:dev_a ~addr:(Inaddr.v 10 0 1 1) ()
+    Netstack.attach_ether a ~dev:dev_a ~addr:(Inaddr.v 10 0 1 1)
   in
   let b_eth_drv =
-    Netstack.attach_ether b ~dev:dev_b ~addr:(Inaddr.v 10 0 1 2) ()
+    Netstack.attach_ether b ~dev:dev_b ~addr:(Inaddr.v 10 0 1 2)
   in
   Ether_driver.add_neighbor a_eth_drv (Inaddr.v 10 0 1 2) ~mac:0xb;
   Ether_driver.add_neighbor b_eth_drv (Inaddr.v 10 0 1 1) ~mac:0xa;
@@ -254,7 +253,8 @@ let print_interop () =
 
 (* ---------------- small-write policy ablation ---------------- *)
 
-let print_small_write_policies ?(total = 1 lsl 20) () =
+let print_small_write_policies () =
+  let total = 1 lsl 20 in
   Tabulate.print_header
     "Section 4.4.3 / 7.1 ablation: small-write policies on the single-copy \
      stack";

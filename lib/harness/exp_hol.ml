@@ -2,13 +2,15 @@ type row = { ports : int; fifo_util : float; lc_util : float }
 
 type report = row list
 
-let measure discipline ~ports ~frame_bytes ~seed =
+let frame_bytes = 32768
+
+let measure discipline ~ports ~seed =
   let sim = Sim.create () in
   let sw =
     Hippi_switch.create ~sim ~ports ~latency:(Simtime.us 1.) discipline
   in
   let rng = Rng.create ~seed in
-  let gen = Hippi_traffic.saturate ~sim ~switch:sw ~rng ~frame_bytes () in
+  let gen = Hippi_traffic.saturate ~switch:sw ~rng ~frame_bytes in
   let u =
     Hippi_traffic.run_measurement ~sim ~switch:sw ~warmup:(Simtime.ms 100.)
       ~window:(Simtime.ms 500.)
@@ -18,16 +20,15 @@ let measure discipline ~ports ~frame_bytes ~seed =
 
 let seed = 20260706
 
-let run ?(ports_list = [ 2; 4; 8; 16; 32 ]) ?(frame_bytes = 32768) () =
+let run () =
   List.map
     (fun ports ->
       {
         ports;
-        fifo_util = measure Hippi_switch.Fifo ~ports ~frame_bytes ~seed;
-        lc_util =
-          measure Hippi_switch.Logical_channels ~ports ~frame_bytes ~seed;
+        fifo_util = measure Hippi_switch.Fifo ~ports ~seed;
+        lc_util = measure Hippi_switch.Logical_channels ~ports ~seed;
       })
-    ports_list
+    [ 2; 4; 8; 16; 32 ]
 
 let print report =
   Tabulate.print_header

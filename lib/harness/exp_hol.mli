@@ -5,8 +5,8 @@ type row = { ports : int; fifo_util : float; lc_util : float }
 
 type report = row list
 
-val run : ?ports_list:int list -> ?frame_bytes:int -> unit -> report
-(** Uniform-random traffic from one fixed seed, so every front end prints
-    the same table. *)
+val run : unit -> report
+(** 32 KB frames of uniform-random traffic from one fixed seed on 2 to
+    32 ports, so every front end prints the same table. *)
 
 val print : report -> unit

@@ -34,14 +34,18 @@ let sink_all stack ~proc on_accept =
       in
       drain ())
 
-(* Build a star: senders on switch ports 0..n-1, the receiver on port n. *)
-let run_one ~profile ~mode ~senders ~per_sender =
+(* Build a star of alpha300lx hosts: senders on switch ports 0..n-1, the
+   receiver on port n. *)
+let run_one ~mode ~senders ~per_sender =
   let sim = Sim.create () in
   let sw =
     Hippi_switch.create ~sim ~ports:(senders + 1)
       Hippi_switch.Logical_channels
   in
-  let mk_node = switch_node ~sim ~profile ~mode ~sw ~netmem_pages:2048 in
+  let mk_node =
+    switch_node ~sim ~profile:Host_profile.alpha300lx ~mode ~sw
+      ~netmem_pages:2048
+  in
   let rx_addr = Inaddr.v 10 0 0 100 in
   let rx_stack, rx_driver =
     mk_node ~name:"rx" ~port:senders ~addr:rx_addr
@@ -92,14 +96,13 @@ let run_one ~profile ~mode ~senders ~per_sender =
     rx_efficiency = m.Measurement.efficiency_mbit;
   }
 
-let run ?(profile = Host_profile.alpha300lx)
-    ?(senders_list = [ 1; 2; 4; 8 ]) ?(per_sender = 2 * 1024 * 1024) ~mode ()
-    =
+let run ?(senders_list = [ 1; 2; 4; 8 ]) ?(per_sender = 2 * 1024 * 1024)
+    ~mode () =
   {
     mode;
     rows =
       List.map
-        (fun senders -> run_one ~profile ~mode ~senders ~per_sender)
+        (fun senders -> run_one ~mode ~senders ~per_sender)
         senders_list;
   }
 
@@ -132,7 +135,7 @@ type allpairs_row = {
   lc_aggregate_mbit : float;
 }
 
-let run_all_pairs_one ~profile ~mac ~hosts ~per_flow =
+let run_all_pairs_one ~mac ~hosts ~per_flow =
   let sim = Sim.create () in
   (* A deliberately slow fabric (4 MByte/s ports): hosts can saturate
      their output links, so input queueing — and with FIFO inputs,
@@ -141,7 +144,8 @@ let run_all_pairs_one ~profile ~mac ~hosts ~per_flow =
   let sw = Hippi_switch.create ~sim ~ports:hosts ~rate:4e6 mac in
   let nodes =
     Array.init hosts (fun port ->
-        switch_node ~sim ~profile ~mode:Stack_mode.Single_copy ~sw
+        switch_node ~sim ~profile:Host_profile.alpha400
+          ~mode:Stack_mode.Single_copy ~sw
           ~netmem_pages:4096 ~name:(Printf.sprintf "h%d" port) ~port
           ~addr:(Inaddr.v 10 0 0 (port + 1)))
   in
@@ -189,17 +193,15 @@ let run_all_pairs_one ~profile ~mac ~hosts ~per_flow =
   in
   Simtime.rate_mbit ~bytes:(!done_flows * per_flow) elapsed
 
-let run_all_pairs ?(profile = Host_profile.alpha400)
-    ?(hosts_list = [ 2; 4; 6 ]) ?(per_flow = 1 lsl 20) () =
+let run_all_pairs ?(hosts_list = [ 2; 4; 6 ]) ?(per_flow = 1 lsl 20) () =
   List.map
     (fun hosts ->
       {
         hosts;
         fifo_aggregate_mbit =
-          run_all_pairs_one ~profile ~mac:Hippi_switch.Fifo ~hosts ~per_flow;
+          run_all_pairs_one ~mac:Hippi_switch.Fifo ~hosts ~per_flow;
         lc_aggregate_mbit =
-          run_all_pairs_one ~profile ~mac:Hippi_switch.Logical_channels
-            ~hosts ~per_flow;
+          run_all_pairs_one ~mac:Hippi_switch.Logical_channels ~hosts ~per_flow;
       })
     hosts_list
 

@@ -16,13 +16,12 @@ type row = {
 type report = { mode : Stack_mode.t; rows : row list }
 
 val run :
-  ?profile:Host_profile.t ->
   ?senders_list:int list ->
   ?per_sender:int ->
   mode:Stack_mode.t ->
   unit ->
   report
-(** Defaults: alpha300lx, N in 1/2/4/8, 2 MByte per sender. *)
+(** alpha300lx hosts.  Defaults: N in 1/2/4/8, 2 MByte per sender. *)
 
 val print : report -> unit
 
@@ -39,10 +38,7 @@ type allpairs_row = {
 }
 
 val run_all_pairs :
-  ?profile:Host_profile.t ->
-  ?hosts_list:int list ->
-  ?per_flow:int ->
-  unit ->
-  allpairs_row list
+  ?hosts_list:int list -> ?per_flow:int -> unit -> allpairs_row list
+(** alpha400 hosts.  Defaults: 2, 4 and 6 hosts, 1 MByte per flow. *)
 
 val print_all_pairs : allpairs_row list -> unit

@@ -6,11 +6,11 @@ type row = {
 }
 
 let run ?(pages_list = [ 64; 128; 192; 256; 512; 1024; 4096 ])
-    ?(wsize = 512 * 1024) ?(total = 8 * 1024 * 1024) () =
+    ?(total = 8 * 1024 * 1024) () =
   List.map
     (fun netmem_pages ->
       let tb = Testbed.create ~netmem_pages () in
-      match Ttcp.run ~tb ~wsize ~total ~verify:false () with
+      match Ttcp.run ~tb ~wsize:(512 * 1024) ~total ~verify:false () with
       | r ->
           {
             netmem_pages;

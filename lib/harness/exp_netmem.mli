@@ -15,8 +15,8 @@ type row = {
   retransmits : int;
 }
 
-val run : ?pages_list:int list -> ?wsize:int -> ?total:int -> unit -> row list
-(** Defaults: pages 64..4096 by doubling, 512 KByte writes / window,
+val run : ?pages_list:int list -> ?total:int -> unit -> row list
+(** 512 KByte writes / window.  Defaults: pages 64..4096 by doubling,
     8 MByte transferred. *)
 
 val print : row list -> unit

@@ -24,14 +24,13 @@ let derive_profile (p : Host_profile.t) ~cpu_factor =
     dma_post_us = p.Host_profile.dma_post_us /. f;
   }
 
-let run ?(factors = [ 1.; 2.; 4.; 8. ]) ?(wsize = 512 * 1024)
-    ?(total = 8 * 1024 * 1024) () =
+let run ?(factors = [ 1.; 2.; 4.; 8. ]) ?(total = 8 * 1024 * 1024) () =
   List.map
     (fun cpu_factor ->
       let profile = derive_profile Host_profile.alpha400 ~cpu_factor in
       let eff mode =
         let tb = Testbed.create ~profile ~mode () in
-        (Ttcp.run ~tb ~wsize ~total ~verify:false ()).Ttcp.sender
+        (Ttcp.run ~tb ~wsize:(512 * 1024) ~total ~verify:false ()).Ttcp.sender
           .Measurement.efficiency_mbit
       in
       let unmod_eff = eff Stack_mode.Unmodified in

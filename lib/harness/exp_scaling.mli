@@ -17,7 +17,7 @@ type row = {
   advantage : float;  (** smod/unmod *)
 }
 
-val run : ?factors:float list -> ?wsize:int -> ?total:int -> unit -> row list
-(** Defaults: factors 1/2/4/8, 512 KByte writes, 8 MByte per run. *)
+val run : ?factors:float list -> ?total:int -> unit -> row list
+(** 512 KByte writes.  Defaults: factors 1/2/4/8, 8 MByte per run. *)
 
 val print : row list -> unit

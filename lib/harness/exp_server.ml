@@ -4,7 +4,7 @@
    SYN queue 512, cookies on) driven through the {!Sockpoll} readiness
    loop, while four long-lived bulk flows stream to it on legacy ports.
    Host A churns short RPC connections closed-loop — [concurrency]
-   in flight, each a 256-byte request / 256-byte reply / close — until
+   (256) in flight, each a 256-byte request / 256-byte reply / close — until
    the server has accepted [target] connections.  The bulk flows'
    aggregate throughput over exactly the churn window is the
    established-flow health metric.
@@ -62,9 +62,10 @@ let rpc_port = 7000
 let bulk_ports = [ 7100; 7101; 7102; 7103 ]
 let rpc_bytes = 256
 let bulk_block = 32 * 1024
+let concurrency = 256
+let fault_seed = 42
 
-let run ?(flood = false) ?(seed = 42) ?(target = 100_000)
-    ?(concurrency = 256) () =
+let run ?(flood = false) ?(target = 100_000) () =
   let tb =
     Testbed.create ~shards:4
       ~tcp_config:(fun c ->
@@ -92,7 +93,7 @@ let run ?(flood = false) ?(seed = 42) ?(target = 100_000)
       float_of_int (Netmem.in_use nm_b)
       /. float_of_int (max 1 (Netmem.capacity_pages nm_b)));
   if flood then begin
-    Fault.arm ~seed;
+    Fault.arm ~seed:fault_seed;
     Fault.plan ~site:"tcp.synflood" (Fault.Probability 0.3);
     Fault.plan ~site:"conn.accept_full" (Fault.Every_n 400)
   end;

@@ -40,12 +40,12 @@ type result = {
   ok : bool;
 }
 
-val run :
-  ?flood:bool -> ?seed:int -> ?target:int -> ?concurrency:int -> unit -> result
-(** Defaults: no flood, seed 42, target 100_000 accepts, 256 concurrent
-    churn clients.  The result's counts are deltas over this run, but the
-    registry keeps counting across runs: call {!Obs.reset} before a run
-    for its registry dump, latency histograms included, to cover that
-    run alone. *)
+val run : ?flood:bool -> ?target:int -> unit -> result
+(** Defaults: no flood, target 100_000 accepts.  256 churn clients run
+    concurrently, and the flood's fault plan is seeded with 42.  The
+    result's counts are deltas over this run, but the registry keeps
+    counting across runs: call {!Obs.reset} before a run for its
+    registry dump, latency histograms included, to cover that run
+    alone. *)
 
 val print : result -> unit

@@ -5,10 +5,11 @@ type row = {
   server_eff : float;
 }
 
-(* Host B serves [total] bytes to a user-level client on host A; the
-   server side is either a user-level socket writer (copy API) or an
-   in-kernel source (share API).  Returns B's measurement. *)
-let serve ~api ~total ~block =
+(* Host B serves 8 MByte in 32 KByte blocks to a user-level client on
+   host A; the server side is either a user-level socket writer (copy
+   API) or an in-kernel source (share API).  Returns B's measurement. *)
+let serve ~api =
+  let total = 8 * 1024 * 1024 and block = 32 * 1024 in
   let tb = Testbed.create () in
   let b_host = tb.Testbed.b.Testbed.stack.Netstack.host in
   Cpu.set_idle_proc b_host.Host.cpu "util";
@@ -88,8 +89,7 @@ let serve ~api ~total ~block =
     server_eff = m.Measurement.efficiency_mbit;
   }
 
-let run ?(total = 8 * 1024 * 1024) ?(block = 32 * 1024) () =
-  [ serve ~api:`Copy ~total ~block; serve ~api:`Share ~total ~block ]
+let run () = [ serve ~api:`Copy; serve ~api:`Share ]
 
 let print rows =
   Tabulate.print_header

@@ -15,7 +15,7 @@ type row = {
   server_eff : float;
 }
 
-val run : ?total:int -> ?block:int -> unit -> row list
-(** Defaults: 8 MByte served in 32 KByte blocks. *)
+val run : unit -> row list
+(** 8 MByte served in 32 KByte blocks, once per API. *)
 
 val print : row list -> unit

@@ -50,9 +50,8 @@ val run_seed :
     Leaves the fault plane disarmed. *)
 
 val run_storm :
-  ?seeds:int list -> ?wsize:int -> ?total:int -> ?mode:Stack_mode.t ->
-  unit -> seed_report list
-(** Soak each seed in turn (default seeds 1..8). *)
+  ?total:int -> ?mode:Stack_mode.t -> unit -> seed_report list
+(** Soak seeds 1..8 in turn, each with {!run_seed}'s default window. *)
 
 val all_ok : seed_report list -> bool
 

@@ -4,8 +4,7 @@ type row = {
   efficiency_mbit : float;
 }
 
-let run ?(windows = [ 65536; 131072; 262144; 524288 ]) ?(wsize = 65536)
-    ?(total = 4 * 1024 * 1024) () =
+let run () =
   List.map
     (fun window ->
       let tb =
@@ -14,13 +13,15 @@ let run ?(windows = [ 65536; 131072; 262144; 524288 ]) ?(wsize = 65536)
             { c with Tcp.snd_buf = window; rcv_buf = window })
           ()
       in
-      let r = Ttcp.run ~tb ~wsize ~total ~verify:false () in
+      let r =
+        Ttcp.run ~tb ~wsize:65536 ~total:(4 * 1024 * 1024) ~verify:false ()
+      in
       {
         window;
         throughput_mbit = r.Ttcp.sender.Measurement.throughput_mbit;
         efficiency_mbit = r.Ttcp.sender.Measurement.efficiency_mbit;
       })
-    windows
+    [ 65536; 131072; 262144; 524288 ]
 
 let print rows =
   Tabulate.print_header

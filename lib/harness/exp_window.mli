@@ -19,5 +19,7 @@ type row = {
   efficiency_mbit : float;
 }
 
-val run : ?windows:int list -> ?wsize:int -> ?total:int -> unit -> row list
+val run : unit -> row list
+(** 4 MB of 64 KB writes per window, from 64 KB to 512 KB. *)
+
 val print : row list -> unit

@@ -61,7 +61,6 @@ let create ~sim ~ports ?(rate = Hippi_link.line_rate)
   t
 
 let ports t = t.nports
-let mac t = t.discipline
 
 let attach t ~port f =
   if port < 0 || port >= t.nports then invalid_arg "Hippi_switch.attach: port";
@@ -154,9 +153,3 @@ let submit t ~src ~dst payload =
 let input_queue_len t ~port = t.inputs.(port).queued
 let delivered_frames t = t.frames
 let output_busy_time t ~port = t.out_busy_time.(port)
-
-let utilization t elapsed =
-  if elapsed <= 0 then 0.
-  else
-    let total = Array.fold_left ( + ) 0 t.out_busy_time in
-    float_of_int total /. float_of_int (elapsed * t.nports)

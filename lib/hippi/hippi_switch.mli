@@ -18,7 +18,6 @@ val create :
   sim:Sim.t -> ports:int -> ?rate:float -> ?latency:Simtime.t -> mac -> t
 
 val ports : t -> int
-val mac : t -> mac
 
 val attach : t -> port:int -> (Bytes.t -> unit) -> unit
 
@@ -30,6 +29,3 @@ val input_queue_len : t -> port:int -> int
 val delivered_frames : t -> int
 
 val output_busy_time : t -> port:int -> Simtime.t
-
-val utilization : t -> Simtime.t -> float
-(** Mean output-port utilization over the given elapsed time. *)

@@ -1,12 +1,13 @@
 type t = { mutable running : bool }
 
-let saturate ~sim ~switch ~rng ~frame_bytes ?(backlog = 8)
-    ?(exclude_self = true) () =
-  ignore sim;
+(* Frames each input keeps queued. *)
+let backlog = 8
+
+let saturate ~switch ~rng ~frame_bytes =
   let state = { running = true } in
   let n = Hippi_switch.ports switch in
   let pick_dst src =
-    if exclude_self && n > 1 then begin
+    if n > 1 then begin
       let d = Rng.int rng (n - 1) in
       if d >= src then d + 1 else d
     end

@@ -1,22 +1,14 @@
 (** Synthetic traffic generation for the head-of-line blocking experiment.
 
-    Saturating sources: every input port keeps [backlog] frames queued with
+    Saturating sources: every input port keeps 8 frames queued with
     uniformly random destinations, the regime of the Hluchyj/Karol 58%
     result the paper cites in §2.1. *)
 
 type t
 
-val saturate :
-  sim:Sim.t ->
-  switch:Hippi_switch.t ->
-  rng:Rng.t ->
-  frame_bytes:int ->
-  ?backlog:int ->
-  ?exclude_self:bool ->
-  unit ->
-  t
-(** Attaches a saturating source to every input port.  [backlog] defaults
-    to 8.  [exclude_self] (default true) avoids src=dst frames. *)
+val saturate : switch:Hippi_switch.t -> rng:Rng.t -> frame_bytes:int -> t
+(** Attaches a saturating source to every input port.  No frame is
+    addressed to its own input port unless the switch has only one. *)
 
 val stop : t -> unit
 (** Stops refilling; queued frames drain normally. *)

@@ -293,7 +293,8 @@ let tables_json t =
   Buffer.add_string buf "]";
   Buffer.contents buf
 
-let register ?(section = "path_policy") t =
+let register t =
+  let section = "path_policy" in
   let g name f = Obs.gauge ~section ~name (fun () -> float_of_int (f ())) in
   g "uio_routed" (fun () -> t.s.uio_routed);
   g "copy_routed" (fun () -> t.s.copy_routed);

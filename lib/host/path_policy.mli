@@ -126,8 +126,8 @@ val stats : t -> stats
 (** The policy's live counter record (it keeps counting after the call);
     its [cutover_bytes] is the estimate {!cutover} reads. *)
 
-val register : ?section:string -> t -> unit
+val register : t -> unit
 (** Publish this policy's decision counters (as gauges over the live
     instance) and its EWMA cost tables (as a lazy JSON table) in the
-    {!Obs} registry under [section] (default ["path_policy"]); replaces
+    {!Obs} registry under section ["path_policy"]; replaces
     any previously registered policy. *)

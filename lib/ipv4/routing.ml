@@ -1,7 +1,7 @@
 type entry = {
   prefix : Inaddr.t;
   len : int;
-  gateway : Inaddr.t option;
+  gateway : Inaddr.t option;  (* None: destination is on-link *)
   iface : Netif.t;
 }
 
@@ -59,5 +59,3 @@ let lookup t dst =
     t.memo <- r;
     r
   end
-
-let entries t = t.routes

@@ -6,13 +6,6 @@
     legacy, for a destination, and the choice may change over time
     ([remove_route]). *)
 
-type entry = {
-  prefix : Inaddr.t;
-  len : int;
-  gateway : Inaddr.t option;  (** None: destination is on-link *)
-  iface : Netif.t;
-}
-
 type t
 
 val create : unit -> t
@@ -25,5 +18,3 @@ val remove_route : t -> prefix:Inaddr.t -> len:int -> unit
 val lookup : t -> Inaddr.t -> (Netif.t * Inaddr.t) option
 (** Longest-prefix match; returns the interface and the next-hop address
     (the destination itself when on-link). *)
-
-val entries : t -> entry list

@@ -238,8 +238,7 @@ let mk ?(pkthdr = false) storage ~off ~len =
 
 let get ?pkthdr () = mk ?pkthdr (Internal (Pool.get_small ())) ~off:0 ~len:0
 
-let get_cluster ?pkthdr () =
-  mk ?pkthdr (Cluster (Pool.get_cluster ())) ~off:0 ~len:0
+let get_cluster () = mk (Cluster (Pool.get_cluster ())) ~off:0 ~len:0
 
 let rec chain_len m =
   m.len + match m.next with None -> 0 | Some n -> chain_len n
@@ -787,21 +786,6 @@ let free m =
         go nx
   in
   go (Some m)
-
-let pp fmt m =
-  let kind_char mb =
-    match kind mb with
-    | K_internal -> 'i'
-    | K_cluster -> 'c'
-    | K_uio -> 'U'
-    | K_wcab -> 'W'
-  in
-  Format.fprintf fmt "mbuf[";
-  iter (fun mb -> Format.fprintf fmt "%c%d " (kind_char mb) mb.len) m;
-  Format.fprintf fmt "| total=%d%s]" (chain_len m)
-    (match m.pkthdr with
-    | Some h -> Printf.sprintf " pkt=%d" h.pkt_len
-    | None -> "")
 
 (* Publish pool statistics in the central registry (module init: the pool
    is a process-global, so plain registration is enough). *)

@@ -110,7 +110,8 @@ val mclbytes : int
 val get : ?pkthdr:bool -> unit -> t
 (** A fresh empty internal mbuf. *)
 
-val get_cluster : ?pkthdr:bool -> unit -> t
+val get_cluster : unit -> t
+(** A fresh empty cluster mbuf, without a packet header. *)
 
 val of_string : ?pkthdr:bool -> string -> t
 (** Chain of internal/cluster mbufs holding a copy of the string (blitted
@@ -290,6 +291,3 @@ module Pool : sig
   (** Zero the gauges and counters.  Keeps the free lists (so tests can
       reset statistics without discarding a warm pool). *)
 end
-
-val pp : Format.formatter -> t -> unit
-(** One-line chain summary: kinds and lengths. *)

@@ -103,13 +103,3 @@ let smp =
 let all = [ alpha400; alpha300lx; smp ]
 
 let by_name n = List.find_opt (fun p -> p.name = n) all
-
-let pp fmt p =
-  Format.fprintf fmt
-    "%s: copy %.0f/%.0f Mb/s, read %.0f/%.0f Mb/s, pkt %.0fus, bus %.1f MB/s"
-    p.name
-    (p.copy_bw_nolocal *. 8. /. 1e6)
-    (p.copy_bw_cached *. 8. /. 1e6)
-    (p.read_bw_nolocal *. 8. /. 1e6)
-    (p.read_bw_cached *. 8. /. 1e6)
-    p.per_packet_us (p.bus_bw /. 1e6)

@@ -49,6 +49,3 @@ val smp : t
     per-packet CPU work limits throughput and sharding scales. *)
 
 val by_name : string -> t option
-val all : t list
-
-val pp : Format.formatter -> t -> unit

@@ -13,6 +13,7 @@ let bytes t =
   else Bytes.sub t.buf t.off t.len
 
 let backing t = (t.buf, t.off)
+let same_storage a b = a.buf == b.buf
 
 let sub t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then
@@ -30,13 +31,6 @@ let blit_from_bytes src ~src_off t ~dst_off ~len =
   if dst_off < 0 || len < 0 || dst_off + len > t.len then
     invalid_arg "Region.blit_from_bytes: out of range";
   Bytes.blit src src_off t.buf (t.off + dst_off) len
-
-let blit ~src ~src_off ~dst ~dst_off ~len =
-  if src_off < 0 || len < 0 || src_off + len > src.len then
-    invalid_arg "Region.blit: src out of range";
-  if dst_off < 0 || dst_off + len > dst.len then
-    invalid_arg "Region.blit: dst out of range";
-  Bytes.blit src.buf (src.off + src_off) dst.buf (dst.off + dst_off) len
 
 (* ---- fused copy + checksum ---- *)
 

@@ -25,6 +25,10 @@ val backing : t -> Bytes.t * int
     may extend beyond the region on both sides, so callers must stay
     within [pos, pos + length t). *)
 
+val same_storage : t -> t -> bool
+(** Whether the two regions are views of one backing store.  Allocates
+    nothing, unlike comparing {!backing}s. *)
+
 val sub : t -> off:int -> len:int -> t
 (** A view of [len] bytes starting [off] into the region; shares backing
     storage with the parent.  Raises [Invalid_argument] when out of
@@ -32,7 +36,6 @@ val sub : t -> off:int -> len:int -> t
 
 val blit_to_bytes : t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
 val blit_from_bytes : Bytes.t -> src_off:int -> t -> dst_off:int -> len:int -> unit
-val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 
 (** {2 Fused copy + checksum}
 

@@ -46,7 +46,3 @@ let rec find_neighbor ip = function
       if Inaddr.equal a ip then Some l else find_neighbor ip rest
 
 let link_addr t ip = find_neighbor ip t.neighbors
-
-let pp fmt t =
-  Format.fprintf fmt "%s(%a mtu=%d%s)" t.name Inaddr.pp t.addr t.mtu
-    (if t.single_copy then " single-copy" else "")

@@ -61,5 +61,3 @@ val deliver : t -> Mbuf.t -> unit
 
 val add_neighbor : t -> Inaddr.t -> int -> unit
 val link_addr : t -> Inaddr.t -> int option
-
-val pp : Format.formatter -> t -> unit

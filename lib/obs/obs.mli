@@ -70,9 +70,6 @@ type metric =
   | M_table of (unit -> string)
       (** lazy JSON fragment (object or array), e.g. EWMA cost tables *)
 
-val register : section:string -> name:string -> metric -> unit
-(** Replace-register under [(section, name)]. *)
-
 val counter : section:string -> name:string -> Counter.t
 (** Create and register a counter in one step. *)
 

@@ -17,30 +17,6 @@ type site =
 
 type op = Copy | Sum | Copy_sum
 
-let site_name = function
-  | Sock_tx_copy -> "sock_tx_copy"
-  | Sock_rx_copy -> "sock_rx_copy"
-  | Tcp_tx_csum -> "tcp_tx_csum"
-  | Tcp_rx_csum -> "tcp_rx_csum"
-  | Tcp_flatten -> "tcp_flatten"
-  | Drv_tx_header -> "drv_tx_header"
-  | Drv_tx_gather -> "drv_tx_gather"
-  | Drv_tx_stage -> "drv_tx_stage"
-  | Drv_rx_head -> "drv_rx_head"
-  | Drv_rx_stage -> "drv_rx_stage"
-  | Sdma_header -> "sdma_header"
-  | Sdma_payload -> "sdma_payload"
-  | Media -> "media"
-  | Rx_engine -> "rx_engine"
-  | Copyout -> "copyout"
-
-let all_sites =
-  [
-    Sock_tx_copy; Sock_rx_copy; Tcp_tx_csum; Tcp_rx_csum; Tcp_flatten;
-    Drv_tx_header; Drv_tx_gather; Drv_tx_stage; Drv_rx_head; Drv_rx_stage;
-    Sdma_header; Sdma_payload; Media; Rx_engine; Copyout;
-  ]
-
 let site_idx = function
   | Sock_tx_copy -> 0
   | Sock_rx_copy -> 1
@@ -110,28 +86,6 @@ let rx_copies_per_byte s ~payload =
 let tx_sums_per_byte s ~payload = per_byte (host_tx_sum_bytes s) ~payload
 let rx_sums_per_byte s ~payload = per_byte (host_rx_sum_bytes s) ~payload
 
-let to_json s =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{";
-  let first = ref true in
-  List.iter
-    (fun site ->
-      let cb = copied_bytes s site and sb = summed_bytes s site in
-      let ops =
-        occurrences s site Copy + occurrences s site Sum
-        + occurrences s site Copy_sum
-      in
-      if cb <> 0 || sb <> 0 || ops <> 0 then (
-        if not !first then Buffer.add_string buf ",";
-        first := false;
-        Buffer.add_string buf
-          (Printf.sprintf
-             "\n  \"%s\": {\"copy_bytes\": %d, \"sum_bytes\": %d, \"ops\": %d}"
-             (site_name site) cb sb ops)))
-    all_sites;
-  Buffer.add_string buf "\n}";
-  Buffer.contents buf
-
 let report_json s ~payload =
   Printf.sprintf
     "{\"payload_bytes\": %d, \"tx_copies_per_byte\": %.4f, \
@@ -149,7 +103,3 @@ let report_json s ~payload =
     (host_rx_sum_bytes s)
     (copied_bytes s Sdma_payload)
     (copied_bytes s Copyout)
-
-let reset () =
-  Array.fill byte_cells 0 cells 0;
-  Array.fill occ_cells 0 cells 0

@@ -16,7 +16,7 @@
 
     Charging happens at call sites, not inside the byte-moving
     primitives, so layer attribution survives code reuse (the same
-    [Region.blit] is a socket copyin in one caller and a driver staging
+    [Region.blit_to_bytes] is a socket copyin in one caller and a driver staging
     copy in another). The ledger is always on: {!touch} is two int-array
     adds, no allocation. *)
 
@@ -54,9 +54,6 @@ type op =
   | Sum       (** bytes read for a checksum *)
   | Copy_sum  (** fused: counts as one copy and one sum *)
 
-val site_name : site -> string
-val all_sites : site list
-
 val touch : site -> op -> int -> unit
 (** [touch site op bytes]: charge [bytes] to [(site, op)] and bump the
     occurrence count. Hot-path safe: two int adds. *)
@@ -64,11 +61,8 @@ val touch : site -> op -> int -> unit
 type snapshot
 
 val snapshot : unit -> snapshot
-val diff : snapshot -> snapshot -> snapshot
-(** [diff later earlier]: per-cell subtraction — the touches in a window. *)
-
 val since : snapshot -> snapshot
-(** [since s] = [diff (snapshot ()) s]. *)
+(** [since s]: per-cell [now - s], the touches in the window since [s]. *)
 
 val bytes : snapshot -> site -> op -> int
 val occurrences : snapshot -> site -> op -> int
@@ -94,11 +88,6 @@ val rx_copies_per_byte : snapshot -> payload:int -> float
 val tx_sums_per_byte : snapshot -> payload:int -> float
 val rx_sums_per_byte : snapshot -> payload:int -> float
 
-val to_json : snapshot -> string
-(** Per-site [{copy_bytes; sum_bytes; ops}] for non-zero sites. *)
-
 val report_json : snapshot -> payload:int -> string
 (** The headline object: copies/checksums per byte per direction plus the
     raw host/DMA byte totals for a window that moved [payload] bytes. *)
-
-val reset : unit -> unit

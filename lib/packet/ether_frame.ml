@@ -30,6 +30,3 @@ let decode buf ~off =
         src = get48 buf (off + 6);
         ethertype = Bytes.get_uint16_be buf (off + 12);
       }
-
-let pp fmt t =
-  Format.fprintf fmt "eth{%012x->%012x type=%04x}" t.src t.dst t.ethertype

@@ -11,4 +11,3 @@ val make : src:int -> dst:int -> t
 
 val encode : t -> Bytes.t -> off:int -> unit
 val decode : Bytes.t -> off:int -> (t, string) result
-val pp : Format.formatter -> t -> unit

@@ -34,7 +34,3 @@ let decode buf ~off =
         channel = word 3;
         payload_len = word 4;
       }
-
-let pp fmt t =
-  Format.fprintf fmt "hippi{%d->%d ch=%d len=%d}" t.src t.dst t.channel
-    t.payload_len

@@ -30,5 +30,3 @@ val decode : Bytes.t -> off:int -> (t, string) result
 val read_channel : Bytes.t -> off:int -> int
 (** The channel field of the header at [off], read in place; 0 when the
     header is truncated or its magic is wrong (what {!decode} rejects). *)
-
-val pp : Format.formatter -> t -> unit

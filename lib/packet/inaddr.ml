@@ -21,7 +21,6 @@ let octet t i = Int32.to_int (Int32.shift_right_logical t (24 - (8 * i))) land 0
 let to_string t =
   Printf.sprintf "%d.%d.%d.%d" (octet t 0) (octet t 1) (octet t 2) (octet t 3)
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let compare = Int32.unsigned_compare
 let equal = Int32.equal
 let any = 0l

@@ -9,7 +9,6 @@ val of_string : string -> t
 (** Dotted quad; raises [Invalid_argument] on malformed input. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int
 val equal : t -> t -> bool
 

@@ -16,9 +16,9 @@ let proto_tcp = 6
 let proto_udp = 17
 let proto_icmp = 1
 
-let make ?(tos = 0) ?(ident = 0) ?(ttl = 64) ~proto ~src ~dst ~total_len () =
+let make ?(ident = 0) ?(ttl = 64) ~proto ~src ~dst ~total_len () =
   {
-    tos;
+    tos = 0;
     total_len;
     ident;
     dont_fragment = false;
@@ -81,7 +81,3 @@ let decode buf ~off =
           src = Bytes.get_int32_be buf (off + 12);
           dst = Bytes.get_int32_be buf (off + 16);
         }
-
-let pp fmt t =
-  Format.fprintf fmt "ip{%a->%a proto=%d len=%d id=%d ttl=%d}" Inaddr.pp t.src
-    Inaddr.pp t.dst t.proto t.total_len t.ident t.ttl

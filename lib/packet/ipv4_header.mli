@@ -24,7 +24,6 @@ val proto_udp : int
 val proto_icmp : int
 
 val make :
-  ?tos:int ->
   ?ident:int ->
   ?ttl:int ->
   proto:int ->
@@ -43,5 +42,3 @@ val check : Bytes.t -> off:int -> (unit, string) result
 
 val decode : Bytes.t -> off:int -> (t, string) result
 (** {!check}, then the record. *)
-
-val pp : Format.formatter -> t -> unit

@@ -160,21 +160,3 @@ let decode buf ~off ~len =
               urgent = Bytes.get_uint16_be buf (off + 18);
               options;
             }
-
-let pp_flag fmt f =
-  Format.pp_print_string fmt
-    (match f with
-    | FIN -> "FIN"
-    | SYN -> "SYN"
-    | RST -> "RST"
-    | PSH -> "PSH"
-    | ACK -> "ACK"
-    | URG -> "URG")
-
-let pp fmt t =
-  Format.fprintf fmt "tcp{%d->%d seq=%d ack=%d [%a] win=%d}" t.src_port
-    t.dst_port t.seq t.ack
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ',')
-       pp_flag)
-    t.flags t.window

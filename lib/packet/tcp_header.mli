@@ -62,5 +62,3 @@ val decode : Bytes.t -> off:int -> len:int -> (t, string) result
 
 val csum_field_offset : int
 (** Byte offset of the checksum field within the TCP header (16). *)
-
-val pp : Format.formatter -> t -> unit

@@ -31,6 +31,3 @@ let decode buf ~off ~len =
             length;
           },
           Bytes.get_uint16_be buf (off + 6) )
-
-let pp fmt t =
-  Format.fprintf fmt "udp{%d->%d len=%d}" t.src_port t.dst_port t.length

@@ -28,5 +28,3 @@ val encode_raw : t -> csum:int -> Bytes.t -> off:int -> unit
 
 val decode : Bytes.t -> off:int -> len:int -> (t * int, string) result
 (** Returns the header and the raw checksum field. *)
-
-val pp : Format.formatter -> t -> unit

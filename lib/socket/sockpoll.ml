@@ -110,8 +110,16 @@ let edge t e =
           t.waiter <- None;
           k evs)
 
-let add_socket t ?(interest = read_write) ~data sock =
-  let e = { item = Sock sock; data; interest; queued = false; dead = false } in
+let add_socket t ~data sock =
+  let e =
+    {
+      item = Sock sock;
+      data;
+      interest = read_write;
+      queued = false;
+      dead = false;
+    }
+  in
   Socket.set_event_hook sock (fun () -> edge t e);
   t.entries <- t.entries + 1;
   (* The socket may be ready already (data raced the registration). *)

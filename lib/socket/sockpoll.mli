@@ -37,8 +37,8 @@ type t
 val create : unit -> t
 val registered : t -> int
 
-val add_socket : t -> ?interest:interest -> data:int -> Socket.t -> entry
-(** Register a socket (default interest {!read_write}); installs the
+val add_socket : t -> data:int -> Socket.t -> entry
+(** Register a socket with interest {!read_write}; installs the
     socket's event hook.  Reports an immediate event if already ready. *)
 
 val add_listener : t -> ?interest:interest -> data:int -> Tcp.listener -> entry

@@ -132,11 +132,3 @@ let remove t ~hash ~ka ~kb =
     t.kb.(!hole) <- 0;
     t.vals.(!hole) <- None
   end
-
-let iter f t =
-  Array.iteri
-    (fun i k ->
-      if k <> -1 then match t.vals.(i) with Some v -> f v | None -> ())
-    t.ka
-
-let capacity t = t.mask + 1

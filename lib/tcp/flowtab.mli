@@ -13,7 +13,7 @@ val create : ?initial:int -> unit -> 'v t
     by doubling at 3/4 load. *)
 
 val length : 'v t -> int
-val capacity : 'v t -> int
+
 
 val find : 'v t -> hash:int -> ka:int -> kb:int -> 'v option
 
@@ -22,5 +22,3 @@ val add : 'v t -> hash:int -> ka:int -> kb:int -> 'v -> unit
 
 val remove : 'v t -> hash:int -> ka:int -> kb:int -> unit
 (** No-op if absent.  O(1) amortized (backward-shift, no tombstone). *)
-
-val iter : ('v -> unit) -> 'v t -> unit

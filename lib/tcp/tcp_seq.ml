@@ -14,7 +14,6 @@ let le a b = diff a b <= 0
 let gt a b = diff a b > 0
 let ge a b = diff a b >= 0
 let max a b = if ge a b then a else b
-let min a b = if le a b then a else b
 
 let in_window x ~base ~size =
   let d = diff x base in

@@ -13,7 +13,6 @@ val le : t -> t -> bool
 val gt : t -> t -> bool
 val ge : t -> t -> bool
 val max : t -> t -> t
-val min : t -> t -> t
 
 val in_window : t -> base:t -> size:int -> bool
 (** Is [t] within [base, base+size)? *)

@@ -31,8 +31,9 @@ type t = {
   pins : (int, int) Hashtbl.t;  (* page index -> pin refcount *)
   pin_budget : int;  (* pages the cache may keep wired *)
   mutable cache : wired list;
-      (* one entry per (vaddr, length); a list, so a space that never
-         wires allocates nothing for its cache *)
+      (* one entry per (storage, vaddr, length): buffers of different
+         spaces can share a vaddr.  A list, so a space that never wires
+         allocates nothing for its cache *)
   mutable clock : int;
   mutable cached_pages : int;
   mutable hits : int;
@@ -138,6 +139,7 @@ let rec find region = function
       if
         Region.vaddr e.region = Region.vaddr region
         && Region.length e.region = Region.length region
+        && Region.same_storage e.region region
       then e
       else find region rest
 

@@ -84,9 +84,7 @@ let measure_utilization discipline ~ports ~seed =
     Hippi_switch.create ~sim ~ports ~latency:(Simtime.us 1.) discipline
   in
   let rng = Rng.create ~seed in
-  let gen =
-    Hippi_traffic.saturate ~sim ~switch:sw ~rng ~frame_bytes:32768 ()
-  in
+  let gen = Hippi_traffic.saturate ~switch:sw ~rng ~frame_bytes:32768 in
   let u =
     Hippi_traffic.run_measurement ~sim ~switch:sw ~warmup:(Simtime.ms 50.)
       ~window:(Simtime.ms 300.)

@@ -207,6 +207,26 @@ let test_pin_cache_eviction_cost_charged () =
     (cost_a + Memcost.unpin p ~pages:4)
     cost_c
 
+let test_pin_cache_keys_storage () =
+  (* Every space starts its break at the same page, so buffers of two
+     spaces can share a vaddr and a length.  Wired through a third space,
+     the second buffer is not the first: it misses and pays its own pin. *)
+  let a = Addr_space.alloc (space ()) 65536 in
+  let b = Addr_space.alloc (space ()) 65536 in
+  check_int "a's vaddr" 131072 (Region.vaddr a);
+  check_int "b's vaddr" 131072 (Region.vaddr b);
+  let sp = cached_space ~pin_budget:64 in
+  ignore (wire sp a);
+  let cost_b = wire sp b in
+  check_int "b pays pin + map (309 us)"
+    (Memcost.pin p ~pages:8 + Memcost.map p ~pages:8)
+    cost_b;
+  check_int "two misses" 2 (Addr_space.cache_misses sp);
+  check_int "no hit" 0 (Addr_space.cache_hits sp);
+  check_int "a is still a hit" 0 (wire sp a);
+  ignore (Addr_space.flush sp);
+  check_int "flush unpins both" 0 (Addr_space.pinned_pages sp)
+
 let test_pin_cache_flush_accounting () =
   let sp = cached_space ~pin_budget:64 in
   let a = Addr_space.alloc sp 32768 in
@@ -312,6 +332,8 @@ let () =
             test_pin_cache_lru_touch_refreshes;
           Alcotest.test_case "eviction cost charged to acquire" `Quick
             test_pin_cache_eviction_cost_charged;
+          Alcotest.test_case "equal vaddrs of two spaces" `Quick
+            test_pin_cache_keys_storage;
           Alcotest.test_case "flush accounting" `Quick
             test_pin_cache_flush_accounting;
           Alcotest.test_case "flush" `Quick test_pin_cache_flush;

@@ -368,11 +368,11 @@ let test_pin_cache_shared_across_write_and_read () =
   Sim.run ~until:(Simtime.s 30.) tb.Testbed.sim;
   check_bool "echo roundtrip intact" true !ok
 
-let test_sockets_share_space_pins () =
-  (* Pins belong to the address space: a second socket's first write of
-     a buffer the first socket already wired is a pin-cache hit, with no
-     pin charged.  The receivers wire uncached, so every pin-cache count
-     below is the senders'. *)
+(* Two sockets share one address space and each writes one buffer that
+   [buffers] makes; [second_hits] is whether the second write found its
+   buffer in the space's pin cache.  The receivers wire uncached, so
+   every pin-cache count below is the senders'. *)
+let sockets_share_space_pins ~buffers ~second_hits () =
   let tb = Testbed.create () in
   let a = tb.Testbed.a.Testbed.stack and b = tb.Testbed.b.Testbed.stack in
   let wsize = 65536 in
@@ -385,8 +385,9 @@ let test_sockets_share_space_pins () =
       let buf = Addr_space.alloc (Netstack.make_space b ~name:"rd") wsize in
       Socket.read_exact sock buf (fun n -> received := !received + n));
   let space = Netstack.make_space a ~name:"app" in
-  let buf = Addr_space.alloc space wsize in
-  Region.fill_pattern buf ~seed:5;
+  let buf1, buf2 = buffers a space wsize in
+  Region.fill_pattern buf1 ~seed:5;
+  Region.fill_pattern buf2 ~seed:6;
   let counter name = int_of_float (Obs.value ~section:"pin_cache" ~name) in
   let hits0 = counter "hits" and misses0 = counter "misses" in
   let connect k =
@@ -402,15 +403,36 @@ let test_sockets_share_space_pins () =
   in
   let misses_after_first = ref (-1) in
   connect (fun s1 ->
-      Socket.write s1 buf (fun () ->
+      Socket.write s1 buf1 (fun () ->
           misses_after_first := counter "misses" - misses0;
-          connect (fun s2 -> Socket.write s2 buf (fun () -> ()))));
+          connect (fun s2 -> Socket.write s2 buf2 (fun () -> ()))));
   Sim.run ~until:(Simtime.s 5.) tb.Testbed.sim;
   check_int "both writes arrived" (2 * wsize) !received;
   check_int "the first socket's write missed" 1 !misses_after_first;
-  check_int "the second socket's write missed nothing" 1
-    (counter "misses" - misses0);
-  check_int "the second socket's write hit" 1 (counter "hits" - hits0)
+  let hits = if second_hits then 1 else 0 in
+  check_int "misses" (2 - hits) (counter "misses" - misses0);
+  check_int "hits" hits (counter "hits" - hits0)
+
+(* Pins belong to the address space: a second socket's first write of
+   a buffer the first socket already wired is a hit, with no pin
+   charged. *)
+let test_sockets_share_space_pins =
+  sockets_share_space_pins ~second_hits:true ~buffers:(fun _ space wsize ->
+      let buf = Addr_space.alloc space wsize in
+      (buf, buf))
+
+(* Two other spaces each allocate a buffer at the same vaddr: wired
+   through the sockets' space, the second is a different buffer and
+   misses. *)
+let test_equal_vaddrs_do_not_share_pins =
+  sockets_share_space_pins ~second_hits:false ~buffers:(fun a _ wsize ->
+      let alloc () =
+        Addr_space.alloc (Netstack.make_space a ~name:"buf") wsize
+      in
+      let b1 = alloc () in
+      let b2 = alloc () in
+      assert (Region.vaddr b1 = Region.vaddr b2);
+      (b1, b2))
 
 (* ---------- one reader per socket ---------- *)
 
@@ -611,6 +633,8 @@ let () =
             test_pin_cache_shared_across_write_and_read;
           Alcotest.test_case "two sockets share their space's pins" `Quick
             test_sockets_share_space_pins;
+          Alcotest.test_case "equal vaddrs of other spaces share no pins"
+            `Quick test_equal_vaddrs_do_not_share_pins;
         ] );
       ( "path policy",
         [

@@ -240,11 +240,11 @@ let test_tcp_over_ethernet () =
   let seg = Etherdev.create_segment ~sim ~rate:(100e6 /. 8.) () in
   let da =
     Netstack.attach_ether a ~dev:(Etherdev.attach seg ~mac:1)
-      ~addr:(Inaddr.v 192 168 0 1) ()
+      ~addr:(Inaddr.v 192 168 0 1)
   in
   let db =
     Netstack.attach_ether b ~dev:(Etherdev.attach seg ~mac:2)
-      ~addr:(Inaddr.v 192 168 0 2) ()
+      ~addr:(Inaddr.v 192 168 0 2)
   in
   Ether_driver.add_neighbor da (Inaddr.v 192 168 0 2) ~mac:2;
   Ether_driver.add_neighbor db (Inaddr.v 192 168 0 1) ~mac:1;
