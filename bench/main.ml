@@ -82,12 +82,12 @@ let micro ?(json = false) () =
     let a =
       Mbuf.make_uio
         ~region:(Region.sub r ~off:0 ~len:16384)
-        ~hdr:{ Mbuf.csum = None; notify = None }
+        ~notify:None
     in
     let b =
       Mbuf.make_uio
         ~region:(Region.sub r ~off:16384 ~len:16384)
-        ~hdr:{ Mbuf.csum = None; notify = None }
+        ~notify:None
     in
     Mbuf.append a b;
     a
@@ -499,7 +499,7 @@ let macro_ttcp_faulty () =
     Fault.plan ~site:"wire.corrupt" (Fault.Probability 0.02);
     Fault.plan ~site:"netmem.exhaust" (Fault.Once_at 40)
   in
-  let r = Exp_soak.run_seed ~wsize:65536 ~total ~plans 1995 in
+  let r = Exp_soak.run_seed ~total ~plans 1995 in
   fault_json :=
     Some
       (Printf.sprintf

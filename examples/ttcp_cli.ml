@@ -109,7 +109,7 @@ let run mode_s profile_s wsize nbufs drops no_force trace timeline =
       in
       Ascii_plot.plot ~height:10
         ~title:"receive throughput over time (ms, 10ms samples)"
-        ~y_label:"Mb/s" ~x_labels:labels
+        ~x_labels:labels
         ~series:[ ('#', "received by host B's adaptor", rates) ]
         ()
   | None -> ());

@@ -3,18 +3,11 @@ type sink = {
   mutable chains : int;
   mutable converted_in : int;
   mutable saw_descriptor : bool;
-  mutable eof : bool;
 }
 
 let sink_on ~stack ~port =
   let s =
-    {
-      received = 0;
-      chains = 0;
-      converted_in = 0;
-      saw_descriptor = false;
-      eof = false;
-    }
+    { received = 0; chains = 0; converted_in = 0; saw_descriptor = false }
   in
   let host = stack.Netstack.host in
   Tcp.listen stack.Netstack.tcp ~port ~on_accept:(fun pcb ->
@@ -42,13 +35,12 @@ let sink_on ~stack ~port =
                 drain ())
       in
       Tcp.set_callbacks pcb
-        ~on_readable:(fun () ->
-          if Tcp.recv_available pcb > 0 then drain ()
-          else if Tcp.state pcb <> Tcp.Established then s.eof <- true)
+        ~on_readable:(fun () -> if Tcp.recv_available pcb > 0 then drain ())
         ());
   s
 
-let source ~stack ~dst ~port ~total ~chunk ~on_done =
+let source ~stack ~dst ~port ~total ~on_done =
+  let chunk = 32768 in
   let pcb = ref None in
   let sent = ref 0 in
   let rec push () =

@@ -12,7 +12,6 @@ type sink = {
   mutable converted_in : int;  (** chains that needed WCAB conversion *)
   mutable saw_descriptor : bool;
       (** true if a WCAB/UIO mbuf leaked through the conversion *)
-  mutable eof : bool;
 }
 
 val sink_on : stack:Netstack.t -> port:int -> sink
@@ -23,11 +22,10 @@ val source :
   dst:Inaddr.t ->
   port:int ->
   total:int ->
-  chunk:int ->
   on_done:(unit -> unit) ->
   unit
-(** Connects and sends [total] bytes as regular-mbuf chains of [chunk]
-    bytes (kernel data: no user copy, no VM work), then closes. *)
+(** Connects and sends [total] bytes as 32 KByte regular-mbuf chains
+    (kernel data: no user copy, no VM work), then closes. *)
 
 val udp_echo : stack:Netstack.t -> port:int -> unit
 (** An ICMP-like kernel responder: echoes every UDP datagram back to the

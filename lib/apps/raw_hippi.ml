@@ -1,11 +1,3 @@
-type result = {
-  packet_size : int;
-  packets : int;
-  bytes : int;
-  elapsed : Simtime.t;
-  throughput_mbit : float;
-}
-
 let run ~tb ~packet_size ~total =
   if packet_size <= Hippi_framing.size then
     invalid_arg "Raw_hippi.run: packet too small";
@@ -74,11 +66,4 @@ let run ~tb ~packet_size ~total =
   let elapsed =
     if !done_at > t0 then Simtime.sub !done_at t0 else Simtime.sub (Sim.now sim) t0
   in
-  let bytes = !received * payload in
-  {
-    packet_size;
-    packets = !received;
-    bytes;
-    elapsed;
-    throughput_mbit = Simtime.rate_mbit ~bytes elapsed;
-  }
+  Simtime.rate_mbit ~bytes:(!received * payload) elapsed

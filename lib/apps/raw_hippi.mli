@@ -6,14 +6,6 @@
     HIPPI results represent the highest throughput one can expect for a
     given packet size." *)
 
-type result = {
-  packet_size : int;
-  packets : int;
-  bytes : int;
-  elapsed : Simtime.t;
-  throughput_mbit : float;
-}
-
-val run : tb:Testbed.t -> packet_size:int -> total:int -> result
-(** Sends ceil(total/packet_size) packets from A to B and measures
-    delivered throughput at B. *)
+val run : tb:Testbed.t -> packet_size:int -> total:int -> float
+(** Sends ceil(total/packet_size) packets from A to B and returns the
+    throughput delivered at B, in Mbit/s. *)

@@ -1,7 +1,6 @@
 type result = {
   sender : Measurement.t;
   receiver : Measurement.t;
-  wsize : int;
   total : int;
   verified : bool;
   retransmits : int;
@@ -10,7 +9,6 @@ type result = {
   sender_tcp : Tcp.pcb_stats;
   receiver_tcp : Tcp.pcb_stats;
   sender_socket : Socket.stats;
-  receiver_socket : Socket.stats;
   sender_policy : Path_policy.stats option;
 }
 
@@ -26,7 +24,6 @@ type flow = {
   sb : Socket.t;
   a_cpu : Cpu.t;  (* the CPUs of the shards owning the connection *)
   b_cpu : Cpu.t;
-  t_start : Simtime.t;
   mutable issued : int;  (* bytes handed to writes *)
   mutable completed : int;  (* bytes whose write returned *)
   mutable got : int;
@@ -63,7 +60,6 @@ let start_flow ~tb ~sa ~sb ~wsize ~total ~verify ~seed ~write_lat =
       sb;
       a_cpu = (Host.shards a).(a_shard).Shard.cpu;
       b_cpu = (Host.shards b).(b_shard).Shard.cpu;
-      t_start = Sim.now sim;
       issued = 0;
       completed = 0;
       got = 0;
@@ -188,7 +184,6 @@ let run ~tb ~wsize ~total ?(force_uio = true) ?(adaptive = false)
   {
     sender = Measurement.of_cpu ~cpu:f.a_cpu ~elapsed ~bytes:f.got;
     receiver = Measurement.of_cpu ~cpu:f.b_cpu ~elapsed ~bytes:f.got;
-    wsize;
     total;
     verified = f.verified;
     retransmits = (Tcp.pcb_stats (Socket.pcb f.sa)).Tcp.retransmits;
@@ -197,19 +192,14 @@ let run ~tb ~wsize ~total ?(force_uio = true) ?(adaptive = false)
     write_latency_p50 = Measurement.latency_quantile write_lat 0.5;
     write_latency_p99 = Measurement.latency_quantile write_lat 0.99;
     sender_socket = Socket.stats f.sa;
-    receiver_socket = Socket.stats f.sb;
     sender_policy = Option.map Path_policy.stats (Socket.path_policy f.sa);
   }
 
 (* ---------- parallel flows (RSS scaling experiment) ---------- *)
 
 type parallel_result = {
-  p_flows : int;
-  p_total : int;  (* bytes per flow *)
-  p_elapsed : Simtime.t;  (* first connection up -> last flow done *)
   p_mbit : float;  (* aggregate over all flows *)
   p_verified : bool;
-  p_flow_mbit : float array;
 }
 
 let run_parallel ~tb ~flows ~wsize ~total ?(verify = true) () =
@@ -222,17 +212,8 @@ let run_parallel ~tb ~flows ~wsize ~total ?(verify = true) () =
     Simtime.sub (Array.fold_left (fun t f -> max t f.t_end) t0 fs) t0
   in
   {
-    p_flows = flows;
-    p_total = total;
-    p_elapsed = elapsed;
     p_mbit =
       Simtime.rate_mbit ~bytes:(Array.fold_left (fun n f -> n + f.got) 0 fs)
         elapsed;
     p_verified = Array.for_all (fun f -> f.verified) fs;
-    p_flow_mbit =
-      Array.map
-        (fun f ->
-          let e = Simtime.sub f.t_end f.t_start in
-          if e > 0 then Simtime.rate_mbit ~bytes:total e else 0.)
-        fs;
   }

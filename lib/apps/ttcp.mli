@@ -18,7 +18,6 @@
 type result = {
   sender : Measurement.t;
   receiver : Measurement.t;
-  wsize : int;
   total : int;
   verified : bool;  (** payload pattern checked at the receiver *)
   retransmits : int;
@@ -29,7 +28,6 @@ type result = {
   sender_tcp : Tcp.pcb_stats;
   receiver_tcp : Tcp.pcb_stats;
   sender_socket : Socket.stats;
-  receiver_socket : Socket.stats;
   sender_policy : Path_policy.stats option;
       (** routing-decision counters when the sender ran adaptive *)
 }
@@ -56,12 +54,8 @@ val run :
     simulated 10 minutes. *)
 
 type parallel_result = {
-  p_flows : int;
-  p_total : int;  (** bytes per flow *)
-  p_elapsed : Simtime.t;  (** first connection up -> last flow done *)
   p_mbit : float;  (** aggregate throughput over all flows *)
   p_verified : bool;  (** every flow's pattern checked (per-flow seeds) *)
-  p_flow_mbit : float array;
 }
 
 val run_parallel :

@@ -5,7 +5,6 @@ type rx_info = {
   rx_total_len : int;
   rx_engine_sum : Inet_csum.sum;
   rx_complete : bool;
-  rx_channel : int;
 }
 
 type intr = Sdma_done | Rx_packet of rx_info
@@ -522,7 +521,6 @@ let deliver t frame =
             rx_total_len = len;
             rx_engine_sum = pkt.body_sum;
             rx_complete = len <= head_len;
-            rx_channel = Hippi_framing.read_channel pkt.buf ~off:0;
           }
 
 (* The auto-DMA engine landed the head of the packet whose event is in

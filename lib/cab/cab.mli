@@ -59,7 +59,6 @@ and rx_info = {
   rx_engine_sum : Inet_csum.sum;
       (** sum over [4 * rx_csum_start_words, len) computed off the media *)
   rx_complete : bool;  (** whole packet landed in the auto-DMA buffer *)
-  rx_channel : int;
 }
 
 val create :

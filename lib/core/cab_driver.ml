@@ -298,9 +298,9 @@ let rec wants_intr (m : Mbuf.t option) =
   | None -> false
   | Some mb -> (
       mb.Mbuf.len > 0
-      && (match mb.Mbuf.uwhdr with
-         | Some { Mbuf.notify = Some n; _ } -> n.Mbuf.dma_pending <= mb.Mbuf.len
-         | Some { Mbuf.notify = None; _ } | None -> false)
+      && (match mb.Mbuf.notify with
+         | Some n -> n.Mbuf.dma_pending <= mb.Mbuf.len
+         | None -> false)
       || wants_intr mb.Mbuf.next)
 
 (* The payload SDMA for one non-empty piece landing at [pkt_off].  The
@@ -345,14 +345,14 @@ let payload_seg t (mb : Mbuf.t) ~pkt_off =
         Cab.From_kernel { buf = c.Mbuf.cbuf; off = mb.Mbuf.off; len = seg }
   in
   let on_seg_complete =
-    match mb.Mbuf.uwhdr with
-    | Some { Mbuf.notify = Some n; _ } ->
+    match mb.Mbuf.notify with
+    | Some n ->
         let release = !release in
         Some
           (fun () ->
             Mbuf.notify_complete_n n seg;
             match release with Some f -> f () | None -> ())
-    | Some { Mbuf.notify = None; _ } | None -> !release
+    | None -> !release
   in
   Cab.Seg_payload { src; pkt_off; on_seg_complete }
 
@@ -370,14 +370,13 @@ let rec payload_segs t off (m : Mbuf.t option) =
    the transmit payload once it is in network memory (held for
    retransmission) or a received tail left outboard.  The packet stays
    live until the last reference drops. *)
-let wcab_desc t (pkt : Netmem.packet) ~base ~valid ~body_sum =
+let wcab_desc t (pkt : Netmem.packet) ~base ~valid =
   let desc =
     {
       Mbuf.wcab_id = pkt.Netmem.id;
       wcab_bytes = pkt.Netmem.buf;
       wcab_base = base;
       wcab_valid = valid;
-      wcab_body_sum = body_sum;
       wcab_free =
         (fun () ->
           Hashtbl.remove t.live_outboard pkt.Netmem.id;
@@ -490,8 +489,8 @@ let output t ifc pkt ~next_hop =
                 (* Credit any UIO counters: the gather is the copy. *)
                 Mbuf.iter
                   (fun (mb : Mbuf.t) ->
-                    match (Mbuf.kind mb, mb.Mbuf.uwhdr) with
-                    | Mbuf.K_uio, Some { Mbuf.notify = Some n; _ } ->
+                    match (Mbuf.kind mb, mb.Mbuf.notify) with
+                    | Mbuf.K_uio, Some n ->
                         Mbuf.notify_complete_n n mb.Mbuf.len
                     | _ -> ())
                   pkt;
@@ -546,8 +545,7 @@ let output t ifc pkt ~next_hop =
                       fun () ->
                         hook
                           (wcab_desc t netpkt ~base:payload_base
-                             ~valid:payload_len
-                             ~body_sum:netpkt.Netmem.body_sum);
+                             ~valid:payload_len);
                         Mbuf.free pkt
                   | Some _ | None -> fun () -> Mbuf.free pkt
                 in
@@ -655,9 +653,8 @@ let handle_rx t (info : Cab.rx_info) =
       | Stack_mode.Single_copy ->
           let desc =
             wcab_desc t info.Cab.rx_pkt ~base:head_len ~valid:tail_len
-              ~body_sum:info.Cab.rx_engine_sum
           in
-          let tail = Mbuf.make_wcab ~desc ~len:tail_len ~hdr:None in
+          let tail = Mbuf.make_wcab ~desc ~len:tail_len in
           Mbuf.append head tail;
           set_rx_csum head info;
           t.s.rx_wcab_delivered <- t.s.rx_wcab_delivered + 1;

@@ -10,7 +10,7 @@ type entry = {
 
 type t = {
   ifc : Netif.t;
-  sim : Sim.t option;
+  sim : Sim.t;
   saved_output : Netif.t -> Mbuf.t -> next_hop:Inaddr.t -> unit;
   saved_input : Mbuf.t -> unit;
   mutable log : entry list;  (* newest first *)
@@ -77,7 +77,7 @@ let record t dir pkt =
   if t.active then begin
     let e =
       {
-        time = (match t.sim with Some s -> Sim.now s | None -> 0);
+        time = Sim.now t.sim;
         dir;
         iface = t.ifc.Netif.name;
         len = Mbuf.pkt_len pkt;
@@ -88,7 +88,7 @@ let record t dir pkt =
     t.n <- t.n + 1
   end
 
-let attach ?sim ifc =
+let attach ~sim ifc =
   let t =
     {
       ifc;

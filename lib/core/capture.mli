@@ -16,9 +16,9 @@ type entry = {
 
 type t
 
-val attach : ?sim:Sim.t -> Netif.t -> t
-(** Starts capturing on the interface (both directions).  Pass the
-    simulation so entries carry timestamps. *)
+val attach : sim:Sim.t -> Netif.t -> t
+(** Starts capturing on the interface (both directions); entries carry
+    [sim]'s timestamps. *)
 
 val detach : t -> unit
 

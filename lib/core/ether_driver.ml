@@ -28,7 +28,7 @@ let output t ifc pkt ~next_hop =
       in
       if needs_conversion then
         t.s.tx_converted <- t.s.tx_converted + 1;
-      Interop.flatten_for_legacy ~host:t.host ~proc_hint:"kernel" pkt
+      Interop.flatten_for_legacy ~host:t.host pkt
         (fun payload ->
           let frame = Bytes.create (Ether_frame.size + Bytes.length payload) in
           Ether_frame.encode

@@ -6,7 +6,7 @@ let wcab_conversions () = !wcab_count
 let charge_flatten op n =
   if n > 0 then Obs_ledger.touch Obs_ledger.Tcp_flatten op n
 
-let flatten_for_legacy ~host ~proc_hint m k =
+let flatten_for_legacy ~host m k =
   let total = Mbuf.chain_len m in
   (* Cost: only descriptor-held bytes need a real (delayed) copy; regular
      mbuf bytes were already copied when the socket layer buffered them. *)
@@ -63,15 +63,15 @@ let flatten_for_legacy ~host ~proc_hint m k =
     (* The copy satisfies copy semantics: credit the UIO counters. *)
     Mbuf.iter
       (fun (mb : Mbuf.t) ->
-        match (Mbuf.kind mb, mb.Mbuf.uwhdr) with
-        | Mbuf.K_uio, Some { Mbuf.notify = Some n; _ } ->
+        match (Mbuf.kind mb, mb.Mbuf.notify) with
+        | Mbuf.K_uio, Some n ->
             Mbuf.notify_complete_n n mb.Mbuf.len
         | _ -> ())
       m;
     Mbuf.free m;
     k buf
   in
-  if cost > 0 then Host.in_proc host ~proc:proc_hint cost finish
+  if cost > 0 then Host.in_proc host ~proc:"kernel" cost finish
   else finish ()
 
 let wcab_to_regular ~host ~iface m k =

@@ -19,8 +19,9 @@
       the resynchronization §5 warns about. *)
 
 val flatten_for_legacy :
-  host:Host.t -> proc_hint:string -> Mbuf.t -> (Bytes.t -> unit) -> unit
-(** Continuation receives the packet as contiguous bytes.  Raises
+  host:Host.t -> Mbuf.t -> (Bytes.t -> unit) -> unit
+(** Continuation receives the packet as contiguous bytes; the copy is
+    charged to the host's ["kernel"] process.  Raises
     [Mbuf.Outboard_data] if the chain holds M_WCAB data (a legacy device
     can never send outboard data — the transport layer must prevent it).
 

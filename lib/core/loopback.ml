@@ -1,16 +1,13 @@
-type t = {
-  host : Host.t;
-  mutable ifc : Netif.t option;
-}
+type t = { mutable ifc : Netif.t option }
 
 let iface t = Option.get t.ifc
 
 let attach ~host ~ip =
-  let t = { host; ifc = None } in
+  let t = { ifc = None } in
   let ifc =
     Netif.make ~name:"lo0" ~addr:Inaddr.loopback ~mtu:(64 * 1024)
       ~output:(fun _ifc pkt ~next_hop:_ ->
-        Interop.flatten_for_legacy ~host ~proc_hint:"kernel" pkt (fun bytes ->
+        Interop.flatten_for_legacy ~host pkt (fun bytes ->
             ignore
               (Host.after host (Simtime.us 1.) (fun () ->
                    let chain = Mbuf.of_bytes ~pkthdr:true bytes in

@@ -100,7 +100,8 @@ let pp_ops fmt ops =
     (fun fmt op -> Format.pp_print_string fmt (op_to_string op))
     fmt ops
 
-let estimated_efficiency (p : Host_profile.t) ~packet k =
+let estimated_efficiency (p : Host_profile.t) k =
+  let packet = 32768 in
   (* Host per-byte time per packet. *)
   let per_op op =
     match op with

@@ -61,7 +61,8 @@ val all : unit -> klass list
 
 val pp_ops : Format.formatter -> op list -> unit
 
-val estimated_efficiency : Host_profile.t -> packet:int -> klass -> float
-(** Mbit/s the host could sustain for this class under the cost model:
-    per-byte host passes at the profile's copy/read bandwidths plus the
-    per-packet overhead.  Device transfers cost no host CPU. *)
+val estimated_efficiency : Host_profile.t -> klass -> float
+(** Mbit/s the host could sustain for this class under the cost model,
+    for 32 KByte packets: per-byte host passes at the profile's copy/read
+    bandwidths plus the per-packet overhead.  Device transfers cost no
+    host CPU. *)

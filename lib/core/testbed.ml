@@ -135,7 +135,7 @@ let occupancy_names t =
   @ node t.a @ node t.b
 
 (* [mbuf_pool/live] reads [Mbuf.Pool.allocated] and [bufpool/outstanding]
-   reads [Bufpool.outstanding Bufpool.shared]. *)
+   the shared pool's gets minus puts. *)
 let occupancy t =
   let netmem n = float_of_int (Netmem.in_use (Cab.netmem n.cab)) in
   let flows n = float_of_int (Tcp.active_flows n.stack.Netstack.tcp) in

@@ -1,6 +1,6 @@
 let width = 64
 
-let plot ?(height = 16) ~title ~y_label ~x_labels ~series () =
+let plot ?(height = 16) ~title ~x_labels ~series () =
   let n = List.length x_labels in
   if n = 0 then ()
   else begin
@@ -42,7 +42,7 @@ let plot ?(height = 16) ~title ~y_label ~x_labels ~series () =
         in
         Printf.printf "  %8.0f |%s|\n" y_val (String.init width (Array.get row)))
       grid;
-    Printf.printf "  %8s +%s+\n" y_label (String.make width '-');
+    Printf.printf "  %8s +%s+\n" "Mb/s" (String.make width '-');
     (* X labels, spread under their columns. *)
     let line = Bytes.make (width + 12) ' ' in
     List.iteri

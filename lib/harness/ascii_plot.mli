@@ -4,10 +4,9 @@
 val plot :
   ?height:int ->
   title:string ->
-  y_label:string ->
   x_labels:string list ->
   series:(char * string * float list) list ->
   unit ->
   unit
 (** Each series is (mark, legend, values); all series share [x_labels]
-    positions across 64 columns.  Y starts at zero. *)
+    positions across 64 columns.  Y is in Mbit/s, from zero. *)

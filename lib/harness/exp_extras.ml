@@ -206,7 +206,7 @@ let print_interop () =
   let sink = Inkernel.sink_on ~stack:w.b ~port:7002 in
   let sent = ref false in
   Inkernel.source ~stack:w.a ~dst:Testbed.addr_b ~port:7002 ~total
-    ~chunk:32768 ~on_done:(fun () -> sent := true);
+    ~on_done:(fun () -> sent := true);
   Sim.run ~until:(Simtime.s 60.) w.sim;
   Printf.printf
     "  2. in-kernel apps over the CAB                : %s (%d bytes; %d \

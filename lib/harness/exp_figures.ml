@@ -39,7 +39,7 @@ let run_point ~profile ~min_total wsize =
     smod_tp = m.Ttcp.sender.Measurement.throughput_mbit;
     smod_util = m.Ttcp.sender.Measurement.utilization;
     smod_eff = m.Ttcp.sender.Measurement.efficiency_mbit;
-    raw_tp = raw.Raw_hippi.throughput_mbit;
+    raw_tp = raw;
     unmod_rx_util = u.Ttcp.receiver.Measurement.utilization;
     smod_rx_util = m.Ttcp.receiver.Measurement.utilization;
   }
@@ -90,7 +90,6 @@ let plot_charts ~figure report =
   Ascii_plot.plot
     ~title:
       (Printf.sprintf "%s(c): efficiency (Mbit/s) vs read/write size" figure)
-    ~y_label:"Mb/s"
     ~x_labels:labels
     ~series:
       [
@@ -101,7 +100,6 @@ let plot_charts ~figure report =
   Ascii_plot.plot
     ~title:
       (Printf.sprintf "%s(a): throughput (Mbit/s) vs read/write size" figure)
-    ~y_label:"Mb/s"
     ~x_labels:labels
     ~series:
       [

@@ -33,9 +33,10 @@ let storm_plans ~seed =
   Fault.plan ~site:"netmem.exhaust" (Fault.Once_at (5 + Rng.int rng 60));
   Fault.plan ~site:"vm.pin_fail" (Fault.Every_n (6 + Rng.int rng 10))
 
-let run_seed ?(wsize = 64 * 1024) ?(total = 2 * 1024 * 1024)
+let run_seed ?(total = 2 * 1024 * 1024)
     ?(mode = Stack_mode.Single_copy) ?(plans = fun ~seed -> storm_plans ~seed)
     seed =
+  let wsize = 64 * 1024 in
   if total mod wsize <> 0 then
     invalid_arg "Exp_soak.run_seed: total must be a multiple of wsize";
   let tb = Testbed.create ~mode ~watchdog:(Simtime.us 500.) () in

@@ -41,17 +41,17 @@ type seed_report = {
 }
 
 val run_seed :
-  ?wsize:int -> ?total:int -> ?mode:Stack_mode.t ->
+  ?total:int -> ?mode:Stack_mode.t ->
   ?plans:(seed:int -> unit) -> int -> seed_report
-(** Soak one seed.  Defaults: 64 KByte windows, 2 MByte transferred, the
-    single-copy stack, the full seed-derived storm.  [plans] replaces the
+(** Soak one seed in 64 KByte windows.  Defaults: 2 MByte transferred,
+    the single-copy stack, the full seed-derived storm.  [plans] replaces the
     storm with explicit {!Fault.plan} calls (the plane is already armed
     when it runs) — the benchmarks use it to pin exact fault rates.
     Leaves the fault plane disarmed. *)
 
 val run_storm :
   ?total:int -> ?mode:Stack_mode.t -> unit -> seed_report list
-(** Soak seeds 1..8 in turn, each with {!run_seed}'s default window. *)
+(** Soak seeds 1..8 in turn. *)
 
 val all_ok : seed_report list -> bool
 

@@ -90,7 +90,7 @@ let print_table1 ~profile =
   Tabulate.print_rule ~widths;
   List.iter
     (fun (k : Taxonomy.klass) ->
-      let eff = Taxonomy.estimated_efficiency profile ~packet:32768 k in
+      let eff = Taxonomy.estimated_efficiency profile k in
       Tabulate.print_row ~widths
         [
           api_str k.Taxonomy.api;
@@ -120,9 +120,10 @@ type analysis = {
   measured_smod_eff : float option;
 }
 
-let run_analysis ?measured ~profile ~packet () =
-  (* Unmodified: per packet, one copy plus one checksum read plus the
-     per-packet overhead (§7.3). *)
+let run_analysis ?measured ~profile () =
+  (* Per 32 KByte packet.  Unmodified: one copy plus one checksum read
+     plus the per-packet overhead (§7.3). *)
+  let packet = 32768 in
   let copy = Memcost.copy profile ~locality:Memcost.Cold packet in
   let read =
     Memcost.checksum_read profile

@@ -29,7 +29,6 @@ type analysis = {
 }
 
 val run_analysis :
-  ?measured:Exp_figures.report -> profile:Host_profile.t -> packet:int ->
-  unit -> analysis
+  ?measured:Exp_figures.report -> profile:Host_profile.t -> unit -> analysis
 
 val print_analysis : analysis -> unit

@@ -32,8 +32,7 @@ let analysis () =
         Exp_figures.run ~sizes:[ 524288 ] ~profile:Host_profile.alpha400 ()
   in
   Exp_tables.print_analysis
-    (Exp_tables.run_analysis ~measured ~profile:Host_profile.alpha400
-       ~packet:32768 ())
+    (Exp_tables.run_analysis ~measured ~profile:Host_profile.alpha400 ())
 
 let table =
   [

@@ -23,17 +23,11 @@ let notify_complete_n n k =
     if n.dma_pending = 0 then n.on_drained ()
   end
 
-type uiowcab_hdr = {
-  mutable csum : Csum_offload.tx option;
-  notify : notify option;
-}
-
 type wcab_desc = {
   wcab_id : int;
   wcab_bytes : Bytes.t;
   wcab_base : int;
   wcab_valid : int;
-  wcab_body_sum : Inet_csum.sum;
   wcab_free : unit -> unit;
   wcab_refs : int ref;
 }
@@ -65,7 +59,7 @@ type t = {
   mutable len : int;
   mutable next : t option;
   mutable pkthdr : pkthdr option;
-  mutable uwhdr : uiowcab_hdr option;
+  mutable notify : notify option;
 }
 
 let msize = 256
@@ -233,7 +227,7 @@ let mk ?(pkthdr = false) storage ~off ~len =
              on_outboard = None;
            }
        else None);
-    uwhdr = None;
+    notify = None;
   }
 
 let get ?pkthdr () = mk ?pkthdr (Internal (Pool.get_small ())) ~off:0 ~len:0
@@ -295,10 +289,10 @@ let of_string ?pkthdr s =
   build_chain ?pkthdr ~total:(String.length s) (fun pos dst seg ->
       Bytes.blit_string s pos dst 0 seg)
 
-let of_region ?pkthdr region ~off ~len =
+let of_region region ~off ~len =
   if off < 0 || len < 0 || off + len > Region.length region then
     invalid_arg "Mbuf.of_region: range out of bounds";
-  build_chain ?pkthdr ~total:len (fun pos dst seg ->
+  build_chain ~pkthdr:true ~total:len (fun pos dst seg ->
       Region.blit_to_bytes region ~src_off:(off + pos) dst ~dst_off:0 ~len:seg)
 
 let contiguous n =
@@ -312,19 +306,17 @@ let alloc ?pkthdr n =
   build_chain ?pkthdr ~total:n (fun _pos dst seg ->
       Bytes.fill dst 0 seg '\000')
 
-let make_uio ~region ~hdr =
+let make_uio ~region ~notify =
   let m =
     mk ~pkthdr:true (Ext_uio region) ~off:0 ~len:(Region.length region)
   in
-  m.uwhdr <- Some hdr;
+  m.notify <- notify;
   m
 
-let make_wcab ~desc ~len ~hdr =
+let make_wcab ~desc ~len =
   if len < 0 || desc.wcab_base + len > Bytes.length desc.wcab_bytes then
     invalid_arg "Mbuf.make_wcab: length out of range";
-  let m = mk ~pkthdr:true (Ext_wcab desc) ~off:0 ~len in
-  m.uwhdr <- hdr;
-  m
+  mk ~pkthdr:true (Ext_wcab desc) ~off:0 ~len
 
 (* ---- inspection ---- *)
 
@@ -567,7 +559,7 @@ let private_head m =
 
 let prepend m n =
   if n < 0 then invalid_arg "Mbuf.prepend: negative";
-  if private_head m && m.off >= n && m.uwhdr = None then begin
+  if private_head m && m.off >= n then begin
     m.off <- m.off - n;
     m.len <- m.len + n;
     fix_pkthdr m;
@@ -603,13 +595,11 @@ let share_storage mb ~skip ~seg =
       mk (Cluster c) ~off:(mb.off + skip) ~len:seg
   | Ext_uio r ->
       let copy = mk (Ext_uio r) ~off:(mb.off + skip) ~len:seg in
-      copy.uwhdr <- mb.uwhdr;
+      copy.notify <- mb.notify;
       copy
   | Ext_wcab d ->
       incr d.wcab_refs;
-      let copy = mk (Ext_wcab d) ~off:(mb.off + skip) ~len:seg in
-      copy.uwhdr <- mb.uwhdr;
-      copy
+      mk (Ext_wcab d) ~off:(mb.off + skip) ~len:seg
 
 let copy_range m ~off ~len =
   let total = chain_len m in

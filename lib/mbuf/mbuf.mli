@@ -11,9 +11,10 @@
       network memory (retransmit buffers on transmit, large packets on
       receive).
 
-    UIO and WCAB mbufs carry a [uiowcab_hdr] with the checksum-offload
-    record and a notify block used to resynchronize the socket layer with
-    asynchronous DMA (§4.4.2).
+    A UIO mbuf carries the notify block of the write it describes (the
+    [uiowCABhdr] of §4.2), used to resynchronize the socket layer with
+    asynchronous DMA (§4.4.2).  The checksum-offload record travels in
+    the packet header ([pkthdr.tx_csum]).
 
     Host protocol code must never read payload bytes out of a WCAB mbuf —
     the data is outboard.  The accessors that touch data ([copy_into],
@@ -41,12 +42,6 @@ val notify_complete_n : notify -> int -> unit
 (** Decrements by [n], clamped at zero (a retransmit may complete a range
     twice); runs [on_drained] on the transition to zero. *)
 
-(** The [uiowCABhdr] of §4.2. *)
-type uiowcab_hdr = {
-  mutable csum : Csum_offload.tx option;
-  notify : notify option;
-}
-
 (** Descriptor for data in CAB network memory.  [wcab_bytes] is simulator
     plumbing shared with the adaptor model — host-side stack code must go
     through the driver to move it. *)
@@ -55,7 +50,6 @@ type wcab_desc = {
   wcab_bytes : Bytes.t;
   wcab_base : int;  (** offset of this mbuf's first byte in [wcab_bytes] *)
   wcab_valid : int;  (** §4.2: how much outboard data is valid *)
-  wcab_body_sum : Inet_csum.sum;  (** engine sum saved with the packet *)
   wcab_free : unit -> unit;
   wcab_refs : int ref;
       (** share count across mbufs (retransmit copies); [wcab_free] runs
@@ -95,7 +89,8 @@ type t = {
   mutable len : int;  (** valid bytes *)
   mutable next : t option;
   mutable pkthdr : pkthdr option;
-  mutable uwhdr : uiowcab_hdr option;
+  mutable notify : notify option;
+      (** M_UIO: the notify block of the write this mbuf describes *)
 }
 
 val msize : int
@@ -120,9 +115,9 @@ val of_string : ?pkthdr:bool -> string -> t
 val of_bytes : ?pkthdr:bool -> ?off:int -> ?len:int -> Bytes.t -> t
 (** Chain holding a copy of [src[off, off+len)] (default: all of [src]). *)
 
-val of_region : ?pkthdr:bool -> Region.t -> off:int -> len:int -> t
-(** Chain holding a copy of [region[off, off+len)], blitted straight into
-    pooled chain storage (no intermediate buffer). *)
+val of_region : Region.t -> off:int -> len:int -> t
+(** Packet-headed chain holding a copy of [region[off, off+len)], blitted
+    straight into pooled chain storage (no intermediate buffer). *)
 
 val contiguous : int -> t * Bytes.t
 (** [contiguous n] is one cluster mbuf of [n] uninitialized bytes and its
@@ -134,11 +129,12 @@ val contiguous : int -> t * Bytes.t
 val alloc : ?pkthdr:bool -> int -> t
 (** Zero-filled chain of the given total length. *)
 
-val make_uio : region:Region.t -> hdr:uiowcab_hdr -> t
+val make_uio : region:Region.t -> notify:notify option -> t
 (** A packet-headed M_UIO mbuf describing [region], a user buffer the
-    socket layer has wired ([Addr_space.wire]). *)
+    socket layer has wired ([Addr_space.wire]); [notify] is credited as
+    the driver copies it out. *)
 
-val make_wcab : desc:wcab_desc -> len:int -> hdr:uiowcab_hdr option -> t
+val make_wcab : desc:wcab_desc -> len:int -> t
 (** A packet-headed M_WCAB mbuf of [len] payload bytes. *)
 
 (** {1 Inspection} *)

@@ -55,7 +55,6 @@ let hit_rate t =
   if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
 
 let free_bytes t = t.free_total
-let outstanding t = t.outstanding
 
 let reset_stats t =
   t.hits <- 0;
@@ -80,4 +79,4 @@ let () =
   Obs.gauge ~section:s ~name:"free_bytes" (fun () ->
       float_of_int (free_bytes shared));
   Obs.gauge ~section:s ~name:"outstanding" (fun () ->
-      float_of_int (outstanding shared))
+      float_of_int shared.outstanding)

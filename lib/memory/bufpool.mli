@@ -29,12 +29,6 @@ val miss_count : t -> int
 val hit_rate : t -> float
 (** hits / (hits + misses), 0 when no requests yet. *)
 
-val outstanding : t -> int
-(** [get]s minus [put]s — buffers currently in flight.  Counted even when
-    a [put] drops the buffer (full class), so a steady-state datapath
-    should return exactly to its baseline; the soak harness diffs this to
-    detect leaks. *)
-
 val reset_stats : t -> unit
 (** Zero the counters; keeps the free lists. *)
 

@@ -13,7 +13,6 @@ let bytes t =
   else Bytes.sub t.buf t.off t.len
 
 let backing t = (t.buf, t.off)
-let same_storage a b = a.buf == b.buf
 
 let sub t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then

@@ -25,10 +25,6 @@ val backing : t -> Bytes.t * int
     may extend beyond the region on both sides, so callers must stay
     within [pos, pos + length t). *)
 
-val same_storage : t -> t -> bool
-(** Whether the two regions are views of one backing store.  Allocates
-    nothing, unlike comparing {!backing}s. *)
-
 val sub : t -> off:int -> len:int -> t
 (** A view of [len] bytes starting [off] into the region; shares backing
     storage with the parent.  Raises [Invalid_argument] when out of

@@ -19,7 +19,6 @@
 module Counter : sig
   type t
 
-  val create : unit -> t
   val incr : t -> unit
   val add : t -> int -> unit
   val get : t -> int

@@ -39,8 +39,6 @@ type site =
                        (host, rx) *)
   | Drv_rx_stage   (** unaligned copy-out bounce, stage → user
                        (host, rx) *)
-  | Sdma_header    (** SDMA of header segments, host mem → netmem
-                       (adaptor, tx) *)
   | Sdma_payload   (** SDMA of payload descriptors, user/kernel mem →
                        netmem (adaptor, tx) *)
   | Media          (** MDMA netmem → wire frame (adaptor, tx) *)

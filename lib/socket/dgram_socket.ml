@@ -120,8 +120,7 @@ let send_uio t region ~dst vm_cost k =
   let notify = Mbuf.make_notify () in
   Mbuf.notify_add notify len;
   charge t vm_cost (fun () ->
-      let hdr = { Mbuf.csum = None; notify = Some notify } in
-      let m = Mbuf.make_uio ~region ~hdr in
+      let m = Mbuf.make_uio ~region ~notify:(Some notify) in
       let finish () = charge t (Addr_space.unwire t.space region ~cached) k in
       match Udp.sendto t.udp ~proc:t.proc ~src_port:t.port ~dst m with
       | Ok () ->
@@ -137,12 +136,10 @@ let send_copy t region ~dst k =
   let len = Region.length region in
   let copy_cost = Memcost.copy (profile t) ~locality:Memcost.Cold len in
   charge t copy_cost (fun () ->
-      let b = Bytes.create len in
       Obs_ledger.touch Obs_ledger.Sock_tx_copy Obs_ledger.Copy len;
-      Region.blit_to_bytes region ~src_off:0 b ~dst_off:0 ~len;
       (match
          Udp.sendto t.udp ~proc:t.proc ~src_port:t.port ~dst
-           (Mbuf.of_bytes ~pkthdr:true b)
+           (Mbuf.of_region region ~off:0 ~len)
        with
       | Ok () -> ()
       | Error _ -> t.s.send_errors <- t.s.send_errors + 1);

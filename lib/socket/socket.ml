@@ -198,8 +198,7 @@ let write_uio t region ~on_pin_fail k =
           let try_append () =
             if Tcp.snd_space t.pcb >= chunk then begin
               let sub = Region.sub region ~off ~len:chunk in
-              let hdr = { Mbuf.csum = None; notify = Some notify } in
-              let m = Mbuf.make_uio ~region:sub ~hdr in
+              let m = Mbuf.make_uio ~region:sub ~notify:(Some notify) in
               (match Tcp.sosend_append t.pcb ~proc:t.proc m with
               | Ok () -> push (off + chunk)
               | Error _ ->
@@ -275,7 +274,7 @@ and copy_done t =
 let copy_chunk t =
   let chunk = t.wr_chunk and off = t.wr_off in
   Obs_ledger.touch Obs_ledger.Sock_tx_copy Obs_ledger.Copy chunk;
-  let m = Mbuf.of_region ~pkthdr:true t.wr_region ~off ~len:chunk in
+  let m = Mbuf.of_region t.wr_region ~off ~len:chunk in
   match Tcp.sosend_append t.pcb ~proc:t.proc m with
   | Ok () ->
       t.wr_off <- off + chunk;

@@ -30,7 +30,6 @@ type event = {
   ev_readable : bool;
   ev_writable : bool;
   ev_acceptable : bool;
-  ev_closed : bool;
 }
 
 type t = {
@@ -46,10 +45,9 @@ let registered t = t.entries
 let level e =
   match e.item with
   | Sock s ->
-      let closed = Socket.is_closed s in
       let r = e.interest.want_read && Socket.readable s in
       let w = e.interest.want_write && Socket.writable s in
-      if r || w || closed then
+      if r || w || Socket.is_closed s then
         Some
           {
             ev_item = e.item;
@@ -57,7 +55,6 @@ let level e =
             ev_readable = r;
             ev_writable = w;
             ev_acceptable = false;
-            ev_closed = closed;
           }
       else None
   | Listener l ->
@@ -69,7 +66,6 @@ let level e =
             ev_readable = false;
             ev_writable = false;
             ev_acceptable = true;
-            ev_closed = false;
           }
       else None
 

@@ -28,9 +28,9 @@ type event = {
   ev_readable : bool;
   ev_writable : bool;
   ev_acceptable : bool;
-  ev_closed : bool;
-      (** reported regardless of interest so dead sockets are reaped *)
 }
+(** A closed socket is reported regardless of interest (possibly with
+    every flag false), so the caller reaps it. *)
 
 type t
 

@@ -173,7 +173,6 @@ type pcb = {
   mutable fin_pending : bool;
   mutable fin_sent : bool;
   (* receive state *)
-  mutable irs : Tcp_seq.t;
   mutable rcv_nxt : Tcp_seq.t;
   mutable rcv_adv : Tcp_seq.t;  (* highest window edge advertised *)
   mutable rcv_wscale : int;
@@ -774,7 +773,7 @@ and transmit_plan pcb plan =
                     = [ Mbuf.K_wcab ]
                   in
                   if not already_wcab then begin
-                    let wm = Mbuf.make_wcab ~desc ~len ~hdr:None in
+                    let wm = Mbuf.make_wcab ~desc ~len in
                     Tcp_sendq.replace pcb.sendq ~off:qoff ~len wm;
                     pcb.stats.wcab_converted <- pcb.stats.wcab_converted + 1
                   end
@@ -1134,7 +1133,6 @@ let rec syn_wscale w = function
    window shift ([wscale] -1 = not offered), the send window from the
    segment that completed the handshake, and the setup sample. *)
 let handshake_done pcb ~irs ~mss ~wscale (hdr : Tcp_header.t) =
-  pcb.irs <- irs;
   pcb.rcv_nxt <- Tcp_seq.add irs 1;
   pcb.mss_val <- min pcb.mss_val mss;
   if wscale >= 0 then begin
@@ -1353,7 +1351,6 @@ let make_pcb ?iss tcp ~local_addr ~lport ~raddr ~rport =
       sendq = Tcp_sendq.create ~hiwat:tcp.cfg.snd_buf;
       fin_pending = false;
       fin_sent = false;
-      irs = 0;
       rcv_nxt = 0;
       rcv_adv = 0;
       rcv_wscale = 0;

@@ -9,7 +9,7 @@
       mbufs; packetization *searches* the queue instead of copying;
     - on the single-copy path the checksum is not computed: an offload
       record (pseudo-header seed + field offset) is attached to the packet
-      for the driver ({!Mbuf.pkthdr.tx_csum} via [uiowcab_hdr]);
+      for the driver ({!Mbuf.pkthdr.tx_csum});
     - when the driver finishes the outboard copy it calls the packet's
       [on_outboard] hook and the queued range is swapped to M_WCAB, so
       retransmission rewrites only the header;

@@ -17,6 +17,13 @@ let agg_evictions = Obs.counter ~section:"pin_cache" ~name:"evictions"
 let agg_cache_pin_failures =
   Obs.counter ~section:"pin_cache" ~name:"pin_failures"
 
+(* Every space owns a 4 GByte window of virtual addresses: space [n]
+   allocates from [n lsl 32] up.  A vaddr thus names its space
+   ([vaddr lsr 32]), so page keys and cache entries of two spaces never
+   collide. *)
+let window_bits = 32
+let spaces = ref 0
+
 (* A region the cache keeps wired. *)
 type wired = {
   region : Region.t;
@@ -28,12 +35,12 @@ type t = {
   profile : Host_profile.t;
   name : string;
   mutable brk : int;  (* next free virtual address *)
+  limit : int;  (* end of the space's window *)
   pins : (int, int) Hashtbl.t;  (* page index -> pin refcount *)
   pin_budget : int;  (* pages the cache may keep wired *)
   mutable cache : wired list;
-      (* one entry per (storage, vaddr, length): buffers of different
-         spaces can share a vaddr.  A list, so a space that never wires
-         allocates nothing for its cache *)
+      (* one entry per (vaddr, length).  A list, so a space that never
+         wires allocates nothing for its cache *)
   mutable clock : int;
   mutable cached_pages : int;
   mutable hits : int;
@@ -42,12 +49,15 @@ type t = {
 }
 
 let create ?(pin_budget = 1024) ~profile ~name () =
+  let window = !spaces lsl window_bits in
+  incr spaces;
   {
     profile;
     name;
-    (* Start away from address zero so a vaddr of 0 in a test is clearly a
-       bug, and on a page boundary. *)
-    brk = 16 * profile.Host_profile.page_size;
+    (* Start away from the window's base so a vaddr of 0 in a test is
+       clearly a bug, and on a page boundary. *)
+    brk = window + (16 * profile.Host_profile.page_size);
+    limit = window + (1 lsl window_bits);
     pins = Hashtbl.create 64;
     pin_budget;
     cache = [];
@@ -58,22 +68,23 @@ let create ?(pin_budget = 1024) ~profile ~name () =
     evictions = 0;
   }
 
+let grow t base len =
+  if base + len > t.limit then invalid_arg "Addr_space.alloc: window full";
+  t.brk <- base + len;
+  Region.create ~vaddr:base len
+
 let alloc t ?align len =
   let align =
     match align with Some a -> a | None -> t.profile.Host_profile.page_size
   in
   if align <= 0 then invalid_arg "Addr_space.alloc: align must be positive";
-  let base = Page.round_up ~page_size:align t.brk in
-  t.brk <- base + len;
-  Region.create ~vaddr:base len
+  grow t (Page.round_up ~page_size:align t.brk) len
 
 let alloc_at_offset t ~page_offset len =
   let page_size = t.profile.Host_profile.page_size in
   if page_offset < 0 || page_offset >= page_size then
     invalid_arg "Addr_space.alloc_at_offset: offset out of page";
-  let base = Page.round_up ~page_size t.brk + page_offset in
-  t.brk <- base + len;
-  Region.create ~vaddr:base len
+  grow t (Page.round_up ~page_size t.brk + page_offset) len
 
 (* The region covers pages [first_page .. first_page + page_count - 1]. *)
 let first_page t region =
@@ -139,7 +150,6 @@ let rec find region = function
       if
         Region.vaddr e.region = Region.vaddr region
         && Region.length e.region = Region.length region
-        && Region.same_storage e.region region
       then e
       else find region rest
 

@@ -1,7 +1,10 @@
 (** Application (or kernel) address spaces.
 
     An address space hands out regions of simulated memory at controlled
-    virtual addresses and tracks which pages are pinned for DMA.  Pin,
+    virtual addresses and tracks which pages are pinned for DMA.  Every
+    space allocates from its own 4 GByte window, so a virtual address
+    names the space it came from and buffers of two spaces never share
+    one.  Pin,
     unpin and map return the CPU cost of the operation (Table 2 of the
     paper); callers charge that cost to the right process on the host CPU.
 
@@ -29,7 +32,8 @@ val create :
 val alloc : t -> ?align:int -> int -> Region.t
 (** Allocates a region of the given size.  [align] defaults to the page
     size, matching malloc's behaviour for large blocks (§4.5: "compilers
-    and malloc() always align the data structures they allocate"). *)
+    and malloc() always align the data structures they allocate").
+    Raises [Invalid_argument] when the space outgrows its window. *)
 
 val alloc_at_offset : t -> page_offset:int -> int -> Region.t
 (** Allocates a region whose base is deliberately misaligned by

@@ -148,7 +148,7 @@ let build_mixed_chain ~golden ~cuts ~uio =
       let r = Addr_space.alloc sp len in
       Region.blit_from_bytes golden ~src_off:lo r ~dst_off:0 ~len;
       Mbuf.make_uio ~region:r
-        ~hdr:{ Mbuf.csum = None; notify = None }
+        ~notify:None
     end
     else Mbuf.of_bytes (Bytes.sub golden lo len)
   in

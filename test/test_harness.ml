@@ -87,7 +87,7 @@ let test_table2_fits_are_exact () =
 
 let test_analysis_matches_paper () =
   let a =
-    Exp_tables.run_analysis ~profile:Host_profile.alpha400 ~packet:32768 ()
+    Exp_tables.run_analysis ~profile:Host_profile.alpha400 ()
   in
   check_bool "unmodified estimate ~180" true
     (a.Exp_tables.est_unmod_eff > 165. && a.Exp_tables.est_unmod_eff < 195.);

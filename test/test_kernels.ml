@@ -71,12 +71,12 @@ let build_uio_chain n =
   let a =
     Mbuf.make_uio
       ~region:(Region.sub r ~off:0 ~len:half)
-      ~hdr:{ Mbuf.csum = None; notify = None }
+      ~notify:None
   in
   let b =
     Mbuf.make_uio
       ~region:(Region.sub r ~off:half ~len:(n - half))
-      ~hdr:{ Mbuf.csum = None; notify = None }
+      ~notify:None
   in
   Mbuf.append a b;
   (a, r)
@@ -112,13 +112,12 @@ let test_wcab_chain_raises () =
       wcab_bytes = mk_buf 128;
       wcab_base = 0;
       wcab_valid = 128;
-      wcab_body_sum = Inet_csum.zero;
       wcab_free = (fun () -> ());
       wcab_refs = ref 1;
     }
   in
   let chain = Mbuf.of_bytes (mk_buf 64) in
-  Mbuf.append chain (Mbuf.make_wcab ~desc ~len:128 ~hdr:None);
+  Mbuf.append chain (Mbuf.make_wcab ~desc ~len:128);
   check_bool "checksum raises" true
     (match Mbuf.checksum chain ~off:0 ~len:192 with
     | exception Mbuf.Outboard_data -> true

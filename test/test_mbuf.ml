@@ -22,7 +22,6 @@ let mk_wcab_desc ?(len = 256) ?(freed = ref false) () =
     wcab_bytes = bytes;
     wcab_base = 0;
     wcab_valid = len;
-    wcab_body_sum = Inet_csum.zero;
     wcab_free = (fun () -> freed := true);
     wcab_refs = ref 1;
   }
@@ -138,8 +137,7 @@ let test_uio_mbuf () =
   let sp = space () in
   let r = Addr_space.alloc sp 10000 in
   Region.fill_pattern r ~seed:3;
-  let hdr = { Mbuf.csum = None; notify = Some (Mbuf.make_notify ()) } in
-  let m = Mbuf.make_uio ~region:r ~hdr in
+  let m = Mbuf.make_uio ~region:r ~notify:(Some (Mbuf.make_notify ())) in
   assert_ok m;
   check_int "pkt_len = region len" 10000 (Mbuf.pkt_len m);
   check_bool "is descriptor" true (Mbuf.is_descriptor m);
@@ -154,7 +152,7 @@ let test_uio_mbuf () =
 
 let test_wcab_outboard_protection () =
   let desc = mk_wcab_desc () in
-  let m = Mbuf.make_wcab ~desc ~len:200 ~hdr:None in
+  let m = Mbuf.make_wcab ~desc ~len:200 in
   assert_ok m;
   let buf = Bytes.create 10 in
   check_bool "read raises Outboard_data" true
@@ -172,14 +170,14 @@ let test_wcab_outboard_protection () =
 let test_wcab_free_hook () =
   let freed = ref false in
   let desc = mk_wcab_desc ~freed () in
-  let m = Mbuf.make_wcab ~desc ~len:100 ~hdr:None in
+  let m = Mbuf.make_wcab ~desc ~len:100 in
   Mbuf.free m;
   check_bool "release hook ran" true !freed
 
 let test_wcab_shared_free_once () =
   let freed = ref false in
   let desc = mk_wcab_desc ~freed () in
-  let m = Mbuf.make_wcab ~desc ~len:100 ~hdr:None in
+  let m = Mbuf.make_wcab ~desc ~len:100 in
   let copy = Mbuf.copy_range m ~off:10 ~len:50 in
   Mbuf.free m;
   check_bool "still referenced" false !freed;
@@ -262,8 +260,7 @@ let test_prepend_descriptor_never_inline () =
   (* A UIO mbuf must never be written into: prepend must allocate. *)
   let sp = space () in
   let r = Addr_space.alloc sp 512 in
-  let hdr = { Mbuf.csum = None; notify = None } in
-  let m = Mbuf.make_uio ~region:r ~hdr in
+  let m = Mbuf.make_uio ~region:r ~notify:None in
   let m' = Mbuf.prepend m 40 in
   assert_ok m';
   Alcotest.(check bool) "new head is internal" true

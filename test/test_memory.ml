@@ -104,7 +104,14 @@ let test_alloc_alignment () =
     (Region.vaddr r mod p.Host_profile.page_size = 0);
   let r2 = Addr_space.alloc sp ~align:4 100 in
   check_bool "word aligned" true (Region.vaddr r2 mod 4 = 0);
-  check_bool "distinct addresses" true (Region.vaddr r <> Region.vaddr r2)
+  check_bool "distinct addresses" true (Region.vaddr r <> Region.vaddr r2);
+  (* The next 4 GByte boundary starts another space's window. *)
+  check_bool "window end reachable" true
+    (Region.length (Addr_space.alloc sp ~align:(1 lsl 32) 0) = 0);
+  check_bool "outgrowing the window raises" true
+    (match Addr_space.alloc sp ~align:(1 lsl 32) 1 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_alloc_misaligned () =
   let sp = space () in
@@ -208,16 +215,20 @@ let test_pin_cache_eviction_cost_charged () =
     cost_c
 
 let test_pin_cache_keys_storage () =
-  (* Every space starts its break at the same page, so buffers of two
-     spaces can share a vaddr and a length.  Wired through a third space,
-     the second buffer is not the first: it misses and pays its own pin. *)
+  (* Every space starts its break at the same page of its own window, so
+     buffers of two spaces sit at one offset but at distinct vaddrs.
+     Wired through a third space, the second buffer is not the first: it
+     misses, pays its own pin and pins its own pages. *)
   let a = Addr_space.alloc (space ()) 65536 in
   let b = Addr_space.alloc (space ()) 65536 in
-  check_int "a's vaddr" 131072 (Region.vaddr a);
-  check_int "b's vaddr" 131072 (Region.vaddr b);
+  let window_offset r = Region.vaddr r land 0xFFFF_FFFF in
+  check_int "a's offset in its window" 131072 (window_offset a);
+  check_int "b's offset in its window" 131072 (window_offset b);
+  check_bool "distinct vaddrs" true (Region.vaddr a <> Region.vaddr b);
   let sp = cached_space ~pin_budget:64 in
   ignore (wire sp a);
   let cost_b = wire sp b in
+  check_int "16 pages pinned" 16 (Addr_space.pinned_pages sp);
   check_int "b pays pin + map (309 us)"
     (Memcost.pin p ~pages:8 + Memcost.map p ~pages:8)
     cost_b;

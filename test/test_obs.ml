@@ -326,7 +326,7 @@ let test_staged_bounce_counted () =
     Mbuf.of_bytes ~pkthdr:true (Bytes.make Ipv4_header.size '\000')
   in
   Mbuf.append pkt
-    (Mbuf.make_uio ~region ~hdr:{ Mbuf.csum = None; notify = None });
+    (Mbuf.make_uio ~region ~notify:None);
   let s0 = Obs_ledger.snapshot () in
   let ifc = Cab_driver.iface node.Testbed.driver in
   ifc.Netif.output ifc pkt ~next_hop:Testbed.addr_b;
@@ -359,7 +359,7 @@ let test_legacy_and_datagram_copies_counted () =
              ~seed:Inet_csum.zero)
   | None -> Alcotest.fail "no packet header");
   Mbuf.append pkt
-    (Mbuf.make_uio ~region ~hdr:{ Mbuf.csum = None; notify = None });
+    (Mbuf.make_uio ~region ~notify:None);
   let s0 = Obs_ledger.snapshot () in
   let ifc = Loopback.iface lo in
   ifc.Netif.output ifc pkt ~next_hop:Inaddr.loopback;

@@ -325,7 +325,7 @@ let test_descriptor_coalescing () =
             let m =
               Mbuf.make_uio
                 ~region:(Region.sub src ~off:(i * wsize) ~len:wsize)
-                ~hdr:{ Mbuf.csum = None; notify = None }
+                ~notify:None
             in
             match Tcp.sosend_append pcb ~proc:"ksend" m with
             | Ok () -> ()
@@ -421,9 +421,9 @@ let test_sockets_share_space_pins =
       let buf = Addr_space.alloc space wsize in
       (buf, buf))
 
-(* Two other spaces each allocate a buffer at the same vaddr: wired
-   through the sockets' space, the second is a different buffer and
-   misses. *)
+(* Two other spaces each allocate a buffer at the same offset of their
+   own windows, so at distinct vaddrs: wired through the sockets' space,
+   the second is a different buffer and misses. *)
 let test_equal_vaddrs_do_not_share_pins =
   sockets_share_space_pins ~second_hits:false ~buffers:(fun a _ wsize ->
       let alloc () =
@@ -431,7 +431,7 @@ let test_equal_vaddrs_do_not_share_pins =
       in
       let b1 = alloc () in
       let b2 = alloc () in
-      assert (Region.vaddr b1 = Region.vaddr b2);
+      assert (Region.vaddr b1 <> Region.vaddr b2);
       (b1, b2))
 
 (* ---------- one reader per socket ---------- *)

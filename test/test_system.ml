@@ -37,7 +37,7 @@ let test_taxonomy_structure () =
 
 let test_taxonomy_efficiency_ordering () =
   let p = Host_profile.alpha400 in
-  let eff k = Taxonomy.estimated_efficiency p ~packet:32768 k in
+  let eff k = Taxonomy.estimated_efficiency p k in
   let cab = eff Taxonomy.cab_class in
   let two_copy =
     eff
@@ -306,8 +306,7 @@ let test_measurement_formula () =
 let test_raw_hippi_beats_stack_and_scales () =
   let raw size =
     let tb = Testbed.create () in
-    (Raw_hippi.run ~tb ~packet_size:size ~total:(4 * 1024 * 1024))
-      .Raw_hippi.throughput_mbit
+    Raw_hippi.run ~tb ~packet_size:size ~total:(4 * 1024 * 1024)
   in
   let small = raw 4096 and big = raw 32768 in
   check_bool "larger packets faster" true (big > small);
@@ -319,7 +318,7 @@ let test_inkernel_source_sink () =
   let sink = Inkernel.sink_on ~stack:tb.Testbed.b.Testbed.stack ~port:7777 in
   let done_ = ref false in
   Inkernel.source ~stack:tb.Testbed.a.Testbed.stack ~dst:Testbed.addr_b
-    ~port:7777 ~total:(512 * 1024) ~chunk:32768
+    ~port:7777 ~total:(512 * 1024)
     ~on_done:(fun () -> done_ := true);
   Sim.run ~until:(Simtime.s 30.) tb.Testbed.sim;
   check_bool "source finished" true !done_;

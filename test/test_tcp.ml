@@ -73,8 +73,7 @@ let test_sendq_chain_extent () =
   Tcp_sendq.append q (Mbuf.of_string ~pkthdr:true "0123456789");
   let space = Addr_space.create ~profile:Host_profile.alpha400 ~name:"t" () in
   let region = Addr_space.alloc space 100 in
-  let hdr = { Mbuf.csum = None; notify = None } in
-  Tcp_sendq.append q (Mbuf.make_uio ~region ~hdr);
+  Tcp_sendq.append q (Mbuf.make_uio ~region ~notify:None);
   let k, ext = Tcp_sendq.chain_extent q ~off:0 in
   check_bool "regular chain" true (k = Mbuf.K_internal);
   check_int "extent to chain end" 10 ext;
@@ -94,7 +93,7 @@ let test_sendq_merge_descriptors () =
   let chunk i =
     Mbuf.make_uio
       ~region:(Region.sub r ~off:(i * 4096) ~len:4096)
-      ~hdr:{ Mbuf.csum = None; notify = None }
+      ~notify:None
   in
   Tcp_sendq.append q (chunk 0);
   check_bool "a second descriptor would merge" true
