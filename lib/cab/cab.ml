@@ -335,7 +335,7 @@ let commit_header (pkt : Netmem.packet) ~len ~fill ~csum =
       let skip = c.Csum_offload.skip_bytes in
       if skip > len then
         invalid_arg "Cab.sdma_chain: checksum skip beyond header";
-      pkt.header_sum <- Inet_csum.of_bytes ~off:skip ~len:(len - skip) pkt.buf
+      pkt.header_sum <- Inet_csum.of_slice pkt.buf ~off:skip ~len:(len - skip)
 
 let validate_payload (pkt : Netmem.packet) ~src ~pkt_off =
   require_word_aligned "payload packet offset" pkt_off;

@@ -63,6 +63,10 @@ let placeholder =
   make_packet ~id:(-1) ~buf:Bytes.empty ~len:0 ~state:Ready ~pages:0
     ~live:false
 
+(* Host buffers come in multiples of [buf_class] bytes, at least one. *)
+let buf_class = 64
+let buf_len len = (max 1 len + buf_class - 1) / buf_class * buf_class
+
 let alloc t ~len ~state =
   if len < 0 then invalid_arg "Netmem.alloc: negative length";
   let pages =
@@ -84,10 +88,12 @@ let alloc t ~len ~state =
     t.live_count <- t.live_count + 1;
     let id = t.next_id in
     t.next_id <- id + 1;
-    (* Page-granular buffers recycle perfectly by exact size; the
+    (* Pages are the unit of accounting, not of host storage: the
+       buffer is the packet's own length rounded up to a [buf_class]
+       size class, so a 60-byte ACK does not hold a 4 KByte buffer.  The
        producer (SDMA / frame copy-in) overwrites [0, len) before any
-       byte is read, so stale contents are harmless. *)
-    let buf = Bufpool.get Bufpool.shared (pages * Page.cab_page_size) in
+       byte is read, so a recycled buffer's stale contents are harmless. *)
+    let buf = Bufpool.get Bufpool.shared (buf_len len) in
     make_packet ~id ~buf ~len ~state ~pages ~live:true
   end
 

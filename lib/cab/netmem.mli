@@ -3,8 +3,10 @@
     A bank of DRAM organized in pages that buffers complete packets.  "To
     insure full bandwidth to the media, packets must start on a page
     boundary in CAB memory, and all but the last page must be full pages"
-    — so allocation is in whole pages and each packet owns a page-aligned
-    buffer.
+    — so allocation is accounted in whole pages and each packet owns a
+    page-aligned region of the bank.  The host buffer that models a
+    packet's bytes is sized to the packet, not to its pages: its length
+    rounded up to a multiple of 64 bytes, drawn from {!Bufpool.shared}.
 
     Each packet buffer carries the checksum-engine state that accumulates
     while data is DMAed in: the header-range sum, the saved body sum
@@ -27,7 +29,9 @@ type state =
 
 type packet = {
   id : int;
-  buf : Bytes.t;  (** page-rounded storage; valid data is [0, len) *)
+  buf : Bytes.t;
+      (** storage of the packet's length rounded up to 64 bytes; valid
+          data is [0, len) *)
   mutable len : int;
   mutable hdr_len : int;  (** bytes covered by the header SDMA *)
   mutable header_sum : Inet_csum.sum;
@@ -58,9 +62,10 @@ exception Exhausted
 (** Raised by {!alloc} when network memory has no room for the packet. *)
 
 val alloc : t -> len:int -> state:state -> packet
-(** Page-aligned allocation.  The fault site ["netmem.exhaust"] can force
-    an exhaustion (counted both in {!failures} and the Obs counter
-    [netmem.injected_exhaustions]).
+(** Page-accounted allocation: the packet takes [len] rounded up to
+    whole CAB pages (at least one) of the capacity.  The fault site
+    ["netmem.exhaust"] can force an exhaustion (counted both in
+    {!failures} and the Obs counter [netmem.injected_exhaustions]).
     @raise Exhausted when memory is exhausted. *)
 
 val free : t -> packet -> unit

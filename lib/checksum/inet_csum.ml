@@ -54,9 +54,8 @@ let check_range ~what buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then
     invalid_arg (what ^ ": range out of bounds")
 
-let of_bytes ?(off = 0) ?len buf =
-  let len = match len with Some l -> l | None -> Bytes.length buf - off in
-  check_range ~what:"Inet_csum.of_bytes" buf ~off ~len;
+let of_slice buf ~off ~len =
+  check_range ~what:"Inet_csum.of_slice" buf ~off ~len;
   if len >= native_threshold then begin
     let s = normalize (native_sum buf off len) in
     if big_endian then s else swab16 s
@@ -81,6 +80,10 @@ let of_bytes ?(off = 0) ?len buf =
     ~last:(if len land 1 = 1 then Bytes.get_uint8 buf (off + len - 1) else 0)
     !s
   end
+
+let of_bytes ?(off = 0) ?len buf =
+  let len = match len with Some l -> l | None -> Bytes.length buf - off in
+  of_slice buf ~off ~len
 
 (* Retained byte-at-a-time implementation: the oracle the property tests
    hold the word-wise kernels against. *)

@@ -18,6 +18,10 @@ val of_bytes : ?off:int -> ?len:int -> Bytes.t -> sum
     Word-at-a-time: one up-front bounds check, then 64-bit reads into a
     wide accumulator with a single deferred fold. *)
 
+val of_slice : Bytes.t -> off:int -> len:int -> sum
+(** {!of_bytes} with plain arguments, for per-segment paths: an optional
+    argument is boxed at every call the compiler does not inline. *)
+
 val reference_of_bytes : ?off:int -> ?len:int -> Bytes.t -> sum
 (** Byte-at-a-time reference implementation of {!of_bytes}, retained as
     the oracle for property tests.  Bit-identical to [of_bytes] on every

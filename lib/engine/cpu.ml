@@ -34,6 +34,10 @@ let site_name = function
 
 let all_sites = [ Checksum; Copy; Header; Demux; Intr; Timer; Socket; Other ]
 
+(* A process's charged time, one cell per mode.  Keyed by the process
+   name alone, so neither a lookup nor a memo miss builds a key. *)
+type bucket = { mutable user : Simtime.t; mutable sys : Simtime.t }
+
 (* A work item: a {!Ring} slot, refilled in place on every submission. *)
 type item = {
   mutable duration : Simtime.t;
@@ -71,47 +75,51 @@ type t = {
   mutable cur : item;  (* the running item while [running] *)
   intr_q : item Ring.t;
   normal_q : item Ring.t;
-  buckets : (string * mode, int ref) Hashtbl.t;
-  (* One-entry bucket memo: the steady state charges the same
-     (proc, mode) pair event after event, so the common case skips the
-     tuple key and the hashed lookup. *)
+  buckets : (string, bucket) Hashtbl.t;
+  (* One-entry bucket memo: the steady state charges the same process
+     event after event, so the common case skips the hashed lookup. *)
   mutable last_proc : string;
-  mutable last_mode : mode;
-  mutable last_cell : int ref;
+  mutable last_bucket : bucket;
   mutable busy_total : Simtime.t;
   sites : Simtime.t array;  (* n_sites cells; sums to busy_total *)
   (* One reusable completion timer: the CPU runs at most one item at a
      time, so every slice re-arms the same record — no per-item closure
      or handle allocation. *)
   timer : Sim.handle;
+  (* Shard context: [shard_cell] is the owning host's current-shard cell,
+     shared by all of its CPUs.  While this CPU runs a continuation the
+     cell holds [shard], so charges the continuation makes without an
+     explicit shard stay on this CPU's shard. *)
+  shard_cell : int ref;
+  shard : int;
 }
 
-let no_cell : int ref = ref 0
+let no_bucket = { user = 0; sys = 0 }
 let checksum_index = site_index Checksum
 
 let set_idle_proc t p = t.idle_proc <- p
 
 let charge t proc mode d =
-  let cell =
-    if t.last_cell != no_cell && t.last_mode == mode && String.equal t.last_proc proc
-    then t.last_cell
+  let b =
+    if t.last_bucket != no_bucket && String.equal t.last_proc proc then
+      t.last_bucket
     else begin
-      let key = (proc, mode) in
-      let c =
-        match Hashtbl.find_opt t.buckets key with
-        | Some c -> c
-        | None ->
-            let c = ref 0 in
-            Hashtbl.add t.buckets key c;
-            c
+      let b =
+        match Hashtbl.find t.buckets proc with
+        | b -> b
+        | exception Not_found ->
+            let b = { user = 0; sys = 0 } in
+            Hashtbl.add t.buckets proc b;
+            b
       in
       t.last_proc <- proc;
-      t.last_mode <- mode;
-      t.last_cell <- c;
-      c
+      t.last_bucket <- b;
+      b
     end
   in
-  cell := !cell + d;
+  (match mode with
+  | User -> b.user <- b.user + d
+  | Sys -> b.sys <- b.sys + d);
   t.busy_total <- t.busy_total + d
 
 let current_proc t = if t.running then t.cur.proc else t.idle_proc
@@ -145,7 +153,11 @@ and complete t =
        [k] is charged to the process that just ran. *)
     let k = item.k in
     item.k <- nop;
+    let cell = t.shard_cell in
+    let prev = !cell in
+    cell := t.shard;
     k ();
+    cell := prev;
     start_next t
   end
 
@@ -164,7 +176,7 @@ let sites_json t =
   Buffer.add_string b (Printf.sprintf ", \"total\": %d}" t.busy_total);
   Buffer.contents b
 
-let create ~sim ~name =
+let create ~sim ~name ~shard_cell ~shard =
   let t =
     {
       sim;
@@ -175,11 +187,12 @@ let create ~sim ~name =
       normal_q = Ring.create blank;
       buckets = Hashtbl.create 8;
       last_proc = "";
-      last_mode = Sys;
-      last_cell = no_cell;
+      last_bucket = no_bucket;
       busy_total = 0;
       sites = Array.make n_sites 0;
       timer = Sim.timer sim ignore;
+      shard_cell;
+      shard;
     }
   in
   Sim.set_fn t.timer (fun () -> complete t);
@@ -189,31 +202,31 @@ let create ~sim ~name =
   Obs.table ~section:"prof" ~name (fun () -> sites_json t);
   t
 
-let execute t ~proc ~mode ?(site = Other) ?(csum = 0) duration k =
+let execute t ~proc ~mode ~site ~csum duration k =
   push t.normal_q ~duration ~proc ~mode ~site:(site_index site) ~csum k;
   if not t.running then start_next t
 
-let execute_intr t ?(site = Intr) ?(csum = 0) duration k =
+let execute_intr t ~site ~csum duration k =
   (* Charged to whoever is current at raise time — the paper's mis-charging. *)
   push t.intr_q ~duration ~proc:(current_proc t) ~mode:Sys
     ~site:(site_index site) ~csum k;
   if not t.running then start_next t
 
 let charged t ~proc ~mode =
-  match Hashtbl.find_opt t.buckets (proc, mode) with
-  | Some c -> !c
+  match Hashtbl.find_opt t.buckets proc with
+  | Some b -> ( match mode with User -> b.user | Sys -> b.sys)
   | None -> 0
 
 let busy t = t.busy_total
 
 let procs t =
   Hashtbl.fold
-    (fun (p, _) c acc -> if !c > 0 && not (List.mem p acc) then p :: acc else acc)
+    (fun p b acc -> if b.user > 0 || b.sys > 0 then p :: acc else acc)
     t.buckets []
 
 let reset_accounting t =
   Hashtbl.reset t.buckets;
-  (* The memoised cell points into the dropped table: invalidate it. *)
-  t.last_cell <- no_cell;
+  (* The memoised bucket belongs to the dropped table: invalidate it. *)
+  t.last_bucket <- no_bucket;
   t.busy_total <- 0;
   Array.fill t.sites 0 n_sites 0

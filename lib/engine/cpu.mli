@@ -32,8 +32,14 @@ type site =
 val site_name : site -> string
 val all_sites : site list
 
-val create : sim:Sim.t -> name:string -> t
-(** Also registers the CPU's profiler row as Obs table
+val create : sim:Sim.t -> name:string -> shard_cell:int ref -> shard:int -> t
+(** [shard_cell] is the current-shard cell of the host that owns the
+    CPU, shared by all of that host's CPUs, and [shard] is this CPU's
+    index.  While a completed item's continuation runs, the cell holds
+    [shard]; the previous value is back when the continuation returns.
+    A CPU outside a host takes [(ref 0)] and [0].
+
+    Also registers the CPU's profiler row as Obs table
     [prof/<name>]: [{"checksum": n, ..., "total": busy}]. *)
 
 val set_idle_proc : t -> string -> unit
@@ -45,27 +51,28 @@ val execute :
   t ->
   proc:string ->
   mode:mode ->
-  ?site:site ->
-  ?csum:Simtime.t ->
+  site:site ->
+  csum:Simtime.t ->
   Simtime.t ->
   (unit -> unit) ->
   unit
-(** [execute t ~proc ~mode d k] queues [d] of CPU work charged to
-    [(proc, mode)], then calls [k] when it completes.  [?site] (default
-    [Other]) attributes the cycles for the profiler; [?csum:c]
-    attributes [c] of the duration to [Checksum] and the rest to [site]
-    — still one work item, so mixed-cost charges (header + checksum)
-    are profiled without perturbing the event schedule.
+(** [execute t ~proc ~mode ~site ~csum d k] queues [d] of CPU work
+    charged to [(proc, mode)], then calls [k] when it completes.  [site]
+    attributes the cycles for the profiler; [csum:c] attributes [c] of
+    the duration to [Checksum] and the rest to [site] — still one work
+    item, so mixed-cost charges (header + checksum) are profiled without
+    perturbing the event schedule.  The arguments are plain, not
+    optional: {!Host} passes them on every charge, and an optional
+    argument is boxed where the call is not inlined.
 
     Queued items live in preallocated ring slots that are refilled in
     place, and a completed item's continuation is dropped before it
     runs: a submission allocates nothing but [k] itself. *)
 
 val execute_intr :
-  t -> ?site:site -> ?csum:Simtime.t -> Simtime.t -> (unit -> unit) -> unit
+  t -> site:site -> csum:Simtime.t -> Simtime.t -> (unit -> unit) -> unit
 (** Interrupt-context work: runs ahead of normal work and is charged as
-    [Sys] to the process that was current when the interrupt was raised.
-    [?site] defaults to [Intr]. *)
+    [Sys] to the process that was current when the interrupt was raised. *)
 
 val charged : t -> proc:string -> mode:mode -> Simtime.t
 (** Total time charged to a bucket so far. *)

@@ -12,7 +12,7 @@ type t = {
      every event, so the merged run loop fires in exactly the order a
      single heap would. *)
   mutable fired_total : int;
-  drain : int -> handle -> unit;
+  mutable drain : int -> handle -> unit;
       (* [fire_heap t], built once in [create]: the heap-only drain in
          [run] passes it to [Event_queue.iter_ready] without allocating *)
 }
@@ -63,12 +63,15 @@ let fire_heap t seq (tm : handle) =
   end
   else Event_queue.dead_decr t.queue
 
+let no_drain _ _ = ()
+
 let create ?(wheel = true) () =
-  let rec t =
+  let t =
     { clock = Simtime.zero; queue = Event_queue.create ();
       wheel = Tw.create (); use_wheel = wheel; next_seq = 0;
-      fired_total = 0; drain = (fun seq tm -> fire_heap t seq tm) }
+      fired_total = 0; drain = no_drain }
   in
+  t.drain <- (fun seq tm -> fire_heap t seq tm);
   register_obs t;
   t
 

@@ -22,11 +22,17 @@ let w_ready = 255
 
 let no_fn () = ()
 
+(* Built once and then closed on itself: [let rec tm = { ...; prev = tm }]
+   would allocate a dummy block as well and copy the record into it,
+   twice the words.  The placeholder links are overwritten before
+   anything can read them. *)
 let make ~fn =
-  let rec tm =
-    { fn; deadline = 0; seq = 0; where = w_none; pooled = false; prev = tm;
-      next = tm }
+  let tm =
+    { fn; deadline = 0; seq = 0; where = w_none; pooled = false;
+      prev = Obj.magic 0; next = Obj.magic 0 }
   in
+  tm.prev <- tm;
+  tm.next <- tm;
   tm
 
 let sentinel () = make ~fn:no_fn

@@ -7,8 +7,10 @@
     A host may be split into [shards] receive-side-scaling shards, each
     with a CPU of its own (see {!Shard}).  Shard 0 wraps the classic
     [cpu] field, so a 1-shard host is byte-identical to the pre-shard
-    model: the charge helpers reduce to direct {!Cpu.execute} /
-    {!Cpu.execute_intr} calls with no bookkeeping on that path. *)
+    model.  The charge helpers are direct {!Cpu.execute} /
+    {!Cpu.execute_intr} calls on every host: the CPU that runs a
+    continuation sets [cur_shard] to its own shard around it, so no
+    closure is wrapped around a sharded continuation. *)
 
 type t = {
   sim : Sim.t;
@@ -17,9 +19,10 @@ type t = {
   name : string;
   mutable ifaces : Netif.t list;
   shards : Shard.t array;
-  mutable cur_shard : int;
+  cur_shard : int ref;
       (** shard whose code is currently running; charge helpers without
-          an explicit [~shard] inherit it *)
+          an explicit [~shard] inherit it.  Every CPU of the host shares
+          this cell (see {!Cpu.create}). *)
 }
 
 val create :

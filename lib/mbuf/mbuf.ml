@@ -242,27 +242,28 @@ let fix_pkthdr m =
   | None -> ()
   | Some h -> h.pkt_len <- chain_len m
 
-(* Shared chain builder: [fill pos dst seg] writes [seg] bytes of source
-   data starting at source offset [pos] into [dst] at offset 0. *)
-let build_chain ?(pkthdr = false) ~total fill =
-  let rec build pos =
-    if pos >= total then None
-    else begin
-      let seg = min mclbytes (total - pos) in
-      let cell =
-        if seg <= msize then Pool.get_small () else Pool.get_cluster ()
-      in
-      let storage = if seg <= msize then Internal cell else Cluster cell in
-      fill pos cell.cbuf seg;
-      let m = mk storage ~off:0 ~len:seg in
-      m.next <- build (pos + seg);
-      Some m
-    end
+(* The mbuf holding chain bytes [pos, pos + seg) of a [total]-byte
+   chain, filled by [blit src (off + pos) dst seg], with the rest linked
+   after it. *)
+let rec build_from blit src ~off pos total =
+  let seg = min mclbytes (total - pos) in
+  let cell = if seg <= msize then Pool.get_small () else Pool.get_cluster () in
+  blit src (off + pos) cell.cbuf seg;
+  let m =
+    mk (if seg <= msize then Internal cell else Cluster cell) ~off:0 ~len:seg
   in
+  if pos + seg < total then
+    m.next <- Some (build_from blit src ~off (pos + seg) total);
+  m
+
+(* Shared chain builder: a chain of [total] bytes read from [src] at
+   [off] through [blit] (one empty internal mbuf when [total] is 0).
+   Callers pass a [blit] that captures nothing, so a build allocates the
+   mbufs, their links and the packet header, and nothing else. *)
+let build_chain ~pkthdr ~total blit src ~off =
   let head =
-    match build 0 with
-    | Some m -> m
-    | None -> mk (Internal (Pool.get_small ())) ~off:0 ~len:0
+    if total = 0 then mk (Internal (Pool.get_small ())) ~off:0 ~len:0
+    else build_from blit src ~off 0 total
   in
   if pkthdr then
     head.pkthdr <-
@@ -276,35 +277,40 @@ let build_chain ?(pkthdr = false) ~total fill =
         };
   head
 
-let of_bytes ?pkthdr ?(off = 0) ?len src =
+let of_bytes ?(pkthdr = false) ?(off = 0) ?len src =
   let len = match len with Some l -> l | None -> Bytes.length src - off in
   if off < 0 || len < 0 || off + len > Bytes.length src then
     invalid_arg "Mbuf.of_bytes: range out of bounds";
-  build_chain ?pkthdr ~total:len (fun pos dst seg ->
-      Bytes.blit src (off + pos) dst 0 seg)
+  build_chain ~pkthdr ~total:len
+    (fun src pos dst seg -> Bytes.blit src pos dst 0 seg)
+    src ~off
 
-let of_string ?pkthdr s =
+let of_string ?(pkthdr = false) s =
   (* Blit straight from the string into the chain storage: no intermediate
      [Bytes.of_string] copy. *)
-  build_chain ?pkthdr ~total:(String.length s) (fun pos dst seg ->
-      Bytes.blit_string s pos dst 0 seg)
+  build_chain ~pkthdr ~total:(String.length s)
+    (fun s pos dst seg -> Bytes.blit_string s pos dst 0 seg)
+    s ~off:0
 
 let of_region region ~off ~len =
   if off < 0 || len < 0 || off + len > Region.length region then
     invalid_arg "Mbuf.of_region: range out of bounds";
-  build_chain ~pkthdr:true ~total:len (fun pos dst seg ->
-      Region.blit_to_bytes region ~src_off:(off + pos) dst ~dst_off:0 ~len:seg)
+  build_chain ~pkthdr:true ~total:len
+    (fun region pos dst seg ->
+      Region.blit_to_bytes region ~src_off:pos dst ~dst_off:0 ~len:seg)
+    region ~off
 
 let contiguous n =
   if n < 0 then invalid_arg "Mbuf.contiguous: negative";
   let c = cell_create n in
   (mk (Cluster c) ~off:0 ~len:n, c.cbuf)
 
-let alloc ?pkthdr n =
+let alloc ?(pkthdr = false) n =
   if n < 0 then invalid_arg "Mbuf.alloc: negative";
   (* Recycled cells hold stale data: [alloc] promises zeroed storage. *)
-  build_chain ?pkthdr ~total:n (fun _pos dst seg ->
-      Bytes.fill dst 0 seg '\000')
+  build_chain ~pkthdr ~total:n
+    (fun () _pos dst seg -> Bytes.fill dst 0 seg '\000')
+    () ~off:0
 
 let make_uio ~region ~notify =
   let m =
@@ -524,14 +530,36 @@ let to_string m =
   copy_into m ~off:0 ~len:n buf ~dst_off:0;
   Bytes.unsafe_to_string buf
 
+(* Sum [len] bytes from [skip] into [mb]'s data onwards, after
+   [consumed] bytes already summed into [sum].  A plain recursive walk
+   with no closure or ref cell, so a checksum allocates nothing. *)
+let rec checksum_from mb ~skip ~len ~consumed sum =
+  if skip >= mb.len then
+    checksum_next mb ~skip:(skip - mb.len) ~len ~consumed sum
+  else begin
+    let seg = min (mb.len - skip) len in
+    let part =
+      match mb.storage with
+      | Internal c | Cluster c ->
+          Inet_csum.of_slice c.cbuf ~off:(mb.off + skip) ~len:seg
+      | Ext_uio r -> Region.sum r ~off:(mb.off + skip) ~len:seg
+      | Ext_wcab _ -> raise Outboard_data
+    in
+    let sum = Inet_csum.concat ~first_len:consumed sum part in
+    checksum_next mb ~skip:0 ~len:(len - seg) ~consumed:(consumed + seg) sum
+  end
+
+and checksum_next mb ~skip ~len ~consumed sum =
+  if len = 0 then sum
+  else
+    match mb.next with
+    | None -> invalid_arg "Mbuf: range past end of chain"
+    | Some n -> checksum_from n ~skip ~len ~consumed sum
+
 let checksum m ~off ~len =
-  let sum = ref Inet_csum.zero in
-  let consumed = ref 0 in
-  iter_segments m ~off ~len (fun buf boff seg _chain_off ->
-      let part = Inet_csum.of_bytes ~off:boff ~len:seg buf in
-      sum := Inet_csum.concat ~first_len:!consumed !sum part;
-      consumed := !consumed + seg);
-  !sum
+  if off < 0 || len < 0 then invalid_arg "Mbuf: negative range";
+  if len = 0 then Inet_csum.zero
+  else checksum_from m ~skip:off ~len ~consumed:0 Inet_csum.zero
 
 (* ---- chain surgery ---- *)
 

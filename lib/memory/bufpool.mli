@@ -1,8 +1,8 @@
 (** Exact-size-classed free lists of host byte buffers.
 
     The steady-state datapath allocates the same few buffer sizes over
-    and over (network-memory packet buffers are whole numbers of CAB
-    pages, driver staging buffers are MTU-sized).  In OCaml any buffer
+    and over (network-memory packet buffers are multiples of 64 bytes,
+    driver staging buffers are MTU-sized).  In OCaml any buffer
     over 2 KBytes goes straight to the major heap, so per-packet
     [Bytes.create] turns into GC pressure that dwarfs the data-touching
     cost the paper is trying to expose.  A [Bufpool.t] recycles buffers

@@ -39,6 +39,11 @@ let blit_csum_to_bytes t ~src_off dst ~dst_off ~len =
   Inet_csum.copy_and_sum ~src:t.buf ~src_off:(t.off + src_off) ~dst ~dst_off
     ~len
 
+let sum t ~off ~len =
+  if off < 0 || len < 0 || off + len > t.len then
+    invalid_arg "Region.sum: out of range";
+  Inet_csum.of_slice t.buf ~off:(t.off + off) ~len
+
 external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 let fill_pattern t ~seed =

@@ -42,6 +42,10 @@ val blit_from_bytes : Bytes.t -> src_off:int -> t -> dst_off:int -> len:int -> u
 val blit_csum_to_bytes :
   t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> Inet_csum.sum
 
+val sum : t -> off:int -> len:int -> Inet_csum.sum
+(** Ones-complement sum of [len] region bytes from [off], read in place:
+    no copy and no allocation. *)
+
 val fill_pattern : t -> seed:int -> unit
 (** Deterministic pattern fill, used by workloads to verify end-to-end data
     integrity. *)

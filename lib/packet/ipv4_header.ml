@@ -48,7 +48,7 @@ let encode t buf ~off =
   Bytes.set_uint16_be buf (off + 10) 0;
   Bytes.set_int32_be buf (off + 12) t.src;
   Bytes.set_int32_be buf (off + 16) t.dst;
-  let csum = Inet_csum.finish (Inet_csum.of_bytes ~off ~len:size buf) in
+  let csum = Inet_csum.finish (Inet_csum.of_slice buf ~off ~len:size) in
   Bytes.set_uint16_be buf (off + 10) csum
 
 let check buf ~off =
@@ -57,7 +57,7 @@ let check buf ~off =
     let vihl = Bytes.get_uint8 buf off in
     if vihl lsr 4 <> 4 then Error "ipv4: bad version"
     else if vihl land 0xf <> 5 then Error "ipv4: options unsupported"
-    else if not (Inet_csum.is_valid (Inet_csum.of_bytes ~off ~len:size buf))
+    else if not (Inet_csum.is_valid (Inet_csum.of_slice buf ~off ~len:size))
     then Error "ipv4: bad header checksum"
     else if Bytes.get_uint16_be buf (off + 2) < size then
       Error "ipv4: total length too small"

@@ -3,14 +3,14 @@
    reads through here so the data-touch accounting (Obs_ledger), the
    staging rules, and the pin-failure degradation stay identical. *)
 
+type piece = Kernel_copy | Copyout | Pin_fallback
+
 type ctx = {
   host : Host.t;
   space : Addr_space.t;
   proc : string;
   cached : bool;
-  on_kernel_copy : int -> unit;
-  on_copyout : int -> unit;
-  on_pin_fallback : int -> unit;
+  note : piece -> unit;
 }
 
 let charge ?(site = Cpu.Socket) ctx cost k =
@@ -25,7 +25,7 @@ let observe_copyout ctx t0 =
    blit when the storage is contiguous, staged through a pooled buffer
    (two touches) when it is a descriptor chain. *)
 let host_copy_seg ctx mb ~seg region ~dst_off ~release =
-  ctx.on_kernel_copy seg;
+  ctx.note Kernel_copy;
   let cost = Memcost.copy (profile ctx) ~locality:Memcost.Cold seg in
   charge ~site:Cpu.Copy ctx cost (fun () ->
       (match Mbuf.view mb ~off:0 ~len:seg with
@@ -45,7 +45,7 @@ let host_copy_seg ctx mb ~seg region ~dst_off ~release =
    DMA into kernel staging (no user pages need wiring for that) and
    finish with a host copy. *)
 let copyout_seg ctx ~copy_out mb ~seg region ~dst_off ~release =
-  ctx.on_copyout seg;
+  ctx.note Copyout;
   let dst = Region.sub region ~off:dst_off ~len:seg in
   match Addr_space.wire ctx.space dst ~cached:ctx.cached with
   | Ok vm_cost ->
@@ -67,7 +67,7 @@ let copyout_seg ctx ~copy_out mb ~seg region ~dst_off ~release =
       if vm_cost = Simtime.zero then post ()
       else charge ctx vm_cost post
   | Error wasted ->
-      ctx.on_pin_fallback seg;
+      ctx.note Pin_fallback;
       let stage = Bufpool.get Bufpool.shared seg in
       charge ctx wasted (fun () ->
           let t0 = Sim.now ctx.host.Host.sim in

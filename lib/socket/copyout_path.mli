@@ -9,6 +9,12 @@
     [Sock_rx_copy], so the stream and datagram sockets account for data
     touches identically. *)
 
+(** How one segment was delivered, for the owning socket's counters. *)
+type piece =
+  | Kernel_copy  (** host-copied *)
+  | Copyout  (** moved by the interface's copy-out engine *)
+  | Pin_fallback  (** copy-out degraded to kernel staging *)
+
 type ctx = {
   host : Host.t;
   space : Addr_space.t;
@@ -16,10 +22,9 @@ type ctx = {
   cached : bool;
       (** wire copy-out destinations through the space's pinned-buffer
           cache ({!Addr_space.wire}) *)
-  on_kernel_copy : int -> unit;  (** stats hook: host-copied segment *)
-  on_copyout : int -> unit;  (** stats hook: engine-moved segment *)
-  on_pin_fallback : int -> unit;
-      (** stats hook: copy-out degraded to kernel staging *)
+  note : piece -> unit;
+      (** stats hook, once per segment ([Copyout] and then
+          [Pin_fallback] for a degraded one) *)
 }
 
 val deliver_chain :

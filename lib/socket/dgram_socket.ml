@@ -54,9 +54,12 @@ let create ~host ~space ~proc ?(paths = Socket.default_paths)
       space;
       proc;
       cached = paths.Socket.use_pin_cache;
-      on_kernel_copy = (fun _ -> s.rx_kernel_copies <- s.rx_kernel_copies + 1);
-      on_copyout = (fun _ -> s.rx_copyouts <- s.rx_copyouts + 1);
-      on_pin_fallback = (fun _ -> s.pin_fallbacks <- s.pin_fallbacks + 1);
+      note =
+        (function
+        | Copyout_path.Kernel_copy ->
+            s.rx_kernel_copies <- s.rx_kernel_copies + 1
+        | Copyout_path.Copyout -> s.rx_copyouts <- s.rx_copyouts + 1
+        | Copyout_path.Pin_fallback -> s.pin_fallbacks <- s.pin_fallbacks + 1);
     }
   in
   let t =

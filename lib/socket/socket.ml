@@ -102,8 +102,8 @@ type t = {
   mutable wr_observe : bool;  (* feed the policy's copy-path cost *)
   mutable wr_len : int;
   mutable wr_t0 : Simtime.t;
-  wr_step : unit -> unit;  (* a copy or post-wake charge completed *)
-  wr_wake : unit -> unit;  (* parked on buffer space, now woken *)
+  mutable wr_step : unit -> unit;  (* a copy or post-wake charge completed *)
+  mutable wr_wake : unit -> unit;  (* parked on buffer space, now woken *)
   (* The active read (one reader per socket).  [rd_exact] loops reads
      for {!read_exact}; [rd_base] is what its earlier reads landed. *)
   mutable rd_phase : rd_phase;
@@ -116,9 +116,11 @@ type t = {
   mutable rd_parked : bool;  (* pump waiting on readability, in flight *)
   mutable rd_had_wcab : bool;
   mutable rd_t0 : Simtime.t;
-  rd_attempt : unit -> unit;  (* the syscall (or sb_wait) charge completed *)
-  rd_pump : unit -> unit;  (* a parked pump's sb_wait charge completed *)
-  rd_delivered : unit -> unit;  (* one posted chain landed *)
+  mutable rd_attempt : unit -> unit;
+      (* the syscall (or sb_wait) charge completed *)
+  mutable rd_pump : unit -> unit;
+      (* a parked pump's sb_wait charge completed *)
+  mutable rd_delivered : unit -> unit;  (* one posted chain landed *)
 }
 
 (* Every this-many rx cost observations, stage a hint for the peer. *)
@@ -620,13 +622,15 @@ let create ~host ~space ~proc ?(paths = default_paths) pcb =
       space;
       proc;
       cached = paths.use_pin_cache;
-      on_kernel_copy =
-        (fun _ -> s.kernel_copy_reads <- s.kernel_copy_reads + 1);
-      on_copyout = (fun _ -> s.wcab_copyouts <- s.wcab_copyouts + 1);
-      on_pin_fallback = (fun _ -> s.pin_fallbacks <- s.pin_fallbacks + 1);
+      note =
+        (function
+        | Copyout_path.Kernel_copy ->
+            s.kernel_copy_reads <- s.kernel_copy_reads + 1
+        | Copyout_path.Copyout -> s.wcab_copyouts <- s.wcab_copyouts + 1
+        | Copyout_path.Pin_fallback -> s.pin_fallbacks <- s.pin_fallbacks + 1);
     }
   in
-  let rec t =
+  let t =
     {
       host;
       space;
@@ -653,10 +657,8 @@ let create ~host ~space ~proc ?(paths = default_paths) pcb =
       wr_observe = false;
       wr_len = 0;
       wr_t0 = Simtime.zero;
-      wr_step =
-        (fun () -> if t.wr_chunk > 0 then copy_chunk t else copy_push t);
-      wr_wake =
-        (fun () -> charge t (Memcost.sb_wait (profile t)) t.wr_step);
+      wr_step = ignore;
+      wr_wake = ignore;
       rd_phase = Rd_idle;
       rd_region = no_region;
       rd_k = ignore;
@@ -667,14 +669,21 @@ let create ~host ~space ~proc ?(paths = default_paths) pcb =
       rd_parked = false;
       rd_had_wcab = false;
       rd_t0 = Simtime.zero;
-      rd_attempt = (fun () -> attempt t);
-      rd_pump = (fun () -> pump t);
-      rd_delivered =
-        (fun () ->
-          t.rd_outstanding <- t.rd_outstanding - 1;
-          pump t);
+      rd_attempt = ignore;
+      rd_pump = ignore;
+      rd_delivered = ignore;
     }
   in
+  (* The continuations close over the socket, so they are set once it
+     exists: a [let rec] record would be built twice. *)
+  t.wr_step <- (fun () -> if t.wr_chunk > 0 then copy_chunk t else copy_push t);
+  t.wr_wake <- (fun () -> charge t (Memcost.sb_wait (profile t)) t.wr_step);
+  t.rd_attempt <- (fun () -> attempt t);
+  t.rd_pump <- (fun () -> pump t);
+  t.rd_delivered <-
+    (fun () ->
+      t.rd_outstanding <- t.rd_outstanding - 1;
+      pump t);
   (* Bidirectional policy: hints the peer piggybacks on its ACKs land in
      our policy's receive-side tables, so the cutover accounts for what
      our sends cost the receiver. *)

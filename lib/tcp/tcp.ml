@@ -428,7 +428,7 @@ let encode_header ~hdr_len ~flags ~window ~options ~src_port ~dst_port ~seq
 (* The host checksum: seed [pseudo] (pseudo-header plus segment length),
    the header bytes and the payload's sum, stored in the header. *)
 let set_host_csum hbytes hdr_len ~pseudo payload_sum =
-  let hdr_sum = Inet_csum.of_bytes ~len:hdr_len hbytes in
+  let hdr_sum = Inet_csum.of_slice hbytes ~off:0 ~len:hdr_len in
   let total =
     Inet_csum.add pseudo
       (Inet_csum.concat ~first_len:hdr_len hdr_sum payload_sum)

@@ -449,7 +449,9 @@ let test_netmem_exhaustion_drops () =
 let test_dma_not_cpu_time () =
   (* The whole transfer must cost zero host CPU: DMA runs on the adaptor. *)
   let pair = make_pair () in
-  let cpu = Cpu.create ~sim:pair.sim ~name:"host" in
+  let cpu =
+    Cpu.create ~sim:pair.sim ~name:"host" ~shard_cell:(ref 0) ~shard:0
+  in
   let _ = cpu in
   let _, _, got = send_one pair in
   check_bool "received" true (got <> None);
@@ -719,6 +721,33 @@ let test_netmem_double_free_counted () =
   check_int "live count back to baseline" base (Netmem.in_use nm);
   check_int "pages back" 8 (Netmem.free_pages nm)
 
+(* A network-memory packet is accounted in pages but backed by a buffer
+   of its own length rounded up to 64 bytes: a 100-byte packet counts one
+   page, the next packet of its size class is a Bufpool hit, and a
+   payload committed past the packet's length is refused instead of
+   landing in the slack of a 4 KByte page buffer. *)
+let test_netmem_sized_buffers () =
+  let nm = Netmem.create ~pages:8 in
+  let p1 = Netmem.alloc nm ~len:100 ~state:Netmem.Ready in
+  check_int "one page counted" 7 (Netmem.free_pages nm);
+  check_int "buffer sized to the packet" 128 (Bytes.length p1.Netmem.buf);
+  Netmem.free nm p1;
+  let hits = Bufpool.hit_count Bufpool.shared in
+  let p2 = Netmem.alloc nm ~len:120 ~state:Netmem.Ready in
+  check_int "same class is a pool hit" (hits + 1)
+    (Bufpool.hit_count Bufpool.shared);
+  check_int "still one page" 7 (Netmem.free_pages nm);
+  Netmem.free nm p2;
+  let pair = make_pair () in
+  let pkt = Cab.tx_alloc pair.cab_a ~len:100 in
+  check_bool "payload past the packet raises" true
+    (try
+       Cab.sdma_chain pair.cab_a pkt
+         ~segs:[ payload_seg (kernel_src (Bytes.create 200)) ~pkt_off:0 ]
+         ~interrupt:false ~on_complete:ignore;
+       false
+     with Invalid_argument _ -> true)
+
 (* A waiting media request lives in the packet, one per packet: a second
    request on a packet that is already queued still raises. *)
 let test_second_media_request_raises () =
@@ -781,6 +810,8 @@ let () =
             test_copyouts_beyond_pipe_depth;
           Alcotest.test_case "double free counted" `Quick
             test_netmem_double_free_counted;
+          Alcotest.test_case "buffers sized to the packet" `Quick
+            test_netmem_sized_buffers;
           Alcotest.test_case "second media request raises" `Quick
             test_second_media_request_raises;
         ] );

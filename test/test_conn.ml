@@ -687,6 +687,47 @@ let port_table_lifecycle () =
   port_table_lifecycle_on ~shards:1;
   port_table_lifecycle_on ~shards:4
 
+(* Retained words per established flow: live words after [Gc.full_major]
+   across 200 [Testbed.establish_stream] pairs at [default_paths], both
+   ends (pcbs, sockets, their address spaces and timers), with every
+   listener closed once its pair is up.  Twenty pairs opened first grow
+   the pools and tables, so the figure is what one more flow keeps.  It
+   is deterministic for a given binary, and the ceiling is this build's
+   reading. *)
+let max_words_per_flow = 860
+
+let retained_words_per_flow () =
+  let tb = Testbed.create () in
+  let pairs = ref [] in
+  let open_pairs ~first n =
+    for port = first to first + n - 1 do
+      Testbed.establish_stream tb ~port (fun sa sb ->
+          pairs := (sa, sb) :: !pairs)
+    done;
+    Sim.run
+      ~until:(Simtime.add (Sim.now tb.Testbed.sim) (Simtime.ms 200.))
+      tb.Testbed.sim;
+    for port = first to first + n - 1 do
+      Tcp.unlisten (tcp_b tb) ~port
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  open_pairs ~first:7000 20;
+  let w0 = live () in
+  open_pairs ~first:8000 200;
+  let w1 = live () in
+  check_int "every pair established" 220 (List.length !pairs);
+  let per_flow = float_of_int (w1 - w0) /. 200. in
+  Printf.printf "retained words per established flow: %.1f\n" per_flow;
+  check_bool
+    (Printf.sprintf "%.1f retained words per flow (ceiling %d)" per_flow
+       max_words_per_flow)
+    true
+    (per_flow <= float_of_int max_words_per_flow)
+
 let () =
   Alcotest.run "conn"
     [
@@ -724,4 +765,6 @@ let () =
         ];
       sec "sockpoll" [ case "accept and read readiness" sockpoll_accept_and_read ];
       sec "ports" [ case "listen/unlisten/rebind" port_table_lifecycle ];
+      sec "footprint"
+        [ case "retained words per established flow" retained_words_per_flow ];
     ]

@@ -113,13 +113,19 @@ let test_sim_stuck_guard () =
 
 (* ---------- Cpu ---------- *)
 
+(* The CPU's entry points with the sites the host helpers default to. *)
+let execute cpu ~proc ~mode d k =
+  Cpu.execute cpu ~proc ~mode ~site:Cpu.Other ~csum:0 d k
+
+let execute_intr cpu d k = Cpu.execute_intr cpu ~site:Cpu.Intr ~csum:0 d k
+
 let test_cpu_serializes () =
   let sim = Sim.create () in
-  let cpu = Cpu.create ~sim ~name:"host" in
+  let cpu = Cpu.create ~sim ~name:"host" ~shard_cell:(ref 0) ~shard:0 in
   let done_at = ref [] in
-  Cpu.execute cpu ~proc:"p" ~mode:Cpu.User 100 (fun () ->
+  execute cpu ~proc:"p" ~mode:Cpu.User 100 (fun () ->
       done_at := Sim.now sim :: !done_at);
-  Cpu.execute cpu ~proc:"p" ~mode:Cpu.User 50 (fun () ->
+  execute cpu ~proc:"p" ~mode:Cpu.User 50 (fun () ->
       done_at := Sim.now sim :: !done_at);
   Sim.run sim;
   Alcotest.(check (list int)) "sequential completion" [ 150; 100 ] !done_at;
@@ -127,32 +133,32 @@ let test_cpu_serializes () =
 
 let test_cpu_interrupt_priority () =
   let sim = Sim.create () in
-  let cpu = Cpu.create ~sim ~name:"host" in
+  let cpu = Cpu.create ~sim ~name:"host" ~shard_cell:(ref 0) ~shard:0 in
   let order = ref [] in
-  Cpu.execute cpu ~proc:"a" ~mode:Cpu.User 100 (fun () ->
+  execute cpu ~proc:"a" ~mode:Cpu.User 100 (fun () ->
       order := "a" :: !order);
-  Cpu.execute cpu ~proc:"b" ~mode:Cpu.User 100 (fun () ->
+  execute cpu ~proc:"b" ~mode:Cpu.User 100 (fun () ->
       order := "b" :: !order);
   (* Interrupt raised while [a] runs: must execute before [b]. *)
   ignore
     (Sim.at sim 10 (fun () ->
-         Cpu.execute_intr cpu 5 (fun () -> order := "intr" :: !order)));
+         execute_intr cpu 5 (fun () -> order := "intr" :: !order)));
   Sim.run sim;
   Alcotest.(check (list string)) "intr preempts queue" [ "b"; "intr"; "a" ]
     !order
 
 let test_cpu_interrupt_mischarge () =
   let sim = Sim.create () in
-  let cpu = Cpu.create ~sim ~name:"host" in
+  let cpu = Cpu.create ~sim ~name:"host" ~shard_cell:(ref 0) ~shard:0 in
   Cpu.set_idle_proc cpu "util";
   (* Interrupt while idle: charged to util as system time (the paper's
      methodology hinges on this). *)
-  Cpu.execute_intr cpu 40 (fun () -> ());
+  execute_intr cpu 40 (fun () -> ());
   (* Interrupt while ttcp runs: charged to ttcp. *)
   ignore
     (Sim.at sim 100 (fun () ->
-         Cpu.execute cpu ~proc:"ttcp" ~mode:Cpu.User 100 (fun () -> ());
-         Cpu.execute_intr cpu 7 (fun () -> ())));
+         execute cpu ~proc:"ttcp" ~mode:Cpu.User 100 (fun () -> ());
+         execute_intr cpu 7 (fun () -> ())));
   Sim.run sim;
   check_int "idle-time intr -> util sys" 40
     (Cpu.charged cpu ~proc:"util" ~mode:Cpu.Sys);
@@ -167,28 +173,28 @@ let prop_cpu_conservation =
     QCheck.(list_of_size Gen.(1 -- 20) (pair (int_range 0 2) (int_range 0 500)))
     (fun jobs ->
       let sim = Sim.create () in
-      let cpu = Cpu.create ~sim ~name:"c" in
+      let cpu = Cpu.create ~sim ~name:"c" ~shard_cell:(ref 0) ~shard:0 in
       let total = ref 0 in
       List.iteri
         (fun i (kind, d) ->
           total := !total + d;
           match kind with
-          | 0 -> Cpu.execute cpu ~proc:"a" ~mode:Cpu.User d (fun () -> ())
-          | 1 -> Cpu.execute cpu ~proc:"b" ~mode:Cpu.Sys d (fun () -> ())
+          | 0 -> execute cpu ~proc:"a" ~mode:Cpu.User d (fun () -> ())
+          | 1 -> execute cpu ~proc:"b" ~mode:Cpu.Sys d (fun () -> ())
           | _ ->
               ignore
                 (Sim.at sim (i * 7) (fun () ->
-                     Cpu.execute_intr cpu d (fun () -> ()))))
+                     execute_intr cpu d (fun () -> ()))))
         jobs;
       Sim.run sim;
       Cpu.busy cpu = !total)
 
 let test_cpu_zero_duration () =
   let sim = Sim.create () in
-  let cpu = Cpu.create ~sim ~name:"host" in
+  let cpu = Cpu.create ~sim ~name:"host" ~shard_cell:(ref 0) ~shard:0 in
   let hits = ref 0 in
   for _ = 1 to 5 do
-    Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 0 (fun () -> incr hits)
+    execute cpu ~proc:"p" ~mode:Cpu.Sys 0 (fun () -> incr hits)
   done;
   Sim.run sim;
   check_int "zero-cost work completes" 5 !hits
@@ -202,34 +208,34 @@ let test_cpu_zero_duration () =
    each class, with every cycle charged to the right bucket and site. *)
 let test_cpu_ring_order () =
   let sim = Sim.create () in
-  let cpu = Cpu.create ~sim ~name:"ring" in
+  let cpu = Cpu.create ~sim ~name:"ring" ~shard_cell:(ref 0) ~shard:0 in
   Cpu.set_idle_proc cpu "util";
   let log = ref [] in
   let note s () = log := s :: !log in
   let dur i = 10 + (i mod 7) in
   let proc i = if i mod 2 = 0 then "a" else "b" in
   (* Raised on the idle CPU: runs at once, charged to the soaker. *)
-  Cpu.execute_intr cpu 50 (note "x0");
+  execute_intr cpu 50 (note "x0");
   for i = 0 to 120 do
     let k () =
       note (Printf.sprintf "n%d" i) ();
       if i >= 1 && i <= 40 then begin
-        Cpu.execute cpu ~proc:"c" ~mode:Cpu.Sys 5
+        execute cpu ~proc:"c" ~mode:Cpu.Sys 5
           (note (Printf.sprintf "m%d" i));
-        Cpu.execute cpu ~proc:"c" ~mode:Cpu.Sys 5
+        execute cpu ~proc:"c" ~mode:Cpu.Sys 5
           (note (Printf.sprintf "p%d" i))
       end;
       if i > 0 && i mod 25 = 0 then
         (* Raised while n_i is current: charged to n_i's process. *)
-        Cpu.execute_intr cpu 4 (note (Printf.sprintf "y%d" i))
+        execute_intr cpu 4 (note (Printf.sprintf "y%d" i))
     in
     if i mod 3 = 0 then
       Cpu.execute cpu ~proc:(proc i) ~mode:Cpu.User ~site:Cpu.Header ~csum:2
         (dur i) k
-    else Cpu.execute cpu ~proc:(proc i) ~mode:Cpu.User (dur i) k;
+    else execute cpu ~proc:(proc i) ~mode:Cpu.User (dur i) k;
     if i mod 10 = 0 then
       (* Raised while x0 runs: charged to x0's victim, the soaker. *)
-      Cpu.execute_intr cpu 3 (note (Printf.sprintf "x%d" (1 + (i / 10))))
+      execute_intr cpu 3 (note (Printf.sprintf "x%d" (1 + (i / 10))))
   done;
   Sim.run sim;
   let ns = List.init 121 Fun.id in
@@ -309,16 +315,16 @@ let[@inline never] submit_tracked submit w =
 
 let test_ring_drops_continuations () =
   let sim = Sim.create () in
-  let cpu = Cpu.create ~sim ~name:"weak" in
+  let cpu = Cpu.create ~sim ~name:"weak" ~shard_cell:(ref 0) ~shard:0 in
   let res = Resource.create ~sim blank_job in
   Resource.set_finished res (fun j ->
       ignore (Sys.opaque_identity (Bytes.length j.payload));
       j.payload <- Bytes.empty);
   let wc = Weak.create 1 and wr = Weak.create 1 in
-  Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 100 ignore;
+  execute cpu ~proc:"p" ~mode:Cpu.Sys 100 ignore;
   submit_tracked
     (fun p ->
-      Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys 1 (fun () ->
+      execute cpu ~proc:"p" ~mode:Cpu.Sys 1 (fun () ->
           ignore (Sys.opaque_identity (Bytes.length p))))
     wc;
   ignore (Resource.acquire res 100);
@@ -340,7 +346,7 @@ let test_ring_drops_continuations () =
 let test_ring_alloc_budget () =
   let n = 10_000 in
   let sim = Sim.create () in
-  let cpu = Cpu.create ~sim ~name:"budget" in
+  let cpu = Cpu.create ~sim ~name:"budget" ~shard_cell:(ref 0) ~shard:0 in
   let res = Resource.create ~sim blank_job in
   let count = ref 0 in
   let k () = incr count in
@@ -350,7 +356,7 @@ let test_ring_alloc_budget () =
   let drain () = Sim.run sim in
   let cpu_words =
     (Alloc_budget.measure n ~drain ~submit:(fun i ->
-         Cpu.execute cpu ~proc:"p" ~mode:Cpu.Sys (d i) k))
+         execute cpu ~proc:"p" ~mode:Cpu.Sys (d i) k))
       .Alloc_budget.submit
   in
   let hold_words =
@@ -426,6 +432,20 @@ let test_heap_drain_alloc_budget () =
     true
     (words <= 6. +. (8. /. float_of_int n))
 
+(* A timer taken when the wheel's free list is empty is one record built
+   once: 8 words (7 fields and the header), not a dummy block plus the
+   record it is copied into.  Each round takes 100 timers, more than the
+   64 the free list starts with, and nothing is released, so every
+   measured take builds a fresh record. *)
+let test_fresh_timer_words () =
+  let sim = Sim.create () in
+  let w =
+    Alloc_budget.measure 100
+      ~submit:(fun _ -> ignore (Sim.timer sim ignore : Sim.handle))
+      ~drain:ignore
+  in
+  Alcotest.(check (float 0.)) "words per fresh timer" 8. w.submit
+
 (* ---------- Rng ---------- *)
 
 let test_rng_determinism () =
@@ -467,6 +487,8 @@ let () =
           Alcotest.test_case "run until" `Quick test_sim_until;
           Alcotest.test_case "past rejected" `Quick test_sim_past_raises;
           Alcotest.test_case "stuck guard" `Quick test_sim_stuck_guard;
+          Alcotest.test_case "fresh timer is one record" `Quick
+            test_fresh_timer_words;
         ] );
       ( "cpu",
         [

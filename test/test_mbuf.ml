@@ -239,6 +239,50 @@ let test_checksum_chain_parity () =
     (Inet_csum.equal flat_part (Mbuf.checksum a ~off:31 ~len:50));
   Mbuf.free a
 
+(* The chain checksum walks the mbufs without a closure or ref cell: over
+   an internal mbuf, a cluster and a UIO piece, with odd boundaries, it
+   equals the flat sum and allocates nothing. *)
+let test_checksum_alloc_free () =
+  let data = String.init 1000 (fun i -> Char.chr ((i * 29 + 7) land 0xff)) in
+  let a = Mbuf.of_string ~pkthdr:true (String.sub data 0 101) in
+  let b = Mbuf.of_string (String.sub data 101 599) in
+  let r = Addr_space.alloc (space ()) 300 in
+  Region.blit_from_bytes
+    (Bytes.of_string (String.sub data 700 300))
+    ~src_off:0 r ~dst_off:0 ~len:300;
+  Mbuf.append a b;
+  Mbuf.append a (Mbuf.make_uio ~region:r ~notify:None);
+  Alcotest.(check bool) "three kinds" true
+    (Mbuf.chain_kinds a = [ Mbuf.K_internal; Mbuf.K_cluster; Mbuf.K_uio ]);
+  let flat = Inet_csum.of_bytes ~off:3 ~len:990 (Bytes.of_string data) in
+  check_bool "equals the flat sum" true
+    (Inet_csum.equal flat (Mbuf.checksum a ~off:3 ~len:990));
+  let w =
+    Alloc_budget.measure 100 ~drain:ignore ~submit:(fun _ ->
+        ignore (Mbuf.checksum a ~off:3 ~len:990 : Inet_csum.sum))
+  in
+  Alcotest.(check (float 0.)) "words per chain checksum" 0. w.submit;
+  Mbuf.free a
+
+(* A one-cell copy with a packet header allocates the mbuf (7 words), its
+   pkthdr and that field's option box (8) and the storage wrapper (2):
+   the cell comes from the warmed pool, and no fill or builder closure
+   and no link option is built. *)
+let test_of_bytes_one_cell_words () =
+  let src = Bytes.make 200 'x' in
+  let n = 100 in
+  let chains = Array.make n (Mbuf.get ()) in
+  Array.iter Mbuf.free chains;
+  let w =
+    Alloc_budget.measure n
+      ~submit:(fun i ->
+        chains.(i - 1) <- Mbuf.of_bytes ~pkthdr:true ~off:8 ~len:120 src)
+      ~drain:(fun () -> Array.iter Mbuf.free chains)
+  in
+  check_int "one cell" 1 (List.length (Mbuf.chain_kinds chains.(0)));
+  check_int "pkt_len" 120 (Mbuf.pkt_len chains.(0));
+  Alcotest.(check (float 0.)) "words per one-cell of_bytes" 17. w.submit
+
 (* ---------- surgery ---------- *)
 
 let test_prepend_uses_leading_space () =
@@ -462,6 +506,10 @@ let () =
           Alcotest.test_case "copy_from" `Quick test_copy_from;
           Alcotest.test_case "checksum parity" `Quick
             test_checksum_chain_parity;
+          Alcotest.test_case "checksum allocates nothing" `Quick
+            test_checksum_alloc_free;
+          Alcotest.test_case "one-cell of_bytes words" `Quick
+            test_of_bytes_one_cell_words;
         ] );
       ( "surgery",
         [

@@ -298,6 +298,55 @@ let parallel_scaling () =
   in
   Alcotest.(check bool) "steering saw interrupt events" true (total_events > 0)
 
+(* The CPU that runs a continuation sets its host's current shard around
+   it, so no closure is wrapped around a sharded continuation: on a
+   4-shard host a charge with a preallocated continuation allocates
+   nothing.  The continuation reads its own shard in [cur_shard], a
+   [Host.in_proc] it makes runs on the same shard, and the value the
+   cell held before is back once the continuation returns. *)
+let shard_context () =
+  let sim = Sim.create () in
+  let host =
+    Host.create ~shards:4 ~sim ~profile:Host_profile.alpha400 ~name:"ctx" ()
+  in
+  let cur () = !(host.Host.cur_shard) in
+  let seen = Array.make 4 (-1) and nested = Array.make 4 (-1) in
+  let intr_seen = Array.make 4 (-1) in
+  host.Host.cur_shard := 3;
+  for shard = 0 to 3 do
+    Host.in_proc_on host ~shard ~proc:"p" 100 (fun () ->
+        seen.(shard) <- cur ();
+        Host.in_proc host ~proc:"p" 10 (fun () -> nested.(shard) <- cur ()));
+    Host.in_intr_on host ~shard 5 (fun () -> intr_seen.(shard) <- cur ())
+  done;
+  Sim.run sim;
+  let shards = [| 0; 1; 2; 3 |] in
+  Alcotest.(check (array int)) "continuation sees its shard" shards seen;
+  Alcotest.(check (array int)) "nested charge inherits it" shards nested;
+  Alcotest.(check (array int)) "interrupt continuation too" shards intr_seen;
+  Array.iter
+    (fun sh ->
+      Alcotest.(check int)
+        (Printf.sprintf "shard %d ran its own work" sh.Shard.id)
+        115 (Cpu.busy sh.Shard.cpu))
+    (Host.shards host);
+  Alcotest.(check int) "previous value restored" 3 (cur ());
+  host.Host.cur_shard := 0;
+  let k () = () in
+  (* 1 us items schedule on the timing wheel, which arms without
+     allocating, so any word a submission takes is the charge's own. *)
+  let drain () = Sim.run sim in
+  let proc_w =
+    Alloc_budget.measure 1000 ~drain ~submit:(fun i ->
+        Host.in_proc_on host ~shard:(i land 3) ~proc:"p" 1_000 k)
+  in
+  let intr_w =
+    Alloc_budget.measure 1000 ~drain ~submit:(fun i ->
+        Host.in_intr_on host ~shard:(i land 3) 1_000 k)
+  in
+  Alcotest.(check (float 0.)) "words per in_proc_on" 0. proc_w.submit;
+  Alcotest.(check (float 0.)) "words per in_intr_on" 0. intr_w.submit
+
 let () =
   Alcotest.run "shard"
     [
@@ -310,4 +359,6 @@ let () =
           case "ttcp measures the owning shard" ttcp_measures_owning_shard;
         ];
       sec "scaling" [ case "8-flow parallel speedup" parallel_scaling ];
+      sec "context"
+        [ case "the running CPU sets the shard, no wrapper" shard_context ];
     ]

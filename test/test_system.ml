@@ -279,14 +279,17 @@ let test_tcp_over_ethernet () =
 
 let test_measurement_formula () =
   let sim = Sim.create () in
-  let cpu = Cpu.create ~sim ~name:"m" in
+  let cpu = Cpu.create ~sim ~name:"m" ~shard_cell:(ref 0) ~shard:0 in
   Cpu.set_idle_proc cpu "util";
   (* 100us ttcp user + 200us ttcp sys + 50us interrupt while idle. *)
-  Cpu.execute cpu ~proc:"ttcp" ~mode:Cpu.User (Simtime.us 100.) (fun () -> ());
-  Cpu.execute cpu ~proc:"ttcp" ~mode:Cpu.Sys (Simtime.us 200.) (fun () -> ());
+  Cpu.execute cpu ~proc:"ttcp" ~mode:Cpu.User ~site:Cpu.Other ~csum:0
+    (Simtime.us 100.) (fun () -> ());
+  Cpu.execute cpu ~proc:"ttcp" ~mode:Cpu.Sys ~site:Cpu.Other ~csum:0
+    (Simtime.us 200.) (fun () -> ());
   ignore
     (Sim.at sim (Simtime.us 500.) (fun () ->
-         Cpu.execute_intr cpu (Simtime.us 50.) (fun () -> ())));
+         Cpu.execute_intr cpu ~site:Cpu.Intr ~csum:0 (Simtime.us 50.)
+           (fun () -> ())));
   Sim.run sim;
   let elapsed = Simtime.us 1000. in
   let m = Measurement.of_cpu ~cpu ~elapsed ~bytes:1_000_000 in
