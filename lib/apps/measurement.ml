@@ -1,11 +1,9 @@
 type t = {
   elapsed : Simtime.t;
-  bytes : int;
   throughput_mbit : float;
   ttcp_user : Simtime.t;
   ttcp_sys : Simtime.t;
   util_sys : Simtime.t;
-  util_user : Simtime.t;
   utilization : float;
   efficiency_mbit : float;
 }
@@ -36,6 +34,7 @@ let of_cpu ~cpu ~elapsed ~bytes =
   let background =
     int_of_float (unaccounted_fraction *. float_of_int elapsed)
   in
+  (* Spare cycles: what util got to compute. *)
   let util_user = max 0 (elapsed - comm - background) in
   let denom = comm + util_user in
   let utilization =
@@ -47,12 +46,10 @@ let of_cpu ~cpu ~elapsed ~bytes =
   in
   {
     elapsed;
-    bytes;
     throughput_mbit;
     ttcp_user;
     ttcp_sys;
     util_sys;
-    util_user;
     utilization;
     efficiency_mbit;
   }

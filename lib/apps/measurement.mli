@@ -18,12 +18,10 @@
 
 type t = {
   elapsed : Simtime.t;
-  bytes : int;
   throughput_mbit : float;
   ttcp_user : Simtime.t;
   ttcp_sys : Simtime.t;
   util_sys : Simtime.t;
-  util_user : Simtime.t;  (** spare cycles: what util got to compute *)
   utilization : float;
   efficiency_mbit : float;
       (** throughput / utilization: Mbit/s a fully busy CPU could carry *)

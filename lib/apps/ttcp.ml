@@ -1,7 +1,6 @@
 type result = {
   sender : Measurement.t;
   receiver : Measurement.t;
-  total : int;
   verified : bool;
   retransmits : int;
   write_latency_p50 : Simtime.t;
@@ -184,7 +183,6 @@ let run ~tb ~wsize ~total ?(force_uio = true) ?(adaptive = false)
   {
     sender = Measurement.of_cpu ~cpu:f.a_cpu ~elapsed ~bytes:f.got;
     receiver = Measurement.of_cpu ~cpu:f.b_cpu ~elapsed ~bytes:f.got;
-    total;
     verified = f.verified;
     retransmits = (Tcp.pcb_stats (Socket.pcb f.sa)).Tcp.retransmits;
     sender_tcp = Tcp.pcb_stats (Socket.pcb f.sa);

@@ -18,7 +18,6 @@
 type result = {
   sender : Measurement.t;
   receiver : Measurement.t;
-  total : int;
   verified : bool;  (** payload pattern checked at the receiver *)
   retransmits : int;
   write_latency_p50 : Simtime.t;

@@ -30,7 +30,7 @@ type stats = {
 }
 
 type rx_pipe_stats = {
-  mutable rx_pipe_depth : int;
+  rx_pipe_depth : int;
   mutable rx_pipe_posts : int;
   mutable rx_pipe_hwm : int;
   mutable rx_pipe_overlap : int;
@@ -168,6 +168,9 @@ let register_obs t =
   g "netmem_free_pages" (fun () -> Netmem.free_pages t.mem);
   g "netmem_failures" (fun () -> Netmem.failures t.mem)
 
+(* Descriptor slots on the copy-out engine. *)
+let rx_pipe_depth = 4
+
 (* Maximum events delivered per burst. *)
 let intr_budget = 64
 
@@ -210,12 +213,6 @@ let set_batch_interrupt_handler t f = t.batch_handler <- f
 let set_autodma_words t w =
   if w <= 0 then invalid_arg "Cab.set_autodma_words: must be positive";
   t.autodma_words <- w
-
-let autodma_words t = t.autodma_words
-
-let set_rx_pipe_depth t n =
-  if n <= 0 then invalid_arg "Cab.set_rx_pipe_depth: must be positive";
-  t.pipe.rx_pipe_depth <- n
 
 let raise_intr t i =
   (Ring.push t.pending_intrs).ev <- i;
@@ -618,7 +615,7 @@ let sdma_copy_out t (pkt : Netmem.packet) ~off ~len ~dst ~interrupt
   if Fault.fire "cab.sdma_stall" then note_stall t pkt
   else begin
     t.pipe.rx_pipe_posts <- t.pipe.rx_pipe_posts + 1;
-    if t.copyout_inflight >= t.pipe.rx_pipe_depth then begin
+    if t.copyout_inflight >= rx_pipe_depth then begin
       t.pipe.rx_pipe_stalls <- t.pipe.rx_pipe_stalls + 1;
       fill_copyout (Ring.push t.copyout_parked) ~pkt ~off ~len ~dst
         ~interrupt ~on_complete
@@ -672,7 +669,7 @@ let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
       };
     pipe =
       {
-        rx_pipe_depth = 4;
+        rx_pipe_depth;
         rx_pipe_posts = 0;
         rx_pipe_hwm = 0;
         rx_pipe_overlap = 0;
@@ -690,8 +687,6 @@ let create ~sim ~profile ~name ~netmem_pages ~hippi_addr ~transmit () =
 (* ---- statistics ---- *)
 
 let stats t = t.s
-
-let bus_busy_time t = Resource.busy_time t.bus
 
 let rx_pipe_stats t = t.pipe
 

@@ -94,14 +94,6 @@ val set_autodma_words : t -> int -> unit
 (** The host-selectable L of §2.2 (default 176 words = 704 bytes, the
     paper's mbuf-sized prefix). *)
 
-val autodma_words : t -> int
-
-val set_rx_pipe_depth : t -> int -> unit
-(** Descriptor slots on the copy-out engine (default 4): at most this
-    many copy-out posts are outstanding on the engine at once; excess
-    posts park FIFO (counted as pipeline stalls) and start as
-    completions free slots. *)
-
 (** {1 Transmit} *)
 
 val tx_alloc : t -> len:int -> Netmem.packet
@@ -200,9 +192,10 @@ val sdma_copy_out :
 
     Copy-outs ride a dedicated engine, independent of the auto-DMA /
     checksum-verify channel that lands arriving heads: the copy-out of
-    packet [n] overlaps the DMA+verify of packet [n+1].  At most
-    {!set_rx_pipe_depth} posts are outstanding on the engine; excess
-    posts park FIFO and are started by completions. *)
+    packet [n] overlaps the DMA+verify of packet [n+1].  The engine has
+    four descriptor slots: at most four posts are outstanding on it at
+    once; excess posts park FIFO (counted as pipeline stalls) and are
+    started by completions. *)
 
 (** {1 Fault injection and recovery}
 
@@ -266,13 +259,10 @@ val stats : t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val bus_busy_time : t -> Simtime.t
-(** Cumulative tenancy of the tx SDMA channel. *)
-
 (** Receive-pipeline counters: copy-out engine occupancy and its overlap
     with the auto-DMA/verify engine. *)
 type rx_pipe_stats = private {
-  mutable rx_pipe_depth : int;  (** configured descriptor-slot bound *)
+  rx_pipe_depth : int;  (** descriptor slots on the copy-out engine (4) *)
   mutable rx_pipe_posts : int;  (** copy-out posts accepted by the engine *)
   mutable rx_pipe_hwm : int;  (** outstanding-post high-water mark *)
   mutable rx_pipe_overlap : int;
@@ -283,5 +273,4 @@ type rx_pipe_stats = private {
 }
 
 val rx_pipe_stats : t -> rx_pipe_stats
-(** The adaptor's live receive-pipeline record, which is also the home
-    of the {!set_rx_pipe_depth} setting. *)
+(** The adaptor's live receive-pipeline record. *)

@@ -146,16 +146,10 @@ let copy_and_sum ~src ~src_off ~dst ~dst_off ~len =
     finish_native ~odd ~last !s
   end
 
-let of_string s = of_bytes (Bytes.unsafe_of_string s)
-
 let add a b = normalize (a + b)
 
 let concat ~first_len a b =
   if first_len land 1 = 0 then add a b else add a (swab16 (normalize b))
-
-let sub total part =
-  (* a - b in ones-complement: a + ~b. *)
-  normalize (total + (lnot part land 0xffff))
 
 let add_u16 s w = normalize (s + (w land 0xffff))
 
@@ -176,4 +170,3 @@ let pseudo_header ~src ~dst ~proto ~len =
   let s = add_u16 s (proto land 0xff) in
   add_u16 s (len land 0xffff)
 
-let equal a b = fold a = fold b

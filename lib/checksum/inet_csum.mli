@@ -37,8 +37,6 @@ val copy_and_sum :
     cross-range with {!concat}.  Overlapping ranges within one buffer are
     handled like [Bytes.blit] (memmove semantics). *)
 
-val of_string : string -> sum
-
 val add : sum -> sum -> sum
 (** Combine two sums over ranges that both start at even offsets. *)
 
@@ -46,9 +44,6 @@ val concat : first_len:int -> sum -> sum -> sum
 (** [concat ~first_len a b] is the sum of range A followed by range B where
     A has [first_len] bytes: when [first_len] is odd the bytes of B are
     byte-swapped before adding, preserving the wire-order interpretation. *)
-
-val sub : sum -> sum -> sum
-(** [sub total part] removes [part] from [total] (both even-aligned). *)
 
 val add_u16 : sum -> int -> sum
 (** Add one 16-bit big-endian word. *)
@@ -66,6 +61,3 @@ val is_valid : sum -> bool
 
 val pseudo_header : src:int32 -> dst:int32 -> proto:int -> len:int -> sum
 (** RFC 793 pseudo-header sum for TCP/UDP over IPv4. *)
-
-val equal : sum -> sum -> bool
-(** Equality of folded values. *)

@@ -11,11 +11,8 @@ type entry = {
 type t = {
   ifc : Netif.t;
   sim : Sim.t;
-  saved_output : Netif.t -> Mbuf.t -> next_hop:Inaddr.t -> unit;
-  saved_input : Mbuf.t -> unit;
   mutable log : entry list;  (* newest first *)
   mutable n : int;
-  mutable active : bool;
 }
 
 let tcp_flags_string (h : Tcp_header.t) =
@@ -74,49 +71,30 @@ let summarize pkt =
           ip.Ipv4_header.total_len frag
 
 let record t dir pkt =
-  if t.active then begin
-    let e =
-      {
-        time = Sim.now t.sim;
-        dir;
-        iface = t.ifc.Netif.name;
-        len = Mbuf.pkt_len pkt;
-        summary = summarize pkt;
-      }
-    in
-    t.log <- e :: t.log;
-    t.n <- t.n + 1
-  end
-
-let attach ~sim ifc =
-  let t =
+  let e =
     {
-      ifc;
-      sim;
-      saved_output = ifc.Netif.output;
-      saved_input = ifc.Netif.input;
-      log = [];
-      n = 0;
-      active = true;
+      time = Sim.now t.sim;
+      dir;
+      iface = t.ifc.Netif.name;
+      len = Mbuf.pkt_len pkt;
+      summary = summarize pkt;
     }
   in
+  t.log <- e :: t.log;
+  t.n <- t.n + 1
+
+let attach ~sim ifc =
+  let t = { ifc; sim; log = []; n = 0 } in
+  let output = ifc.Netif.output and input = ifc.Netif.input in
   ifc.Netif.output <-
     (fun i pkt ~next_hop ->
       record t Tx pkt;
-      t.saved_output i pkt ~next_hop);
+      output i pkt ~next_hop);
   ifc.Netif.input <-
     (fun pkt ->
       record t Rx pkt;
-      t.saved_input pkt);
+      input pkt);
   t
-
-let detach t =
-  t.active <- false;
-  t.ifc.Netif.output <- t.saved_output;
-  t.ifc.Netif.input <- t.saved_input
-
-let entries t = List.rev t.log
-let count t = t.n
 
 let pp_entry fmt e =
   Format.fprintf fmt "[%a] %s %-5s %5dB  %s" Simtime.pp e.time e.iface
@@ -124,7 +102,7 @@ let pp_entry fmt e =
     e.len e.summary
 
 let dump ?limit fmt t =
-  let es = entries t in
+  let es = List.rev t.log in
   let es =
     match limit with
     | Some n -> List.filteri (fun i _ -> i < n) es
@@ -132,6 +110,6 @@ let dump ?limit fmt t =
   in
   List.iter (fun e -> Format.fprintf fmt "%a@." pp_entry e) es;
   match limit with
-  | Some n when count t > n ->
-      Format.fprintf fmt "... (%d more packets)@." (count t - n)
+  | Some n when t.n > n ->
+      Format.fprintf fmt "... (%d more packets)@." (t.n - n)
   | _ -> ()

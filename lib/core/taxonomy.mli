@@ -39,9 +39,6 @@ type klass = {
   ops : op list;
 }
 
-val classify :
-  api:api -> csum:csum_loc -> buffering:buffering -> movement:movement -> klass
-
 val host_passes : klass -> int
 (** Times the host CPU touches each byte (copies count once per byte
     moved, checksum reads once). *)

@@ -130,11 +130,11 @@ let occupancy_names t =
     "mbuf_pool/live";
     "mbuf_pool/live_clusters";
     "bufpool/outstanding";
-    "addr_space/pinned_pages";
+    "addr_space/uncached_pin_refs";
   ]
   @ node t.a @ node t.b
 
-(* [mbuf_pool/live] reads [Mbuf.Pool.allocated] and [bufpool/outstanding]
+(* [mbuf_pool/live] reads the live-mbuf count and [bufpool/outstanding]
    the shared pool's gets minus puts. *)
 let occupancy t =
   let netmem n = float_of_int (Netmem.in_use (Cab.netmem n.cab)) in
@@ -144,7 +144,7 @@ let occupancy t =
     Obs.value ~section:"mbuf_pool" ~name:"live";
     Obs.value ~section:"mbuf_pool" ~name:"live_clusters";
     Obs.value ~section:"bufpool" ~name:"outstanding";
-    Obs.value ~section:"addr_space" ~name:"pinned_pages";
+    Obs.value ~section:"addr_space" ~name:"uncached_pin_refs";
     netmem t.a;
     flows t.a;
     netmem t.b;

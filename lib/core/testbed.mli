@@ -106,14 +106,16 @@ val send_stream :
     snapshot reads, by name:
 
     - [sim/pending]: armed timers and queued events;
-    - [mbuf_pool/live] ({!Mbuf.Pool.allocated}) and
-      [mbuf_pool/live_clusters];
+    - [mbuf_pool/live] (live mbufs) and [mbuf_pool/live_clusters];
     - [bufpool/outstanding] (frames out of {!Bufpool.shared}) and
-      [addr_space/pinned_pages];
+      [addr_space/uncached_pin_refs] (page pin references held outside
+      the address spaces' pinned-buffer caches: a cache that keeps a
+      buffer wired is working, not leaking, so a drain check never has
+      to flush it);
     - [cab.<cab>/netmem_in_use] for each CAB;
     - [tcp.<host>/active_flows] for each host.
 
-    The pools and pinned pages are process-wide, so a snapshot is only
+    The pools and pin references are process-wide, so a snapshot is only
     comparable with a later one taken in the same process. *)
 
 type occupancy

@@ -113,13 +113,12 @@ let past_error ~op t time =
     (Format.asprintf "%s: time %a is in the past (now %a)" op Simtime.pp time
        Simtime.pp t.clock)
 
-let at t time fn =
-  if time < t.clock then past_error ~op:"Sim.at" t time;
+let after t delay fn =
+  let time = Simtime.add t.clock delay in
+  if time < t.clock then past_error ~op:"Sim.after" t time;
   let tm = Tw.make ~fn in
   schedule t tm time;
   tm
-
-let after t delay fn = at t (Simtime.add t.clock delay) fn
 
 let timer t fn = Tw.alloc t.wheel fn
 let set_fn (tm : handle) fn = Tw.set_fn tm fn
@@ -148,6 +147,10 @@ let release t (tm : handle) =
   Tw.release t.wheel tm
 
 let pending t = Event_queue.length t.queue + Tw.pending t.wheel
+
+let wheel_work t =
+  let w = t.wheel in
+  Tw.slot_visits w + Tw.cascades w + Tw.near_rejects w + Tw.far_rejects w
 
 let events_fired t = t.fired_total
 

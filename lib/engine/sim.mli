@@ -19,7 +19,7 @@
     byte-identical to a heap-only scheduler ([create ~wheel:false]) —
     property-tested by the equivalence oracle in [test_timer.ml].
 
-    Alongside the classic [at]/[after] one-shot API, reusable timers
+    Alongside the one-shot {!after}, reusable timers
     ({!timer}/{!rearm}/{!stop}) carry their callback across re-arms, so
     the steady-state re-arm path allocates nothing. *)
 
@@ -27,7 +27,7 @@ type t
 
 type handle = Timer_wheel.timer
 (** A scheduled event that can be stopped (e.g. a protocol timer).
-    One-shot handles from {!at}/{!after} are GC-owned; reusable timers
+    One-shot handles from {!after} are GC-owned; reusable timers
     from {!timer}/{!periodic} come from a free list and can be handed
     back with {!release}. *)
 
@@ -37,11 +37,8 @@ val create : ?wheel:bool -> unit -> t
 
 val now : t -> Simtime.t
 
-val at : t -> Simtime.t -> (unit -> unit) -> handle
-(** Schedule a callback at an absolute time (>= [now]). *)
-
 val after : t -> Simtime.t -> (unit -> unit) -> handle
-(** Schedule a callback [delay] after [now]. *)
+(** Schedule a callback [delay] (>= 0) after [now]. *)
 
 (** {2 Reusable timers}
 
@@ -85,6 +82,12 @@ val release : t -> handle -> unit
 val pending : t -> int
 (** Number of events still queued (including cancelled heap entries not
     yet discarded; cancelled wheel timers leave immediately). *)
+
+val wheel_work : t -> int
+(** The timing wheel's deterministic cost since [create]: cursor steps
+    ({!Timer_wheel.slot_visits}), timers cascaded to a finer level, and
+    deadlines it rejected to the heap.  Scheduling, cancelling and
+    re-arming a wheel-resident timer cost none of these. *)
 
 val events_fired : t -> int
 (** Callbacks actually invoked since [create] (skipped tombstones

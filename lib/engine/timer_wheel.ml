@@ -61,6 +61,7 @@ type t = {
   mutable n_fired : int;
   mutable n_cancels : int;
   mutable n_cascades : int;
+  mutable n_visits : int;
   mutable n_near : int;
   mutable n_far : int;
 }
@@ -75,7 +76,7 @@ let create () =
       ready = sentinel (); n_ready = 0; n_pending = 0; now_tick = 0;
       nil; free = nil; n_free = 0;
       n_scheduled = 0; n_fired = 0; n_cancels = 0; n_cascades = 0;
-      n_near = 0; n_far = 0 }
+      n_visits = 0; n_near = 0; n_far = 0 }
   in
   for _ = 1 to prealloc do
     let tm = make ~fn:no_fn in
@@ -229,6 +230,7 @@ let collect t =
    safe to re-test boundaries on every iteration. *)
 let advance t =
   while t.n_ready = 0 do
+    t.n_visits <- t.n_visits + 1;
     for l = levels - 1 downto 1 do
       if t.now_tick land ((1 lsl (l * slot_bits)) - 1) = 0 then cascade t l
     done;
@@ -286,5 +288,6 @@ let scheduled t = t.n_scheduled
 let fired t = t.n_fired
 let cancels t = t.n_cancels
 let cascades t = t.n_cascades
+let slot_visits t = t.n_visits
 let near_rejects t = t.n_near
 let far_rejects t = t.n_far

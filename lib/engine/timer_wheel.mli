@@ -116,6 +116,11 @@ val scheduled : t -> int
 val fired : t -> int
 val cancels : t -> int
 val cascades : t -> int
+
+val slot_visits : t -> int
+(** Cursor steps: each one examines the slot under the cursor, or jumps
+    an empty level 0 to the next boundary of an occupied level. *)
+
 val near_rejects : t -> int
 (** Deadlines {!try_schedule} refused as near, i.e. behind the cursor
     (see there) — not "zero-delay" events.  On the [perfbench] rpc

@@ -10,7 +10,6 @@ and segment = {
   medium : sending Resource.t;
   rate : float;
   mutable stations : t list;
-  mutable frames : int;
   (* Propagation delay line: each frame reaches each receiving port
      [latency] after the medium serialized it. *)
   line : (port * Bytes.t) Delay_line.t;
@@ -40,7 +39,6 @@ let sent seg s =
   let from = s.from and frame = s.frame in
   s.from <- no_port;
   s.frame <- Bytes.empty;
-  seg.frames <- seg.frames + 1;
   match Ether_frame.decode frame ~off:0 with
   | Error _ -> ()
   | Ok hdr ->
@@ -56,7 +54,6 @@ let create_segment ~sim ?(rate = 10e6 /. 8.) () =
         Resource.create ~sim (fun () -> { from = no_port; frame = Bytes.empty });
       rate;
       stations = [];
-      frames = 0;
       line = Delay_line.create ~sim ~empty:(no_port, Bytes.empty);
     }
   in
@@ -80,5 +77,3 @@ let transmit t frame =
   let s = Resource.acquire seg.medium ser in
   s.from <- t.port;
   s.frame <- frame
-
-let frames_carried seg = seg.frames

@@ -25,5 +25,3 @@ val set_rx : t -> (Bytes.t -> unit) -> unit
 val transmit : t -> Bytes.t -> unit
 (** Queue a frame on the medium; stations other than the sender whose MAC
     matches the destination (or broadcast 0xffffffffffff) receive it. *)
-
-val frames_carried : segment -> int

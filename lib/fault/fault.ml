@@ -20,8 +20,6 @@ let points : (string, point) Hashtbl.t = Hashtbl.create 16
 let total_consults = Obs.counter ~section:"fault" ~name:"consults"
 let total_fires = Obs.counter ~section:"fault" ~name:"fires"
 
-let armed () = !armed_flag
-
 let arm ~seed =
   Hashtbl.reset points;
   Obs.Counter.reset total_consults;
@@ -85,12 +83,6 @@ let fire_at site ~bound =
     match consult site with
     | pt, true when bound > 0 -> Some (Rng.int pt.rng bound)
     | _, _ -> None
-
-let consults ~site =
-  match Hashtbl.find_opt points site with Some pt -> pt.consults | None -> 0
-
-let fires ~site =
-  match Hashtbl.find_opt points site with Some pt -> pt.fires | None -> 0
 
 let sites () =
   Hashtbl.fold (fun site pt acc -> (site, pt.p, pt.consults, pt.fires) :: acc)

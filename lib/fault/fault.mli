@@ -33,9 +33,7 @@ val arm : seed:int -> unit
 val disarm : unit -> unit
 (** Disable injection ({!fire} returns [false] unconditionally).  Site
     counters survive until the next {!arm}, so post-run reporting can
-    still read {!fires}/{!consults}. *)
-
-val armed : unit -> bool
+    still read the ["sites"] table. *)
 
 val plan : site:string -> plan -> unit
 (** Install a plan for [site].  Call after {!arm}; installing a plan on a
@@ -50,9 +48,3 @@ val fire_at : string -> bound:int -> int option
 (** [fire_at site ~bound] — like {!fire}, but a firing fault also draws a
     uniform position in [\[0, bound)] (e.g. the byte of a frame to
     corrupt).  [None] when the fault does not fire or [bound <= 0]. *)
-
-val consults : site:string -> int
-(** Consults since the last {!arm} (0 for never-consulted sites). *)
-
-val fires : site:string -> int
-(** Fires since the last {!arm} (0 for never-fired sites). *)

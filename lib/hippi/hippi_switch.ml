@@ -25,7 +25,6 @@ type t = {
   (* Per-output-port delay line for the crossbar→station latency hop;
      [out_busy] serializes each output. *)
   lines : Bytes.t Delay_line.t array;
-  mutable frames : int;
 }
 
 let create ~sim ~ports ?(rate = Hippi_link.line_rate)
@@ -52,7 +51,6 @@ let create ~sim ~ports ?(rate = Hippi_link.line_rate)
     rx = Array.make ports (fun _ -> ());
     lines =
       Array.init ports (fun _ -> Delay_line.create ~sim ~empty:Bytes.empty);
-    frames = 0;
   }
   in
   Array.iteri
@@ -120,7 +118,6 @@ let rec try_start t i =
                t.out_busy_time.(f.dst) <- t.out_busy_time.(f.dst) + ser;
                input.busy <- false;
                t.out_busy.(f.dst) <- false;
-               t.frames <- t.frames + 1;
                Delay_line.push t.lines.(f.dst)
                  (Simtime.add (Sim.now t.sim) t.latency)
                  f.payload;
@@ -151,5 +148,4 @@ let submit t ~src ~dst payload =
   try_start t src
 
 let input_queue_len t ~port = t.inputs.(port).queued
-let delivered_frames t = t.frames
 let output_busy_time t ~port = t.out_busy_time.(port)

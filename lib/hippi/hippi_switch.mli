@@ -26,6 +26,5 @@ val submit : t -> src:int -> dst:int -> Bytes.t -> unit
     ([src = dst]) is allowed and modelled like any other transfer. *)
 
 val input_queue_len : t -> port:int -> int
-val delivered_frames : t -> int
 
 val output_busy_time : t -> port:int -> Simtime.t

@@ -61,7 +61,6 @@ type t = {
      piggybacks its measurements back to the sender. *)
   rx_uio : table;
   rx_copy : table;
-  explore_period : int;
   mutable decisions : int;
   (* Fault-driven cost multiplier on the Uio threshold: >= 1.0, raised by
      [penalize] when the device reports trouble, decayed multiplicatively
@@ -73,22 +72,23 @@ type t = {
 (* The cutover estimate stays within [min_cutover, max_cutover]; a
    pin-cold buffer needs [cutover lsl cold_shift] bytes to route Uio; the
    fault penalty decays by [penalty_decay] per decision and [penalize]
-   multiplies it by [penalty_factor]. *)
+   multiplies it by [penalty_factor]; every [explore_period]-th eligible
+   decision explores. *)
 let min_cutover = 1024
 let max_cutover = 1 lsl 20
 let cold_shift = 1
 let penalty_decay = 0.9
 let penalty_factor = 8.
+let explore_period = 16
 
 let static_cutover = 16 * 1024
 
-let create ?(explore_period = 16) () =
+let create () =
   {
     uio = make_table ();
     copy = make_table ();
     rx_uio = make_table ();
     rx_copy = make_table ();
-    explore_period;
     decisions = 0;
     penalty = 1.0;
     s =
@@ -165,8 +165,6 @@ let max_penalty = 64.
 let penalize t =
   t.penalty <- Stdlib.min max_penalty (t.penalty *. penalty_factor)
 
-let penalty t = t.penalty
-
 (* Sends far below the cutover (under a quarter of it) can never route
    Uio (the cold-pin shift only raises the threshold), so skip the full
    decision machinery: no explore flips, no table bookkeeping downstream —
@@ -206,10 +204,7 @@ let decide t ~len ~aligned ~pin_warm =
         else if len >= t.s.cutover_bytes then (Copy, Cold_pin)
         else (Copy, Below_cutover)
       in
-      if
-        t.explore_period > 0
-        && t.decisions mod t.explore_period = 0
-      then
+      if t.decisions mod explore_period = 0 then
         match base with
         | Uio, _ -> (Copy, Explore)
         | Copy, _ -> (Uio, Explore)

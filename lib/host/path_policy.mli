@@ -74,13 +74,12 @@ val static_cutover : int
     routing rule sends down the single-copy path, and the seed of every
     policy's estimate. *)
 
-val create : ?explore_period:int -> unit -> t
+val create : unit -> t
 (** The estimate starts at {!static_cutover} and always stays within
     [1 KByte, 1 MByte].  Pin-cold buffers face twice the
     threshold: a cold send must amortize pin+map on this one transfer.
-    Every [explore_period]-th eligible decision (default 16; [0]
-    disables) is sent down the opposite path so the cost tables see both
-    sides. *)
+    Every 16th eligible decision is sent down the opposite path so the
+    cost tables see both sides. *)
 
 val decide : t -> len:int -> aligned:bool -> pin_warm:bool -> route * reason
 (** Route one send.  Unaligned buffers always take [Copy] — exploration
@@ -117,10 +116,9 @@ val penalize : t -> unit
     it, steering traffic onto the copy path; the penalty decays by a
     factor of 0.9 on every subsequent decision, so the cost spike ages
     out once the adaptor behaves again.  Decisions deflected this way are
-    counted under {!stats}[.penalized] and carry reason {!Penalized}. *)
-
-val penalty : t -> float
-(** Current fault penalty (1.0 = healthy). *)
+    counted under {!stats}[.penalized] and carry reason {!Penalized}.
+    The current penalty (1.0 = healthy) is the registry gauge
+    [path_policy/penalty] (see {!register}). *)
 
 val stats : t -> stats
 (** The policy's live counter record (it keeps counting after the call);

@@ -1,13 +1,3 @@
-type stats = {
-  mutable echo_requests_rcvd : int;
-  mutable echo_replies_sent : int;
-  mutable echo_replies_rcvd : int;
-  mutable time_exceeded_sent : int;
-  mutable unreachable_sent : int;
-  mutable errors_rcvd : int;
-  mutable bad_checksums : int;
-}
-
 type t = {
   ip : Ipv4.t;
   host : Host.t;
@@ -16,7 +6,6 @@ type t = {
   mutable next_seq : int;
   mutable on_error :
     (kind:[ `Unreachable | `Time_exceeded ] -> src:Inaddr.t -> unit) option;
-  s : stats;
 }
 
 let type_echo_reply = 0
@@ -26,7 +15,6 @@ let type_echo_request = 8
 
 let header_size = 8
 
-let stats t = t.s
 let on_error t f = t.on_error <- Some f
 
 (* Build an ICMP message as a regular mbuf with a correct checksum (ICMP
@@ -91,22 +79,20 @@ let flatten t m k =
 
 let input t ~src ~dst:_ m =
   flatten t m (fun b ->
-      if Bytes.length b < header_size then ()
-      else if not (Inet_csum.is_valid (Inet_csum.of_bytes b)) then
-        t.s.bad_checksums <- t.s.bad_checksums + 1
+      if
+        Bytes.length b < header_size
+        || not (Inet_csum.is_valid (Inet_csum.of_bytes b))
+      then ()
       else begin
         let typ = Bytes.get_uint8 b 0 in
         let word = Int32.to_int (Bytes.get_int32_be b 4) land 0xffffffff in
         if typ = type_echo_request then begin
-          t.s.echo_requests_rcvd <- t.s.echo_requests_rcvd + 1;
           let payload =
             Bytes.sub b header_size (Bytes.length b - header_size)
           in
-          t.s.echo_replies_sent <- t.s.echo_replies_sent + 1;
           send t ~dst:src ~typ:type_echo_reply ~code:0 ~word ~payload
         end
         else if typ = type_echo_reply then begin
-          t.s.echo_replies_rcvd <- t.s.echo_replies_rcvd + 1;
           let seq = word land 0xffff in
           let rec pick acc = function
             | [] -> (None, List.rev acc)
@@ -122,8 +108,7 @@ let input t ~src ~dst:_ m =
               cb ~seq:s' ~rtt:(Simtime.sub (Sim.now t.host.Host.sim) t0)
           | None -> ()
         end
-        else if typ = type_unreachable || typ = type_time_exceeded then begin
-          t.s.errors_rcvd <- t.s.errors_rcvd + 1;
+        else if typ = type_unreachable || typ = type_time_exceeded then
           match t.on_error with
           | Some f ->
               f
@@ -132,7 +117,6 @@ let input t ~src ~dst:_ m =
                    else `Time_exceeded)
                 ~src
           | None -> ()
-        end
       end)
 
 let create ~ip =
@@ -143,16 +127,6 @@ let create ~ip =
       pending = [];
       next_seq = 0;
       on_error = None;
-      s =
-        {
-          echo_requests_rcvd = 0;
-          echo_replies_sent = 0;
-          echo_replies_rcvd = 0;
-          time_exceeded_sent = 0;
-          unreachable_sent = 0;
-          errors_rcvd = 0;
-          bad_checksums = 0;
-        };
     }
   in
   Ipv4.register_protocol ip ~proto:Ipv4_header.proto_icmp
@@ -160,12 +134,8 @@ let create ~ip =
   Ipv4.set_error_hook ip (fun ~reason ~orig_src ~orig_head ->
       let typ =
         match reason with
-        | `Ttl ->
-            t.s.time_exceeded_sent <- t.s.time_exceeded_sent + 1;
-            type_time_exceeded
-        | `No_route ->
-            t.s.unreachable_sent <- t.s.unreachable_sent + 1;
-            type_unreachable
+        | `Ttl -> type_time_exceeded
+        | `No_route -> type_unreachable
       in
       send t ~dst:orig_src ~typ ~code:0 ~word:0 ~payload:orig_head);
   t

@@ -9,16 +9,6 @@
 
 type t
 
-type stats = private {
-  mutable echo_requests_rcvd : int;
-  mutable echo_replies_sent : int;
-  mutable echo_replies_rcvd : int;
-  mutable time_exceeded_sent : int;
-  mutable unreachable_sent : int;
-  mutable errors_rcvd : int;
-  mutable bad_checksums : int;
-}
-
 val create : ip:Ipv4.t -> t
 (** Registers protocol 1 and installs the error-generation hooks into the
     IP layer. *)
@@ -36,7 +26,3 @@ val ping :
 val on_error : t -> (kind:[ `Unreachable | `Time_exceeded ] -> src:Inaddr.t -> unit) -> unit
 (** Notification when an ICMP error message addressed to this host
     arrives. *)
-
-val stats : t -> stats
-(** The instance's live counter record (it keeps counting after the
-    call). *)

@@ -8,23 +8,12 @@ type entry = {
   hdr : Ipv4_header.t;  (* from the first fragment seen *)
 }
 
-type t = {
-  host : Host.t;
-  timeout : Simtime.t;
-  entries : (key, entry) Hashtbl.t;
-  mutable n_timeouts : int;
-}
+type t = { host : Host.t; entries : (key, entry) Hashtbl.t }
 
-let create ~host ?(timeout = Simtime.ms 200.) () =
-  {
-    host;
-    timeout;
-    entries = Hashtbl.create 16;
-    n_timeouts = 0;
-  }
+(* How long an incomplete datagram waits for its missing fragments. *)
+let timeout = Simtime.ms 200.
 
-let pending t = Hashtbl.length t.entries
-let timeouts t = t.n_timeouts
+let create ~host = { host; entries = Hashtbl.create 16 }
 
 (* Merge (off, len) into a sorted disjoint interval list. *)
 let rec merge intervals (off, len) =
@@ -70,12 +59,9 @@ let input t ~hdr chain =
           }
         in
         Sim.set_fn e.timer (fun () ->
-            if Hashtbl.mem t.entries key then begin
-              Hashtbl.remove t.entries key;
-              t.n_timeouts <- t.n_timeouts + 1
-            end;
+            Hashtbl.remove t.entries key;
             Sim.release sim e.timer);
-        Sim.rearm sim e.timer t.timeout;
+        Sim.rearm sim e.timer timeout;
         Hashtbl.add t.entries key e;
         e
   in

@@ -73,7 +73,7 @@ let create ~host =
         reassembled = 0;
       };
     error_hook = None;
-    frag = Ip_frag.create ~host ();
+    frag = Ip_frag.create ~host;
     hdr_memo = None;
     rx_src = ref Inaddr.any;
     rx_dst = ref Inaddr.any;

@@ -8,8 +8,8 @@ type entry = {
 type t = {
   mutable routes : entry list;
   (* One-entry lookup memo: a host's transmit path asks for the same
-     destination packet after packet.  [add_route]/[remove_route] clear
-     it, so a memoised answer is always the table's current answer. *)
+     destination packet after packet.  [add_route] clears it, so a
+     memoised answer is always the table's current answer. *)
   mutable memo_valid : bool;
   mutable memo_dst : Inaddr.t;
   mutable memo : (Netif.t * Inaddr.t) option;
@@ -25,13 +25,6 @@ let invalidate t =
 let add_route t ~prefix ~len ?gateway iface =
   if len < 0 || len > 32 then invalid_arg "Routing.add_route: prefix length";
   t.routes <- { prefix; len; gateway; iface } :: t.routes;
-  invalidate t
-
-let remove_route t ~prefix ~len =
-  t.routes <-
-    List.filter
-      (fun e -> not (Inaddr.equal e.prefix prefix && e.len = len))
-      t.routes;
   invalidate t
 
 let resolve t dst =

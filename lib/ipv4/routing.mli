@@ -3,8 +3,8 @@
     §4.1 of the paper argues for a single stack partly because "routing
     relies on a single stack, at least up to the network layer" — this
     table is that shared piece: it can return any interface, single-copy or
-    legacy, for a destination, and the choice may change over time
-    ([remove_route]). *)
+    legacy, for a destination, and the choice may change over time (a
+    more specific route added later wins at once). *)
 
 type t
 
@@ -12,8 +12,6 @@ val create : unit -> t
 
 val add_route :
   t -> prefix:Inaddr.t -> len:int -> ?gateway:Inaddr.t -> Netif.t -> unit
-
-val remove_route : t -> prefix:Inaddr.t -> len:int -> unit
 
 val lookup : t -> Inaddr.t -> (Netif.t * Inaddr.t) option
 (** Longest-prefix match; returns the interface and the next-hop address

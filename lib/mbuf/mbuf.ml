@@ -11,11 +11,6 @@ let notify_add n k =
   if k < 0 then invalid_arg "Mbuf.notify_add: negative";
   n.dma_pending <- n.dma_pending + k
 
-let notify_complete n =
-  if n.dma_pending <= 0 then invalid_arg "Mbuf.notify_complete: not pending";
-  n.dma_pending <- n.dma_pending - 1;
-  if n.dma_pending = 0 then n.on_drained ()
-
 let notify_complete_n n k =
   if k < 0 then invalid_arg "Mbuf.notify_complete_n: negative";
   if n.dma_pending > 0 && k > 0 then begin
@@ -122,14 +117,6 @@ module Pool = struct
     misses := 0;
     recycled := 0
 
-  let trim () =
-    let bytes = (!nsmall * msize) + (!nclusters * mclbytes) in
-    Array.fill small_stack 0 max_small dummy;
-    nsmall := 0;
-    Array.fill cluster_stack 0 max_clusters dummy;
-    nclusters := 0;
-    (bytes + 4095) / 4096
-
   let note_alloc storage =
     incr live;
     if !live > !hwm_live then hwm_live := !live;
@@ -229,10 +216,6 @@ let mk ?(pkthdr = false) storage ~off ~len =
        else None);
     notify = None;
   }
-
-let get ?pkthdr () = mk ?pkthdr (Internal (Pool.get_small ())) ~off:0 ~len:0
-
-let get_cluster () = mk (Cluster (Pool.get_cluster ())) ~off:0 ~len:0
 
 let rec chain_len m =
   m.len + match m.next with None -> 0 | Some n -> chain_len n
@@ -361,12 +344,6 @@ let rec fold f acc m =
   match m.next with None -> acc | Some n -> fold f acc n
 
 let chain_kinds m = List.rev (fold (fun acc m -> kind m :: acc) [] m)
-
-let nth m i =
-  let rec go m i = if i = 0 then Some m else
-      match m.next with None -> None | Some n -> go n (i - 1)
-  in
-  if i < 0 then None else go m i
 
 let storage_capacity = function
   | Internal c | Cluster c -> Bytes.length c.cbuf

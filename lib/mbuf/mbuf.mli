@@ -35,9 +35,6 @@ type notify = {
 
 val make_notify : unit -> notify
 val notify_add : notify -> int -> unit
-val notify_complete : notify -> unit
-(** Decrements [dma_pending]; runs [on_drained] when it reaches zero. *)
-
 val notify_complete_n : notify -> int -> unit
 (** Decrements by [n], clamped at zero (a retransmit may complete a range
     twice); runs [on_drained] on the transition to zero. *)
@@ -93,20 +90,10 @@ type t = {
       (** M_UIO: the notify block of the write this mbuf describes *)
 }
 
-val msize : int
-(** Internal-buffer capacity (256 bytes, minus nothing — header overhead is
-    modelled separately). *)
+(** {1 Construction}
 
-val mclbytes : int
-(** Cluster size (2048). *)
-
-(** {1 Construction} *)
-
-val get : ?pkthdr:bool -> unit -> t
-(** A fresh empty internal mbuf. *)
-
-val get_cluster : unit -> t
-(** A fresh empty cluster mbuf, without a packet header. *)
+    Chains are built of 256-byte internal buffers and 2048-byte
+    clusters. *)
 
 val of_string : ?pkthdr:bool -> string -> t
 (** Chain of internal/cluster mbufs holding a copy of the string (blitted
@@ -123,7 +110,7 @@ val contiguous : int -> t * Bytes.t
 (** [contiguous n] is one cluster mbuf of [n] uninitialized bytes and its
     storage, whose bytes [0, n) are the mbuf's data — a landing zone for a
     DMA that must stay one contiguous mbuf.  The storage is pooled: the
-    mbuf pool's for [msize]/[mclbytes], [Bufpool.shared] (keyed by exact
+    mbuf pool's for the internal and cluster sizes, [Bufpool.shared] (keyed by exact
     size) otherwise; freeing the mbuf returns it there. *)
 
 val alloc : ?pkthdr:bool -> int -> t
@@ -158,8 +145,6 @@ val rcvif : t -> string option
 val chain_kinds : t -> kind list
 val iter : (t -> unit) -> t -> unit
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
-val nth : t -> int -> t option
-(** [nth m i] is the i-th mbuf of the chain. *)
 
 val check_invariants : t -> (unit, string) result
 (** pkthdr length equals chain length; offsets/lengths in range. *)
@@ -248,40 +233,24 @@ val retain_storage : t -> unit -> unit
 (** {1 Storage pool}
 
     Free lists of recycled [Internal]/[Cluster] buffers keep the
-    steady-state datapath allocation-free.  Only exactly-[msize] /
-    [mclbytes] buffers live here; odd sizes (oversize [prepend]/[pullup]
+    steady-state datapath allocation-free.  Only internal- and
+    cluster-sized buffers live here; odd sizes (oversize [prepend]/[pullup]
     heads, {!contiguous} storage) are drawn from and returned to
-    [Bufpool.shared]. *)
+    [Bufpool.shared].  There is one free list of each size for
+    the whole process, shared by every host and shard: pool residency
+    costs no simulated time, so a per-shard list would change only the
+    hit statistics.  The [mbuf_pool] registry section publishes the
+    live counts, fresh allocations and free-list depths. *)
 
 module Pool : sig
-  val allocated : unit -> int
-  (** Currently live mbufs (all kinds). *)
-
-  val clusters : unit -> int
-  (** Currently live cluster mbufs. *)
-
-  val total_allocs : unit -> int
-  (** Fresh storage allocations ([Bytes.create]), i.e. pool misses —
-      flat across a steady-state workload once the pool is warm. *)
-
   val hit_count : unit -> int
   val miss_count : unit -> int
 
   val hit_rate : unit -> float
   (** hits / (hits + misses), 0 when no requests yet. *)
 
-  val free_small : unit -> int
-  val free_clusters : unit -> int
-  (** Current free-list depths.  There is one free list of each size for
-      the whole process, shared by every host and shard: pool residency
-      costs no simulated time, so a per-shard list would change only the
-      hit statistics. *)
-
   val hwm : unit -> int
   (** High-water mark of live mbufs. *)
-
-  val trim : unit -> int
-  (** Drop both free lists; returns the number of 4K pages released. *)
 
   val reset : unit -> unit
   (** Zero the gauges and counters.  Keeps the free lists (so tests can

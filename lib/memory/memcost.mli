@@ -10,10 +10,9 @@ type locality = Cold | Working_set of int
 (** [Cold]: no reuse (streaming through a large buffer).
     [Working_set n]: the workload cycles through [n] bytes of buffer. *)
 
-val effective_bw : cached:float -> cold:float -> cache_bytes:int -> locality -> float
-(** Blends the cached and cache-cold bandwidths.  Fully cached when the
-    working set fits in a quarter of the cache; fully cold once it fills
-    the cache; linear in between. *)
+(** {!copy} and {!checksum_read} blend the cached and cache-cold
+    bandwidths: fully cached when the working set fits in a quarter of
+    the cache; fully cold once it fills the cache; linear in between. *)
 
 val copy : Host_profile.t -> locality:locality -> int -> Simtime.t
 (** CPU time to memory-memory copy [n] bytes. *)

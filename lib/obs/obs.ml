@@ -3,7 +3,6 @@ module Counter = struct
 
   let create () = { n = 0 }
   let incr t = t.n <- t.n + 1
-  let add t k = t.n <- t.n + k
   let get t = t.n
   let reset t = t.n <- 0
 end

@@ -20,7 +20,6 @@ module Counter : sig
   type t
 
   val incr : t -> unit
-  val add : t -> int -> unit
   val get : t -> int
   val reset : t -> unit
 end
@@ -82,9 +81,6 @@ val value : section:string -> name:string -> float
 (** The current reading of a registered counter or gauge.  Raises
     [Invalid_argument] if [(section, name)] is not registered or is a
     histogram or table, so a misspelled name fails instead of reading 0. *)
-
-val sections : unit -> string list
-(** Registered section names, sorted. *)
 
 val to_json : ?sections:string list -> unit -> string
 (** Export the registry (or just the named sections) as a JSON object

@@ -37,28 +37,18 @@ let op_idx = function Copy -> 0 | Sum -> 1 | Copy_sum -> 2
 let nops = 3
 let cells = nsites * nops
 
-(* Always-on global ledger: two flat int arrays, indexed site*nops+op. *)
+(* Always-on global ledger: a flat int array, indexed site*nops+op. *)
 let byte_cells = Array.make cells 0
-let occ_cells = Array.make cells 0
 
 let touch site op n =
   let i = (site_idx site * nops) + op_idx op in
-  byte_cells.(i) <- byte_cells.(i) + n;
-  occ_cells.(i) <- occ_cells.(i) + 1
+  byte_cells.(i) <- byte_cells.(i) + n
 
-type snapshot = { b : int array; o : int array }
+type snapshot = int array
 
-let snapshot () = { b = Array.copy byte_cells; o = Array.copy occ_cells }
-
-let diff later earlier =
-  {
-    b = Array.init cells (fun i -> later.b.(i) - earlier.b.(i));
-    o = Array.init cells (fun i -> later.o.(i) - earlier.o.(i));
-  }
-
-let since s = diff (snapshot ()) s
-let bytes s site op = s.b.((site_idx site * nops) + op_idx op)
-let occurrences s site op = s.o.((site_idx site * nops) + op_idx op)
+let snapshot () = Array.copy byte_cells
+let since s = Array.init cells (fun i -> byte_cells.(i) - s.(i))
+let bytes s site op = s.((site_idx site * nops) + op_idx op)
 let copied_bytes s site = bytes s site Copy + bytes s site Copy_sum
 let summed_bytes s site = bytes s site Sum + bytes s site Copy_sum
 

@@ -53,8 +53,8 @@ type op =
   | Copy_sum  (** fused: counts as one copy and one sum *)
 
 val touch : site -> op -> int -> unit
-(** [touch site op bytes]: charge [bytes] to [(site, op)] and bump the
-    occurrence count. Hot-path safe: two int adds. *)
+(** [touch site op bytes]: charge [bytes] to [(site, op)]. Hot-path safe:
+    one int add. *)
 
 type snapshot
 
@@ -63,7 +63,6 @@ val since : snapshot -> snapshot
 (** [since s]: per-cell [now - s], the touches in the window since [s]. *)
 
 val bytes : snapshot -> site -> op -> int
-val occurrences : snapshot -> site -> op -> int
 
 val copied_bytes : snapshot -> site -> int
 (** Copy + Copy_sum bytes at a site. *)

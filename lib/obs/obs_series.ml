@@ -68,7 +68,6 @@ let create ~capacity ~interval ~metrics =
     dropped = 0;
   }
 
-let ncols t = Array.length t.srcs
 let length t = t.len
 let dropped t = t.dropped
 
@@ -105,17 +104,6 @@ let iter t f =
     let row = (t.head + i) mod t.capacity in
     f ~time:t.times.(row) ~row:(Array.sub t.data (row * m) m)
   done
-
-let clear t =
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0;
-  Array.iteri
-    (fun j s ->
-      match s with
-      | S_counter c -> t.prev.(j) <- Obs.Counter.get c
-      | S_gauge _ -> ())
-    t.srcs
 
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f

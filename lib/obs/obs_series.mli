@@ -30,15 +30,11 @@ val tick : t -> now:int -> unit
 val length : t -> int
 (** Rows currently held (<= capacity). *)
 
-val ncols : t -> int
 val dropped : t -> int
-(** Rows lost to overwrite since creation/{!clear}. *)
+(** Rows lost to overwrite since creation. *)
 
 val iter : t -> (time:int -> row:float array -> unit) -> unit
 (** Visit held rows oldest-first.  [row] is a fresh copy per call. *)
-
-val clear : t -> unit
-(** Drop all rows and re-base counter deltas at current values. *)
 
 val to_json : t -> string
 (** [{"interval_ns", "capacity", "dropped", "metrics": [names...],

@@ -99,12 +99,6 @@ let emit ev ~a ~b =
 let length () = (!ring).len
 let dropped () = (!ring).dropped
 
-let reset () =
-  let r = !ring in
-  r.head <- 0;
-  r.len <- 0;
-  r.dropped <- 0
-
 let iter f =
   let r = !ring in
   let cap = Array.length r.slots in
@@ -113,20 +107,6 @@ let iter f =
     let s = r.slots.((start + i) mod cap) in
     f ~ts:s.ts (ev_of_code s.ev) ~a:s.a ~b:s.b
   done
-
-let to_json () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"dropped\": %d, \"events\": [" (dropped ()));
-  let first = ref true in
-  iter (fun ~ts ev ~a ~b ->
-      if not !first then Buffer.add_string buf ", ";
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf "{\"ts\": %d, \"ev\": \"%s\", \"a\": %d, \"b\": %d}"
-           ts (event_name ev) a b));
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
 
 (* Chrome trace-event format: instant events on one pid/tid, ts in
    microseconds. Load via chrome://tracing or ui.perfetto.dev. *)

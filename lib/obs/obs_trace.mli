@@ -30,7 +30,8 @@ type event =
           flight on the engine (after this one) *)
 
 val configure : capacity:int -> unit
-(** (Re)allocate the ring. Implies {!reset}. Capacity must be positive. *)
+(** (Re)allocate the ring, empty and with a zero drop count.  Capacity
+    must be positive. *)
 
 val set_clock : (unit -> int) -> unit
 (** Install the timestamp source (sim time in ns); the testbed installs
@@ -46,18 +47,8 @@ val length : unit -> int
 (** Events currently held (≤ capacity). *)
 
 val dropped : unit -> int
-(** Events overwritten since the last {!reset}/{!configure}. *)
-
-val reset : unit -> unit
-(** Empty the ring and zero the drop count (keeps capacity and clock). *)
-
-val iter : (ts:int -> event -> a:int -> b:int -> unit) -> unit
-(** Visit retained events oldest-first. *)
-
-val to_json : unit -> string
-(** [{"dropped": n, "events": [{"ts";"ev";"a";"b"}, ...]}], oldest
-    first. *)
+(** Events overwritten since the last {!configure}. *)
 
 val to_chrome : unit -> string
 (** Chrome trace-event format (chrome://tracing, Perfetto): one instant
-    event per record, [ts] in microseconds. *)
+    event per record, oldest first, [ts] in microseconds. *)

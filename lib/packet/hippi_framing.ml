@@ -14,13 +14,6 @@ let encode buf ~off ~src ~dst ~channel ~payload_len =
   Bytes.set_int32_be buf (off + 16) (Int32.of_int payload_len);
   Bytes.fill buf (off + 20) 20 '\000'
 
-let read_channel buf ~off =
-  if
-    off + size <= Bytes.length buf
-    && Int32.to_int (Bytes.get_int32_be buf off) = magic
-  then Int32.to_int (Bytes.get_int32_be buf (off + 12))
-  else 0
-
 let decode buf ~off =
   if off + size > Bytes.length buf then Error "hippi: truncated header"
   else if Int32.to_int (Bytes.get_int32_be buf off) <> magic then

@@ -26,7 +26,3 @@ val encode :
 (** Write a header at [off] straight from its fields (no record). *)
 
 val decode : Bytes.t -> off:int -> (t, string) result
-
-val read_channel : Bytes.t -> off:int -> int
-(** The channel field of the header at [off], read in place; 0 when the
-    header is truncated or its magic is wrong (what {!decode} rejects). *)

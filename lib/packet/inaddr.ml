@@ -8,20 +8,11 @@ let v a b c d =
     (Int32.shift_left (Int32.of_int a) 24)
     (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
 
-let of_string s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] -> (
-      try v (int_of_string a) (int_of_string b) (int_of_string c)
-            (int_of_string d)
-      with Failure _ -> invalid_arg ("Inaddr.of_string: " ^ s))
-  | _ -> invalid_arg ("Inaddr.of_string: " ^ s)
-
 let octet t i = Int32.to_int (Int32.shift_right_logical t (24 - (8 * i))) land 0xff
 
 let to_string t =
   Printf.sprintf "%d.%d.%d.%d" (octet t 0) (octet t 1) (octet t 2) (octet t 3)
 
-let compare = Int32.unsigned_compare
 let equal = Int32.equal
 let any = 0l
 let loopback = v 127 0 0 1

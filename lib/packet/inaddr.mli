@@ -5,11 +5,7 @@ type t = int32
 val v : int -> int -> int -> int -> t
 (** [v 10 0 0 1] is 10.0.0.1. *)
 
-val of_string : string -> t
-(** Dotted quad; raises [Invalid_argument] on malformed input. *)
-
 val to_string : t -> string
-val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val any : t

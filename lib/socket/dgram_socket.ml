@@ -19,7 +19,6 @@ type t = {
   udp : Udp.t;
   ip : Ipv4.t;
   port : int;
-  rcv_queue_max : int;
   mutable rcvq : (Udp.endpoint * Mbuf.t) list;  (* oldest first *)
   mutable reader : (unit -> unit) option;
   mutable closed : bool;
@@ -29,11 +28,14 @@ type t = {
 
 let stats t = t.s
 
+(* Datagrams the receive queue holds; arrivals beyond are dropped. *)
+let rcv_queue_max = 64
+
 let charge t cost k = Host.in_proc t.host ~proc:t.proc cost k
 let profile t = t.host.Host.profile
 
-let create ~host ~space ~proc ?(paths = Socket.default_paths)
-    ?(rcv_queue = 64) ~udp ~ip ~port () =
+let create ~host ~space ~proc ?(paths = Socket.default_paths) ~udp ~ip
+    ~port () =
   let s =
     {
       sent = 0;
@@ -71,7 +73,6 @@ let create ~host ~space ~proc ?(paths = Socket.default_paths)
       udp;
       ip;
       port;
-      rcv_queue_max = rcv_queue;
       rcvq = [];
       reader = None;
       closed = false;
@@ -80,7 +81,7 @@ let create ~host ~space ~proc ?(paths = Socket.default_paths)
     }
   in
   Udp.bind udp ~port (fun ~src dgram ->
-      if t.closed || List.length t.rcvq >= t.rcv_queue_max then begin
+      if t.closed || List.length t.rcvq >= rcv_queue_max then begin
         t.s.queue_drops <- t.s.queue_drops + 1;
         Mbuf.free dgram
       end

@@ -37,13 +37,14 @@ val create :
   space:Addr_space.t ->
   proc:string ->
   ?paths:Socket.path_config ->
-  ?rcv_queue:int ->
   udp:Udp.t ->
   ip:Ipv4.t ->
   port:int ->
   unit ->
   t
-(** Binds [port].  [rcv_queue] bounds buffered datagrams (default 64). *)
+(** Binds [port].  The receive queue holds 64 datagrams; later
+    arrivals are dropped (counted in [queue_drops]) until a read makes
+    room. *)
 
 val sendto : t -> Region.t -> dst:Udp.endpoint -> (unit -> unit) -> unit
 (** Copy-semantics send; the continuation runs when the buffer may be

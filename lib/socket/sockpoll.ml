@@ -9,17 +9,11 @@
    the full registration table, which is what lets one poller drive
    100K-connection servers. *)
 
-type interest = { want_read : bool; want_write : bool; want_accept : bool }
-
-let read_write = { want_read = true; want_write = true; want_accept = false }
-let accept_only = { want_read = false; want_write = false; want_accept = true }
-
 type item = Sock of Socket.t | Listener of Tcp.listener
 
 type entry = {
   item : item;
   data : int;  (* caller's cookie, returned verbatim in events *)
-  interest : interest;
   mutable queued : bool;  (* on the ready list (dedups edge storms) *)
   mutable dead : bool;  (* unregistered; drop when popped *)
 }
@@ -32,21 +26,17 @@ type event = {
   ev_acceptable : bool;
 }
 
-type t = {
-  ready : entry Queue.t;
-  mutable entries : int;
-  mutable waiter : (event list -> unit) option;
-}
+type t = { ready : entry Queue.t; mutable waiter : (event list -> unit) option }
 
-let create () = { ready = Queue.create (); entries = 0; waiter = None }
-let registered t = t.entries
+let create () = { ready = Queue.create (); waiter = None }
 
-(* Level check: what is this entry ready for right now? *)
+(* Level check: what is this entry ready for right now?  A socket is
+   watched for reading and writing, a listener for accepting. *)
 let level e =
   match e.item with
   | Sock s ->
-      let r = e.interest.want_read && Socket.readable s in
-      let w = e.interest.want_write && Socket.writable s in
+      let r = Socket.readable s in
+      let w = Socket.writable s in
       if r || w || Socket.is_closed s then
         Some
           {
@@ -58,7 +48,7 @@ let level e =
           }
       else None
   | Listener l ->
-      if e.interest.want_accept && Tcp.listener_pending l > 0 then
+      if Tcp.listener_pending l > 0 then
         Some
           {
             ev_item = e.item;
@@ -107,35 +97,19 @@ let edge t e =
           k evs)
 
 let add_socket t ~data sock =
-  let e =
-    {
-      item = Sock sock;
-      data;
-      interest = read_write;
-      queued = false;
-      dead = false;
-    }
-  in
+  let e = { item = Sock sock; data; queued = false; dead = false } in
   Socket.set_event_hook sock (fun () -> edge t e);
-  t.entries <- t.entries + 1;
   (* The socket may be ready already (data raced the registration). *)
   edge t e;
   e
 
-let add_listener t ?(interest = accept_only) ~data l =
-  let e =
-    { item = Listener l; data; interest; queued = false; dead = false }
-  in
+let add_listener t ~data l =
+  let e = { item = Listener l; data; queued = false; dead = false } in
   Tcp.set_on_acceptable l (fun () -> edge t e);
-  t.entries <- t.entries + 1;
   edge t e;
   e
 
-let remove t e =
-  if not e.dead then begin
-    e.dead <- true;
-    t.entries <- t.entries - 1
-  end
+let remove _ e = e.dead <- true
 
 let wait t k =
   assert (t.waiter = None);

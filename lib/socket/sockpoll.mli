@@ -13,10 +13,6 @@
     process.  [wait] parks its continuation when nothing is ready and
     the next readiness edge resumes it. *)
 
-type interest = { want_read : bool; want_write : bool; want_accept : bool }
-
-val accept_only : interest
-
 type item = Sock of Socket.t | Listener of Tcp.listener
 
 type entry
@@ -35,13 +31,12 @@ type event = {
 type t
 
 val create : unit -> t
-val registered : t -> int
 
 val add_socket : t -> data:int -> Socket.t -> entry
-(** Register a socket with interest {!read_write}; installs the
+(** Register a socket for read and write readiness; installs the
     socket's event hook.  Reports an immediate event if already ready. *)
 
-val add_listener : t -> ?interest:interest -> data:int -> Tcp.listener -> entry
+val add_listener : t -> data:int -> Tcp.listener -> entry
 (** Register a listener for accept readiness. *)
 
 val remove : t -> entry -> unit

@@ -327,19 +327,15 @@ and listener = {
 }
 
 let state pcb = pcb.st
-let mss pcb = pcb.mss_val
 let local_port pcb = pcb.lport
 let remote pcb = (pcb.raddr, pcb.rport)
 let snd_space pcb = Tcp_sendq.space pcb.sendq
 let pcb_stats pcb = pcb.stats
 let pcb_config pcb = pcb.tcp.cfg
-let pcb_host pcb = pcb.tcp.hst
 let remote_iface pcb =
   Option.map fst (Ipv4.route_for pcb.tcp.ip ~dst:pcb.raddr)
-let snd_wnd pcb = pcb.snd_wnd
 let pcb_shard pcb = pcb.shard
 
-let flows_per_shard t = Array.map Flowtab.length t.tabs
 let active_flows t = Array.fold_left (fun a tab -> a + Flowtab.length tab) 0 t.tabs
 
 let set_pressure_fn tcp f = tcp.pressure_fn <- f
@@ -1960,7 +1956,6 @@ let accept l =
 
 let listener_pending l = Listenq.acc_count l.l_q
 let listener_half_open l = Listenq.syn_count l.l_q
-let listener_port l = l.l_port
 let set_on_acceptable l f = l.l_on_acceptable <- f
 
 let half_open_info l ~raddr ~rport =

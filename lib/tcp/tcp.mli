@@ -138,8 +138,6 @@ val listener_pending : listener -> int
 val listener_half_open : listener -> int
 (** Half-open (SYN-received) entries currently held. *)
 
-val listener_port : listener -> int
-
 val set_on_acceptable : listener -> (unit -> unit) -> unit
 (** Callback fired whenever a connection is appended to the accept
     queue — the readiness hook the socket poll layer builds on. *)
@@ -170,7 +168,6 @@ val abort : pcb -> unit
 (** {1 Send / receive (socket layer interface)} *)
 
 val state : pcb -> state
-val mss : pcb -> int
 val local_port : pcb -> int
 val remote : pcb -> Inaddr.t * int
 
@@ -247,13 +244,10 @@ val pcb_stats : pcb -> pcb_stats
     read the fields when they are wanted. *)
 
 val pcb_config : pcb -> config
-val pcb_host : pcb -> Host.t
 val remote_iface : pcb -> Netif.t option
 (** The interface the connection currently routes over — the socket layer
     consults it for single-copy path selection (§4.1: only the network
     layer knows). *)
-
-val snd_wnd : pcb -> int
 
 val pcb_shard : pcb -> int
 (** The RSS shard owning this connection ({!Flow_hash} over the demux
@@ -262,8 +256,5 @@ val pcb_shard : pcb -> int
 val active_flows : t -> int
 (** Open connections across all shards' demux tables (includes
     time-wait residents). *)
-
-val flows_per_shard : t -> int array
-(** Per-shard demux-table occupancy. *)
 
 val pp_stats : Format.formatter -> pcb_stats -> unit

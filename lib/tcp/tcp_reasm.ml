@@ -4,7 +4,6 @@ type t = { mutable segs : seg list (* sorted by seq *) }
 
 let create () = { segs = [] }
 
-let is_empty t = t.segs = []
 let bytes_held t = List.fold_left (fun a s -> a + s.len) 0 t.segs
 
 let insert t ~rcv_nxt ~seq chain =

@@ -8,7 +8,6 @@ type t
 
 val create : unit -> t
 
-val is_empty : t -> bool
 val bytes_held : t -> int
 
 val insert : t -> rcv_nxt:Tcp_seq.t -> seq:Tcp_seq.t -> Mbuf.t -> unit

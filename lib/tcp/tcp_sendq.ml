@@ -89,16 +89,10 @@ let range t ~off ~len =
       List.iter (fun p -> Mbuf.append head p) rest;
       head
 
-let chain_extent t ~off =
-  if off < 0 || off >= t.len then
-    invalid_arg "Tcp_sendq.chain_extent: offset out of queue";
-  let _, c, coff, _ = locate t.chains off [] in
-  (* Find the mbuf within [c] holding byte [coff]. *)
-  let rec kind_at (m : Mbuf.t) rem =
-    if rem < m.Mbuf.len || m.Mbuf.next = None then Mbuf.kind m
-    else kind_at (Option.get m.Mbuf.next) (rem - m.Mbuf.len)
-  in
-  (kind_at c coff, Mbuf.chain_len c - coff)
+(* The kind of the mbuf of chain [m] that holds its byte [rem]. *)
+let rec kind_at (m : Mbuf.t) rem =
+  if rem < m.Mbuf.len || m.Mbuf.next = None then Mbuf.kind m
+  else kind_at (Option.get m.Mbuf.next) (rem - m.Mbuf.len)
 
 let homogeneous_extent t ~off =
   if off < 0 || off >= t.len then
@@ -111,7 +105,7 @@ let homogeneous_extent t ~off =
     | Mbuf.K_internal | Mbuf.K_cluster -> false
   in
   let _, c, coff, suffix = locate t.chains off [] in
-  let kind, _ = chain_extent t ~off in
+  let kind = kind_at c coff in
   if descriptor_chain c then (kind, Mbuf.chain_len c - coff)
   else begin
     (* Extend across consecutive regular chains. *)

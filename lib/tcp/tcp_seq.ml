@@ -15,6 +15,3 @@ let gt a b = diff a b > 0
 let ge a b = diff a b >= 0
 let max a b = if ge a b then a else b
 
-let in_window x ~base ~size =
-  let d = diff x base in
-  d >= 0 && d < size

@@ -14,5 +14,3 @@ val gt : t -> t -> bool
 val ge : t -> t -> bool
 val max : t -> t -> t
 
-val in_window : t -> base:t -> size:int -> bool
-(** Is [t] within [base, base+size)? *)

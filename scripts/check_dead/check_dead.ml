@@ -1,4 +1,4 @@
-(* Fail when a library declaration has no user.
+(* Fail when a library declaration has no user outside the tests.
 
    Reads the typed trees that `dune build @check` writes and requires,
    of the sources under lib/:
@@ -7,7 +7,11 @@
    - every record field is read: a field access, a record pattern that
      binds it, or a [{ r with ... }] that copies it;
    - every variant constructor is built.
-   Every unit passed counts as a user, tests and executables included.
+   A unit whose source is under test/ is no user: a declaration only
+   tests reach is listed apart as test-only, and that list must equal
+   the golden file given with [--test-only FILE] (no file: an empty
+   list; in the file, blank lines and lines starting with # are
+   ignored).  Library code, bench, examples, bin and perfbench count.
    A value is keyed by its .mli declaration location, where references
    from other units point and those from its own .ml never do.  A field
    or constructor is keyed by declaring file stem, type name and own
@@ -15,22 +19,30 @@
    or open hides a use.  Structural equality and hashing read every
    field but do not count as reads.
 
-   Prints each dead declaration as [file:line: kind name], then a count,
-   and exits 1 if there are any.  From the repo root:
+   Prints each dead declaration as [file:line: kind name], then a count;
+   then each difference from the golden as [+ file: kind name] (test-only
+   but not in the golden) or [- file: kind name] (in the golden but no
+   longer test-only), then a count.  Exits 1 if either count is nonzero.
+   From the repo root:
      dune build @check
      dune exec scripts/check_dead/check_dead.exe -- \
+       --test-only scripts/check_dead/test_only.expected \
        $(find _build/default \( -name '*.cmt' -o -name '*.cmti' \)) *)
 
 open Typedtree
 
 let file (loc : Location.t) = loc.loc_start.pos_fname
-let under_lib f = String.starts_with ~prefix:"lib/" f
+let under dir f = String.starts_with ~prefix:(dir ^ "/") f
 
-(* Declarations by key, with where and what to report, and the keys
-   that have a user. *)
+(* Declarations by key, with where and what to report; the keys that
+   have a user, and those that only tests use. *)
 let declared : (string, Location.t * string) Hashtbl.t = Hashtbl.create 1024
 let used : (string, unit) Hashtbl.t = Hashtbl.create 8192
-let use key = Hashtbl.replace used key ()
+let test_used : (string, unit) Hashtbl.t = Hashtbl.create 1024
+
+(* Whether the unit being read is a test. *)
+let in_test = ref false
+let use key = Hashtbl.replace (if !in_test then test_used else used) key ()
 
 let declare key loc what =
   (* Report a type's .mli copy when it has one. *)
@@ -70,7 +82,7 @@ let declare_constructor loc ty cd =
 
 let type_declaration sub td =
   let loc = td.typ_loc and ty = td.typ_name.txt in
-  (if under_lib (file loc) then
+  (if under "lib" (file loc) then
      match td.typ_kind with
      | Ttype_record lds -> declare_labels loc ty lds
      | Ttype_variant cds -> List.iter (declare_constructor loc ty) cds
@@ -118,24 +130,49 @@ let rec declare_values prefix items =
 
 let read path =
   let cmt = Cmt_format.read_cmt path in
+  let source = Option.value cmt.cmt_sourcefile ~default:"" in
+  in_test := under "test" source;
   match cmt.cmt_annots with
   | Implementation s -> iterator.structure iterator s
   | Interface s ->
       iterator.signature iterator s;
-      if under_lib (Option.value cmt.cmt_sourcefile ~default:"") then
-        declare_values "" s.sig_items
+      if under "lib" source then declare_values "" s.sig_items
   | _ -> ()
 
+(* The golden's entries: its lines but blank ones and # comments. *)
+let read_golden path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
 let () =
-  Array.iteri (fun i path -> if i > 0 then read path) Sys.argv;
-  let dead =
+  let golden, paths =
+    match List.tl (Array.to_list Sys.argv) with
+    | "--test-only" :: g :: rest -> (read_golden g, rest)
+    | rest -> ([], rest)
+  in
+  List.iter read paths;
+  let unused pred =
     Hashtbl.fold
       (fun key (loc, what) acc ->
-        if Hashtbl.mem used key then acc
+        if Hashtbl.mem used key || not (pred key) then acc
         else (file loc, loc.Location.loc_start.pos_lnum, what) :: acc)
       declared []
     |> List.sort compare
   in
+  let dead = unused (fun key -> not (Hashtbl.mem test_used key)) in
   List.iter (fun (f, n, what) -> Printf.printf "%s:%d: %s\n" f n what) dead;
   Printf.printf "%d dead declaration(s)\n" (List.length dead);
-  exit (if dead = [] then 0 else 1)
+  let test_only =
+    unused (Hashtbl.mem test_used)
+    |> List.map (fun (f, _, what) -> Printf.sprintf "%s: %s" f what)
+  in
+  let missing l = List.filter (fun x -> not (List.mem x l)) in
+  let diff =
+    List.map (( ^ ) "+ ") (missing golden test_only)
+    @ List.map (( ^ ) "- ") (missing test_only golden)
+  in
+  List.iter print_endline diff;
+  Printf.printf "%d test-only declaration(s), %d differ from the golden\n"
+    (List.length test_only) (List.length diff);
+  exit (if dead = [] && diff = [] then 0 else 1)

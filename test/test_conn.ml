@@ -135,7 +135,6 @@ let accept_basic () =
   let tb = Testbed.create () in
   let base = Testbed.occupancy tb in
   let l = Tcp.create_listener (tcp_b tb) ~port:7000 () in
-  check_int "listener_port" 7000 (Tcp.listener_port l);
   let pcb_a = Tcp.connect (tcp_a tb) ~dst:Testbed.addr_b ~dst_port:7000 () in
   Sim.run ~until:(Simtime.ms 100.) tb.Testbed.sim;
   check_int "one connection pending" 1 (Tcp.listener_pending l);
@@ -211,6 +210,51 @@ let drain_check_names_leaks () =
   Mbuf.free m;
   Sim.stop tb.Testbed.sim timer;
   check_drained "released" tb base
+
+(* Pins: a buffer an address space's cache keeps wired is working, not
+   leaking, so the check never flushes a cache; a pin held outside the
+   caches is a leak until it is released, and a stream whose sockets
+   wire each buffer for one transfer only releases every pin it took. *)
+let drain_counts_pins_outside_caches () =
+  let tb = Testbed.create () in
+  let base = Testbed.occupancy tb in
+  let space = Netstack.make_space tb.Testbed.b.Testbed.stack ~name:"pins" in
+  let wire r ~cached =
+    match Addr_space.wire space r ~cached with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "pin refused with faults disarmed"
+  in
+  let kept = Addr_space.alloc space 8192 and once = Addr_space.alloc space 8192 in
+  wire kept ~cached:true;
+  wire once ~cached:false;
+  Alcotest.(check (list string))
+    "only the pin outside the cache is named"
+    [ "addr_space/uncached_pin_refs" ]
+    (List.map (fun l -> l.Testbed.metric) (Testbed.leaks tb base));
+  ignore (Addr_space.unwire space once ~cached:false : Simtime.t);
+  ignore (Addr_space.unwire space kept ~cached:true : Simtime.t);
+  check_drained "cache keeps its buffer" tb base;
+  let paths =
+    { Socket.default_paths with Socket.force_uio = true; use_pin_cache = false }
+  in
+  let total = 1 lsl 18 and got = ref 0 in
+  Testbed.establish_stream tb ~port:7000 ~a_paths:paths ~b_paths:paths
+    (fun sa sb ->
+      let src = Addr_space.alloc (Socket.space sa) 65536 in
+      Testbed.write_all sa src ~total;
+      let dst = Addr_space.alloc (Socket.space sb) 65536 in
+      let rec recv () =
+        Socket.read sb dst (fun n ->
+            if n = 0 then Socket.close sb
+            else begin
+              got := !got + n;
+              recv ()
+            end)
+      in
+      recv ());
+  Sim.run ~until:(Simtime.s 5.) tb.Testbed.sim;
+  check_int "stream delivered" total !got;
+  check_drained "uncached stream" tb base
 
 (* --------------------------------------------------------------- *)
 (* Listener close drains to exact occupancy                         *)
@@ -580,8 +624,7 @@ let sockpoll_accept_and_read () =
   let base = Testbed.occupancy tb in
   let sp = Sockpoll.create () in
   let l = Tcp.create_listener (tcp_b tb) ~port:7000 () in
-  let e_l = Sockpoll.add_listener sp ~interest:Sockpoll.accept_only ~data:1 l in
-  check_int "listener registered" 1 (Sockpoll.registered sp);
+  let e_l = Sockpoll.add_listener sp ~data:1 l in
   check_bool "idle listener not ready" true (Sockpoll.poll sp = []);
   let pcb_a = Tcp.connect (tcp_a tb) ~dst:Testbed.addr_b ~dst_port:7000 () in
   Sim.run ~until:(Simtime.ms 100.) tb.Testbed.sim;
@@ -594,7 +637,10 @@ let sockpoll_accept_and_read () =
     | None -> Alcotest.fail "poll said acceptable but accept was empty"
   in
   let space = Addr_space.create ~profile:Host_profile.alpha400 ~name:"srv" () in
-  let sock_b = Socket.create ~host:(Tcp.pcb_host pcb_b) ~space ~proc:"srv" pcb_b in
+  let sock_b =
+    Socket.create ~host:tb.Testbed.b.Testbed.stack.Netstack.host ~space
+      ~proc:"srv" pcb_b
+  in
   let e_s = Sockpoll.add_socket sp ~data:2 sock_b in
   let evs = Sockpoll.poll sp in
   check_bool "drained listener not re-reported" true (find_ev evs 1 = None);
@@ -619,7 +665,7 @@ let sockpoll_accept_and_read () =
   check_int "read returned the payload" 1024 !got;
   Sockpoll.remove sp e_s;
   Sockpoll.remove sp e_l;
-  check_int "poller emptied" 0 (Sockpoll.registered sp);
+  check_bool "removed entries are never reported" true (Sockpoll.poll sp = []);
   Socket.close sock_b;
   Tcp.close pcb_a;
   Tcp.close_listener l;
@@ -628,8 +674,7 @@ let sockpoll_accept_and_read () =
   check_int "B flows drained" 0 (Tcp.active_flows (tcp_b tb));
   (* The socket's address space still caches the read buffer's pinned
      page after the close: a cache that holds pins is working, not
-     leaking.  Release it as the soak does. *)
-  ignore (Addr_space.flush (Socket.space sock_b) : Simtime.t);
+     leaking, and the drain check does not count it. *)
   check_drained "sockpoll" tb base
 
 (* --------------------------------------------------------------- *)
@@ -653,8 +698,7 @@ let port_table_lifecycle_on ~shards =
    with Invalid_argument _ -> ());
   Tcp.close_listener l;
   (* Close releases the port for immediate rebinding... *)
-  let l2 = Tcp.create_listener tcp ~port:7000 () in
-  check_int "rebound" 7000 (Tcp.listener_port l2);
+  ignore (Tcp.create_listener tcp ~port:7000 () : Tcp.listener);
   (* ...and unlisten is close-by-port-number. *)
   Tcp.unlisten tcp ~port:7000;
   let l3 = Tcp.create_listener tcp ~port:7000 () in
@@ -740,6 +784,7 @@ let () =
       sec "drain"
         [
           case "leak diff names the metric" drain_check_names_leaks;
+          case "pins count outside the caches" drain_counts_pins_outside_caches;
           case "close drains the accept queue" close_drains_accept_queue;
           case "close drains half-open records" close_drains_half_open;
         ];

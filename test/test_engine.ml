@@ -62,10 +62,10 @@ let prop_queue_sorted =
 let test_sim_ordering () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.at sim 100 (fun () -> log := ("b", Sim.now sim) :: !log));
-  ignore (Sim.at sim 50 (fun () -> log := ("a", Sim.now sim) :: !log));
+  ignore (Sim.after sim 100 (fun () -> log := ("b", Sim.now sim) :: !log));
+  ignore (Sim.after sim 50 (fun () -> log := ("a", Sim.now sim) :: !log));
   ignore
-    (Sim.at sim 50 (fun () ->
+    (Sim.after sim 50 (fun () ->
          (* Events scheduled from handlers run later the same instant. *)
          ignore (Sim.after sim 0 (fun () -> log := ("a2", Sim.now sim) :: !log))));
   Sim.run sim;
@@ -75,7 +75,7 @@ let test_sim_ordering () =
 let test_sim_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
-  let h = Sim.at sim 10 (fun () -> fired := true) in
+  let h = Sim.after sim 10 (fun () -> fired := true) in
   Sim.stop sim h;
   Sim.run sim;
   check_bool "cancelled event did not fire" false !fired;
@@ -95,11 +95,11 @@ let test_sim_until () =
 
 let test_sim_past_raises () =
   let sim = Sim.create () in
-  ignore (Sim.at sim 100 (fun () -> ()));
+  ignore (Sim.after sim 100 (fun () -> ()));
   Sim.run sim;
   Alcotest.check_raises "past scheduling rejected"
-    (Invalid_argument "Sim.at: time 50ns is in the past (now 100ns)")
-    (fun () -> ignore (Sim.at sim 50 (fun () -> ())))
+    (Invalid_argument "Sim.after: time 50ns is in the past (now 100ns)")
+    (fun () -> ignore (Sim.after sim (-50) (fun () -> ())))
 
 let test_sim_stuck_guard () =
   let sim = Sim.create () in
@@ -141,7 +141,7 @@ let test_cpu_interrupt_priority () =
       order := "b" :: !order);
   (* Interrupt raised while [a] runs: must execute before [b]. *)
   ignore
-    (Sim.at sim 10 (fun () ->
+    (Sim.after sim 10 (fun () ->
          execute_intr cpu 5 (fun () -> order := "intr" :: !order)));
   Sim.run sim;
   Alcotest.(check (list string)) "intr preempts queue" [ "b"; "intr"; "a" ]
@@ -156,7 +156,7 @@ let test_cpu_interrupt_mischarge () =
   execute_intr cpu 40 (fun () -> ());
   (* Interrupt while ttcp runs: charged to ttcp. *)
   ignore
-    (Sim.at sim 100 (fun () ->
+    (Sim.after sim 100 (fun () ->
          execute cpu ~proc:"ttcp" ~mode:Cpu.User 100 (fun () -> ());
          execute_intr cpu 7 (fun () -> ())));
   Sim.run sim;
@@ -183,7 +183,7 @@ let prop_cpu_conservation =
           | 1 -> execute cpu ~proc:"b" ~mode:Cpu.Sys d (fun () -> ())
           | _ ->
               ignore
-                (Sim.at sim (i * 7) (fun () ->
+                (Sim.after sim (i * 7) (fun () ->
                      execute_intr cpu d (fun () -> ()))))
         jobs;
       Sim.run sim;

@@ -3,6 +3,9 @@
    mode.  These drive the entire system — sockets, TCP, drivers, adaptor,
    link — through one property. *)
 
+(* Two checksum sums are equal when their folded values are. *)
+let csum_equal a b = Inet_csum.fold a = Inet_csum.fold b
+
 (* One transfer with the given write sizes (sender) and read cap sizes
    (receiver), returning (completed, bytes, intact). *)
 let run_transfer ~mode ~force_uio ~drop_a_frames ~writes ~read_caps () =
@@ -190,7 +193,7 @@ let prop_chain_checksum_matches_oracle =
       let got = Mbuf.checksum chain ~off ~len in
       let want = Inet_csum.reference_of_bytes ~off ~len golden in
       Mbuf.free chain;
-      Inet_csum.equal got want)
+      csum_equal got want)
 
 let prop_chain_copy_csum_matches_oracle =
   QCheck.Test.make
@@ -204,7 +207,7 @@ let prop_chain_copy_csum_matches_oracle =
       let sum = Mbuf.copy_into_csum chain ~off ~len dst ~dst_off in
       Mbuf.free chain;
       Bytes.equal (Bytes.sub dst dst_off len) (Bytes.sub golden off len)
-      && Inet_csum.equal sum (Inet_csum.reference_of_bytes ~off ~len golden)
+      && csum_equal sum (Inet_csum.reference_of_bytes ~off ~len golden)
       && Bytes.get dst (dst_off + len) = '\xee'
       && (dst_off = 0 || Bytes.get dst (dst_off - 1) = '\xee'))
 

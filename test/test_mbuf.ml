@@ -4,8 +4,15 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
+(* Two checksum sums are equal when their folded values are. *)
+let csum_equal a b = Inet_csum.fold a = Inet_csum.fold b
+let csum_of_string s = Inet_csum.of_bytes (Bytes.of_string s)
+
 let profile = Host_profile.alpha400
 let space () = Addr_space.create ~profile ~name:"app" ()
+
+(* A gauge of the [mbuf_pool] registry section. *)
+let pool name = int_of_float (Obs.value ~section:"mbuf_pool" ~name)
 
 let assert_ok m =
   match Mbuf.check_invariants m with
@@ -45,16 +52,15 @@ let test_of_string_chains () =
 let test_pool_accounting () =
   Mbuf.Pool.reset ();
   let m = Mbuf.of_string (String.make 3000 'y') in
-  check_bool "live > 0" true (Mbuf.Pool.allocated () > 0);
-  check_bool "clusters counted" true (Mbuf.Pool.clusters () >= 1);
+  check_bool "live > 0" true (pool "live" > 0);
+  check_bool "clusters counted" true (pool "live_clusters" >= 1);
   Mbuf.free m;
-  check_int "all freed" 0 (Mbuf.Pool.allocated ());
-  check_int "no clusters" 0 (Mbuf.Pool.clusters ())
+  check_int "all freed" 0 (pool "live");
+  check_int "no clusters" 0 (pool "live_clusters")
 
 (* ---------- storage pooling ---------- *)
 
 let test_pool_recycle_clean () =
-  ignore (Mbuf.Pool.trim ());
   Mbuf.Pool.reset ();
   (* Populate both free lists with used storage. *)
   let s = Mbuf.of_string ~pkthdr:true "stale small payload" in
@@ -62,9 +68,9 @@ let test_pool_recycle_clean () =
   Mbuf.free s;
   Mbuf.free m;
   check_bool "cells cached after free" true
-    (Mbuf.Pool.free_small () + Mbuf.Pool.free_clusters () > 0);
+    (pool "free_small" + pool "free_clusters" > 0);
   let before_hits = Mbuf.Pool.hit_count () in
-  let m2 = Mbuf.get ~pkthdr:true () in
+  let m2 = Mbuf.of_string ~pkthdr:true "" in
   check_bool "reuse came from the pool" true
     (Mbuf.Pool.hit_count () > before_hits);
   (* Recycled storage must come back logically empty — no stale length
@@ -73,17 +79,20 @@ let test_pool_recycle_clean () =
   check_int "recycled mbuf is zero-length" 0 (Mbuf.chain_len m2);
   check_int "recycled pkt_len is zero" 0 (Mbuf.pkt_len m2);
   check_str "no stale payload" "" (Mbuf.to_string m2);
-  let c2 = Mbuf.get_cluster () in
+  let hits = Mbuf.Pool.hit_count () in
+  let c2 = Mbuf.alloc 2048 in
+  check_bool "cluster came from the pool" true
+    (Mbuf.Pool.hit_count () > hits);
   assert_ok c2;
-  check_int "recycled cluster is zero-length" 0 (Mbuf.chain_len c2);
+  check_str "recycled cluster holds no stale bytes" (String.make 2048 '\000')
+    (Mbuf.to_string c2);
   Mbuf.free m2;
   Mbuf.free c2;
   (* Ownership is clean: each free accounts exactly once. *)
-  check_int "nothing live" 0 (Mbuf.Pool.allocated ())
+  check_int "nothing live" 0 (pool "live")
 
 (* One warm-up round, then 50 more; round [i] runs as [run i round]. *)
 let steady_state_allocs run =
-  ignore (Mbuf.Pool.trim ());
   Mbuf.Pool.reset ();
   let rounds = ref 0 in
   let round () =
@@ -93,15 +102,15 @@ let steady_state_allocs run =
   in
   (* One warm-up round primes the free lists... *)
   run 0 round;
-  let warm = Mbuf.Pool.total_allocs () in
+  let warm = pool "allocs" in
   (* ...after which a steady-state workload allocates nothing fresh. *)
   for i = 1 to 50 do
     run i round
   done;
   check_int "every round ran" 51 !rounds;
-  check_int "total_allocs flat once warm" warm (Mbuf.Pool.total_allocs ());
+  check_int "total_allocs flat once warm" warm (pool "allocs");
   check_bool "steady state hit rate > 0.9" true (Mbuf.Pool.hit_rate () > 0.9);
-  check_int "nothing live at the end" 0 (Mbuf.Pool.allocated ())
+  check_int "nothing live at the end" 0 (pool "live")
 
 let test_pool_steady_state_allocs () =
   steady_state_allocs (fun _ round -> round ());
@@ -112,26 +121,6 @@ let test_pool_steady_state_allocs () =
   steady_state_allocs (fun i round ->
       Host.in_proc_on host ~shard:(i mod 4) ~proc:"app" 0 round;
       Sim.run ~until:(Sim.now tb.Testbed.sim + Simtime.ms 1.) tb.Testbed.sim)
-
-let test_pool_trim () =
-  ignore (Mbuf.Pool.trim ());
-  Mbuf.Pool.reset ();
-  let m = Mbuf.of_string (String.make 5000 'q') in
-  Mbuf.free m;
-  let small = Mbuf.Pool.free_small () and cl = Mbuf.Pool.free_clusters () in
-  check_bool "free lists populated" true (small + cl > 0);
-  let bytes = (small * Mbuf.msize) + (cl * Mbuf.mclbytes) in
-  check_int "trim returns the cached pages"
-    ((bytes + 4095) / 4096)
-    (Mbuf.Pool.trim ());
-  check_int "small list dropped" 0 (Mbuf.Pool.free_small ());
-  check_int "cluster list dropped" 0 (Mbuf.Pool.free_clusters ());
-  check_int "second trim releases nothing" 0 (Mbuf.Pool.trim ());
-  (* With the lists dropped, the next request must allocate fresh. *)
-  let misses = Mbuf.Pool.miss_count () in
-  let m2 = Mbuf.get () in
-  check_bool "post-trim get is a miss" true (Mbuf.Pool.miss_count () > misses);
-  Mbuf.free m2
 
 let test_uio_mbuf () =
   let sp = space () in
@@ -191,16 +180,14 @@ let test_notify_counter () =
   let woken = ref 0 in
   n.Mbuf.on_drained <- (fun () -> incr woken);
   Mbuf.notify_add n 3;
-  Mbuf.notify_complete n;
-  Mbuf.notify_complete n;
+  Mbuf.notify_complete_n n 1;
+  Mbuf.notify_complete_n n 1;
   check_int "not yet" 0 !woken;
-  Mbuf.notify_complete n;
+  Mbuf.notify_complete_n n 1;
   check_int "woken at zero" 1 !woken;
-  check_bool "extra complete rejected" true
-    (try
-       Mbuf.notify_complete n;
-       false
-     with Invalid_argument _ -> true)
+  Mbuf.notify_complete_n n 1;
+  check_int "extra complete clamped at zero" 0 n.Mbuf.dma_pending;
+  check_int "extra complete wakes no one" 1 !woken
 
 (* ---------- data access ---------- *)
 
@@ -230,13 +217,13 @@ let test_checksum_chain_parity () =
   let c = Mbuf.of_string (String.sub data 78 23) in
   Mbuf.append a b;
   Mbuf.append a c;
-  let flat = Inet_csum.of_string data in
+  let flat = csum_of_string data in
   check_bool "parity-correct chain checksum" true
-    (Inet_csum.equal flat (Mbuf.checksum a ~off:0 ~len:101));
+    (csum_equal flat (Mbuf.checksum a ~off:0 ~len:101));
   (* Partial ranges too. *)
   let flat_part = Inet_csum.of_bytes ~off:31 ~len:50 (Bytes.of_string data) in
   check_bool "partial range" true
-    (Inet_csum.equal flat_part (Mbuf.checksum a ~off:31 ~len:50));
+    (csum_equal flat_part (Mbuf.checksum a ~off:31 ~len:50));
   Mbuf.free a
 
 (* The chain checksum walks the mbufs without a closure or ref cell: over
@@ -256,7 +243,7 @@ let test_checksum_alloc_free () =
     (Mbuf.chain_kinds a = [ Mbuf.K_internal; Mbuf.K_cluster; Mbuf.K_uio ]);
   let flat = Inet_csum.of_bytes ~off:3 ~len:990 (Bytes.of_string data) in
   check_bool "equals the flat sum" true
-    (Inet_csum.equal flat (Mbuf.checksum a ~off:3 ~len:990));
+    (csum_equal flat (Mbuf.checksum a ~off:3 ~len:990));
   let w =
     Alloc_budget.measure 100 ~drain:ignore ~submit:(fun _ ->
         ignore (Mbuf.checksum a ~off:3 ~len:990 : Inet_csum.sum))
@@ -271,7 +258,7 @@ let test_checksum_alloc_free () =
 let test_of_bytes_one_cell_words () =
   let src = Bytes.make 200 'x' in
   let n = 100 in
-  let chains = Array.make n (Mbuf.get ()) in
+  let chains = Array.make n (Mbuf.of_string "") in
   Array.iter Mbuf.free chains;
   let w =
     Alloc_budget.measure n
@@ -361,7 +348,7 @@ let test_pullup () =
   Mbuf.append a (Mbuf.of_string "cdef");
   let a = Mbuf.pullup a 5 in
   assert_ok a;
-  check_bool "first mbuf holds 5" true ((Mbuf.nth a 0 |> Option.get).Mbuf.len >= 5);
+  check_bool "first mbuf holds 5" true (a.Mbuf.len >= 5);
   check_str "data preserved" "abcdef" (Mbuf.to_string a);
   Mbuf.free a
 
@@ -462,7 +449,7 @@ let prop_checksum_matches_flat =
       let m = build_chain chunks in
       let s = String.concat "" chunks in
       let ok =
-        Inet_csum.equal (Inet_csum.of_string s)
+        csum_equal (csum_of_string s)
           (Mbuf.checksum m ~off:0 ~len:(String.length s))
       in
       Mbuf.free m;
@@ -477,7 +464,7 @@ let prop_no_leaks =
       let c = Mbuf.copy_range m ~off:0 ~len:(-1) in
       Mbuf.free m;
       Mbuf.free c;
-      Mbuf.Pool.allocated () = 0)
+      pool "live" = 0)
 
 let () =
   Alcotest.run "mbuf"
@@ -490,7 +477,6 @@ let () =
             test_pool_recycle_clean;
           Alcotest.test_case "pool steady-state allocs" `Quick
             test_pool_steady_state_allocs;
-          Alcotest.test_case "pool trim" `Quick test_pool_trim;
           Alcotest.test_case "uio mbuf" `Quick test_uio_mbuf;
           Alcotest.test_case "wcab outboard protection" `Quick
             test_wcab_outboard_protection;

@@ -8,10 +8,7 @@ let check_bool = Alcotest.(check bool)
 let test_inaddr () =
   let a = Inaddr.v 10 1 2 3 in
   Alcotest.(check string) "to_string" "10.1.2.3" (Inaddr.to_string a);
-  check_bool "of_string roundtrip" true
-    (Inaddr.equal a (Inaddr.of_string "10.1.2.3"));
-  check_bool "loopback" true
-    (Inaddr.equal Inaddr.loopback (Inaddr.of_string "127.0.0.1"));
+  check_bool "loopback" true (Inaddr.equal Inaddr.loopback (Inaddr.v 127 0 0 1));
   Alcotest.check_raises "bad octet" (Invalid_argument "Inaddr.v: octet out of range")
     (fun () -> ignore (Inaddr.v 300 0 0 1));
   check_bool "prefix match" true
@@ -19,10 +16,7 @@ let test_inaddr () =
   check_bool "prefix miss" false
     (Inaddr.in_prefix ~prefix:(Inaddr.v 192 168 0 0) ~len:16 a);
   check_bool "len 0 matches everything" true
-    (Inaddr.in_prefix ~prefix:Inaddr.any ~len:0 a);
-  (* Unsigned comparison: 224.x > 10.x despite the sign bit. *)
-  check_bool "unsigned order" true
-    (Inaddr.compare (Inaddr.v 224 0 0 1) (Inaddr.v 10 0 0 1) > 0)
+    (Inaddr.in_prefix ~prefix:Inaddr.any ~len:0 a)
 
 (* ---------- IPv4 ---------- *)
 
@@ -126,9 +120,10 @@ let prop_tcp_seq_roundtrip =
 (* ---------- UDP ---------- *)
 
 let test_udp_roundtrip () =
-  let h = Udp_header.make ~src_port:53 ~dst_port:5353 ~length:512 in
   let buf = Bytes.create 8 in
-  Udp_header.encode h ~csum:0x1234 buf ~off:0;
+  List.iteri
+    (fun i v -> Bytes.set_uint16_be buf (2 * i) v)
+    [ 53; 5353; 512; 0x1234 ];
   match Udp_header.decode buf ~off:0 ~len:8 with
   | Error e -> Alcotest.fail e
   | Ok (d, csum) ->
@@ -137,20 +132,11 @@ let test_udp_roundtrip () =
       check_int "len" 512 d.Udp_header.length;
       check_int "csum" 0x1234 csum
 
-let test_udp_zero_csum_substitution () =
-  let h = Udp_header.make ~src_port:1 ~dst_port:2 ~length:8 in
-  let buf = Bytes.create 8 in
-  Udp_header.encode h ~csum:0 buf ~off:0;
-  check_int "0 stored as 0xffff" 0xffff (Bytes.get_uint16_be buf 6);
-  Udp_header.encode_raw h ~csum:0 buf ~off:0;
-  check_int "raw keeps 0 (seed path)" 0 (Bytes.get_uint16_be buf 6)
-
 (* ---------- HIPPI ---------- *)
 
 let test_hippi_roundtrip () =
   let buf = Bytes.create 64 in
   Hippi_framing.encode buf ~off:0 ~src:3 ~dst:9 ~channel:2 ~payload_len:32768;
-  check_int "channel read in place" 2 (Hippi_framing.read_channel buf ~off:0);
   match Hippi_framing.decode buf ~off:0 with
   | Error e -> Alcotest.fail e
   | Ok d ->
@@ -176,9 +162,7 @@ let test_hippi_bad_magic () =
   check_bool "bad magic rejected" true
     (match Hippi_framing.decode buf ~off:0 with
     | Error "hippi: bad magic" -> true
-    | _ -> false);
-  check_int "no channel without magic" 0
-    (Hippi_framing.read_channel buf ~off:0)
+    | _ -> false)
 
 (* ---------- Ethernet ---------- *)
 
@@ -191,7 +175,7 @@ let test_ether_roundtrip () =
   | Ok d ->
       check_int "src" 0x00aabbccddee d.Ether_frame.src;
       check_int "dst" 0x112233445566 d.Ether_frame.dst;
-      check_int "type" Ether_frame.ethertype_ipv4 d.Ether_frame.ethertype
+      check_int "type IPv4" 0x0800 d.Ether_frame.ethertype
 
 let () =
   Alcotest.run "packet"
@@ -213,8 +197,6 @@ let () =
       ( "udp",
         [
           Alcotest.test_case "roundtrip" `Quick test_udp_roundtrip;
-          Alcotest.test_case "zero checksum" `Quick
-            test_udp_zero_csum_substitution;
         ] );
       ( "hippi",
         [

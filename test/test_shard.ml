@@ -151,16 +151,22 @@ let churn_10k () =
   let check_peak () =
     peak_checked := true;
     List.iter
-      (fun (name, tcp) ->
-        let per = Tcp.flows_per_shard tcp in
-        Alcotest.(check int) (name ^ " shard count") 4 (Array.length per);
+      (fun (name, (node : Testbed.node)) ->
+        let host = node.Testbed.stack.Netstack.host.Host.name in
+        (* A 4-shard host publishes one demux-table gauge per shard. *)
+        let per =
+          Array.init 4 (fun i ->
+              int_of_float
+                (Obs.value ~section:"shard"
+                   ~name:(Printf.sprintf "%s.%d.flows" host i)))
+        in
         Array.iteri
           (fun i c ->
             Alcotest.(check bool)
               (Printf.sprintf "%s shard %d owns flows (got %d)" name i c)
               true (c > 0))
           per)
-      [ ("A", tcp_a); ("B", tcp_b) ]
+      [ ("A", tb.Testbed.a); ("B", tb.Testbed.b) ]
   in
   let accepted = ref 0 in
   Tcp.listen tcp_b ~port:7000 ~on_accept:(fun pcb ->

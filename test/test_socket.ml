@@ -164,7 +164,7 @@ let check_route msg expected got = check_bool msg true (expected = got)
 
 let test_path_policy_decide () =
   (* Defaults: cutover 16384, cold_shift 1 (cold threshold 32768). *)
-  let p = Path_policy.create ~explore_period:0 () in
+  let p = Path_policy.create () in
   check_route "unaligned always copies"
     (Path_policy.Copy, Path_policy.Unaligned)
     (Path_policy.decide p ~len:65536 ~aligned:false ~pin_warm:true);
@@ -183,7 +183,7 @@ let test_path_policy_decide () =
 
 let test_path_policy_refines () =
   (* Uio measured cheaper at 4K: the cutover falls to that bucket. *)
-  let p = Path_policy.create ~explore_period:0 () in
+  let p = Path_policy.create () in
   for _ = 1 to 4 do
     Path_policy.observe p ~route:Path_policy.Uio ~len:4096
       ~cost:(Simtime.us 10.);
@@ -192,7 +192,7 @@ let test_path_policy_refines () =
   done;
   check_int "cutover fell to the winning bucket" 4096 (Path_policy.cutover p);
   (* Copy measured cheaper at 64K: the cutover is pushed above 64K. *)
-  let p = Path_policy.create ~explore_period:0 () in
+  let p = Path_policy.create () in
   for _ = 1 to 4 do
     Path_policy.observe p ~route:Path_policy.Uio ~len:65536
       ~cost:(Simtime.us 500.);
@@ -202,7 +202,7 @@ let test_path_policy_refines () =
   check_bool "cutover pushed above the losing bucket" true
     (Path_policy.cutover p > 65536);
   (* Clamps: evidence at 64B cannot drag the cutover below min_cutover. *)
-  let p = Path_policy.create ~explore_period:0 () in
+  let p = Path_policy.create () in
   for _ = 1 to 4 do
     Path_policy.observe p ~route:Path_policy.Uio ~len:64
       ~cost:(Simtime.us 1.);
@@ -212,23 +212,26 @@ let test_path_policy_refines () =
   check_int "clamped at min_cutover" 1024 (Path_policy.cutover p)
 
 let test_path_policy_explore () =
-  let p = Path_policy.create ~explore_period:4 () in
-  let explored = ref 0 in
-  for _ = 1 to 16 do
+  let p = Path_policy.create () in
+  let explored = ref [] in
+  for i = 1 to 64 do
     let route, reason =
       Path_policy.decide p ~len:4096 ~aligned:true ~pin_warm:true
     in
     if reason = Path_policy.Explore then begin
-      incr explored;
+      explored := i :: !explored;
       (* 4K normally copies, so the probe takes the other road. *)
       check_route "probe flips the route" Path_policy.Uio route
     end
   done;
-  check_int "every 4th eligible decision explores" 4 !explored;
+  Alcotest.(check (list int))
+    "every 16th eligible decision explores" [ 16; 32; 48; 64 ]
+    (List.rev !explored);
   check_int "stats agree" 4 (Path_policy.stats p).Path_policy.explored;
-  (* Exploration never overrides the alignment constraint. *)
-  let p = Path_policy.create ~explore_period:1 () in
-  for _ = 1 to 8 do
+  (* Exploration never overrides the alignment constraint, the 16th and
+     32nd decisions included. *)
+  let p = Path_policy.create () in
+  for _ = 1 to 32 do
     let route, _ =
       Path_policy.decide p ~len:65536 ~aligned:false ~pin_warm:true
     in

@@ -12,11 +12,7 @@ let test_seq_basics () =
   check_bool "lt" true (Tcp_seq.lt 5 10);
   check_bool "gt wrap" true (Tcp_seq.gt 5 0xfffffffb);
   check_int "diff wrap" 10 (Tcp_seq.diff 5 0xfffffffb);
-  check_int "add wrap" 5 (Tcp_seq.add 0xfffffffb 10);
-  check_bool "in window" true (Tcp_seq.in_window 0x10 ~base:0x8 ~size:0x10);
-  check_bool "out of window" false (Tcp_seq.in_window 0x18 ~base:0x8 ~size:0x10);
-  check_bool "window wraps" true
-    (Tcp_seq.in_window 2 ~base:0xfffffffe ~size:8)
+  check_int "add wrap" 5 (Tcp_seq.add 0xfffffffb 10)
 
 let prop_seq_antisymmetric =
   QCheck.Test.make ~name:"seq lt antisymmetric over half-range" ~count:500
@@ -74,13 +70,13 @@ let test_sendq_chain_extent () =
   let space = Addr_space.create ~profile:Host_profile.alpha400 ~name:"t" () in
   let region = Addr_space.alloc space 100 in
   Tcp_sendq.append q (Mbuf.make_uio ~region ~notify:None);
-  let k, ext = Tcp_sendq.chain_extent q ~off:0 in
+  let k, ext = Tcp_sendq.homogeneous_extent q ~off:0 in
   check_bool "regular chain" true (k = Mbuf.K_internal);
   check_int "extent to chain end" 10 ext;
-  let k, ext = Tcp_sendq.chain_extent q ~off:10 in
+  let k, ext = Tcp_sendq.homogeneous_extent q ~off:10 in
   check_bool "descriptor chain" true (k = Mbuf.K_uio);
   check_int "full uio extent" 100 ext;
-  let k, ext = Tcp_sendq.chain_extent q ~off:50 in
+  let k, ext = Tcp_sendq.homogeneous_extent q ~off:50 in
   check_bool "mid descriptor" true (k = Mbuf.K_uio);
   check_int "remaining extent" 60 ext;
   Tcp_sendq.clear q
@@ -103,12 +99,12 @@ let test_sendq_merge_descriptors () =
   check_int "three writes queued" 12288 (Tcp_sendq.length q);
   (* The merged writes form one symbolic chain that packetization can
      cut full-MSS segments from. *)
-  let k, ext = Tcp_sendq.chain_extent q ~off:0 in
+  let k, ext = Tcp_sendq.homogeneous_extent q ~off:0 in
   check_bool "descriptor kind" true (k = Mbuf.K_uio);
   check_int "one chain spans the merged writes" 12288 ext;
   (* Without the flag, the next write starts its own chain. *)
   Tcp_sendq.append q (chunk 3);
-  let _, ext = Tcp_sendq.chain_extent q ~off:0 in
+  let _, ext = Tcp_sendq.homogeneous_extent q ~off:0 in
   check_int "unmerged write not linked on" 12288 ext;
   (* Merging must not disturb the bytes. *)
   let m = Tcp_sendq.range q ~off:0 ~len:16384 in
@@ -230,7 +226,7 @@ let test_reasm_overlap_spans_queued () =
   Tcp_reasm.insert r ~rcv_nxt:0 ~seq:3 (sub 3 9);
   Alcotest.(check string) "stream byte-identical" data
     (String.concat "" (take_all r ~rcv_nxt:0));
-  check_bool "nothing left queued" true (Tcp_reasm.is_empty r)
+  check_bool "nothing left queued" true (Tcp_reasm.bytes_held r = 0)
 
 let test_reasm_out_of_order_with_duplicates () =
   let data = "0123456789abcdefghij" in
@@ -244,7 +240,7 @@ let test_reasm_out_of_order_with_duplicates () =
   Tcp_reasm.insert r ~rcv_nxt:0 ~seq:6 (sub 6 8);
   Alcotest.(check string) "stream byte-identical" data
     (String.concat "" (take_all r ~rcv_nxt:0));
-  check_bool "duplicates freed, nothing queued" true (Tcp_reasm.is_empty r)
+  check_bool "duplicates freed, nothing queued" true (Tcp_reasm.bytes_held r = 0)
 
 let prop_reasm_overlapping_oracle =
   (* Beyond [prop_reasm_reconstructs]' exact duplicates: inject random
@@ -291,7 +287,7 @@ let prop_reasm_overlapping_oracle =
               rcv_nxt := !rcv_nxt + l)
             (Tcp_reasm.take r ~rcv_nxt:!rcv_nxt))
         arr;
-      Buffer.contents out = data && Tcp_reasm.is_empty r)
+      Buffer.contents out = data && Tcp_reasm.bytes_held r = 0)
 
 let prop_reasm_reconstructs =
   (* Insert random segmentations of a string in random order (with
@@ -334,7 +330,7 @@ let prop_reasm_reconstructs =
               rcv_nxt := !rcv_nxt + l)
             (Tcp_reasm.take r ~rcv_nxt:!rcv_nxt))
         arr;
-      Buffer.contents out = data && Tcp_reasm.is_empty r)
+      Buffer.contents out = data && Tcp_reasm.bytes_held r = 0)
 
 (* ---------- protocol scenarios ---------- *)
 

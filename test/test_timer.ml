@@ -130,8 +130,8 @@ let test_same_tick_distinct_deadlines () =
      exact (un-rounded) times, in deadline order. *)
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.at sim (tick + 5) (fun () -> log := (5, Sim.now sim) :: !log));
-  ignore (Sim.at sim (tick + 1) (fun () -> log := (1, Sim.now sim) :: !log));
+  ignore (Sim.after sim (tick + 5) (fun () -> log := (5, Sim.now sim) :: !log));
+  ignore (Sim.after sim (tick + 1) (fun () -> log := (1, Sim.now sim) :: !log));
   Sim.run sim;
   Alcotest.(check (list (pair int int)))
     "exact deadlines inside one slot"
@@ -166,7 +166,7 @@ let test_cancel_inside_handler () =
   let sim = Sim.create () in
   let fired = ref false in
   let victim = Sim.timer sim (fun () -> fired := true) in
-  ignore (Sim.at sim tick (fun () -> Sim.stop sim victim));
+  ignore (Sim.after sim tick (fun () -> Sim.stop sim victim));
   Sim.rearm sim victim tick;
   (* The canceller was scheduled first, so it runs first in the
      same-instant batch and unlinks the victim from the ready list. *)
@@ -258,7 +258,7 @@ let test_heap_compaction () =
   let fired = ref 0 in
   let hs =
     List.init 100 (fun i ->
-        Sim.at sim (Simtime.ms (float_of_int (i + 1))) (fun () -> incr fired))
+        Sim.after sim (Simtime.ms (float_of_int (i + 1))) (fun () -> incr fired))
   in
   check_int "all resident" 100 (Sim.pending sim);
   (* Cancel 60: at the 51st the dead outnumber the live and the heap
