@@ -215,9 +215,11 @@ let micro ?(json = false) () =
       Test.make ~name:"event_queue/push-pop-64" (Staged.stage (fun () ->
           let q = Event_queue.create () in
           for i = 0 to 63 do
-            Event_queue.push q ~time:((i * 7919) land 0xffff) i
+            Event_queue.push_seq q ~time:((i * 7919) land 0xffff) ~seq:i i
           done;
-          while Event_queue.pop q <> None do () done));
+          while not (Event_queue.is_empty q) do
+            ignore (Event_queue.take q : int)
+          done));
       Test.make ~name:"tcp_header/encode-decode" (Staged.stage (fun () ->
           let h =
             Tcp_header.make ~flags:[ Tcp_header.ACK ] ~src_port:1 ~dst_port:2

@@ -20,10 +20,9 @@ let sink_on ~stack ~port =
         match Tcp.recv pcb ~max:max_int with
         | None -> ()
         | Some chain ->
-            let before = Interop.wcab_conversions () in
+            let converts = List.mem Mbuf.K_wcab (Mbuf.chain_kinds chain) in
             Interop.wcab_to_regular ~host ~iface chain (fun regular ->
-                if Interop.wcab_conversions () > before then
-                  s.converted_in <- s.converted_in + 1;
+                if converts then s.converted_in <- s.converted_in + 1;
                 if
                   List.exists
                     (fun k -> k = Mbuf.K_wcab || k = Mbuf.K_uio)

@@ -1,6 +1,3 @@
-let wcab_count = ref 0
-let wcab_conversions () = !wcab_count
-
 (* Ledger charge for the flatten: like the CPU charge below, it counts
    only descriptor-held bytes as a host copy. *)
 let charge_flatten op n =
@@ -83,7 +80,6 @@ let wcab_to_regular ~host ~iface m k =
         (* The owning device must be able to move its own data. *)
         invalid_arg "Interop.wcab_to_regular: device has no copy-out"
     | Some copy_out ->
-        incr wcab_count;
         let total = Mbuf.chain_len m in
         let buf = Bytes.create total in
         let pending = ref 1 in

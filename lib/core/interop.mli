@@ -34,5 +34,3 @@ val wcab_to_regular :
   host:Host.t -> iface:Netif.t -> Mbuf.t -> (Mbuf.t -> unit) -> unit
 (** Continuation receives an equivalent all-regular chain (the original is
     consumed).  Chains without WCAB parts pass through untouched. *)
-
-val wcab_conversions : unit -> int

@@ -4,6 +4,7 @@ type t = {
   tcp : Tcp.t;
   udp : Udp.t;
   mode : Stack_mode.t;
+  mutable spaces : Addr_space.t list;
 }
 
 let create ~sim ~profile ~name ~mode ?(tcp_config = fun c -> c) ?(shards = 1)
@@ -12,7 +13,7 @@ let create ~sim ~profile ~name ~mode ?(tcp_config = fun c -> c) ?(shards = 1)
   let ip = Ipv4.create ~host in
   let tcp = Tcp.create ~ip ~config:(tcp_config Tcp.default_config) in
   let udp = Udp.create ~ip in
-  { host; ip; tcp; udp; mode }
+  { host; ip; tcp; udp; mode; spaces = [] }
 
 let subnet_of addr =
   (* /24 containing the address. *)
@@ -66,5 +67,9 @@ let add_route t ~prefix ~len ?gateway ifc =
 let set_forwarding t v = Ipv4.set_forwarding t.ip v
 
 let make_space t ~name =
-  Addr_space.create ~profile:t.host.Host.profile
-    ~name:(t.host.Host.name ^ "." ^ name) ()
+  let space =
+    Addr_space.create ~profile:t.host.Host.profile
+      ~name:(t.host.Host.name ^ "." ^ name) ()
+  in
+  t.spaces <- space :: t.spaces;
+  space

@@ -12,6 +12,8 @@ type t = {
   tcp : Tcp.t;
   udp : Udp.t;
   mode : Stack_mode.t;
+  mutable spaces : Addr_space.t list;
+      (** every space {!make_space} returned, newest first *)
 }
 
 val create :
@@ -49,4 +51,5 @@ val add_route :
 val set_forwarding : t -> bool -> unit
 
 val make_space : t -> name:string -> Addr_space.t
-(** A fresh application address space on this host. *)
+(** A fresh application address space on this host, kept in [spaces]
+    so the host's pins can be counted. *)

@@ -24,6 +24,13 @@ let make_node ~sim ~profile ~mode ~name ?tcp_config ?shards ~netmem_pages
   let driver = Netstack.attach_cab stack ~cab ~addr ?mtu ?watchdog () in
   { stack; cab; driver }
 
+(* [f] summed over every address space of both hosts. *)
+let sum_spaces t f =
+  let node n =
+    List.fold_left (fun acc sp -> acc + f sp) 0 n.stack.Netstack.spaces
+  in
+  node t.a + node t.b
+
 let create ?(profile = Host_profile.alpha400)
     ?(mode = Stack_mode.Single_copy) ?(mtu = 32 * 1024)
     ?(netmem_pages = 4096) ?tcp_config ?(drop_a_frames = [])
@@ -60,7 +67,15 @@ let create ?(profile = Host_profile.alpha400)
   Hippi_link.set_rx link Hippi_link.A (fun f -> Cab.deliver a.cab f);
   Cab_driver.add_neighbor a.driver addr_b ~hippi_addr:2;
   Cab_driver.add_neighbor b.driver addr_a ~hippi_addr:1;
-  { sim; link; a; b }
+  let t = { sim; link; a; b } in
+  (* Like [sim/*], the latest testbed's pins answer for the section. *)
+  let pins name f =
+    Obs.gauge ~section:"addr_space" ~name (fun () ->
+        float_of_int (sum_spaces t f))
+  in
+  pins "pinned_pages" Addr_space.pinned_pages;
+  pins "uncached_pin_refs" Addr_space.uncached_pin_refs;
+  t
 
 let establish_stream t ~port ?a_paths ?b_paths k =
   let a_sock = ref None and b_sock = ref None in
@@ -144,7 +159,7 @@ let occupancy t =
     Obs.value ~section:"mbuf_pool" ~name:"live";
     Obs.value ~section:"mbuf_pool" ~name:"live_clusters";
     Obs.value ~section:"bufpool" ~name:"outstanding";
-    Obs.value ~section:"addr_space" ~name:"uncached_pin_refs";
+    float_of_int (sum_spaces t Addr_space.uncached_pin_refs);
     netmem t.a;
     flows t.a;
     netmem t.b;

@@ -67,7 +67,13 @@ val create :
     [shards] (default 1) splits both hosts into RSS shards (see
     {!Host.create}); [link_rate] overrides the HIPPI line rate in
     bytes/s for scaling experiments where 100 MByte/s would cap the
-    aggregate. *)
+    aggregate.
+
+    The registry's [addr_space/pinned_pages] and
+    [addr_space/uncached_pin_refs] then read the pins of the two hosts'
+    address spaces ({!Addr_space.pinned_pages},
+    {!Addr_space.uncached_pin_refs}); like [sim/*], they answer for the
+    latest testbed. *)
 
 val establish_stream :
   t ->
@@ -107,16 +113,16 @@ val send_stream :
 
     - [sim/pending]: armed timers and queued events;
     - [mbuf_pool/live] (live mbufs) and [mbuf_pool/live_clusters];
-    - [bufpool/outstanding] (frames out of {!Bufpool.shared}) and
-      [addr_space/uncached_pin_refs] (page pin references held outside
-      the address spaces' pinned-buffer caches: a cache that keeps a
-      buffer wired is working, not leaking, so a drain check never has
-      to flush it);
+    - [bufpool/outstanding] (frames out of {!Bufpool.shared});
+    - [addr_space/uncached_pin_refs]: the page pin references the
+      address spaces of this testbed's two hosts hold outside their
+      pinned-buffer caches (a cache that keeps a buffer wired is
+      working, not leaking, so a drain check never has to flush it);
     - [cab.<cab>/netmem_in_use] for each CAB;
     - [tcp.<host>/active_flows] for each host.
 
-    The pools and pin references are process-wide, so a snapshot is only
-    comparable with a later one taken in the same process. *)
+    The pools are process-wide, so a snapshot is only comparable with a
+    later one taken in the same process. *)
 
 type occupancy
 

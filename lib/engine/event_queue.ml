@@ -8,7 +8,6 @@ type 'a t = {
      kept the last popped event (and whatever closures it captured) alive
      in [heap.(size)] until a later push overwrote the slot. *)
   mutable size : int;
-  mutable next_seq : int;
   mutable dead : int;
   (* Entries whose payload the owner has invalidated (cancelled or
      re-armed timers).  They still occupy heap slots until they reach the
@@ -18,7 +17,7 @@ type 'a t = {
   mutable compactions : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0; dead = 0; compactions = 0 }
+let create () = { heap = [||]; size = 0; dead = 0; compactions = 0 }
 
 let is_empty q = q.size = 0
 let length q = q.size
@@ -59,13 +58,8 @@ let push_seq q ~time ~seq payload =
     else continue := false
   done
 
-let push q ~time payload =
-  let seq = q.next_seq in
-  q.next_seq <- q.next_seq + 1;
-  push_seq q ~time ~seq payload
-
 (* Sift the entry boxed at [i0] down to its place.  The box is shared for
-   the whole walk (the same trick [push] uses for sift-up): child boxes
+   the whole walk (the same trick [push_seq] uses for sift-up): child boxes
    move up a slot and the box is written exactly once, at its final
    slot, instead of re-boxing on every swap. *)
 let sift_down q i0 =
@@ -103,14 +97,6 @@ let remove_root q =
   if q.size > 0 then begin
     q.heap.(0) <- boxed;
     sift_down q 0
-  end
-
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let root = get q 0 in
-    remove_root q;
-    Some (root.time, root.payload)
   end
 
 let iter_ready q ~now ~seq_below ~f =

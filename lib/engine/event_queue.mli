@@ -1,8 +1,8 @@
 (** Priority queue of timed events.
 
-    A binary min-heap ordered by (time, sequence number).  The sequence
-    number makes the simulation deterministic: two events scheduled for the
-    same instant fire in scheduling order. *)
+    A binary min-heap ordered by (time, sequence number).  The owner
+    supplies each entry's sequence number, and two entries for the same
+    instant leave in sequence order, so the simulation is deterministic. *)
 
 type 'a t
 
@@ -11,19 +11,10 @@ val create : unit -> 'a t
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 
-val push : 'a t -> time:Simtime.t -> 'a -> unit
-(** Push with the queue's own monotonically increasing sequence number. *)
-
 val push_seq : 'a t -> time:Simtime.t -> seq:int -> 'a -> unit
-(** Push with a caller-supplied sequence number, for owners (like [Sim])
-    that share one sequence space across several event sources.  Do not
-    mix with {!push} on the same queue — the internal counter does not
-    observe caller-supplied values. *)
-
-val pop : 'a t -> (Simtime.t * 'a) option
-(** Removes and returns the earliest event.  The vacated heap slot is
-    cleared, so the queue never keeps a popped payload (or the closures it
-    captures) reachable. *)
+(** Push with a caller-supplied sequence number: the owner (like [Sim])
+    draws every event's seq from one sequence space it shares across
+    several event sources, so (time, seq) totally orders them all. *)
 
 val iter_ready :
   'a t -> now:Simtime.t -> seq_below:int -> f:(int -> 'a -> unit) -> int
@@ -44,7 +35,9 @@ val peek_seq : 'a t -> int
 val take : 'a t -> 'a
 (** Remove and return the earliest payload.  The queue must be
     non-empty.  [min_time]/[peek_seq] give the root's key beforehand,
-    so a merge loop pops without allocating a result tuple. *)
+    so a merge loop pops without allocating a result tuple.  The
+    vacated heap slot is cleared, so the queue never keeps a removed
+    payload (or the closures it captures) reachable. *)
 
 (** {2 Dead-entry accounting}
 

@@ -33,7 +33,6 @@ let register_obs t =
   g "heap_compactions" (fun () -> Event_queue.compactions t.queue);
   g "wheel_pending" (fun () -> Tw.pending t.wheel);
   g "wheel_ready" (fun () -> Tw.ready_len t.wheel);
-  g "wheel_free" (fun () -> Tw.free_len t.wheel);
   g "wheel_scheduled" (fun () -> Tw.scheduled t.wheel);
   g "wheel_fired" (fun () -> Tw.fired t.wheel);
   g "wheel_cancelled" (fun () -> Tw.cancels t.wheel);
@@ -120,7 +119,7 @@ let after t delay fn =
   schedule t tm time;
   tm
 
-let timer t fn = Tw.alloc t.wheel fn
+let timer (_ : t) fn = Tw.make ~fn
 let set_fn (tm : handle) fn = Tw.set_fn tm fn
 
 let rearm_at t (tm : handle) time =
@@ -133,7 +132,7 @@ let stop t (tm : handle) = disarm t tm
 let armed (tm : handle) = tm.Tw.where <> Tw.w_none
 
 let periodic t ~every fn =
-  let tm = Tw.alloc t.wheel (fun () -> ()) in
+  let tm = Tw.make ~fn:ignore in
   (* Re-arm before running [fn] so a [stop] from inside the handler
      sticks instead of being overwritten by the self-re-arm. *)
   Tw.set_fn tm (fun () ->
@@ -141,10 +140,6 @@ let periodic t ~every fn =
       fn ());
   rearm t tm every;
   tm
-
-let release t (tm : handle) =
-  disarm t tm;
-  Tw.release t.wheel tm
 
 let pending t = Event_queue.length t.queue + Tw.pending t.wheel
 

@@ -4,7 +4,9 @@
     order.  All simulated components (hosts, adaptors, links) share one
     [Sim.t].
 
-    Two event stores sit behind one sequence space:
+    Two event stores sit behind one sequence space, and [Sim] is its
+    only source: it stamps every event's seq, and the heap takes it
+    ({!Event_queue.push_seq}).
 
     - a {e hierarchical timing wheel} ({!Timer_wheel}) holds delay-class
       timers — the RTOs, delayed acks, watchdogs, and poll timers that
@@ -21,15 +23,16 @@
 
     Alongside the one-shot {!after}, reusable timers
     ({!timer}/{!rearm}/{!stop}) carry their callback across re-arms, so
-    the steady-state re-arm path allocates nothing. *)
+    the steady-state re-arm path allocates nothing.  Every timer is one
+    record, built once and owned by the code that holds it: the
+    scheduler keeps no pool of records to hand back. *)
 
 type t
 
 type handle = Timer_wheel.timer
 (** A scheduled event that can be stopped (e.g. a protocol timer).
-    One-shot handles from {!after} are GC-owned; reusable timers
-    from {!timer}/{!periodic} come from a free list and can be handed
-    back with {!release}. *)
+    Every handle is a plain GC-owned record that belongs to whoever
+    holds it; dropping an idle one is all it takes to be rid of it. *)
 
 val create : ?wheel:bool -> unit -> t
 (** [wheel:false] keeps every event on the binary heap — the reference
@@ -49,7 +52,7 @@ val after : t -> Simtime.t -> (unit -> unit) -> handle
     timer moves it). *)
 
 val timer : t -> (unit -> unit) -> handle
-(** An idle reusable timer with callback installed (free-listed). *)
+(** An idle reusable timer with callback installed. *)
 
 val set_fn : handle -> (unit -> unit) -> unit
 (** Replace the callback — for timers whose callback must reference the
@@ -74,10 +77,6 @@ val periodic : t -> every:Simtime.t -> (unit -> unit) -> handle
 (** A self-re-arming timer: fires every [every], starting one period
     from now.  {!stop} pauses it; {!rearm} restarts it.  The re-arm
     happens after the callback runs, and allocates nothing. *)
-
-val release : t -> handle -> unit
-(** Disarm and return a reusable timer to the free list.  The caller
-    must drop its reference — the record will be reused. *)
 
 val pending : t -> int
 (** Number of events still queued (including cancelled heap entries not

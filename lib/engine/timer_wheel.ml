@@ -11,7 +11,6 @@ type timer = {
   mutable deadline : Simtime.t;
   mutable seq : int;
   mutable where : int;
-  mutable pooled : bool;
   mutable prev : timer;
   mutable next : timer;
 }
@@ -28,8 +27,8 @@ let no_fn () = ()
    anything can read them. *)
 let make ~fn =
   let tm =
-    { fn; deadline = 0; seq = 0; where = w_none; pooled = false;
-      prev = Obj.magic 0; next = Obj.magic 0 }
+    { fn; deadline = 0; seq = 0; where = w_none; prev = Obj.magic 0;
+      next = Obj.magic 0 }
   in
   tm.prev <- tm;
   tm.next <- tm;
@@ -38,12 +37,10 @@ let make ~fn =
 let sentinel () = make ~fn:no_fn
 
 (* Level-0 ticks are 2^9 ns; 2^8 slots per level; three levels give a
-   horizon of 2^(9 + 3*8) ns, about 8.6 s.  64 records start on the
-   free list. *)
+   horizon of 2^(9 + 3*8) ns, about 8.6 s. *)
 let tick_bits = 9
 let slot_bits = 8
 let levels = 3
-let prealloc = 64
 let mask = (1 lsl slot_bits) - 1
 let horizon_ticks = 1 lsl (levels * slot_bits)
 
@@ -54,9 +51,6 @@ type t = {
   mutable n_ready : int;
   mutable n_pending : int;          (* slots + ready *)
   mutable now_tick : int;           (* cursor; slots < now_tick empty *)
-  nil : timer;                      (* free-list terminator *)
-  mutable free : timer;             (* free list, chained via [next] *)
-  mutable n_free : int;
   mutable n_scheduled : int;
   mutable n_fired : int;
   mutable n_cancels : int;
@@ -67,50 +61,12 @@ type t = {
 }
 
 let create () =
-  let nil = sentinel () in
-  let t =
-    { slots =
-        Array.init levels (fun _ ->
-            Array.init (mask + 1) (fun _ -> sentinel ()));
-      counts = Array.make levels 0;
-      ready = sentinel (); n_ready = 0; n_pending = 0; now_tick = 0;
-      nil; free = nil; n_free = 0;
-      n_scheduled = 0; n_fired = 0; n_cancels = 0; n_cascades = 0;
-      n_visits = 0; n_near = 0; n_far = 0 }
-  in
-  for _ = 1 to prealloc do
-    let tm = make ~fn:no_fn in
-    tm.pooled <- true;
-    tm.next <- t.free;
-    t.free <- tm;
-    t.n_free <- t.n_free + 1
-  done;
-  t
-
-let alloc t fn =
-  if t.free == t.nil then begin
-    let tm = make ~fn in
-    tm.pooled <- true;
-    tm
-  end else begin
-    let tm = t.free in
-    t.free <- tm.next;
-    t.n_free <- t.n_free - 1;
-    tm.next <- tm;
-    tm.prev <- tm;
-    tm.fn <- fn;
-    tm
-  end
-
-let release t tm =
-  if tm.where <> w_none then invalid_arg "Timer_wheel.release: timer armed";
-  if tm.pooled then begin
-    tm.fn <- no_fn;
-    tm.prev <- tm;
-    tm.next <- t.free;
-    t.free <- tm;
-    t.n_free <- t.n_free + 1
-  end
+  { slots =
+      Array.init levels (fun _ -> Array.init (mask + 1) (fun _ -> sentinel ()));
+    counts = Array.make levels 0;
+    ready = sentinel (); n_ready = 0; n_pending = 0; now_tick = 0;
+    n_scheduled = 0; n_fired = 0; n_cancels = 0; n_cascades = 0;
+    n_visits = 0; n_near = 0; n_far = 0 }
 
 let set_fn tm fn = tm.fn <- fn
 
@@ -283,7 +239,6 @@ let pop_expired t =
 let pending t = t.n_pending
 let ready_len t = t.n_ready
 let level_count t l = t.counts.(l)
-let free_len t = t.n_free
 let scheduled t = t.n_scheduled
 let fired t = t.n_fired
 let cancels t = t.n_cancels

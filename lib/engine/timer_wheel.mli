@@ -15,8 +15,8 @@
     - {b re-arm}: unlink + relink, reusing the same record and callback,
       so the steady-state re-arm path allocates nothing.
 
-    Timer records are preallocated and free-listed ({!alloc}/{!release});
-    one-shot handles that escape to callers use {!make} and are GC-owned.
+    Timer records are plain GC-owned values ({!make}), held by whoever
+    armed them: the wheel keeps no pool of its own.
 
     Exactness: the wheel does NOT round deadlines to tick granularity.
     Records carry their exact [deadline] and a scheduler-wide [seq], and
@@ -35,7 +35,6 @@ type timer = {
   mutable seq : int;  (** scheduler-wide FIFO tiebreak, set by [Sim] *)
   mutable where : int;
       (** location: {!w_none}, {!w_heap}, a wheel level, or the ready list *)
-  mutable pooled : bool;  (** allocated from the free list *)
   mutable prev : timer;  (** intrusive dlist; self-linked when unlinked *)
   mutable next : timer;
 }
@@ -50,21 +49,13 @@ type t
 
 val create : unit -> t
 (** An empty wheel: level-0 granularity 2{^9} ns, 2{^8} slots per level,
-    {!levels} levels, so the horizon is 2{^(9 + 3*8)} ns (≈ 8.6 s).  64
-    timer records start on the free list. *)
+    {!levels} levels, so the horizon is 2{^(9 + 3*8)} ns (≈ 8.6 s). *)
 
 val levels : int
 (** Number of wheel levels (3). *)
 
 val make : fn:(unit -> unit) -> timer
-(** A fresh, GC-owned record (for one-shot handles that escape). *)
-
-val alloc : t -> (unit -> unit) -> timer
-(** Pop a record from the free list (or build one), install [fn]. *)
-
-val release : t -> timer -> unit
-(** Return an idle record to the free list and drop its callback.
-    The record must not be scheduled ([where = w_none]). *)
+(** A fresh, idle record: one block of 6 fields, built once. *)
 
 val set_fn : timer -> (unit -> unit) -> unit
 (** Swap the callback (for self-referential timer setup). *)
@@ -111,7 +102,6 @@ val pending : t -> int
 
 val ready_len : t -> int
 val level_count : t -> int -> int
-val free_len : t -> int
 val scheduled : t -> int
 val fired : t -> int
 val cancels : t -> int

@@ -43,11 +43,14 @@ let serve ~api =
       (* User-level server: blocks live in a user buffer; every send is a
          socket write with copy semantics (single-copy via UIO). *)
       let b = tb.Testbed.b.Testbed.stack in
-      Socket.listen ~stack_tcp:b.Netstack.tcp ~host:b_host ~proc:"ttcp"
-        ~paths:{ Socket.default_paths with Socket.force_uio = true }
-        ~make_space:(fun () -> Netstack.make_space b ~name:"srv")
-        ~port:2049
-        (fun sock ->
+      Tcp.listen b.Netstack.tcp ~port:2049 ~on_accept:(fun pcb ->
+          let sock =
+            Socket.create ~host:b_host
+              ~space:(Netstack.make_space b ~name:"srv")
+              ~proc:"ttcp"
+              ~paths:{ Socket.default_paths with Socket.force_uio = true }
+              pcb
+          in
           let space = Netstack.make_space b ~name:"srvbuf" in
           let buf = Addr_space.alloc space block in
           Region.fill_pattern buf ~seed:1;

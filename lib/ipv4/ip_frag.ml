@@ -4,7 +4,7 @@ type entry = {
   mutable buf : Bytes.t;
   mutable covered : (int * int) list;  (* sorted disjoint (off, len) *)
   mutable total : int option;  (* known once the MF=0 fragment arrives *)
-  timer : Sim.handle;  (* reusable; released when the entry dies *)
+  timer : Sim.handle;  (* expiry; stopped when the datagram completes *)
   hdr : Ipv4_header.t;  (* from the first fragment seen *)
 }
 
@@ -48,20 +48,17 @@ let input t ~hdr chain =
     match Hashtbl.find_opt t.entries key with
     | Some e -> e
     | None ->
-        let sim = t.host.Host.sim in
         let e =
           {
             buf = Bytes.create (max 4096 (off + len));
             covered = [];
             total = None;
-            timer = Sim.timer sim ignore;
+            timer =
+              Sim.after t.host.Host.sim timeout (fun () ->
+                  Hashtbl.remove t.entries key);
             hdr;
           }
         in
-        Sim.set_fn e.timer (fun () ->
-            Hashtbl.remove t.entries key;
-            Sim.release sim e.timer);
-        Sim.rearm sim e.timer timeout;
         Hashtbl.add t.entries key e;
         e
   in
@@ -79,7 +76,7 @@ let input t ~hdr chain =
   entry.covered <- merge entry.covered (off, len);
   if not hdr.Ipv4_header.more_fragments then entry.total <- Some (off + len);
   if complete entry then begin
-    Sim.release t.host.Host.sim entry.timer;
+    Sim.stop t.host.Host.sim entry.timer;
     Hashtbl.remove t.entries key;
     let total = Option.get entry.total in
     let payload = Mbuf.of_bytes ~pkthdr:true (Bytes.sub entry.buf 0 total) in

@@ -720,13 +720,6 @@ let close t =
   t.closed <- true;
   Tcp.close t.pcb
 
-
-let listen ~stack_tcp ~host ~proc ?paths ~make_space ~port on_conn =
-  Tcp.listen stack_tcp ~port ~on_accept:(fun pcb ->
-      let space = make_space () in
-      on_conn (create ~host ~space ~proc ?paths pcb))
-
-
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt
     "writes %d (%d uio / %d copy; %d unaligned-fallback, %d fixups, %d \

@@ -139,16 +139,3 @@ val set_event_hook : t -> (unit -> unit) -> unit
 (** Install the readiness edge notification: fired after any pcb
     readable / sendable / closed callback has run the socket's own
     wakeups.  One hook per socket (the poller); last install wins. *)
-
-val listen :
-  stack_tcp:Tcp.t ->
-  host:Host.t ->
-  proc:string ->
-  ?paths:path_config ->
-  make_space:(unit -> Addr_space.t) ->
-  port:int ->
-  (t -> unit) ->
-  unit
-(** Server-side convenience: listen on [port] and hand each established
-    connection to the callback as a ready socket (a fresh address space
-    per connection from [make_space]). *)

@@ -1,20 +1,3 @@
-(* Process-wide tallies across every address space: distinct pinned
-   pages, page pin references (a page pinned twice counts twice), and
-   the references the pinned-buffer caches hold.  A drain check diffs the
-   references held outside the caches against their baseline to prove
-   pin/unpin balance: a cache that keeps buffers wired is working, not
-   leaking, and two cached buffers that share a page hold two
-   references. *)
-let total_pinned = ref 0
-let total_refs = ref 0
-let cached_refs = ref 0
-
-let () =
-  Obs.gauge ~section:"addr_space" ~name:"pinned_pages" (fun () ->
-      float_of_int !total_pinned);
-  Obs.gauge ~section:"addr_space" ~name:"uncached_pin_refs" (fun () ->
-      float_of_int (!total_refs - !cached_refs))
-
 let agg_pin_failures = Obs.counter ~section:"addr_space" ~name:"pin_failures"
 
 (* Process-wide aggregates of the pinned-buffer caches (per-space counts
@@ -106,10 +89,8 @@ let pin t region =
   let first = first_page t region and n = page_count t region in
   for p = first to first + n - 1 do
     let c = pin_count t p in
-    if c = 0 then incr total_pinned;
     Hashtbl.replace t.pins p (c + 1)
   done;
-  total_refs := !total_refs + n;
   Memcost.pin t.profile ~pages:n
 
 (* The fault site ["vm.pin_fail"]: the kernel refusing to wire more
@@ -126,13 +107,18 @@ let unpin t region =
     | 0 ->
         invalid_arg
           (Printf.sprintf "Addr_space.unpin(%s): page %d not pinned" t.name p)
-    | 1 ->
-        decr total_pinned;
-        Hashtbl.remove t.pins p
+    | 1 -> Hashtbl.remove t.pins p
     | c -> Hashtbl.replace t.pins p (c - 1)
   done;
-  total_refs := !total_refs - n;
   Memcost.unpin t.profile ~pages:n
+
+let pinned_pages t = Hashtbl.length t.pins
+
+(* A drain check counts the references held outside the cache: a cache
+   that keeps buffers wired is working, not leaking, and two cached
+   buffers that share a page hold two references. *)
+let uncached_pin_refs t =
+  Hashtbl.fold (fun _ c refs -> refs + c) t.pins 0 - t.cached_pages
 
 let map_into_kernel t region =
   Memcost.map t.profile ~pages:(page_count t region)
@@ -166,7 +152,6 @@ let evict_lru t =
       in
       t.cache <- List.filter (fun e -> e != victim) t.cache;
       t.cached_pages <- t.cached_pages - victim.pages;
-      cached_refs := !cached_refs - victim.pages;
       Obs.Counter.incr agg_evictions;
       unpin t victim.region
 
@@ -203,8 +188,7 @@ let wire t region ~cached =
       let map_cost = map_into_kernel t region in
       if cached then begin
         t.cache <- { region; pages; last_used = tick t } :: t.cache;
-        t.cached_pages <- t.cached_pages + pages;
-        cached_refs := !cached_refs + pages
+        t.cached_pages <- t.cached_pages + pages
       end;
       Ok (Simtime.add !evict_cost (Simtime.add pin_cost map_cost))
     end

@@ -46,10 +46,15 @@ val pin : t -> Region.t -> Simtime.t
 
 val unpin : t -> Region.t -> Simtime.t
 val map_into_kernel : t -> Region.t -> Simtime.t
-(** Pins are counted process-wide in the registry:
-    [addr_space/pinned_pages] (distinct pinned pages of every space)
-    and [addr_space/uncached_pin_refs] (page pin references held outside
-    the pinned-buffer caches; a page pinned twice counts twice). *)
+
+val pinned_pages : t -> int
+(** Distinct pages of this space pinned now. *)
+
+val uncached_pin_refs : t -> int
+(** Page pin references this space holds outside its pinned-buffer
+    cache (a page pinned twice counts twice).  A cache that keeps a
+    buffer wired is working, not leaking, so a drain check reads this
+    instead of flushing the cache. *)
 
 (** {1 Wiring for DMA} *)
 

@@ -256,6 +256,34 @@ let drain_counts_pins_outside_caches () =
   check_int "stream delivered" total !got;
   check_drained "uncached stream" tb base
 
+(* Pins are counted in the address spaces that hold them: the pins a
+   finished testbed leaves behind (a cache keeps its buffers wired) are
+   not the next testbed's, in the registry or in its drain check. *)
+let pins_stay_with_their_testbed () =
+  let gauge name = Obs.value ~section:"addr_space" ~name in
+  let first = Testbed.create () in
+  let space = Netstack.make_space first.Testbed.a.Testbed.stack ~name:"old" in
+  let wire ~cached =
+    let r = Addr_space.alloc space 8192 in
+    (match Addr_space.wire space r ~cached with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "pin refused with faults disarmed");
+    r
+  in
+  ignore (wire ~cached:true : Region.t);
+  let once = wire ~cached:false in
+  let pages = Addr_space.pinned_pages space in
+  check_bool "the first testbed pins pages" true (pages > 0);
+  Alcotest.(check (float 0.))
+    "the first testbed counts its own pins" (float_of_int pages)
+    (gauge "pinned_pages");
+  let second = Testbed.create () in
+  let base = Testbed.occupancy second in
+  Alcotest.(check (float 0.)) "no pinned page" 0. (gauge "pinned_pages");
+  Alcotest.(check (float 0.)) "no uncached pin" 0. (gauge "uncached_pin_refs");
+  ignore (Addr_space.unwire space once ~cached:false : Simtime.t);
+  check_drained "the first testbed's unpin" second base
+
 (* --------------------------------------------------------------- *)
 (* Listener close drains to exact occupancy                         *)
 (* --------------------------------------------------------------- *)
@@ -785,6 +813,7 @@ let () =
         [
           case "leak diff names the metric" drain_check_names_leaks;
           case "pins count outside the caches" drain_counts_pins_outside_caches;
+          case "pins stay with their testbed" pins_stay_with_their_testbed;
           case "close drains the accept queue" close_drains_accept_queue;
           case "close drains half-open records" close_drains_half_open;
         ];

@@ -27,21 +27,36 @@ let test_rate_mbit () =
 
 (* ---------- Event_queue ---------- *)
 
+(* Drain the queue the way [Sim.run]'s merge loop does: read the root's
+   key with [min_time]/[peek_seq], then [take] it. *)
+let drain_queue q =
+  let rec go acc =
+    if Event_queue.is_empty q then List.rev acc
+    else begin
+      let time = Event_queue.min_time q and seq = Event_queue.peek_seq q in
+      let payload = Event_queue.take q in
+      go ((time, seq, payload) :: acc)
+    end
+  in
+  go []
+
 let test_queue_order () =
   let q = Event_queue.create () in
-  Event_queue.push q ~time:30 "c";
-  Event_queue.push q ~time:10 "a";
-  Event_queue.push q ~time:20 "b";
-  let order = List.init 3 (fun _ -> Event_queue.pop q) in
-  Alcotest.(check (list (option (pair int string))))
-    "sorted" [ Some (10, "a"); Some (20, "b"); Some (30, "c") ] order;
-  Alcotest.(check (option (pair int string))) "empty" None (Event_queue.pop q)
+  Event_queue.push_seq q ~time:30 ~seq:0 "c";
+  Event_queue.push_seq q ~time:10 ~seq:1 "a";
+  Event_queue.push_seq q ~time:20 ~seq:2 "b";
+  Alcotest.(check (list (triple int int string)))
+    "sorted" [ (10, 1, "a"); (20, 2, "b"); (30, 0, "c") ] (drain_queue q);
+  check_int "empty min_time" max_int (Event_queue.min_time q);
+  check_int "empty peek_seq" max_int (Event_queue.peek_seq q)
 
 let test_queue_fifo_ties () =
+  (* Pushed in reverse: ties leave by seq, not by push order. *)
   let q = Event_queue.create () in
-  for i = 0 to 9 do Event_queue.push q ~time:5 i done;
-  let out = List.init 10 (fun _ -> snd (Option.get (Event_queue.pop q))) in
-  Alcotest.(check (list int)) "ties fire in push order" (List.init 10 Fun.id) out
+  for i = 9 downto 0 do Event_queue.push_seq q ~time:5 ~seq:i i done;
+  let out = List.map (fun (_, _, p) -> p) (drain_queue q) in
+  Alcotest.(check (list int)) "ties leave in seq order" (List.init 10 Fun.id)
+    out
 
 let prop_queue_sorted =
   QCheck.Test.make ~name:"event queue pops in nondecreasing time order"
@@ -49,13 +64,14 @@ let prop_queue_sorted =
     QCheck.(list (int_bound 10000))
     (fun times ->
       let q = Event_queue.create () in
-      List.iter (fun t -> Event_queue.push q ~time:t ()) times;
-      let rec drain last =
-        match Event_queue.pop q with
-        | None -> true
-        | Some (t, ()) -> t >= last && drain t
+      List.iteri (fun seq time -> Event_queue.push_seq q ~time ~seq ()) times;
+      let rec sorted = function
+        | (t1, s1, ()) :: ((t2, s2, ()) :: _ as rest) ->
+            (t1 < t2 || (t1 = t2 && s1 < s2)) && sorted rest
+        | _ -> true
       in
-      drain min_int)
+      let out = drain_queue q in
+      List.length out = List.length times && sorted out)
 
 (* ---------- Sim ---------- *)
 
@@ -432,11 +448,8 @@ let test_heap_drain_alloc_budget () =
     true
     (words <= 6. +. (8. /. float_of_int n))
 
-(* A timer taken when the wheel's free list is empty is one record built
-   once: 8 words (7 fields and the header), not a dummy block plus the
-   record it is copied into.  Each round takes 100 timers, more than the
-   64 the free list starts with, and nothing is released, so every
-   measured take builds a fresh record. *)
+(* A timer is one record built once: 7 words (6 fields and the header),
+   not a dummy block plus the record it is copied into. *)
 let test_fresh_timer_words () =
   let sim = Sim.create () in
   let w =
@@ -444,7 +457,7 @@ let test_fresh_timer_words () =
       ~submit:(fun _ -> ignore (Sim.timer sim ignore : Sim.handle))
       ~drain:ignore
   in
-  Alcotest.(check (float 0.)) "words per fresh timer" 8. w.submit
+  Alcotest.(check (float 0.)) "words per fresh timer" 7. w.submit
 
 (* ---------- Rng ---------- *)
 

@@ -118,44 +118,26 @@ let test_alloc_misaligned () =
   let r = Addr_space.alloc_at_offset sp ~page_offset:2 64 in
   check_bool "deliberately unaligned" false (Region.is_word_aligned r)
 
-(* The registry's process-wide pin counts, read as their rise since a
-   snapshot taken when a test starts (each test works in spaces of its
-   own): distinct pinned pages, page references held outside the
-   pinned-buffer caches, and cache evictions.  Buffers from
-   [Addr_space.alloc] start on a page of their own, so while every pin
-   is a cached wire (no references outside the caches), the pinned pages
-   are the pages the cache holds. *)
-let pin_metrics =
-  [
-    ("addr_space", "pinned_pages");
-    ("addr_space", "uncached_pin_refs");
-    ("pin_cache", "evictions");
-  ]
-
-let read_pins () =
-  List.map (fun (section, name) -> Obs.value ~section ~name) pin_metrics
-
-let since base i = int_of_float (List.nth (read_pins ()) i -. List.nth base i)
-let pinned base = since base 0
-let uncached_refs base = since base 1
-let evictions base = since base 2
+(* Cache evictions, read from the process-wide registry as their rise
+   since a snapshot taken when a test starts. *)
+let evictions_now () = Obs.value ~section:"pin_cache" ~name:"evictions"
+let evictions base = int_of_float (evictions_now () -. base)
 
 let test_pin_refcount () =
-  let base = read_pins () in
   let sp = space () in
   let r = Addr_space.alloc sp 32768 in
   let c1 = Addr_space.pin sp r in
   check_int "pin cost 4 pages" (Simtime.us 151.) c1;
-  check_int "4 pages pinned" 4 (pinned base);
+  check_int "4 pages pinned" 4 (Addr_space.pinned_pages sp);
   (* Overlapping second pin. *)
   let half = Region.sub r ~off:0 ~len:16384 in
   ignore (Addr_space.pin sp half);
-  check_int "six page references" 6 (uncached_refs base);
+  check_int "six page references" 6 (Addr_space.uncached_pin_refs sp);
   ignore (Addr_space.unpin sp r);
-  check_int "2 pages remain" 2 (pinned base);
+  check_int "2 pages remain" 2 (Addr_space.pinned_pages sp);
   ignore (Addr_space.unpin sp half);
-  check_int "all released" 0 (pinned base);
-  check_int "no reference left" 0 (uncached_refs base)
+  check_int "all released" 0 (Addr_space.pinned_pages sp);
+  check_int "no reference left" 0 (Addr_space.uncached_pin_refs sp)
 
 let test_unpin_unpinned_rejected () =
   let sp = space () in
@@ -178,7 +160,6 @@ let wire sp r =
   | Error _ -> Alcotest.fail "pin refused with faults disarmed"
 
 let test_pin_cache_amortization () =
-  let base = read_pins () in
   let sp = cached_space ~pin_budget:64 in
   let r = Addr_space.alloc sp 32768 in
   let first = wire sp r in
@@ -188,13 +169,13 @@ let test_pin_cache_amortization () =
   check_int "hits" 1 (Addr_space.cache_hits sp);
   check_int "misses" 1 (Addr_space.cache_misses sp);
   ignore (Addr_space.unwire sp r ~cached:true);
-  check_int "release is lazy (still resident)" 4 (pinned base);
+  check_int "release is lazy (still resident)" 4 (Addr_space.pinned_pages sp);
   check_int "a cached buffer holds no reference outside the cache" 0
-    (uncached_refs base)
+    (Addr_space.uncached_pin_refs sp)
 
 let test_pin_cache_eviction () =
   (* Budget of 8 pages; each buffer takes 4. *)
-  let base = read_pins () in
+  let base = evictions_now () in
   let sp = cached_space ~pin_budget:8 in
   let a = Addr_space.alloc sp 32768 in
   let b = Addr_space.alloc sp 32768 in
@@ -203,8 +184,8 @@ let test_pin_cache_eviction () =
   ignore (wire sp b);
   ignore (wire sp c);
   check_int "one eviction" 1 (evictions base);
-  check_int "resident bounded" 8 (pinned base);
-  check_int "every pin is the cache's" 0 (uncached_refs base);
+  check_int "resident bounded" 8 (Addr_space.pinned_pages sp);
+  check_int "every pin is the cache's" 0 (Addr_space.uncached_pin_refs sp);
   (* LRU: [a] was evicted, so it misses; [c] hits. *)
   ignore (wire sp c);
   check_int "c still resident" 1 (Addr_space.cache_hits sp);
@@ -212,7 +193,7 @@ let test_pin_cache_eviction () =
   check_bool "a was evicted" true (cost_a > 0)
 
 let test_pin_cache_lru_touch_refreshes () =
-  let base = read_pins () in
+  let base = evictions_now () in
   let sp = cached_space ~pin_budget:8 in
   let a = Addr_space.alloc sp 32768 in
   let b = Addr_space.alloc sp 32768 in
@@ -254,11 +235,10 @@ let test_pin_cache_keys_storage () =
   check_int "a's offset in its window" 131072 (window_offset a);
   check_int "b's offset in its window" 131072 (window_offset b);
   check_bool "distinct vaddrs" true (Region.vaddr a <> Region.vaddr b);
-  let base = read_pins () in
   let sp = cached_space ~pin_budget:64 in
   ignore (wire sp a);
   let cost_b = wire sp b in
-  check_int "16 pages pinned" 16 (pinned base);
+  check_int "16 pages pinned" 16 (Addr_space.pinned_pages sp);
   check_int "b pays pin + map (309 us)"
     (Memcost.pin p ~pages:8 + Memcost.map p ~pages:8)
     cost_b;
@@ -273,7 +253,6 @@ let prop_pin_cache_bounded =
       pair (int_range 4 32)
         (list_of_size Gen.(1 -- 40) (pair (int_bound 15) (int_range 1 65536))))
     (fun (budget, ops) ->
-      let base = read_pins () in
       let sp = cached_space ~pin_budget:budget in
       let regions = Hashtbl.create 8 in
       let ok = ref true in
@@ -292,9 +271,10 @@ let prop_pin_cache_bounded =
              too-large buffer; steady state must respect it whenever the
              last buffer itself fits. *)
           let pages = Region.pages ~page_size:p.Host_profile.page_size r in
-          if pages <= budget && pinned base > budget then ok := false)
+          if pages <= budget && Addr_space.pinned_pages sp > budget then
+            ok := false)
         ops;
-      !ok && uncached_refs base = 0)
+      !ok && Addr_space.uncached_pin_refs sp = 0)
 
 (* ---------- Host profiles ---------- *)
 

@@ -123,17 +123,15 @@ let test_two_sockets_one_host () =
   let a = tb.Testbed.a.Testbed.stack and b = tb.Testbed.b.Testbed.stack in
   let done1 = ref false and done2 = ref false in
   let total = 512 * 1024 in
-  Socket.listen ~stack_tcp:b.Netstack.tcp ~host:b.Netstack.host ~proc:"s1"
-    ~make_space:(fun () -> Netstack.make_space b ~name:"s1")
-    ~port:7001
-    (fun sock ->
+  Tcp.listen b.Netstack.tcp ~port:7001 ~on_accept:(fun pcb ->
+      let space = Netstack.make_space b ~name:"s1" in
+      let sock = Socket.create ~host:b.Netstack.host ~space ~proc:"s1" pcb in
       let sp = Netstack.make_space b ~name:"r1" in
       let buf = Addr_space.alloc sp total in
       Socket.read_exact sock buf (fun n -> done1 := n = total));
-  Socket.listen ~stack_tcp:a.Netstack.tcp ~host:a.Netstack.host ~proc:"s2"
-    ~make_space:(fun () -> Netstack.make_space a ~name:"s2")
-    ~port:7002
-    (fun sock ->
+  Tcp.listen a.Netstack.tcp ~port:7002 ~on_accept:(fun pcb ->
+      let space = Netstack.make_space a ~name:"s2" in
+      let sock = Socket.create ~host:a.Netstack.host ~space ~proc:"s2" pcb in
       let sp = Netstack.make_space a ~name:"r2" in
       let buf = Addr_space.alloc sp total in
       Socket.read_exact sock buf (fun n -> done2 := n = total));
@@ -380,11 +378,14 @@ let sockets_share_space_pins ~buffers ~second_hits () =
   let a = tb.Testbed.a.Testbed.stack and b = tb.Testbed.b.Testbed.stack in
   let wsize = 65536 in
   let received = ref 0 in
-  Socket.listen ~stack_tcp:b.Netstack.tcp ~host:b.Netstack.host ~proc:"srv"
-    ~paths:{ Socket.default_paths with Socket.use_pin_cache = false }
-    ~make_space:(fun () -> Netstack.make_space b ~name:"srv")
-    ~port:7001
-    (fun sock ->
+  Tcp.listen b.Netstack.tcp ~port:7001 ~on_accept:(fun pcb ->
+      let sock =
+        Socket.create ~host:b.Netstack.host
+          ~space:(Netstack.make_space b ~name:"srv")
+          ~proc:"srv"
+          ~paths:{ Socket.default_paths with Socket.use_pin_cache = false }
+          pcb
+      in
       let buf = Addr_space.alloc (Netstack.make_space b ~name:"rd") wsize in
       Socket.read_exact sock buf (fun n -> received := !received + n));
   let space = Netstack.make_space a ~name:"app" in

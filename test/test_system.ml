@@ -194,34 +194,6 @@ let test_icmp_unreachable () =
        (fun (k, src) -> k = `Unreachable && Inaddr.equal src Testbed.addr_b)
        !errs)
 
-let test_socket_listen_convenience () =
-  let tb = Testbed.create () in
-  let b = tb.Testbed.b.Testbed.stack in
-  let got = ref 0 in
-  Socket.listen ~stack_tcp:b.Netstack.tcp ~host:b.Netstack.host ~proc:"srv"
-    ~make_space:(fun () -> Netstack.make_space b ~name:"conn")
-    ~port:8080
-    (fun sock ->
-      let space = Netstack.make_space b ~name:"rd" in
-      let buf = Addr_space.alloc space 4096 in
-      Socket.read_exact sock buf (fun n -> got := n));
-  let a = tb.Testbed.a.Testbed.stack in
-  let pcb = ref None in
-  pcb :=
-    Some
-      (Tcp.connect a.Netstack.tcp ~dst:Testbed.addr_b ~dst_port:8080
-         ~on_established:(fun () ->
-           let space = Netstack.make_space a ~name:"cl" in
-           let sock =
-             Socket.create ~host:a.Netstack.host ~space ~proc:"cl"
-               (Option.get !pcb)
-           in
-           let src = Addr_space.alloc space 4096 in
-           Socket.write sock src (fun () -> Socket.close sock))
-         ());
-  Sim.run ~until:(Simtime.s 5.) tb.Testbed.sim;
-  check_int "served through Socket.listen" 4096 !got
-
 (* ---------- Ethernet device ---------- *)
 
 let test_ether_segment_delivery () =
@@ -598,8 +570,6 @@ let () =
         [
           Alcotest.test_case "loopback" `Quick test_loopback;
           Alcotest.test_case "icmp unreachable" `Quick test_icmp_unreachable;
-          Alcotest.test_case "Socket.listen" `Quick
-            test_socket_listen_convenience;
         ] );
       ( "ethernet",
         [

@@ -240,17 +240,6 @@ let test_periodic () =
   check_int "fired exactly 5 times" 5 !count;
   check_int "clock ran to the limit" (Simtime.ms 100.) (Sim.now sim)
 
-let test_release_recycles () =
-  let sim = Sim.create () in
-  let tm = Sim.timer sim ignore in
-  Sim.rearm sim tm (Simtime.ms 1.);
-  Sim.release sim tm;
-  (* release disarms: the pending deadline is gone... *)
-  check_int "nothing pending" 0 (Sim.pending sim);
-  (* ...and the record is free-listed: the next alloc reuses it. *)
-  let tm2 = Sim.timer sim ignore in
-  check_bool "record recycled" true (tm == tm2)
-
 (* ---------- unit: heap dead-entry compaction ---------- *)
 
 let test_heap_compaction () =
@@ -312,7 +301,6 @@ let () =
           Alcotest.test_case "stop prevents fire" `Quick
             test_stop_prevents_fire;
           Alcotest.test_case "periodic" `Quick test_periodic;
-          Alcotest.test_case "release recycles" `Quick test_release_recycles;
         ] );
       ( "heap",
         [
