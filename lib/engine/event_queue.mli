@@ -1,61 +1,39 @@
-(** Priority queue of timed events.
+(** Priority queue of timed events, stored in place.
 
-    A binary min-heap ordered by (time, sequence number).  The owner
-    supplies each entry's sequence number, and two entries for the same
-    instant leave in sequence order, so the simulation is deterministic. *)
+    An indexed binary min-heap of {!Timer_wheel.timer} records, ordered
+    by each record's own ([deadline], [seq]).  The owner stamps both
+    before {!push}, and [seq] is unique, so two events for the same
+    instant leave in sequence order and the simulation is deterministic.
 
-type 'a t
+    The heap holds the records themselves: a push allocates nothing.  A
+    resident record's [where] field names its slot ({!Timer_wheel.w_heap}
+    for slot 0, one less per slot), so {!remove} takes any resident
+    record out in O(log n) and no removed record stays behind. *)
 
-val create : unit -> 'a t
+type t
 
-val is_empty : 'a t -> bool
-val length : 'a t -> int
+val create : unit -> t
 
-val push_seq : 'a t -> time:Simtime.t -> seq:int -> 'a -> unit
-(** Push with a caller-supplied sequence number: the owner (like [Sim])
-    draws every event's seq from one sequence space it shares across
-    several event sources, so (time, seq) totally orders them all. *)
+val is_empty : t -> bool
+val length : t -> int
 
-val iter_ready :
-  'a t -> now:Simtime.t -> seq_below:int -> f:(int -> 'a -> unit) -> int
-(** Allocation-free bulk drain: removes every event with [time <= now]
-    and [seq < seq_below], calling
-    [f seq payload] on each in (time, seq) order, and
-    returns the number drained.  Each entry is removed {e before} [f]
-    runs, so the callback may freely push or compact.  This is the hot
-    path under [Sim.run]'s same-instant batches. *)
+val push : t -> Timer_wheel.timer -> unit
+(** Insert a record that is resident nowhere, keyed on its [deadline]
+    and [seq]. *)
 
-val min_time : 'a t -> Simtime.t
-(** Time of the earliest event without removing it; [max_int] when
-    empty, so the run loop's peek allocates nothing. *)
+val remove : t -> Timer_wheel.timer -> unit
+(** Take a resident record out of the heap; its [where] becomes
+    {!Timer_wheel.w_none}.  The vacated slot is cleared, so the queue
+    never keeps a removed record (or the closures it captures)
+    reachable. *)
 
-val peek_seq : 'a t -> int
-(** Sequence number of the earliest event; [max_int] when empty. *)
+val min_time : t -> Simtime.t
+(** Deadline of the earliest record without removing it; [max_int]
+    when empty, so the run loop's peek allocates nothing. *)
 
-val take : 'a t -> 'a
-(** Remove and return the earliest payload.  The queue must be
-    non-empty.  [min_time]/[peek_seq] give the root's key beforehand,
-    so a merge loop pops without allocating a result tuple.  The
-    vacated heap slot is cleared, so the queue never keeps a removed
-    payload (or the closures it captures) reachable. *)
+val peek_seq : t -> int
+(** Sequence number of the earliest record; [max_int] when empty. *)
 
-(** {2 Dead-entry accounting}
-
-    A heap cannot remove an arbitrary entry in O(1), so owners that
-    invalidate entries in place (cancelled or re-armed timers) tell the
-    queue how much garbage it is carrying and trigger {!compact} when
-    the ratio gets out of hand. *)
-
-val note_dead : 'a t -> unit
-(** The owner invalidated one resident entry. *)
-
-val dead_decr : 'a t -> unit
-(** A known-dead entry was drained normally (popped and skipped). *)
-
-val dead_count : 'a t -> int
-val compactions : 'a t -> int
-
-val compact : 'a t -> live:(int -> 'a -> bool) -> unit
-(** Drop every entry for which [live seq payload] is false and rebuild
-    the heap in O(n) (Floyd heapify); resets {!dead_count} to zero.
-    Pop order of the surviving entries is unchanged. *)
+val take : t -> Timer_wheel.timer
+(** Remove and return the earliest record, as {!remove} does.  The
+    queue must be non-empty. *)

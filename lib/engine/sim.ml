@@ -4,7 +4,7 @@ type handle = Tw.timer
 
 type t = {
   mutable clock : Simtime.t;
-  queue : handle Event_queue.t;
+  queue : Event_queue.t;
   wheel : Tw.t;
   use_wheel : bool;
   mutable next_seq : int;
@@ -12,25 +12,17 @@ type t = {
      every event, so the merged run loop fires in exactly the order a
      single heap would. *)
   mutable fired_total : int;
-  mutable drain : int -> handle -> unit;
-      (* [fire_heap t], built once in [create]: the heap-only drain in
-         [run] passes it to [Event_queue.iter_ready] without allocating *)
 }
 
 exception Stuck of string
-
-(* A heap entry is live iff its payload still claims heap residence
-   under the same seq.  Cancel and re-arm both break the claim (re-arm
-   assigns a fresh seq), turning the old entry into a skippable
-   tombstone without touching the heap. *)
-let heap_live seq (tm : handle) = tm.Tw.where = Tw.w_heap && tm.Tw.seq = seq
 
 let register_obs t =
   let g name f = Obs.gauge ~section:"sim" ~name (fun () -> float_of_int (f ())) in
   g "events_fired" (fun () -> t.fired_total);
   g "heap_pending" (fun () -> Event_queue.length t.queue);
-  g "heap_dead" (fun () -> Event_queue.dead_count t.queue);
-  g "heap_compactions" (fun () -> Event_queue.compactions t.queue);
+  (* The heap no longer compacts; the name stays for the readers that
+     look it up. *)
+  g "heap_compactions" (fun () -> 0);
   g "wheel_pending" (fun () -> Tw.pending t.wheel);
   g "wheel_ready" (fun () -> Tw.ready_len t.wheel);
   g "wheel_scheduled" (fun () -> Tw.scheduled t.wheel);
@@ -53,24 +45,12 @@ let fire t (tm : handle) =
   t.fired_total <- t.fired_total + 1;
   tm.Tw.fn ()
 
-(* Heap pops carry the entry's seq so stale entries (cancelled or
-   re-armed while heap-resident) are recognized and skipped. *)
-let fire_heap t seq (tm : handle) =
-  if heap_live seq tm then begin
-    tm.Tw.where <- Tw.w_none;
-    fire t tm
-  end
-  else Event_queue.dead_decr t.queue
-
-let no_drain _ _ = ()
-
 let create ?(wheel = true) () =
   let t =
     { clock = Simtime.zero; queue = Event_queue.create ();
       wheel = Tw.create (); use_wheel = wheel; next_seq = 0;
-      fired_total = 0; drain = no_drain }
+      fired_total = 0 }
   in
-  t.drain <- (fun seq tm -> fire_heap t seq tm);
   register_obs t;
   t
 
@@ -86,25 +66,13 @@ let fresh_seq t =
 let schedule t (tm : handle) time =
   tm.Tw.deadline <- time;
   tm.Tw.seq <- fresh_seq t;
-  if not (t.use_wheel && Tw.try_schedule t.wheel ~now:t.clock tm) then begin
-    tm.Tw.where <- Tw.w_heap;
-    Event_queue.push_seq t.queue ~time ~seq:tm.Tw.seq tm
-  end
-
-let maybe_compact t =
-  let q = t.queue in
-  let len = Event_queue.length q in
-  if len > 32 && 2 * Event_queue.dead_count q > len then
-    Event_queue.compact q ~live:heap_live
+  if not (t.use_wheel && Tw.try_schedule t.wheel ~now:t.clock tm) then
+    Event_queue.push t.queue tm
 
 (* Remove [tm] from whichever store holds it (no-op when idle). *)
 let disarm t (tm : handle) =
   let w = tm.Tw.where in
-  if w = Tw.w_heap then begin
-    tm.Tw.where <- Tw.w_none;
-    Event_queue.note_dead t.queue;
-    maybe_compact t
-  end
+  if w <= Tw.w_heap then Event_queue.remove t.queue tm
   else if w <> Tw.w_none then Tw.cancel t.wheel tm
 
 let past_error ~op t time =
@@ -154,14 +122,17 @@ let wheel_next t = if t.use_wheel then Tw.next_deadline t.wheel else max_int
 let heap_next t = Event_queue.min_time t.queue
 
 (* Fire every event at [time] with seq < [seq_limit], lowest seq first,
-   merging the wheel's ready list with the heap.  Events the callbacks
+   merging the wheel's ready list with the heap, and return how many
+   fired.  [wheel] is false when the wheel holds nothing due at [time]:
+   a timer armed meanwhile has seq >= [seq_limit].  Events the callbacks
    schedule get seq >= seq_limit and wait for the next batch, so a batch
    is a snapshot of what was ready when it began. *)
-let drain_batch t ~time ~seq_limit ~fired =
+let drain_batch t ~time ~seq_limit ~wheel =
+  let n = ref 0 in
   let continue = ref true in
   while !continue do
     let wseq =
-      if t.use_wheel then Tw.expired_seq t.wheel ~time ~seq_below:seq_limit
+      if wheel then Tw.expired_seq t.wheel ~time ~seq_below:seq_limit
       else max_int
     in
     let hseq =
@@ -171,11 +142,12 @@ let drain_batch t ~time ~seq_limit ~fired =
     let hseq = if hseq < seq_limit then hseq else max_int in
     if wseq = max_int && hseq = max_int then continue := false
     else begin
-      incr fired;
+      incr n;
       if wseq < hseq then fire t (Tw.pop_expired t.wheel)
-      else fire_heap t hseq (Event_queue.take t.queue)
+      else fire t (Event_queue.take t.queue)
     end
-  done
+  done;
+  !n
 
 let run ?until ?(max_events = 200_000_000) t =
   let fired = ref 0 in
@@ -201,16 +173,9 @@ let run ?until ?(max_events = 200_000_000) t =
              the next loop iteration (their seq numbers are higher, so
              ordering is preserved). *)
           t.clock <- time;
-          let seq_limit = t.next_seq in
-          if nw > time then begin
-            (* Heap-only instant: allocation-free drain. *)
-            let n =
-              Event_queue.iter_ready t.queue ~now:time ~seq_below:seq_limit
-                ~f:t.drain
-            in
-            fired := !fired + n
-          end
-          else drain_batch t ~time ~seq_limit ~fired
+          fired :=
+            !fired
+            + drain_batch t ~time ~seq_limit:t.next_seq ~wheel:(nw = time)
   done;
   match until with
   | Some limit
@@ -227,12 +192,11 @@ let step t =
     let time = if nw < nh then nw else nh in
     t.clock <- time;
     let wseq =
-      if t.use_wheel && nw = time then
-        Tw.expired_seq t.wheel ~time ~seq_below:max_int
+      if nw = time then Tw.expired_seq t.wheel ~time ~seq_below:max_int
       else max_int
     in
     let hseq = if nh = time then Event_queue.peek_seq t.queue else max_int in
     if wseq < hseq then fire t (Tw.pop_expired t.wheel)
-    else fire_heap t hseq (Event_queue.take t.queue);
+    else fire t (Event_queue.take t.queue);
     true
   end

@@ -5,17 +5,23 @@
     [Sim.t].
 
     Two event stores sit behind one sequence space, and [Sim] is its
-    only source: it stamps every event's seq, and the heap takes it
-    ({!Event_queue.push_seq}).
+    only source: it stamps every event's [deadline] and [seq] into the
+    timer record, and both stores order records by those two fields.
+    Both hold the records themselves, so neither allocates for the
+    events it holds, and both take a stopped or re-armed record out at
+    once: no tombstone is left behind.
 
     - a {e hierarchical timing wheel} ({!Timer_wheel}) holds delay-class
       timers — the RTOs, delayed acks, watchdogs, and poll timers that
       are overwhelmingly re-armed or cancelled before they fire.
-      Schedule, cancel, and re-arm are O(1), and a cancelled timer is
-      unlinked immediately instead of tombstoned;
-    - the binary-heap {!Event_queue} keeps irregular events: zero-delay
-      wakeups, deadlines beyond the wheel horizon (≈ 8.6 s), and
-      deadlines that land inside the wheel's already-swept window.
+      Schedule, cancel, and re-arm are O(1) list splices;
+    - the indexed binary heap {!Event_queue} keeps what the wheel
+      rejects: deadlines beyond the wheel horizon (≈ 8.6 s) and
+      deadlines behind the wheel's cursor, zero-delay wakeups among
+      them.  Cancel and re-arm take the record out in O(log n).  On a
+      request/response workload the pending RTO keeps the cursor ahead
+      of the clock, and most events take the heap (see
+      {!Timer_wheel.try_schedule}).
 
     [run] merges the two streams by exact (time, seq), so firing order is
     byte-identical to a heap-only scheduler ([create ~wheel:false]) —
@@ -65,10 +71,10 @@ val rearm_at : t -> handle -> Simtime.t -> unit
 (** Arm (or move) the timer to fire at an absolute time (>= [now]). *)
 
 val stop : t -> handle -> unit
-(** Disarm, O(1): wheel-resident timers are unlinked on the spot;
-    heap-resident ones are invalidated and counted, and the heap compacts
-    itself when dead entries outnumber live ones.  Stopping an idle or
-    fired timer is a no-op, and a stopped timer can be re-armed. *)
+(** Disarm: a wheel-resident timer is unlinked in O(1), a heap-resident
+    one taken out of the heap in O(log n); either way it is gone at
+    once.  Stopping an idle or fired timer is a no-op, and a stopped
+    timer can be re-armed. *)
 
 val armed : handle -> bool
 (** True while a deadline is pending (armed and not yet fired). *)
@@ -79,8 +85,8 @@ val periodic : t -> every:Simtime.t -> (unit -> unit) -> handle
     happens after the callback runs, and allocates nothing. *)
 
 val pending : t -> int
-(** Number of events still queued (including cancelled heap entries not
-    yet discarded; cancelled wheel timers leave immediately). *)
+(** Number of armed events still queued; a stopped timer is not
+    counted. *)
 
 val wheel_work : t -> int
 (** The timing wheel's deterministic cost since [create]: cursor steps
@@ -89,8 +95,8 @@ val wheel_work : t -> int
     re-arming a wheel-resident timer cost none of these. *)
 
 val events_fired : t -> int
-(** Callbacks actually invoked since [create] (skipped tombstones
-    excluded) — the denominator for events/sec soak budgets. *)
+(** Callbacks invoked since [create] — the denominator for events/sec
+    soak budgets. *)
 
 exception Stuck of string
 (** Raised by [run] when [max_events] is exhausted — a guard against
@@ -102,4 +108,5 @@ val run : ?until:Simtime.t -> ?max_events:int -> t -> unit
     [max_events] defaults to 200 million. *)
 
 val step : t -> bool
-(** Fires the single earliest event.  [false] when the queue is empty. *)
+(** Fires the single earliest armed event and moves the clock to its
+    deadline.  [false], with the clock unmoved, when nothing is armed. *)

@@ -16,14 +16,19 @@
       so the steady-state re-arm path allocates nothing.
 
     Timer records are plain GC-owned values ({!make}), held by whoever
-    armed them: the wheel keeps no pool of its own.
+    armed them: the wheel keeps no pool of its own.  The scheduler's
+    heap ({!Event_queue}) holds the same records, so a record is in at
+    most one store and its [where] field says which.
 
     Exactness: the wheel does NOT round deadlines to tick granularity.
     Records carry their exact [deadline] and a scheduler-wide [seq], and
     expiry hands timers back in exact (deadline, seq) order: when the
     cursor reaches a slot, the slot's (small) population is sorted once
-    into the [ready] list.  [Sim] merges that stream with its binary heap
-    so firing order is byte-identical to a heap-only scheduler.
+    into the [ready] list, in place on the records' own links (each is
+    inserted from the ready tail, so a slot filed in deadline order
+    costs one comparison per timer and the sort allocates nothing).
+    [Sim] merges that stream with its binary heap so firing order is
+    byte-identical to a heap-only scheduler.
 
     Deadlines the wheel cannot place — already inside the swept window
     ("near", e.g. zero-delay events) or beyond the top level's horizon
@@ -34,7 +39,8 @@ type timer = {
   mutable deadline : Simtime.t;  (** exact expiry, not tick-rounded *)
   mutable seq : int;  (** scheduler-wide FIFO tiebreak, set by [Sim] *)
   mutable where : int;
-      (** location: {!w_none}, {!w_heap}, a wheel level, or the ready list *)
+      (** location: {!w_none}, a heap slot ({!w_heap} for slot 0, one
+          less per slot), a wheel level, or the ready list *)
   mutable prev : timer;  (** intrusive dlist; self-linked when unlinked *)
   mutable next : timer;
 }
@@ -43,7 +49,9 @@ val w_none : int
 (** Not scheduled anywhere (idle, fired, or cancelled). *)
 
 val w_heap : int
-(** Resident in the caller's event heap (near/far reject fallback). *)
+(** Resident in slot 0 of the caller's event heap ({!Event_queue}, the
+    near/far reject fallback); slot [i] is [w_heap - i], so every
+    [where <= w_heap] is a heap slot. *)
 
 type t
 
@@ -56,6 +64,10 @@ val levels : int
 
 val make : fn:(unit -> unit) -> timer
 (** A fresh, idle record: one block of 6 fields, built once. *)
+
+val before : timer -> timer -> bool
+(** [before a b]: [a] fires first, by ([deadline], [seq]) — the order of
+    both of the scheduler's stores. *)
 
 val set_fn : timer -> (unit -> unit) -> unit
 (** Swap the callback (for self-referential timer setup). *)

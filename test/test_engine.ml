@@ -27,6 +27,14 @@ let test_rate_mbit () =
 
 (* ---------- Event_queue ---------- *)
 
+(* A record keyed the way [Sim] stamps one before a push; its callback
+   stands for the payload. *)
+let record ~time ~seq =
+  let tm = Timer_wheel.make ~fn:ignore in
+  tm.Timer_wheel.deadline <- time;
+  tm.Timer_wheel.seq <- seq;
+  tm
+
 (* Drain the queue the way [Sim.run]'s merge loop does: read the root's
    key with [min_time]/[peek_seq], then [take] it. *)
 let drain_queue q =
@@ -34,27 +42,33 @@ let drain_queue q =
     if Event_queue.is_empty q then List.rev acc
     else begin
       let time = Event_queue.min_time q and seq = Event_queue.peek_seq q in
-      let payload = Event_queue.take q in
-      go ((time, seq, payload) :: acc)
+      let tm = Event_queue.take q in
+      go ((time, seq, tm) :: acc)
     end
   in
   go []
 
 let test_queue_order () =
   let q = Event_queue.create () in
-  Event_queue.push_seq q ~time:30 ~seq:0 "c";
-  Event_queue.push_seq q ~time:10 ~seq:1 "a";
-  Event_queue.push_seq q ~time:20 ~seq:2 "b";
-  Alcotest.(check (list (triple int int string)))
-    "sorted" [ (10, 1, "a"); (20, 2, "b"); (30, 0, "c") ] (drain_queue q);
+  let c = record ~time:30 ~seq:0 and a = record ~time:10 ~seq:1
+  and b = record ~time:20 ~seq:2 in
+  List.iter (Event_queue.push q) [ c; a; b ];
+  let out = drain_queue q in
+  Alcotest.(check (list (pair int int)))
+    "sorted" [ (10, 1); (20, 2); (30, 0) ]
+    (List.map (fun (t, s, _) -> (t, s)) out);
+  check_bool "the records themselves come back" true
+    (List.for_all2 (fun (_, _, tm) r -> tm == r) out [ a; b; c ]);
+  check_bool "taken records are resident nowhere" true
+    (List.for_all (fun r -> r.Timer_wheel.where = Timer_wheel.w_none) [ a; b; c ]);
   check_int "empty min_time" max_int (Event_queue.min_time q);
   check_int "empty peek_seq" max_int (Event_queue.peek_seq q)
 
 let test_queue_fifo_ties () =
   (* Pushed in reverse: ties leave by seq, not by push order. *)
   let q = Event_queue.create () in
-  for i = 9 downto 0 do Event_queue.push_seq q ~time:5 ~seq:i i done;
-  let out = List.map (fun (_, _, p) -> p) (drain_queue q) in
+  for i = 9 downto 0 do Event_queue.push q (record ~time:5 ~seq:i) done;
+  let out = List.map (fun (_, s, _) -> s) (drain_queue q) in
   Alcotest.(check (list int)) "ties leave in seq order" (List.init 10 Fun.id)
     out
 
@@ -64,14 +78,97 @@ let prop_queue_sorted =
     QCheck.(list (int_bound 10000))
     (fun times ->
       let q = Event_queue.create () in
-      List.iteri (fun seq time -> Event_queue.push_seq q ~time ~seq ()) times;
+      List.iteri (fun seq time -> Event_queue.push q (record ~time ~seq)) times;
       let rec sorted = function
-        | (t1, s1, ()) :: ((t2, s2, ()) :: _ as rest) ->
+        | (t1, s1, _) :: ((t2, s2, _) :: _ as rest) ->
             (t1 < t2 || (t1 = t2 && s1 < s2)) && sorted rest
         | _ -> true
       in
       let out = drain_queue q in
       List.length out = List.length times && sorted out)
+
+(* The indexed heap against a sorted list of (time, seq) keys.  A random
+   program pushes idle records, removes any resident one, takes the
+   root, and re-arms a record (out if resident, new key, back in), as
+   [Sim] does.  After every operation the root's key is the model's
+   least, and the resident records' [where] fields name the slots
+   0 .. length - 1, one record each, so every record knows its own
+   slot. *)
+type queue_op = Push of int * int | Remove of int | Take | Rearm of int * int
+
+let gen_queue_ops =
+  let open QCheck.Gen in
+  list_size (int_range 1 200)
+    (frequency
+       [
+         (4, map2 (fun i t -> Push (i, t)) (int_bound 31) (int_bound 50));
+         (2, map (fun i -> Remove i) (int_bound 31));
+         (2, return Take);
+         (2, map2 (fun i t -> Rearm (i, t)) (int_bound 31) (int_bound 50));
+       ])
+
+let print_queue_op = function
+  | Push (i, t) -> Printf.sprintf "push %d@%d" i t
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Take -> "take"
+  | Rearm (i, t) -> Printf.sprintf "rearm %d@%d" i t
+
+let prop_queue_model =
+  QCheck.Test.make ~name:"indexed heap matches a sorted-list model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_queue_op ops))
+       gen_queue_ops)
+    (fun ops ->
+      let q = Event_queue.create () in
+      let recs = Array.init 32 (fun _ -> Timer_wheel.make ~fn:ignore) in
+      let next_seq = ref 0 in
+      let model = ref [] in
+      let resident tm = tm.Timer_wheel.where <> Timer_wheel.w_none in
+      let key tm = (tm.Timer_wheel.deadline, tm.Timer_wheel.seq) in
+      let arm tm time =
+        tm.Timer_wheel.deadline <- time;
+        tm.Timer_wheel.seq <- !next_seq;
+        incr next_seq;
+        Event_queue.push q tm;
+        model := List.merge compare [ key tm ] !model
+      in
+      let out tm =
+        Event_queue.remove q tm;
+        model := List.filter (( <> ) (key tm)) !model
+      in
+      let consistent () =
+        let n = Event_queue.length q in
+        let slots =
+          Array.to_list recs |> List.filter resident
+          |> List.map (fun tm -> Timer_wheel.w_heap - tm.Timer_wheel.where)
+          |> List.sort compare
+        in
+        slots = List.init n Fun.id
+        && List.length !model = n
+        &&
+        match !model with
+        | [] -> Event_queue.min_time q = max_int
+        | (t, s) :: _ -> Event_queue.min_time q = t && Event_queue.peek_seq q = s
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push (i, t) -> if not (resident recs.(i)) then arm recs.(i) t
+          | Remove i -> if resident recs.(i) then out recs.(i)
+          | Take -> (
+              match !model with
+              | [] -> ()
+              | k :: rest ->
+                  let tm = Event_queue.take q in
+                  if key tm <> k || resident tm then failwith "take";
+                  model := rest)
+          | Rearm (i, t) ->
+              if resident recs.(i) then out recs.(i);
+              arm recs.(i) t);
+          consistent ())
+        ops
+      && List.for_all (fun k -> key (Event_queue.take q) = k) !model)
 
 (* ---------- Sim ---------- *)
 
@@ -95,7 +192,54 @@ let test_sim_cancel () =
   Sim.stop sim h;
   Sim.run sim;
   check_bool "cancelled event did not fire" false !fired;
-  check_bool "handle reports disarmed" false (Sim.armed h)
+  check_bool "handle reports disarmed" false (Sim.armed h);
+  (* On the heap too, and the run never visits the cancelled deadline. *)
+  let sim = Sim.create ~wheel:false () in
+  Sim.stop sim (Sim.after sim 10 (fun () -> fired := true));
+  Sim.run sim;
+  check_bool "cancelled heap event did not fire" false !fired;
+  check_int "clock unmoved by it" 0 (Sim.now sim)
+
+(* A cancelled event is gone at once: [step] never lands on its deadline,
+   and [pending] never counts it. *)
+let test_step_fires_live () =
+  let sim = Sim.create ~wheel:false () in
+  let fired = ref 0 in
+  let h = Sim.after sim 10 (fun () -> incr fired) in
+  Sim.stop sim h;
+  check_bool "nothing live to step" false (Sim.step sim);
+  check_int "clock unmoved" 0 (Sim.now sim);
+  let h = Sim.after sim 10 (fun () -> incr fired) in
+  ignore (Sim.after sim 20 (fun () -> incr fired));
+  Sim.stop sim h;
+  check_bool "stepped" true (Sim.step sim);
+  check_int "fired the live event" 1 !fired;
+  check_int "at its deadline" 20 (Sim.now sim);
+  (* A deadline past the wheel's horizon lives on the heap. *)
+  let sim = Sim.create () in
+  let far = Sim.after sim (Simtime.s 12.) (fun () -> incr fired) in
+  Sim.stop sim far;
+  check_bool "cancelled far timer not stepped" false (Sim.step sim);
+  check_int "clock unmoved by it" 0 (Sim.now sim)
+
+let test_pending_live () =
+  List.iter
+    (fun wheel ->
+      let sim = Sim.create ~wheel () in
+      let hs =
+        List.map
+          (fun d -> Sim.after sim d ignore)
+          [ 0; 10; Simtime.us 100.; Simtime.s 12. ]
+      in
+      check_int "all pending" 4 (Sim.pending sim);
+      List.iter (Sim.stop sim) hs;
+      check_int "none pending once stopped" 0 (Sim.pending sim);
+      List.iter (fun h -> Sim.rearm sim h 5) hs;
+      Sim.stop sim (List.hd hs);
+      check_int "re-armed, one stopped" 3 (Sim.pending sim);
+      Sim.run sim;
+      check_int "drained" 0 (Sim.pending sim))
+    [ false; true ]
 
 let test_sim_until () =
   let sim = Sim.create () in
@@ -420,9 +564,9 @@ let test_delay_line () =
 
 (* The run loop allocates nothing per instant.  Under [~wheel:false]
    every deadline is a heap entry, and a reusable timer that re-arms
-   itself with zero delay fires once per heap-only run-loop pass: each
-   event costs its heap entry and that entry's option box (6 words) and
-   nothing more; [Sim.run] itself takes a few words per call. *)
+   itself with zero delay fires once per heap-only run-loop pass: the
+   heap holds the record itself, so an event costs no words, and
+   neither does a [Sim.run] call. *)
 let test_heap_drain_alloc_budget () =
   let n = 10_000 in
   let sim = Sim.create ~wheel:false () in
@@ -442,11 +586,27 @@ let test_heap_drain_alloc_budget () =
       ~drain:(fun () -> Sim.run sim)
   in
   check_int "every re-arm fired" (2 * n) !fired;
-  let words = (submit +. drain) /. float_of_int n in
-  check_bool
-    (Printf.sprintf "%.4f words per zero-delay heap event" words)
-    true
-    (words <= 6. +. (8. /. float_of_int n))
+  Alcotest.(check (float 0.))
+    "words per zero-delay heap event" 0.
+    ((submit +. drain) /. float_of_int n)
+
+(* Moving and stopping heap-resident timers takes each record out of the
+   heap in place: no entry, box or tombstone is built. *)
+let test_heap_rearm_stop_alloc_budget () =
+  let sim = Sim.create ~wheel:false () in
+  let tms = Array.init 64 (fun _ -> Sim.timer sim ignore) in
+  Array.iteri (fun i tm -> Sim.rearm sim tm (1_000 + (i * 7919 mod 4096))) tms;
+  let w =
+    Alloc_budget.measure 10_000
+      ~submit:(fun i ->
+        let tm = tms.(i land 63) in
+        Sim.rearm sim tm (1_000 + (i * 104_729 mod 65_536));
+        Sim.stop sim tms.((i + 17) land 63);
+        Sim.rearm sim tms.((i + 17) land 63) (500 + (i land 1023)))
+      ~drain:ignore
+  in
+  check_int "every timer still resident" 64 (Sim.pending sim);
+  Alcotest.(check (float 0.)) "words per re-arm, stop and re-arm" 0. w.submit
 
 (* A timer is one record built once: 7 words (6 fields and the header),
    not a dummy block plus the record it is copied into. *)
@@ -492,12 +652,17 @@ let () =
           Alcotest.test_case "ordering" `Quick test_queue_order;
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties;
           QCheck_alcotest.to_alcotest prop_queue_sorted;
+          QCheck_alcotest.to_alcotest prop_queue_model;
         ] );
       ( "sim",
         [
           Alcotest.test_case "ordering" `Quick test_sim_ordering;
           Alcotest.test_case "cancel" `Quick test_sim_cancel;
           Alcotest.test_case "run until" `Quick test_sim_until;
+          Alcotest.test_case "step fires a live event or returns false"
+            `Quick test_step_fires_live;
+          Alcotest.test_case "pending counts only live events" `Quick
+            test_pending_live;
           Alcotest.test_case "past rejected" `Quick test_sim_past_raises;
           Alcotest.test_case "stuck guard" `Quick test_sim_stuck_guard;
           Alcotest.test_case "fresh timer is one record" `Quick
@@ -524,6 +689,8 @@ let () =
           Alcotest.test_case "allocation budget" `Quick test_ring_alloc_budget;
           Alcotest.test_case "heap drain allocation budget" `Quick
             test_heap_drain_alloc_budget;
+          Alcotest.test_case "heap re-arm and stop allocate nothing" `Quick
+            test_heap_rearm_stop_alloc_budget;
           Alcotest.test_case "delay line fifo and budget" `Quick
             test_delay_line;
         ] );

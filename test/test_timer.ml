@@ -6,8 +6,8 @@
    byte-identical (id, time) firing logs — same events, same instants,
    same same-instant order.  Unit tests pin down the wheel's edges:
    cascade boundaries, zero-delay events, cancel-inside-handler,
-   far-future overflow into the heap, and the heap's dead-entry
-   compaction. *)
+   far-future overflow into the heap, a crowded slot sorted in place,
+   and the heap's removal of a cancelled event. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -240,42 +240,76 @@ let test_periodic () =
   check_int "fired exactly 5 times" 5 !count;
   check_int "clock ran to the limit" (Simtime.ms 100.) (Sim.now sim)
 
-(* ---------- unit: heap dead-entry compaction ---------- *)
+(* ---------- unit: a crowded slot sorts in place ---------- *)
 
-let test_heap_compaction () =
+(* 500 timers in one level-0 slot, armed in decreasing deadline order
+   with pairs of equal deadlines: expiry sorts the slot into exact
+   (deadline, seq) order on the records' own links, allocating
+   nothing. *)
+let test_crowded_slot () =
+  let sim = Sim.create () in
+  let n = 500 in
+  let base = 10 * tick in
+  let order = Array.make n (-1) and k = ref 0 in
+  let tms =
+    Array.init n (fun i ->
+        let tm = Sim.timer sim ignore in
+        Sim.set_fn tm (fun () ->
+            order.(!k) <- i;
+            incr k);
+        tm)
+  in
+  Array.iteri (fun i tm -> Sim.rearm sim tm (base + ((n - 1 - i) / 2))) tms;
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let words = Gc.minor_words () -. w0 in
+  (* Deadline first; within a pair, the earlier arm (lower seq). *)
+  let expected =
+    List.sort
+      (fun a b -> compare ((n - 1 - a) / 2, a) ((n - 1 - b) / 2, b))
+      (List.init n Fun.id)
+  in
+  Alcotest.(check (list int)) "exact (deadline, seq) order" expected
+    (Array.to_list order);
+  Alcotest.(check (float 0.)) "words to collect and fire the slot" 0. words
+
+(* ---------- unit: cancel removes at once ---------- *)
+
+let test_cancel_removes () =
   let sim = Sim.create ~wheel:false () in
-  let fired = ref 0 in
+  let log = ref [] in
   let hs =
     List.init 100 (fun i ->
-        Sim.after sim (Simtime.ms (float_of_int (i + 1))) (fun () -> incr fired))
+        Sim.after sim (Simtime.ms (float_of_int (i + 1))) (fun () ->
+            log := i :: !log))
   in
   check_int "all resident" 100 (Sim.pending sim);
-  (* Cancel 60: at the 51st the dead outnumber the live and the heap
-     compacts in place (100 -> 49 entries); the last 9 cancels stay
-     resident as tombstones. *)
   List.iteri (fun i h -> if i < 60 then Sim.stop sim h) hs;
-  check_int "compacted under cancel pressure" 49 (Sim.pending sim);
+  check_int "stopped events leave at once" 40 (Sim.pending sim);
   Sim.run sim;
-  check_int "survivors fired" 40 !fired;
+  Alcotest.(check (list int))
+    "survivors fire in order" (List.init 40 (fun i -> 60 + i)) (List.rev !log);
   check_int "drained" 0 (Sim.pending sim)
 
-(* ---------- unit: Event_queue.iter_ready ---------- *)
+(* ---------- unit: same-instant seq fence ---------- *)
 
-let test_iter_ready_seq_below () =
-  let q = Event_queue.create () in
-  Event_queue.push_seq q ~time:10 ~seq:0 "a";
-  Event_queue.push_seq q ~time:10 ~seq:1 "b";
-  Event_queue.push_seq q ~time:10 ~seq:5 "c";
-  Event_queue.push_seq q ~time:20 ~seq:2 "d";
-  let got = ref [] in
-  let n =
-    Event_queue.iter_ready q ~now:10 ~seq_below:5 ~f:(fun seq p ->
-        got := (seq, p) :: !got)
-  in
-  check_int "drained below the seq fence" 2 n;
-  Alcotest.(check (list (pair int string)))
-    "in (time, seq) order" [ (0, "a"); (1, "b") ] (List.rev !got);
-  check_int "fenced entries remain" 2 (Event_queue.length q)
+(* A heap-only batch at one instant fires what was queued when it began;
+   an event a handler adds for the same instant waits for the next
+   batch, behind every event queued before it. *)
+let test_same_instant_fence () =
+  let sim = Sim.create ~wheel:false () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  ignore (Sim.after sim 10 (fun () ->
+      note "a" ();
+      ignore (Sim.after sim 0 (note "late"))));
+  ignore (Sim.after sim 10 (note "b"));
+  ignore (Sim.after sim 10 (note "c"));
+  ignore (Sim.after sim 20 (note "d"));
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "batch, then its late joiner, then the next instant"
+    [ "a"; "b"; "c"; "late"; "d" ] (List.rev !log)
 
 let () =
   Alcotest.run "timer"
@@ -293,6 +327,8 @@ let () =
             test_cancel_inside_handler;
           Alcotest.test_case "far-future overflow" `Quick
             test_far_future_overflow;
+          Alcotest.test_case "crowded slot sorts in place" `Quick
+            test_crowded_slot;
         ] );
       ( "reusable",
         [
@@ -304,9 +340,9 @@ let () =
         ] );
       ( "heap",
         [
-          Alcotest.test_case "dead-entry compaction" `Quick
-            test_heap_compaction;
-          Alcotest.test_case "iter_ready seq fence" `Quick
-            test_iter_ready_seq_below;
+          Alcotest.test_case "cancel removes at once" `Quick
+            test_cancel_removes;
+          Alcotest.test_case "same-instant seq fence" `Quick
+            test_same_instant_fence;
         ] );
     ]
