@@ -140,7 +140,7 @@ let blank_copyout_job () =
    previous registration (the benchmarks build one testbed at a time). *)
 let register_obs t =
   let section = "cab." ^ t.name in
-  let g name f = Obs.gauge ~section ~name (fun () -> float_of_int (f ())) in
+  let g name f = Obs.int_gauge ~section ~name f in
   g "sdma_transfers" (fun () -> t.s.sdma_transfers);
   g "sdma_bytes" (fun () -> t.s.sdma_bytes);
   g "sdma_chains" (fun () -> t.s.sdma_chains);
@@ -163,10 +163,13 @@ let register_obs t =
   g "rx_pipe_overlap" (fun () -> t.pipe.rx_pipe_overlap);
   g "rx_pipe_stalls" (fun () -> t.pipe.rx_pipe_stalls);
   (* Outboard-memory occupancy: the soak harness's leak checks diff these
-     against their pre-run baseline through the registry. *)
-  g "netmem_in_use" (fun () -> Netmem.in_use t.mem);
-  g "netmem_free_pages" (fun () -> Netmem.free_pages t.mem);
-  g "netmem_failures" (fun () -> Netmem.failures t.mem)
+     against their pre-run baseline through the registry.  Float gauges:
+     perfbench's registry reader matches [Obs.M_gauge] for
+     [netmem_in_use]. *)
+  let f name v = Obs.gauge ~section ~name (fun () -> float_of_int (v ())) in
+  f "netmem_in_use" (fun () -> Netmem.in_use t.mem);
+  f "netmem_free_pages" (fun () -> Netmem.free_pages t.mem);
+  f "netmem_failures" (fun () -> Netmem.failures t.mem)
 
 (* Descriptor slots on the copy-out engine. *)
 let rx_pipe_depth = 4

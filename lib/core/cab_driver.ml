@@ -785,7 +785,7 @@ let attach ~host ~ip ~cab ~addr ?(mtu = 32 * 1024) ~mode ?watchdog () =
   in
   t.ifc <- Some ifc;
   (let section = "cab_driver." ^ Cab.name cab in
-   let g name f = Obs.gauge ~section ~name (fun () -> float_of_int (f ())) in
+   let g name f = Obs.int_gauge ~section ~name f in
    g "tx_packets" (fun () -> t.s.tx_packets);
    g "tx_uio_segments" (fun () -> t.s.tx_uio_segments);
    g "tx_kernel_segments" (fun () -> t.s.tx_kernel_segments);

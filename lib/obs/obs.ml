@@ -63,6 +63,7 @@ end
 type metric =
   | M_counter of Counter.t
   | M_gauge of (unit -> float)
+  | M_int_gauge of (unit -> int)
   | M_histogram of Histogram.t
   | M_table of (unit -> string)
 
@@ -83,6 +84,7 @@ let counter ~section ~name =
   c
 
 let gauge ~section ~name f = register ~section ~name (M_gauge f)
+let int_gauge ~section ~name f = register ~section ~name (M_int_gauge f)
 
 let histogram ~section ~name =
   let h = Histogram.create () in
@@ -96,6 +98,7 @@ let value ~section ~name =
   match find ~section ~name with
   | Some (M_counter c) -> float_of_int (Counter.get c)
   | Some (M_gauge f) -> f ()
+  | Some (M_int_gauge f) -> float_of_int (f ())
   | Some (M_histogram _ | M_table _) | None ->
       invalid_arg
         (Printf.sprintf "Obs.value: no counter or gauge %s/%s" section name)
@@ -126,6 +129,7 @@ let json_float f =
 let metric_json = function
   | M_counter c -> string_of_int (Counter.get c)
   | M_gauge f -> json_float (f ())
+  | M_int_gauge f -> json_float (float_of_int (f ()))
   | M_table f -> f ()
   | M_histogram h ->
       let b = Buffer.create 128 in
@@ -178,5 +182,5 @@ let reset () =
       match m with
       | M_counter c -> Counter.reset c
       | M_histogram h -> Histogram.reset h
-      | M_gauge _ | M_table _ -> ())
+      | M_gauge _ | M_int_gauge _ | M_table _ -> ())
     tbl

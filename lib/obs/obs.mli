@@ -64,6 +64,10 @@ end
 type metric =
   | M_counter of Counter.t
   | M_gauge of (unit -> float)  (** sampled only at export *)
+  | M_int_gauge of (unit -> int)
+      (** a count: reads and exports as the float of its int, but
+          sampling it allocates nothing, where a float gauge's closure
+          returns a boxed float *)
   | M_histogram of Histogram.t
   | M_table of (unit -> string)
       (** lazy JSON fragment (object or array), e.g. EWMA cost tables *)
@@ -72,6 +76,7 @@ val counter : section:string -> name:string -> Counter.t
 (** Create and register a counter in one step. *)
 
 val gauge : section:string -> name:string -> (unit -> float) -> unit
+val int_gauge : section:string -> name:string -> (unit -> int) -> unit
 val histogram : section:string -> name:string -> Histogram.t
 val table : section:string -> name:string -> (unit -> string) -> unit
 

@@ -7,13 +7,15 @@
    values).  When the ring is full the oldest row is overwritten, so a
    long soak keeps the most recent window.
 
-   The tick path is alloc-free for counter columns: deltas live in a
-   preallocated int array and land in a flat float array (unboxed
-   stores).  Gauge columns cost one boxed float per sample (the closure
-   return), which is why the Gc-gated bench recorders stick to
-   counters. *)
+   The tick path is alloc-free for counter and count-gauge columns:
+   deltas live in a preallocated int array, and every column lands in a
+   flat float array (unboxed stores).  A float gauge column costs one
+   boxed float per sample (the closure return). *)
 
-type src = S_counter of Obs.Counter.t | S_gauge of (unit -> float)
+type src =
+  | S_counter of Obs.Counter.t
+  | S_gauge of (unit -> float)
+  | S_int_gauge of (unit -> int)
 
 type t = {
   capacity : int;
@@ -35,6 +37,7 @@ let create ~capacity ~interval ~metrics =
     match Obs.find ~section ~name with
     | Some (Obs.M_counter c) -> S_counter c
     | Some (Obs.M_gauge f) -> S_gauge f
+    | Some (Obs.M_int_gauge f) -> S_int_gauge f
     | Some _ ->
         invalid_arg
           (Printf.sprintf "Obs_series.create: %s/%s is not a counter or gauge"
@@ -53,7 +56,7 @@ let create ~capacity ~interval ~metrics =
     (fun j s ->
       match s with
       | S_counter c -> prev.(j) <- Obs.Counter.get c
-      | S_gauge _ -> ())
+      | S_gauge _ | S_int_gauge _ -> ())
     srcs;
   {
     capacity;
@@ -96,6 +99,8 @@ let tick t ~now =
         Array.unsafe_set t.prev j cur;
         Array.unsafe_set t.data (base + j) (float_of_int d)
     | S_gauge f -> Array.unsafe_set t.data (base + j) (f ())
+    | S_int_gauge f ->
+        Array.unsafe_set t.data (base + j) (float_of_int (f ()))
   done
 
 let iter t f =

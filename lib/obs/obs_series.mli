@@ -9,9 +9,9 @@
     overwritten and {!dropped} counts the loss, so benches and soaks
     keep the most recent window of activity.
 
-    The tick path performs no allocation for counter columns (flat
-    preallocated arrays, unboxed float stores); each gauge column costs
-    one boxed float per tick. *)
+    The tick path performs no allocation for counter and count-gauge
+    columns (flat preallocated arrays, unboxed float stores); each float
+    gauge column costs one boxed float per tick. *)
 
 type t
 

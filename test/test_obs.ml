@@ -88,6 +88,18 @@ let test_registry_replace_semantics () =
   | Some (Obs.M_counter c) -> check_int "latest instance wins" 3 (Obs.Counter.get c)
   | _ -> Alcotest.fail "counter not found after re-registration"
 
+(* A count gauge reads and exports exactly as the float gauge of its
+   count would. *)
+let test_registry_int_gauge () =
+  let n = ref 3 in
+  Obs.int_gauge ~section:"test_int" ~name:"n" (fun () -> !n);
+  Alcotest.(check (float 0.)) "reads as the float of its count" 3.
+    (Obs.value ~section:"test_int" ~name:"n");
+  n := 5;
+  check_bool "exported as a float" true
+    (Astring.String.is_infix ~affix:"\"n\": 5.0"
+       (Obs.to_json ~sections:[ "test_int" ] ()))
+
 (* ---------- ring tracer ---------- *)
 
 let with_ring capacity f =
@@ -440,6 +452,8 @@ let () =
             test_registry_counter_gauge_json;
           Alcotest.test_case "replace semantics" `Quick
             test_registry_replace_semantics;
+          Alcotest.test_case "count gauge reads as a gauge" `Quick
+            test_registry_int_gauge;
         ] );
       ( "tracer",
         [

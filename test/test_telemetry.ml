@@ -103,31 +103,36 @@ let prop_quantile_monotone =
 
 let test_series_deltas_and_gauges () =
   let c = Obs.counter ~section:"tts_delta" ~name:"c" in
-  let g = ref 0.0 in
+  let g = ref 0.0 and n = ref 0 in
   Obs.gauge ~section:"tts_delta" ~name:"g" (fun () -> !g);
+  Obs.int_gauge ~section:"tts_delta" ~name:"n" (fun () -> !n);
   add c 100 (* pre-create counts must not leak into row 0 *);
   let s =
     Obs_series.create ~capacity:8 ~interval:1000
-      ~metrics:[ ("tts_delta", "c"); ("tts_delta", "g") ]
+      ~metrics:[ ("tts_delta", "c"); ("tts_delta", "g"); ("tts_delta", "n") ]
   in
   add c 5;
   g := 1.5;
+  n := 7;
   Obs_series.tick s ~now:1000;
   add c 3;
   g := 2.5;
+  n := 4;
   Obs_series.tick s ~now:2000;
   check_int "two rows" 2 (Obs_series.length s);
   let rows = ref [] in
   Obs_series.iter s (fun ~time ~row -> rows := (time, row) :: !rows);
   match List.rev !rows with
   | [ (t1, r1); (t2, r2) ] ->
-      check_int "two columns" 2 (Array.length r1);
+      check_int "three columns" 3 (Array.length r1);
       check_int "first timestamp" 1000 t1;
       check_int "second timestamp" 2000 t2;
       check_bool "counter column is the per-interval delta" true
         (r1.(0) = 5. && r2.(0) = 3.);
       check_bool "gauge column is the sampled value" true
-        (r1.(1) = 1.5 && r2.(1) = 2.5)
+        (r1.(1) = 1.5 && r2.(1) = 2.5);
+      check_bool "count gauge column is the sampled value" true
+        (r1.(2) = 7. && r2.(2) = 4.)
   | _ -> Alcotest.fail "expected exactly two rows"
 
 let test_series_wraparound () =
@@ -178,13 +183,14 @@ let test_series_to_json () =
     [ "\"interval_ns\": 250"; "\"tts_json/c\""; "[250, 3.0]"; "\"dropped\": 0" ]
 
 let test_series_tick_alloc_free () =
-  (* The recorder's claim: a counter-only tick is allocation-free in
-     steady state (gauge columns box their closure's return, which is
-     why the bench recorder sticks to counters for this check). *)
+  (* The recorder's claim: a tick over counters and count gauges is
+     allocation-free in steady state (a float gauge column boxes its
+     closure's return). *)
   let c = Obs.counter ~section:"tts_alloc" ~name:"c" in
+  Obs.int_gauge ~section:"tts_alloc" ~name:"n" (fun () -> Obs.Counter.get c);
   let s =
     Obs_series.create ~capacity:64 ~interval:10
-      ~metrics:[ ("tts_alloc", "c") ]
+      ~metrics:[ ("tts_alloc", "c"); ("tts_alloc", "n") ]
   in
   Obs.Counter.incr c;
   Obs_series.tick s ~now:10;
