@@ -19,7 +19,7 @@ let create () = { heap = [||]; size = 0 }
 let is_empty q = q.size = 0
 let length q = q.size
 
-let set q i (tm : timer) =
+let[@inline] set q i (tm : timer) =
   q.heap.(i) <- tm;
   tm.Tw.where <- Tw.w_heap - i
 

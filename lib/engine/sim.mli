@@ -89,7 +89,7 @@ val pending : t -> int
     counted. *)
 
 val wheel_work : t -> int
-(** The timing wheel's deterministic cost since [create]: cursor steps
+(** The timing wheel's deterministic cost since [create]: cursor jumps
     ({!Timer_wheel.slot_visits}), timers cascaded to a finer level, and
     deadlines it rejected to the heap.  Scheduling, cancelling and
     re-arming a wheel-resident timer cost none of these. *)

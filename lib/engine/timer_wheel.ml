@@ -4,7 +4,9 @@
    cursor [now_tick] (a tick is 2^tick_bits ns).  The cursor only moves
    forward; slots strictly below it are empty.  Expiry sorts the slot
    under the cursor into [ready] — exact (deadline, seq) order — and
-   the ready head doubles as the next-deadline cache. *)
+   the ready head doubles as the next-deadline cache.  Each level keeps
+   an occupancy bitmap of its slots, so the cursor jumps from one
+   occupied slot (or boundary) to the next instead of stepping. *)
 
 type timer = {
   mutable fn : unit -> unit;
@@ -44,8 +46,15 @@ let levels = 3
 let mask = (1 lsl slot_bits) - 1
 let horizon_ticks = 1 lsl (levels * slot_bits)
 
+(* Occupancy bitmaps: 32 slots to a word, [words] words per level. *)
+let word_bits = 5
+let word_mask = (1 lsl word_bits) - 1
+let words = (mask + 1) lsr word_bits
+
 type t = {
   slots : timer array array;        (* levels x 2^slot_bits sentinels *)
+  occupied : int array;             (* levels x [words]: bit set iff the
+                                       slot holds a timer *)
   counts : int array;               (* live timers per level *)
   ready : timer;                    (* sorted expired list, sentinel *)
   mutable n_ready : int;
@@ -63,6 +72,7 @@ type t = {
 let create () =
   { slots =
       Array.init levels (fun _ -> Array.init (mask + 1) (fun _ -> sentinel ()));
+    occupied = Array.make (levels * words) 0;
     counts = Array.make levels 0;
     ready = sentinel (); n_ready = 0; n_pending = 0; now_tick = 0;
     n_scheduled = 0; n_fired = 0; n_cancels = 0; n_cascades = 0;
@@ -87,6 +97,41 @@ let insert_after p tm =
 let rec level_for rel l =
   if rel asr ((l + 1) * slot_bits) = 0 then l else level_for rel (l + 1)
 
+let mark t level idx =
+  let w = (level * words) + (idx lsr word_bits) in
+  t.occupied.(w) <- t.occupied.(w) lor (1 lsl (idx land word_mask))
+
+let unmark t level idx =
+  let w = (level * words) + (idx lsr word_bits) in
+  t.occupied.(w) <- t.occupied.(w) land lnot (1 lsl (idx land word_mask))
+
+(* Bit index of the lowest set bit of a non-zero 32-bit word: isolate
+   it, and a de Bruijn multiply puts a distinct pattern in the top five
+   bits. *)
+let de_bruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
+     23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let lowest_bit x =
+  de_bruijn.((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+let rec scan occupied base w =
+  if w >= words then -1
+  else
+    let x = occupied.(base + w) in
+    if x <> 0 then (w lsl word_bits) + lowest_bit x
+    else scan occupied base (w + 1)
+
+(* The first occupied slot of [level] at index [i] or above, or -1. *)
+let next_occupied t level i =
+  let base = level * words in
+  let w = i lsr word_bits in
+  let x =
+    t.occupied.(base + w) land lnot ((1 lsl (i land word_mask)) - 1)
+  in
+  if x <> 0 then (w lsl word_bits) + lowest_bit x
+  else scan t.occupied base (w + 1)
+
 let place t tm =
   let dtick = tm.deadline asr tick_bits in
   let rel = dtick - t.now_tick in
@@ -94,6 +139,7 @@ let place t tm =
   let idx = (dtick asr (level * slot_bits)) land mask in
   let s = t.slots.(level).(idx) in
   insert_after s.prev tm;
+  mark t level idx;
   t.counts.(level) <- t.counts.(level) + 1;
   tm.where <- level
 
@@ -124,6 +170,9 @@ let cancel t tm =
     t.n_pending <- t.n_pending - 1;
     t.n_cancels <- t.n_cancels + 1
   end else if w >= 0 && w < levels then begin
+    (* The last timer of its slot: both links name the sentinel. *)
+    if tm.prev == tm.next then
+      unmark t w (((tm.deadline asr tick_bits) asr (w * slot_bits)) land mask);
     unlink tm;
     tm.where <- w_none;
     t.counts.(w) <- t.counts.(w) - 1;
@@ -143,9 +192,10 @@ let cascade t l =
     t.counts.(l) <- t.counts.(l) - 1;
     t.n_cascades <- t.n_cascades + 1;
     place t tm
-  done
+  done;
+  unmark t l idx
 
-let before a b =
+let[@inline] before a b =
   a.deadline < b.deadline || (a.deadline = b.deadline && a.seq < b.seq)
 
 (* Sort the level-0 slot under the cursor into [ready] in place: each
@@ -158,7 +208,8 @@ let before a b =
    collect (230 K steps back in all), the soak run at most 3 in a
    slot, and the paper targets at most 31, with 6 steps back. *)
 let collect t =
-  let s = t.slots.(0).(t.now_tick land mask) in
+  let idx = t.now_tick land mask in
+  let s = t.slots.(0).(idx) in
   let ready = t.ready in
   while s.next != s do
     let tm = s.next in
@@ -171,12 +222,21 @@ let collect t =
     done;
     insert_after !p tm;
     t.n_ready <- t.n_ready + 1
-  done
+  done;
+  unmark t 0 idx
 
 (* Advance the cursor until [ready] is non-empty.  Pre: n_pending >
    n_ready = 0, so some slot is occupied and the loop terminates.
-   Cascade checks are idempotent (a cascaded slot is empty), so it is
-   safe to re-test boundaries on every iteration. *)
+
+   The cursor stops exactly where stepping it one tick at a time (one
+   level-l boundary at a time while levels below l are empty) would
+   stop, and passes the same boundaries: a jump only skips positions
+   whose slots are empty, where a step would do nothing.  A jump never
+   crosses the next boundary of the level above the slot it looks for,
+   because the cascade there may fill finer slots.  The top level has
+   no level above, so its search wraps.  Cascade checks are idempotent
+   (a cascaded slot is empty), so boundaries are re-tested on every
+   iteration. *)
 let advance t =
   while t.n_ready = 0 do
     t.n_visits <- t.n_visits + 1;
@@ -184,23 +244,35 @@ let advance t =
       if t.now_tick land ((1 lsl (l * slot_bits)) - 1) = 0 then cascade t l
     done;
     if t.counts.(0) > 0 then begin
-      let s = t.slots.(0).(t.now_tick land mask) in
-      if s.next != s then begin
+      let i = next_occupied t 0 (t.now_tick land mask) in
+      if i < 0 then t.now_tick <- (t.now_tick lor mask) + 1
+      else begin
+        t.now_tick <- (t.now_tick land lnot mask) + i;
         collect t;
         (* The collected slot is consumed: deadlines at this tick now
            arrive via the near-reject heap path, never behind the sorted
            ready batch. *)
         t.now_tick <- t.now_tick + 1
       end
-      else t.now_tick <- t.now_tick + 1
     end
     else begin
-      (* Level 0 empty: jump to the next boundary of the lowest occupied
-         level.  One boundary at a time, so no cascade is skipped. *)
+      (* Level 0 empty: go to the next occupied slot of the lowest
+         occupied level, or to the level above's next boundary. *)
       let l = ref 1 in
       while !l < levels - 1 && t.counts.(!l) = 0 do incr l done;
-      let span = (1 lsl (!l * slot_bits)) - 1 in
-      t.now_tick <- (t.now_tick lor span) + 1
+      let l = !l in
+      let shift = l * slot_bits in
+      let next = (t.now_tick lor ((1 lsl shift) - 1)) + 1 in
+      let i0 = (next asr shift) land mask in
+      let top = l = levels - 1 in
+      (* A level-l boundary at index 0 is also the level above's. *)
+      let i = if i0 = 0 && not top then 0 else next_occupied t l i0 in
+      let i =
+        if i >= 0 then i
+        else if top then next_occupied t l 0 + mask + 1
+        else mask + 1
+      in
+      t.now_tick <- next + ((i - i0) lsl shift)
     end
   done
 

@@ -30,6 +30,17 @@
     [Sim] merges that stream with its binary heap so firing order is
     byte-identical to a heap-only scheduler.
 
+    The cursor never walks empty slots.  Each level keeps an occupancy
+    bitmap of its slots (8 words of 32 bits, plain ints, no allocation
+    after {!create}): placing a timer sets its slot's bit, and cancel,
+    cascade and expiry clear it when they empty the slot.  To find the
+    next expiry the cursor jumps to the next occupied level-0 slot before
+    the next level-1 boundary, or to that boundary; with level 0 empty,
+    to the next occupied slot of the lowest occupied level, or to the
+    next boundary of the level above.  Every jump passes empty slots
+    only, so the cursor stops where a tick-by-tick walk would and
+    cascades run at the same boundaries.
+
     Deadlines the wheel cannot place — already inside the swept window
     ("near", e.g. zero-delay events) or beyond the top level's horizon
     ("far") — are rejected and the caller keeps them on the heap. *)
@@ -120,8 +131,10 @@ val cancels : t -> int
 val cascades : t -> int
 
 val slot_visits : t -> int
-(** Cursor steps: each one examines the slot under the cursor, or jumps
-    an empty level 0 to the next boundary of an occupied level. *)
+(** Cursor jumps: each one cascades the boundaries under the cursor, then
+    moves it to the next occupied slot (collecting a level-0 slot) or to
+    the next boundary it may not pass.  Empty slots in between cost
+    nothing. *)
 
 val near_rejects : t -> int
 (** Deadlines {!try_schedule} refused as near, i.e. behind the cursor

@@ -763,17 +763,11 @@ and transmit_plan pcb plan =
                   qoff >= 0
                   && qoff + len <= Tcp_sendq.length pcb.sendq
                   && desc.Mbuf.wcab_valid = len
+                  && not (Tcp_sendq.all_wcab pcb.sendq ~off:qoff ~len)
                 then begin
-                  let already_wcab =
-                    Tcp_sendq.kinds_at pcb.sendq ~off:qoff ~len
-                    = [ Mbuf.K_wcab ]
-                  in
-                  if not already_wcab then begin
-                    let wm = Mbuf.make_wcab ~desc ~len in
-                    Tcp_sendq.replace pcb.sendq ~off:qoff ~len wm;
-                    pcb.stats.wcab_converted <- pcb.stats.wcab_converted + 1
-                  end
-                  else desc.Mbuf.wcab_free ()
+                  let wm = Mbuf.make_wcab ~desc ~len in
+                  Tcp_sendq.replace pcb.sendq ~off:qoff ~len wm;
+                  pcb.stats.wcab_converted <- pcb.stats.wcab_converted + 1
                 end
                 else desc.Mbuf.wcab_free ())
       | Some _ | None -> ());
@@ -1988,17 +1982,20 @@ let connect tcp ~dst ~dst_port ?(on_established = fun () -> ()) () =
 let sosend_append pcb ~proc chain =
   match pcb.st with
   | Established | Close_wait ->
+      let merge = pcb.tcp.cfg.coalesce_descriptors in
+      let merges =
+        merge && Tcp_sendq.append_merges_descriptor pcb.sendq chain
+      in
+      let queued = Tcp_sendq.length pcb.sendq in
+      Tcp_sendq.append ~merge_descriptors:merge pcb.sendq chain;
+      let appended = Tcp_sendq.length pcb.sendq - queued in
       (* The app's buffer plus the kernel copy form the cache working set
          for the checksum pass. *)
-      pcb.ws_hint_tx <- 2 * Mbuf.chain_len chain;
-      let merge = pcb.tcp.cfg.coalesce_descriptors in
-      let appended = Mbuf.chain_len chain in
-      if merge && Tcp_sendq.append_merges_descriptor pcb.sendq chain then begin
+      pcb.ws_hint_tx <- 2 * appended;
+      if merges then begin
         pcb.stats.descriptor_merges <- pcb.stats.descriptor_merges + 1;
-        Obs_trace.emit Obs_trace.Sendq_merge ~a:appended
-          ~b:(Tcp_sendq.length pcb.sendq)
+        Obs_trace.emit Obs_trace.Sendq_merge ~a:appended ~b:queued
       end;
-      Tcp_sendq.append ~merge_descriptors:merge pcb.sendq chain;
       Obs_trace.emit Obs_trace.Sendq_append ~a:appended
         ~b:(Tcp_sendq.length pcb.sendq);
       (* Time this write to the ACK covering its last byte (one write

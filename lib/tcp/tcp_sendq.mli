@@ -11,7 +11,13 @@
     {!range}.  {!replace} swaps a byte range to its M_WCAB form once the
     driver reports the outboard copy done; {!drop} releases acknowledged
     data from the front (running WCAB release hooks, which free the
-    adaptor's retransmit buffers). *)
+    adaptor's retransmit buffers).
+
+    The queue keeps each chain's byte length beside the chain, in arrays
+    it owns, so finding the chain that holds an offset adds up ints
+    instead of walking mbufs; {!append}, {!replace} and {!drop} keep
+    those lengths current, and in steady state allocate nothing for
+    them. *)
 
 type t
 
@@ -50,9 +56,10 @@ val homogeneous_extent : t -> off:int -> Mbuf.kind * int
     chains up to the first descriptor.  Mixing would leave the driver
     with an unaligned scatter base. *)
 
-val kinds_at : t -> off:int -> len:int -> Mbuf.kind list
-(** Storage kinds present in the range (for tests and the driver's
-    dispatch). *)
+val all_wcab : t -> off:int -> len:int -> bool
+(** Whether every byte of [off, off+len) already lives in M_WCAB storage
+    (the range has been swapped outboard).  Walks the queued mbufs and
+    copies nothing.  Raises [Invalid_argument] if out of range. *)
 
 val replace : t -> off:int -> len:int -> Mbuf.t -> unit
 (** Replace the byte range with the given chain (same length); the old
@@ -64,4 +71,7 @@ val drop : t -> int -> unit
 val clear : t -> unit
 
 val check : t -> (unit, string) result
-(** Internal-consistency check for tests. *)
+(** Internal-consistency check for tests: the length field equals the
+    sum of the chains, every cached chain length equals
+    [Mbuf.chain_len] of its chain, and every chain passes
+    [Mbuf.check_invariants]. *)

@@ -171,6 +171,161 @@ let prop_sendq_like_string =
       Tcp_sendq.clear q;
       !ok)
 
+(* Model-based, with every storage kind: regular chains, M_UIO
+   descriptors appended with and without merging, and M_WCAB or regular
+   replacements.  The model is one cell per queued byte: its value, its
+   mbuf kind and the chain holding it, so it predicts bytes, kinds,
+   homogeneous extents and chain boundaries.  [check] (cached lengths
+   against the chains) runs after every operation, and every WCAB
+   descriptor is released exactly once by the end. *)
+type cell = { byte : char; kind : Mbuf.kind; chain : int }
+
+let descriptor_kind = function
+  | Mbuf.K_uio | Mbuf.K_wcab -> true
+  | Mbuf.K_internal | Mbuf.K_cluster -> false
+
+let prop_sendq_cached_lengths =
+  let space = Addr_space.create ~profile:Host_profile.alpha400 ~name:"m" () in
+  let user = Addr_space.alloc space 8192 in
+  Region.fill_pattern user ~seed:5;
+  let user_bytes = Bytes.create 8192 in
+  Region.blit_to_bytes user ~src_off:0 user_bytes ~dst_off:0 ~len:8192;
+  let gen =
+    QCheck.Gen.(
+      list_size (1 -- 40)
+        (quad (int_bound 6) (int_bound 4095) (int_bound 4095) bool))
+  in
+  QCheck.Test.make ~name:"sendq cached lengths against a byte/kind model"
+    ~count:300 (QCheck.make gen) (fun ops ->
+      let q = Tcp_sendq.create ~hiwat:(1 lsl 20) in
+      let model = ref [||] in
+      let next_chain = ref 0 in
+      let fresh () =
+        incr next_chain;
+        !next_chain
+      in
+      let descs = ref 0 and released = ref 0 in
+      let ok = ref true in
+      let expect what b = if not b then (ok := false; prerr_endline what) in
+      (* Cells of a chain about to be queued, as chain [id]. *)
+      let cells_of m id =
+        let acc = ref [] in
+        Mbuf.iter
+          (fun mb ->
+            for _ = 1 to mb.Mbuf.len do
+              acc := Mbuf.kind mb :: !acc
+            done)
+          m;
+        let buf = Bytes.create (Mbuf.chain_len m) in
+        Mbuf.copy_into_raw m ~off:0 ~len:(Bytes.length buf) buf ~dst_off:0;
+        Array.of_list
+          (List.mapi
+             (fun i kind -> { byte = Bytes.get buf i; kind; chain = id })
+             (List.rev !acc))
+      in
+      let wcab s =
+        incr descs;
+        let desc =
+          { Mbuf.wcab_id = !descs; wcab_bytes = Bytes.of_string s;
+            wcab_base = 0; wcab_valid = String.length s;
+            wcab_free = (fun () -> incr released); wcab_refs = ref 1 }
+        in
+        Mbuf.make_wcab ~desc ~len:(String.length s)
+      in
+      List.iter
+        (fun (op, a, b, flag) ->
+          let n = Array.length !model in
+          (match op with
+          | 0 ->
+              let s =
+                String.init (1 + (a mod 600)) (fun i ->
+                    Char.chr (97 + ((i + b) mod 26)))
+              in
+              let m = Mbuf.of_string ~pkthdr:true s in
+              model := Array.append !model (cells_of m (fresh ()));
+              Tcp_sendq.append ~merge_descriptors:flag q m
+          | 1 ->
+              let off = a mod 4096 and len = 1 + (b mod 2048) in
+              let m =
+                Mbuf.make_uio ~region:(Region.sub user ~off ~len) ~notify:None
+              in
+              let after_uio = n > 0 && !model.(n - 1).kind = Mbuf.K_uio in
+              expect "merge predicted"
+                (Tcp_sendq.append_merges_descriptor q m = after_uio);
+              let id =
+                if flag && after_uio then !model.(n - 1).chain else fresh ()
+              in
+              model := Array.append !model (cells_of m id);
+              Tcp_sendq.append ~merge_descriptors:flag q m
+          | 2 when n > 0 ->
+              let off = a mod n in
+              let len = 1 + (b mod (n - off)) in
+              let r = Tcp_sendq.range q ~off ~len in
+              let buf = Bytes.create len in
+              Mbuf.copy_into_raw r ~off:0 ~len buf ~dst_off:0;
+              expect "range bytes"
+                (Bytes.to_string buf
+                = String.init len (fun i -> !model.(off + i).byte));
+              expect "range kinds"
+                (cells_of r 0 |> Array.map (fun c -> c.kind)
+                = Array.init len (fun i -> !model.(off + i).kind));
+              expect "range header" (Mbuf.check_invariants r = Ok ());
+              Mbuf.free r
+          | 3 when n > 0 ->
+              let off = a mod n in
+              let c = !model.(off) in
+              let extent = ref 1 in
+              while
+                off + !extent < n
+                &&
+                let d = !model.(off + !extent) in
+                d.chain = c.chain
+                || not (descriptor_kind c.kind || descriptor_kind d.kind)
+              do
+                incr extent
+              done;
+              expect "homogeneous extent"
+                (Tcp_sendq.homogeneous_extent q ~off = (c.kind, !extent))
+          | 4 when n > 0 ->
+              let off = a mod n in
+              let len = 1 + (b mod (n - off)) in
+              let s =
+                String.init len (fun i -> Char.chr (65 + ((i + a) mod 26)))
+              in
+              let repl = if flag then wcab s else Mbuf.of_string s in
+              let fresh_cells = cells_of repl (fresh ()) in
+              let last = !model.(off + len - 1).chain and back = fresh () in
+              model :=
+                Array.init n (fun i ->
+                    if i < off then !model.(i)
+                    else if i < off + len then fresh_cells.(i - off)
+                    else if !model.(i).chain = last then
+                      { (!model.(i)) with chain = back }
+                    else !model.(i));
+              Tcp_sendq.replace q ~off ~len repl
+          | 5 when n > 0 ->
+              let k = a mod (n + 1) in
+              Tcp_sendq.drop q k;
+              model := Array.sub !model k (n - k)
+          | 6 when n > 0 ->
+              let off = a mod n in
+              let len = 1 + (b mod (n - off)) in
+              let all = ref true in
+              for i = off to off + len - 1 do
+                if !model.(i).kind <> Mbuf.K_wcab then all := false
+              done;
+              expect "all_wcab" (Tcp_sendq.all_wcab q ~off ~len = !all)
+          | _ -> ());
+          expect "length" (Tcp_sendq.length q = Array.length !model);
+          match Tcp_sendq.check q with
+          | Ok () -> ()
+          | Error e -> expect e false)
+        ops;
+      Tcp_sendq.clear q;
+      expect "cleared" (Tcp_sendq.length q = 0 && Tcp_sendq.check q = Ok ());
+      expect "every descriptor released once" (!released = !descs);
+      !ok)
+
 (* ---------- Tcp_reasm ---------- *)
 
 let seg s = Mbuf.of_string ~pkthdr:true s
@@ -574,6 +729,7 @@ let () =
           Alcotest.test_case "descriptor merge" `Quick
             test_sendq_merge_descriptors;
           QCheck_alcotest.to_alcotest prop_sendq_like_string;
+          QCheck_alcotest.to_alcotest prop_sendq_cached_lengths;
         ] );
       ( "reasm",
         [

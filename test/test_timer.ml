@@ -273,6 +273,33 @@ let test_crowded_slot () =
     (Array.to_list order);
   Alcotest.(check (float 0.)) "words to collect and fire the slot" 0. words
 
+(* ---------- unit: the cursor jumps ---------- *)
+
+(* The occupancy bitmaps move the cursor straight to the next occupied
+   slot.  One timer 100 us ahead (level 0, 195 ticks on) and one 100 ms
+   ahead (level 2) are each reached within 2 x [levels] units of
+   [Sim.wheel_work] (cursor moves plus cascades); stepping the cursor
+   one tick or one boundary at a time costs 196 for the first and
+   hundreds more for the second. *)
+let test_cursor_jumps () =
+  let sim = Sim.create () in
+  let near = 100_000 and far = 100_000_000 in
+  ignore (Sim.after sim near ignore);
+  ignore (Sim.after sim far ignore);
+  let bound = 2 * Timer_wheel.levels in
+  let reach label deadline =
+    let w0 = Sim.wheel_work sim in
+    check_bool "fired" true (Sim.step sim);
+    check_int (label ^ " fires on time") deadline (Sim.now sim);
+    let work = Sim.wheel_work sim - w0 in
+    check_bool
+      (Printf.sprintf "%s reached in %d <= %d" label work bound)
+      true (work <= bound)
+  in
+  reach "100 us timer" near;
+  reach "100 ms timer" far;
+  check_int "drained" 0 (Sim.pending sim)
+
 (* ---------- unit: cancel removes at once ---------- *)
 
 let test_cancel_removes () =
@@ -327,6 +354,8 @@ let () =
             test_cancel_inside_handler;
           Alcotest.test_case "far-future overflow" `Quick
             test_far_future_overflow;
+          Alcotest.test_case "cursor jumps to occupied slots" `Quick
+            test_cursor_jumps;
           Alcotest.test_case "crowded slot sorts in place" `Quick
             test_crowded_slot;
         ] );
