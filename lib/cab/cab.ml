@@ -3,7 +3,6 @@ type rx_info = {
   rx_head : Bytes.t;
   rx_head_len : int;
   rx_total_len : int;
-  rx_engine_sum : Inet_csum.sum;
   rx_complete : bool;
 }
 
@@ -473,36 +472,29 @@ let free t pkt = Netmem.free t.mem pkt
 
 let rx_csum_start = 4 * Hippi_framing.rx_csum_start_words
 
-(* [deliver] consumes [frame]: once the bytes are in network memory the
-   buffer goes back to the shared pool, so callers must not touch a frame
-   after handing it over. *)
+(* [deliver] consumes [frame]: it becomes the packet's network-memory
+   buffer, or goes back to the shared pool when there is no room, so
+   callers must not touch a frame after handing it over. *)
 let deliver t frame =
-  let len = Bytes.length frame in
-  match Netmem.alloc t.mem ~len ~state:Netmem.Receiving with
+  match Netmem.adopt t.mem frame with
   | exception Netmem.Exhausted ->
       t.s.rx_dropped <- t.s.rx_dropped + 1;
       Bufpool.put Bufpool.shared frame
   | pkt ->
+      let len = pkt.len in
       t.s.rx_packets <- t.s.rx_packets + 1;
       t.s.rx_bytes <- t.s.rx_bytes + len;
-      (* The receive checksum engine ran while the data streamed off the
-         media (§2.1): the sum is ready with the packet.  One fused pass
-         copies the frame into network memory and produces the sum. *)
-      pkt.body_sum <-
-        (if len > rx_csum_start then begin
-           Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy rx_csum_start;
-           Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy_sum
-             (len - rx_csum_start);
-           Bytes.blit frame 0 pkt.buf 0 rx_csum_start;
-           Inet_csum.copy_and_sum ~src:frame ~src_off:rx_csum_start
-             ~dst:pkt.buf ~dst_off:rx_csum_start ~len:(len - rx_csum_start)
-         end
-         else begin
-           Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy len;
-           Bytes.blit frame 0 pkt.buf 0 len;
-           Inet_csum.zero
-         end);
-      Bufpool.put Bufpool.shared frame;
+      (* The receive checksum engine runs while the data streams off the
+         media (§2.1), so the packet lands in network memory summed.  The
+         ledger counts that engine pass here; the host computes the sum
+         only where it is read ([rx_engine_sum]), and the frame is already
+         the packet's buffer, so delivery touches no byte. *)
+      if len > rx_csum_start then begin
+        Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy rx_csum_start;
+        Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy_sum
+          (len - rx_csum_start)
+      end
+      else Obs_ledger.touch Obs_ledger.Rx_engine Obs_ledger.Copy len;
       (* Auto-DMA of the prefix, then the receive interrupt.  The bus
          transfer is charged here; [rx_head] is a window on the packet
          buffer ([rx_head_len] valid bytes) that the driver copies out of
@@ -519,9 +511,18 @@ let deliver t frame =
             rx_head = pkt.buf;
             rx_head_len = head_len;
             rx_total_len = len;
-            rx_engine_sum = pkt.body_sum;
             rx_complete = len <= head_len;
           }
+
+let rx_engine_sum info =
+  let pkt = info.rx_pkt in
+  if not pkt.Netmem.live then
+    invalid_arg "Cab.rx_engine_sum: packet already freed";
+  let len = info.rx_total_len in
+  if len > rx_csum_start then
+    Inet_csum.of_slice pkt.Netmem.buf ~off:rx_csum_start
+      ~len:(len - rx_csum_start)
+  else Inet_csum.zero
 
 (* The auto-DMA engine landed the head of the packet whose event is in
    [slot]. *)

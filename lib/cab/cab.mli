@@ -56,8 +56,6 @@ and rx_info = {
   rx_head : Bytes.t;  (** auto-DMA'd prefix, host memory *)
   rx_head_len : int;
   rx_total_len : int;
-  rx_engine_sum : Inet_csum.sum;
-      (** sum over [4 * rx_csum_start_words, len) computed off the media *)
   rx_complete : bool;  (** whole packet landed in the auto-DMA buffer *)
 }
 
@@ -173,9 +171,22 @@ val free : t -> Netmem.packet -> unit
 
 val deliver : t -> Bytes.t -> unit
 (** Media receive entry: wire as the rx callback of the link/switch.
-    Consumes the frame — once its bytes are in network memory the buffer
-    is recycled through {!Bufpool.shared}, so the caller must not touch
-    it after handing it over. *)
+    Consumes the frame as network memory: it becomes the received
+    packet's buffer ({!Netmem.adopt}), no byte of it copied, and {!free}
+    recycles it through {!Bufpool.shared}; when network memory is
+    exhausted the frame is dropped and recycled at once.  Either way the
+    caller must not touch it after handing it over. *)
+
+val rx_engine_sum : rx_info -> Inet_csum.sum
+(** The receive checksum engine's sum over
+    [\[4 * Hippi_framing.rx_csum_start_words, rx_total_len)] of the
+    packet ({!Inet_csum.zero} when the packet is no longer than that
+    start).  The engine sums the words as they stream off the media
+    (§2.1), and the ledger counts that pass at {!deliver}; the model
+    computes the sum from the packet's bytes here, where it is read, so
+    a stack that never reads it makes no host pass over received data.
+    @raise Invalid_argument if the packet has been freed: its buffer may
+    already hold another packet. *)
 
 val sdma_copy_out :
   t ->

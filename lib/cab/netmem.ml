@@ -63,12 +63,10 @@ let placeholder =
   make_packet ~id:(-1) ~buf:Bytes.empty ~len:0 ~state:Ready ~pages:0
     ~live:false
 
-(* Host buffers come in multiples of [buf_class] bytes, at least one. *)
-let buf_class = 64
-let buf_len len = (max 1 len + buf_class - 1) / buf_class * buf_class
-
-let alloc t ~len ~state =
-  if len < 0 then invalid_arg "Netmem.alloc: negative length";
+(* Page accounting and the injected-exhaustion draw, shared by [alloc]
+   and [adopt]: the packet's pages, once reserved. *)
+let reserve t ~len =
+  if len < 0 then invalid_arg "Netmem: negative length";
   let pages =
     max 1 ((len + Page.cab_page_size - 1) / Page.cab_page_size)
   in
@@ -86,16 +84,29 @@ let alloc t ~len ~state =
   else begin
     t.used <- t.used + pages;
     t.live_count <- t.live_count + 1;
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    (* Pages are the unit of accounting, not of host storage: the
-       buffer is the packet's own length rounded up to a [buf_class]
-       size class, so a 60-byte ACK does not hold a 4 KByte buffer.  The
-       producer (SDMA / frame copy-in) overwrites [0, len) before any
-       byte is read, so a recycled buffer's stale contents are harmless. *)
-    let buf = Bufpool.get Bufpool.shared (buf_len len) in
-    make_packet ~id ~buf ~len ~state ~pages ~live:true
+    pages
   end
+
+let next_id t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
+
+let alloc t ~len ~state =
+  let pages = reserve t ~len in
+  (* Pages are the unit of accounting, not of host storage: the buffer
+     is exactly the packet's length, so a 60-byte ACK does not hold a
+     4 KByte buffer, and a transmit buffer, the wire frame copied out of
+     it and the receive buffer that frame becomes share one Bufpool
+     class.  The producer (SDMA) overwrites [0, len) before any byte is
+     read, so a recycled buffer's stale contents are harmless. *)
+  let buf = Bufpool.get Bufpool.shared len in
+  make_packet ~id:(next_id t) ~buf ~len ~state ~pages ~live:true
+
+let adopt t buf =
+  let len = Bytes.length buf in
+  let pages = reserve t ~len in
+  make_packet ~id:(next_id t) ~buf ~len ~state:Receiving ~pages ~live:true
 
 let free t pkt =
   if not pkt.live then begin

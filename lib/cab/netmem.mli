@@ -5,8 +5,12 @@
     boundary in CAB memory, and all but the last page must be full pages"
     — so allocation is accounted in whole pages and each packet owns a
     page-aligned region of the bank.  The host buffer that models a
-    packet's bytes is sized to the packet, not to its pages: its length
-    rounded up to a multiple of 64 bytes, drawn from {!Bufpool.shared}.
+    packet's bytes is exactly the packet's length, not its pages: a
+    transmit buffer is drawn from {!Bufpool.shared}, and a received
+    packet's buffer is the arriving frame itself ({!adopt}), so a
+    packet, the wire frame copied out of it and the receive buffer that
+    frame becomes share one {!Bufpool} class, and {!free} returns either
+    kind to it.
 
     Each packet buffer carries the checksum-engine state that accumulates
     while data is DMAed in: the header-range sum, the saved body sum
@@ -30,8 +34,7 @@ type state =
 type packet = {
   id : int;
   buf : Bytes.t;
-      (** storage of the packet's length rounded up to 64 bytes; valid
-          data is [0, len) *)
+      (** storage of exactly the packet's length: data is [0, len) *)
   mutable len : int;
   mutable hdr_len : int;  (** bytes covered by the header SDMA *)
   mutable header_sum : Inet_csum.sum;
@@ -66,6 +69,15 @@ val alloc : t -> len:int -> state:state -> packet
     whole CAB pages (at least one) of the capacity.  The fault site
     ["netmem.exhaust"] can force an exhaustion (counted both in
     {!failures} and the Obs counter [netmem.injected_exhaustions]).
+    @raise Exhausted when memory is exhausted. *)
+
+val adopt : t -> Bytes.t -> packet
+(** [adopt t frame] makes [frame] the buffer of a new [Receiving] packet
+    of its length: the receive path's entry, where the arriving frame
+    becomes network memory without a copy.  Page accounting, the
+    ["netmem.exhaust"] draw and the packet id are those of {!alloc}.  On
+    success the packet owns [frame] and {!free} returns it to
+    {!Bufpool.shared}; on failure the caller keeps it.
     @raise Exhausted when memory is exhausted. *)
 
 val free : t -> packet -> unit

@@ -618,13 +618,14 @@ let deliver_chain t chain =
 
 let rx_csum_rel = (4 * Hippi_framing.rx_csum_start_words) - Hippi_framing.size
 
-(* Hand the transport the engine's receive checksum of the packet. *)
+(* Hand the transport the engine's receive checksum of the packet,
+   which must still be live: the sum is read from its network memory. *)
 let set_rx_csum (head : Mbuf.t) (info : Cab.rx_info) =
   match head.Mbuf.pkthdr with
   | Some ph ->
       ph.Mbuf.rx_csum <-
         Some
-          (Csum_offload.make_rx ~engine_sum:info.Cab.rx_engine_sum
+          (Csum_offload.make_rx ~engine_sum:(Cab.rx_engine_sum info)
              ~rx_start:rx_csum_rel)
   | None -> ()
 
@@ -643,8 +644,8 @@ let handle_rx t (info : Cab.rx_info) =
         info.Cab.rx_head
     in
     if info.Cab.rx_complete then begin
-      Cab.free t.cab info.Cab.rx_pkt;
       if t.mode = Stack_mode.Single_copy then set_rx_csum head info;
+      Cab.free t.cab info.Cab.rx_pkt;
       deliver_chain t head
     end
     else begin

@@ -33,6 +33,9 @@ let make_pair ?(netmem_pages = 512) () =
 
 let hdr_total = Hippi_framing.size + Ipv4_header.size + Tcp_header.base_size
 
+(* Where the receive checksum engine starts summing. *)
+let rx_csum_start = 4 * Hippi_framing.rx_csum_start_words
+
 (* Build the header block for a TCP-like packet with seed in the checksum
    field, and the matching offload record. *)
 let build_header ~payload_len ~pseudo =
@@ -81,9 +84,38 @@ let on_each cab f =
 
 let no_handler cab = Cab.set_batch_interrupt_handler cab (fun _ _ -> ())
 
+(* A single adaptor whose handler keeps every received packet's info. *)
+let rx_rig ?(netmem_pages = 64) () =
+  let sim = Sim.create () in
+  let cab =
+    Cab.create ~sim ~profile ~name:"rx-rig" ~netmem_pages ~hippi_addr:2
+      ~transmit:(fun _ ~dst:_ ~channel:_ -> ())
+      ()
+  in
+  let got = ref [] in
+  on_each cab (function
+    | Cab.Rx_packet info -> got := info :: !got
+    | Cab.Sdma_done -> ());
+  (sim, cab, got)
+
 let pseudo_for payload_len =
   Inet_csum.pseudo_header ~src:0x0a000001l ~dst:0x0a000002l ~proto:6
     ~len:(Tcp_header.base_size + payload_len)
+
+(* The receiver's offloaded verification of a received packet, which
+   must still be live: the engine sum, plus the transport bytes before the
+   engine's start read from the auto-DMA'd head, plus the pseudo-header. *)
+let rx_verifies ~pseudo info =
+  let transport_off = Hippi_framing.size + Ipv4_header.size in
+  let skipped =
+    Inet_csum.of_bytes ~off:transport_off
+      ~len:(rx_csum_start - transport_off)
+      info.Cab.rx_head
+  in
+  Csum_offload.rx_verify
+    (Csum_offload.make_rx ~engine_sum:(Cab.rx_engine_sum info)
+       ~rx_start:rx_csum_start)
+    ~skipped ~pseudo
 
 (* Send one offloaded packet from user memory through the pair; return the
    receive info seen by cab_b's driver. *)
@@ -126,17 +158,7 @@ let test_tx_rx_roundtrip () =
       check_int "head is L words" (4 * 176) info.Cab.rx_head_len;
       (* Engine-assisted verification: engine sum + skipped transport bytes
          + pseudo-header folds to 0xffff. *)
-      let transport_off = Hippi_framing.size + Ipv4_header.size in
-      let rx_start = 4 * Hippi_framing.rx_csum_start_words in
-      let skipped =
-        Inet_csum.of_bytes ~off:transport_off ~len:(rx_start - transport_off)
-          info.Cab.rx_head
-      in
-      check_bool "hardware checksum verifies" true
-        (Csum_offload.rx_verify
-           (Csum_offload.make_rx ~engine_sum:info.Cab.rx_engine_sum
-              ~rx_start)
-           ~skipped ~pseudo);
+      check_bool "hardware checksum verifies" true (rx_verifies ~pseudo info);
       (* Copy the payload out and compare with what the user sent. *)
       let space2 = Addr_space.create ~profile ~name:"rcv" () in
       let dst = Addr_space.alloc space2 8192 in
@@ -200,16 +222,7 @@ let test_checksum_corruption_detected () =
   match !got with
   | None -> Alcotest.fail "no receive interrupt"
   | Some info ->
-      let transport_off = Hippi_framing.size + Ipv4_header.size in
-      let rx_start = 4 * Hippi_framing.rx_csum_start_words in
-      let skipped =
-        Inet_csum.of_bytes ~off:transport_off ~len:(rx_start - transport_off)
-          info.Cab.rx_head
-      in
-      check_bool "corrupted payload rejected" false
-        (Csum_offload.rx_verify
-           (Csum_offload.make_rx ~engine_sum:info.Cab.rx_engine_sum ~rx_start)
-           ~skipped ~pseudo)
+      check_bool "corrupted payload rejected" false (rx_verifies ~pseudo info)
 
 let test_retransmit_header_rewrite () =
   (* Keep the packet, rewrite its header with a new seq/seed, resend: the
@@ -265,16 +278,8 @@ let test_retransmit_header_rewrite () =
   (match !rxs with
   | [ second; _first ] ->
       let transport_off = Hippi_framing.size + Ipv4_header.size in
-      let rx_start = 4 * Hippi_framing.rx_csum_start_words in
-      let skipped =
-        Inet_csum.of_bytes ~off:transport_off ~len:(rx_start - transport_off)
-          second.Cab.rx_head
-      in
       check_bool "retransmitted packet verifies" true
-        (Csum_offload.rx_verify
-           (Csum_offload.make_rx ~engine_sum:second.Cab.rx_engine_sum
-              ~rx_start)
-           ~skipped ~pseudo);
+        (rx_verifies ~pseudo second);
       (* The new header contents made it out. *)
       (match
          Tcp_header.decode second.Cab.rx_head ~off:transport_off
@@ -342,16 +347,7 @@ let test_sdma_chain_equivalent () =
     in
     check_int "full length arrived" (hdr_total + payload_len)
       info.Cab.rx_total_len;
-    let transport_off = Hippi_framing.size + Ipv4_header.size in
-    let rx_start = 4 * Hippi_framing.rx_csum_start_words in
-    let skipped =
-      Inet_csum.of_bytes ~off:transport_off ~len:(rx_start - transport_off)
-        info.Cab.rx_head
-    in
-    check_bool "offloaded checksum verifies" true
-      (Csum_offload.rx_verify
-         (Csum_offload.make_rx ~engine_sum:info.Cab.rx_engine_sum ~rx_start)
-         ~skipped ~pseudo);
+    check_bool "offloaded checksum verifies" true (rx_verifies ~pseudo info);
     let s = Cab.stats pair.cab_a in
     (s.Cab.sdma_bytes, !bus_done, s.Cab.sdma_chains)
   in
@@ -483,11 +479,12 @@ let prop_offload_any_program =
       let payload = Bytes.sub (Bytes.of_string payload_str) 0 payload_len in
       let pseudo = pseudo_for payload_len in
       let hdr, csum = build_header ~payload_len ~pseudo in
+      (* Each reception's verdict, read before the packet is freed. *)
       let received = ref [] in
       on_each pair.cab_b (fun i ->
           match i with
           | Cab.Rx_packet info ->
-              received := info :: !received;
+              received := rx_verifies ~pseudo info :: !received;
               Cab.free pair.cab_b info.Cab.rx_pkt
           | Cab.Sdma_done -> ());
       no_handler pair.cab_a;
@@ -512,20 +509,33 @@ let prop_offload_any_program =
         Sim.run pair.sim
       done;
       Cab.free pair.cab_a pkt;
-      let transport_off = Hippi_framing.size + Ipv4_header.size in
-      let rx_start = 4 * Hippi_framing.rx_csum_start_words in
-      List.length !received = rewrites + 1
-      && List.for_all
-           (fun (info : Cab.rx_info) ->
-             let skipped =
-               Inet_csum.of_bytes ~off:transport_off
-                 ~len:(rx_start - transport_off) info.Cab.rx_head
-             in
-             Csum_offload.rx_verify
-               (Csum_offload.make_rx ~engine_sum:info.Cab.rx_engine_sum
-                  ~rx_start)
-               ~skipped ~pseudo)
-           !received)
+      List.length !received = rewrites + 1 && List.for_all Fun.id !received)
+
+(* Property: the engine sum of any received frame, odd lengths and frames
+   no longer than the engine's start included, is the byte-at-a-time
+   reference sum over [rx_csum_start, len). *)
+let prop_engine_sum_matches_reference =
+  let sim, cab, got = rx_rig () in
+  QCheck.Test.make ~name:"engine sum equals the reference over the frame"
+    ~count:300
+    QCheck.(string_of_size Gen.(oneof [ 0 -- (rx_csum_start + 1); 0 -- 3000 ]))
+    (fun str ->
+      let frame = Bytes.of_string str and len = String.length str in
+      got := [];
+      Cab.deliver cab frame;
+      Sim.run sim;
+      match !got with
+      | [ info ] ->
+          let expected =
+            if len > rx_csum_start then
+              Inet_csum.reference_of_bytes ~off:rx_csum_start
+                ~len:(len - rx_csum_start) (Bytes.of_string str)
+            else Inet_csum.zero
+          in
+          let sum = Cab.rx_engine_sum info in
+          Cab.free cab info.Cab.rx_pkt;
+          sum = expected
+      | _ -> false)
 
 (* ---------- engine job rings ---------- *)
 
@@ -727,20 +737,21 @@ let test_netmem_double_free_counted () =
   check_int "pages back" 8 (Netmem.free_pages nm)
 
 (* A network-memory packet is accounted in pages but backed by a buffer
-   of its own length rounded up to 64 bytes: a 100-byte packet counts one
-   page, the next packet of its size class is a Bufpool hit, and a
-   payload committed past the packet's length is refused instead of
-   landing in the slack of a 4 KByte page buffer. *)
+   of exactly its length: a 100-byte packet counts one page and holds 100
+   bytes, the next 100-byte packet is a Bufpool hit, and a payload
+   committed past the packet's length is refused instead of landing in
+   the slack of a 4 KByte page buffer. *)
 let test_netmem_sized_buffers () =
   let nm = Netmem.create ~pages:8 in
   let p1 = Netmem.alloc nm ~len:100 ~state:Netmem.Ready in
   check_int "one page counted" 7 (Netmem.free_pages nm);
-  check_int "buffer sized to the packet" 128 (Bytes.length p1.Netmem.buf);
+  check_int "buffer of the packet's length" 100 (Bytes.length p1.Netmem.buf);
   Netmem.free nm p1;
   let hits = Bufpool.hit_count Bufpool.shared in
-  let p2 = Netmem.alloc nm ~len:120 ~state:Netmem.Ready in
-  check_int "same class is a pool hit" (hits + 1)
+  let p2 = Netmem.alloc nm ~len:100 ~state:Netmem.Ready in
+  check_int "same length is a pool hit" (hits + 1)
     (Bufpool.hit_count Bufpool.shared);
+  check_bool "the freed buffer is reused" true (p2.Netmem.buf == p1.Netmem.buf);
   check_int "still one page" 7 (Netmem.free_pages nm);
   Netmem.free nm p2;
   let pair = make_pair () in
@@ -748,8 +759,61 @@ let test_netmem_sized_buffers () =
   check_bool "payload past the packet raises" true
     (try
        Cab.sdma_chain pair.cab_a pkt
-         ~segs:[ payload_seg (kernel_src (Bytes.create 200)) ~pkt_off:0 ]
+         ~segs:[ payload_seg (kernel_src (Bytes.create 104)) ~pkt_off:0 ]
          ~interrupt:false ~on_complete:ignore;
+       false
+     with Invalid_argument _ -> true)
+
+let pool_requests () =
+  Bufpool.hit_count Bufpool.shared + Bufpool.miss_count Bufpool.shared
+
+(* The arriving frame becomes the packet's network memory: delivery draws
+   no buffer from the pool and copies no byte, and freeing the packet
+   files the frame for the next packet of its length.  A frame that finds
+   network memory exhausted goes back to the pool at once. *)
+let test_delivery_copies_nothing () =
+  let sim, cab, got = rx_rig ~netmem_pages:2 () in
+  let len = 4100 in
+  let frame = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
+  let requests = pool_requests () in
+  Cab.deliver cab frame;
+  Sim.run sim;
+  check_int "no pool request on delivery" requests (pool_requests ());
+  let info =
+    match !got with
+    | [ info ] -> info
+    | _ -> Alcotest.fail "expected one reception"
+  in
+  check_bool "the packet's buffer is the frame" true
+    (info.Cab.rx_pkt.Netmem.buf == frame);
+  check_bool "the auto-DMA head is a window on it" true
+    (info.Cab.rx_head == frame);
+  check_int "two pages counted" 0 (Netmem.free_pages (Cab.netmem cab));
+  (* Memory is full: the next frame is dropped and recycled. *)
+  let dropped = Bytes.create 8200 in
+  Cab.deliver cab dropped;
+  check_int "dropped for lack of memory" 1 (Cab.stats cab).Cab.rx_dropped;
+  check_bool "the dropped frame is back in the pool" true
+    (Bufpool.get Bufpool.shared 8200 == dropped);
+  Cab.free cab info.Cab.rx_pkt;
+  check_bool "the freed packet files its frame" true
+    (Bufpool.get Bufpool.shared len == frame)
+
+(* The engine sum is read from the packet's network memory, so reading it
+   once the packet is freed is refused: the buffer may already hold
+   another packet. *)
+let test_engine_sum_of_freed_packet () =
+  let sim, cab, got = rx_rig () in
+  Cab.deliver cab (Bytes.make 1000 'x');
+  Sim.run sim;
+  let info = List.hd !got in
+  let sum = Cab.rx_engine_sum info in
+  check_bool "read while live" true
+    (sum = Inet_csum.of_bytes ~off:rx_csum_start (Bytes.make 1000 'x'));
+  Cab.free cab info.Cab.rx_pkt;
+  check_bool "read after free raises" true
+    (try
+       ignore (Cab.rx_engine_sum info : Inet_csum.sum);
        false
      with Invalid_argument _ -> true)
 
@@ -817,8 +881,16 @@ let () =
             test_netmem_double_free_counted;
           Alcotest.test_case "buffers sized to the packet" `Quick
             test_netmem_sized_buffers;
+          Alcotest.test_case "delivery copies nothing" `Quick
+            test_delivery_copies_nothing;
+          Alcotest.test_case "engine sum of a freed packet raises" `Quick
+            test_engine_sum_of_freed_packet;
           Alcotest.test_case "second media request raises" `Quick
             test_second_media_request_raises;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_offload_any_program ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_offload_any_program;
+          QCheck_alcotest.to_alcotest prop_engine_sum_matches_reference;
+        ] );
     ]
